@@ -7,14 +7,14 @@
 //!
 //! * Hunt–McIlroy (the prototype's `diff`(1) algorithm),
 //! * Myers O(ND) linear-space (Miller–Myers [MM85] family),
-//! * Tichy block-move ([Tic84], byte-level).
+//! * the content-defined chunk codec (byte-level copy/insert, the role
+//!   Tichy's block moves [Tic84] were proposed for).
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use shadow::{
-    apply_chunk_delta, chunk_delta_into, diff, diff_docs, DiffAlgorithm, DiffScratch, DocBuf,
-    Document, EditModel, FileSpec,
+    apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, DiffAlgorithm, DiffScratch,
+    DocBuf, EditModel, FileSpec,
 };
-use shadow::block_diff;
 
 fn bench_diff_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("diff_algorithms");
@@ -22,52 +22,41 @@ fn bench_diff_algorithms(c: &mut Criterion) {
         for &fraction in &[0.01f64, 0.20] {
             let base = shadow::generate_file(&FileSpec::new(size, 42));
             let edited = EditModel::fraction(fraction, 43).apply(&base);
-            let old_doc = Document::from_bytes(base.clone());
-            let new_doc = Document::from_bytes(edited.clone());
             let old_buf = DocBuf::from_bytes(base.clone());
             let new_buf = DocBuf::from_bytes(edited.clone());
             group.throughput(Throughput::Bytes(size as u64));
             let label = format!("{}b_{}pct", size, (fraction * 100.0) as u32);
 
+            // Each engine with a reused scratch — the steady-state
+            // production path.
+            let mut scratch = DiffScratch::new();
             group.bench_with_input(
                 BenchmarkId::new("hunt_mcilroy", &label),
-                &(&old_doc, &new_doc),
-                |b, (o, n)| b.iter(|| diff(DiffAlgorithm::HuntMcIlroy, o, n)),
+                &(&old_buf, &new_buf),
+                |b, (o, n)| b.iter(|| diff_docs(DiffAlgorithm::HuntMcIlroy, o, n, &mut scratch)),
             );
             group.bench_with_input(
                 BenchmarkId::new("myers", &label),
-                &(&old_doc, &new_doc),
-                |b, (o, n)| b.iter(|| diff(DiffAlgorithm::Myers, o, n)),
-            );
-            // The same two LCS algorithms through the zero-copy pipeline
-            // with a reused scratch — the steady-state production path.
-            let mut hm_scratch = DiffScratch::new();
-            group.bench_with_input(
-                BenchmarkId::new("hunt_mcilroy_zerocopy", &label),
                 &(&old_buf, &new_buf),
-                |b, (o, n)| {
-                    b.iter(|| diff_docs(DiffAlgorithm::HuntMcIlroy, o, n, &mut hm_scratch))
-                },
+                |b, (o, n)| b.iter(|| diff_docs(DiffAlgorithm::Myers, o, n, &mut scratch)),
             );
-            let mut my_scratch = DiffScratch::new();
+            let mut delta = Vec::new();
             group.bench_with_input(
-                BenchmarkId::new("myers_zerocopy", &label),
-                &(&old_buf, &new_buf),
-                |b, (o, n)| b.iter(|| diff_docs(DiffAlgorithm::Myers, o, n, &mut my_scratch)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("tichy_blockmove", &label),
+                BenchmarkId::new("chunk", &label),
                 &(&base, &edited),
-                |b, (o, n)| b.iter(|| block_diff(o, n)),
+                |b, (o, n)| {
+                    b.iter(|| {
+                        delta.clear();
+                        chunk_delta_into(o, n, &mut scratch, &mut delta)
+                    })
+                },
             );
 
             // Report delta sizes once per configuration (the wire cost the
             // service actually pays).
-            let hm = diff(DiffAlgorithm::HuntMcIlroy, &old_doc, &new_doc).wire_len();
-            let my = diff(DiffAlgorithm::Myers, &old_doc, &new_doc).wire_len();
-            let bm = block_diff(&base, &edited).wire_len();
+            let [hm, my, chunk] = wire_costs(&base, &edited, &mut scratch);
             println!(
-                "delta sizes {label}: hunt-mcilroy={hm}B myers={my}B tichy={bm}B (file {size}B)"
+                "delta sizes {label}: hunt-mcilroy={hm}B myers={my}B chunk={chunk}B (file {size}B)"
             );
         }
     }
@@ -78,13 +67,30 @@ fn bench_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("apply_delta");
     let base = shadow::generate_file(&FileSpec::new(100_000, 42));
     let edited = EditModel::fraction(0.05, 43).apply(&base);
-    let old_doc = Document::from_bytes(base.clone());
-    let script = diff(DiffAlgorithm::HuntMcIlroy, &old_doc, &Document::from_bytes(edited));
+    let script = diff_docs(
+        DiffAlgorithm::HuntMcIlroy,
+        &DocBuf::from_bytes(base.clone()),
+        &DocBuf::from_bytes(edited),
+        &mut DiffScratch::new(),
+    )
+    .to_text();
     group.throughput(Throughput::Bytes(base.len() as u64));
-    group.bench_function("ed_script_100k_5pct", |b| {
-        b.iter(|| script.apply(&old_doc).unwrap())
+    group.bench_function("apply_delta_100k_5pct", |b| {
+        b.iter(|| apply_delta(&base, &script).unwrap())
     });
     group.finish();
+}
+
+/// Wire bytes of the Hunt–McIlroy script, the Myers script and the chunk
+/// delta for one edit.
+fn wire_costs(base: &[u8], edited: &[u8], scratch: &mut DiffScratch) -> [usize; 3] {
+    let old_buf = DocBuf::from_bytes(base.to_vec());
+    let new_buf = DocBuf::from_bytes(edited.to_vec());
+    let hm = diff_docs(DiffAlgorithm::HuntMcIlroy, &old_buf, &new_buf, scratch).wire_len();
+    let my = diff_docs(DiffAlgorithm::Myers, &old_buf, &new_buf, scratch).wire_len();
+    let mut delta = Vec::new();
+    chunk_delta_into(base, edited, scratch, &mut delta);
+    [hm, my, delta.len()]
 }
 
 criterion_group!(benches, bench_diff_algorithms, bench_apply);
@@ -92,35 +98,21 @@ criterion_group!(benches, bench_diff_algorithms, bench_apply);
 fn main() {
     benches();
     // Export the deterministic wire-cost comparison (the figure the
-    // service actually pays per algorithm) machine-readably. The
-    // zero-copy column must equal the legacy column byte for byte — the
-    // pipelines emit identical scripts; any divergence here is a bug.
+    // service actually pays per codec) machine-readably.
     let mut rows = Vec::new();
     let mut scratch = DiffScratch::new();
     for &size in &[10_000usize, 100_000] {
         for &fraction in &[0.01f64, 0.20] {
             let base = shadow::generate_file(&FileSpec::new(size, 42));
             let edited = EditModel::fraction(fraction, 43).apply(&base);
-            let old_doc = Document::from_bytes(base.clone());
-            let new_doc = Document::from_bytes(edited.clone());
-            let old_buf = DocBuf::from_bytes(base.clone());
-            let new_buf = DocBuf::from_bytes(edited.clone());
-            let hm = diff(DiffAlgorithm::HuntMcIlroy, &old_doc, &new_doc).wire_len();
-            let hm_zero =
-                diff_docs(DiffAlgorithm::HuntMcIlroy, &old_buf, &new_buf, &mut scratch)
-                    .wire_len();
-            assert_eq!(hm, hm_zero, "pipelines disagree on wire cost");
+            let [hm, my, chunk] = wire_costs(&base, &edited, &mut scratch);
             rows.push(
                 shadow_obs::Json::object()
                     .with("file_bytes", size)
                     .with("fraction", fraction)
                     .with("hunt_mcilroy_bytes", hm)
-                    .with("hunt_mcilroy_zerocopy_bytes", hm_zero)
-                    .with(
-                        "myers_bytes",
-                        diff(DiffAlgorithm::Myers, &old_doc, &new_doc).wire_len(),
-                    )
-                    .with("tichy_bytes", block_diff(&base, &edited).wire_len()),
+                    .with("myers_bytes", my)
+                    .with("chunk_bytes", chunk),
             );
         }
     }

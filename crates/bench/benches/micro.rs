@@ -1,11 +1,11 @@
 //! Micro-benchmarks (Criterion, real CPU time): the hot paths a production
 //! deployment cares about — wire codec, compressors, content digest, the
-//! diff pipelines, and the end-to-end in-memory protocol round trip.
+//! diff pipeline, and the end-to-end in-memory protocol round trip.
 //!
 //! The JSON export re-times the headline operations with a plain timer
 //! **and a counting global allocator**, so every row carries
-//! `allocs_per_op` next to `ns_per_op` — the zero-copy diff rows exist to
-//! be compared against the legacy rows on both axes.
+//! `allocs_per_op` next to `ns_per_op` — the diff rows must stay
+//! allocation-light, not only fast.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -13,10 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, Criterion, Throughput};
 use shadow::{
-    apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, diff_legacy, Codec,
-    ClientMessage, ContentDigest, DiffAlgorithm, DiffScratch, DocBuf, Document, DomainId,
-    EdScript, EditModel, FileId, FileSpec, Frame, HostName, Lzss, Rle, TransferEncoding,
-    UpdatePayload, VersionNumber,
+    apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, ClientMessage, Codec,
+    ContentDigest, DiffAlgorithm, DiffScratch, DocBuf, DomainId, EditModel, FileId, FileSpec,
+    Frame, HostName, Lzss, Rle, TransferEncoding, UpdatePayload, VersionNumber,
 };
 
 /// Pass-through allocator that counts every allocation (and growth
@@ -204,25 +203,11 @@ fn main() {
         ),
     ];
 
-    // The diff pipelines over the same workload: legacy (per-line
-    // allocating) vs zero-copy with a fresh scratch vs zero-copy reusing
-    // one scratch across calls (the steady-state resubmission path).
+    // The line diff with a fresh scratch vs reusing one scratch across
+    // calls (the steady-state resubmission path).
     let (base, edited) = small_edit_pair();
-    let old_doc = Document::from_bytes(base.clone());
-    let new_doc = Document::from_bytes(edited.clone());
     let old_buf = DocBuf::from_bytes(base.clone());
     let new_buf = DocBuf::from_bytes(edited.clone());
-    rows.push(row(
-        "diff_legacy_small_edit_100k",
-        base.len(),
-        measure(iters, || {
-            black_box(diff_legacy(
-                DiffAlgorithm::HuntMcIlroy,
-                black_box(&old_doc),
-                black_box(&new_doc),
-            ));
-        }),
-    ));
     rows.push(row(
         "diff_zerocopy_small_edit_100k",
         base.len(),
@@ -251,7 +236,7 @@ fn main() {
         }),
     ));
 
-    // The two delta-apply engines over the same script.
+    // Applying the resulting script to the base bytes.
     let script_text = diff_docs(
         DiffAlgorithm::HuntMcIlroy,
         &old_buf,
@@ -259,18 +244,6 @@ fn main() {
         &mut scratch,
     )
     .to_text();
-    rows.push(row(
-        "apply_legacy_small_edit_100k",
-        base.len(),
-        // The full reconstruction exactly as the server performed it
-        // before the zero-copy pipeline: split the base into lines,
-        // parse the script, apply, reassemble bytes.
-        measure(iters, || {
-            let base_doc = Document::from_bytes(black_box(&base).clone());
-            let script = EdScript::parse(black_box(&script_text)).unwrap();
-            black_box(script.apply(&base_doc).unwrap().to_bytes());
-        }),
-    ));
     rows.push(row(
         "apply_delta_small_edit_100k",
         base.len(),

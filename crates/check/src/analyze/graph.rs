@@ -469,8 +469,8 @@ fn collect_calls(
             Some(TokKind::Punct('.')) => {
                 // Method call: every workspace *self-receiver* method of
                 // that name (unless the name is a std-ubiquitous one) —
-                // associated fns like `EdScript::parse` can never be the
-                // target of `.parse(...)`.
+                // associated fns like `DocBuf::from_text` can never be the
+                // target of `.from_text(...)`.
                 method_fallback(ix, name)
                     .into_iter()
                     .filter(|&id| ws.item(id).has_self)

@@ -4,9 +4,7 @@
 //! any function carrying a forbidden [`FactKind`](super::facts::FactKind)
 //! be reached? Propagation runs as a reverse-BFS from fact-bearing
 //! functions toward callers, recording the next hop at each step so a
-//! finding can print the full entry → … → fact witness chain. Allowlisted
-//! functions (the diff shim) neither seed nor propagate: they are the
-//! documented home of the effect.
+//! finding can print the full entry → … → fact witness chain.
 //!
 //! | rule          | entries                                   | forbidden facts |
 //! |---------------|-------------------------------------------|-----------------|
@@ -26,9 +24,6 @@ use super::graph::{CallEdge, CallGraph, FnId, Workspace};
 pub const PURE_CRATES: &[&str] = &[
     "proto", "diff", "compress", "version", "cache", "client", "server",
 ];
-
-/// The one file allowed to allocate on behalf of the diff hot path.
-const DIFF_ALLOW_FILES: &[&str] = &["crates/diff/src/shim.rs"];
 
 /// One analysis finding.
 #[derive(Debug, Clone)]
@@ -82,12 +77,7 @@ struct Reach {
     via: Vec<Option<CallEdge>>,
 }
 
-fn reach(
-    ws: &Workspace,
-    g: &CallGraph,
-    wanted: impl Fn(&Fact) -> bool,
-    barred: impl Fn(FnId) -> bool,
-) -> Reach {
+fn reach(ws: &Workspace, g: &CallGraph, wanted: impl Fn(&Fact) -> bool) -> Reach {
     let n = ws.fns.len();
     let mut r = Reach {
         reachable: vec![false; n],
@@ -96,9 +86,6 @@ fn reach(
     };
     let mut queue: Vec<FnId> = Vec::new();
     for id in 0..n {
-        if barred(id) {
-            continue;
-        }
         if let Some(fact) = ws.facts[id].iter().find(|f| wanted(f)) {
             r.reachable[id] = true;
             r.seed_fact[id] = Some(fact.clone());
@@ -107,7 +94,7 @@ fn reach(
     }
     while let Some(f) = queue.pop() {
         for &caller in &g.callers[f] {
-            if r.reachable[caller] || barred(caller) {
+            if r.reachable[caller] {
                 continue;
             }
             let Some(edge) = g.edges[caller].iter().find(|e| e.callee == f) else {
@@ -201,7 +188,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
     if wire_entries.is_empty() {
         findings.push(missing_entries("panic-reach", "wire decode"));
     } else {
-        let r = reach(ws, g, |f| f.kind == FactKind::Panic, |_| false);
+        let r = reach(ws, g, |f| f.kind == FactKind::Panic);
         for &e in &wire_entries {
             if r.reachable[e] {
                 findings.push(finding_for(
@@ -215,8 +202,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
         }
     }
 
-    // Rule b: nothing allocating reachable from the diff hot path,
-    // outside the allowlisted shim.
+    // Rule b: nothing allocating reachable from the diff hot path.
     let diff_entries = entries_of(
         ws,
         &[
@@ -229,11 +215,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
     if diff_entries.is_empty() {
         findings.push(missing_entries("alloc-reach", "diff hot path"));
     } else {
-        let barred = |id: FnId| {
-            let file = ws.item(id).file.as_str();
-            DIFF_ALLOW_FILES.iter().any(|a| file.ends_with(a))
-        };
-        let r = reach(ws, g, |f| f.kind == FactKind::Alloc, barred);
+        let r = reach(ws, g, |f| f.kind == FactKind::Alloc);
         for &e in &diff_entries {
             if r.reachable[e] {
                 findings.push(finding_for(
@@ -255,7 +237,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
                 f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
             })
             .collect();
-        let r = reach(ws, g, |f| f.kind == FactKind::Clock, |_| false);
+        let r = reach(ws, g, |f| f.kind == FactKind::Clock);
         for &e in &entries {
             if r.reachable[e] {
                 findings.push(finding_for(
@@ -280,7 +262,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
                 f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
             })
             .collect();
-        let r = reach(ws, g, |f| f.kind == FactKind::Fs, |_| false);
+        let r = reach(ws, g, |f| f.kind == FactKind::Fs);
         for &e in &entries {
             if r.reachable[e] {
                 findings.push(finding_for(
@@ -306,7 +288,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
                 f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
             })
             .collect();
-        let r = reach(ws, g, |f| f.kind == FactKind::Net, |_| false);
+        let r = reach(ws, g, |f| f.kind == FactKind::Net);
         for &e in &entries {
             if r.reachable[e] {
                 findings.push(finding_for(
@@ -335,7 +317,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
     if poll_entries.is_empty() {
         findings.push(missing_entries("shard-shape", "shard poll loop"));
     } else {
-        let r = reach(ws, g, |f| f.kind == FactKind::Blocking, |_| false);
+        let r = reach(ws, g, |f| f.kind == FactKind::Blocking);
         for &e in &poll_entries {
             if r.reachable[e] {
                 findings.push(finding_for(
@@ -465,15 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn alloc_below_diff_docs_is_found_but_shim_is_allowed() {
-        let ws = ws_from(&[
-            (
-                "diff",
-                "src/zerocopy.rs",
-                "pub fn diff_docs() { inner() }\npub fn apply_delta() { crate::shim::convert() }\nfn inner() { let v = b.to_vec(); }",
-            ),
-            ("diff", "src/shim.rs", "pub fn convert() { let v = Vec::new(); }"),
-        ]);
+    fn alloc_below_diff_docs_is_found() {
+        let ws = ws_from(&[(
+            "diff",
+            "src/zerocopy.rs",
+            "pub fn diff_docs() { inner() }\npub fn apply_delta() { check() }\nfn inner() { let v = b.to_vec(); }\nfn check() -> bool { true }",
+        )]);
         let f = rule_findings(&ws, "alloc-reach");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].entry, "diff::zerocopy::diff_docs");

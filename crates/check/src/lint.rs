@@ -26,10 +26,9 @@
 //! 5. **No per-line heap allocation in diff hot modules.** The
 //!    zero-copy diff pipeline's whole point is that steady-state diffs
 //!    allocate nothing per line: the hot modules of `crates/diff`
-//!    (`docbuf.rs`, `scratch.rs`, `zerocopy.rs`, `hunt_mcilroy.rs`,
-//!    `myers.rs`) must not call `Line::new(` or `.to_vec()` outside
-//!    `#[cfg(test)]`. The compatibility shim (`crates/diff/src/shim.rs`)
-//!    is the one allowlisted home for the allocating conversions.
+//!    (`docbuf.rs`, `scratch.rs`, `zerocopy.rs`, `edscript.rs`,
+//!    `hunt_mcilroy.rs`, `myers.rs`, `chunk.rs`) must not call
+//!    `.to_vec()` or `format!(` outside `#[cfg(test)]`.
 //! 6. **No threading in the protocol state machines.** The sharded
 //!    server runtime works precisely because a `ServerNode` is a pure
 //!    state machine that can be moved onto any worker thread without
@@ -58,14 +57,11 @@ const DIFF_HOT_FILES: &[&str] = &[
     "crates/diff/src/docbuf.rs",
     "crates/diff/src/scratch.rs",
     "crates/diff/src/zerocopy.rs",
+    "crates/diff/src/edscript.rs",
     "crates/diff/src/hunt_mcilroy.rs",
     "crates/diff/src/myers.rs",
     "crates/diff/src/chunk.rs",
 ];
-
-/// The compatibility shim is the one place the allocating conversions
-/// (`DocBuf` → `Document`, `DeltaScript` → `EdScript`) may live.
-const DIFF_HOT_ALLOW: &[&str] = &["crates/diff/src/shim.rs"];
 
 /// Crates that must stay free of threading primitives: these are the
 /// pure state machines the sharded runtime moves freely across worker
@@ -463,14 +459,14 @@ pub fn check_obs_panics(label: &str, code: &str) -> Vec<Finding> {
     findings
 }
 
-/// Rule 5: per-line heap allocation in a diff hot module (input already
-/// comment/string/test-stripped). `Line::new(` allocates one `Vec` per
-/// line and `.to_vec()` copies a borrowed slice; either in the hot path
-/// silently reintroduces the allocation profile the zero-copy pipeline
-/// exists to remove. The conversions belong in the allowlisted shim.
+/// Rule 5: heap allocation in a diff hot module (input already
+/// comment/string/test-stripped). `.to_vec()` copies a borrowed slice and
+/// `format!(` renders a fresh `String`; either in the hot path (error
+/// reporting included) silently reintroduces the allocation profile the
+/// zero-copy pipeline exists to remove.
 pub fn check_diff_hot_alloc(label: &str, code: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for token in ["Line::new(", ".to_vec()"] {
+    for token in [".to_vec()", "format!("] {
         for line in find_token(code, token) {
             findings.push(Finding {
                 file: label.to_string(),
@@ -478,8 +474,8 @@ pub fn check_diff_hot_alloc(label: &str, code: &str) -> Vec<Finding> {
                 rule: "diff-hot-alloc",
                 message: format!(
                     "`{token}` in a diff hot module: the zero-copy pipeline \
-                     must not allocate per line; route allocating \
-                     conversions through crates/diff/src/shim.rs"
+                     must not allocate; borrow the bytes, and render error \
+                     messages in `Display`"
                 ),
             });
         }
@@ -745,9 +741,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
     // Rule 5: diff hot modules never allocate per line.
     for hot in DIFF_HOT_FILES {
-        if DIFF_HOT_ALLOW.iter().any(|a| hot.ends_with(a)) {
-            continue;
-        }
         let path = root.join(hot);
         if !path.exists() {
             continue; // module not grown yet; nothing to check
@@ -875,7 +868,7 @@ mod tests {
 
     #[test]
     fn diff_hot_alloc_rule_fires_on_per_line_allocation() {
-        let bad = "fn f(l: &[u8]) { let a = Line::new(l.to_vec()); }";
+        let bad = "fn f(l: &[u8]) { let a = l.to_vec(); let b = format!(\"{}\", a.len()); }";
         let findings = check_diff_hot_alloc("zerocopy.rs", &strip_code(bad));
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.rule == "diff-hot-alloc"));
@@ -897,6 +890,17 @@ mod tests {
         assert!(DIFF_HOT_FILES.contains(&"crates/diff/src/chunk.rs"));
         let bad = "fn emit(span: &[u8]) { let copy = span.to_vec(); }";
         let findings = check_diff_hot_alloc("crates/diff/src/chunk.rs", &strip_code(bad));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "diff-hot-alloc");
+    }
+
+    #[test]
+    fn diff_hot_alloc_rule_covers_the_error_module() {
+        // Malformed-script errors are built on `apply_delta`'s path: a
+        // message rendered eagerly in edscript.rs must trip the rule.
+        assert!(DIFF_HOT_FILES.contains(&"crates/diff/src/edscript.rs"));
+        let bad = "fn unknown_op(op: u8) -> ParseError { reason(format!(\"{op}\")) }";
+        let findings = check_diff_hot_alloc("crates/diff/src/edscript.rs", &strip_code(bad));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "diff-hot-alloc");
     }

@@ -98,32 +98,33 @@ fn planted_panic_two_calls_below_decode_across_crates_fires() {
     assert!(f[0].file.ends_with("crates/util/src/lib.rs"));
 }
 
-/// An allocation below `diff_docs` in another file fires; the same
-/// allocation inside the shim file is the allowlisted budget.
+/// An allocation two files below `diff_docs` fires: a `format!` in an
+/// error constructor is as much a finding as one in the hot loop.
 #[test]
-fn planted_alloc_below_diff_docs_fires_outside_the_shim() {
+fn planted_alloc_below_diff_docs_fires() {
     let root = temp_workspace(
         "analyze_alloc",
         &[
             (
                 "crates/diff/src/lib.rs",
-                "pub fn diff_docs(n: u32) -> usize {\n    crate::inner::fill(n) + crate::shim::budget(n)\n}\n",
+                "pub fn diff_docs(n: u32) -> usize {\n    crate::inner::fill(n)\n}\n",
             ),
             (
                 "crates/diff/src/inner.rs",
-                "pub fn fill(n: u32) -> usize {\n    format!(\"{n}\").len()\n}\n",
+                "pub fn fill(n: u32) -> usize {\n    crate::edscript::reason(n).len()\n}\n",
             ),
             (
-                "crates/diff/src/shim.rs",
-                "pub fn budget(n: u32) -> usize {\n    format!(\"{n}\").len()\n}\n",
+                "crates/diff/src/edscript.rs",
+                "pub fn reason(n: u32) -> String {\n    format!(\"{n}\")\n}\n",
             ),
         ],
     );
     let f = rule_findings(&root, "alloc-reach");
-    assert_eq!(f.len(), 1, "only the non-shim chain: {f:?}");
+    assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].entry, "diff::diff_docs");
-    assert_eq!(f[0].fact_fn, "diff::inner::fill");
+    assert_eq!(f[0].fact_fn, "diff::edscript::reason");
     assert_eq!(f[0].token, "format!");
+    assert_eq!(f[0].chain.len(), 3, "{f:?}");
 }
 
 /// A wall-clock read buried below a pure crate's public fn fires, even

@@ -1038,7 +1038,7 @@ impl ClientNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_diff::Document;
+    use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 
     fn ready_client() -> (ClientNode, ConnId) {
         let mut client = ClientNode::new(ClientConfig::new("ws1", 1));
@@ -1343,10 +1343,11 @@ mod tests {
         });
         // Second run sends a delta against job 1's output.
         let new_output = b"row 1\nrow 2 edited\nrow 3\n";
-        let script = shadow_diff::diff(
-            shadow_diff::DiffAlgorithm::HuntMcIlroy,
-            &Document::from_bytes(b"row 1\nrow 2\nrow 3\n".to_vec()),
-            &Document::from_bytes(new_output.to_vec()),
+        let script = diff_docs(
+            DiffAlgorithm::HuntMcIlroy,
+            &DocBuf::from_text("row 1\nrow 2\nrow 3\n"),
+            &DocBuf::from_bytes(new_output.to_vec()),
+            &mut DiffScratch::new(),
         );
         let actions = client.handle(ClientEvent::Message {
             conn,

@@ -106,10 +106,9 @@ pub use shadow_client::{
 };
 pub use shadow_compress::{Codec, Lzss, Rle};
 pub use shadow_diff::{
-    apply_chunk_delta, apply_delta, block_diff, choose_chunk_codec, chunk_delta_into, classify,
-    diff, diff_docs, diff_legacy, ApplyError, BlockOp, BlockScript, ChunkDeltaError, ChunkParams,
-    ChunkStats, DeltaError, DeltaScript, DiffAlgorithm, DiffScratch, DiffStats, DocBuf, DocShape,
-    Document, EdCommand, EdScript, Line,
+    apply_chunk_delta, apply_delta, choose_chunk_codec, chunk_delta_into, classify, diff_docs,
+    ApplyError, ChunkDeltaError, ChunkParams, ChunkStats, DeltaError, DeltaScript, DiffAlgorithm,
+    DiffScratch, DiffStats, DocBuf, DocShape,
 };
 pub use shadow_netsim::{
     pipe, profiles, tcp, ChaosProxy, FaultPlan, FaultStats, FaultTransport, LinkProfile,

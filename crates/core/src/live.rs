@@ -438,6 +438,10 @@ impl<T: FrameTransport> LiveClient<T> {
     fn feed(&mut self, frame: &[u8]) -> Result<(), LiveError> {
         let now_ms = self.clock.now_ms();
         let out = self.driver.feed_frame(self.conn, frame, now_ms)?;
+        // Completions reach callers as `JobFinished` notifications only;
+        // the driver's completed-job copy would otherwise pile up, one
+        // output per finished job, for the life of the client.
+        self.driver.take_finished();
         self.transmit(out)
     }
 
@@ -654,6 +658,32 @@ mod tests {
         drop(client);
         let server = system.shutdown().remove(0);
         assert_eq!(server.report().counter("server", "jobs_completed"), 1);
+    }
+
+    #[test]
+    fn finished_jobs_are_not_retained_by_the_driver() {
+        let config = ServerConfig::new("sc").with_exec(shadow_server::ExecProfile {
+            job_overhead_ms: 0,
+            cpu_byte_rate: u64::MAX,
+        });
+        let system = Deployment::new(config).pipes().unwrap();
+        let mut client = system.connect_client(ClientConfig::new("ws1", 1));
+        client.wait_ready(Duration::from_secs(5)).unwrap();
+
+        let job = fref(1, "ws1:/echo.job");
+        for i in 0..50 {
+            client.edit_finished(&job, format!("echo run {i}\n").into_bytes());
+            client.submit(&job, &[], SubmitOptions::default()).unwrap();
+            let (_, output, _, _) = client.wait_job(Duration::from_secs(10)).unwrap();
+            assert_eq!(output, format!("run {i}\n").into_bytes());
+        }
+        assert!(
+            client.driver.take_finished().is_empty(),
+            "completed jobs must not accumulate in the driver"
+        );
+        drop(client);
+        let server = system.shutdown().remove(0);
+        assert_eq!(server.report().counter("server", "jobs_completed"), 50);
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Algorithm selection and the shared matches→script pipeline.
+//! Algorithm selection and the match type the LCS engines share.
 
 use std::fmt;
-
-use crate::document::Document;
-use crate::edscript::{EdCommand, EdScript};
 
 /// Which differential-comparison algorithm to run.
 ///
@@ -30,98 +27,31 @@ impl fmt::Display for DiffAlgorithm {
 /// A matched line pair: `old_line` in the base equals `new_line` in the
 /// target (both 0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Match {
+pub(crate) struct Match {
     /// 0-based line index in the old (base) document.
-    pub old_line: usize,
+    pub(crate) old_line: usize,
     /// 0-based line index in the new (target) document.
-    pub new_line: usize,
-}
-
-/// Computes the line-oriented difference between `old` and `new` as an
-/// [`EdScript`] that [applies](EdScript::apply) to `old` to yield `new`.
-///
-/// Matching prefix and suffix lines are trimmed before the quadratic-ish
-/// core runs, so the cost is governed by the *changed* region — the paper's
-/// small-edit assumption (§2.2) makes this fast in the common case.
-///
-/// # Example
-///
-/// ```
-/// use shadow_diff::{diff, DiffAlgorithm, Document};
-///
-/// let old = Document::from_text("fn main() {}\n");
-/// let new = Document::from_text("fn main() { println!(); }\n");
-/// let script = diff(DiffAlgorithm::Myers, &old, &new);
-/// assert_eq!(script.apply(&old).unwrap(), new);
-/// ```
-pub fn diff(algorithm: DiffAlgorithm, old: &Document, new: &Document) -> EdScript {
-    // Thin compatibility shim: convert once, run the zero-copy pipeline,
-    // copy the result back into the allocating representation. Callers on
-    // the hot path should use `diff_docs` with a retained scratch instead;
-    // the original allocating pipeline survives as
-    // [`diff_legacy`](crate::diff_legacy) for equivalence testing.
-    let old_buf = crate::docbuf::DocBuf::from_document(old);
-    let new_buf = crate::docbuf::DocBuf::from_document(new);
-    let mut scratch = crate::scratch::DiffScratch::new();
-    crate::zerocopy::diff_docs(algorithm, &old_buf, &new_buf, &mut scratch).to_ed_script()
-}
-
-/// Converts a strictly increasing common subsequence into an [`EdScript`].
-///
-/// `matches` must be strictly increasing in both coordinates and each pair
-/// must reference equal lines; [`diff`] guarantees this. Exposed so custom
-/// matchers (e.g. test oracles) can reuse the hunk builder.
-pub fn matches_to_script(matches: &[Match], old: &Document, new: &Document) -> EdScript {
-    let old_lines = old.lines();
-    let new_lines = new.lines();
-    let mut ascending: Vec<EdCommand> = Vec::new();
-
-    let mut i = 0usize; // next unconsumed old line
-    let mut j = 0usize; // next unconsumed new line
-    let boundary_iter = matches
-        .iter()
-        .map(|m| (m.old_line, m.new_line))
-        .chain(std::iter::once((old_lines.len(), new_lines.len())));
-    for (mi, mj) in boundary_iter {
-        let deleted = mi - i;
-        let added = mj - j;
-        if deleted > 0 && added > 0 {
-            ascending.push(EdCommand::Change {
-                from: i + 1,
-                to: mi,
-                lines: new_lines[j..mj].to_vec(),
-            });
-        } else if deleted > 0 {
-            ascending.push(EdCommand::Delete { from: i + 1, to: mi });
-        } else if added > 0 {
-            ascending.push(EdCommand::Append {
-                after: i,
-                lines: new_lines[j..mj].to_vec(),
-            });
-        }
-        i = (mi + 1).min(old_lines.len());
-        j = (mj + 1).min(new_lines.len());
-    }
-
-    ascending.reverse();
-    EdScript::with_commands(ascending, new.has_trailing_newline())
-        .expect("hunk builder produces descending, non-overlapping commands")
+    pub(crate) new_line: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{apply_delta, diff_docs, DeltaScript, DiffScratch, DocBuf};
 
-    fn check(algo: DiffAlgorithm, old: &str, new: &str) -> EdScript {
-        let old_doc = Document::from_text(old);
-        let new_doc = Document::from_text(new);
-        let script = diff(algo, &old_doc, &new_doc);
+    fn check(algo: DiffAlgorithm, old: &str, new: &str) -> DeltaScript {
+        let delta = diff_docs(
+            algo,
+            &DocBuf::from_text(old),
+            &DocBuf::from_text(new),
+            &mut DiffScratch::new(),
+        );
         assert_eq!(
-            script.apply(&old_doc).unwrap().to_bytes(),
-            new_doc.to_bytes(),
+            apply_delta(old.as_bytes(), &delta.to_text()).unwrap(),
+            new.as_bytes(),
             "algo={algo} old={old:?} new={new:?}"
         );
-        script
+        delta
     }
 
     const ALGOS: [DiffAlgorithm; 2] = [DiffAlgorithm::HuntMcIlroy, DiffAlgorithm::Myers];
@@ -130,7 +60,8 @@ mod tests {
     fn identical_documents_produce_identity() {
         for algo in ALGOS {
             let s = check(algo, "a\nb\nc\n", "a\nb\nc\n");
-            assert!(s.commands().is_empty());
+            assert!(s.is_empty());
+            assert_eq!(s.to_text(), b"w\n");
         }
     }
 
@@ -138,7 +69,7 @@ mod tests {
     fn single_line_change() {
         for algo in ALGOS {
             let s = check(algo, "a\nb\nc\n", "a\nX\nc\n");
-            assert_eq!(s.commands().len(), 1);
+            assert_eq!(s.command_count(), 1);
         }
     }
 
@@ -207,7 +138,10 @@ mod tests {
     #[test]
     fn block_swap() {
         for algo in ALGOS {
-            check(algo, "a\nb\nc\nd\ne\nf\n", "d\ne\nf\na\nb\nc\n");
+            let s = check(algo, "a\nb\nc\nd\ne\nf\n", "d\ne\nf\na\nb\nc\n");
+            // A line diff cannot move blocks: one half travels as text.
+            assert_eq!(s.stats().lines_added, 3);
+            assert_eq!(s.stats().lines_removed, 3);
         }
     }
 
@@ -216,8 +150,7 @@ mod tests {
         // The paper's core premise: a small edit yields a script much
         // smaller than the file.
         let old_text: String = (0..1000).map(|i| format!("line number {i}\n")).collect();
-        let mut new_text = old_text.clone();
-        new_text = new_text.replace("line number 500", "LINE NUMBER 500");
+        let new_text = old_text.replace("line number 500", "LINE NUMBER 500");
         for algo in ALGOS {
             let s = check(algo, &old_text, &new_text);
             assert!(
@@ -230,31 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_to_script_with_explicit_matches() {
-        let old = Document::from_text("a\nb\nc\n");
-        let new = Document::from_text("c\na\nb\n");
-        // Common subsequence: old[0..2] == new[1..3] ("a", "b").
-        let matches = vec![
-            Match {
-                old_line: 0,
-                new_line: 1,
-            },
-            Match {
-                old_line: 1,
-                new_line: 2,
-            },
-        ];
-        let script = matches_to_script(&matches, &old, &new);
-        assert_eq!(script.apply(&old).unwrap(), new);
-    }
-
-    #[test]
     fn algorithms_agree_on_lcs_length_for_simple_cases() {
         // Both should find maximal matches for unique-line documents.
-        let old = Document::from_text("a\nb\nc\nd\ne\n");
-        let new = Document::from_text("a\nc\ne\n");
         for algo in ALGOS {
-            let s = diff(algo, &old, &new);
+            let s = check(algo, "a\nb\nc\nd\ne\n", "a\nc\ne\n");
             assert_eq!(s.stats().lines_removed, 2, "algo={algo}");
             assert_eq!(s.stats().lines_added, 0, "algo={algo}");
         }

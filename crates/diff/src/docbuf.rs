@@ -1,24 +1,21 @@
 //! Zero-copy document buffer: one contiguous byte buffer plus a line
 //! offset index.
 //!
-//! [`DocBuf`] is the allocation-free counterpart of [`Document`](crate::Document): instead
-//! of one `Vec<u8>` per line it owns a single shared byte buffer and an
-//! index of line start offsets, and hands out **borrowed** `&[u8]` line
-//! views. Cloning a `DocBuf` is O(1) (the buffer and index live behind an
-//! `Arc`), so a version chain can retain many versions and the diff
+//! [`DocBuf`] never holds one `Vec<u8>` per line: it owns a single
+//! shared byte buffer and an index of line start offsets, and hands out
+//! **borrowed** `&[u8]` line views. Cloning a `DocBuf` is O(1) (the
+//! buffer and index live behind an `Arc`), so a version chain can
+//! retain many versions and the diff
 //! pipeline can hold base and target simultaneously without copying
 //! either. The line index is computed once at construction; every
 //! subsequent diff against the document reuses it.
 //!
 //! Embedded-newline safety is structural: lines are produced exclusively
 //! by splitting the buffer on `\n`, so no `DocBuf` line can ever contain
-//! one — in any build profile — unlike a hand-assembled `Vec<Line>`.
+//! one — in any build profile.
 
 use std::fmt;
 use std::sync::Arc;
-
-#[cfg(test)]
-use crate::document::Document;
 
 #[derive(Debug, PartialEq, Eq, Hash)]
 struct DocInner {
@@ -33,11 +30,9 @@ struct DocInner {
 
 /// A text document as one contiguous byte buffer with a line-offset index.
 ///
-/// Construction splits on `\n` exactly like
-/// [`Document::from_bytes`](crate::Document::from_bytes)
-/// (trailing-newline state preserved; non-UTF-8 content welcome), but the
-/// lines are borrowed slices of the single buffer instead of per-line
-/// allocations. See the [module docs](self) for the memory model.
+/// Construction splits on `\n` (trailing-newline state preserved;
+/// non-UTF-8 content welcome), and the lines are borrowed slices of the
+/// single buffer. See the [module docs](self) for the memory model.
 ///
 /// # Example
 ///
@@ -62,12 +57,11 @@ impl DocBuf {
 
     /// Builds the line index over `bytes`, taking ownership of the buffer.
     ///
-    /// Semantics match [`Document::from_bytes`](crate::Document::from_bytes):
-    /// an empty buffer yields an
-    /// empty document, a buffer not ending in `\n` keeps its final partial
-    /// line, and [`as_bytes`](DocBuf::as_bytes) returns the input
-    /// byte-for-byte. Documents are limited to `u32::MAX` bytes (a frame
-    /// can never carry more); larger input panics.
+    /// An empty buffer yields an empty document, a buffer not ending in
+    /// `\n` keeps its final partial line, and [`as_bytes`](DocBuf::as_bytes)
+    /// returns the input byte-for-byte. Documents are limited to
+    /// `u32::MAX` bytes (a frame can never carry more); larger input
+    /// panics.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         assert!(
             u32::try_from(bytes.len()).is_ok(),
@@ -97,12 +91,6 @@ impl DocBuf {
     /// Convenience constructor from a `&str` (handy in tests and examples).
     pub fn from_text(text: &str) -> Self {
         DocBuf::from_bytes(text.as_bytes().into())
-    }
-
-    /// Converts an allocating [`Document`](crate::Document) (reassembles
-    /// its byte form once).
-    pub fn from_document(doc: &crate::Document) -> Self {
-        DocBuf::from_bytes(doc.to_bytes())
     }
 
     /// The raw byte form, borrowed — no reassembly, no copy.
@@ -145,7 +133,6 @@ impl DocBuf {
         }
         &self.inner.bytes[start..end]
     }
-
 }
 
 impl Default for DocBuf {
@@ -179,29 +166,28 @@ mod tests {
 
     #[test]
     fn matches_document_semantics() {
-        for text in [
-            &b""[..],
-            b"x",
-            b"x\n",
-            b"a\nbb\nccc",
-            b"a\nbb\nccc\n",
-            b"\n",
-            b"a\n\n\nb\n",
-            &[0xff, 0xfe, b'\n', 0x00][..],
-        ] {
-            let doc = Document::from_bytes(text.to_vec());
+        // A text document is its lines split on '\n' plus a trailing
+        // newline flag; a final '\n' ends the last line, it does not
+        // start an empty one.
+        type Case = (&'static [u8], &'static [&'static [u8]], bool);
+        let cases: [Case; 8] = [
+            (b"", &[], false),
+            (b"x", &[b"x"], false),
+            (b"x\n", &[b"x"], true),
+            (b"a\nbb\nccc", &[b"a", b"bb", b"ccc"], false),
+            (b"a\nbb\nccc\n", &[b"a", b"bb", b"ccc"], true),
+            (b"\n", &[b""], true),
+            (b"a\n\n\nb\n", &[b"a", b"", b"", b"b"], true),
+            (&[0xff, 0xfe, b'\n', 0x00], &[&[0xff, 0xfe], &[0x00]], false),
+        ];
+        for (text, lines, trailing) in cases {
             let buf = DocBuf::from_bytes(text.to_vec());
-            assert_eq!(buf.line_count(), doc.line_count(), "text {text:?}");
-            assert_eq!(
-                buf.has_trailing_newline(),
-                doc.has_trailing_newline(),
-                "text {text:?}"
-            );
-            assert_eq!(buf.byte_len(), doc.byte_len(), "text {text:?}");
-            for i in 0..doc.line_count() {
-                assert_eq!(buf.line(i), doc.lines()[i].as_bytes(), "text {text:?} line {i}");
+            assert_eq!(buf.line_count(), lines.len(), "text {text:?}");
+            assert_eq!(buf.has_trailing_newline(), trailing, "text {text:?}");
+            assert_eq!(buf.byte_len(), text.len(), "text {text:?}");
+            for (i, line) in lines.iter().enumerate() {
+                assert_eq!(buf.line(i), *line, "text {text:?} line {i}");
             }
-            assert_eq!(buf.to_document(), doc, "text {text:?}");
             assert_eq!(buf.as_bytes(), text, "text {text:?}");
         }
     }

@@ -1,454 +1,24 @@
-//! `ed`-style edit scripts: representation, (de)serialization and application.
+//! Errors of the `ed`-style edit script format.
 //!
 //! The shadow editing prototype transmitted file updates "in a form suitable
 //! for an editor (like `ed` in Unix) to apply the changes to a previous
-//! version" (§7 of the paper). This module provides that form: a sequence of
-//! append/change/delete commands addressed by 1-based line numbers of the
-//! *base* document, listed in **descending** order so every command's
-//! addresses stay valid while earlier commands are applied — exactly the
-//! convention of `diff -e`.
+//! version" (§7 of the paper). [`DeltaScript::write_text`] writes that
+//! form and [`apply_delta`] reads it: append/change/delete commands
+//! addressed by 1-based line numbers of the *base* document, listed in
+//! **descending** order so every command's addresses stay valid while
+//! earlier commands are applied — exactly the convention of `diff -e`.
+//!
+//! The error types here carry only `Copy` data and render their messages
+//! in `Display`, so rejecting a malformed script never allocates.
+//!
+//! [`DeltaScript::write_text`]: crate::DeltaScript::write_text
+//! [`apply_delta`]: crate::apply_delta
 
 use std::error::Error;
 use std::fmt;
 
-use crate::document::{Document, Line};
-
-/// A single `ed` command.
-///
-/// Line numbers are 1-based positions in the **base** document.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum EdCommand {
-    /// `Na` — insert `lines` after base line `after` (0 means "at the very
-    /// beginning").
-    Append {
-        /// Base line after which to insert (0 = prepend).
-        after: usize,
-        /// Lines to insert.
-        lines: Vec<Line>,
-    },
-    /// `N,Mc` — replace base lines `from..=to` with `lines`.
-    Change {
-        /// First base line replaced (1-based).
-        from: usize,
-        /// Last base line replaced (inclusive).
-        to: usize,
-        /// Replacement lines.
-        lines: Vec<Line>,
-    },
-    /// `N,Md` — delete base lines `from..=to`.
-    Delete {
-        /// First base line deleted (1-based).
-        from: usize,
-        /// Last base line deleted (inclusive).
-        to: usize,
-    },
-}
-
-impl EdCommand {
-    /// First base line this command touches (for ordering checks).
-    /// For `Append`, the insertion point `after` is used.
-    pub fn first_line(&self) -> usize {
-        match *self {
-            EdCommand::Append { after, .. } => after,
-            EdCommand::Change { from, .. } | EdCommand::Delete { from, .. } => from,
-        }
-    }
-
-    /// Last base line this command touches.
-    pub fn last_line(&self) -> usize {
-        match *self {
-            EdCommand::Append { after, .. } => after,
-            EdCommand::Change { to, .. } | EdCommand::Delete { to, .. } => to,
-        }
-    }
-
-    /// Number of new lines this command introduces.
-    pub fn lines_added(&self) -> usize {
-        match self {
-            EdCommand::Append { lines, .. } | EdCommand::Change { lines, .. } => lines.len(),
-            EdCommand::Delete { .. } => 0,
-        }
-    }
-
-    /// Number of base lines this command removes.
-    pub fn lines_removed(&self) -> usize {
-        match *self {
-            EdCommand::Append { .. } => 0,
-            EdCommand::Change { from, to, .. } | EdCommand::Delete { from, to } => to - from + 1,
-        }
-    }
-}
-
-/// An edit script: an ordered list of [`EdCommand`]s in descending base-line
-/// order, transforming a base [`Document`] into a target document.
-///
-/// Produced by [`diff`](crate::diff) and consumed by [`EdScript::apply`].
-///
-/// # Example
-///
-/// ```
-/// use shadow_diff::{diff, DiffAlgorithm, Document};
-///
-/// # fn main() -> Result<(), shadow_diff::ApplyError> {
-/// let base = Document::from_text("one\ntwo\nthree\n");
-/// let target = Document::from_text("one\n2\nthree\n");
-/// let script = diff(DiffAlgorithm::Myers, &base, &target);
-/// assert_eq!(script.apply(&base)?, target);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct EdScript {
-    commands: Vec<EdCommand>,
-    /// Trailing-newline flag of the *target* document, so application can
-    /// reproduce the target byte-for-byte.
-    target_trailing_newline: bool,
-}
-
-impl EdScript {
-    /// Creates an empty script (applies as the identity, but forces a
-    /// trailing newline on the result; see [`EdScript::with_commands`]).
-    pub fn new() -> Self {
-        EdScript {
-            commands: Vec::new(),
-            target_trailing_newline: true,
-        }
-    }
-
-    /// Creates a script from commands.
-    ///
-    /// `target_trailing_newline` records whether the target document's byte
-    /// form ends with `\n`; [`apply`](EdScript::apply) restores it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError::Malformed`] if the commands are not in strictly
-    /// descending, non-overlapping base-line order, or if any range is
-    /// inverted (`from > to`) or addresses line 0.
-    pub fn with_commands(
-        commands: Vec<EdCommand>,
-        target_trailing_newline: bool,
-    ) -> Result<Self, ApplyError> {
-        let script = EdScript {
-            commands,
-            target_trailing_newline,
-        };
-        script.validate()?;
-        Ok(script)
-    }
-
-    fn validate(&self) -> Result<(), ApplyError> {
-        let mut prev_first: Option<usize> = None;
-        for cmd in &self.commands {
-            match *cmd {
-                EdCommand::Change { from, to, .. } | EdCommand::Delete { from, to } => {
-                    if from == 0 || from > to {
-                        return Err(ApplyError::Malformed(format!(
-                            "invalid range {from},{to}"
-                        )));
-                    }
-                }
-                EdCommand::Append { .. } => {}
-            }
-            if let Some(prev) = prev_first {
-                // Descending and non-overlapping: this command must finish
-                // strictly before the previous command starts. An append at
-                // line N inserts *after* N, so `prev == last` is legal only
-                // when the previous command was an append... we keep the
-                // stricter diff(1) convention: strictly descending.
-                if cmd.last_line() >= prev {
-                    return Err(ApplyError::Malformed(format!(
-                        "commands out of order: line {} not below {}",
-                        cmd.last_line(),
-                        prev
-                    )));
-                }
-            }
-            prev_first = Some(cmd.first_line());
-        }
-        Ok(())
-    }
-
-    /// The commands, in descending base-line order.
-    pub fn commands(&self) -> &[EdCommand] {
-        &self.commands
-    }
-
-    /// Whether the script produces no change at all.
-    ///
-    /// Note an empty command list can still toggle the trailing newline.
-    pub fn is_identity_for(&self, base: &Document) -> bool {
-        self.commands.is_empty()
-            && (base.is_empty() || self.target_trailing_newline == base.has_trailing_newline())
-    }
-
-    /// Whether the target document ends with a trailing newline.
-    pub fn target_trailing_newline(&self) -> bool {
-        self.target_trailing_newline
-    }
-
-    /// Applies the script to `base`, producing the target document.
-    ///
-    /// Commands are applied in order; because they are sorted in descending
-    /// base-line order, each command's addresses refer to still-untouched
-    /// regions of the base.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError::OutOfRange`] if a command addresses a line
-    /// beyond the end of `base` — the symptom of applying a delta to the
-    /// wrong base version — and [`ApplyError::Malformed`] if the script's
-    /// internal ordering invariant is broken.
-    pub fn apply(&self, base: &Document) -> Result<Document, ApplyError> {
-        self.validate()?;
-        let mut doc = base.clone();
-        let line_count = doc.line_count();
-        for cmd in &self.commands {
-            if cmd.last_line() > line_count {
-                return Err(ApplyError::OutOfRange {
-                    line: cmd.last_line(),
-                    base_lines: line_count,
-                });
-            }
-            let lines = doc.lines_mut();
-            match cmd {
-                EdCommand::Append { after, lines: ins } => {
-                    lines.splice(*after..*after, ins.iter().cloned());
-                }
-                EdCommand::Change { from, to, lines: repl } => {
-                    lines.splice(from - 1..*to, repl.iter().cloned());
-                }
-                EdCommand::Delete { from, to } => {
-                    lines.drain(from - 1..*to);
-                }
-            }
-        }
-        doc.set_trailing_newline(!doc.is_empty() && self.target_trailing_newline);
-        Ok(doc)
-    }
-
-    /// Serializes to classic `diff -e` text.
-    ///
-    /// Inserted text is terminated by a lone `.` line, as in `ed`. A lone
-    /// `.` inside inserted text is escaped as `..` (and unescaped by
-    /// [`EdScript::parse`]); this is the one place the format extends
-    /// historic `ed`, which simply could not represent such a line.
-    /// The final line records the target trailing-newline flag as `w` (with
-    /// newline) or `W` (without), another small extension.
-    pub fn to_text(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for cmd in &self.commands {
-            match cmd {
-                EdCommand::Append { after, lines } => {
-                    out.extend_from_slice(format!("{after}a\n").as_bytes());
-                    write_insert_block(&mut out, lines);
-                }
-                EdCommand::Change { from, to, lines } => {
-                    if from == to {
-                        out.extend_from_slice(format!("{from}c\n").as_bytes());
-                    } else {
-                        out.extend_from_slice(format!("{from},{to}c\n").as_bytes());
-                    }
-                    write_insert_block(&mut out, lines);
-                }
-                EdCommand::Delete { from, to } => {
-                    if from == to {
-                        out.extend_from_slice(format!("{from}d\n").as_bytes());
-                    } else {
-                        out.extend_from_slice(format!("{from},{to}d\n").as_bytes());
-                    }
-                }
-            }
-        }
-        out.extend_from_slice(if self.target_trailing_newline {
-            b"w\n"
-        } else {
-            b"W\n"
-        });
-        out
-    }
-
-    /// Parses the textual form produced by [`EdScript::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] describing the first malformed line.
-    pub fn parse(text: &[u8]) -> Result<Self, ParseError> {
-        let mut commands = Vec::new();
-        let mut target_trailing_newline = None;
-        let mut lines = text.split(|&b| b == b'\n').enumerate().peekable();
-        while let Some((lineno, raw)) = lines.next() {
-            if raw.is_empty() && lines.peek().is_none() {
-                break; // trailing newline of the script text itself
-            }
-            if raw == b"w" || raw == b"W" {
-                target_trailing_newline = Some(raw == b"w");
-                continue;
-            }
-            let (addr, op) = split_command(raw).ok_or_else(|| ParseError {
-                line: lineno + 1,
-                reason: format!("unrecognized command {:?}", String::from_utf8_lossy(raw)),
-            })?;
-            match op {
-                b'a' => {
-                    let ins = read_insert_block(&mut lines)?;
-                    commands.push(EdCommand::Append {
-                        after: addr.0,
-                        lines: ins,
-                    });
-                }
-                b'c' => {
-                    let ins = read_insert_block(&mut lines)?;
-                    commands.push(EdCommand::Change {
-                        from: addr.0,
-                        to: addr.1,
-                        lines: ins,
-                    });
-                }
-                b'd' => {
-                    commands.push(EdCommand::Delete {
-                        from: addr.0,
-                        to: addr.1,
-                    });
-                }
-                _ => {
-                    return Err(ParseError {
-                        line: lineno + 1,
-                        reason: format!("unknown operation {:?}", op as char),
-                    })
-                }
-            }
-        }
-        let script = EdScript {
-            commands,
-            target_trailing_newline: target_trailing_newline.ok_or(ParseError {
-                line: 0,
-                reason: "missing trailing w/W marker".to_string(),
-            })?,
-        };
-        script.validate().map_err(|e| ParseError {
-            line: 0,
-            reason: e.to_string(),
-        })?;
-        Ok(script)
-    }
-
-    /// Size of the script's textual form in bytes — the quantity that
-    /// travels on the wire and drives the paper's performance results.
-    pub fn wire_len(&self) -> usize {
-        // Computed without materializing the text.
-        let mut n = 2; // w/W marker line
-        for cmd in &self.commands {
-            match cmd {
-                EdCommand::Append { after, lines } => {
-                    n += decimal_len(*after) + 2;
-                    n += insert_block_len(lines);
-                }
-                EdCommand::Change { from, to, lines } => {
-                    n += addr_len(*from, *to) + 2;
-                    n += insert_block_len(lines);
-                }
-                EdCommand::Delete { from, to } => {
-                    n += addr_len(*from, *to) + 2;
-                }
-            }
-        }
-        n
-    }
-
-    /// Aggregate statistics for this script.
-    pub fn stats(&self) -> crate::DiffStats {
-        crate::DiffStats {
-            hunks: self.commands.len(),
-            lines_added: self.commands.iter().map(EdCommand::lines_added).sum(),
-            lines_removed: self.commands.iter().map(EdCommand::lines_removed).sum(),
-            wire_len: self.wire_len(),
-        }
-    }
-}
-
-pub(crate) fn decimal_len(mut n: usize) -> usize {
-    let mut d = 1;
-    while n >= 10 {
-        n /= 10;
-        d += 1;
-    }
-    d
-}
-
-pub(crate) fn addr_len(from: usize, to: usize) -> usize {
-    if from == to {
-        decimal_len(from)
-    } else {
-        decimal_len(from) + 1 + decimal_len(to)
-    }
-}
-
-fn insert_block_len(lines: &[Line]) -> usize {
-    let mut n = 2; // terminating ".\n"
-    for l in lines {
-        n += l.len() + 1;
-        if l.as_bytes().first() == Some(&b'.') {
-            n += 1; // escape dot
-        }
-    }
-    n
-}
-
-fn write_insert_block(out: &mut Vec<u8>, lines: &[Line]) {
-    for l in lines {
-        if l.as_bytes().first() == Some(&b'.') {
-            out.push(b'.'); // escape leading dot as '..'
-        }
-        out.extend_from_slice(l.as_bytes());
-        out.push(b'\n');
-    }
-    out.extend_from_slice(b".\n");
-}
-
-fn read_insert_block<'a, I>(lines: &mut I) -> Result<Vec<Line>, ParseError>
-where
-    I: Iterator<Item = (usize, &'a [u8])>,
-{
-    let mut out = Vec::new();
-    for (lineno, raw) in lines {
-        if raw == b"." {
-            return Ok(out);
-        }
-        let content = if raw.first() == Some(&b'.') {
-            &raw[1..] // unescape '..' (and '.x' -> 'x', only produced for dot-leading lines)
-        } else {
-            raw
-        };
-        let _ = lineno;
-        out.push(Line::new(content.to_vec()));
-    }
-    Err(ParseError {
-        line: 0,
-        reason: "unterminated insert block".to_string(),
-    })
-}
-
-/// Splits a command line like `3,7c` / `12a` into its address and opcode.
-fn split_command(raw: &[u8]) -> Option<((usize, usize), u8)> {
-    if raw.len() < 2 {
-        return None;
-    }
-    let op = *raw.last().unwrap();
-    let addr = &raw[..raw.len() - 1];
-    let text = std::str::from_utf8(addr).ok()?;
-    if let Some((a, b)) = text.split_once(',') {
-        let a: usize = a.parse().ok()?;
-        let b: usize = b.parse().ok()?;
-        Some(((a, b), op))
-    } else {
-        let a: usize = text.parse().ok()?;
-        Some(((a, a), op))
-    }
-}
-
-/// Error applying an [`EdScript`] to a base document.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Error applying a well-formed edit script to a base document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyError {
     /// A command addressed a base line that does not exist — usually the
     /// delta was computed against a different base version.
@@ -458,8 +28,6 @@ pub enum ApplyError {
         /// Number of lines in the base document.
         base_lines: usize,
     },
-    /// The script violates its structural invariants.
-    Malformed(String),
 }
 
 impl fmt::Display for ApplyError {
@@ -469,25 +37,62 @@ impl fmt::Display for ApplyError {
                 f,
                 "edit command addresses line {line} but base has only {base_lines} lines"
             ),
-            ApplyError::Malformed(msg) => write!(f, "malformed edit script: {msg}"),
         }
     }
 }
 
 impl Error for ApplyError {}
 
-/// Error parsing the textual form of an [`EdScript`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What was wrong with a malformed edit script.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// A line that is neither a `w`/`W` marker nor an `a`/`c`/`d` command.
+    Unrecognized,
+    /// A command with an opcode other than `a`, `c` or `d`.
+    UnknownOp(u8),
+    /// The script lacks its trailing `w`/`W` marker.
+    MissingMarker,
+    /// An insert block with no terminating `.` line.
+    UnterminatedInsert,
+    /// An address range that starts at line 0 or is inverted.
+    InvalidRange {
+        /// First address of the range.
+        from: usize,
+        /// Last address of the range.
+        to: usize,
+    },
+    /// Commands not in strictly descending, non-overlapping order.
+    OutOfOrder {
+        /// Last line touched by the offending command.
+        last: usize,
+        /// First line touched by the command before it.
+        prev: usize,
+    },
+}
+
+/// Error parsing the textual form of an edit script.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line of the script text where parsing failed (0 = end).
+    /// 1-based line of the script text where parsing failed (0 = the
+    /// script as a whole).
     pub line: usize,
-    /// Human-readable description.
-    pub reason: String,
+    /// What was wrong.
+    pub kind: ParseErrorKind,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "edit script parse error at line {}: {}", self.line, self.reason)
+        write!(f, "edit script parse error at line {}: ", self.line)?;
+        match self.kind {
+            ParseErrorKind::Unrecognized => f.write_str("unrecognized command"),
+            ParseErrorKind::UnknownOp(op) => write!(f, "unknown operation {:?}", op as char),
+            ParseErrorKind::MissingMarker => f.write_str("missing trailing w/W marker"),
+            ParseErrorKind::UnterminatedInsert => f.write_str("unterminated insert block"),
+            ParseErrorKind::InvalidRange { from, to } => write!(f, "invalid range {from},{to}"),
+            ParseErrorKind::OutOfOrder { last, prev } => {
+                write!(f, "commands out of order: line {last} not below {prev}")
+            }
+        }
     }
 }
 
@@ -496,204 +101,172 @@ impl Error for ParseError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{apply_delta, diff_docs, DeltaError, DiffAlgorithm, DiffScratch, DocBuf};
 
-    fn lines(items: &[&str]) -> Vec<Line> {
-        items.iter().copied().map(Line::from).collect()
+    fn parse_kind(base: &[u8], script: &[u8]) -> ParseErrorKind {
+        match apply_delta(base, script) {
+            Err(DeltaError::Parse(e)) => e.kind,
+            other => panic!("expected a parse error for {script:?}, got {other:?}"),
+        }
+    }
+
+    fn delta(old: &str, new: &str) -> crate::DeltaScript {
+        diff_docs(
+            DiffAlgorithm::HuntMcIlroy,
+            &DocBuf::from_text(old),
+            &DocBuf::from_text(new),
+            &mut DiffScratch::new(),
+        )
     }
 
     #[test]
     fn apply_change() {
-        let base = Document::from_text("a\nb\nc\n");
-        let script = EdScript::with_commands(
-            vec![EdCommand::Change {
-                from: 2,
-                to: 2,
-                lines: lines(&["B"]),
-            }],
-            true,
-        )
-        .unwrap();
-        assert_eq!(script.apply(&base).unwrap().to_bytes(), b"a\nB\nc\n");
+        let out = apply_delta(b"a\nb\nc\n", b"2c\nB\n.\nw\n").unwrap();
+        assert_eq!(out, b"a\nB\nc\n");
     }
 
     #[test]
     fn apply_delete_range() {
-        let base = Document::from_text("a\nb\nc\nd\n");
-        let script =
-            EdScript::with_commands(vec![EdCommand::Delete { from: 2, to: 3 }], true).unwrap();
-        assert_eq!(script.apply(&base).unwrap().to_bytes(), b"a\nd\n");
+        let out = apply_delta(b"a\nb\nc\nd\n", b"2,3d\nw\n").unwrap();
+        assert_eq!(out, b"a\nd\n");
     }
 
     #[test]
     fn apply_append_at_start_and_end() {
-        let base = Document::from_text("m\n");
-        let script = EdScript::with_commands(
-            vec![
-                EdCommand::Append {
-                    after: 1,
-                    lines: lines(&["z"]),
-                },
-                EdCommand::Append {
-                    after: 0,
-                    lines: lines(&["a"]),
-                },
-            ],
-            true,
-        )
-        .unwrap();
-        assert_eq!(script.apply(&base).unwrap().to_bytes(), b"a\nm\nz\n");
+        let out = apply_delta(b"m\n", b"1a\nz\n.\n0a\na\n.\nw\n").unwrap();
+        assert_eq!(out, b"a\nm\nz\n");
     }
 
     #[test]
     fn apply_descending_multi_command() {
-        let base = Document::from_text("1\n2\n3\n4\n5\n");
-        let script = EdScript::with_commands(
-            vec![
-                EdCommand::Delete { from: 5, to: 5 },
-                EdCommand::Change {
-                    from: 2,
-                    to: 3,
-                    lines: lines(&["two", "three"]),
-                },
-            ],
-            true,
-        )
-        .unwrap();
-        assert_eq!(
-            script.apply(&base).unwrap().to_bytes(),
-            b"1\ntwo\nthree\n4\n"
-        );
+        let out = apply_delta(b"1\n2\n3\n4\n5\n", b"5d\n2,3c\ntwo\nthree\n.\nw\n").unwrap();
+        assert_eq!(out, b"1\ntwo\nthree\n4\n");
     }
 
     #[test]
     fn out_of_range_is_reported() {
-        let base = Document::from_text("a\n");
-        let script =
-            EdScript::with_commands(vec![EdCommand::Delete { from: 2, to: 2 }], true).unwrap();
         assert_eq!(
-            script.apply(&base),
-            Err(ApplyError::OutOfRange {
+            apply_delta(b"a\n", b"2d\nw\n"),
+            Err(DeltaError::Apply(ApplyError::OutOfRange {
                 line: 2,
                 base_lines: 1
-            })
+            }))
         );
     }
 
     #[test]
     fn ascending_commands_rejected() {
-        let err = EdScript::with_commands(
-            vec![
-                EdCommand::Delete { from: 1, to: 1 },
-                EdCommand::Delete { from: 3, to: 3 },
-            ],
-            true,
+        assert_eq!(
+            parse_kind(b"a\nb\nc\n", b"1d\n3d\nw\n"),
+            ParseErrorKind::OutOfOrder { last: 3, prev: 1 }
         );
-        assert!(matches!(err, Err(ApplyError::Malformed(_))));
     }
 
     #[test]
     fn inverted_range_rejected() {
-        let err = EdScript::with_commands(vec![EdCommand::Delete { from: 3, to: 2 }], true);
-        assert!(matches!(err, Err(ApplyError::Malformed(_))));
+        assert_eq!(
+            parse_kind(b"a\nb\nc\n", b"3,2d\nw\n"),
+            ParseErrorKind::InvalidRange { from: 3, to: 2 }
+        );
     }
 
     #[test]
     fn zero_line_range_rejected() {
-        let err = EdScript::with_commands(vec![EdCommand::Delete { from: 0, to: 2 }], true);
-        assert!(matches!(err, Err(ApplyError::Malformed(_))));
+        assert_eq!(
+            parse_kind(b"a\nb\nc\n", b"0,2d\nw\n"),
+            ParseErrorKind::InvalidRange { from: 0, to: 2 }
+        );
     }
 
     #[test]
     fn text_round_trip() {
-        let script = EdScript::with_commands(
-            vec![
-                EdCommand::Append {
-                    after: 9,
-                    lines: lines(&["tail", ""]),
-                },
-                EdCommand::Change {
-                    from: 4,
-                    to: 6,
-                    lines: lines(&["x", ".", "..dots"]),
-                },
-                EdCommand::Delete { from: 1, to: 2 },
-            ],
-            false,
-        )
-        .unwrap();
-        let text = script.to_text();
-        let parsed = EdScript::parse(&text).unwrap();
-        assert_eq!(parsed, script);
+        // Dot lines are escaped on the way out and unescaped on the way in.
+        let old = "x\ny\nz\n";
+        let new = ".\n..dots\nx\n.x\nz\ntail\n";
+        let text = delta(old, new).to_text();
+        assert!(text.windows(4).any(|w| w == b"\n..\n"), "{text:?}");
+        assert_eq!(apply_delta(old.as_bytes(), &text).unwrap(), new.as_bytes());
     }
 
     #[test]
     fn wire_len_matches_text_len() {
-        let script = EdScript::with_commands(
-            vec![
-                EdCommand::Change {
-                    from: 10,
-                    to: 12,
-                    lines: lines(&["abc", ".", "", "...x"]),
-                },
-                EdCommand::Delete { from: 1, to: 1 },
-            ],
-            true,
-        )
-        .unwrap();
-        assert_eq!(script.wire_len(), script.to_text().len());
+        let d = delta("1\n2\n3\n", "abc\n.\n\n...x\n2\n");
+        assert_eq!(d.wire_len(), d.to_text().len());
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(EdScript::parse(b"not a script\n").is_err());
-        assert!(EdScript::parse(b"3a\nno terminator\n").is_err());
-        assert!(EdScript::parse(b"3q\n.\nw\n").is_err());
-        assert!(EdScript::parse(b"").is_err()); // missing w/W
+        assert_eq!(
+            parse_kind(b"a\n", b"not a script\n"),
+            ParseErrorKind::Unrecognized
+        );
+        assert_eq!(
+            parse_kind(b"a\n", b"1a\nno terminator\n"),
+            ParseErrorKind::UnterminatedInsert
+        );
+        assert_eq!(
+            parse_kind(b"a\n", b"1q\n.\nw\n"),
+            ParseErrorKind::UnknownOp(b'q')
+        );
+        assert_eq!(parse_kind(b"a\n", b""), ParseErrorKind::MissingMarker);
     }
 
     #[test]
     fn identity_script() {
-        let base = Document::from_text("a\nb\n");
-        let script = EdScript::with_commands(vec![], true).unwrap();
-        assert!(script.is_identity_for(&base));
-        assert_eq!(script.apply(&base).unwrap(), base);
+        let d = delta("a\nb\n", "a\nb\n");
+        assert!(d.is_empty());
+        assert_eq!(apply_delta(b"a\nb\n", &d.to_text()).unwrap(), b"a\nb\n");
     }
 
     #[test]
     fn trailing_newline_toggle() {
-        let base = Document::from_text("a\nb\n");
-        let script = EdScript::with_commands(vec![], false).unwrap();
-        assert_eq!(script.apply(&base).unwrap().to_bytes(), b"a\nb");
+        let d = delta("a\nb\n", "a\nb");
+        assert!(d.is_empty(), "only the marker changes");
+        assert_eq!(d.to_text(), b"W\n");
+        assert_eq!(apply_delta(b"a\nb\n", &d.to_text()).unwrap(), b"a\nb");
     }
 
     #[test]
     fn delete_everything_yields_empty() {
-        let base = Document::from_text("a\nb\n");
-        let script =
-            EdScript::with_commands(vec![EdCommand::Delete { from: 1, to: 2 }], true).unwrap();
-        let out = script.apply(&base).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(out.to_bytes(), b"");
+        assert_eq!(apply_delta(b"a\nb\n", b"1,2d\nw\n").unwrap(), b"");
+        assert_eq!(delta("a\nb\n", "").to_text(), b"1,2d\nW\n");
     }
 
     #[test]
     fn stats_counts() {
-        let script = EdScript::with_commands(
-            vec![
-                EdCommand::Change {
-                    from: 5,
-                    to: 6,
-                    lines: lines(&["x"]),
-                },
-                EdCommand::Delete { from: 1, to: 2 },
-            ],
-            true,
-        )
-        .unwrap();
-        let stats = script.stats();
+        let d = delta("1\n2\n3\n4\n5\n6\n", "3\n4\nx\n");
+        let stats = d.stats();
         assert_eq!(stats.hunks, 2);
         assert_eq!(stats.lines_added, 1);
         assert_eq!(stats.lines_removed, 4);
-        assert_eq!(stats.wire_len, script.to_text().len());
+        assert_eq!(stats.wire_len, d.to_text().len());
+    }
+
+    #[test]
+    fn parse_error_display_names_each_kind() {
+        let cases = [
+            (ParseErrorKind::Unrecognized, "unrecognized command"),
+            (ParseErrorKind::UnknownOp(b'q'), "unknown operation 'q'"),
+            (ParseErrorKind::MissingMarker, "missing trailing w/W marker"),
+            (
+                ParseErrorKind::UnterminatedInsert,
+                "unterminated insert block",
+            ),
+            (
+                ParseErrorKind::InvalidRange { from: 3, to: 2 },
+                "invalid range 3,2",
+            ),
+            (
+                ParseErrorKind::OutOfOrder { last: 3, prev: 1 },
+                "commands out of order: line 3 not below 1",
+            ),
+        ];
+        for (kind, reason) in cases {
+            let e = ParseError { line: 7, kind };
+            assert_eq!(
+                e.to_string(),
+                format!("edit script parse error at line 7: {reason}")
+            );
+        }
     }
 }

@@ -9,116 +9,21 @@
 //! program and data text. Memory is `O(R + N)`.
 
 use crate::algorithm::Match;
-use crate::scratch::{Candidate as ScratchCandidate, DiffScratch};
+use crate::scratch::{Candidate, DiffScratch};
 
-/// One k-candidate in McIlroy's formulation: a matching pair that extends a
-/// common subsequence of length `k`, linked to the best candidate of length
-/// `k - 1` it extends.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    old_line: usize,
-    new_line: usize,
-    /// Index of the predecessor candidate in the arena, or `usize::MAX`.
-    prev: usize,
-}
-
-/// Computes a longest common subsequence of `a` and `b` as a list of
-/// strictly increasing [`Match`]es.
+/// Computes a longest common subsequence of the symbol windows
+/// `scratch.old_syms` / `scratch.new_syms` (equal symbols mean equal
+/// lines) and leaves it in `scratch.matches` as strictly increasing
+/// [`Match`]es.
 ///
-/// `a` and `b` are interned line symbols; equal symbols mean equal lines.
-///
-/// # Example
-///
-/// ```
-/// use shadow_diff::hunt_mcilroy::lcs_matches;
-///
-/// let matches = lcs_matches(&[1, 2, 3, 4], &[2, 4, 5]);
-/// let pairs: Vec<_> = matches.iter().map(|m| (m.old_line, m.new_line)).collect();
-/// assert_eq!(pairs, vec![(1, 0), (3, 1)]);
-/// ```
-pub fn lcs_matches(a: &[u32], b: &[u32]) -> Vec<Match> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-
-    // occ[s] = positions of symbol s in `b`, ascending; we iterate them in
-    // descending order per Hunt–Szymanski so that a single `a` element never
-    // contributes two links in the same chain.
-    let max_sym = a
-        .iter()
-        .chain(b.iter())
-        .copied()
-        .max()
-        .map(|m| m as usize + 1)
-        .unwrap_or(0);
-    let mut occ: Vec<Vec<usize>> = vec![Vec::new(); max_sym];
-    for (j, &s) in b.iter().enumerate() {
-        occ[s as usize].push(j);
-    }
-
-    // thresh[k] = smallest `b` index ending a common subsequence of length
-    // k + 1 seen so far; strictly increasing. link[k] = arena index of the
-    // candidate achieving it.
-    let mut thresh: Vec<usize> = Vec::new();
-    let mut link: Vec<usize> = Vec::new();
-    let mut arena: Vec<Candidate> = Vec::new();
-
-    for (i, &s) in a.iter().enumerate() {
-        let Some(positions) = occ.get(s as usize) else {
-            continue;
-        };
-        for &j in positions.iter().rev() {
-            // Find k = number of candidates with threshold < j (binary
-            // search over the strictly increasing `thresh`).
-            let k = thresh.partition_point(|&t| t < j);
-            if k < thresh.len() && thresh[k] == j {
-                continue; // no improvement: same endpoint already achieved
-            }
-            let prev = if k == 0 { usize::MAX } else { link[k - 1] };
-            arena.push(Candidate {
-                old_line: i,
-                new_line: j,
-                prev,
-            });
-            let cand = arena.len() - 1;
-            if k == thresh.len() {
-                thresh.push(j);
-                link.push(cand);
-            } else {
-                thresh[k] = j;
-                link[k] = cand;
-            }
-        }
-    }
-
-    // Recover the chain from the longest threshold class.
-    let mut out = Vec::with_capacity(thresh.len());
-    if let Some(&last) = link.last() {
-        let mut cur = last;
-        loop {
-            let c = arena[cur];
-            out.push(Match {
-                old_line: c.old_line,
-                new_line: c.new_line,
-            });
-            if c.prev == usize::MAX {
-                break;
-            }
-            cur = c.prev;
-        }
-    }
-    out.reverse();
-    out
-}
-
-/// Scratch-backed variant of [`lcs_matches`]: reads the symbol windows
-/// from `scratch.old_syms` / `scratch.new_syms` and leaves the matches in
-/// `scratch.matches`, reusing the occurrence lists (CSR layout), the
-/// threshold/link vectors, and the candidate arena across calls — zero
-/// heap allocation once the buffers are warm.
-///
-/// Same algorithm, same output, as the allocating entry point: results
-/// depend only on the equality structure of the symbol sequences.
+/// For each symbol of the old window, its positions in the new window are
+/// visited in descending order (Hunt–Szymanski), so one old line never
+/// contributes two links to the same chain. `thresh[k]` holds the
+/// smallest new index ending a common subsequence of length `k + 1` and
+/// `link[k]` the arena candidate achieving it; the longest chain is
+/// recovered from the last link. The occurrence lists (CSR layout), the
+/// threshold/link vectors and the candidate arena are reused across calls
+/// — zero heap allocation once the buffers are warm.
 pub(crate) fn lcs_matches_scratch(scratch: &mut DiffScratch) {
     let DiffScratch {
         old_syms,
@@ -140,8 +45,8 @@ pub(crate) fn lcs_matches_scratch(scratch: &mut DiffScratch) {
     }
 
     // Symbols are dense (the interner hands them out contiguously), so a
-    // counting sort of `b`'s positions into a CSR layout replaces the
-    // legacy `Vec<Vec<usize>>` occurrence lists.
+    // counting sort of `b`'s positions into a CSR layout gives every
+    // symbol's occurrence list in one flat buffer.
     let max_sym = a
         .iter()
         .chain(b.iter())
@@ -179,7 +84,7 @@ pub(crate) fn lcs_matches_scratch(scratch: &mut DiffScratch) {
                 continue; // no improvement: same endpoint already achieved
             }
             let prev = if k == 0 { u32::MAX } else { link[k - 1] };
-            arena.push(ScratchCandidate {
+            arena.push(Candidate {
                 old_line: i as u32,
                 new_line: j,
                 prev,
@@ -216,6 +121,19 @@ pub(crate) fn lcs_matches_scratch(scratch: &mut DiffScratch) {
 mod tests {
     use super::*;
 
+    fn lcs_matches(a: &[u32], b: &[u32]) -> Vec<Match> {
+        lcs_matches_in(&mut DiffScratch::new(), a, b)
+    }
+
+    fn lcs_matches_in(scratch: &mut DiffScratch, a: &[u32], b: &[u32]) -> Vec<Match> {
+        scratch.old_syms.clear();
+        scratch.old_syms.extend_from_slice(a);
+        scratch.new_syms.clear();
+        scratch.new_syms.extend_from_slice(b);
+        lcs_matches_scratch(scratch);
+        scratch.matches.clone()
+    }
+
     fn lcs_len(a: &[u32], b: &[u32]) -> usize {
         lcs_matches(a, b).len()
     }
@@ -232,6 +150,16 @@ mod tests {
             }
         }
         row[b.len()]
+    }
+
+    fn random_pair(rng: &mut rand::rngs::StdRng) -> (Vec<u32>, Vec<u32>) {
+        use rand::Rng;
+        let alphabet = rng.gen_range(1..8u32);
+        let n = rng.gen_range(0..40);
+        let m = rng.gen_range(0..40);
+        let a = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
+        let b = (0..m).map(|_| rng.gen_range(0..alphabet)).collect();
+        (a, b)
     }
 
     #[test]
@@ -262,6 +190,11 @@ mod tests {
         let a: Vec<u32> = "ABCBDAB".bytes().map(u32::from).collect();
         let b: Vec<u32> = "BDCABA".bytes().map(u32::from).collect();
         assert_eq!(lcs_len(&a, &b), 4);
+        let pairs: Vec<_> = lcs_matches(&[1, 2, 3, 4], &[2, 4, 5])
+            .iter()
+            .map(|m| (m.old_line, m.new_line))
+            .collect();
+        assert_eq!(pairs, vec![(1, 0), (3, 1)]);
     }
 
     #[test]
@@ -288,35 +221,23 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_allocating_variant() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
+    fn reused_scratch_matches_fresh_scratch() {
+        use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5C2A);
         let mut scratch = DiffScratch::new();
         for _ in 0..200 {
-            let alphabet = rng.gen_range(1..8u32);
-            let n = rng.gen_range(0..40);
-            let m = rng.gen_range(0..40);
-            let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
-            let b: Vec<u32> = (0..m).map(|_| rng.gen_range(0..alphabet)).collect();
-            scratch.old_syms.clear();
-            scratch.old_syms.extend_from_slice(&a);
-            scratch.new_syms.clear();
-            scratch.new_syms.extend_from_slice(&b);
-            lcs_matches_scratch(&mut scratch);
-            assert_eq!(scratch.matches, lcs_matches(&a, &b), "a={a:?} b={b:?}");
+            let (a, b) = random_pair(&mut rng);
+            let warm = lcs_matches_in(&mut scratch, &a, &b);
+            assert_eq!(warm, lcs_matches(&a, &b), "a={a:?} b={b:?}");
         }
     }
 
     #[test]
     fn agrees_with_dp_oracle_on_random_inputs() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xD1FF);
         for trial in 0..200 {
-            let alphabet = rng.gen_range(1..8u32);
-            let n = rng.gen_range(0..40);
-            let m = rng.gen_range(0..40);
-            let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
-            let b: Vec<u32> = (0..m).map(|_| rng.gen_range(0..alphabet)).collect();
+            let (a, b) = random_pair(&mut rng);
             let got = lcs_matches(&a, &b);
             // Valid common subsequence…
             let mut pi = None;

@@ -5,31 +5,17 @@
 //! instead of the whole file. The paper's prototype used the Hunt–McIlroy
 //! differential-comparison algorithm (UNIX `diff`) emitting edit commands
 //! "in a form suitable for an editor (like `ed`)", and its future-work
-//! section (§8.3) names the Miller–Myers algorithm and Tichy's
-//! string-to-string correction with block moves as candidates to study.
-//! This crate implements all three families:
+//! section (§8.3) names the Miller–Myers algorithm as a candidate to
+//! study. Both run here as LCS engines behind one [`DiffAlgorithm`]
+//! switch: Hunt–Szymanski/McIlroy (the default, matching the prototype)
+//! and Myers *O(ND)* in its linear-space form.
 //!
-//! * [`hunt_mcilroy`] — the Hunt–Szymanski/McIlroy LCS algorithm, the
-//!   default, matching the prototype.
-//! * [`myers`] — the Myers *O(ND)* algorithm in its linear-space
-//!   (divide-and-conquer) form.
-//! * [`blockmove`] — a Tichy-style byte-level delta with block moves,
-//!   using hashed seeds as in Tichy's practical variant.
-//!
-//! Line-oriented diffs are expressed as an [`EdScript`] — a sequence of
-//! `a`/`c`/`d` commands in descending line order, exactly like `diff -e`
-//! output — which can be [applied](EdScript::apply) to the base document to
-//! reconstruct the new version. Byte-level deltas are expressed as a
-//! [`BlockScript`].
-//!
-//! The hot path is the **zero-copy pipeline**: [`DocBuf`] documents
-//! (one contiguous buffer + line-offset index), [`diff_docs`] with a
-//! reusable [`DiffScratch`], a [`DeltaScript`] whose inserts borrow from
-//! the target buffer, and [`apply_delta`] reconstructing target bytes
-//! straight from `base + script text`. The allocating API ([`diff`],
-//! [`Document`], [`EdScript`]) remains as a compatibility shim, and
-//! [`diff_legacy`] preserves the original pipeline as an equivalence
-//! oracle — both emit byte-identical scripts.
+//! There is one line-delta path: [`DocBuf`] documents (one contiguous
+//! buffer + line-offset index), [`diff_docs`] with a reusable
+//! [`DiffScratch`], a [`DeltaScript`] whose inserts borrow from the
+//! target buffer, its `diff -e` text from [`DeltaScript::write_text`],
+//! and [`apply_delta`] reconstructing target bytes straight from
+//! `base + script text`.
 //!
 //! Large and binary files that the line differ handles poorly route
 //! through the **chunk codec** instead: [`chunk_delta_into`] emits a
@@ -40,14 +26,14 @@
 //! # Example
 //!
 //! ```
-//! use shadow_diff::{diff, DiffAlgorithm, Document};
+//! use shadow_diff::{apply_delta, diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 //!
-//! # fn main() -> Result<(), shadow_diff::ApplyError> {
-//! let old = Document::from_bytes(b"a\nb\nc\n".to_vec());
-//! let new = Document::from_bytes(b"a\nB\nc\nd\n".to_vec());
-//! let script = diff(DiffAlgorithm::HuntMcIlroy, &old, &new);
-//! let rebuilt = script.apply(&old)?;
-//! assert_eq!(rebuilt.to_bytes(), new.to_bytes());
+//! # fn main() -> Result<(), shadow_diff::DeltaError> {
+//! let old = DocBuf::from_text("a\nb\nc\n");
+//! let new = DocBuf::from_text("a\nB\nc\nd\n");
+//! let mut scratch = DiffScratch::new();
+//! let script = diff_docs(DiffAlgorithm::HuntMcIlroy, &old, &new, &mut scratch).to_text();
+//! assert_eq!(apply_delta(old.as_bytes(), &script)?, new.as_bytes());
 //! # Ok(())
 //! # }
 //! ```
@@ -58,28 +44,21 @@
 mod algorithm;
 mod chunk;
 mod docbuf;
-mod document;
 mod edscript;
+mod hunt_mcilroy;
+mod myers;
 mod scratch;
-mod shim;
 mod stats;
 mod zerocopy;
 
-pub mod blockmove;
-pub mod hunt_mcilroy;
-pub mod myers;
-
-pub use algorithm::{diff, matches_to_script, DiffAlgorithm, Match};
-pub use blockmove::{block_diff, BlockOp, BlockScript};
+pub use algorithm::DiffAlgorithm;
 pub use chunk::{
     apply_chunk_delta, choose_chunk_codec, chunk_delta_into, classify, ChunkDeltaError,
     ChunkParams, ChunkStats, DocShape, AVG_LINE_CHUNK_THRESHOLD, BINARY_SNIFF_WINDOW,
     CHUNK_FORMAT_VERSION, LEVELS, MAX_LEVELS, MAX_LINE_CHUNK_THRESHOLD,
 };
 pub use docbuf::DocBuf;
-pub use document::{Document, Line};
-pub use edscript::{ApplyError, EdCommand, EdScript, ParseError};
+pub use edscript::{ApplyError, ParseError, ParseErrorKind};
 pub use scratch::DiffScratch;
-pub use shim::diff_legacy;
 pub use stats::DiffStats;
 pub use zerocopy::{apply_delta, diff_docs, DeltaError, DeltaScript};

@@ -18,36 +18,11 @@ const FWD_SENTINEL: i64 = -1;
 /// Sentinel priming out-of-range backward diagonals: always loses a `min`.
 const BWD_SENTINEL: i64 = i64::MAX / 2;
 
-/// Computes a longest common subsequence of `a` and `b` as strictly
-/// increasing [`Match`]es, in `O((N + M) D)` time and linear space.
-///
-/// # Example
-///
-/// ```
-/// use shadow_diff::myers::lcs_matches;
-///
-/// let matches = lcs_matches(&[1, 2, 3], &[2, 3, 4]);
-/// assert_eq!(matches.len(), 2);
-/// ```
-pub fn lcs_matches(a: &[u32], b: &[u32]) -> Vec<Match> {
-    let n = a.len() as i64;
-    let m = b.len() as i64;
-    // Global diagonals k = x - y range over [-m - 1, n + 1] including the
-    // sentinel positions just outside the active frontier.
-    let mut vf = vec![0i64; (n + m + 3) as usize];
-    let mut vb = vec![0i64; (n + m + 3) as usize];
-    let mut out = Vec::new();
-    solve(a, b, 0, n, 0, m, &mut vf, &mut vb, &mut out);
-    debug_assert!(out
-        .windows(2)
-        .all(|w| w[0].old_line < w[1].old_line && w[0].new_line < w[1].new_line));
-    out
-}
-
-/// Scratch-backed variant of [`lcs_matches`]: reads the symbol windows
-/// from `scratch.old_syms` / `scratch.new_syms`, reuses the frontier
-/// vectors `vf` / `vb` across calls, and leaves the matches in
-/// `scratch.matches` — zero heap allocation once the buffers are warm.
+/// Computes a longest common subsequence of the symbol windows
+/// `scratch.old_syms` / `scratch.new_syms` as strictly increasing
+/// [`Match`]es in `scratch.matches`, in `O((N + M) D)` time and linear
+/// space. The frontier vectors `vf` / `vb` are reused across calls —
+/// zero heap allocation once the buffers are warm.
 pub(crate) fn lcs_matches_scratch(scratch: &mut DiffScratch) {
     let DiffScratch {
         old_syms,
@@ -234,6 +209,19 @@ fn split_point(
 mod tests {
     use super::*;
 
+    fn lcs_matches(a: &[u32], b: &[u32]) -> Vec<Match> {
+        lcs_matches_in(&mut DiffScratch::new(), a, b)
+    }
+
+    fn lcs_matches_in(scratch: &mut DiffScratch, a: &[u32], b: &[u32]) -> Vec<Match> {
+        scratch.old_syms.clear();
+        scratch.old_syms.extend_from_slice(a);
+        scratch.new_syms.clear();
+        scratch.new_syms.extend_from_slice(b);
+        lcs_matches_scratch(scratch);
+        scratch.matches.clone()
+    }
+
     fn dp_lcs_len(a: &[u32], b: &[u32]) -> usize {
         let mut row = vec![0usize; b.len() + 1];
         for &x in a {
@@ -311,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_allocating_variant() {
+    fn reused_scratch_matches_fresh_scratch() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x3E25);
         let mut scratch = DiffScratch::new();
@@ -321,12 +309,8 @@ mod tests {
             let m = rng.gen_range(0..32);
             let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
             let b: Vec<u32> = (0..m).map(|_| rng.gen_range(0..alphabet)).collect();
-            scratch.old_syms.clear();
-            scratch.old_syms.extend_from_slice(&a);
-            scratch.new_syms.clear();
-            scratch.new_syms.extend_from_slice(&b);
-            lcs_matches_scratch(&mut scratch);
-            assert_eq!(scratch.matches, lcs_matches(&a, &b), "a={a:?} b={b:?}");
+            let warm = lcs_matches_in(&mut scratch, &a, &b);
+            assert_eq!(warm, lcs_matches(&a, &b), "a={a:?} b={b:?}");
         }
     }
 

@@ -8,11 +8,12 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use shadow_diff::{diff, DiffAlgorithm, Document};
+/// use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 ///
-/// let old = Document::from_text("a\nb\nc\n");
-/// let new = Document::from_text("a\nx\nc\n");
-/// let stats = diff(DiffAlgorithm::HuntMcIlroy, &old, &new).stats();
+/// let old = DocBuf::from_text("a\nb\nc\n");
+/// let new = DocBuf::from_text("a\nx\nc\n");
+/// let mut scratch = DiffScratch::new();
+/// let stats = diff_docs(DiffAlgorithm::HuntMcIlroy, &old, &new, &mut scratch).stats();
 /// assert_eq!(stats.lines_added, 1);
 /// assert_eq!(stats.lines_removed, 1);
 /// ```

@@ -16,24 +16,22 @@
 //!    commands carrying `(from, to)` ranges of target lines.
 //!
 //! The resulting script serializes with [`DeltaScript::write_text`]
-//! straight from the borrowed slices, byte-identical to the legacy
-//! [`EdScript`](crate::EdScript) text, and [`apply_delta`] reconstructs a
-//! target from `base bytes + script text` in one pass over each, without
-//! building intermediate line vectors.
+//! straight from the borrowed slices as classic `diff -e` text, and
+//! [`apply_delta`] reconstructs a target from `base bytes + script text`
+//! in one pass over each, without building intermediate line vectors.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::algorithm::DiffAlgorithm;
 use crate::docbuf::DocBuf;
-use crate::edscript::{ApplyError, ParseError};
+use crate::edscript::{ApplyError, ParseError, ParseErrorKind};
 use crate::scratch::{fx_hash_bytes, DiffScratch};
 use crate::stats::DiffStats;
 
-/// One command of a [`DeltaScript`]. Base addresses are 1-based, exactly
-/// as in [`EdCommand`](crate::EdCommand); inserted text is the target-line
-/// range `new_from..new_to` (0-based, half-open) borrowed from the
-/// script's target buffer.
+/// One command of a [`DeltaScript`]. Base addresses are 1-based, as in
+/// `ed`; inserted text is the target-line range `new_from..new_to`
+/// (0-based, half-open) borrowed from the script's target buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DeltaCommand {
     /// Insert target lines after base line `after` (0 = prepend).
@@ -68,12 +66,11 @@ pub(crate) enum DeltaCommand {
 /// An edit script over [`DocBuf`]s: descending `a`/`c`/`d` commands whose
 /// inserted text is borrowed from the retained target buffer.
 ///
-/// Functionally equivalent to an [`EdScript`](crate::EdScript) — the
-/// textual forms are byte-identical — but holding a `DeltaScript` costs
-/// one `Arc` bump on the target document instead of a `Vec<u8>` per
-/// inserted line. Convert with
-/// [`to_ed_script`](DeltaScript::to_ed_script) when the allocating
-/// representation is needed.
+/// Holding a `DeltaScript` costs one `Arc` bump on the target document
+/// instead of a `Vec<u8>` per inserted line; [`write_text`] renders the
+/// wire form on demand.
+///
+/// [`write_text`]: DeltaScript::write_text
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaScript {
     /// The target document; insert ranges index into it. O(1) clone.
@@ -103,8 +100,15 @@ impl DeltaScript {
     }
 
     /// Appends the classic `diff -e` textual form onto `out`, straight
-    /// from the borrowed target slices. Byte-identical to
-    /// [`EdScript::to_text`](crate::EdScript::to_text) for the same edit.
+    /// from the borrowed target slices.
+    ///
+    /// Inserted text is terminated by a lone `.` line, as in `ed`. A line
+    /// starting with `.` inside inserted text is escaped with one more
+    /// leading `.` (and unescaped by [`apply_delta`]); this is the one
+    /// place the format extends historic `ed`, which simply could not
+    /// represent a lone `.` line. The final line records the target
+    /// trailing-newline flag as `w` (with newline) or `W` (without),
+    /// another small extension.
     pub fn write_text(&self, out: &mut Vec<u8>) {
         for cmd in &self.commands {
             match *cmd {
@@ -173,7 +177,7 @@ impl DeltaScript {
                     new_from,
                     new_to,
                 } => {
-                    n += crate::edscript::decimal_len(after as usize) + 2;
+                    n += decimal_len(after) + 2;
                     n += self.insert_block_len(new_from, new_to);
                 }
                 DeltaCommand::Change {
@@ -182,11 +186,11 @@ impl DeltaScript {
                     new_from,
                     new_to,
                 } => {
-                    n += crate::edscript::addr_len(from as usize, to as usize) + 2;
+                    n += addr_len(from, to) + 2;
                     n += self.insert_block_len(new_from, new_to);
                 }
                 DeltaCommand::Delete { from, to } => {
-                    n += crate::edscript::addr_len(from as usize, to as usize) + 2;
+                    n += addr_len(from, to) + 2;
                 }
             }
         }
@@ -252,7 +256,7 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
     out.extend_from_slice(&buf[i..]);
 }
 
-/// Writes `from` or `from,to` exactly as `EdScript::to_text` does.
+/// Writes an address: `from` alone for a one-line range, else `from,to`.
 fn push_address(out: &mut Vec<u8>, from: u32, to: u32) {
     push_decimal(out, from);
     if from != to {
@@ -261,14 +265,33 @@ fn push_address(out: &mut Vec<u8>, from: u32, to: u32) {
     }
 }
 
+/// Number of decimal digits in `n`.
+fn decimal_len(mut n: u32) -> usize {
+    let mut d = 1;
+    while n >= 10 {
+        n /= 10;
+        d += 1;
+    }
+    d
+}
+
+/// Length of the address [`push_address`] writes.
+fn addr_len(from: u32, to: u32) -> usize {
+    if from == to {
+        decimal_len(from)
+    } else {
+        decimal_len(from) + 1 + decimal_len(to)
+    }
+}
+
 /// Computes the line-oriented difference between `old` and `new` without
 /// copying any line bytes, reusing `scratch`'s tables.
 ///
-/// Produces exactly the same edit — byte-identical textual form — as the
-/// legacy [`diff_legacy`](crate::diff_legacy) pipeline: anchor trimming
-/// happens on byte slices instead of symbols, but byte equality and
-/// symbol equality coincide, and the LCS cores depend only on the
-/// equality structure of their inputs.
+/// The script is minimal in lines: it removes `old_lines - LCS` and adds
+/// `new_lines - LCS` lines, where LCS is the longest common subsequence
+/// of the two line sequences. Anchor trimming happens on byte slices
+/// before interning; byte equality and symbol equality coincide, and the
+/// LCS engines depend only on the equality structure of their inputs.
 ///
 /// # Example
 ///
@@ -377,7 +400,8 @@ fn intern_window(
 }
 
 /// Converts the window-relative match list in `scratch.matches` into
-/// descending commands, exactly mirroring the legacy hunk builder.
+/// descending commands: each gap between consecutive matches becomes one
+/// `a`, `c` or `d` hunk.
 fn build_commands(
     new: &DocBuf,
     prefix: usize,
@@ -497,14 +521,10 @@ impl RawCommand {
 /// Applies a textual edit script to the raw bytes of a base document,
 /// reconstructing the target bytes in one pass.
 ///
-/// Semantically identical to `EdScript::parse` + [`apply`][a] +
-/// `Document::to_bytes`, but the base is consumed as whole byte ranges
-/// (no per-line vectors), insert text is copied straight out of the
-/// script, and the allocation budget is the output buffer plus a small
-/// sized command table (error reporting on malformed input goes through
-/// the allocating [`shim`](crate::shim)).
-///
-/// [a]: crate::EdScript::apply
+/// The base is consumed as whole byte ranges (no per-line vectors),
+/// insert text is copied straight out of the script, and the allocation
+/// budget is the output buffer plus a small sized command table; errors
+/// carry only `Copy` data.
 ///
 /// # Errors
 ///
@@ -531,7 +551,7 @@ pub fn apply_delta(base: &[u8], script: &[u8]) -> Result<Vec<u8>, DeltaError> {
     };
 
     // Range-check every command against the *original* base, in storage
-    // (descending) order, matching `EdScript::apply`'s error reporting.
+    // (descending) order, so the first offending command is reported.
     for cmd in &commands {
         if cmd.last_line() > base_lines {
             return Err(ApplyError::OutOfRange {
@@ -573,7 +593,7 @@ pub fn apply_delta(base: &[u8], script: &[u8]) -> Result<Vec<u8>, DeltaError> {
     cursor.copy_lines(base_lines, &mut out);
 
     // Every emitted chunk was normalized to end in '\n'; restore the
-    // target's trailing-newline state exactly as `EdScript::apply` does.
+    // target's trailing-newline state from the script's marker.
     if !target_trailing_newline && out.last() == Some(&b'\n') {
         out.pop();
     }
@@ -646,9 +666,8 @@ fn copy_insert(script: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Parses the textual script into range-based commands, mirroring
-/// `EdScript::parse` (including its validation) without building `Line`
-/// vectors.
+/// Parses the textual script into range-based commands and validates
+/// their order, without copying any insert text.
 fn parse_script(script: &[u8]) -> Result<(Vec<RawCommand>, bool), DeltaError> {
     // Sized up front: the command table is part of the documented
     // allocation budget (most deltas carry a handful of commands).
@@ -668,8 +687,10 @@ fn parse_script(script: &[u8]) -> Result<(Vec<RawCommand>, bool), DeltaError> {
             target_trailing_newline = Some(raw == b"w");
             continue;
         }
-        let ((from, to), op) =
-            split_command(raw).ok_or_else(|| crate::shim::parse_unrecognized(lineno, raw))?;
+        let ((from, to), op) = split_command(raw).ok_or(ParseError {
+            line: lineno,
+            kind: ParseErrorKind::Unrecognized,
+        })?;
         match op {
             b'a' | b'c' => {
                 let (ins_start, ins_end, next) = read_insert_range(script, pos, &mut lineno)?;
@@ -691,12 +712,20 @@ fn parse_script(script: &[u8]) -> Result<(Vec<RawCommand>, bool), DeltaError> {
                     ins_end: 0,
                 });
             }
-            _ => return Err(crate::shim::parse_unknown_op(lineno, op).into()),
+            _ => {
+                return Err(ParseError {
+                    line: lineno,
+                    kind: ParseErrorKind::UnknownOp(op),
+                }
+                .into())
+            }
         }
     }
 
-    let target_trailing_newline =
-        target_trailing_newline.ok_or_else(crate::shim::parse_missing_marker)?;
+    let target_trailing_newline = target_trailing_newline.ok_or(ParseError {
+        line: 0,
+        kind: ParseErrorKind::MissingMarker,
+    })?;
     validate_commands(&commands)?;
     Ok((commands, target_trailing_newline))
 }
@@ -721,7 +750,11 @@ fn read_insert_range(
         }
         pos = next;
     }
-    Err(crate::shim::parse_unterminated_insert().into())
+    Err(ParseError {
+        line: 0,
+        kind: ParseErrorKind::UnterminatedInsert,
+    }
+    .into())
 }
 
 /// Splits a command line like `3,7c` / `12a` into its address and opcode.
@@ -742,16 +775,31 @@ fn split_command(raw: &[u8]) -> Option<((usize, usize), u8)> {
     }
 }
 
-/// Structural validation mirroring `EdScript::validate`.
+/// Structural validation: every range starts at line 1 or later and is
+/// not inverted, and commands run strictly descending without overlap.
 fn validate_commands(commands: &[RawCommand]) -> Result<(), DeltaError> {
     let mut prev_first: Option<usize> = None;
     for cmd in commands {
         if cmd.op != b'a' && (cmd.from == 0 || cmd.from > cmd.to) {
-            return Err(crate::shim::parse_invalid_range(cmd.from, cmd.to).into());
+            return Err(ParseError {
+                line: 0,
+                kind: ParseErrorKind::InvalidRange {
+                    from: cmd.from,
+                    to: cmd.to,
+                },
+            }
+            .into());
         }
         if let Some(prev) = prev_first {
             if cmd.last_line() >= prev {
-                return Err(crate::shim::parse_out_of_order(cmd.last_line(), prev).into());
+                return Err(ParseError {
+                    line: 0,
+                    kind: ParseErrorKind::OutOfOrder {
+                        last: cmd.last_line(),
+                        prev,
+                    },
+                }
+                .into());
             }
         }
         prev_first = Some(cmd.first_line());

@@ -1,86 +1,50 @@
-//! Property tests: for every pair of documents, the script produced by each
-//! diff algorithm reconstructs the target exactly, round-trips through its
-//! textual form, and reports accurate wire statistics.
+//! Property tests per diff algorithm: for every pair of documents, the
+//! script each algorithm produces reconstructs the target exactly, is as
+//! long on the wire as its `wire_len`, and is line-minimal against the
+//! quadratic-DP reference.
+
+mod reference;
 
 use proptest::prelude::*;
-use shadow_diff::{block_diff, diff, DiffAlgorithm, Document, EdScript};
-
-/// Documents drawn from a small line alphabet to force repeats (the hard
-/// case for LCS) plus arbitrary line content occasionally.
-fn arb_document() -> impl Strategy<Value = Document> {
-    let line = prop_oneof![
-        4 => prop::sample::select(vec!["alpha", "beta", "gamma", "x", ""]).prop_map(str::to_string),
-        1 => "[a-z .]{0,12}".prop_map(|s| s),
-        1 => Just(".".to_string()),
-        1 => Just("..".to_string()),
-    ];
-    (prop::collection::vec(line, 0..40), any::<bool>()).prop_map(|(lines, trailing)| {
-        let mut text = lines.join("\n");
-        if trailing && !text.is_empty() {
-            text.push('\n');
-        }
-        Document::from_bytes(text.into_bytes())
-    })
-}
+use reference::{arb_doc_bytes, check_delta};
+use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn hunt_mcilroy_reconstructs((old, new) in (arb_document(), arb_document())) {
-        let script = diff(DiffAlgorithm::HuntMcIlroy, &old, &new);
-        let rebuilt = script.apply(&old).unwrap();
-        prop_assert_eq!(rebuilt.to_bytes(), new.to_bytes());
+    fn hunt_mcilroy_reconstructs((old, new) in (arb_doc_bytes(), arb_doc_bytes())) {
+        check_delta(DiffAlgorithm::HuntMcIlroy, &old, &new, &mut DiffScratch::new())?;
     }
 
     #[test]
-    fn myers_reconstructs((old, new) in (arb_document(), arb_document())) {
-        let script = diff(DiffAlgorithm::Myers, &old, &new);
-        let rebuilt = script.apply(&old).unwrap();
-        prop_assert_eq!(rebuilt.to_bytes(), new.to_bytes());
+    fn myers_reconstructs((old, new) in (arb_doc_bytes(), arb_doc_bytes())) {
+        check_delta(DiffAlgorithm::Myers, &old, &new, &mut DiffScratch::new())?;
     }
 
     #[test]
-    fn algorithms_agree_on_script_economy((old, new) in (arb_document(), arb_document())) {
+    fn algorithms_agree_on_script_economy((old, new) in (arb_doc_bytes(), arb_doc_bytes())) {
         // Both produce *minimal-LCS* scripts, so line churn must agree.
-        let hm = diff(DiffAlgorithm::HuntMcIlroy, &old, &new).stats();
-        let my = diff(DiffAlgorithm::Myers, &old, &new).stats();
+        let old = DocBuf::from_bytes(old);
+        let new = DocBuf::from_bytes(new);
+        let mut scratch = DiffScratch::new();
+        let hm = diff_docs(DiffAlgorithm::HuntMcIlroy, &old, &new, &mut scratch).stats();
+        let my = diff_docs(DiffAlgorithm::Myers, &old, &new, &mut scratch).stats();
         prop_assert_eq!(hm.lines_added, my.lines_added);
         prop_assert_eq!(hm.lines_removed, my.lines_removed);
     }
 
     #[test]
-    fn script_text_round_trips((old, new) in (arb_document(), arb_document())) {
-        let script = diff(DiffAlgorithm::HuntMcIlroy, &old, &new);
-        let text = script.to_text();
-        prop_assert_eq!(text.len(), script.wire_len());
-        let parsed = EdScript::parse(&text).unwrap();
-        prop_assert_eq!(parsed, script);
-    }
-
-    #[test]
-    fn block_diff_reconstructs(
-        source in prop::collection::vec(any::<u8>(), 0..512),
-        target in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let script = block_diff(&source, &target);
-        prop_assert_eq!(script.apply(&source).unwrap(), target.clone());
-        prop_assert_eq!(script.output_len(), target.len());
-    }
-
-    #[test]
-    fn block_diff_on_edited_copy_is_compact(
-        base in prop::collection::vec(any::<u8>(), 256..512),
-        edit_at in 0usize..256,
-        edit in prop::collection::vec(any::<u8>(), 1..16),
-    ) {
-        let mut target = base.clone();
-        let at = edit_at.min(target.len());
-        target.splice(at..at, edit.iter().copied());
-        let script = block_diff(&base, &target);
-        prop_assert_eq!(script.apply(&base).unwrap(), target);
-        // A localized edit must not cost more than the edit plus bounded
-        // copy-instruction overhead.
-        prop_assert!(script.wire_len() <= edit.len() + 64);
+    fn script_text_round_trips((old, new) in (arb_doc_bytes(), arb_doc_bytes())) {
+        // Writing into a dirty buffer appends exactly the script text.
+        let old_buf = DocBuf::from_bytes(old.clone());
+        let new_buf = DocBuf::from_bytes(new.clone());
+        let delta = diff_docs(DiffAlgorithm::HuntMcIlroy, &old_buf, &new_buf, &mut DiffScratch::new());
+        let mut out = b"prefix".to_vec();
+        delta.write_text(&mut out);
+        prop_assert_eq!(&out[..6], b"prefix");
+        prop_assert_eq!(&out[6..], &delta.to_text()[..]);
+        prop_assert_eq!(out.len() - 6, delta.wire_len());
+        prop_assert_eq!(shadow_diff::apply_delta(&old, &out[6..]).unwrap(), new);
     }
 }

@@ -1,81 +1,33 @@
-//! Equivalence properties: the zero-copy pipeline and the legacy
-//! allocating pipeline are interchangeable — byte-identical ed-scripts,
-//! identical applied results — over random byte documents, including the
-//! degenerate shapes (empty files, missing trailing newline, all lines
-//! equal).
+//! Reference properties of the line-delta pipeline (`DocBuf` →
+//! `diff_docs` → `DeltaScript::to_text` → `apply_delta`): over random
+//! byte documents, including the degenerate shapes (empty files, missing
+//! trailing newline, all lines equal, dot lines), every script rebuilds
+//! its target, is exactly `wire_len` bytes, and is line-minimal against
+//! an independent quadratic-DP LCS.
+
+mod reference;
 
 use proptest::prelude::*;
-use shadow_diff::{
-    apply_delta, diff_docs, diff_legacy, DiffAlgorithm, DiffScratch, DocBuf, Document, EdScript,
-};
+use reference::{arb_doc_bytes, arb_uniform_doc_bytes, check_delta, lcs_len, lines, ALGOS};
+use shadow_diff::{diff_docs, DiffScratch, DocBuf};
 
-const ALGOS: [DiffAlgorithm; 2] = [DiffAlgorithm::HuntMcIlroy, DiffAlgorithm::Myers];
-
-/// Raw document bytes drawn from a small line alphabet (to force repeated
-/// lines, the hard case for LCS) plus arbitrary bytes occasionally, with
-/// the trailing newline toggled independently.
-fn arb_doc_bytes() -> impl Strategy<Value = Vec<u8>> {
-    let line = prop_oneof![
-        4 => prop::sample::select(vec!["alpha", "beta", "gamma", "x", ""]).prop_map(str::to_string),
-        1 => "[a-z .]{0,12}".prop_map(|s| s),
-        1 => Just(".".to_string()),
-        1 => Just("..".to_string()),
-    ];
-    (prop::collection::vec(line, 0..40), any::<bool>()).prop_map(|(lines, trailing)| {
-        let mut text = lines.join("\n");
-        if trailing && !text.is_empty() {
-            text.push('\n');
-        }
-        text.into_bytes()
-    })
-}
-
-/// All-lines-equal documents: the interner collapses everything to one
-/// symbol and Hunt–McIlroy sees maximal occurrence lists.
-fn arb_uniform_doc_bytes() -> impl Strategy<Value = Vec<u8>> {
-    (0usize..30, any::<bool>()).prop_map(|(n, trailing)| {
-        let mut text = vec!["same"; n].join("\n");
-        if trailing && !text.is_empty() {
-            text.push('\n');
-        }
-        text.into_bytes()
-    })
-}
-
-fn assert_pipelines_agree(old_bytes: &[u8], new_bytes: &[u8]) -> Result<(), TestCaseError> {
-    let old_doc = Document::from_bytes(old_bytes.to_vec());
-    let new_doc = Document::from_bytes(new_bytes.to_vec());
-    let old_buf = DocBuf::from_bytes(old_bytes.to_vec());
-    let new_buf = DocBuf::from_bytes(new_bytes.to_vec());
+fn check_both(old: &[u8], new: &[u8]) -> Result<(), TestCaseError> {
     let mut scratch = DiffScratch::new();
-
     for algo in ALGOS {
-        let legacy = diff_legacy(algo, &old_doc, &new_doc);
-        let legacy_text = legacy.to_text();
-        let delta = diff_docs(algo, &old_buf, &new_buf, &mut scratch);
-        let delta_text = delta.to_text();
-
-        // Byte-identical ed-scripts…
-        prop_assert_eq!(
-            &delta_text,
-            &legacy_text,
-            "script text diverged (algo={})",
-            algo
-        );
-        prop_assert_eq!(delta.wire_len(), legacy.wire_len());
-        prop_assert_eq!(delta.stats(), legacy.stats());
-        prop_assert_eq!(&delta.to_ed_script(), &legacy);
-
-        // …and identical applied results, through both apply engines.
-        let legacy_applied = legacy.apply(&old_doc).unwrap().to_bytes();
-        prop_assert_eq!(&legacy_applied, &new_bytes.to_vec());
-        let zero_applied = apply_delta(old_bytes, &delta_text).unwrap();
-        prop_assert_eq!(&zero_applied, &new_bytes.to_vec());
-
-        // The textual forms stay parseable by the legacy parser.
-        prop_assert_eq!(&EdScript::parse(&delta_text).unwrap(), &legacy);
+        check_delta(algo, old, new, &mut scratch)?;
     }
     Ok(())
+}
+
+#[test]
+fn reference_splits_and_measures_lines() {
+    assert!(lines(b"").is_empty());
+    assert_eq!(lines(b"\n"), vec![&b""[..]]);
+    assert_eq!(lines(b"a\nb"), vec![&b"a"[..], b"b"]);
+    assert_eq!(lines(b"a\nb\n"), vec![&b"a"[..], b"b"]);
+    let a = lines(b"a\nb\nc\nb\nd\na\nb\n");
+    let b = lines(b"b\nd\nc\na\nb\na\n");
+    assert_eq!(lcs_len(&a, &b), 4);
 }
 
 proptest! {
@@ -86,7 +38,7 @@ proptest! {
         old in arb_doc_bytes(),
         new in arb_doc_bytes(),
     ) {
-        assert_pipelines_agree(&old, &new)?;
+        check_both(&old, &new)?;
     }
 
     #[test]
@@ -94,7 +46,7 @@ proptest! {
         old in arb_uniform_doc_bytes(),
         new in arb_uniform_doc_bytes(),
     ) {
-        assert_pipelines_agree(&old, &new)?;
+        check_both(&old, &new)?;
     }
 
     #[test]
@@ -103,9 +55,9 @@ proptest! {
         empty_side in any::<bool>(),
     ) {
         if empty_side {
-            assert_pipelines_agree(&[], &doc)?;
+            check_both(&[], &doc)?;
         } else {
-            assert_pipelines_agree(&doc, &[])?;
+            check_both(&doc, &[])?;
         }
     }
 

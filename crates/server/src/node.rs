@@ -1185,10 +1185,20 @@ impl ServerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_diff::{diff, Document};
     use crate::action::ServerEvent;
 
     const NOW: u64 = 1_000;
+
+    /// The Hunt–McIlroy line script turning `old` into `new`.
+    fn line_script(old: &[u8], new: &[u8]) -> Vec<u8> {
+        diff_docs(
+            DiffAlgorithm::HuntMcIlroy,
+            &DocBuf::from_bytes(old.to_vec()),
+            &DocBuf::from_bytes(new.to_vec()),
+            &mut DiffScratch::new(),
+        )
+        .to_text()
+    }
 
     fn hello(server: &mut ServerNode, session: u64, domain: u64, host: &str) -> Vec<ServerAction> {
         server.handle(ServerEvent::Message {
@@ -1351,11 +1361,7 @@ mod tests {
         full_update(&mut server, 1, 7, 1, b"a\nb\nc\n");
 
         let new_content = b"a\nB\nc\n";
-        let script = diff(
-            DiffAlgorithm::HuntMcIlroy,
-            &Document::from_bytes(b"a\nb\nc\n".to_vec()),
-            &Document::from_bytes(new_content.to_vec()),
-        );
+        let script = line_script(b"a\nb\nc\n", new_content);
         let actions = server.handle(ServerEvent::Message {
             session: SessionId::new(1),
             message: ClientMessage::Update {
@@ -1365,7 +1371,7 @@ mod tests {
                     base: VersionNumber::new(1),
                     codec: DeltaCodec::Line,
                     encoding: TransferEncoding::Identity,
-                    data: Bytes::from(script.to_text()),
+                    data: Bytes::from(script),
                     digest: ContentDigest::of(new_content),
                 },
             },
@@ -1808,11 +1814,7 @@ mod tests {
         ));
 
         let new_content = b"a\nB\nc\n";
-        let script = diff(
-            DiffAlgorithm::HuntMcIlroy,
-            &Document::from_bytes(b"a\nb\nc\n".to_vec()),
-            &Document::from_bytes(new_content.to_vec()),
-        );
+        let script = line_script(b"a\nb\nc\n", new_content);
         let actions = server.handle(ServerEvent::Message {
             session: SessionId::new(1),
             message: ClientMessage::Update {
@@ -1822,7 +1824,7 @@ mod tests {
                     base: VersionNumber::new(1),
                     codec: DeltaCodec::Line,
                     encoding: TransferEncoding::Identity,
-                    data: Bytes::from(script.to_text()),
+                    data: Bytes::from(script),
                     digest: ContentDigest::of(new_content),
                 },
             },
@@ -1876,11 +1878,7 @@ mod tests {
         notify(&mut server, 1, 7, "/f", 1, b"a\nb\nc\n");
         journal.extend(persists(&full_update(&mut server, 1, 7, 1, b"a\nb\nc\n")));
         let new_content = b"a\nB\nc\n";
-        let script = diff(
-            DiffAlgorithm::HuntMcIlroy,
-            &Document::from_bytes(b"a\nb\nc\n".to_vec()),
-            &Document::from_bytes(new_content.to_vec()),
-        );
+        let script = line_script(b"a\nb\nc\n", new_content);
         journal.extend(persists(&server.handle(ServerEvent::Message {
             session: SessionId::new(1),
             message: ClientMessage::Update {
@@ -1890,7 +1888,7 @@ mod tests {
                     base: VersionNumber::new(1),
                     codec: DeltaCodec::Line,
                     encoding: TransferEncoding::Identity,
-                    data: Bytes::from(script.to_text()),
+                    data: Bytes::from(script),
                     digest: ContentDigest::of(new_content),
                 },
             },

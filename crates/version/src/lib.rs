@@ -12,9 +12,9 @@
 //! [`VersionStore`] implements exactly that contract:
 //!
 //! * [`record_edit`](VersionStore::record_edit) creates the next version;
-//! * [`delta_from`](VersionStore::delta_from) produces an ed-script delta
-//!   against any retained base, or reports that the base is gone (→ the
-//!   caller sends a full transfer);
+//! * [`delta_payload_from`](VersionStore::delta_payload_from) produces a
+//!   delta against any retained base, or reports that the base is gone
+//!   (→ the caller sends a full transfer);
 //! * [`acknowledge`](VersionStore::acknowledge) prunes versions the server
 //!   has durably cached ("the client deletes older versions after the
 //!   server acknowledges the receipt of a later version");
@@ -26,16 +26,17 @@
 //!
 //! ```
 //! use shadow_version::VersionStore;
-//! use shadow_proto::{FileId, VersionNumber};
+//! use shadow_proto::{DeltaCodec, FileId, VersionNumber};
 //!
 //! let mut store = VersionStore::new(4);
 //! let file = FileId::new(1);
 //! let v1 = store.record_edit(file, b"a\nb\n".to_vec());
 //! let v2 = store.record_edit(file, b"a\nB\n".to_vec());
 //! assert_eq!(v2, v1.next());
-//! let (base, script) = store.delta_from(file, v1).expect("base retained");
+//! let (base, codec, script) = store.delta_payload_from(file, v1).expect("base retained");
 //! assert_eq!(base, v1);
-//! assert_eq!(script.stats().lines_added, 1); // only the changed line travels
+//! assert_eq!(codec, DeltaCodec::Line);
+//! assert_eq!(script, b"2c\nB\n.\nw\n"); // only the changed line travels
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,8 +46,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 use shadow_diff::{
-    choose_chunk_codec, chunk_delta_into, diff_docs, DiffAlgorithm, DiffScratch, DiffStats,
-    DocBuf, EdScript,
+    choose_chunk_codec, chunk_delta_into, diff_docs, DiffAlgorithm, DiffScratch, DocBuf,
 };
 use shadow_proto::{ContentDigest, DeltaCodec, FileId, VersionNumber};
 
@@ -115,7 +115,8 @@ impl VersionStore {
         }
     }
 
-    /// Selects the diff algorithm used by [`delta_from`](Self::delta_from).
+    /// Selects the line-diff algorithm used by
+    /// [`delta_payload_from`](Self::delta_payload_from).
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: DiffAlgorithm) -> Self {
         self.algorithm = algorithm;
@@ -211,52 +212,6 @@ impl VersionStore {
             .map(DocBuf::as_bytes)
     }
 
-    /// Computes the delta from `base` to the latest version.
-    ///
-    /// Returns `None` when the base (or the file) is not retained — the
-    /// caller must fall back to a full transfer, exactly the paper's
-    /// "completely new version" case.
-    pub fn delta_from(&self, file: FileId, base: VersionNumber) -> Option<(VersionNumber, EdScript)> {
-        let entry = self.files.get(&file)?;
-        let latest = entry.latest?;
-        let base_doc = entry.versions.get(&base)?;
-        let latest_doc = &entry.versions[&latest];
-        let script = diff_docs(
-            self.algorithm,
-            base_doc,
-            latest_doc,
-            &mut self.scratch.borrow_mut(),
-        )
-        .to_ed_script();
-        Some((base, script))
-    }
-
-    /// Computes the delta from `base` to the latest version, returning its
-    /// wire (textual) form and statistics directly.
-    ///
-    /// This is the zero-copy submission path: the script text is emitted
-    /// straight from the retained version buffers through the store's
-    /// reusable [`DiffScratch`] — no per-line allocation, no intermediate
-    /// [`EdScript`]. Returns `None` when the base (or the file) is not
-    /// retained, as for [`delta_from`](Self::delta_from).
-    pub fn delta_text_from(
-        &self,
-        file: FileId,
-        base: VersionNumber,
-    ) -> Option<(VersionNumber, Vec<u8>, DiffStats)> {
-        let entry = self.files.get(&file)?;
-        let latest = entry.latest?;
-        let base_doc = entry.versions.get(&base)?;
-        let latest_doc = &entry.versions[&latest];
-        let delta = diff_docs(
-            self.algorithm,
-            base_doc,
-            latest_doc,
-            &mut self.scratch.borrow_mut(),
-        );
-        Some((base, delta.to_text(), delta.stats()))
-    }
-
     /// Computes the delta from `base` to the latest version, selecting
     /// the delta codec per file shape: line-oriented ed script for text,
     /// the content-defined chunk codec for binary or line-hostile
@@ -264,9 +219,12 @@ impl VersionStore {
     /// [`DeltaCodec`] must travel with the bytes so the receiver applies
     /// the matching decoder.
     ///
+    /// The line codec's script text is emitted straight from the retained
+    /// version buffers through the store's reusable [`DiffScratch`].
+    ///
     /// Returns `None` when the base (or the file) is not retained — the
-    /// caller falls back to a full transfer, exactly as for
-    /// [`delta_from`](Self::delta_from).
+    /// caller must fall back to a full transfer, exactly the paper's
+    /// "completely new version" case.
     pub fn delta_payload_from(
         &self,
         file: FileId,
@@ -390,10 +348,22 @@ impl VersionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_diff::Document;
+    use shadow_diff::apply_delta;
 
     fn f(n: u64) -> FileId {
         FileId::new(n)
+    }
+
+    /// The line delta from `base` to the latest version, as its base and
+    /// script text.
+    fn line_delta(
+        s: &VersionStore,
+        file: FileId,
+        base: VersionNumber,
+    ) -> Option<(VersionNumber, Vec<u8>)> {
+        let (base, codec, script) = s.delta_payload_from(file, base)?;
+        assert_eq!(codec, DeltaCodec::Line);
+        Some((base, script))
     }
 
     #[test]
@@ -441,12 +411,9 @@ mod tests {
         let base_content = b"one\ntwo\nthree\n".to_vec();
         let v1 = s.record_edit(f(1), base_content.clone());
         s.record_edit(f(1), b"one\n2\nthree\nfour\n".to_vec());
-        let (base, script) = s.delta_from(f(1), v1).unwrap();
+        let (base, script) = line_delta(&s, f(1), v1).unwrap();
         assert_eq!(base, v1);
-        let rebuilt = script
-            .apply(&Document::from_bytes(base_content))
-            .unwrap()
-            .to_bytes();
+        let rebuilt = apply_delta(&base_content, &script).unwrap();
         assert_eq!(rebuilt, b"one\n2\nthree\nfour\n");
     }
 
@@ -456,8 +423,8 @@ mod tests {
         let v1 = s.record_edit(f(1), b"a\n".to_vec());
         s.record_edit(f(1), b"b\n".to_vec());
         // v1 was pruned by the retention limit.
-        assert!(s.delta_from(f(1), v1).is_none());
-        assert!(s.delta_from(f(9), VersionNumber::FIRST).is_none());
+        assert!(s.delta_payload_from(f(1), v1).is_none());
+        assert!(s.delta_payload_from(f(9), VersionNumber::FIRST).is_none());
     }
 
     #[test]
@@ -529,7 +496,7 @@ mod tests {
         }
         // v1 is the acked base: it must still be available for deltas.
         assert!(s.content_of(f(1), v1).is_some());
-        let (base, _) = s.delta_from(f(1), v1).unwrap();
+        let (base, _) = line_delta(&s, f(1), v1).unwrap();
         assert_eq!(base, v1);
     }
 
@@ -541,13 +508,10 @@ mod tests {
         s.acknowledge(f(1), v1);
         let edited = base.replace("line 50", "LINE 50");
         s.record_edit(f(1), edited.clone().into_bytes());
-        let (_, script) = s.delta_from(f(1), v1).unwrap();
-        let rebuilt = script
-            .apply(&Document::from_bytes(base.into_bytes()))
-            .unwrap()
-            .to_bytes();
+        let (_, script) = line_delta(&s, f(1), v1).unwrap();
+        let rebuilt = apply_delta(base.as_bytes(), &script).unwrap();
         assert_eq!(rebuilt, edited.into_bytes());
-        assert!(script.wire_len() < 64);
+        assert!(script.len() < 64);
     }
 
     #[test]
@@ -573,14 +537,18 @@ mod tests {
         let mut s = VersionStore::new(4);
         let v1 = s.record_edit(f(1), b"one\ntwo\nthree\n".to_vec());
         s.record_edit(f(1), b"one\n2\nthree\nfour\n".to_vec());
-        let (_, script) = s.delta_from(f(1), v1).unwrap();
-        let (base, text, stats) = s.delta_text_from(f(1), v1).unwrap();
+        let (base, text) = line_delta(&s, f(1), v1).unwrap();
         assert_eq!(base, v1);
+        let script = diff_docs(
+            DiffAlgorithm::HuntMcIlroy,
+            &DocBuf::from_text("one\ntwo\nthree\n"),
+            &DocBuf::from_text("one\n2\nthree\nfour\n"),
+            &mut DiffScratch::new(),
+        );
         assert_eq!(text, script.to_text());
-        assert_eq!(stats, script.stats());
-        let rebuilt = shadow_diff::apply_delta(b"one\ntwo\nthree\n", &text).unwrap();
+        let rebuilt = apply_delta(b"one\ntwo\nthree\n", &text).unwrap();
         assert_eq!(rebuilt, b"one\n2\nthree\nfour\n");
-        assert!(s.delta_text_from(f(9), v1).is_none());
+        assert!(s.delta_payload_from(f(9), v1).is_none());
     }
 
     #[test]
@@ -588,10 +556,8 @@ mod tests {
         let mut s = VersionStore::new(4).with_algorithm(DiffAlgorithm::Myers);
         let v1 = s.record_edit(f(1), b"a\nb\nc\n".to_vec());
         s.record_edit(f(1), b"a\nx\nc\n".to_vec());
-        let (_, script) = s.delta_from(f(1), v1).unwrap();
-        let rebuilt = script
-            .apply(&Document::from_bytes(b"a\nb\nc\n".to_vec()))
-            .unwrap();
-        assert_eq!(rebuilt.to_bytes(), b"a\nx\nc\n");
+        let (_, script) = line_delta(&s, f(1), v1).unwrap();
+        let rebuilt = apply_delta(b"a\nb\nc\n", &script).unwrap();
+        assert_eq!(rebuilt, b"a\nx\nc\n");
     }
 }

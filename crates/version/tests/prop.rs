@@ -2,8 +2,8 @@
 //! interleaving of edits, acknowledgements and delta requests.
 
 use proptest::prelude::*;
-use shadow_diff::Document;
-use shadow_proto::{FileId, VersionNumber};
+use shadow_diff::{apply_chunk_delta, apply_delta};
+use shadow_proto::{DeltaCodec, FileId, VersionNumber};
 use shadow_version::VersionStore;
 
 #[derive(Debug, Clone)]
@@ -51,21 +51,21 @@ proptest! {
                     store.acknowledge(FileId::new(file), VersionNumber::new(version));
                 }
                 Op::Delta { file, base } => {
-                    if let Some((base_v, script)) =
-                        store.delta_from(FileId::new(file), VersionNumber::new(base))
+                    if let Some((base_v, codec, script)) =
+                        store.delta_payload_from(FileId::new(file), VersionNumber::new(base))
                     {
                         // Any delta the store hands out reconstructs the
                         // latest content from the named base.
                         let base_content = store
                             .content_of(FileId::new(file), base_v)
                             .expect("delta implies retained base");
-                        let rebuilt = script
-                            .apply(&Document::from_bytes(base_content.to_vec()))
-                            .expect("store-produced script applies");
-                        prop_assert_eq!(
-                            rebuilt.to_bytes(),
-                            latest_content[&file].clone()
-                        );
+                        let rebuilt = match codec {
+                            DeltaCodec::Line => apply_delta(base_content, &script)
+                                .expect("store-produced script applies"),
+                            DeltaCodec::Chunk => apply_chunk_delta(base_content, &script)
+                                .expect("store-produced chunk delta applies"),
+                        };
+                        prop_assert_eq!(rebuilt, latest_content[&file].clone());
                     }
                 }
                 Op::Forget { file } => {

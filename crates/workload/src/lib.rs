@@ -30,7 +30,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shadow_diff::{diff, DiffAlgorithm, Document};
+use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 
 /// Parameters for generating one synthetic data file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,11 +145,9 @@ impl EditModel {
             return content.to_vec();
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let doc = Document::from_bytes(content.to_vec());
-        let mut lines: Vec<Vec<u8>> = doc
-            .lines()
-            .iter()
-            .map(|l| l.as_bytes().to_vec())
+        let doc = DocBuf::from_bytes(content.to_vec());
+        let mut lines: Vec<Vec<u8>> = (0..doc.line_count())
+            .map(|i| doc.line(i).to_vec())
             .collect();
         if lines.is_empty() {
             return content.to_vec();
@@ -189,13 +187,13 @@ impl EditModel {
                 consumed += line_len;
             }
         }
-        Document::from_lines(
-            lines
-                .into_iter()
-                .map(shadow_diff::Line::new)
-                .collect(),
-        )
-        .to_bytes()
+        // Every line, the last included, ends in '\n'.
+        let mut out = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in &lines {
+            out.extend_from_slice(line);
+            out.push(b'\n');
+        }
+        out
     }
 
     fn fresh_line(rng: &mut StdRng, hunk: usize, idx: usize) -> Vec<u8> {
@@ -214,12 +212,13 @@ impl EditModel {
 /// Measures how many wire bytes an ed-script delta for this edit costs —
 /// the quantity that replaces the full file size under shadow processing.
 pub fn delta_cost(old: &[u8], new: &[u8]) -> usize {
-    let script = diff(
+    diff_docs(
         DiffAlgorithm::HuntMcIlroy,
-        &Document::from_bytes(old.to_vec()),
-        &Document::from_bytes(new.to_vec()),
-    );
-    script.wire_len()
+        &DocBuf::from_bytes(old.to_vec()),
+        &DocBuf::from_bytes(new.to_vec()),
+        &mut DiffScratch::new(),
+    )
+    .wire_len()
 }
 
 /// Drives `sessions` successive editing sessions from `initial`, returning
@@ -322,13 +321,13 @@ mod tests {
             .with_locality(Locality::Clustered)
             .apply(&base);
         let hunk_count = |new: &[u8]| {
-            diff(
+            diff_docs(
                 DiffAlgorithm::HuntMcIlroy,
-                &Document::from_bytes(base.clone()),
-                &Document::from_bytes(new.to_vec()),
+                &DocBuf::from_bytes(base.clone()),
+                &DocBuf::from_bytes(new.to_vec()),
+                &mut DiffScratch::new(),
             )
-            .stats()
-            .hunks
+            .command_count()
         };
         assert!(hunk_count(&clustered) <= hunk_count(&scattered));
     }

@@ -1,7 +1,7 @@
 # Development shortcuts. `just check` is what CI runs.
 
 # Build everything, run the full test suite, and lint.
-check: build test lint verify analyze
+check: build test e2e-test lint verify analyze
 
 # Release build of the whole workspace.
 build:
@@ -10,6 +10,12 @@ build:
 # The full test suite (unit + integration + property tests).
 test:
     cargo test -q --workspace
+
+# The end-to-end benchmark's own tests: per-workload input pins and a
+# 20-cycle smoke of every workload with pinned wire bytes. `e2e/` is a
+# separate package, so `test` above does not reach it.
+e2e-test:
+    cargo test --offline --manifest-path e2e/Cargo.toml
 
 # Clippy with warnings promoted to errors.
 lint:

@@ -165,7 +165,7 @@ proptest! {
         drain(&mut client, &mut server, conn, session, seed);
 
         // Arbitrary interleaved editing sessions. Note: line-oriented
-        // content (arbitrary bytes are fine — Document handles any bytes).
+        // content (arbitrary bytes are fine — DocBuf handles any bytes).
         for (which, content) in edits {
             let f = &files[which as usize];
             let (_, actions) = client.edit_finished(f, content);
