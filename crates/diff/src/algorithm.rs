@@ -6,6 +6,17 @@ use std::fmt;
 ///
 /// The paper's prototype used Hunt–McIlroy (`diff`(1)); its future-work
 /// section proposed evaluating alternatives, which the ablation benches do.
+///
+/// # Example
+///
+/// ```
+/// use shadow_diff::{apply_delta, diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
+///
+/// let old = DocBuf::from_text("fn main() {}\n");
+/// let new = DocBuf::from_text("fn main() { println!(); }\n");
+/// let delta = diff_docs(DiffAlgorithm::Myers, &old, &new, &mut DiffScratch::new());
+/// assert_eq!(apply_delta(old.as_bytes(), &delta.to_text()).unwrap(), new.as_bytes());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DiffAlgorithm {
     /// Hunt–Szymanski/McIlroy candidate-list LCS — the prototype's choice.

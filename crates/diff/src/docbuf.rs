@@ -62,6 +62,17 @@ impl DocBuf {
     /// returns the input byte-for-byte. Documents are limited to
     /// `u32::MAX` bytes (a frame can never carry more); larger input
     /// panics.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use shadow_diff::DocBuf;
+    ///
+    /// let doc = DocBuf::from_bytes(b"alpha\nbeta".to_vec());
+    /// assert_eq!(doc.line_count(), 2);
+    /// assert!(!doc.has_trailing_newline());
+    /// assert_eq!(doc.as_bytes(), b"alpha\nbeta");
+    /// ```
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         assert!(
             u32::try_from(bytes.len()).is_ok(),
@@ -190,6 +201,58 @@ mod tests {
             }
             assert_eq!(buf.as_bytes(), text, "text {text:?}");
         }
+    }
+
+    #[test]
+    fn new_is_the_empty_document() {
+        assert_eq!(DocBuf::new(), DocBuf::from_bytes(Vec::new()));
+        assert_eq!(DocBuf::default().byte_len(), 0);
+    }
+
+    #[test]
+    fn trailing_newline_round_trip() {
+        let doc = DocBuf::from_bytes(b"a\nb\n".to_vec());
+        assert_eq!(doc.line_count(), 2);
+        assert!(doc.has_trailing_newline());
+        assert_eq!(doc.as_bytes(), b"a\nb\n");
+    }
+
+    #[test]
+    fn missing_trailing_newline_round_trip() {
+        let doc = DocBuf::from_bytes(b"a\nb".to_vec());
+        assert_eq!(doc.line_count(), 2);
+        assert!(!doc.has_trailing_newline());
+        assert_eq!(doc.as_bytes(), b"a\nb");
+    }
+
+    #[test]
+    fn lone_newline_is_one_blank_line() {
+        let doc = DocBuf::from_bytes(b"\n".to_vec());
+        assert_eq!(doc.line_count(), 1);
+        assert!(doc.line(0).is_empty());
+        assert_eq!(doc.as_bytes(), b"\n");
+    }
+
+    #[test]
+    fn consecutive_newlines_preserved() {
+        let doc = DocBuf::from_bytes(b"a\n\n\nb\n".to_vec());
+        assert_eq!(doc.line_count(), 4);
+        assert_eq!(doc.as_bytes(), b"a\n\n\nb\n");
+    }
+
+    #[test]
+    fn byte_len_matches_as_bytes() {
+        for text in [&b""[..], b"x", b"x\n", b"a\nbb\nccc", b"a\nbb\nccc\n"] {
+            let doc = DocBuf::from_bytes(text.to_vec());
+            assert_eq!(doc.byte_len(), doc.as_bytes().len(), "text {text:?}");
+        }
+    }
+
+    #[test]
+    fn non_utf8_content_preserved() {
+        let doc = DocBuf::from_bytes(vec![0xff, 0xfe, b'\n', 0x00]);
+        assert_eq!(doc.line(0), [0xff, 0xfe]);
+        assert_eq!(doc.as_bytes(), [0xff, 0xfe, b'\n', 0x00]);
     }
 
     #[test]

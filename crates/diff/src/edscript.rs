@@ -71,6 +71,20 @@ pub enum ParseErrorKind {
 }
 
 /// Error parsing the textual form of an edit script.
+///
+/// # Example
+///
+/// ```
+/// use shadow_diff::{apply_delta, DeltaError, ParseErrorKind};
+///
+/// // Commands must come in descending base-line order.
+/// match apply_delta(b"one\ntwo\nthree\n", b"1d\n3d\nw\n") {
+///     Err(DeltaError::Parse(e)) => {
+///         assert_eq!(e.kind, ParseErrorKind::OutOfOrder { last: 3, prev: 1 });
+///     }
+///     other => panic!("expected a parse error, got {other:?}"),
+/// }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line of the script text where parsing failed (0 = the

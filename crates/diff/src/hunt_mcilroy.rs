@@ -190,6 +190,10 @@ mod tests {
         let a: Vec<u32> = "ABCBDAB".bytes().map(u32::from).collect();
         let b: Vec<u32> = "BDCABA".bytes().map(u32::from).collect();
         assert_eq!(lcs_len(&a, &b), 4);
+    }
+
+    #[test]
+    fn lcs_of_interned_symbols() {
         let pairs: Vec<_> = lcs_matches(&[1, 2, 3, 4], &[2, 4, 5])
             .iter()
             .map(|m| (m.old_line, m.new_line))

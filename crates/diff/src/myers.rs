@@ -278,6 +278,12 @@ mod tests {
     }
 
     #[test]
+    fn lcs_of_interned_symbols() {
+        assert_valid(&[1, 2, 3], &[2, 3, 4]);
+        assert_eq!(lcs_matches(&[1, 2, 3], &[2, 3, 4]).len(), 2);
+    }
+
+    #[test]
     fn single_element_cases() {
         assert_valid(&[1], &[1]);
         assert_valid(&[1], &[2]);

@@ -873,6 +873,28 @@ mod tests {
     }
 
     #[test]
+    fn commands_from_explicit_matches() {
+        // "c" moves from the end to the front; hand the hunk builder the
+        // common subsequence "a", "b" directly.
+        let old = DocBuf::from_text("a\nb\nc\n");
+        let new = DocBuf::from_text("c\na\nb\n");
+        let mut scratch = DiffScratch::new();
+        scratch.matches = vec![
+            crate::algorithm::Match {
+                old_line: 0,
+                new_line: 1,
+            },
+            crate::algorithm::Match {
+                old_line: 1,
+                new_line: 2,
+            },
+        ];
+        let d = build_commands(&new, 0, 0, 3, 3, &scratch);
+        assert_eq!(d.to_text(), b"3d\n0a\nc\n.\nw\n");
+        assert_eq!(apply_delta(old.as_bytes(), &d.to_text()).unwrap(), new.as_bytes());
+    }
+
+    #[test]
     fn apply_delta_rejects_out_of_range() {
         let err = apply_delta(b"a\n", b"2d\nw\n").unwrap_err();
         assert_eq!(

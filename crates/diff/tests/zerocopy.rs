@@ -30,6 +30,23 @@ fn reference_splits_and_measures_lines() {
     assert_eq!(lcs_len(&a, &b), 4);
 }
 
+#[test]
+fn fixed_cases_match_the_reference() {
+    let cases = [
+        ("", ""),
+        ("", "a\n"),
+        ("a\nb\nc\n", "a\nX\nc\n"),
+        ("a\nb", "a\nb\n"),
+        (".\na\n", "..\na\n"),
+        ("x\nx\nx\nx\n", "x\nx\n"),
+    ];
+    for (old, new) in cases {
+        if let Err(e) = check_both(old.as_bytes(), new.as_bytes()) {
+            panic!("old={old:?} new={new:?}: {e:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -343,6 +343,17 @@ mod tests {
     }
 
     #[test]
+    fn edited_text_ends_every_line_with_newline() {
+        // The edited lines are joined with '\n' and the last one is
+        // terminated too, even when the input lacked a trailing newline.
+        let base = b"alpha\nbeta\ngamma";
+        let edited = EditModel::fraction(0.5, 1).apply(base);
+        assert_ne!(&edited[..], &base[..]);
+        assert_eq!(edited.last(), Some(&b'\n'));
+        assert!(!edited.ends_with(b"\n\n"));
+    }
+
+    #[test]
     fn empty_content_is_preserved() {
         assert!(EditModel::fraction(0.5, 1).apply(b"").is_empty());
     }
