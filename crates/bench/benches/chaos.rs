@@ -18,8 +18,8 @@
 //!
 //! Every fault decision comes from a seeded generator, so a row is the
 //! same run-to-run: the matrix is chaos *testing*, not flakiness.
-//! Exports `BENCH_chaos.json`; `chaos_guard` gates the recovered-as-
-//! delta ratio and the recovery latency against the committed
+//! Exports `BENCH_chaos.json`; `bench_guard chaos` gates the recovered-
+//! as-delta ratio and the recovery latency against the committed
 //! `BENCH_baseline_chaos.json`.
 
 use std::time::{Duration, Instant};

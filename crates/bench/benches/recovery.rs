@@ -14,8 +14,8 @@
 //!   domain to its live state, so replay reads a bounded prefix instead
 //!   of the whole history.
 //!
-//! Exports `BENCH_recovery.json`; `recovery_guard` compares the rows
-//! against the committed `BENCH_baseline_recovery.json`.
+//! Exports `BENCH_recovery.json`; `bench_guard recovery` compares the
+//! rows against the committed `BENCH_baseline_recovery.json`.
 
 use std::fs;
 use std::path::PathBuf;

@@ -101,12 +101,31 @@ pub fn export_rows(name: &str, rows: Vec<Json>) {
     export_json(name, &bench_doc(name, rows));
 }
 
-/// Extracts `(op, ns_per_op)` pairs from a `BENCH_*.json` document as
-/// produced by [`export_rows`]. This is a scanner for our own export
-/// format, not a general JSON parser: it pairs each `"op"` string with
-/// the first `"ns_per_op"` number that follows it. Rows without both
-/// fields are skipped.
-pub fn parse_ns_rows(doc: &str) -> Vec<(String, f64)> {
+/// One exported row: its `op` name and every numeric field, in
+/// document order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// The row's `op` name.
+    pub op: String,
+    /// Every `"name": number` field of the row.
+    pub fields: Vec<(String, f64)>,
+}
+
+impl Row {
+    /// The first numeric field called `name`.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.fields
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+}
+
+/// Splits a `BENCH_*.json` document as produced by [`export_rows`] into
+/// rows at each `"op"` key and scans every `"name": number` field of
+/// the chunk. A scanner for our own export format (numbers are never
+/// quoted, keys never contain escapes), not a general JSON parser.
+pub fn parse_rows(doc: &str) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut rest = doc;
     while let Some(at) = rest.find("\"op\":") {
@@ -116,23 +135,23 @@ pub fn parse_ns_rows(doc: &str) -> Vec<(String, f64)> {
         let Some(close) = rest.find('"') else { break };
         let op = rest[..close].to_string();
         rest = &rest[close + 1..];
-        // The value runs to the next comma or closing brace; both are
-        // structural in our export (numbers are never quoted).
-        let Some(ns_at) = rest.find("\"ns_per_op\":") else {
-            continue;
-        };
-        // Only accept the ns field of *this* row: it must appear before
-        // the next row's "op" key.
-        if rest.find("\"op\":").is_some_and(|next_op| next_op < ns_at) {
-            continue;
+        let chunk_end = rest.find("\"op\":").unwrap_or(rest.len());
+        let chunk = &rest[..chunk_end];
+        let mut fields = Vec::new();
+        let mut scan = chunk;
+        while let Some(key_open) = scan.find('"') {
+            scan = &scan[key_open + 1..];
+            let Some(key_close) = scan.find('"') else { break };
+            let key = scan[..key_close].to_string();
+            scan = &scan[key_close + 1..];
+            let Some(colon) = scan.find(':') else { break };
+            let val = scan[colon + 1..].trim_start();
+            let end = val.find([',', '}', '\n', ']']).unwrap_or(val.len());
+            if let Ok(num) = val[..end].trim().parse::<f64>() {
+                fields.push((key, num));
+            }
         }
-        let val = &rest[ns_at + "\"ns_per_op\":".len()..];
-        let end = val
-            .find([',', '}', '\n'])
-            .unwrap_or(val.len());
-        if let Ok(ns) = val[..end].trim().parse::<f64>() {
-            rows.push((op, ns));
-        }
+        rows.push(Row { op, fields });
     }
     rows
 }
@@ -156,17 +175,22 @@ mod tests {
             ],
         )
         .render_pretty();
-        let rows = parse_ns_rows(&doc);
-        assert_eq!(
-            rows,
-            vec![("alpha".to_string(), 12.5), ("beta".to_string(), 3000.0)]
-        );
+        let rows = parse_rows(&doc);
+        let ops: Vec<&str> = rows.iter().map(|r| r.op.as_str()).collect();
+        assert_eq!(ops, ["alpha", "no_ns_field", "beta"]);
+        assert_eq!(rows[0].get("ns_per_op"), Some(12.5));
+        assert_eq!(rows[0].get("bytes"), Some(10.0));
+        assert_eq!(rows[0].get("mb_per_sec"), Some(1.0));
+        assert_eq!(rows[1].get("ns_per_op"), None, "fields stay within their row");
+        assert_eq!(rows[2].get("ns_per_op"), Some(3000.0));
     }
 
     #[test]
     fn parse_ns_rows_tolerates_garbage() {
-        assert!(parse_ns_rows("").is_empty());
-        assert!(parse_ns_rows("{\"op\": \"x\"").is_empty());
-        assert!(parse_ns_rows("not json at all").is_empty());
+        assert!(parse_rows("").is_empty());
+        assert!(parse_rows("not json at all").is_empty());
+        let truncated = parse_rows("{\"op\": \"x\"");
+        assert_eq!(truncated.len(), 1);
+        assert_eq!(truncated[0].get("ns_per_op"), None);
     }
 }

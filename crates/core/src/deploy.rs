@@ -1,16 +1,13 @@
-//! The unified deployment builder.
-//!
-//! Historically each deployment shape had its own entry point —
-//! `LiveSystem::start`, `LiveSystem::sharded`, `TcpServerRuntime::bind`,
-//! `ShardedTcpServerRuntime::bind` — and none of them could restore a
-//! durable shadow store. [`Deployment`] collapses all four into one
-//! fluent builder with durability as an orthogonal axis:
+//! The deployment builder: every wall-clock server is one
+//! [`ShardedServerRuntime`] — N domain-affine worker shards behind a
+//! routing acceptor, N = 1 by default — over in-process pipes or TCP,
+//! diskless or durable:
 //!
 //! ```no_run
 //! use shadow::{Deployment, ServerConfig};
 //!
 //! # fn main() -> Result<(), shadow::DeployError> {
-//! // In-process pipes, one server, diskless (was LiveSystem::start):
+//! // In-process pipes, one shard, diskless:
 //! let system = Deployment::new(ServerConfig::new("superc")).pipes()?;
 //!
 //! // Four shards over TCP, journaling to disk:
@@ -33,17 +30,24 @@
 use std::error::Error;
 use std::fmt;
 use std::io;
-use std::net::ToSocketAddrs;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use shadow_client::ClientConfig;
+use shadow_netsim::pipe::{duplex, PipeEnd};
+use shadow_netsim::tcp::{TcpFramed, TcpServer};
 use shadow_obs::NodeReport;
-use shadow_runtime::PersistSink;
+use shadow_runtime::{Accepted, PersistSink, SessionAcceptor, ShardedServerRuntime, WallClock};
 use shadow_server::{ServerConfig, ServerNode};
 use shadow_store::{DurableStore, RecoverySummary};
 
-use crate::live::{LiveClient, LiveSystem, ShardedLiveSystem};
-use crate::tcpd::{ShardedTcpServerRuntime, TcpServerRuntime};
+use crate::live::LiveClient;
+
+/// How long the router naps when a round found no work.
+const ROUTER_NAP: Duration = Duration::from_millis(1);
 
 /// Errors building a deployment.
 #[derive(Debug)]
@@ -78,11 +82,11 @@ type ShardParts = (ServerNode, Option<Box<dyn PersistSink>>);
 /// The single entry point for standing up a wall-clock deployment.
 ///
 /// Axes:
-/// * **shards** — 1 (default) runs the paper's single poll loop;
-///   N > 1 runs N domain-affine worker shards behind a routing acceptor.
+/// * **shards** — N domain-affine worker shards behind a routing
+///   acceptor; 1 (the default) is the paper's single server.
 /// * **durable** — a root directory makes the shadow store survive
 ///   restarts via per-domain write-ahead journals (`shadow-store`);
-///   without it the deployment is diskless, exactly as before.
+///   without it the deployment is diskless.
 /// * **transport** — [`pipes`](Self::pipes) for in-process duplex pipes,
 ///   [`tcp`](Self::tcp) for real sockets.
 #[derive(Debug, Clone)]
@@ -90,7 +94,6 @@ pub struct Deployment {
     config: ServerConfig,
     shards: usize,
     durable: Option<PathBuf>,
-    compact_every: Option<usize>,
 }
 
 impl Deployment {
@@ -100,11 +103,10 @@ impl Deployment {
             config,
             shards: 1,
             durable: None,
-            compact_every: None,
         }
     }
 
-    /// Sets the worker-shard count (default 1 = the unsharded shape).
+    /// Sets the worker-shard count (default 1).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -121,28 +123,11 @@ impl Deployment {
         self
     }
 
-    /// Overrides the journal's snapshot-compaction interval (appends
-    /// per domain between snapshots). Only meaningful with
-    /// [`durable`](Self::durable).
-    #[must_use]
-    pub fn compact_every(mut self, every: usize) -> Self {
-        self.compact_every = Some(every);
-        self
-    }
-
     /// Builds every shard's node and sink, replaying journals when the
     /// deployment is durable.
     fn parts(&self) -> Result<(Vec<ShardParts>, RecoverySummary), DeployError> {
         if self.shards == 0 {
             return Err(DeployError::Invalid("a deployment needs at least one shard"));
-        }
-        if self.compact_every.is_some() && self.durable.is_none() {
-            return Err(DeployError::Invalid(
-                "compact_every only applies to a durable deployment",
-            ));
-        }
-        if self.compact_every == Some(0) {
-            return Err(DeployError::Invalid("compact_every must be at least 1"));
         }
         let mut parts = Vec::with_capacity(self.shards);
         let mut recovery = RecoverySummary::default();
@@ -150,10 +135,7 @@ impl Deployment {
             let mut node = ServerNode::new(self.config.clone());
             let sink = match &self.durable {
                 Some(root) => {
-                    let mut store = DurableStore::open_shard(root, index, self.shards)?;
-                    if let Some(every) = self.compact_every {
-                        store = store.with_compact_every(every);
-                    }
+                    let store = DurableStore::open_shard(root, index, self.shards)?;
                     merge_summary(&mut recovery, store.summary());
                     node.restore(&store.recovered());
                     Some(Box::new(store) as Box<dyn PersistSink>)
@@ -165,21 +147,45 @@ impl Deployment {
         Ok((parts, recovery))
     }
 
-    /// Deploys over in-process duplex pipes (threads in this process).
+    /// Deploys over in-process duplex pipes: the router runs on its own
+    /// thread, each shard on another.
     ///
     /// # Errors
     ///
     /// Invalid builder combinations; store-opening failures when
     /// durable.
     pub fn pipes(self) -> Result<PipeDeployment, DeployError> {
-        let (mut parts, recovery) = self.parts()?;
-        let inner = if parts.len() == 1 {
-            let (node, sink) = parts.remove(0);
-            PipeInner::Single(LiveSystem::start_with(node, sink))
-        } else {
-            PipeInner::Sharded(ShardedLiveSystem::start_with_parts(parts))
-        };
-        Ok(PipeDeployment { inner, recovery })
+        let (parts, recovery) = self.parts()?;
+        let (registrar, accepted) = unbounded::<PipeEnd>();
+        let (reports, report_rx) = unbounded::<Sender<NodeReport>>();
+        let router = std::thread::Builder::new()
+            .name("shadow-shard-router".to_string())
+            .spawn(move || {
+                let acceptor = ChannelAcceptor { rx: accepted };
+                let mut runtime =
+                    ShardedServerRuntime::from_parts(parts, acceptor, WallClock::new());
+                loop {
+                    let Ok(busy) = runtime.poll_once();
+                    while let Ok(reply) = report_rx.try_recv() {
+                        let _ = reply.send(runtime.report());
+                    }
+                    // Exit once no new clients can arrive and every
+                    // accepted session has been routed; the shards then
+                    // drain their own sessions and timers.
+                    if runtime.router_idle() {
+                        return runtime.shutdown();
+                    }
+                    if !busy {
+                        std::thread::sleep(ROUTER_NAP);
+                    }
+                }
+            })?;
+        Ok(PipeDeployment {
+            router,
+            registrar,
+            reports,
+            recovery,
+        })
     }
 
     /// Deploys over TCP: binds `addr` and serves real sockets.
@@ -188,29 +194,87 @@ impl Deployment {
     ///
     /// Invalid builder combinations; bind or store-opening failures.
     pub fn tcp(self, addr: impl ToSocketAddrs) -> Result<TcpDeployment, DeployError> {
-        let (mut parts, recovery) = self.parts()?;
-        let inner = if parts.len() == 1 {
-            let (node, sink) = parts.remove(0);
-            TcpInner::Single(Box::new(TcpServerRuntime::bind_with(addr, node, sink)?))
-        } else {
-            TcpInner::Sharded(ShardedTcpServerRuntime::bind_with_parts(addr, parts)?)
-        };
-        Ok(TcpDeployment { inner, recovery })
+        let (parts, recovery) = self.parts()?;
+        let listener = TcpServer::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let runtime =
+            ShardedServerRuntime::from_parts(parts, TcpAcceptor { listener }, WallClock::new());
+        Ok(TcpDeployment {
+            runtime,
+            addr,
+            recovery,
+        })
     }
 }
 
-#[derive(Debug)]
-enum PipeInner {
-    Single(LiveSystem),
-    Sharded(ShardedLiveSystem),
+/// Accepts sessions from the registrar channel: each new client hands the
+/// router its end of a fresh duplex pipe.
+struct ChannelAcceptor {
+    rx: Receiver<PipeEnd>,
+}
+
+impl SessionAcceptor for ChannelAcceptor {
+    type Transport = PipeEnd;
+    type Error = std::convert::Infallible;
+
+    fn poll_accept(&mut self) -> Result<Accepted<PipeEnd>, Self::Error> {
+        Ok(match self.rx.try_recv() {
+            Ok(pipe) => Accepted::Session(pipe),
+            Err(TryRecvError::Empty) => Accepted::None,
+            Err(TryRecvError::Disconnected) => Accepted::Closed,
+        })
+    }
+}
+
+/// Accepts framed TCP connections from the well-known port. The listener
+/// never closes by itself, so [`Accepted::Closed`] is never produced.
+struct TcpAcceptor {
+    listener: TcpServer,
+}
+
+impl SessionAcceptor for TcpAcceptor {
+    type Transport = TcpFramed;
+    type Error = io::Error;
+
+    fn poll_accept(&mut self) -> Result<Accepted<TcpFramed>, io::Error> {
+        Ok(match self.listener.try_accept()? {
+            Some(conn) => Accepted::Session(conn),
+            None => Accepted::None,
+        })
+    }
 }
 
 /// A running in-process deployment built by [`Deployment::pipes`]: the
-/// unified handle over what used to be `LiveSystem` /
-/// `ShardedLiveSystem`.
+/// router thread, the registrar new clients hand their pipe ends to, and
+/// the channel report requests travel on.
+///
+/// # Example
+///
+/// ```
+/// use shadow::{ClientConfig, Deployment, ServerConfig, SubmitOptions, FileRef};
+/// use shadow_proto::FileId;
+/// use std::time::Duration;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let system = Deployment::new(ServerConfig::new("superc")).pipes()?;
+/// let mut client = system.connect_client(ClientConfig::new("ws1", 1));
+/// client.wait_ready(Duration::from_secs(2))?;
+///
+/// let job = FileRef::new(FileId::new(1), "ws1:/hello.job");
+/// client.edit_finished(&job, b"echo hello\n".to_vec());
+/// client.submit(&job, &[], SubmitOptions::default())?;
+/// let (_, output, _, _) = client.wait_job(Duration::from_secs(5))?;
+/// assert_eq!(output, b"hello\n");
+/// # drop(client);
+/// # system.shutdown();
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct PipeDeployment {
-    inner: PipeInner,
+    router: JoinHandle<Vec<ServerNode>>,
+    registrar: Sender<PipeEnd>,
+    reports: Sender<Sender<NodeReport>>,
     recovery: RecoverySummary,
 }
 
@@ -221,57 +285,93 @@ impl PipeDeployment {
         self.recovery
     }
 
-    /// Connects a new client: sends the `Hello` immediately.
+    /// Connects a new client: sends the `Hello` immediately. The router
+    /// reads it and hands the session to the shard owning the client's
+    /// domain; the client cannot tell.
     pub fn connect_client(&self, config: ClientConfig) -> LiveClient {
-        match &self.inner {
-            PipeInner::Single(sys) => sys.connect_client(config),
-            PipeInner::Sharded(sys) => sys.connect_client(config),
-        }
+        LiveClient::over_transport(config, self.connect_transport())
+            .expect("hello on a fresh pipe cannot fail")
     }
 
     /// Establishes a fresh transport without building a client — the
     /// redial path for an existing [`LiveClient`] resuming after a
-    /// dropped link ([`LiveClient::resume_over`](crate::LiveClient::resume_over)).
-    pub fn connect_transport(&self) -> shadow_netsim::pipe::PipeEnd {
-        match &self.inner {
-            PipeInner::Single(sys) => sys.connect_transport(),
-            PipeInner::Sharded(sys) => sys.connect_transport(),
-        }
+    /// dropped link ([`LiveClient::resume_over`]). The resume `Hello`
+    /// carries the client's domain, so the router lands the new session
+    /// on the shard that holds the cached versions.
+    pub fn connect_transport(&self) -> PipeEnd {
+        let (client_end, server_end) = duplex();
+        self.registrar
+            .send(server_end)
+            .expect("router thread is running");
+        client_end
     }
 
-    /// The live server report (merged across shards when sharded).
-    /// `None` once the system has begun shutting down.
+    /// The server report: every shard's report merged value-wise plus
+    /// the router's `shards` section and a `shardN` section per shard
+    /// (see [`ShardedServerRuntime::report`]). `None` once the system
+    /// has begun shutting down.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use shadow::{ClientConfig, Deployment, ServerConfig, SubmitOptions, FileRef};
+    /// use shadow_proto::FileId;
+    /// use std::time::Duration;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let system = Deployment::new(ServerConfig::new("superc")).shards(4).pipes()?;
+    /// let mut client = system.connect_client(ClientConfig::new("ws1", 1));
+    /// client.wait_ready(Duration::from_secs(2))?;
+    ///
+    /// let job = FileRef::new(FileId::new(1), "ws1:/hello.job");
+    /// client.edit_finished(&job, b"echo hello\n".to_vec());
+    /// client.submit(&job, &[], SubmitOptions::default())?;
+    /// let (_, output, _, _) = client.wait_job(Duration::from_secs(5))?;
+    /// assert_eq!(output, b"hello\n");
+    ///
+    /// let report = system.report().expect("router is running");
+    /// assert_eq!(report.counter("shards", "count"), 4);
+    /// assert_eq!(report.counter("server", "jobs_completed"), 1);
+    /// # drop(client);
+    /// # system.shutdown();
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn report(&self) -> Option<NodeReport> {
-        match &self.inner {
-            PipeInner::Single(sys) => sys.report(),
-            PipeInner::Sharded(sys) => sys.report(),
-        }
+        let (reply_tx, reply_rx) = unbounded();
+        self.reports.send(reply_tx).ok()?;
+        reply_rx.recv_timeout(Duration::from_secs(5)).ok()
     }
 
-    /// Stops accepting clients, drains the server(s), and returns the
-    /// final per-shard protocol state (one node when unsharded).
+    /// Stops accepting clients, drains every shard (all clients must
+    /// eventually be dropped), and returns each shard's final protocol
+    /// state, in shard-index order.
     pub fn shutdown(self) -> Vec<ServerNode> {
-        match self.inner {
-            PipeInner::Single(sys) => vec![sys.shutdown()],
-            PipeInner::Sharded(sys) => sys.shutdown(),
-        }
+        drop(self.registrar);
+        self.router.join().expect("shard router thread panicked")
     }
 }
 
-#[derive(Debug)]
-enum TcpInner {
-    Single(Box<TcpServerRuntime>),
-    Sharded(ShardedTcpServerRuntime),
-}
-
-/// A bound TCP deployment built by [`Deployment::tcp`]: the unified
-/// handle over what used to be `TcpServerRuntime` /
-/// `ShardedTcpServerRuntime`. Drive it from the owning thread with
+/// A bound TCP deployment built by [`Deployment::tcp`]: the shard router
+/// over the well-known port. Drive it from the owning thread with
 /// [`run_forever`](Self::run_forever) (daemon) or
 /// [`run_until_idle_for`](Self::run_until_idle_for) (tests).
+///
+/// # Example
+///
+/// ```no_run
+/// use shadow::{Deployment, ServerConfig};
+///
+/// # fn main() -> Result<(), shadow::DeployError> {
+/// let daemon = Deployment::new(ServerConfig::new("superc")).tcp("0.0.0.0:4411")?;
+/// daemon.run_forever()?;
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct TcpDeployment {
-    inner: TcpInner,
+    runtime: ShardedServerRuntime<TcpAcceptor>,
+    addr: SocketAddr,
     recovery: RecoverySummary,
 }
 
@@ -286,32 +386,27 @@ impl TcpDeployment {
     ///
     /// # Errors
     ///
-    /// Socket errors.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        match &self.inner {
-            TcpInner::Single(rt) => rt.local_addr(),
-            TcpInner::Sharded(rt) => rt.local_addr(),
-        }
+    /// Never fails; the address was resolved at bind time.
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+        Ok(self.addr)
     }
 
-    /// The server report (merged across shards when sharded).
+    /// The server report, merged across shards (see
+    /// [`ShardedServerRuntime::report`]).
     pub fn report(&self) -> NodeReport {
-        match &self.inner {
-            TcpInner::Single(rt) => rt.report(),
-            TcpInner::Sharded(rt) => rt.report(),
-        }
+        self.runtime.report()
     }
 
-    /// One scheduling round. Returns whether any work was done.
+    /// One routing round: accept new connections, peek pending `Hello`s,
+    /// hand routed sessions to their shards. Returns whether any routing
+    /// work was done (shard work does not count — shards run on their
+    /// own threads).
     ///
     /// # Errors
     ///
     /// Listener failures (per-connection errors just drop the session).
     pub fn poll_once(&mut self) -> io::Result<bool> {
-        match &mut self.inner {
-            TcpInner::Single(rt) => rt.poll_once(),
-            TcpInner::Sharded(rt) => rt.poll_once(),
-        }
+        self.runtime.poll_once()
     }
 
     /// Serves forever (the daemon entry point).
@@ -319,24 +414,50 @@ impl TcpDeployment {
     /// # Errors
     ///
     /// Listener failures.
-    pub fn run_forever(self) -> io::Result<()> {
-        match self.inner {
-            TcpInner::Single(rt) => rt.run_forever(),
-            TcpInner::Sharded(rt) => rt.run_forever(),
+    ///
+    /// # Example
+    ///
+    /// ```no_run
+    /// use shadow::{Deployment, ServerConfig};
+    ///
+    /// # fn main() -> Result<(), shadow::DeployError> {
+    /// let daemon = Deployment::new(ServerConfig::new("superc"))
+    ///     .shards(4)
+    ///     .tcp("0.0.0.0:4411")?;
+    /// daemon.run_forever()?;
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn run_forever(mut self) -> io::Result<()> {
+        loop {
+            if !self.poll_once()? {
+                std::thread::sleep(ROUTER_NAP);
+            }
         }
     }
 
-    /// Serves until no work has arrived for `idle` and everything has
-    /// drained, then returns the final per-shard protocol state (one
-    /// node when unsharded).
+    /// Serves until the router has been quiet for `idle` **and** every
+    /// shard is drained (no live sessions, no pending timers), then
+    /// shuts the shards down and returns their final nodes in
+    /// shard-index order (test entry point).
     ///
     /// # Errors
     ///
     /// Listener failures.
-    pub fn run_until_idle_for(self, idle: std::time::Duration) -> io::Result<Vec<ServerNode>> {
-        match self.inner {
-            TcpInner::Single(rt) => rt.run_until_idle_for(idle).map(|n| vec![n]),
-            TcpInner::Sharded(rt) => rt.run_until_idle_for(idle),
+    pub fn run_until_idle_for(mut self, idle: Duration) -> io::Result<Vec<ServerNode>> {
+        let mut last_busy = Instant::now();
+        loop {
+            if self.poll_once()? {
+                last_busy = Instant::now();
+            } else {
+                if last_busy.elapsed() >= idle
+                    && self.runtime.pending_count() == 0
+                    && self.runtime.shards_idle()
+                {
+                    return Ok(self.runtime.shutdown());
+                }
+                std::thread::sleep(ROUTER_NAP);
+            }
         }
     }
 }
@@ -349,4 +470,47 @@ fn merge_summary(into: &mut RecoverySummary, from: RecoverySummary) {
     into.torn_tails += from.torn_tails;
     into.corrupt_segments += from.corrupt_segments;
     into.dropped_records += from.dropped_records;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shadow_client::FileRef;
+    use shadow_proto::{ClientMessage, FileId, Frame, RequestId, SubmitOptions};
+    use shadow_runtime::FrameTransport;
+
+    const WAIT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn one_shard_router_refuses_a_session_that_does_not_open_with_hello() {
+        let system = Deployment::new(ServerConfig::new("sc")).pipes().unwrap();
+        let mut rogue = system.connect_transport();
+        rogue
+            .send_frame(Frame::encode(&ClientMessage::StatusQuery {
+                request: RequestId::new(1),
+                job: None,
+            }))
+            .unwrap();
+
+        let mut client = system.connect_client(ClientConfig::new("ws1", 1));
+        client.wait_ready(WAIT).unwrap();
+        let job = FileRef::new(FileId::new(1), "ws1:/hello.job");
+        client.edit_finished(&job, b"echo honest\n".to_vec());
+        client.submit(&job, &[], SubmitOptions::default()).unwrap();
+        let (_, output, _, _) = client.wait_job(WAIT).unwrap();
+        assert_eq!(output, b"honest\n");
+
+        // The router dropped the rogue's transport instead of routing it.
+        assert!(
+            rogue.recv_frame(WAIT).is_err(),
+            "refused session must be closed"
+        );
+        let report = system.report().expect("router is running");
+        assert_eq!(report.counter("shards", "refused"), 1);
+        assert_eq!(report.counter("shards", "routed"), 1);
+        assert_eq!(report.counter("server", "jobs_completed"), 1);
+
+        drop(client);
+        assert_eq!(system.shutdown().len(), 1);
+    }
 }

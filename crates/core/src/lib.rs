@@ -17,32 +17,30 @@
 //!   `Deployment::new(config).shards(n).durable(path)` then
 //!   [`.pipes()`](Deployment::pipes) (threads + in-process duplex pipes)
 //!   or [`.tcp(addr)`](Deployment::tcp) (real sockets, the paper's
-//!   prototype shape). `shards(n)` puts N domain-affine worker shards
-//!   behind a routing acceptor; `durable(path)` makes the shadow store
-//!   survive restarts via per-domain write-ahead journals
-//!   (`shadow-store`), replayed before serving.
+//!   prototype shape). Every server is N domain-affine worker shards
+//!   behind a routing acceptor, N = 1 by default; `durable(path)` makes
+//!   the shadow store survive restarts via per-domain write-ahead
+//!   journals (`shadow-store`), replayed before serving.
 //! * [`connect_tcp`] — a TCP client for a bound deployment (or
 //!   `shadowd`).
 //! * Re-exports of the full public API of the component crates.
 //!
 //! # Module map
 //!
-//! Protocol *dispatch* is not implemented here. All three deployments are
-//! thin adapters over the `shadow-runtime` crate, which owns the single
-//! `ClientAction`/`ServerAction` interpreter ([`ClientDriver`] /
-//! [`ServerDriver`]), the [`TimerQueue`], the [`FrameTransport`]
-//! abstraction, and the generic [`ServerRuntime`] poll loop:
+//! Protocol *dispatch* is not implemented here. The simulator and both
+//! wall-clock transports are thin adapters over the `shadow-runtime`
+//! crate, which owns the single `ClientAction`/`ServerAction`
+//! interpreter ([`ClientDriver`] / [`ServerDriver`]), the
+//! [`TimerQueue`], the [`FrameTransport`] abstraction, and the
+//! [`ShardedServerRuntime`] (one [`ServerRuntime`] session loop per
+//! worker shard, sessions routed by `hash(domain) % N`):
 //!
 //! | module | role | runtime pieces used |
 //! |---|---|---|
 //! | `sim`  | discrete-event scheduler + CPU/network cost model | `ClientDriver`, `ServerDriver` (timers become sim events) |
-//! | `live` | threads + in-process pipes | `ClientDriver`, `ServerRuntime` over a channel acceptor |
-//! | `tcpd` | daemon + sockets | `ClientDriver`, `ServerRuntime` over a TCP acceptor |
-//! | `deploy` | the [`Deployment`] builder over `live`/`tcpd` | `shadow-store`'s `DurableStore` as the runtime's `PersistSink` |
-//!
-//! The sharded variants reuse the same two acceptors, wrapped in
-//! `shadow-runtime`'s `ShardedServerRuntime` (one `ServerRuntime` per
-//! worker shard, sessions routed by `hash(domain) % N`).
+//! | `deploy` | the [`Deployment`] builder: pipes or TCP, diskless or durable | `ShardedServerRuntime` over a channel or TCP acceptor; `shadow-store`'s `DurableStore` as each shard's `PersistSink` |
+//! | `live` | the client side of a wall-clock deployment | `ClientDriver` over any `FrameTransport` |
+//! | `tcpd` | the TCP client | `LiveClient` over a TCP stream |
 //!
 //! What remains in each adapter is only what genuinely differs: how
 //! frames move (simulated links, crossbeam pipes, TCP) and how time
@@ -83,8 +81,8 @@ mod tcpd;
 
 pub use cpu::CpuModel;
 pub use deploy::{DeployError, Deployment, PipeDeployment, TcpDeployment};
-pub use live::{LiveClient, LiveError, LiveSystem, ShardedLiveSystem};
-pub use tcpd::{connect_tcp, ShardedTcpServerRuntime, TcpClient, TcpServerRuntime};
+pub use live::{LiveClient, LiveError};
+pub use tcpd::{connect_tcp, TcpClient};
 pub use sim::{ClientId, FinishedJob, ServerId, SimError, Simulation};
 
 pub use shadow_store::{DurableStore, RecoverySummary, DEFAULT_COMPACT_EVERY};
@@ -160,7 +158,7 @@ pub mod prelude {
         ContentDigest, DomainId, FileId, HostName, JobId, SubmitOptions, TransferEncoding,
         VersionNumber,
     };
-    pub use shadow_runtime::{ClientDriver, ServerDriver, ServerRuntime};
+    pub use shadow_runtime::{ClientDriver, ServerDriver};
     pub use shadow_cache::EvictionPolicy;
     pub use shadow_server::{ExecProfile, FlowControl, ServerConfig, ServerConfigBuilder};
 }

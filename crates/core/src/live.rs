@@ -1,33 +1,29 @@
-//! A live deployment of the service: real threads, real queues.
+//! The client side of a live deployment: real threads, real queues.
 //!
 //! The same sans-io state machines that power the deterministic
-//! [`Simulation`](crate::Simulation) here run over actual concurrency: the
-//! server in its own thread, each client driven by its caller, connected
-//! by in-process duplex pipes carrying the same encoded frames that the
-//! simulator carries. Nothing in the protocol code knows which world it is
-//! in — the paper's prototype structure (client and server as processes
-//! talking TCP) with the transport swapped for an in-process pipe.
+//! [`Simulation`](crate::Simulation) here run over actual concurrency:
+//! the server's shards on their own threads, each client driven by its
+//! caller, connected by in-process duplex pipes (or TCP) carrying the
+//! same encoded frames that the simulator carries. Nothing in the
+//! protocol code knows which world it is in — the paper's prototype
+//! structure (client and server as processes talking TCP) with the
+//! transport swapped for an in-process pipe.
 //!
-//! All protocol dispatch lives in `shadow-runtime`: the server thread is a
-//! [`ServerRuntime`] polled over a channel of accepted pipes, and
-//! [`LiveClient`] wraps a [`ClientDriver`] around whatever
+//! All protocol dispatch lives in `shadow-runtime`: the server side is
+//! the sharded runtime a [`Deployment`](crate::Deployment) stands up,
+//! and [`LiveClient`] wraps a [`ClientDriver`] around whatever
 //! [`FrameTransport`] it was given.
 
 use std::error::Error;
 use std::fmt;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use shadow_client::{ClientConfig, ClientError, ConnId, FileRef, Notification};
-use shadow_netsim::pipe::{duplex, PipeEnd};
+use shadow_netsim::pipe::PipeEnd;
 use shadow_proto::{JobId, JobStats, RequestId, SubmitOptions, WireError};
-use shadow_obs::NodeReport;
 use shadow_runtime::{
-    Accepted, ClientDriver, ClientOutbound, Clock, EventHook, FeedError, FrameTransport,
-    PersistSink, ServerRuntime, SessionAcceptor, ShardedServerRuntime, WallClock,
+    ClientDriver, ClientOutbound, Clock, EventHook, FeedError, FrameTransport, WallClock,
 };
-use shadow_server::{ServerConfig, ServerNode};
 
 /// Errors from the live system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,293 +89,6 @@ impl From<FeedError> for LiveError {
             // the stream is corrupt beyond recovery.
             FeedError::Incomplete => LiveError::Disconnected,
         }
-    }
-}
-
-/// Accepts sessions from the registrar channel: each new client hands the
-/// server its end of a fresh duplex pipe.
-struct ChannelAcceptor {
-    rx: Receiver<PipeEnd>,
-}
-
-impl SessionAcceptor for ChannelAcceptor {
-    type Transport = PipeEnd;
-    type Error = std::convert::Infallible;
-
-    fn poll_accept(&mut self) -> Result<Accepted<PipeEnd>, Self::Error> {
-        Ok(match self.rx.try_recv() {
-            Ok(pipe) => Accepted::Session(pipe),
-            Err(TryRecvError::Empty) => Accepted::None,
-            Err(TryRecvError::Disconnected) => Accepted::Closed,
-        })
-    }
-}
-
-/// A running shadow server thread plus a registrar for new clients.
-///
-/// # Example
-///
-/// ```
-/// use shadow::{ClientConfig, Deployment, ServerConfig, SubmitOptions, FileRef};
-/// use shadow_proto::FileId;
-/// use std::time::Duration;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let system = Deployment::new(ServerConfig::new("superc")).pipes()?;
-/// let mut client = system.connect_client(ClientConfig::new("ws1", 1));
-/// client.wait_ready(Duration::from_secs(2))?;
-///
-/// let job = FileRef::new(FileId::new(1), "ws1:/hello.job");
-/// client.edit_finished(&job, b"echo hello\n".to_vec());
-/// client.submit(&job, &[], SubmitOptions::default())?;
-/// let (_, output, _, _) = client.wait_job(Duration::from_secs(5))?;
-/// assert_eq!(output, b"hello\n");
-/// # drop(client);
-/// # system.shutdown();
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct LiveSystem {
-    handle: Option<JoinHandle<ServerNode>>,
-    registrar: Sender<PipeEnd>,
-    reports: Sender<Sender<NodeReport>>,
-}
-
-impl LiveSystem {
-    /// Starts the server thread.
-    #[deprecated(note = "use `Deployment::new(config).pipes()`")]
-    pub fn start(config: ServerConfig) -> Self {
-        Self::start_with(ServerNode::new(config), None)
-    }
-
-    /// Starts the server thread around a pre-built node (fresh, or
-    /// restored from a durable store) and the sink its storage intents
-    /// go to. The [`Deployment`](crate::Deployment) builder is the
-    /// public face of this.
-    pub(crate) fn start_with(node: ServerNode, sink: Option<Box<dyn PersistSink>>) -> Self {
-        let (registrar, reg_rx) = unbounded::<PipeEnd>();
-        let (reports, report_rx) = unbounded::<Sender<NodeReport>>();
-        let handle = std::thread::Builder::new()
-            .name("shadow-server".to_string())
-            .spawn(move || {
-                let mut runtime =
-                    ServerRuntime::new(node, ChannelAcceptor { rx: reg_rx }, WallClock::new());
-                if let Some(sink) = sink {
-                    runtime = runtime.with_sink(sink);
-                }
-                loop {
-                    let Ok(busy) = runtime.poll_once();
-                    while let Ok(reply) = report_rx.try_recv() {
-                        let _ = reply.send(runtime.report());
-                    }
-                    // Exit once no new clients can arrive and all work
-                    // (sessions, pending timers) has drained.
-                    if runtime.acceptor_closed() && runtime.idle() {
-                        return runtime.into_node();
-                    }
-                    if !busy {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .expect("spawn server thread");
-        LiveSystem {
-            handle: Some(handle),
-            registrar,
-            reports,
-        }
-    }
-
-    /// The live server report (protocol metrics, cache behaviour, poll
-    /// loop counters). `None` once the system has begun shutting down.
-    pub fn report(&self) -> Option<NodeReport> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.reports.send(reply_tx).ok()?;
-        reply_rx.recv_timeout(Duration::from_secs(5)).ok()
-    }
-
-    /// Connects a new client: sends the `Hello` immediately.
-    pub fn connect_client(&self, config: ClientConfig) -> LiveClient {
-        let (client_end, server_end) = duplex();
-        self.registrar
-            .send(server_end)
-            .expect("server thread is running");
-        LiveClient::over_transport(config, client_end)
-            .expect("hello on a fresh pipe cannot fail")
-    }
-
-    /// Establishes a fresh transport without building a client — the
-    /// redial path for an existing [`LiveClient`] resuming after a
-    /// dropped link ([`LiveClient::resume_over`]).
-    pub fn connect_transport(&self) -> PipeEnd {
-        let (client_end, server_end) = duplex();
-        self.registrar
-            .send(server_end)
-            .expect("server thread is running");
-        client_end
-    }
-
-    /// Stops accepting clients and waits for the server thread to finish
-    /// (all clients must have been dropped), returning the final server
-    /// state for inspection.
-    pub fn shutdown(mut self) -> ServerNode {
-        drop(self.registrar);
-        self.handle
-            .take()
-            .expect("not yet shut down")
-            .join()
-            .expect("server thread panicked")
-    }
-
-    /// Starts a **sharded** deployment: `shards` worker threads, each
-    /// owning its own `ServerNode`, behind a routing acceptor thread
-    /// that assigns every session to the shard owning its naming
-    /// domain. See [`ShardedLiveSystem`].
-    #[deprecated(note = "use `Deployment::new(config).shards(n).pipes()`")]
-    #[allow(deprecated)]
-    pub fn sharded(config: ServerConfig, shards: usize) -> ShardedLiveSystem {
-        ShardedLiveSystem::start(config, shards)
-    }
-}
-
-/// A running sharded shadow server — the scale-out sibling of
-/// [`LiveSystem`].
-///
-/// The acceptor thread runs a
-/// [`ShardedServerRuntime`](shadow_runtime::ShardedServerRuntime) over
-/// the same registrar channel a [`LiveSystem`] uses: each new client
-/// hands over its end of a duplex pipe, the router peeks the `Hello`
-/// frame for the client's domain id, and the session is moved — frames
-/// intact — to the worker shard that owns that domain. Clients are
-/// oblivious: [`LiveClient`] works identically against either system.
-///
-/// # Example
-///
-/// ```
-/// use shadow::{ClientConfig, Deployment, ServerConfig, SubmitOptions, FileRef};
-/// use shadow_proto::FileId;
-/// use std::time::Duration;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let system = Deployment::new(ServerConfig::new("superc")).shards(4).pipes()?;
-/// let mut client = system.connect_client(ClientConfig::new("ws1", 1));
-/// client.wait_ready(Duration::from_secs(2))?;
-///
-/// let job = FileRef::new(FileId::new(1), "ws1:/hello.job");
-/// client.edit_finished(&job, b"echo hello\n".to_vec());
-/// client.submit(&job, &[], SubmitOptions::default())?;
-/// let (_, output, _, _) = client.wait_job(Duration::from_secs(5))?;
-/// assert_eq!(output, b"hello\n");
-/// # drop(client);
-/// # system.shutdown();
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShardedLiveSystem {
-    handle: Option<JoinHandle<Vec<ServerNode>>>,
-    registrar: Sender<PipeEnd>,
-    reports: Sender<Sender<NodeReport>>,
-}
-
-impl ShardedLiveSystem {
-    /// Starts the router thread and its worker shards.
-    #[deprecated(note = "use `Deployment::new(config).shards(n).pipes()`")]
-    pub fn start(config: ServerConfig, shards: usize) -> Self {
-        Self::start_with_parts(
-            (0..shards.max(1))
-                .map(|_| (ServerNode::new(config.clone()), None))
-                .collect(),
-        )
-    }
-
-    /// Starts the router thread over pre-built shards — each its
-    /// (possibly journal-restored) node plus the sink that shard's
-    /// storage intents go to. The [`Deployment`](crate::Deployment)
-    /// builder is the public face of this.
-    pub(crate) fn start_with_parts(
-        parts: Vec<(ServerNode, Option<Box<dyn PersistSink>>)>,
-    ) -> Self {
-        let (registrar, reg_rx) = unbounded::<PipeEnd>();
-        let (reports, report_rx) = unbounded::<Sender<NodeReport>>();
-        let handle = std::thread::Builder::new()
-            .name("shadow-shard-router".to_string())
-            .spawn(move || {
-                let mut runtime = ShardedServerRuntime::from_parts(
-                    parts,
-                    ChannelAcceptor { rx: reg_rx },
-                    WallClock::new(),
-                );
-                loop {
-                    let Ok(busy) = runtime.poll_once();
-                    while let Ok(reply) = report_rx.try_recv() {
-                        let _ = reply.send(runtime.report());
-                    }
-                    // Exit once no new clients can arrive and every
-                    // accepted session has been routed; the shards then
-                    // drain their own sessions and timers.
-                    if runtime.router_idle() {
-                        return runtime.shutdown();
-                    }
-                    if !busy {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .expect("spawn shard router thread");
-        ShardedLiveSystem {
-            handle: Some(handle),
-            registrar,
-            reports,
-        }
-    }
-
-    /// Connects a new client: sends the `Hello` immediately. Identical
-    /// to [`LiveSystem::connect_client`]; the sharding is invisible to
-    /// the client.
-    pub fn connect_client(&self, config: ClientConfig) -> LiveClient {
-        let (client_end, server_end) = duplex();
-        self.registrar
-            .send(server_end)
-            .expect("router thread is running");
-        LiveClient::over_transport(config, client_end)
-            .expect("hello on a fresh pipe cannot fail")
-    }
-
-    /// Establishes a fresh transport without building a client — the
-    /// redial path for an existing [`LiveClient`] resuming after a
-    /// dropped link. The resume `Hello` carries the client's domain, so
-    /// the router lands the new session on the same shard that holds
-    /// the cached versions.
-    pub fn connect_transport(&self) -> PipeEnd {
-        let (client_end, server_end) = duplex();
-        self.registrar
-            .send(server_end)
-            .expect("router thread is running");
-        client_end
-    }
-
-    /// The aggregate server report: per-shard [`NodeReport`]s merged
-    /// value-wise plus `shards`/`shardN` breakdown sections (see
-    /// [`ShardedServerRuntime::report`]). `None` once the system has
-    /// begun shutting down.
-    pub fn report(&self) -> Option<NodeReport> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.reports.send(reply_tx).ok()?;
-        reply_rx.recv_timeout(Duration::from_secs(5)).ok()
-    }
-
-    /// Stops accepting clients, drains every shard (all clients must
-    /// eventually be dropped), and returns each shard's final protocol
-    /// state, in shard-index order.
-    pub fn shutdown(mut self) -> Vec<ServerNode> {
-        drop(self.registrar);
-        self.handle
-            .take()
-            .expect("not yet shut down")
-            .join()
-            .expect("shard router thread panicked")
     }
 }
 
@@ -607,13 +316,6 @@ impl<T: FrameTransport> LiveClient<T> {
             .collect()
     }
 
-    /// The client's traffic counters.
-    #[deprecated(note = "use `report()` and read the \"client\" section")]
-    #[allow(deprecated)]
-    pub fn metrics(&self) -> shadow_client::ClientMetrics {
-        self.driver.metrics()
-    }
-
     /// The client's full report: protocol metrics, version-store
     /// occupancy, and driver wire counters as one aggregate.
     pub fn report(&self) -> shadow_obs::NodeReport {
@@ -637,6 +339,7 @@ mod tests {
     use super::*;
     use crate::deploy::Deployment;
     use shadow_proto::FileId;
+    use shadow_server::ServerConfig;
 
     fn fref(id: u64, name: &str) -> FileRef {
         FileRef::new(FileId::new(id), name)
@@ -785,11 +488,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn sharded_live_with_one_shard_matches_single_server_behaviour() {
-        // Deliberately exercises the deprecated entry point so the thin
-        // wrapper keeps working until it is removed.
-        let system = LiveSystem::sharded(ServerConfig::new("sc"), 1);
+        let system = Deployment::new(ServerConfig::new("sc"))
+            .shards(1)
+            .pipes()
+            .unwrap();
         let mut client = system.connect_client(ClientConfig::new("ws1", 7));
         client.wait_ready(Duration::from_secs(5)).unwrap();
         let job = fref(1, "ws1:/hello.job");

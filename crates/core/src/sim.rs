@@ -576,8 +576,7 @@ impl Simulation {
     fn drain_client(&mut self, client: ClientId, at: SimTime) {
         let host = self.clients[client.0].host.clone();
         for job in self.clients[client.0].driver.take_finished() {
-            let options = self.clients[client.0].driver.options_for(job.job).cloned();
-            if let Some(options) = options {
+            if let Some(options) = &job.options {
                 if let Some(out_path) = &options.output_file {
                     let _ = self.vfs.write_file(&host, out_path, job.output.clone());
                 }
@@ -620,33 +619,6 @@ impl Simulation {
     pub fn link_stats(&self, client: ClientId, server: ServerId) -> (LinkStats, LinkStats) {
         let (c_net, s_net) = (self.clients[client.0].net, self.servers[server.0].net);
         (self.net.stats(c_net, s_net), self.net.stats(s_net, c_net))
-    }
-
-    /// A server's behaviour counters.
-    #[deprecated(note = "use `server_report()` and read the \"server\" section")]
-    #[allow(deprecated)]
-    pub fn server_metrics(&self, server: ServerId) -> shadow_server::ServerMetrics {
-        self.servers[server.0].driver.metrics()
-    }
-
-    /// A server's shadow-cache counters.
-    #[deprecated(note = "use `server_report()` and read the \"cache\" section")]
-    #[allow(deprecated)]
-    pub fn cache_stats(&self, server: ServerId) -> shadow_cache::CacheStats {
-        self.servers[server.0].driver.node().cache_stats()
-    }
-
-    /// A client's traffic counters.
-    #[deprecated(note = "use `client_report()` and read the \"client\" section")]
-    #[allow(deprecated)]
-    pub fn client_metrics(&self, client: ClientId) -> shadow_client::ClientMetrics {
-        self.clients[client.0].driver.metrics()
-    }
-
-    /// A client's version-store summary (retention diagnostics).
-    #[deprecated(note = "use `client_report()` and read the \"versions\" section")]
-    pub fn client_version_stats(&self, client: ClientId) -> shadow_version::VersionStoreStats {
-        self.clients[client.0].driver.node().version_stats()
     }
 
     /// A client's full report: protocol metrics, version-store

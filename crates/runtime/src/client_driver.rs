@@ -4,8 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use shadow_client::{
-    ClientAction, ClientError, ClientEvent, ClientMetrics, ClientNode, ConnId, FileRef,
-    Notification,
+    ClientAction, ClientError, ClientEvent, ClientNode, ConnId, FileRef, Notification,
 };
 use shadow_proto::{
     ClientMessage, Frame, JobId, RequestId, ServerMessage, SubmitOptions, UpdatePayload,
@@ -106,18 +105,6 @@ impl ClientDriver {
     /// The wrapped state machine (mutable, for diagnostics hooks).
     pub fn node_mut(&mut self) -> &mut ClientNode {
         &mut self.node
-    }
-
-    /// The state machine's transfer metrics.
-    #[deprecated(note = "use `report()` and read the \"client\" section")]
-    pub fn metrics(&self) -> ClientMetrics {
-        self.node.metrics()
-    }
-
-    /// Driver-level wire counters.
-    #[deprecated(note = "use `report()` and read the \"driver\" section")]
-    pub fn stats(&self) -> DriverStats {
-        self.stats
     }
 
     /// Everything this endpoint can report about itself: protocol
@@ -292,6 +279,9 @@ impl ClientDriver {
                     self.job_options.insert(*job, options);
                 }
             }
+            Notification::JobRejected { request, .. } => {
+                self.request_options.remove(request);
+            }
             Notification::JobFinished {
                 conn,
                 job,
@@ -305,6 +295,7 @@ impl ClientDriver {
                     output: output.clone(),
                     errors: errors.clone(),
                     stats: *stats,
+                    options: self.job_options.remove(job),
                     at_ms: now_ms,
                 });
             }
@@ -341,11 +332,6 @@ impl ClientDriver {
         std::mem::take(&mut self.finished)
     }
 
-    /// The submit options recorded for a job, for output routing.
-    pub fn options_for(&self, job: JobId) -> Option<&SubmitOptions> {
-        self.job_options.get(&job)
-    }
-
     /// A deterministic digest of the driver's protocol-relevant state:
     /// the wrapped node plus the undrained notification/completion
     /// buffers and the request→options routing tables. Wire counters are
@@ -364,5 +350,78 @@ impl ClientDriver {
         jobs.sort_unstable();
         jobs.hash(&mut h);
         h.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use shadow_client::ClientConfig;
+    use shadow_proto::FileId;
+    use shadow_server::{ServerConfig, ServerNode, SessionId};
+
+    use super::*;
+    use crate::server_driver::ServerDriver;
+
+    const CONN: ConnId = ConnId::new(0);
+    const SESSION: SessionId = SessionId::new(1);
+
+    /// Moves frames between the two drivers, firing server timers as
+    /// they come due, until neither side has anything left to send.
+    fn ferry(client: &mut ClientDriver, server: &mut ServerDriver, mut out: Vec<ClientOutbound>) {
+        let mut now = 0;
+        loop {
+            let mut back = Vec::new();
+            for o in out.drain(..) {
+                let io = server.feed_frame(SESSION, &o.frame, now, |_| 0).unwrap();
+                back.extend(io.outbound);
+            }
+            while let Some(deadline) = server.next_deadline() {
+                now = now.max(deadline);
+                back.extend(server.fire_due(now, 0).outbound);
+            }
+            for o in back {
+                out.extend(client.feed_frame(CONN, &o.frame, now).unwrap());
+            }
+            if out.is_empty() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn option_maps_drain_when_jobs_finish_or_are_rejected() {
+        let mut client = ClientDriver::new(ClientNode::new(ClientConfig::new("ws", 1)));
+        let mut server = ServerDriver::new(ServerNode::new(ServerConfig::new("sc")));
+        let _ = server.connected(SESSION, 0);
+        let out = client.connect(CONN, 0);
+        ferry(&mut client, &mut server, out);
+
+        let job = FileRef::new(FileId::new(1), "ws:/echo.job");
+        let options = SubmitOptions {
+            output_file: Some("/echo.out".into()),
+            ..SubmitOptions::default()
+        };
+        for i in 0..3 {
+            let (_, out) = client.edit_finished(&job, format!("echo run {i}\n").into_bytes(), 0);
+            ferry(&mut client, &mut server, out);
+            let (_, out) = client.submit(CONN, &job, &[], options.clone(), 0).unwrap();
+            ferry(&mut client, &mut server, out);
+        }
+        let finished = client.take_finished();
+        assert_eq!(finished.len(), 3);
+        assert!(finished
+            .iter()
+            .all(|j| j.options.as_ref() == Some(&options)));
+
+        // A submission the server turns down never becomes a job.
+        let (request, _) = client.submit(CONN, &job, &[], options, 0).unwrap();
+        let refusal = Frame::encode(&ServerMessage::SubmitError {
+            request,
+            reason: "queue full".into(),
+        });
+        client.feed_frame(CONN, &refusal, 0).unwrap();
+
+        assert!(client.request_options.is_empty(), "rejected request leaked");
+        assert!(client.job_options.is_empty(), "finished job leaked");
     }
 }

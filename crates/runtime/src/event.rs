@@ -8,7 +8,7 @@
 pub use shadow_obs::{DriverEvent, DriverStats, EventHook, FrameInfo};
 
 use shadow_client::ConnId;
-use shadow_proto::{JobId, JobStats, WireError};
+use shadow_proto::{JobId, JobStats, SubmitOptions, WireError};
 
 /// Why an inbound frame could not be fed to the state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +49,9 @@ pub struct CompletedJob {
     pub errors: Vec<u8>,
     /// Server-side accounting.
     pub stats: JobStats,
+    /// The options the job was submitted with (output routing), when
+    /// this driver submitted it.
+    pub options: Option<SubmitOptions>,
     /// Driver-clock completion time, milliseconds.
     pub at_ms: u64,
 }

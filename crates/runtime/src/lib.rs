@@ -24,14 +24,14 @@
 //!   receive→decode→feed loop, `SetTimer` handling, and notification
 //!   buffering. The `ClientAction`/`ServerAction` match arms live here
 //!   and **only** here;
-//! * [`ServerRuntime`] — the generic accept/read/feed/timer poll loop
-//!   shared by every wall-clock server deployment;
-//! * [`ShardedServerRuntime`] — N domain-affine worker shards (each a
-//!   [`ServerRuntime`] around its own `ServerNode`, fed by an mpsc
-//!   command inbox) behind a routing acceptor that peeks each new
-//!   session's `Hello` to learn its domain; `hash(domain) % N`
+//! * [`ShardedServerRuntime`] — every wall-clock server: N domain-affine
+//!   worker shards (N = 1 included) behind a routing acceptor that peeks
+//!   each new session's `Hello` to learn its domain; `hash(domain) % N`
 //!   ([`shard_for`]) keeps every domain's sessions — and so all of its
 //!   protocol state — on one thread;
+//! * [`ServerRuntime`] — one worker shard's accept/read/feed/timer
+//!   session loop around its own `ServerNode`, fed by an mpsc command
+//!   inbox;
 //! * [`DriverEvent`] — a structured instrumentation tap (frames and
 //!   bytes on the wire, deltas vs. full transfers, timers) used by the
 //!   equivalence tests and by metrics collection.

@@ -3,7 +3,7 @@
 
 use shadow_proto::{ClientMessage, Frame, PersistRecord};
 use shadow_server::{
-    CloseReason, ServerAction, ServerEvent, ServerMetrics, ServerNode, SessionId, TimerToken,
+    CloseReason, ServerAction, ServerEvent, ServerNode, SessionId, TimerToken,
 };
 
 use crate::event::{DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
@@ -114,19 +114,6 @@ impl ServerDriver {
     /// Unwraps the state machine (for post-shutdown inspection).
     pub fn into_node(self) -> ServerNode {
         self.node
-    }
-
-    /// The state machine's protocol metrics.
-    #[deprecated(note = "use `report()` and read the \"server\" section")]
-    #[allow(deprecated)]
-    pub fn metrics(&self) -> ServerMetrics {
-        self.node.metrics()
-    }
-
-    /// Driver-level wire counters.
-    #[deprecated(note = "use `report()` and read the \"driver\" section")]
-    pub fn stats(&self) -> DriverStats {
-        self.stats
     }
 
     /// Everything this endpoint can report about itself: protocol

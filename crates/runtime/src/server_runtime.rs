@@ -1,4 +1,4 @@
-//! A transport-generic server poll loop.
+//! The session loop every worker shard runs.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -38,8 +38,10 @@ impl<T> std::fmt::Debug for Accepted<T> {
 
 /// A source of incoming sessions: the listening half of a deployment.
 ///
-/// The live system implements this over a crossbeam channel of pipe
-/// ends; the TCP daemon over a non-blocking `TcpListener`.
+/// Deployments implement this over a crossbeam channel of pipe ends
+/// (pipes) or a non-blocking `TcpListener` (TCP) for the shard router;
+/// each worker shard's [`ShardInbox`](crate::ShardInbox) implements it
+/// over the router's command channel.
 pub trait SessionAcceptor {
     /// The transport handed out for each accepted session.
     type Transport: FrameTransport;
@@ -55,20 +57,16 @@ struct Session<T> {
     id: SessionId,
     transport: T,
     alive: bool,
-    /// Driver-clock time of the last inbound frame (or the accept).
-    /// Heartbeat pings refresh it, so a quiet-but-supervised client is
-    /// never evicted as idle.
-    last_active_ms: u64,
 }
 
-/// The shared server event loop: accept → read → feed → fire timers →
+/// A worker shard's session loop: accept → read → feed → fire timers →
 /// reap dead sessions.
 ///
-/// Both wall-clock deployments (in-process live system, TCP daemon) are
-/// thin wrappers around this; they differ only in their
-/// [`SessionAcceptor`] and [`FrameTransport`]. A session whose
-/// transport fails (read or write) is reported to the driver as
-/// disconnected exactly once and then forgotten.
+/// Every wall-clock deployment runs one of these per worker shard of a
+/// [`ShardedServerRuntime`](crate::ShardedServerRuntime), fed by the
+/// shard's [`ShardInbox`](crate::ShardInbox). A session whose transport
+/// fails (read or write) is reported to the driver as disconnected
+/// exactly once and then forgotten.
 pub struct ServerRuntime<A: SessionAcceptor, C: Clock> {
     driver: ServerDriver,
     acceptor: A,
@@ -83,10 +81,6 @@ pub struct ServerRuntime<A: SessionAcceptor, C: Clock> {
     dead: VecDeque<(SessionId, CloseReason)>,
     next_session: u64,
     closed: bool,
-    /// Evict sessions with no inbound traffic for this long. `None`
-    /// (the default) keeps sessions forever, the pre-supervision
-    /// behaviour.
-    idle_timeout_ms: Option<u64>,
     metrics: MetricsRegistry,
     /// Where storage intents go; `None` drops them (diskless).
     sink: Option<Box<dyn PersistSink>>,
@@ -118,18 +112,9 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
             dead: VecDeque::new(),
             next_session: 1,
             closed: false,
-            idle_timeout_ms: None,
             metrics,
             sink: None,
         }
-    }
-
-    /// Evicts sessions that have sent nothing for `ms` milliseconds
-    /// (builder-style). Their reaps are counted under the `idle` close
-    /// reason. Supervised clients stay alive through heartbeats.
-    pub fn with_idle_timeout(mut self, ms: u64) -> Self {
-        self.idle_timeout_ms = Some(ms);
-        self
     }
 
     /// Installs the sink that journals storage intents (builder-style).
@@ -138,17 +123,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
     pub fn with_sink(mut self, sink: Box<dyn PersistSink>) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    /// The underlying driver (read-only).
-    pub fn driver(&self) -> &ServerDriver {
-        &self.driver
-    }
-
-    /// The poll loop's own counters (rounds, sessions, frames, decode
-    /// failures, inbound frame-size histogram).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// The driver's full [`NodeReport`] extended with a
@@ -162,11 +136,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
             report.add_section(section);
         }
         report
-    }
-
-    /// The underlying driver (mutable, for installing hooks).
-    pub fn driver_mut(&mut self) -> &mut ServerDriver {
-        &mut self.driver
     }
 
     /// The session source (mutable). Acceptors that double as command
@@ -184,11 +153,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
     /// True once the acceptor reported [`Accepted::Closed`].
     pub fn acceptor_closed(&self) -> bool {
         self.closed
-    }
-
-    /// Live session count.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
     }
 
     /// True when there is nothing left to do: no sessions and no
@@ -216,7 +180,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
                             id,
                             transport,
                             alive: true,
-                            last_active_ms: now,
                         });
                         self.metrics.inc("sessions_accepted", 1);
                         let io = self.driver.connected(id, now);
@@ -239,7 +202,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
                         busy = true;
                         let id = self.sessions[i].id;
                         let now = self.clock.now_ms();
-                        self.sessions[i].last_active_ms = now;
                         self.metrics.inc("frames_fed", 1);
                         self.metrics.observe("frame_bytes", frame.len() as u64);
                         match self.driver.feed_frame(id, &frame, now, |_| 0) {
@@ -271,20 +233,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
         }
         let io = self.driver.fire_due(now, 0);
         self.dispatch(io);
-
-        // Idle eviction: a session that has sent nothing (not even a
-        // heartbeat) within the timeout is presumed gone without a
-        // transport-level signal — half-open TCP, a paused process.
-        if let Some(timeout) = self.idle_timeout_ms {
-            let now = self.clock.now_ms();
-            for i in 0..self.sessions.len() {
-                let s = &self.sessions[i];
-                if s.alive && now.saturating_sub(s.last_active_ms) >= timeout {
-                    self.metrics.inc("sessions_evicted_idle", 1);
-                    self.kill(i, CloseReason::Idle);
-                }
-            }
-        }
 
         busy |= self.reap_dead();
         self.metrics.set_gauge("sessions_live", self.sessions.len() as i64);
@@ -328,17 +276,6 @@ impl<A: SessionAcceptor, C: Clock> ServerRuntime<A, C> {
             reaped = true;
         }
         reaped
-    }
-
-    /// Closes every live session with the `shutdown` reason and reports
-    /// the disconnects to the driver immediately. Deployment loops call
-    /// this on their way out so per-reason accounting distinguishes an
-    /// orderly drain from crashes.
-    pub fn shutdown_sessions(&mut self) {
-        for i in 0..self.sessions.len() {
-            self.kill(i, CloseReason::Shutdown);
-        }
-        self.reap_dead();
     }
 
     /// Routes driver output to the owning transports. Armed deadlines

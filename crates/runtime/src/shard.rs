@@ -1,14 +1,13 @@
-//! The sharded server runtime: domain-affine worker shards behind a
-//! routing acceptor.
+//! The server runtime: domain-affine worker shards behind a routing
+//! acceptor.
 //!
 //! The paper's server is one process polling a handful of editing
-//! clients in sequence, and [`ServerRuntime`] reproduces exactly that.
-//! This module is the scale-out shape on top of it: **N worker shards**,
-//! each owning its *own* sans-io `ServerNode` (wrapped in the usual
-//! [`ServerRuntime`] poll loop) and an mpsc command inbox, behind a thin
-//! acceptor that peeks each new session's `Hello` frame to learn its
-//! naming domain and hands the transport to the shard that owns that
-//! domain.
+//! clients in sequence. Every wall-clock deployment here is **N worker
+//! shards** (N = 1 is that one process), each owning its *own* sans-io
+//! `ServerNode` (wrapped in the [`ServerRuntime`] session loop) and an
+//! mpsc command inbox, behind a thin acceptor that peeks each new
+//! session's `Hello` frame to learn its naming domain and hands the
+//! transport to the shard that owns that domain.
 //!
 //! Domain affinity is the load-bearing invariant: shard assignment is a
 //! stable `hash(domain) % N` ([`shard_for`]), so every session of one
@@ -31,7 +30,7 @@ use std::time::Duration;
 
 use shadow_obs::{merge_reports, shard_section_name, NodeReport, Section};
 use shadow_proto::{ClientMessage, DomainId, Frame, StableHasher};
-use shadow_server::{ServerConfig, ServerNode};
+use shadow_server::ServerNode;
 
 use crate::clock::Clock;
 use crate::server_runtime::{Accepted, ServerRuntime, SessionAcceptor};
@@ -307,9 +306,9 @@ impl<T: FrameTransport + Send + 'static> ShardHandle<T> {
 
 /// N domain-affine worker shards behind one routing acceptor.
 ///
-/// The router owns the deployment's [`SessionAcceptor`] and is itself
-/// polled like a [`ServerRuntime`] (the deployment adapters in `shadow`
-/// wrap [`poll_once`](Self::poll_once) in a thread or a blocking loop).
+/// The router owns the deployment's [`SessionAcceptor`] and is polled by
+/// its owner (the deployments in `shadow` wrap
+/// [`poll_once`](Self::poll_once) in a thread or a blocking loop).
 /// Each accepted transport parks in a *pending* list until its first
 /// frame arrives; the frame must be the protocol's `Hello`, whose
 /// domain id picks the owning shard via [`shard_for`]. The frame
@@ -341,23 +340,6 @@ where
     A: SessionAcceptor,
     A::Transport: Send + 'static,
 {
-    /// Builds the runtime: spawns `shards` workers, each owning a fresh
-    /// `ServerNode` built from its own clone of `config`, each on its
-    /// own clone of `clock`. A count of zero is rounded up to one.
-    pub fn new<C>(config: &ServerConfig, shards: usize, acceptor: A, clock: C) -> Self
-    where
-        C: Clock + Clone + Send + 'static,
-    {
-        let shards = shards.max(1);
-        Self::from_parts(
-            (0..shards)
-                .map(|_| (ServerNode::new(config.clone()), None))
-                .collect(),
-            acceptor,
-            clock,
-        )
-    }
-
     /// Builds the runtime from pre-built per-shard parts: each shard's
     /// node (fresh, or already restored from that shard's journal) and
     /// the sink its storage intents are journaled to. Durable
@@ -393,29 +375,9 @@ where
         }
     }
 
-    /// The number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Sessions accepted but not yet routed (no `Hello` seen yet).
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Sessions routed to a shard so far.
-    pub fn routed(&self) -> u64 {
-        self.routed
-    }
-
-    /// Sessions refused because their first frame was not a `Hello`.
-    pub fn refused(&self) -> u64 {
-        self.refused
-    }
-
-    /// True once the deployment acceptor reported [`Accepted::Closed`].
-    pub fn acceptor_closed(&self) -> bool {
-        self.closed
     }
 
     /// True when the router has nothing left to do: no new sessions can

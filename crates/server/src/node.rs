@@ -214,18 +214,6 @@ impl ServerNode {
         &self.config
     }
 
-    /// Behaviour counters.
-    #[deprecated(note = "use `report()` and read the \"server\" section")]
-    pub fn metrics(&self) -> ServerMetrics {
-        self.metrics
-    }
-
-    /// Shadow-cache counters (hits, misses, evictions…).
-    #[deprecated(note = "use `report()` and read the \"cache\" section")]
-    pub fn cache_stats(&self) -> shadow_cache::CacheStats {
-        self.cache.stats()
-    }
-
     /// Everything this node can report about itself — behaviour
     /// counters plus shadow-cache statistics — as one aggregate.
     pub fn report(&self) -> shadow_obs::NodeReport {

@@ -56,7 +56,7 @@ bench:
 # slower than the committed BENCH_baseline_diff.json.
 bench-diff:
     SHADOW_BENCH_QUICK=1 cargo bench -p shadow-bench --bench micro
-    cargo run --release -p shadow-bench --bin diff_guard
+    cargo run --release -p shadow-bench --bin bench_guard -- micro
 
 # Sharded-runtime scaling sweep (sessions x shards over live pipes);
 # writes BENCH_contention.json. Quick parameters: pass no env for the
@@ -70,14 +70,14 @@ bench-contention:
 # BENCH_baseline_recovery.json.
 bench-recovery:
     SHADOW_BENCH_QUICK=1 cargo bench -p shadow-bench --bench recovery
-    cargo run --release -p shadow-bench --bin recovery_guard
+    cargo run --release -p shadow-bench --bin bench_guard -- recovery
 
 # Fault-tolerance suite: the kill-the-link integration tests, then the
 # seeded chaos matrix (scheduled resets, a lossy link, a healed
-# partition) exporting BENCH_chaos.json, gated by chaos_guard on the
-# recovered-as-delta ratio and recovery latency vs the committed
+# partition) exporting BENCH_chaos.json, gated by `bench_guard chaos` on
+# the recovered-as-delta ratio and recovery latency vs the committed
 # BENCH_baseline_chaos.json.
 chaos:
     cargo test -q --release -p shadow --test reconnect_resume
     SHADOW_BENCH_QUICK=1 cargo bench -p shadow-bench --bench chaos
-    cargo run --release -p shadow-bench --bin chaos_guard
+    cargo run --release -p shadow-bench --bin bench_guard -- chaos

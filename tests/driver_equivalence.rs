@@ -1,10 +1,11 @@
 //! Property-based transport equivalence: a randomly generated
 //! edit/submit/resubmit script replayed through the [`Simulation`] and
-//! through a [`LiveSystem`] must put the *identical byte sequence* of
-//! client→server frames on the wire and produce identical job outputs.
+//! through a pipes [`Deployment`] (one shard) must put the *identical
+//! byte sequence* of client→server frames on the wire and produce
+//! identical job outputs.
 //!
-//! Both deployments are adapters over the same `shadow-runtime` drivers,
-//! so any divergence here means an adapter is reordering, dropping, or
+//! Both are adapters over the same `shadow-runtime` drivers, so any
+//! divergence here means an adapter is reordering, dropping, or
 //! re-encoding traffic. Client→server frames carry no timestamps, which
 //! makes byte equality meaningful; server→client frames embed job stats
 //! and are compared only through the outputs they deliver.

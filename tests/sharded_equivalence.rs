@@ -1,6 +1,6 @@
 //! Sharding must be a pure deployment choice: the same multi-domain
-//! workload run against a single [`ServerRuntime`]-backed system and
-//! against a 4-shard `Deployment` must yield identical
+//! workload run against one-shard `Deployment`s (the paper's single
+//! server) and against a 4-shard `Deployment` must yield identical
 //! per-domain protocol outcomes — same job outputs, same client
 //! counters, and byte-identical `server`/`cache` report sections on
 //! the node that served each domain. (The timing-dependent `driver` /
@@ -87,8 +87,8 @@ fn domains_covering_four_shards() -> Vec<u64> {
 fn sharded_and_single_runtimes_agree_per_domain() {
     let domains = domains_covering_four_shards();
 
-    // Baselines: each domain's script alone against an ordinary
-    // single-runtime system.
+    // Baselines: each domain's script alone against its own one-shard
+    // deployment.
     let mut baselines = Vec::new();
     for &d in &domains {
         let system = Deployment::new(ServerConfig::new("sc")).pipes().unwrap();
