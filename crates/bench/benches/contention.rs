@@ -4,9 +4,9 @@
 //!
 //! The paper's server is one process per supercomputer; a busy site
 //! "is likely to be swamped with several such … sessions" (§2.1). This
-//! harness measures the scale-out answer: N worker shards behind the
-//! Hello-peeking router, each owning the sessions of the domains hashed
-//! to it. Jobs are tiny `echo`s whose cost is the per-job scheduling
+//! harness measures the scale-out answer: N worker shards fed by
+//! Hello-reading session readers, each shard owning the sessions of the
+//! domains hashed to it. Jobs are tiny `echo`s whose cost is the per-job scheduling
 //! overhead, so the bottleneck under load is the per-node execution
 //! slots (`max_running` × `job_overhead_ms`) — exactly the resource
 //! sharding multiplies. Every session is its own naming domain, so
@@ -177,5 +177,5 @@ fn main() {
     println!();
     println!("expected shape: each shard contributes {SLOTS} execution slots of");
     println!("{JOB_OVERHEAD_MS} ms jobs, so aggregate throughput rises near-linearly with");
-    println!("the shard count until the single routing/driving thread saturates.");
+    println!("the shard count until the single client-driving thread saturates.");
 }

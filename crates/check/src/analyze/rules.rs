@@ -302,38 +302,31 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
         }
     }
 
-    // Rule d2: no blocking call reachable from the per-round poll
-    // functions of the (sharded) server runtime. The shard worker's
-    // idle nap lives *outside* these entries by design.
-    let poll_entries = entries_of(
-        ws,
-        &[
-            ("runtime", Some("ServerRuntime"), "poll_once"),
-            ("runtime", Some("ShardedServerRuntime"), "poll_once"),
-            ("runtime", Some("ShardInbox"), "poll_accept"),
-            ("runtime", Some("ShardInbox"), "drain_control"),
-        ],
-    );
-    if poll_entries.is_empty() {
-        findings.push(missing_entries("shard-shape", "shard poll loop"));
+    // Rule d2: no blocking call reachable from a shard's per-event
+    // handler — everything a shard does between two inbox waits. The
+    // inbox wait itself lives *outside* this entry by design, so it
+    // stays the only place a shard blocks.
+    let step_entries = entries_of(ws, &[("runtime", Some("Shard"), "step")]);
+    if step_entries.is_empty() {
+        findings.push(missing_entries("shard-shape", "shard event handler"));
     } else {
         let r = reach(ws, g, |f| f.kind == FactKind::Blocking);
-        for &e in &poll_entries {
+        for &e in &step_entries {
             if r.reachable[e] {
                 findings.push(finding_for(
                     ws,
                     &r,
                     "shard-shape",
                     e,
-                    "blocking call reachable from a shard poll function",
+                    "blocking call reachable from a shard's event handler",
                 ));
             }
         }
     }
 
     // Rule d1: no lock taken before a channel send within one runtime
-    // function — a guard held across `ShardInbox` sends can deadlock a
-    // worker against the router. Purely local, so no graph walk.
+    // function — a guard held across a shard-inbox send can deadlock a
+    // session's reader against the shard. Purely local, so no graph walk.
     for id in 0..ws.fns.len() {
         let item = ws.item(id);
         if item.krate != "runtime" {
@@ -535,21 +528,21 @@ mod tests {
     fn blocking_below_poll_once_is_found() {
         let ws = ws_from(&[(
             "runtime",
-            "src/server_runtime.rs",
-            "impl ServerRuntime { pub fn poll_once(&mut self) { self.pump() } fn pump(&mut self) { self.rx.recv(); } }",
+            "src/shard.rs",
+            "impl Shard { fn step(&mut self) { self.pump() } fn pump(&mut self) { self.rx.recv(); } }",
         )]);
         let f = rule_findings(&ws, "shard-shape");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].token, ".recv()");
-        assert_eq!(f[0].entry, "runtime::server_runtime::ServerRuntime::poll_once");
+        assert_eq!(f[0].entry, "runtime::shard::Shard::step");
     }
 
     #[test]
     fn bounded_waits_in_poll_loop_are_fine() {
         let ws = ws_from(&[(
             "runtime",
-            "src/server_runtime.rs",
-            "impl ServerRuntime { pub fn poll_once(&mut self) { self.rx.recv_timeout(d); } }",
+            "src/shard.rs",
+            "impl Shard { fn step(&mut self) { self.rx.recv_timeout(d); } }",
         )]);
         assert!(rule_findings(&ws, "shard-shape").is_empty());
     }

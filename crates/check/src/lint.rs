@@ -710,28 +710,28 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         }
     }
 
-    // Rule 3c: every shard control command is actually handled by the
-    // worker loop. A `ShardCommand` variant nothing in shard.rs matches
-    // on would sit in an inbox forever — the silent-shutdown bug class.
+    // Rule 3c: every shard inbox event is actually handled by the
+    // worker loop. A `ShardEvent` variant nothing in shard.rs matches on
+    // would sit in an inbox forever — the silent-shutdown bug class.
     let shard_path = root.join("crates/runtime/src/shard.rs");
     let shard_src = strip_code(&fs::read_to_string(&shard_path).unwrap_or_default());
-    let variants = enum_variants(&shard_src, "ShardCommand");
+    let variants = enum_variants(&shard_src, "ShardEvent");
     if variants.is_empty() {
         findings.push(Finding {
             file: rel_label(root, &shard_path),
             line: 0,
             rule: "variant-coverage",
-            message: "could not locate `enum ShardCommand`".to_string(),
+            message: "could not locate `enum ShardEvent`".to_string(),
         });
     } else {
         for v in variants {
-            if !shard_src.contains(&format!("ShardCommand::{v}")) {
+            if !shard_src.contains(&format!("ShardEvent::{v}")) {
                 findings.push(Finding {
                     file: rel_label(root, &shard_path),
                     line: 0,
                     rule: "variant-coverage",
                     message: format!(
-                        "ShardCommand::{v} is declared but never matched in \
+                        "ShardEvent::{v} is declared but never matched in \
                          the shard worker loop"
                     ),
                 });

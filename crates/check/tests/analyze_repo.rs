@@ -201,29 +201,26 @@ fn planted_net_access_below_pure_public_fn_fires() {
         && f.fact_fn == "client::dialer::dial"));
 }
 
-/// A blocking receive below the server poll loop — behind one hop of
-/// indirection in another file — fires the shard-shape rule.
+/// A blocking receive below a shard's per-event handler — behind one hop
+/// of indirection in another file — fires the shard-shape rule.
 #[test]
 fn planted_blocking_call_below_poll_once_fires() {
     let root = temp_workspace(
         "analyze_blocking",
         &[
             (
-                "crates/runtime/src/server_runtime.rs",
-                "pub struct ServerRuntime;\nimpl ServerRuntime {\n    pub fn poll_once(&self) {\n        crate::pump::drain(self)\n    }\n}\n",
+                "crates/runtime/src/shard.rs",
+                "struct Shard;\nimpl Shard {\n    fn step(&self) {\n        crate::pump::drain(self)\n    }\n}\n",
             ),
             (
                 "crates/runtime/src/pump.rs",
-                "pub fn drain(r: &super::server_runtime::ServerRuntime) {\n    let _ = r.rx.recv();\n}\n",
+                "pub fn drain(r: &super::shard::Shard) {\n    let _ = r.rx.recv();\n}\n",
             ),
         ],
     );
     let f = rule_findings(&root, "shard-shape");
     assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(
-        f[0].entry,
-        "runtime::server_runtime::ServerRuntime::poll_once"
-    );
+    assert_eq!(f[0].entry, "runtime::shard::Shard::step");
     assert_eq!(f[0].fact_fn, "runtime::pump::drain");
     assert_eq!(f[0].token, ".recv()");
 }

@@ -95,3 +95,28 @@ fn injected_thread_primitive_fails() {
     assert!(findings.iter().all(|f| f.rule == "thread-purity"));
     assert_eq!(findings[0].line, tainted.lines().count());
 }
+
+/// An inbox event the shard loop never matches on is caught: it would
+/// sit in a shard's inbox forever.
+#[test]
+fn unhandled_shard_event_fails() {
+    let shard = std::fs::read_to_string(repo_root().join("crates/runtime/src/shard.rs")).unwrap();
+    let tainted = shard.replacen("enum ShardEvent {", "enum ShardEvent {\n    Stray,", 1);
+    assert_ne!(shard, tainted, "the shard inbox enum must exist to taint");
+    let coverage = |src: &str| {
+        let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint_shard_event");
+        let path = root.join("crates/runtime/src/shard.rs");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, src).unwrap();
+        lint_workspace(&root)
+            .expect("sources readable")
+            .into_iter()
+            .filter(|f| f.file.ends_with("shard.rs") && f.rule == "variant-coverage")
+            .map(|f| f.message)
+            .collect::<Vec<_>>()
+    };
+    assert!(coverage(&shard).is_empty(), "every real event is matched");
+    let findings = coverage(&tainted);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].contains("ShardEvent::Stray"));
+}

@@ -1,7 +1,14 @@
 //! The deployment builder: every wall-clock server is one
-//! [`ShardedServerRuntime`] — N domain-affine worker shards behind a
-//! routing acceptor, N = 1 by default — over in-process pipes or TCP,
-//! diskless or durable:
+//! [`ShardedServerRuntime`] — N domain-affine worker shards, N = 1 by
+//! default — over in-process pipes or TCP, diskless or durable.
+//!
+//! A deployment only accepts sessions: a new pipe from
+//! [`PipeDeployment::connect_transport`], or a connection on
+//! [`TcpDeployment`]'s listener. It splits each one into halves and
+//! hands them to [`ShardedServerRuntime::serve`], whose per-session
+//! reader thread routes the session on its `Hello` and forwards its
+//! frames to the owning shard's inbox. Shards block on their inboxes;
+//! the TCP accept poll is the only server-side nap.
 //!
 //! ```no_run
 //! use shadow::{Deployment, ServerConfig};
@@ -32,22 +39,21 @@ use std::fmt;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use shadow_client::ClientConfig;
 use shadow_netsim::pipe::{duplex, PipeEnd};
-use shadow_netsim::tcp::{TcpFramed, TcpServer};
+use shadow_netsim::tcp::TcpServer;
 use shadow_obs::NodeReport;
-use shadow_runtime::{Accepted, PersistSink, SessionAcceptor, ShardedServerRuntime, WallClock};
+use shadow_runtime::{PersistSink, ShardedServerRuntime};
 use shadow_server::{ServerConfig, ServerNode};
 use shadow_store::{DurableStore, RecoverySummary};
 
 use crate::live::LiveClient;
 
-/// How long the router naps when a round found no work.
-const ROUTER_NAP: Duration = Duration::from_millis(1);
+/// How long a TCP deployment's accept loop naps when no connection was
+/// waiting.
+const ACCEPT_NAP: Duration = Duration::from_millis(1);
 
 /// Errors building a deployment.
 #[derive(Debug)]
@@ -82,8 +88,8 @@ type ShardParts = (ServerNode, Option<Box<dyn PersistSink>>);
 /// The single entry point for standing up a wall-clock deployment.
 ///
 /// Axes:
-/// * **shards** — N domain-affine worker shards behind a routing
-///   acceptor; 1 (the default) is the paper's single server.
+/// * **shards** — N domain-affine worker shards; 1 (the default) is the
+///   paper's single server.
 /// * **durable** — a root directory makes the shadow store survive
 ///   restarts via per-domain write-ahead journals (`shadow-store`);
 ///   without it the deployment is diskless.
@@ -147,8 +153,8 @@ impl Deployment {
         Ok((parts, recovery))
     }
 
-    /// Deploys over in-process duplex pipes: the router runs on its own
-    /// thread, each shard on another.
+    /// Deploys over in-process duplex pipes: each shard runs on its own
+    /// thread, and each session's reader on another.
     ///
     /// # Errors
     ///
@@ -156,34 +162,8 @@ impl Deployment {
     /// durable.
     pub fn pipes(self) -> Result<PipeDeployment, DeployError> {
         let (parts, recovery) = self.parts()?;
-        let (registrar, accepted) = unbounded::<PipeEnd>();
-        let (reports, report_rx) = unbounded::<Sender<NodeReport>>();
-        let router = std::thread::Builder::new()
-            .name("shadow-shard-router".to_string())
-            .spawn(move || {
-                let acceptor = ChannelAcceptor { rx: accepted };
-                let mut runtime =
-                    ShardedServerRuntime::from_parts(parts, acceptor, WallClock::new());
-                loop {
-                    let Ok(busy) = runtime.poll_once();
-                    while let Ok(reply) = report_rx.try_recv() {
-                        let _ = reply.send(runtime.report());
-                    }
-                    // Exit once no new clients can arrive and every
-                    // accepted session has been routed; the shards then
-                    // drain their own sessions and timers.
-                    if runtime.router_idle() {
-                        return runtime.shutdown();
-                    }
-                    if !busy {
-                        std::thread::sleep(ROUTER_NAP);
-                    }
-                }
-            })?;
         Ok(PipeDeployment {
-            router,
-            registrar,
-            reports,
+            runtime: ShardedServerRuntime::from_parts(parts),
             recovery,
         })
     }
@@ -197,56 +177,17 @@ impl Deployment {
         let (parts, recovery) = self.parts()?;
         let listener = TcpServer::bind(addr)?;
         let addr = listener.local_addr()?;
-        let runtime =
-            ShardedServerRuntime::from_parts(parts, TcpAcceptor { listener }, WallClock::new());
         Ok(TcpDeployment {
-            runtime,
+            runtime: ShardedServerRuntime::from_parts(parts),
+            listener,
             addr,
             recovery,
         })
     }
 }
 
-/// Accepts sessions from the registrar channel: each new client hands the
-/// router its end of a fresh duplex pipe.
-struct ChannelAcceptor {
-    rx: Receiver<PipeEnd>,
-}
-
-impl SessionAcceptor for ChannelAcceptor {
-    type Transport = PipeEnd;
-    type Error = std::convert::Infallible;
-
-    fn poll_accept(&mut self) -> Result<Accepted<PipeEnd>, Self::Error> {
-        Ok(match self.rx.try_recv() {
-            Ok(pipe) => Accepted::Session(pipe),
-            Err(TryRecvError::Empty) => Accepted::None,
-            Err(TryRecvError::Disconnected) => Accepted::Closed,
-        })
-    }
-}
-
-/// Accepts framed TCP connections from the well-known port. The listener
-/// never closes by itself, so [`Accepted::Closed`] is never produced.
-struct TcpAcceptor {
-    listener: TcpServer,
-}
-
-impl SessionAcceptor for TcpAcceptor {
-    type Transport = TcpFramed;
-    type Error = io::Error;
-
-    fn poll_accept(&mut self) -> Result<Accepted<TcpFramed>, io::Error> {
-        Ok(match self.listener.try_accept()? {
-            Some(conn) => Accepted::Session(conn),
-            None => Accepted::None,
-        })
-    }
-}
-
 /// A running in-process deployment built by [`Deployment::pipes`]: the
-/// router thread, the registrar new clients hand their pipe ends to, and
-/// the channel report requests travel on.
+/// shards, fed by one reader thread per connected pipe.
 ///
 /// # Example
 ///
@@ -272,9 +213,7 @@ impl SessionAcceptor for TcpAcceptor {
 /// ```
 #[derive(Debug)]
 pub struct PipeDeployment {
-    router: JoinHandle<Vec<ServerNode>>,
-    registrar: Sender<PipeEnd>,
-    reports: Sender<Sender<NodeReport>>,
+    runtime: ShardedServerRuntime,
     recovery: RecoverySummary,
 }
 
@@ -285,9 +224,9 @@ impl PipeDeployment {
         self.recovery
     }
 
-    /// Connects a new client: sends the `Hello` immediately. The router
-    /// reads it and hands the session to the shard owning the client's
-    /// domain; the client cannot tell.
+    /// Connects a new client: sends the `Hello` immediately. The
+    /// session's reader reads it and hands the session to the shard
+    /// owning the client's domain; the client cannot tell.
     pub fn connect_client(&self, config: ClientConfig) -> LiveClient {
         LiveClient::over_transport(config, self.connect_transport())
             .expect("hello on a fresh pipe cannot fail")
@@ -296,20 +235,19 @@ impl PipeDeployment {
     /// Establishes a fresh transport without building a client — the
     /// redial path for an existing [`LiveClient`] resuming after a
     /// dropped link ([`LiveClient::resume_over`]). The resume `Hello`
-    /// carries the client's domain, so the router lands the new session
-    /// on the shard that holds the cached versions.
+    /// carries the client's domain, so the new session lands on the
+    /// shard that holds the cached versions.
     pub fn connect_transport(&self) -> PipeEnd {
         let (client_end, server_end) = duplex();
-        self.registrar
-            .send(server_end)
-            .expect("router thread is running");
+        let (writer, reader) = server_end.split();
+        self.runtime.serve(reader, writer);
         client_end
     }
 
     /// The server report: every shard's report merged value-wise plus
-    /// the router's `shards` section and a `shardN` section per shard
-    /// (see [`ShardedServerRuntime::report`]). `None` once the system
-    /// has begun shutting down.
+    /// the `shards` routing section and a `shardN` section per shard
+    /// (see [`ShardedServerRuntime::report`]). Always `Some`: the shards
+    /// answer the caller directly.
     ///
     /// # Example
     ///
@@ -329,7 +267,7 @@ impl PipeDeployment {
     /// let (_, output, _, _) = client.wait_job(Duration::from_secs(5))?;
     /// assert_eq!(output, b"hello\n");
     ///
-    /// let report = system.report().expect("router is running");
+    /// let report = system.report().expect("shards answer");
     /// assert_eq!(report.counter("shards", "count"), 4);
     /// assert_eq!(report.counter("server", "jobs_completed"), 1);
     /// # drop(client);
@@ -338,22 +276,20 @@ impl PipeDeployment {
     /// # }
     /// ```
     pub fn report(&self) -> Option<NodeReport> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.reports.send(reply_tx).ok()?;
-        reply_rx.recv_timeout(Duration::from_secs(5)).ok()
+        Some(self.runtime.report())
     }
 
     /// Stops accepting clients, drains every shard (all clients must
     /// eventually be dropped), and returns each shard's final protocol
     /// state, in shard-index order.
     pub fn shutdown(self) -> Vec<ServerNode> {
-        drop(self.registrar);
-        self.router.join().expect("shard router thread panicked")
+        self.runtime.shutdown()
     }
 }
 
-/// A bound TCP deployment built by [`Deployment::tcp`]: the shard router
-/// over the well-known port. Drive it from the owning thread with
+/// A bound TCP deployment built by [`Deployment::tcp`]: the shards and
+/// the well-known port's listener. Drive the accept loop from the owning
+/// thread with
 /// [`run_forever`](Self::run_forever) (daemon) or
 /// [`run_until_idle_for`](Self::run_until_idle_for) (tests).
 ///
@@ -370,7 +306,8 @@ impl PipeDeployment {
 /// ```
 #[derive(Debug)]
 pub struct TcpDeployment {
-    runtime: ShardedServerRuntime<TcpAcceptor>,
+    runtime: ShardedServerRuntime,
+    listener: TcpServer,
     addr: SocketAddr,
     recovery: RecoverySummary,
 }
@@ -397,16 +334,22 @@ impl TcpDeployment {
         self.runtime.report()
     }
 
-    /// One routing round: accept new connections, peek pending `Hello`s,
-    /// hand routed sessions to their shards. Returns whether any routing
-    /// work was done (shard work does not count — shards run on their
-    /// own threads).
+    /// Accepts every waiting connection and starts its reader thread.
+    /// Returns whether any connection was accepted (session work does
+    /// not count — readers and shards run on their own threads).
     ///
     /// # Errors
     ///
     /// Listener failures (per-connection errors just drop the session).
     pub fn poll_once(&mut self) -> io::Result<bool> {
-        self.runtime.poll_once()
+        let mut accepted = false;
+        while let Some(conn) = self.listener.try_accept()? {
+            accepted = true;
+            if let Ok((writer, reader)) = conn.split() {
+                self.runtime.serve(reader, writer);
+            }
+        }
+        Ok(accepted)
     }
 
     /// Serves forever (the daemon entry point).
@@ -431,13 +374,14 @@ impl TcpDeployment {
     pub fn run_forever(mut self) -> io::Result<()> {
         loop {
             if !self.poll_once()? {
-                std::thread::sleep(ROUTER_NAP);
+                std::thread::sleep(ACCEPT_NAP);
             }
         }
     }
 
-    /// Serves until the router has been quiet for `idle` **and** every
-    /// shard is drained (no live sessions, no pending timers), then
+    /// Serves until no connection has arrived for `idle`, no session
+    /// awaits routing **and** every shard is drained (no live sessions,
+    /// no pending timers), then
     /// shuts the shards down and returns their final nodes in
     /// shard-index order (test entry point).
     ///
@@ -456,7 +400,7 @@ impl TcpDeployment {
                 {
                     return Ok(self.runtime.shutdown());
                 }
-                std::thread::sleep(ROUTER_NAP);
+                std::thread::sleep(ACCEPT_NAP);
             }
         }
     }
@@ -476,7 +420,10 @@ fn merge_summary(into: &mut RecoverySummary, from: RecoverySummary) {
 mod tests {
     use super::*;
     use shadow_client::FileRef;
-    use shadow_proto::{ClientMessage, FileId, Frame, RequestId, SubmitOptions};
+    use shadow_proto::{
+        ClientMessage, DomainId, FileId, Frame, HostName, RequestId, SubmitOptions,
+        PROTOCOL_VERSION,
+    };
     use shadow_runtime::FrameTransport;
 
     const WAIT: Duration = Duration::from_secs(10);
@@ -500,17 +447,58 @@ mod tests {
         let (_, output, _, _) = client.wait_job(WAIT).unwrap();
         assert_eq!(output, b"honest\n");
 
-        // The router dropped the rogue's transport instead of routing it.
+        // The rogue's reader dropped its transport instead of routing it.
         assert!(
             rogue.recv_frame(WAIT).is_err(),
             "refused session must be closed"
         );
-        let report = system.report().expect("router is running");
+        let report = system.report().expect("shards answer");
         assert_eq!(report.counter("shards", "refused"), 1);
         assert_eq!(report.counter("shards", "routed"), 1);
         assert_eq!(report.counter("server", "jobs_completed"), 1);
 
         drop(client);
+        assert_eq!(system.shutdown().len(), 1);
+    }
+
+    #[test]
+    fn a_session_that_sends_an_undecodable_frame_is_killed_alone() {
+        let system = Deployment::new(ServerConfig::new("sc")).pipes().unwrap();
+        let mut rogue = system.connect_transport();
+        rogue
+            .send_frame(Frame::encode(&ClientMessage::Hello {
+                domain: DomainId::new(1),
+                host: HostName::new("ws1"),
+                protocol: PROTOCOL_VERSION,
+                epoch: 0,
+                resume: Vec::new(),
+            }))
+            .unwrap();
+        rogue.send_frame(b"\xff\xff garbage".to_vec()).unwrap();
+        // The shard drops the session's writer, which the peer sees as a
+        // hang-up.
+        loop {
+            match rogue.recv_frame(WAIT) {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("killed session must be closed"),
+                Err(_) => break,
+            }
+        }
+
+        let mut client = system.connect_client(ClientConfig::new("ws2", 1));
+        client.wait_ready(WAIT).unwrap();
+        let job = FileRef::new(FileId::new(1), "ws2:/hello.job");
+        client.edit_finished(&job, b"echo honest\n".to_vec());
+        client.submit(&job, &[], SubmitOptions::default()).unwrap();
+        let (_, output, _, _) = client.wait_job(WAIT).unwrap();
+        assert_eq!(output, b"honest\n");
+
+        let report = system.report().expect("shards answer");
+        assert_eq!(report.counter("server_runtime", "decode_failures"), 1);
+        assert_eq!(report.counter("server", "closed_decode"), 1);
+        assert_eq!(report.counter("shards", "routed"), 2);
+        drop(client);
+        drop(rogue);
         assert_eq!(system.shutdown().len(), 1);
     }
 }

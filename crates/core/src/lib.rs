@@ -32,13 +32,14 @@
 //! crate, which owns the single `ClientAction`/`ServerAction`
 //! interpreter ([`ClientDriver`] / [`ServerDriver`]), the
 //! [`TimerQueue`], the [`FrameTransport`] abstraction, and the
-//! [`ShardedServerRuntime`] (one [`ServerRuntime`] session loop per
-//! worker shard, sessions routed by `hash(domain) % N`):
+//! [`ShardedServerRuntime`] (worker shards that each block on one inbox
+//! of session events, fed by a reader thread per session and routed by
+//! `hash(domain) % N`):
 //!
 //! | module | role | runtime pieces used |
 //! |---|---|---|
 //! | `sim`  | discrete-event scheduler + CPU/network cost model | `ClientDriver`, `ServerDriver` (timers become sim events) |
-//! | `deploy` | the [`Deployment`] builder: pipes or TCP, diskless or durable | `ShardedServerRuntime` over a channel or TCP acceptor; `shadow-store`'s `DurableStore` as each shard's `PersistSink` |
+//! | `deploy` | the [`Deployment`] builder: pipes or TCP, diskless or durable | `ShardedServerRuntime` fed with split pipe ends or sockets; `shadow-store`'s `DurableStore` as each shard's `PersistSink` |
 //! | `live` | the client side of a wall-clock deployment | `ClientDriver` over any `FrameTransport` |
 //! | `tcpd` | the TCP client | `LiveClient` over a TCP stream |
 //!
@@ -88,10 +89,10 @@ pub use sim::{ClientId, FinishedJob, ServerId, SimError, Simulation};
 pub use shadow_store::{DurableStore, RecoverySummary, DEFAULT_COMPACT_EVERY};
 
 pub use shadow_runtime::{
-    shard_for, Accepted, ClientDriver, ClientOutbound, Clock, CompletedJob, Connector,
-    DriverEvent, DriverStats, EventHook, FeedError, FrameInfo, FrameTransport, PersistSink,
-    ServerDriver, ServerIo, ServerOutbound, ServerRuntime, SessionAcceptor, ShardedServerRuntime,
-    Supervisor, SupervisorConfig, SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed,
+    shard_for, ClientDriver, ClientOutbound, Clock, CompletedJob, Connector, DriverEvent,
+    DriverStats, EventHook, FeedError, FrameInfo, FrameReader, FrameTransport, FrameWriter,
+    PersistSink, ServerDriver, ServerIo, ServerOutbound, ShardedServerRuntime, Supervisor,
+    SupervisorConfig, SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed,
     VirtualClock, WallClock,
 };
 

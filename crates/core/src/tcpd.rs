@@ -45,7 +45,7 @@ mod tests {
     use crate::deploy::Deployment;
     use shadow_client::FileRef;
     use shadow_proto::{FileId, SubmitOptions};
-    use shadow_server::ServerConfig;
+    use shadow_server::{ExecProfile, ServerConfig};
 
     #[test]
     fn tcp_end_to_end_job() {
@@ -133,5 +133,47 @@ mod tests {
             .map(|n| n.report().counter("server", "jobs_completed"))
             .sum();
         assert_eq!(total, 3);
+    }
+
+    #[test]
+    fn parked_sessions_do_not_slow_an_active_one() {
+        // No modelled exec time: a cycle costs only the runtime's own work.
+        let config = ServerConfig::new("sc").with_exec(ExecProfile {
+            job_overhead_ms: 0,
+            cpu_byte_rate: u64::MAX,
+        });
+        let runtime = Deployment::new(config)
+            .tcp("127.0.0.1:0")
+            .unwrap();
+        let addr = runtime.local_addr().unwrap();
+        let handle =
+            std::thread::spawn(move || runtime.run_until_idle_for(Duration::from_millis(400)));
+
+        let parked: Vec<TcpClient> = (1..=8u64)
+            .map(|d| {
+                let mut c = connect_tcp(ClientConfig::new(format!("p{d}"), d), addr).unwrap();
+                c.wait_ready(Duration::from_secs(5)).unwrap();
+                c
+            })
+            .collect();
+        let mut client = connect_tcp(ClientConfig::new("ws", 100), addr).unwrap();
+        client.wait_ready(Duration::from_secs(5)).unwrap();
+        let job = FileRef::new(FileId::new(1), "ws:/t.job");
+        for cycle in 0..5 {
+            let started = std::time::Instant::now();
+            client.edit_finished(&job, format!("echo cycle {cycle}\n").into_bytes());
+            client.submit(&job, &[], SubmitOptions::default()).unwrap();
+            let (_, output, _, _) = client.wait_job(Duration::from_secs(10)).unwrap();
+            assert_eq!(output, format!("cycle {cycle}\n").into_bytes());
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "cycle {cycle} took {took:?} beside 8 parked sessions"
+            );
+        }
+        drop(client);
+        drop(parked);
+        let node = handle.join().unwrap().unwrap().remove(0);
+        assert_eq!(node.report().counter("server", "jobs_completed"), 5);
     }
 }

@@ -182,13 +182,6 @@ impl<T: FrameTransport> FrameTransport for FaultTransport<T> {
         }
         self.inner.recv_frame(timeout)
     }
-
-    fn try_recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportClosed> {
-        if self.stats.reset {
-            return Err(Self::reset_error());
-        }
-        self.inner.try_recv_frame()
-    }
 }
 
 /// Shared control block between a [`ChaosProxy`] handle and its threads.
@@ -459,7 +452,7 @@ mod tests {
         let err = t.send_frame(vec![3]).unwrap_err();
         assert_eq!(err.error_kind(), Some(ErrorKind::ConnectionReset));
         assert!(matches!(
-            t.try_recv_frame(),
+            t.recv_frame(Duration::ZERO),
             Err(TransportClosed::Error(ErrorKind::ConnectionReset))
         ));
         assert!(t.stats().reset);

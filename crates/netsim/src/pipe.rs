@@ -87,6 +87,14 @@ impl PipeEnd {
     pub fn recv(&self) -> Result<Vec<u8>, Disconnected> {
         self.rx.recv().map_err(|_| Disconnected)
     }
+
+    /// Splits the end into its sending and receiving halves, for a
+    /// server that reads a session on one thread and writes it from
+    /// another. Dropping the [`PipeWriter`] hangs up on the peer's
+    /// receive side; dropping the [`PipeReader`] on its send side.
+    pub fn split(self) -> (PipeWriter, PipeReader) {
+        (PipeWriter(self.tx), PipeReader(self.rx))
+    }
 }
 
 impl shadow_runtime::FrameTransport for PipeEnd {
@@ -101,9 +109,29 @@ impl shadow_runtime::FrameTransport for PipeEnd {
     ) -> Result<Option<Vec<u8>>, shadow_runtime::TransportClosed> {
         PipeEnd::recv_timeout(self, timeout).map_err(|_| shadow_runtime::TransportClosed::Clean)
     }
+}
 
-    fn try_recv_frame(&mut self) -> Result<Option<Vec<u8>>, shadow_runtime::TransportClosed> {
-        PipeEnd::try_recv(self).map_err(|_| shadow_runtime::TransportClosed::Clean)
+/// The sending half of a split [`PipeEnd`].
+#[derive(Debug)]
+pub struct PipeWriter(Sender<Vec<u8>>);
+
+/// The receiving half of a split [`PipeEnd`].
+#[derive(Debug)]
+pub struct PipeReader(Receiver<Vec<u8>>);
+
+impl shadow_runtime::FrameWriter for PipeWriter {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), shadow_runtime::TransportClosed> {
+        self.0
+            .send(frame)
+            .map_err(|_| shadow_runtime::TransportClosed::Clean)
+    }
+}
+
+impl shadow_runtime::FrameReader for PipeReader {
+    fn read_frame(&mut self) -> Result<Vec<u8>, shadow_runtime::TransportClosed> {
+        self.0
+            .recv()
+            .map_err(|_| shadow_runtime::TransportClosed::Clean)
     }
 }
 
@@ -167,6 +195,21 @@ mod tests {
         let (_a, b) = duplex();
         let got = b.recv_timeout(Duration::from_millis(10)).unwrap();
         assert_eq!(got, None);
+    }
+
+    #[test]
+    fn split_halves_carry_frames_and_hang_up_on_drop() {
+        use shadow_runtime::{FrameReader, FrameWriter, TransportClosed};
+        let (a, b) = duplex();
+        let (mut writer, mut reader) = b.split();
+        a.send(vec![1]).unwrap();
+        assert_eq!(reader.read_frame().unwrap(), vec![1]);
+        writer.write_frame(vec![2]).unwrap();
+        assert_eq!(a.recv().unwrap(), vec![2]);
+        drop(writer);
+        assert_eq!(a.try_recv(), Err(Disconnected));
+        drop(a);
+        assert_eq!(reader.read_frame(), Err(TransportClosed::Clean));
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!   buffering. The `ClientAction`/`ServerAction` match arms live here
 //!   and **only** here;
 //! * [`ShardedServerRuntime`] — every wall-clock server: N domain-affine
-//!   worker shards (N = 1 included) behind a routing acceptor that peeks
-//!   each new session's `Hello` to learn its domain; `hash(domain) % N`
+//!   worker shards (N = 1 included), each blocking on one inbox of
+//!   session events, fed by a small reader thread per session that reads
+//!   the session's `Hello` to learn its domain; `hash(domain) % N`
 //!   ([`shard_for`]) keeps every domain's sessions — and so all of its
-//!   protocol state — on one thread;
-//! * [`ServerRuntime`] — one worker shard's accept/read/feed/timer
-//!   session loop around its own `ServerNode`, fed by an mpsc command
-//!   inbox;
+//!   protocol state — on one thread. Sessions arrive split into a
+//!   [`FrameReader`] (the reader thread's) and a [`FrameWriter`] (the
+//!   shard's);
 //! * [`DriverEvent`] — a structured instrumentation tap (frames and
 //!   bytes on the wire, deltas vs. full transfers, timers) used by the
 //!   equivalence tests and by metrics collection.
@@ -43,7 +43,6 @@ mod client_driver;
 mod clock;
 mod event;
 mod server_driver;
-mod server_runtime;
 mod shard;
 mod sink;
 mod supervisor;
@@ -54,13 +53,10 @@ pub use client_driver::{ClientDriver, ClientOutbound};
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use event::{CompletedJob, DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
 pub use server_driver::{ServerDriver, ServerIo, ServerOutbound};
-pub use server_runtime::{Accepted, ServerRuntime, SessionAcceptor};
 pub use sink::{PersistSink, VecSink};
 pub use supervisor::{
     Connector, Supervisor, SupervisorConfig, SupervisorEvent, SupervisorStats,
 };
-pub use shard::{
-    shard_for, PeekedTransport, ShardCommand, ShardHandle, ShardInbox, ShardedServerRuntime,
-};
+pub use shard::{shard_for, ShardedServerRuntime};
 pub use timer::TimerQueue;
-pub use transport::{FrameTransport, TransportClosed};
+pub use transport::{FrameReader, FrameTransport, FrameWriter, TransportClosed};

@@ -1,49 +1,68 @@
-//! The server runtime: domain-affine worker shards behind a routing
-//! acceptor.
+//! The server runtime: domain-affine worker shards, each fed by one
+//! blocking inbox.
 //!
-//! The paper's server is one process polling a handful of editing
-//! clients in sequence. Every wall-clock deployment here is **N worker
+//! The paper's server is one process answering each client's requests
+//! as they arrive. Every wall-clock deployment here is **N worker
 //! shards** (N = 1 is that one process), each owning its *own* sans-io
-//! `ServerNode` (wrapped in the [`ServerRuntime`] session loop) and an
-//! mpsc command inbox, behind a thin acceptor that peeks each new
-//! session's `Hello` frame to learn its naming domain and hands the
-//! transport to the shard that owns that domain.
+//! `ServerNode` and one inbox of events. Every accepted session is split
+//! in two ([`ShardedServerRuntime::serve`]): the shard keeps the writer
+//! half, and a small per-session reader thread owns the reader half. The
+//! reader blocks on the pipe or socket, decodes the session's first
+//! frame as a `Hello` to learn its naming domain — refusing the session
+//! if it is anything else — and then forwards every frame, in order, to
+//! the inbox of the shard that owns the domain, followed by a close when
+//! the peer goes.
+//!
+//! A shard blocks in exactly one place: its inbox, until the next event
+//! or the driver's next timer deadline. Between two waits it handles the
+//! one event that woke it and fires due timers (`Shard::step`); there is
+//! no sweep over idle sessions and no nap.
 //!
 //! Domain affinity is the load-bearing invariant: shard assignment is a
 //! stable `hash(domain) % N` ([`shard_for`]), so every session of one
 //! domain lands on the same shard, per-domain protocol state (shadow
 //! cache entries, announcer/ in-flight maps, job tables) never crosses a
 //! thread boundary, and **no shared mutable protocol state exists at
-//! all** — shards communicate with the router only by moving transports
-//! and report snapshots over channels. The sans-io cores are untouched:
-//! the exact state machines the model checker explores are what runs on
-//! every shard.
+//! all** — readers and shards communicate only by moving frames, writer
+//! halves and report snapshots over channels. The sans-io cores are
+//! untouched: the exact state machines the model checker explores are
+//! what runs on every shard.
 //!
 //! Concurrency therefore lives *here and only here* (plus the thin
 //! deployment adapters in `shadow`): `shadow-check lint`'s thread-purity
 //! rule forbids `std::thread`, `Mutex`, and `mpsc` from appearing in the
 //! protocol crates, keeping the refactor honest.
 
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use shadow_obs::{merge_reports, shard_section_name, NodeReport, Section};
+use shadow_obs::{merge_reports, shard_section_name, MetricsRegistry, NodeReport, Section};
 use shadow_proto::{ClientMessage, DomainId, Frame, StableHasher};
-use shadow_server::ServerNode;
+use shadow_server::{CloseReason, ServerNode, SessionId};
 
-use crate::clock::Clock;
-use crate::server_runtime::{Accepted, ServerRuntime, SessionAcceptor};
+use crate::clock::{Clock, WallClock};
+use crate::server_driver::{ServerDriver, ServerIo};
 use crate::sink::PersistSink;
-use crate::transport::{FrameTransport, TransportClosed};
+use crate::transport::{FrameReader, FrameWriter, TransportClosed};
 
 /// How long [`ShardedServerRuntime::report`] waits for each shard's
 /// snapshot before skipping it. A shard only fails to answer within
 /// this budget when its worker has already exited.
 const REPORT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Worker-side nap when a poll round found no work.
-const IDLE_NAP: Duration = Duration::from_micros(200);
+/// Bucket bounds for the inbound frame-size histogram: tuned around the
+/// protocol's typical shapes (control frames ≈ tens of bytes, deltas ≈
+/// hundreds, full transfers ≈ kilobytes and up).
+const FRAME_SIZE_BUCKETS: [u64; 6] = [64, 256, 1024, 4096, 16384, 65536];
+
+/// Stack size of a session's reader thread. A reader only blocks on
+/// reads, cuts frames and decodes one `Hello`, so a small fixed stack
+/// keeps ten thousand parked sessions near a hundred MiB.
+const READER_STACK: usize = 64 * 1024;
 
 /// The stable shard assignment: `hash(domain) % shards`.
 ///
@@ -58,10 +77,10 @@ pub fn shard_for(domain: DomainId, shards: usize) -> usize {
     (h.finish() % shards.max(1) as u64) as usize
 }
 
-/// Decodes a peeked first frame as a `Hello` and extracts the domain.
+/// Decodes a session's first frame as a `Hello` and extracts the domain.
 /// Anything else — a different message, garbage bytes, a truncated
 /// frame — means the peer does not speak the protocol's opening line,
-/// and the router refuses the session.
+/// and its reader refuses the session.
 fn hello_domain(frame: &[u8]) -> Option<DomainId> {
     match Frame::decode::<ClientMessage>(frame) {
         Ok(Some((ClientMessage::Hello { domain, .. }, _))) => Some(domain),
@@ -69,417 +88,378 @@ fn hello_domain(frame: &[u8]) -> Option<DomainId> {
     }
 }
 
-/// A transport whose first inbound frame was already consumed by the
-/// routing acceptor's `Hello` peek and must be replayed to the shard's
-/// driver before the underlying stream continues.
-pub struct PeekedTransport<T> {
-    replay: Option<Vec<u8>>,
-    inner: T,
-}
-
-// Manual impl: wrapped transports need not be `Debug`.
-impl<T> std::fmt::Debug for PeekedTransport<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PeekedTransport")
-            .field("replay", &self.replay.as_ref().map(Vec::len))
-            .finish_non_exhaustive()
+/// How the server names a transport close.
+fn close_reason(closed: TransportClosed) -> CloseReason {
+    if closed.is_clean() {
+        CloseReason::Clean
+    } else {
+        CloseReason::Error
     }
 }
 
-impl<T> PeekedTransport<T> {
-    /// Wraps `inner`, stashing the peeked `frame` for replay.
-    pub fn new(frame: Vec<u8>, inner: T) -> Self {
-        PeekedTransport {
-            replay: Some(frame),
-            inner,
-        }
-    }
-}
-
-impl<T: FrameTransport> FrameTransport for PeekedTransport<T> {
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
-        self.inner.send_frame(frame)
-    }
-
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportClosed> {
-        if let Some(frame) = self.replay.take() {
-            return Ok(Some(frame));
-        }
-        self.inner.recv_frame(timeout)
-    }
-
-    fn try_recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportClosed> {
-        if let Some(frame) = self.replay.take() {
-            return Ok(Some(frame));
-        }
-        self.inner.try_recv_frame()
-    }
-}
-
-/// One instruction from the router to a worker shard.
-pub enum ShardCommand<T> {
-    /// A routed session: the transport plus its already-peeked `Hello`.
-    NewSession(PeekedTransport<T>),
+/// One event in a worker shard's inbox.
+enum ShardEvent {
+    /// A routed session: its id, its writer half and its `Hello` frame.
+    Open(SessionId, Box<dyn FrameWriter>, Vec<u8>),
+    /// The next frame a session's reader read.
+    Frame(SessionId, Vec<u8>),
+    /// A session's reader saw the peer go.
+    Closed(SessionId, CloseReason),
     /// Snapshot the shard's [`NodeReport`] and reply on the channel.
-    ReportRequest(Sender<NodeReport>),
-    /// Stop accepting sessions, drain everything in flight (live
-    /// sessions, pending timers), then exit with the final node.
+    Report(Sender<NodeReport>),
+    /// Stop taking sessions, drain everything in flight (live sessions,
+    /// pending timers), then exit with the final node.
     Shutdown,
 }
 
-// Manual impl: transports need not be `Debug`.
-impl<T> std::fmt::Debug for ShardCommand<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShardCommand::NewSession(_) => "ShardCommand::NewSession(..)",
-            ShardCommand::ReportRequest(_) => "ShardCommand::ReportRequest(..)",
-            ShardCommand::Shutdown => "ShardCommand::Shutdown",
-        })
-    }
-}
-
-/// The worker-side [`SessionAcceptor`]: a shard's command inbox.
-///
-/// `NewSession` commands surface as accepted sessions; `Shutdown` (or
-/// the router dropping every sender) surfaces as [`Accepted::Closed`];
-/// `ReportRequest`s are stashed for the worker loop to answer between
-/// polls (via [`ServerRuntime::acceptor_mut`]).
-pub struct ShardInbox<T> {
-    rx: Receiver<ShardCommand<T>>,
-    reports: Vec<Sender<NodeReport>>,
-    closed: bool,
-}
-
-// Manual impl: transports need not be `Debug`.
-impl<T> std::fmt::Debug for ShardInbox<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardInbox")
-            .field("reports", &self.reports.len())
-            .field("closed", &self.closed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T> ShardInbox<T> {
-    fn new(rx: Receiver<ShardCommand<T>>) -> Self {
-        ShardInbox {
-            rx,
-            reports: Vec::new(),
-            closed: false,
-        }
-    }
-
-    /// Takes the report requests that arrived since the last call.
-    pub fn take_report_requests(&mut self) -> Vec<Sender<NodeReport>> {
-        std::mem::take(&mut self.reports)
-    }
-
-    /// Drains control commands after the accept path has closed: report
-    /// requests are still collected, late sessions are refused (their
-    /// transports drop, which the peer sees as a disconnect).
-    fn drain_control(&mut self) {
-        loop {
-            match self.rx.try_recv() {
-                Ok(ShardCommand::ReportRequest(reply)) => self.reports.push(reply),
-                Ok(ShardCommand::NewSession(_)) | Ok(ShardCommand::Shutdown) => {}
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-impl<T: FrameTransport> SessionAcceptor for ShardInbox<T> {
-    type Transport = PeekedTransport<T>;
-    type Error = std::convert::Infallible;
-
-    fn poll_accept(&mut self) -> Result<Accepted<PeekedTransport<T>>, Self::Error> {
-        loop {
-            return Ok(match self.rx.try_recv() {
-                Ok(ShardCommand::NewSession(transport)) => Accepted::Session(transport),
-                Ok(ShardCommand::ReportRequest(reply)) => {
-                    self.reports.push(reply);
-                    continue;
-                }
-                Ok(ShardCommand::Shutdown) | Err(TryRecvError::Disconnected) => {
-                    self.closed = true;
-                    Accepted::Closed
-                }
-                Err(TryRecvError::Empty) => Accepted::None,
-            });
-        }
-    }
-}
-
-/// The worker loop: a plain [`ServerRuntime`] fed from the command
-/// inbox, answering report requests between polls, exiting — node in
-/// hand — once shut down *and* fully drained (no live sessions, no
-/// pending timers), so nothing a client was acked is ever dropped.
-fn shard_worker<T, C>(
-    node: ServerNode,
+/// One worker shard: its driver, the writer half of every live session
+/// and the loop's counters.
+struct Shard {
+    driver: ServerDriver,
+    clock: WallClock,
+    sessions: HashMap<SessionId, Box<dyn FrameWriter>>,
+    metrics: MetricsRegistry,
+    /// Where storage intents go; `None` drops them (diskless).
     sink: Option<Box<dyn PersistSink>>,
-    rx: Receiver<ShardCommand<T>>,
-    clock: C,
-) -> ServerNode
-where
-    T: FrameTransport,
-    C: Clock,
-{
-    let mut runtime = ServerRuntime::new(node, ShardInbox::new(rx), clock);
-    if let Some(sink) = sink {
-        runtime = runtime.with_sink(sink);
-    }
-    loop {
-        let Ok(busy) = runtime.poll_once();
-        if runtime.acceptor_closed() {
-            runtime.acceptor_mut().drain_control();
+    closing: bool,
+}
+
+impl Shard {
+    fn new(node: ServerNode, sink: Option<Box<dyn PersistSink>>, clock: WallClock) -> Self {
+        let mut metrics = MetricsRegistry::new();
+        metrics.histogram("frame_bytes", FRAME_SIZE_BUCKETS.to_vec());
+        Shard {
+            driver: ServerDriver::new(node),
+            clock,
+            sessions: HashMap::new(),
+            metrics,
+            sink,
+            closing: false,
         }
-        let replies = runtime.acceptor_mut().take_report_requests();
-        if !replies.is_empty() {
-            let report = runtime.report();
-            for reply in replies {
-                // A router that stopped waiting is not an error.
-                let _ = reply.send(report.clone());
+    }
+
+    /// The worker loop: wait on the inbox until the next event or timer
+    /// deadline, then step. Exits — node in hand — once shut down *and*
+    /// drained (no live sessions, no pending timers), so nothing a
+    /// client was acked is ever dropped.
+    fn run(mut self, inbox: &Receiver<ShardEvent>) -> ServerNode {
+        loop {
+            let event = match self.driver.next_deadline() {
+                Some(deadline) => {
+                    let wait = deadline.saturating_sub(self.clock.now_ms());
+                    inbox.recv_timeout(Duration::from_millis(wait)).ok()
+                }
+                None => inbox.recv().ok(),
+            };
+            if self.step(event) {
+                return self.driver.into_node();
             }
         }
-        if runtime.acceptor_closed() && runtime.idle() {
-            return runtime.into_node();
+    }
+
+    /// Everything a shard does between two inbox waits: handle the event
+    /// that woke it (`None` is a timer deadline), fire due timers and
+    /// refresh the gauges. Returns `true` once the shard is shut down
+    /// and drained.
+    fn step(&mut self, event: Option<ShardEvent>) -> bool {
+        self.metrics.inc("polls", 1);
+        match event {
+            Some(ShardEvent::Open(session, writer, hello)) => self.open(session, writer, &hello),
+            Some(ShardEvent::Frame(session, frame)) => self.feed(session, &frame),
+            Some(ShardEvent::Closed(session, reason)) => self.close(session, reason),
+            Some(ShardEvent::Report(reply)) => {
+                // A caller that stopped waiting is not an error.
+                let _ = reply.send(self.report());
+            }
+            Some(ShardEvent::Shutdown) => self.closing = true,
+            None => {}
         }
-        if !busy {
-            std::thread::sleep(IDLE_NAP);
+        let io = self.driver.fire_due(self.clock.now_ms(), 0);
+        self.dispatch(io);
+        self.metrics.set_gauge("sessions_live", self.sessions.len() as i64);
+        self.metrics
+            .set_gauge("timers_pending", i64::from(!self.driver.timers_idle()));
+        self.closing && self.sessions.is_empty() && self.driver.timers_idle()
+    }
+
+    fn open(&mut self, session: SessionId, writer: Box<dyn FrameWriter>, hello: &[u8]) {
+        if self.closing {
+            // Dropping the writer refuses a session routed after shutdown.
+            return;
+        }
+        self.sessions.insert(session, writer);
+        self.metrics.inc("sessions_accepted", 1);
+        let io = self.driver.connected(session, self.clock.now_ms());
+        self.dispatch(io);
+        self.feed(session, hello);
+    }
+
+    fn feed(&mut self, session: SessionId, frame: &[u8]) {
+        if !self.sessions.contains_key(&session) {
+            // Closed here already: the reader's late frames are moot.
+            return;
+        }
+        self.metrics.inc("frames_fed", 1);
+        self.metrics.observe("frame_bytes", frame.len() as u64);
+        match self.driver.feed_frame(session, frame, self.clock.now_ms(), |_| 0) {
+            Ok(io) => self.dispatch(io),
+            // A frame that cannot be decoded means the peer is hopelessly
+            // confused; drop them.
+            Err(_) => {
+                self.metrics.inc("decode_failures", 1);
+                self.close(session, CloseReason::Decode);
+            }
         }
     }
-}
 
-/// The router's handle to one worker shard: the command channel plus
-/// the worker's join handle.
-pub struct ShardHandle<T> {
-    tx: Sender<ShardCommand<T>>,
-    join: JoinHandle<ServerNode>,
-}
+    /// Closes a session for `reason`. The first close wins: a session
+    /// that failed a send (`Error`) and whose reader later saw EOF keeps
+    /// the original reason.
+    fn close(&mut self, session: SessionId, reason: CloseReason) {
+        if let Some(io) = self.forget(session, reason) {
+            self.dispatch(io);
+        }
+    }
 
-impl<T> std::fmt::Debug for ShardHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardHandle").finish_non_exhaustive()
+    /// Drops a live session's writer — hanging up on the peer — and
+    /// reports the disconnect to the driver. `None` if it was not live.
+    fn forget(&mut self, session: SessionId, reason: CloseReason) -> Option<ServerIo> {
+        self.sessions.remove(&session)?;
+        self.metrics.inc("sessions_reaped", 1);
+        Some(self.driver.disconnected(session, reason, self.clock.now_ms()))
+    }
+
+    /// Journals the driver's storage intents and sends its frames. A
+    /// failed send closes that session, whose disconnect can emit more
+    /// output, so this works through a queue until nothing is left.
+    /// Armed deadlines are ignored: [`run`](Self::run) asks the driver
+    /// for its next deadline before every wait.
+    fn dispatch(&mut self, io: ServerIo) {
+        let mut work = vec![io];
+        while let Some(io) = work.pop() {
+            if let Some(sink) = &mut self.sink {
+                for record in &io.persists {
+                    sink.persist(record);
+                }
+                self.metrics.inc("records_persisted", io.persists.len() as u64);
+            }
+            for out in io.outbound {
+                let Some(writer) = self.sessions.get_mut(&out.session) else {
+                    continue;
+                };
+                if let Err(closed) = writer.write_frame(out.frame) {
+                    work.extend(self.forget(out.session, close_reason(closed)));
+                }
+            }
+        }
+    }
+
+    /// The driver's full [`NodeReport`] extended with a `server_runtime`
+    /// section from the loop's registry, plus the installed sink's
+    /// section (the durable store's journal counters) when there is one.
+    fn report(&self) -> NodeReport {
+        let mut report = self.driver.report();
+        report.add_section(self.metrics.to_section("server_runtime"));
+        if let Some(section) = self.sink.as_ref().and_then(|s| s.report_section()) {
+            report.add_section(section);
+        }
+        report
     }
 }
 
-impl<T: FrameTransport + Send + 'static> ShardHandle<T> {
-    /// Spawns a worker shard around a node (fresh or journal-restored)
-    /// and the sink its storage intents go to, if any.
-    fn spawn<C>(
-        index: usize,
-        node: ServerNode,
-        sink: Option<Box<dyn PersistSink>>,
-        clock: C,
-    ) -> Self
-    where
-        C: Clock + Send + 'static,
-    {
-        let (tx, rx) = channel();
-        let join = std::thread::Builder::new()
-            .name(format!("shadow-shard-{index}"))
-            .spawn(move || shard_worker(node, sink, rx, clock))
-            .expect("spawn shard worker thread");
-        ShardHandle { tx, join }
+/// What every session's reader shares: each shard's inbox and the
+/// routing counters.
+struct Router {
+    inboxes: Vec<Sender<ShardEvent>>,
+    next_session: AtomicU64,
+    routed: AtomicU64,
+    refused: AtomicU64,
+    /// Sessions whose reader has not yet routed or refused them.
+    pending: AtomicU64,
+}
+
+impl Router {
+    /// A session's reader thread: route on the first frame, then forward
+    /// every frame to the owning shard in order, then the close.
+    fn read_session(
+        &self,
+        session: SessionId,
+        mut reader: impl FrameReader,
+        writer: Box<dyn FrameWriter>,
+    ) {
+        let routed = match reader.read_frame() {
+            Ok(hello) => self.route(session, writer, hello),
+            // Hung up before saying anything: neither routed nor refused.
+            Err(_) => None,
+        };
+        // Only now, so a caller that sees no session pending knows every
+        // routed `Open` is already in its shard's inbox.
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+        let Some(inbox) = routed else {
+            return;
+        };
+        loop {
+            match reader.read_frame() {
+                Ok(frame) => {
+                    if inbox.send(ShardEvent::Frame(session, frame)).is_err() {
+                        return;
+                    }
+                }
+                Err(closed) => {
+                    let _ = inbox.send(ShardEvent::Closed(session, close_reason(closed)));
+                    return;
+                }
+            }
+        }
     }
 
-    /// Routes a peeked session to this shard. Returns `false` if the
-    /// worker is gone (the session drops, surfacing as a disconnect).
-    pub fn send_session(&self, transport: PeekedTransport<T>) -> bool {
-        self.tx.send(ShardCommand::NewSession(transport)).is_ok()
-    }
-
-    /// Requests a report snapshot, waiting up to [`REPORT_TIMEOUT`].
-    pub fn request_report(&self) -> Option<NodeReport> {
-        let (reply_tx, reply_rx) = channel();
-        self.tx.send(ShardCommand::ReportRequest(reply_tx)).ok()?;
-        reply_rx.recv_timeout(REPORT_TIMEOUT).ok()
-    }
-
-    /// Tells the worker to drain and exit, then joins it, returning the
-    /// shard's final protocol state.
-    pub fn shutdown(self) -> ServerNode {
-        let _ = self.tx.send(ShardCommand::Shutdown);
-        self.join.join().expect("shard worker panicked")
+    /// Opens the session on the shard that owns its `Hello`'s domain and
+    /// returns that shard's inbox. Anything but a `Hello` is refused:
+    /// both halves drop, which the peer sees as a hang-up.
+    fn route(
+        &self,
+        session: SessionId,
+        writer: Box<dyn FrameWriter>,
+        hello: Vec<u8>,
+    ) -> Option<&Sender<ShardEvent>> {
+        let opened = hello_domain(&hello).and_then(|domain| {
+            let inbox = &self.inboxes[shard_for(domain, self.inboxes.len())];
+            inbox.send(ShardEvent::Open(session, writer, hello)).ok()?;
+            Some(inbox)
+        });
+        let counter = if opened.is_some() { &self.routed } else { &self.refused };
+        counter.fetch_add(1, Ordering::SeqCst);
+        opened
     }
 }
 
-/// N domain-affine worker shards behind one routing acceptor.
+/// N domain-affine worker shards and the per-session reader threads
+/// that feed them.
 ///
-/// The router owns the deployment's [`SessionAcceptor`] and is polled by
-/// its owner (the deployments in `shadow` wrap
-/// [`poll_once`](Self::poll_once) in a thread or a blocking loop).
-/// Each accepted transport parks in a *pending* list until its first
-/// frame arrives; the frame must be the protocol's `Hello`, whose
-/// domain id picks the owning shard via [`shard_for`]. The frame
-/// travels with the transport (a [`PeekedTransport`]) so the shard's
-/// driver sees the byte stream unmodified from the first frame on.
-pub struct ShardedServerRuntime<A: SessionAcceptor> {
-    acceptor: A,
-    pending: Vec<A::Transport>,
-    shards: Vec<ShardHandle<A::Transport>>,
-    closed: bool,
-    routed: u64,
-    refused: u64,
+/// Its owner accepts sessions (the deployments in `shadow`: a new pipe
+/// per client, or a TCP listener) and hands each one, split into
+/// halves, to [`serve`](Self::serve). The session's first frame must be the
+/// protocol's `Hello`, whose domain id picks the owning shard via
+/// [`shard_for`]; that shard's driver sees the session's frames
+/// unmodified from the `Hello` on.
+pub struct ShardedServerRuntime {
+    router: Arc<Router>,
+    workers: Vec<JoinHandle<ServerNode>>,
 }
 
-impl<A: SessionAcceptor> std::fmt::Debug for ShardedServerRuntime<A> {
+impl std::fmt::Debug for ShardedServerRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedServerRuntime")
-            .field("shards", &self.shards.len())
-            .field("pending", &self.pending.len())
-            .field("closed", &self.closed)
-            .field("routed", &self.routed)
-            .field("refused", &self.refused)
+            .field("shards", &self.workers.len())
+            .field("pending", &self.pending_count())
+            .field("routed", &self.router.routed.load(Ordering::SeqCst))
+            .field("refused", &self.router.refused.load(Ordering::SeqCst))
             .finish_non_exhaustive()
     }
 }
 
-impl<A> ShardedServerRuntime<A>
-where
-    A: SessionAcceptor,
-    A::Transport: Send + 'static,
-{
-    /// Builds the runtime from pre-built per-shard parts: each shard's
-    /// node (fresh, or already restored from that shard's journal) and
-    /// the sink its storage intents are journaled to. Durable
-    /// deployments construct the parts so that shard `i`'s journal holds
-    /// exactly the domains [`shard_for`] maps to `i` — the journal
-    /// shards with the same affinity as the protocol state.
+impl ShardedServerRuntime {
+    /// Starts one worker shard per part: its node (fresh, or already
+    /// restored from that shard's journal) and the sink its storage
+    /// intents are journaled to. Durable deployments construct the
+    /// parts so that shard `i`'s journal holds exactly the domains
+    /// [`shard_for`] maps to `i` — the journal shards with the same
+    /// affinity as the protocol state.
     ///
     /// # Panics
     ///
     /// Panics when `parts` is empty: a deployment with zero shards
     /// cannot route anything.
-    pub fn from_parts<C>(
-        parts: Vec<(ServerNode, Option<Box<dyn PersistSink>>)>,
-        acceptor: A,
-        clock: C,
-    ) -> Self
-    where
-        C: Clock + Clone + Send + 'static,
-    {
+    pub fn from_parts(parts: Vec<(ServerNode, Option<Box<dyn PersistSink>>)>) -> Self {
         assert!(!parts.is_empty(), "a sharded runtime needs at least one shard");
-        let handles = parts
+        let clock = WallClock::new();
+        let (inboxes, workers) = parts
             .into_iter()
             .enumerate()
-            .map(|(i, (node, sink))| ShardHandle::spawn(i, node, sink, clock.clone()))
-            .collect();
+            .map(|(i, (node, sink))| {
+                let (tx, rx) = channel();
+                // The worker holds a sender to its own inbox, so the inbox
+                // never reports a disconnect: shutdown is always the
+                // explicit event, and a wait for a timer deadline is
+                // always a real wait.
+                let keepalive = tx.clone();
+                let join = std::thread::Builder::new()
+                    .name(format!("shadow-shard-{i}"))
+                    .spawn(move || {
+                        let _keepalive = keepalive;
+                        Shard::new(node, sink, clock).run(&rx)
+                    })
+                    .expect("spawn shard worker thread");
+                (tx, join)
+            })
+            .unzip();
         ShardedServerRuntime {
-            acceptor,
-            pending: Vec::new(),
-            shards: handles,
-            closed: false,
-            routed: 0,
-            refused: 0,
+            router: Arc::new(Router {
+                inboxes,
+                next_session: AtomicU64::new(1),
+                routed: AtomicU64::new(0),
+                refused: AtomicU64::new(0),
+                pending: AtomicU64::new(0),
+            }),
+            workers,
         }
     }
 
-    /// Sessions accepted but not yet routed (no `Hello` seen yet).
+    /// Serves one accepted session, split into its halves: starts the
+    /// session's reader thread, which routes it on its `Hello` and hands
+    /// the writer to the owning shard. A session whose reader cannot be
+    /// started is refused.
+    pub fn serve(&self, reader: impl FrameReader, writer: impl FrameWriter) {
+        let router = Arc::clone(&self.router);
+        let session = SessionId::new(router.next_session.fetch_add(1, Ordering::SeqCst));
+        router.pending.fetch_add(1, Ordering::SeqCst);
+        let writer: Box<dyn FrameWriter> = Box::new(writer);
+        let spawned = std::thread::Builder::new()
+            .name("shadow-session-reader".to_string())
+            .stack_size(READER_STACK)
+            .spawn(move || router.read_session(session, reader, writer));
+        if spawned.is_err() {
+            // Both halves dropped with the closure: the peer sees a hang-up.
+            self.router.refused.fetch_add(1, Ordering::SeqCst);
+            self.router.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Sessions accepted but not yet routed or refused (no first frame
+    /// read yet).
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when the router has nothing left to do: no new sessions can
-    /// arrive and none are parked awaiting a `Hello`. (Shards may still
-    /// be busy; [`shards_idle`](Self::shards_idle) asks them.)
-    pub fn router_idle(&self) -> bool {
-        self.closed && self.pending.is_empty()
-    }
-
-    /// One routing round: accept transports, peek `Hello`s, hand routed
-    /// sessions to their shards. Returns `true` if any work happened.
-    ///
-    /// # Errors
-    ///
-    /// Listener failures, exactly as [`ServerRuntime::poll_once`].
-    pub fn poll_once(&mut self) -> Result<bool, A::Error> {
-        let mut busy = false;
-
-        if !self.closed {
-            loop {
-                match self.acceptor.poll_accept()? {
-                    Accepted::Session(transport) => {
-                        self.pending.push(transport);
-                        busy = true;
-                    }
-                    Accepted::None => break,
-                    Accepted::Closed => {
-                        self.closed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        let mut i = 0;
-        while i < self.pending.len() {
-            match self.pending[i].try_recv_frame() {
-                Ok(Some(frame)) => {
-                    busy = true;
-                    let transport = self.pending.swap_remove(i);
-                    match hello_domain(&frame) {
-                        Some(domain) => {
-                            let shard = shard_for(domain, self.shards.len());
-                            if self.shards[shard]
-                                .send_session(PeekedTransport::new(frame, transport))
-                            {
-                                self.routed += 1;
-                            } else {
-                                self.refused += 1;
-                            }
-                        }
-                        // Not a Hello: the peer does not speak the
-                        // protocol; dropping the transport refuses it.
-                        None => self.refused += 1,
-                    }
-                }
-                Ok(None) => i += 1,
-                Err(_) => {
-                    // Hung up before saying Hello.
-                    self.pending.swap_remove(i);
-                    busy = true;
-                }
-            }
-        }
-
-        Ok(busy)
+        self.router.pending.load(Ordering::SeqCst) as usize
     }
 
     /// Asks every shard whether it has fully drained (no live sessions,
-    /// no pending timers). Conservative: an unreachable shard counts as
-    /// busy only if its worker is still running — a worker that already
-    /// returned its node is done by definition, but that state is only
-    /// observable at [`shutdown`](Self::shutdown), so callers use this
-    /// while the system is up.
+    /// no pending timers). A shard that does not answer has exited,
+    /// which is drained by definition.
     pub fn shards_idle(&self) -> bool {
-        self.shards.iter().all(|s| match s.request_report() {
-            Some(report) => {
+        self.router
+            .inboxes
+            .iter()
+            .filter_map(request_report)
+            .all(|report| {
                 report.value("server_runtime", "sessions_live") == 0.0
                     && report.value("server_runtime", "timers_pending") == 0.0
-            }
-            None => true,
-        })
+            })
     }
 
     /// The aggregate report: every shard's [`NodeReport`] merged
     /// key-wise (counters and gauges sum — each session, domain, and
     /// job lives on exactly one shard), plus a `shards` section with
-    /// router totals and a `shardN` section of headline gauges per
+    /// routing totals and a `shardN` section of headline gauges per
     /// shard.
     pub fn report(&self) -> NodeReport {
-        let snapshots: Vec<NodeReport> = self
-            .shards
-            .iter()
-            .filter_map(ShardHandle::request_report)
-            .collect();
+        let snapshots: Vec<NodeReport> =
+            self.router.inboxes.iter().filter_map(request_report).collect();
         let mut merged = merge_reports("server", &snapshots);
         merged.add_section(
             Section::new("shards")
-                .with("count", self.shards.len())
-                .with("routed", self.routed)
-                .with("refused", self.refused)
-                .with("pending", self.pending.len()),
+                .with("count", self.workers.len())
+                .with("routed", self.router.routed.load(Ordering::SeqCst))
+                .with("refused", self.router.refused.load(Ordering::SeqCst))
+                .with("pending", self.pending_count()),
         );
         for (i, snapshot) in snapshots.iter().enumerate() {
             let Some(name) = shard_section_name(i) else {
@@ -504,24 +484,56 @@ where
         merged
     }
 
-    /// Graceful drain: tells every shard to stop accepting, lets each
-    /// finish its live sessions and pending timers, and joins them all,
-    /// returning the final per-shard protocol states (index order).
-    pub fn shutdown(self) -> Vec<ServerNode> {
-        // Two passes so all shards drain concurrently instead of
-        // serially: first signal everyone, then join.
-        for shard in &self.shards {
-            let _ = shard.tx.send(ShardCommand::Shutdown);
-        }
-        self.shards.into_iter().map(ShardHandle::shutdown).collect()
+    /// Graceful drain: tells every shard to stop taking sessions, lets
+    /// each finish its live sessions and pending timers, and joins them
+    /// all, returning the final per-shard protocol states (index order).
+    pub fn shutdown(mut self) -> Vec<ServerNode> {
+        // Signal everyone first so all shards drain concurrently.
+        self.signal_shutdown();
+        std::mem::take(&mut self.workers)
+            .into_iter()
+            .map(|w| w.join().expect("shard worker panicked"))
+            .collect()
     }
+
+    fn signal_shutdown(&self) {
+        for inbox in &self.router.inboxes {
+            let _ = inbox.send(ShardEvent::Shutdown);
+        }
+    }
+}
+
+impl Drop for ShardedServerRuntime {
+    /// Dropped without [`shutdown`](Self::shutdown), the shards still
+    /// drain and exit on their own, detached.
+    fn drop(&mut self) {
+        self.signal_shutdown();
+    }
+}
+
+/// Requests a report snapshot from one shard, waiting up to
+/// [`REPORT_TIMEOUT`].
+fn request_report(inbox: &Sender<ShardEvent>) -> Option<NodeReport> {
+    let (reply, answer) = channel();
+    inbox.send(ShardEvent::Report(reply)).ok()?;
+    answer.recv_timeout(REPORT_TIMEOUT).ok()
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
-
     use super::*;
+    use shadow_proto::{HostName, PROTOCOL_VERSION};
+    use shadow_server::ServerConfig;
+
+    fn hello(domain: u64) -> Vec<u8> {
+        Frame::encode(&ClientMessage::Hello {
+            domain: DomainId::new(domain),
+            host: HostName::new("ws"),
+            protocol: PROTOCOL_VERSION,
+            epoch: 0,
+            resume: Vec::new(),
+        })
+    }
 
     #[test]
     fn shard_assignment_is_stable_and_in_range() {
@@ -546,14 +558,7 @@ mod tests {
 
     #[test]
     fn hello_peek_rejects_non_hello() {
-        let hello = Frame::encode(&ClientMessage::Hello {
-            domain: DomainId::new(9),
-            host: shadow_proto::HostName::new("ws"),
-            protocol: shadow_proto::PROTOCOL_VERSION,
-            epoch: 0,
-            resume: Vec::new(),
-        });
-        assert_eq!(hello_domain(&hello), Some(DomainId::new(9)));
+        assert_eq!(hello_domain(&hello(9)), Some(DomainId::new(9)));
         let status = Frame::encode(&ClientMessage::StatusQuery {
             request: shadow_proto::RequestId::new(1),
             job: None,
@@ -563,36 +568,30 @@ mod tests {
         assert_eq!(hello_domain(&[]), None);
     }
 
-    /// A loopback FrameTransport over two VecDeques, single-threaded.
-    #[derive(Debug, Default)]
-    struct LoopTransport {
-        inbound: VecDeque<Vec<u8>>,
-        outbound: Vec<Vec<u8>>,
-    }
+    /// A writer whose peer is already gone.
+    struct ResetWriter;
 
-    impl FrameTransport for LoopTransport {
-        fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
-            self.outbound.push(frame);
-            Ok(())
-        }
-
-        fn recv_frame(
-            &mut self,
-            _timeout: Duration,
-        ) -> Result<Option<Vec<u8>>, TransportClosed> {
-            Ok(self.inbound.pop_front())
+    impl FrameWriter for ResetWriter {
+        fn write_frame(&mut self, _frame: Vec<u8>) -> Result<(), TransportClosed> {
+            Err(TransportClosed::Error(std::io::ErrorKind::ConnectionReset))
         }
     }
 
     #[test]
-    fn peeked_transport_replays_first_frame_once() {
-        let mut inner = LoopTransport::default();
-        inner.inbound.push_back(b"second".to_vec());
-        let mut t = PeekedTransport::new(b"first".to_vec(), inner);
-        assert_eq!(t.try_recv_frame().unwrap(), Some(b"first".to_vec()));
-        assert_eq!(t.try_recv_frame().unwrap(), Some(b"second".to_vec()));
-        assert_eq!(t.try_recv_frame().unwrap(), None);
-        t.send_frame(b"out".to_vec()).unwrap();
-        assert_eq!(t.inner.outbound, vec![b"out".to_vec()]);
+    fn the_first_close_reason_wins() {
+        let node = ServerNode::new(ServerConfig::new("sc"));
+        let mut shard = Shard::new(node, None, WallClock::new());
+        let session = SessionId::new(1);
+        // Answering the Hello fails, which closes the session as `Error`…
+        shard.step(Some(ShardEvent::Open(session, Box::new(ResetWriter), hello(1))));
+        // …so the reader's later EOF and straggling frames change nothing.
+        shard.step(Some(ShardEvent::Closed(session, CloseReason::Clean)));
+        shard.step(Some(ShardEvent::Frame(session, b"late".to_vec())));
+        let report = shard.report();
+        assert_eq!(report.counter("server", "closed_error"), 1);
+        assert_eq!(report.counter("server", "closed_clean"), 0);
+        assert_eq!(report.counter("server_runtime", "sessions_reaped"), 1);
+        assert_eq!(report.counter("server_runtime", "frames_fed"), 1);
+        assert!(shard.sessions.is_empty());
     }
 }

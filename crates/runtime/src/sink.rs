@@ -2,7 +2,7 @@
 //!
 //! The sans-io [`ServerNode`](shadow_server::ServerNode) only *emits*
 //! `ServerAction::Persist(record)`; whether (and where) records become
-//! durable is a deployment decision. The poll loops hand every record
+//! durable is a deployment decision. Each shard hands every record
 //! from a [`ServerIo`](crate::ServerIo) to the installed sink in
 //! emission order. `shadow-store` provides the journaling sink; tests
 //! use [`VecSink`]; diskless deployments install none.
@@ -15,18 +15,15 @@ use shadow_proto::PersistRecord;
 /// shard's worker thread (journals shard with the same domain affinity
 /// as the servers). Implementations must be infallible from the
 /// caller's perspective: durability is best-effort by design, so an
-/// I/O error should degrade (count, drop) rather than poison the poll
+/// I/O error should degrade (count, drop) rather than poison the shard
 /// loop.
 pub trait PersistSink: Send + std::fmt::Debug {
     /// Appends one record.
     fn persist(&mut self, record: &PersistRecord);
 
-    /// The sink's observability section, if it keeps counters. The poll
-    /// loop appends it to [`ServerRuntime::report`] so a durable
-    /// deployment's report shows its journal behaviour next to the
-    /// protocol metrics.
-    ///
-    /// [`ServerRuntime::report`]: crate::ServerRuntime::report
+    /// The sink's observability section, if it keeps counters. The
+    /// shard appends it to its report so a durable deployment's report
+    /// shows its journal behaviour next to the protocol metrics.
     fn report_section(&self) -> Option<shadow_obs::Section> {
         None
     }

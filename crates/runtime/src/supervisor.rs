@@ -11,10 +11,9 @@
 //! under a [`VirtualClock`](crate::VirtualClock) in tests and under
 //! wall time in deployments.
 //!
-//! The dial itself is abstracted behind [`Connector`], the outbound
-//! mirror of [`SessionAcceptor`](crate::SessionAcceptor): the live
-//! system connects in-process pipes, the TCP client dials a socket, and
-//! tests script arbitrary failure sequences.
+//! The dial itself is abstracted behind [`Connector`]: the live system
+//! connects in-process pipes, the TCP client dials a socket, and tests
+//! script arbitrary failure sequences.
 
 use shadow_obs::{Section, Snapshot};
 
@@ -364,10 +363,6 @@ mod tests {
             &mut self,
             _timeout: std::time::Duration,
         ) -> Result<Option<Vec<u8>>, TransportClosed> {
-            Ok(None)
-        }
-
-        fn try_recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportClosed> {
             Ok(None)
         }
     }

@@ -70,14 +70,26 @@ pub trait FrameTransport {
     /// Sends one frame.
     fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed>;
 
-    /// Receives one frame, waiting up to `timeout`. `Ok(None)` means
-    /// the wait elapsed with nothing to read.
+    /// Receives one frame, waiting up to `timeout` (`Duration::ZERO`
+    /// does not wait). `Ok(None)` means the wait elapsed with nothing to
+    /// read.
     fn recv_frame(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportClosed>;
+}
 
-    /// Receives one frame without waiting.
-    fn try_recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportClosed> {
-        self.recv_frame(Duration::ZERO)
-    }
+/// The receiving half of a server-side session, split from its
+/// transport: the session's reader thread blocks on it.
+pub trait FrameReader: Send + 'static {
+    /// Blocks until the next whole frame arrives or the peer goes.
+    fn read_frame(&mut self) -> Result<Vec<u8>, TransportClosed>;
+}
+
+/// The sending half of a server-side session, split from its
+/// transport: the shard serving the session keeps it. Dropping it
+/// closes the session for the peer, so a shard that drops a session
+/// also hangs up on it.
+pub trait FrameWriter: Send + 'static {
+    /// Sends one frame.
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed>;
 }
 
 #[cfg(test)]

@@ -250,7 +250,7 @@ fn scheduled_reset_fails_over_to_a_fresh_transport() {
 }
 
 /// Resumption must compose with sharding: the resume `Hello` carries
-/// the client's domain, so the router lands the new connection on the
+/// the client's domain, so the session's reader lands the new connection on the
 /// shard that holds the cached versions — on any other shard the
 /// resubmission could only be a full transfer.
 #[test]
@@ -294,7 +294,7 @@ fn two_shard_resume_lands_on_the_owning_shard() {
             .unwrap();
         assert!(
             matches!(ready, Notification::SessionReady { resumed: true, .. }),
-            "domain {d}: resumption must survive the shard router"
+            "domain {d}: resumption must survive shard routing"
         );
         resubmit_after_resume(&mut client, &tag, content);
         drop(client);

@@ -147,7 +147,7 @@ fn sharded_and_single_runtimes_agree_per_domain() {
 
 /// A mid-run disconnect must not change where a domain's state lives:
 /// the client abandons its pipe between the first job and the edit,
-/// resumes over a fresh transport, and the router must land the new
+/// resumes over a fresh transport, and the session's reader must land the new
 /// session back on the owning shard — proved by the resubmission still
 /// travelling as a delta against that shard's cache.
 #[test]
