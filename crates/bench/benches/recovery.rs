@@ -19,6 +19,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::slice;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -90,6 +91,14 @@ fn submit_records(i: usize) -> [PersistRecord; 3] {
     ]
 }
 
+/// Journals `record` as a shard does: the server applies it, the store
+/// appends it, then snapshots whatever domain fell due.
+fn journal(node: &mut ServerNode, store: &mut DurableStore, record: &PersistRecord) {
+    node.restore(slice::from_ref(record));
+    store.persist(record);
+    store.compact(&mut |domain| node.snapshot(domain));
+}
+
 /// Appends `n` records journaled `compact_every` apart, returning the
 /// store root and the on-disk footprint in bytes.
 fn build_journal(tag: &str, n: usize, compact_every: usize) -> (PathBuf, u64) {
@@ -97,8 +106,9 @@ fn build_journal(tag: &str, n: usize, compact_every: usize) -> (PathBuf, u64) {
     let mut store = DurableStore::open(&root)
         .expect("open store")
         .with_compact_every(compact_every);
+    let mut node = ServerNode::new(ServerConfig::new("superc"));
     for i in 0..n {
-        store.persist(&record(i));
+        journal(&mut node, &mut store, &record(i));
     }
     drop(store);
     let mut bytes = 0;
@@ -117,12 +127,12 @@ fn build_journal(tag: &str, n: usize, compact_every: usize) -> (PathBuf, u64) {
     (root, bytes)
 }
 
-/// Times a cold start over `root`: open (which replays segments), then
-/// materialize and restore into a fresh server node. Returns
-/// `(millis, records_restored)`.
+/// Times a cold start over `root`: open (which reads and repairs the
+/// segments), then restore the salvaged records into a fresh server
+/// node. Returns `(millis, records_restored)`.
 fn time_replay(root: &PathBuf) -> (f64, usize) {
     let start = Instant::now();
-    let store = DurableStore::open(root).expect("reopen store");
+    let mut store = DurableStore::open(root).expect("reopen store");
     let recovered = store.recovered();
     let mut node = ServerNode::new(ServerConfig::new("superc"));
     let summary = node.restore(&recovered);
@@ -146,10 +156,11 @@ fn main() {
     // Write path: one submission = three journaled records.
     let root = scratch_dir("append");
     let mut store = DurableStore::open(&root).expect("open store");
+    let mut node = ServerNode::new(ServerConfig::new("superc"));
     let start = Instant::now();
     for i in 0..submits {
         for r in submit_records(i) {
-            store.persist(&r);
+            journal(&mut node, &mut store, &r);
         }
     }
     let elapsed = start.elapsed();

@@ -3,7 +3,8 @@
 //! Where [`lint`](crate::lint) greps single files for forbidden tokens,
 //! this module builds an actual model of the workspace — every `fn`,
 //! every resolvable call edge, every primitive effect — and asks
-//! *transitive* questions: can a panic be reached from the wire decoder,
+//! *transitive* questions: can a panic be reached from untrusted input
+//! (the wire decoder, journal replay),
 //! an allocation from the zero-copy diff loop, a wall-clock read or a
 //! filesystem touch from a pure crate's API, a blocking call from a
 //! shard poll function? The

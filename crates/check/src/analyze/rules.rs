@@ -8,7 +8,7 @@
 //!
 //! | rule          | entries                                   | forbidden facts |
 //! |---------------|-------------------------------------------|-----------------|
-//! | `panic-reach` | `Frame::decode`, `*Message::decode_body`  | panic           |
+//! | `panic-reach` | `Frame::decode`, `*Message::decode_body`, `ServerNode::restore`, `DurableStore::open_shard` | panic |
 //! | `alloc-reach` | `diff_docs`, `apply_delta`, chunk codec   | alloc           |
 //! | `clock-reach` | every `pub fn` of a pure crate            | clock           |
 //! | `fs-reach`    | every `pub fn` of a pure crate            | fs              |
@@ -176,27 +176,31 @@ fn missing_entries(rule: &'static str, what: &str) -> AnalysisFinding {
 pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
     let mut findings = Vec::new();
 
-    // Rule a: nothing panicking reachable from the wire entry points.
-    let wire_entries = entries_of(
+    // Rule a: nothing panicking reachable from the entry points that
+    // take untrusted bytes: wire decode (the socket) and journal replay
+    // (the disk).
+    let untrusted_entries = entries_of(
         ws,
         &[
             ("proto", Some("Frame"), "decode"),
             ("proto", Some("ClientMessage"), "decode_body"),
             ("proto", Some("ServerMessage"), "decode_body"),
+            ("server", Some("ServerNode"), "restore"),
+            ("store", Some("DurableStore"), "open_shard"),
         ],
     );
-    if wire_entries.is_empty() {
-        findings.push(missing_entries("panic-reach", "wire decode"));
+    if untrusted_entries.is_empty() {
+        findings.push(missing_entries("panic-reach", "untrusted input"));
     } else {
         let r = reach(ws, g, |f| f.kind == FactKind::Panic);
-        for &e in &wire_entries {
+        for &e in &untrusted_entries {
             if r.reachable[e] {
                 findings.push(finding_for(
                     ws,
                     &r,
                     "panic-reach",
                     e,
-                    "panic reachable from wire decode",
+                    "panic reachable from untrusted input (socket or disk)",
                 ));
             }
         }

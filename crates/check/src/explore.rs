@@ -40,6 +40,7 @@ impl Profile {
                 dups: 1,
                 reorder_window: 2,
                 crashes: 1,
+                compactions: 1,
                 disconnects: 1,
             },
         }
@@ -56,6 +57,7 @@ impl Profile {
                 dups: 2,
                 reorder_window: 3,
                 crashes: 1,
+                compactions: 1,
                 disconnects: 2,
             },
         }
@@ -77,6 +79,7 @@ impl Profile {
                 dups: 0,
                 reorder_window: 2,
                 crashes: 0,
+                compactions: 0,
                 disconnects: 0,
             },
         }
@@ -94,6 +97,7 @@ impl Profile {
                 dups: 0,
                 reorder_window: 1,
                 crashes: 0,
+                compactions: 0,
                 disconnects: 0,
             },
         }

@@ -26,8 +26,8 @@
 //!   panicking constructs in wire-decode paths, and full message/event
 //!   variant coverage in the round-trip tests.
 //! * [`analyze`] upgrades those per-file checks to whole-workspace
-//!   call-graph reachability: no panic reachable from the wire decoder,
-//!   no allocation from the zero-copy diff hot path, no wall-clock read
+//!   call-graph reachability: no panic reachable from untrusted input
+//!   (the wire decoder, journal replay), no allocation from the zero-copy diff hot path, no wall-clock read
 //!   from a pure crate's public API, no blocking call inside the shard
 //!   poll loops — each proven transitively, across file and crate
 //!   boundaries, with printed witness chains.

@@ -44,6 +44,10 @@ pub enum Choice {
     /// replay its journal into a fresh node, and re-handshake
     /// (consumes crash budget).
     CrashRestart,
+    /// Compact the journal: replace it with the server's own
+    /// `ServerNode::snapshot` of the domain, as the durable store does
+    /// (consumes compaction budget).
+    Compact,
     /// Cut the transport (in-flight frames lost, server state intact),
     /// then reconnect and run the resumption handshake (consumes
     /// disconnect budget).
@@ -62,6 +66,7 @@ impl fmt::Display for Choice {
             Choice::FireTimer => write!(f, "fire timer"),
             Choice::NextOp => write!(f, "next op"),
             Choice::CrashRestart => write!(f, "crash+restart"),
+            Choice::Compact => write!(f, "compact"),
             Choice::LinkDown => write!(f, "link down+resume"),
         }
     }
@@ -211,6 +216,9 @@ pub struct Budgets {
     pub reorder_window: usize,
     /// Total server crash/restart events (journal replay) allowed.
     pub crashes: u32,
+    /// Total journal compactions (snapshot of the server's state)
+    /// allowed.
+    pub compactions: u32,
     /// Total link-cut/resume events (session resumption) allowed.
     pub disconnects: u32,
 }
@@ -233,15 +241,17 @@ pub struct World {
     dups_left: u32,
     reorder_window: usize,
     crashes_left: u32,
+    compactions_left: u32,
     disconnects_left: u32,
     /// Any crash happened on this branch: in-flight frames and running
     /// jobs were legitimately lost, so end-state convergence claims are
     /// off (step invariants still hold).
     crashed: bool,
-    /// The durable-store model: every `Persist` record the server
-    /// emitted, in emission order. A crash replays this journal into a
-    /// fresh node exactly as `DurableStore::recovered` feeds
-    /// `ServerNode::restore`.
+    /// The durable-store model: the last compaction's snapshot (empty
+    /// before any), then every `Persist` record the server emitted
+    /// since, in emission order. A crash replays this journal into a
+    /// fresh node through `ServerNode::restore`, exactly as a durable
+    /// deployment replays what `DurableStore::recovered` hands it.
     journal: Vec<shadow_proto::PersistRecord>,
     /// Running digest of the journal (part of state identity without
     /// rehashing every record each step).
@@ -285,6 +295,7 @@ impl World {
             dups_left: budgets.dups,
             reorder_window: budgets.reorder_window.max(1),
             crashes_left: budgets.crashes,
+            compactions_left: budgets.compactions,
             disconnects_left: budgets.disconnects,
             crashed: false,
             journal: Vec::new(),
@@ -367,6 +378,9 @@ impl World {
         if self.crashes_left > 0 {
             out.push(Choice::CrashRestart);
         }
+        if self.compactions_left > 0 {
+            out.push(Choice::Compact);
+        }
         if self.disconnects_left > 0 {
             out.push(Choice::LinkDown);
         }
@@ -435,6 +449,9 @@ impl World {
             Choice::CrashRestart => {
                 self.crash_restart()?;
             }
+            Choice::Compact => {
+                self.compact();
+            }
             Choice::LinkDown => {
                 self.link_down_resume()?;
             }
@@ -501,6 +518,16 @@ impl World {
         let hello = self.client.connect(self.conn, self.now_ms);
         self.queue_client_out(&hello);
         self.drain_handshake()
+    }
+
+    /// Compacts the journal as the durable store does: the records so
+    /// far give way to the server's snapshot of its domain. A later
+    /// crash then replays the snapshot and whatever followed it, so
+    /// coherence after a restart checks the snapshot path too.
+    fn compact(&mut self) {
+        self.compactions_left -= 1;
+        self.journal = self.server.node().snapshot(self.domain);
+        self.journal_hash = journal_digest(0, &self.journal);
     }
 
     /// Cuts the transport and immediately resumes: in-flight frames die
@@ -579,14 +606,8 @@ impl World {
     /// must never regress within a cache lifetime, and no rejection may
     /// be emitted for our established session.
     fn queue_server_io(&mut self, io: &ServerIo) -> Result<(), Violation> {
-        for record in &io.persists {
-            use std::hash::{Hash, Hasher};
-            let mut h = StableHasher::new();
-            self.journal_hash.hash(&mut h);
-            Frame::encode(record).hash(&mut h);
-            self.journal_hash = h.finish();
-            self.journal.push(record.clone());
-        }
+        self.journal_hash = journal_digest(self.journal_hash, &io.persists);
+        self.journal.extend(io.persists.iter().cloned());
         for o in &io.outbound {
             debug_assert_eq!(o.session, self.session);
             if let Ok(Some((ServerMessage::VersionAck { file, version }, _))) =
@@ -759,6 +780,7 @@ impl World {
         self.drops_left.hash(&mut h);
         self.dups_left.hash(&mut h);
         self.crashes_left.hash(&mut h);
+        self.compactions_left.hash(&mut h);
         self.disconnects_left.hash(&mut h);
         self.crashed.hash(&mut h);
         self.journal_hash.hash(&mut h);
@@ -773,6 +795,18 @@ impl World {
         }
         h.finish()
     }
+}
+
+/// Folds `records` into a running journal digest that starts at `hash`.
+fn journal_digest(mut hash: u64, records: &[shadow_proto::PersistRecord]) -> u64 {
+    use std::hash::{Hash, Hasher};
+    for record in records {
+        let mut h = StableHasher::new();
+        hash.hash(&mut h);
+        Frame::encode(record).hash(&mut h);
+        hash = h.finish();
+    }
+    hash
 }
 
 fn feed_violation(receiver: &'static str, e: FeedError) -> Violation {
@@ -801,6 +835,7 @@ mod tests {
             dups: 0,
             reorder_window: 1,
             crashes: 0,
+            compactions: 0,
             disconnects: 0,
         }
     }
@@ -897,6 +932,55 @@ mod tests {
         }
         // Convergence claims are off after a crash (running jobs died
         // with the server), but no step invariant fired above.
+        assert_eq!(w.check_quiescent(), None);
+    }
+
+    #[test]
+    fn compaction_then_crash_restart_replays_the_snapshot_and_stays_coherent() {
+        let s = &builtin_scenarios()[0];
+        let mut w = World::new(
+            s,
+            Budgets {
+                crashes: 1,
+                compactions: 1,
+                ..budgets()
+            },
+            FaultInjection::default(),
+        );
+        let mut steps = 0;
+        while !w.quiescent() {
+            let choice = w.enabled()[0];
+            w.apply(choice).expect("clean run");
+            steps += 1;
+            assert!(steps < 500, "did not quiesce");
+        }
+        let digest_before = w.state_digest();
+        w.apply(Choice::Compact).expect("compaction changes no protocol state");
+        assert_ne!(w.state_digest(), digest_before, "a compaction is a new state");
+        assert!(!w.enabled().contains(&Choice::Compact), "compaction budget is spent");
+        // Compaction alone leaves the server untouched: still converged.
+        assert_eq!(w.check_quiescent(), None);
+
+        w.apply(Choice::CrashRestart)
+            .expect("replaying the snapshot must not violate cache coherence");
+        assert_eq!(
+            w.server.node().cached_keys(),
+            w.journal
+                .iter()
+                .filter_map(|r| match r {
+                    shadow_proto::PersistRecord::CacheFull { key, .. } => Some(*key),
+                    _ => None,
+                })
+                .collect::<Vec<_>>(),
+            "the restarted node holds exactly the snapshot's cache"
+        );
+        let mut steps = 0;
+        while !w.quiescent() {
+            let choice = w.enabled()[0];
+            w.apply(choice).expect("post-crash run stays coherent");
+            steps += 1;
+            assert!(steps < 500, "did not re-quiesce");
+        }
         assert_eq!(w.check_quiescent(), None);
     }
 

@@ -38,7 +38,7 @@ fn rule_findings(root: &Path, rule: &str) -> Vec<AnalysisFinding> {
 }
 
 /// `shadow-check analyze` passes on main with no baseline: no panic
-/// reachable from the wire decoder, no allocation from the diff hot
+/// reachable from untrusted input, no allocation from the diff hot
 /// path, no clock read from a pure crate, no blocking shard poll.
 #[test]
 fn workspace_analysis_is_clean() {

@@ -29,10 +29,10 @@
 //! ```
 //!
 //! With [`durable`](Deployment::durable), every shard opens its slice of
-//! the store ([`DurableStore::open_shard`]), replays its journal into its
-//! `ServerNode` *before* serving, and journals every subsequent shadow
-//! mutation — so a client that held `vN` before the restart still gets a
-//! delta, not a full transfer, afterwards.
+//! the store ([`DurableStore::open_shard`]), replays the salvaged records
+//! through `ServerNode::restore` *before* serving, and journals every
+//! subsequent shadow mutation — so a client that held `vN` before the
+//! restart still gets a delta, not a full transfer, afterwards.
 
 use std::error::Error;
 use std::fmt;
@@ -141,9 +141,10 @@ impl Deployment {
             let mut node = ServerNode::new(self.config.clone());
             let sink = match &self.durable {
                 Some(root) => {
-                    let store = DurableStore::open_shard(root, index, self.shards)?;
-                    merge_summary(&mut recovery, store.summary());
-                    node.restore(&store.recovered());
+                    let mut store = DurableStore::open_shard(root, index, self.shards)?;
+                    let mut summary = store.summary();
+                    summary.dropped_records = node.restore(&store.recovered()).skipped;
+                    merge_summary(&mut recovery, summary);
                     Some(Box::new(store) as Box<dyn PersistSink>)
                 }
                 None => None,

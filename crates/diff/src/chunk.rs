@@ -467,28 +467,20 @@ impl std::error::Error for ChunkDeltaError {}
 /// unknown version or op tag, copies outside the base, or reconstructs a
 /// length other than the one declared in the header.
 pub fn apply_chunk_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, ChunkDeltaError> {
-    if delta.len() < 5 {
-        return Err(ChunkDeltaError::Truncated);
-    }
-    if delta[0] != CHUNK_FORMAT_VERSION {
+    let (&version, _) = delta.split_first().ok_or(ChunkDeltaError::Truncated)?;
+    let target_len = le_u32(delta, 1).ok_or(ChunkDeltaError::Truncated)?;
+    if version != CHUNK_FORMAT_VERSION {
         return Err(ChunkDeltaError::UnknownVersion);
     }
-    let target_len =
-        u32::from_le_bytes(delta[1..5].try_into().expect("header is 4 bytes")) as usize;
     let mut out = Vec::with_capacity(target_len.min(MAX_APPLY_RESERVE));
     let mut pos = 5usize;
-    while pos < delta.len() {
-        let tag = delta[pos];
+    while let Some(&tag) = delta.get(pos) {
         pos += 1;
         match tag {
             OP_COPY => {
-                let fields = delta
-                    .get(pos..pos + 8)
+                let (base_off, len) = le_u32(delta, pos)
+                    .zip(le_u32(delta, pos + 4))
                     .ok_or(ChunkDeltaError::Truncated)?;
-                let base_off =
-                    u32::from_le_bytes(fields[0..4].try_into().expect("field is 4 bytes")) as usize;
-                let len =
-                    u32::from_le_bytes(fields[4..8].try_into().expect("field is 4 bytes")) as usize;
                 pos += 8;
                 let src = base
                     .get(base_off..base_off + len)
@@ -499,11 +491,7 @@ pub fn apply_chunk_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, ChunkDelt
                 out.extend_from_slice(src);
             }
             OP_INSERT => {
-                let field = delta
-                    .get(pos..pos + 4)
-                    .ok_or(ChunkDeltaError::Truncated)?;
-                let len =
-                    u32::from_le_bytes(field.try_into().expect("field is 4 bytes")) as usize;
+                let len = le_u32(delta, pos).ok_or(ChunkDeltaError::Truncated)?;
                 pos += 4;
                 let literal = delta
                     .get(pos..pos + len)
@@ -521,6 +509,13 @@ pub fn apply_chunk_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, ChunkDelt
         return Err(ChunkDeltaError::LengthMismatch);
     }
     Ok(out)
+}
+
+/// The little-endian `u32` at `bytes[at..at + 4]`, if the slice is long
+/// enough.
+fn le_u32(bytes: &[u8], at: usize) -> Option<usize> {
+    let field = bytes.get(at..at.checked_add(4)?)?;
+    Some(u32::from_le_bytes(field.try_into().ok()?) as usize)
 }
 
 /// Byte window sniffed for NUL bytes when deciding whether a document is

@@ -74,10 +74,13 @@ impl DocBuf {
     /// assert_eq!(doc.as_bytes(), b"alpha\nbeta");
     /// ```
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        assert!(
-            u32::try_from(bytes.len()).is_ok(),
-            "DocBuf is limited to u32::MAX bytes"
-        );
+        Self::try_from_bytes(bytes).expect("DocBuf is limited to u32::MAX bytes")
+    }
+
+    /// [`from_bytes`](Self::from_bytes) for bytes that may be
+    /// untrusted: `None` instead of a panic when they exceed `u32::MAX`.
+    pub fn try_from_bytes(bytes: Vec<u8>) -> Option<Self> {
+        u32::try_from(bytes.len()).ok()?;
         let trailing_newline = bytes.last() == Some(&b'\n');
         let mut line_starts = Vec::with_capacity(bytes.len() / 32 + 2);
         if !bytes.is_empty() {
@@ -90,13 +93,13 @@ impl DocBuf {
             }
         }
         line_starts.push(bytes.len() as u32);
-        DocBuf {
+        Some(DocBuf {
             inner: Arc::new(DocInner {
                 bytes,
                 line_starts,
                 trailing_newline,
             }),
-        }
+        })
     }
 
     /// Convenience constructor from a `&str` (handy in tests and examples).

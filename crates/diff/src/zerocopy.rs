@@ -617,7 +617,7 @@ impl BaseCursor<'_> {
     fn advance_to(&mut self, upto: usize) -> usize {
         debug_assert!(upto >= self.line && upto <= self.base_lines);
         while self.line < upto {
-            let rest = &self.base[self.byte..];
+            let rest = self.base.get(self.byte..).unwrap_or_default();
             match rest.iter().position(|&b| b == b'\n') {
                 Some(k) => self.byte += k + 1,
                 None => self.byte = self.base.len(),
@@ -633,8 +633,8 @@ impl BaseCursor<'_> {
         let start = self.byte;
         let reaches_end = upto == self.base_lines;
         let end = self.advance_to(upto);
-        if end > start {
-            out.extend_from_slice(&self.base[start..end]);
+        if let Some(lines) = self.base.get(start..end).filter(|l| !l.is_empty()) {
+            out.extend_from_slice(lines);
             if reaches_end && !self.base_trailing {
                 out.push(b'\n');
             }
@@ -650,19 +650,13 @@ impl BaseCursor<'_> {
 /// Copies the raw insert lines `script[start..end]` onto `out`,
 /// unescaping the leading-dot convention line by line.
 fn copy_insert(script: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
-    let mut pos = start;
-    while pos < end {
-        let rest = &script[pos..end];
-        let line_len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-        let line = &rest[..line_len];
-        let content = if line.first() == Some(&b'.') {
-            &line[1..] // unescape '..' (and '.x' -> 'x')
-        } else {
-            line
-        };
+    let block = script.get(start..end).unwrap_or_default();
+    for line in block.split_inclusive(|&b| b == b'\n') {
+        let line = line.strip_suffix(b"\n").unwrap_or(line);
+        // Unescape '..' (and '.x' -> 'x').
+        let content = line.strip_prefix(b".").unwrap_or(line);
         out.extend_from_slice(content);
         out.push(b'\n');
-        pos += line_len + 1;
     }
 }
 
@@ -676,12 +670,10 @@ fn parse_script(script: &[u8]) -> Result<(Vec<RawCommand>, bool), DeltaError> {
     let mut pos = 0usize;
     let mut lineno = 0usize;
 
-    while pos < script.len() {
+    while let Some(rest) = script.get(pos..).filter(|r| !r.is_empty()) {
         lineno += 1;
-        let rest = &script[pos..];
-        let line_len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-        let raw = &rest[..line_len];
-        pos = (pos + line_len + 1).min(script.len());
+        let raw = first_line(rest);
+        pos = (pos + raw.len() + 1).min(script.len());
 
         if raw == b"w" || raw == b"W" {
             target_trailing_newline = Some(raw == b"w");
@@ -739,12 +731,10 @@ fn read_insert_range(
     lineno: &mut usize,
 ) -> Result<(usize, usize, usize), DeltaError> {
     let start = pos;
-    while pos < script.len() {
+    while let Some(rest) = script.get(pos..).filter(|r| !r.is_empty()) {
         *lineno += 1;
-        let rest = &script[pos..];
-        let line_len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
-        let raw = &rest[..line_len];
-        let next = (pos + line_len + 1).min(script.len());
+        let raw = first_line(rest);
+        let next = (pos + raw.len() + 1).min(script.len());
         if raw == b"." {
             return Ok((start, pos, next));
         }
@@ -757,13 +747,17 @@ fn read_insert_range(
     .into())
 }
 
+/// `bytes` up to (not including) its first `\n`.
+fn first_line(bytes: &[u8]) -> &[u8] {
+    bytes.split(|&b| b == b'\n').next().unwrap_or_default()
+}
+
 /// Splits a command line like `3,7c` / `12a` into its address and opcode.
 fn split_command(raw: &[u8]) -> Option<((usize, usize), u8)> {
-    if raw.len() < 2 {
+    let (&op, addr) = raw.split_last()?;
+    if addr.is_empty() {
         return None;
     }
-    let op = *raw.last()?;
-    let addr = &raw[..raw.len() - 1];
     let text = std::str::from_utf8(addr).ok()?;
     if let Some((a, b)) = text.split_once(',') {
         let a: usize = a.parse().ok()?;

@@ -49,7 +49,7 @@ impl ContentDigest {
         let mut h = FNV_OFFSET;
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {
-            let w = u64::from_le_bytes(word.try_into().expect("word is 8 bytes"));
+            let w = u64::from_le_bytes(word.try_into().unwrap_or([0; 8]));
             h = (h ^ w).wrapping_mul(FNV_PRIME);
         }
         let mut tail = 0u64;

@@ -10,8 +10,8 @@
 //!
 //! Records archive *deltas*, not materialized versions, whenever the
 //! client sent a delta: the journal is then a compressed version chain in
-//! the spirit of differential archiving, and snapshot compaction is what
-//! re-materializes it. Every record names its [`DomainId`] so journals
+//! the spirit of differential archiving, and snapshot compaction (the
+//! server's own `ServerNode::snapshot`) is what re-materializes it. Every record names its [`DomainId`] so journals
 //! shard with the same domain affinity as the server runtime.
 
 use bytes::{BufMut, Bytes, BytesMut};

@@ -231,9 +231,11 @@ impl Shard {
 
     /// Journals the driver's storage intents and sends its frames. A
     /// failed send closes that session, whose disconnect can emit more
-    /// output, so this works through a queue until nothing is left.
-    /// Armed deadlines are ignored: [`run`](Self::run) asks the driver
-    /// for its next deadline before every wait.
+    /// output, so this works through a queue until nothing is left;
+    /// then the sink compacts from the node, whose state now covers
+    /// every record journaled. Armed deadlines are ignored:
+    /// [`run`](Self::run) asks the driver for its next deadline before
+    /// every wait.
     fn dispatch(&mut self, io: ServerIo) {
         let mut work = vec![io];
         while let Some(io) = work.pop() {
@@ -251,6 +253,10 @@ impl Shard {
                     work.extend(self.forget(out.session, close_reason(closed)));
                 }
             }
+        }
+        if let Some(sink) = &mut self.sink {
+            let node = self.driver.node();
+            sink.compact(&mut |domain| node.snapshot(domain));
         }
     }
 
@@ -522,7 +528,7 @@ fn request_report(inbox: &Sender<ShardEvent>) -> Option<NodeReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_proto::{HostName, PROTOCOL_VERSION};
+    use shadow_proto::{HostName, PersistRecord, PROTOCOL_VERSION};
     use shadow_server::ServerConfig;
 
     fn hello(domain: u64) -> Vec<u8> {
@@ -593,5 +599,78 @@ mod tests {
         assert_eq!(report.counter("server_runtime", "sessions_reaped"), 1);
         assert_eq!(report.counter("server_runtime", "frames_fed"), 1);
         assert!(shard.sessions.is_empty());
+    }
+
+    /// A writer whose peer takes every frame.
+    struct OpenWriter;
+
+    impl FrameWriter for OpenWriter {
+        fn write_frame(&mut self, _frame: Vec<u8>) -> Result<(), TransportClosed> {
+            Ok(())
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum SinkCall {
+        Persist(PersistRecord),
+        Compact(Vec<PersistRecord>),
+    }
+
+    /// A sink that reports every call, compacting domain 1 each time.
+    #[derive(Debug)]
+    struct RecordingSink(Sender<SinkCall>);
+
+    impl PersistSink for RecordingSink {
+        fn persist(&mut self, record: &PersistRecord) {
+            self.0.send(SinkCall::Persist(record.clone())).unwrap();
+        }
+
+        fn compact(&mut self, state: &mut dyn FnMut(DomainId) -> Vec<PersistRecord>) {
+            self.0.send(SinkCall::Compact(state(DomainId::new(1)))).unwrap();
+        }
+    }
+
+    #[test]
+    fn dispatch_compacts_after_persisting_from_the_node_state() {
+        use shadow_proto::{ContentDigest, FileId, TransferEncoding, UpdatePayload, VersionNumber};
+        let (tx, calls) = channel();
+        let node = ServerNode::new(ServerConfig::new("sc"));
+        let mut shard = Shard::new(node, Some(Box::new(RecordingSink(tx))), WallClock::new());
+        let session = SessionId::new(1);
+        let content = b"a\nb\n";
+        let notify = Frame::encode(&ClientMessage::NotifyVersion {
+            file: FileId::new(7),
+            name: "/f".into(),
+            version: VersionNumber::FIRST,
+            size: content.len() as u64,
+            digest: ContentDigest::of(content),
+        });
+        shard.step(Some(ShardEvent::Open(session, Box::new(OpenWriter), hello(1))));
+        shard.step(Some(ShardEvent::Frame(session, notify)));
+        calls.try_iter().for_each(drop);
+
+        let update = Frame::encode(&ClientMessage::Update {
+            file: FileId::new(7),
+            version: VersionNumber::FIRST,
+            payload: UpdatePayload::Full {
+                encoding: TransferEncoding::Identity,
+                data: bytes::Bytes::from_static(content),
+                digest: ContentDigest::of(content),
+            },
+        });
+        shard.step(Some(ShardEvent::Frame(session, update)));
+        let calls: Vec<SinkCall> = calls.try_iter().collect();
+        let snapshot = shard.driver.node().snapshot(DomainId::new(1));
+        assert!(matches!(snapshot[..], [PersistRecord::CacheFull { .. }]));
+        // The step dispatches the frame's output, then its due timers:
+        // each dispatch ends in one compaction, after its persists.
+        assert_eq!(
+            calls,
+            [
+                SinkCall::Persist(snapshot[0].clone()),
+                SinkCall::Compact(snapshot.clone()),
+                SinkCall::Compact(snapshot),
+            ]
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! emission order. `shadow-store` provides the journaling sink; tests
 //! use [`VecSink`]; diskless deployments install none.
 
-use shadow_proto::PersistRecord;
+use shadow_proto::{DomainId, PersistRecord};
 
 /// Applies storage intents emitted by the server state machine.
 ///
@@ -20,6 +20,11 @@ use shadow_proto::PersistRecord;
 pub trait PersistSink: Send + std::fmt::Debug {
     /// Appends one record.
     fn persist(&mut self, record: &PersistRecord);
+
+    /// Rewrites each domain the sink finds due as `state(domain)`, the
+    /// [`ServerNode::snapshot`](shadow_server::ServerNode::snapshot); a
+    /// shard calls it once its dispatch queue is empty. No-op default.
+    fn compact(&mut self, _state: &mut dyn FnMut(DomainId) -> Vec<PersistRecord>) {}
 
     /// The sink's observability section, if it keeps counters. The
     /// shard appends it to its report so a durable deployment's report

@@ -23,6 +23,20 @@ use crate::exec::run_job;
 use crate::jobs::{Job, JobPhase, JobTable};
 use crate::output_shadow::OutputShadowStore;
 
+/// Applies a `codec` delta to `base`: the one decoder dispatch shared by
+/// live updates and journal replay.
+fn apply_codec(codec: DeltaCodec, base: &[u8], delta: &[u8]) -> Result<Vec<u8>, &'static str> {
+    match codec {
+        DeltaCodec::Line => apply_delta(base, delta).map_err(|e| match e {
+            DeltaError::Parse(_) => "edit script parse failed",
+            DeltaError::Apply(_) => "edit script apply failed",
+        }),
+        DeltaCodec::Chunk => {
+            apply_chunk_delta(base, delta).map_err(|_| "chunk delta apply failed")
+        }
+    }
+}
+
 /// A transport session handle, assigned by the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(u64);
@@ -275,14 +289,11 @@ impl ServerNode {
                     digest,
                 } => {
                     let applied = match self.cache.get(key) {
-                        Some(entry) if entry.version == *base => match codec {
-                            DeltaCodec::Line => apply_delta(&entry.content, script)
+                        Some(entry) if entry.version == *base => {
+                            apply_codec(*codec, &entry.content, script)
                                 .ok()
-                                .filter(|c| ContentDigest::of(c) == *digest),
-                            DeltaCodec::Chunk => apply_chunk_delta(&entry.content, script)
-                                .ok()
-                                .filter(|c| ContentDigest::of(c) == *digest),
-                        },
+                                .filter(|c| ContentDigest::of(c) == *digest)
+                        }
                         _ => None,
                     };
                     match applied {
@@ -307,12 +318,18 @@ impl ServerNode {
                     content,
                 } => {
                     self.next_job = self.next_job.max(job.as_u64());
-                    self.outputs
-                        .record(*domain, *job_file, *job, DocBuf::from_bytes(content.to_vec()));
-                    summary.applied += 1;
+                    self.outputs.note_job(*domain, *job);
+                    match DocBuf::try_from_bytes(content.to_vec()) {
+                        Some(output) => {
+                            self.outputs.record(*domain, *job_file, *job, output);
+                            summary.applied += 1;
+                        }
+                        None => summary.skipped += 1,
+                    }
                 }
-                PersistRecord::OutputAcked { job, .. } => {
+                PersistRecord::OutputAcked { domain, job } => {
                     self.next_job = self.next_job.max(job.as_u64());
+                    self.outputs.note_job(*domain, *job);
                     self.outputs.mark_acked(*job);
                     summary.applied += 1;
                 }
@@ -321,6 +338,27 @@ impl ServerNode {
         self.metrics.restored_records += summary.applied as u64;
         self.metrics.restore_skipped += summary.skipped as u64;
         summary
+    }
+
+    /// The records that rebuild `domain`'s shadow state through
+    /// [`restore`](Self::restore): one `CacheFull` per cached key, by
+    /// file id, then the outputs ([`OutputShadowStore::snapshot`]).
+    /// Pure and deterministic; the durable store writes it as a
+    /// compaction snapshot, so delta chains collapse and evicted
+    /// entries are forgotten exactly as the server forgot them.
+    pub fn snapshot(&self, domain: DomainId) -> Vec<PersistRecord> {
+        let mut cached: Vec<_> = self.cache.iter().filter(|(k, _)| k.domain == domain).collect();
+        cached.sort_unstable_by_key(|(k, _)| k.file);
+        let mut out: Vec<PersistRecord> = cached
+            .into_iter()
+            .map(|(key, entry)| PersistRecord::CacheFull {
+                key: *key,
+                version: entry.version,
+                content: Bytes::copy_from_slice(&entry.content),
+            })
+            .collect();
+        self.outputs.snapshot(domain, &mut out);
+        out
     }
 
     /// Every file key currently cached (coherence checks).
@@ -742,17 +780,7 @@ impl ServerNode {
                         // payload's codec picks the decoder the client's
                         // classifier chose.
                         Self::decode_payload(*encoding, data).and_then(|delta_bytes| {
-                            let applied = match codec {
-                                DeltaCodec::Line => apply_delta(&entry.content, &delta_bytes)
-                                    .map_err(|e| match e {
-                                        DeltaError::Parse(_) => "edit script parse failed",
-                                        DeltaError::Apply(_) => "edit script apply failed",
-                                    }),
-                                DeltaCodec::Chunk => {
-                                    apply_chunk_delta(&entry.content, &delta_bytes)
-                                        .map_err(|_| "chunk delta apply failed")
-                                }
-                            };
+                            let applied = apply_codec(*codec, &entry.content, &delta_bytes);
                             if applied.is_ok() {
                                 applied_script =
                                     Some((entry.version, *codec, Bytes::from(delta_bytes)));
@@ -1952,6 +1980,48 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_keeps_the_job_counter_past_an_output_it_could_not_cache() {
+        let config = ServerConfig::builder("sc").output_shadow_budget(16).build().unwrap();
+        let mut server = ServerNode::new(config.clone());
+        server.restore(&[PersistRecord::Output {
+            domain: DomainId::new(1),
+            job_file: FileId::new(3),
+            job: JobId::new(9),
+            content: Bytes::from(vec![b'x'; 64]),
+        }]);
+        let snapshot = server.snapshot(DomainId::new(1));
+        assert_eq!(
+            snapshot,
+            vec![PersistRecord::OutputAcked {
+                domain: DomainId::new(1),
+                job: JobId::new(9),
+            }],
+            "the oversized output is not cached, but its job id is kept"
+        );
+        let mut restored = ServerNode::new(config);
+        restored.restore(&snapshot);
+        assert_eq!(restored.snapshot(DomainId::new(1)), snapshot);
+        hello(&mut restored, 1, 1, "ws1");
+        notify(&mut restored, 1, 3, "/job.cmd", 1, b"noop\n");
+        full_update(&mut restored, 1, 3, 1, b"noop\n");
+        let actions = restored.handle(ServerEvent::Message {
+            session: SessionId::new(1),
+            message: ClientMessage::Submit {
+                request: shadow_proto::RequestId::new(1),
+                job_file: FileId::new(3),
+                job_version: VersionNumber::FIRST,
+                data_files: vec![],
+                options: SubmitOptions::default(),
+            },
+            now_ms: NOW,
+        });
+        match sends(&actions)[..] {
+            [ServerMessage::SubmitAck { job, .. }] => assert_eq!(*job, JobId::new(10)),
+            ref other => panic!("expected SubmitAck, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn ping_is_answered_with_pong() {
         let mut server = ServerNode::new(ServerConfig::new("sc"));
         hello(&mut server, 1, 1, "ws1");
@@ -2093,5 +2163,142 @@ mod tests {
             now_ms: NOW,
         });
         assert_eq!(server.report().counter("server", "closed_idle"), 1);
+    }
+
+    fn snapshot_key(file: u64) -> FileKey {
+        FileKey::new(DomainId::new(3), FileId::new(file))
+    }
+
+    fn full_record(file: u64, version: u64, content: &str) -> PersistRecord {
+        PersistRecord::CacheFull {
+            key: snapshot_key(file),
+            version: VersionNumber::new(version),
+            content: Bytes::from(content.as_bytes().to_vec()),
+        }
+    }
+
+    fn delta_record(file: u64, base: u64, version: u64, from: &str, to: &str) -> PersistRecord {
+        PersistRecord::CacheDelta {
+            key: snapshot_key(file),
+            version: VersionNumber::new(version),
+            base: VersionNumber::new(base),
+            codec: DeltaCodec::Line,
+            script: Bytes::from(line_script(from.as_bytes(), to.as_bytes())),
+            digest: ContentDigest::of(to.as_bytes()),
+        }
+    }
+
+    fn restored(records: &[PersistRecord]) -> (ServerNode, RestoreSummary) {
+        let mut node = ServerNode::new(ServerConfig::new("sc"));
+        let summary = node.restore(records);
+        (node, summary)
+    }
+
+    #[test]
+    fn chunk_delta_records_replay() {
+        let base = vec![0x42u8; 50_000];
+        let mut target = base.clone();
+        target[25_000] = 0x43;
+        let mut wire = Vec::new();
+        chunk_delta_into(&base, &target, &mut DiffScratch::new(), &mut wire);
+        let (node, summary) = restored(&[
+            PersistRecord::CacheFull {
+                key: snapshot_key(9),
+                version: VersionNumber::new(1),
+                content: Bytes::from(base),
+            },
+            PersistRecord::CacheDelta {
+                key: snapshot_key(9),
+                version: VersionNumber::new(2),
+                base: VersionNumber::new(1),
+                codec: DeltaCodec::Chunk,
+                script: Bytes::from(wire),
+                digest: ContentDigest::of(&target),
+            },
+        ]);
+        assert_eq!(summary, RestoreSummary { applied: 2, skipped: 0 });
+        assert_eq!(
+            node.snapshot(DomainId::new(3)),
+            vec![PersistRecord::CacheFull {
+                key: snapshot_key(9),
+                version: VersionNumber::new(2),
+                content: Bytes::from(target),
+            }]
+        );
+    }
+
+    #[test]
+    fn delta_chains_collapse_to_one_full_record() {
+        let (node, summary) = restored(&[
+            full_record(1, 1, "a\nb\n"),
+            delta_record(1, 1, 2, "a\nb\n", "a\nc\n"),
+            delta_record(1, 2, 3, "a\nc\n", "a\nc\nd\n"),
+        ]);
+        assert_eq!(summary.skipped, 0);
+        assert_eq!(
+            node.snapshot(DomainId::new(3)),
+            vec![full_record(1, 3, "a\nc\nd\n")]
+        );
+    }
+
+    #[test]
+    fn broken_chain_drops_the_key() {
+        // A delta against a base the node does not hold.
+        let (node, summary) = restored(&[
+            full_record(1, 1, "a\n"),
+            delta_record(1, 7, 8, "x\n", "y\n"),
+        ]);
+        assert_eq!(summary, RestoreSummary { applied: 1, skipped: 1 });
+        assert!(node.snapshot(DomainId::new(3)).is_empty());
+    }
+
+    #[test]
+    fn output_replacement_and_acks_materialize_in_order() {
+        let output = |job_file: u64, job: u64, text: &str| PersistRecord::Output {
+            domain: DomainId::new(3),
+            job_file: FileId::new(job_file),
+            job: JobId::new(job),
+            content: Bytes::from(text.as_bytes().to_vec()),
+        };
+        let acked = |job: u64| PersistRecord::OutputAcked {
+            domain: DomainId::new(3),
+            job: JobId::new(job),
+        };
+        let (node, _) = restored(&[
+            full_record(2, 1, "two\n"),
+            full_record(1, 4, "one\n"),
+            output(1, 10, "first\n"),
+            output(2, 11, "second\n"),
+            acked(10),
+            acked(11),
+            // A rerun of the same job file replaces the slot, clears the
+            // ack and becomes the newest output.
+            output(2, 12, "second again\n"),
+            // Another domain's state stays out of this domain's snapshot.
+            PersistRecord::CacheFull {
+                key: FileKey::new(DomainId::new(4), FileId::new(1)),
+                version: VersionNumber::FIRST,
+                content: Bytes::from_static(b"elsewhere\n"),
+            },
+        ]);
+        let snapshot = node.snapshot(DomainId::new(3));
+        assert_eq!(
+            snapshot,
+            vec![
+                full_record(1, 4, "one\n"),
+                full_record(2, 1, "two\n"),
+                output(1, 10, "first\n"),
+                acked(10),
+                output(2, 12, "second again\n"),
+            ]
+        );
+
+        // Round trip: the snapshot rebuilds the same domain state.
+        let (copy, summary) = restored(&snapshot);
+        assert_eq!(summary.skipped, 0);
+        assert_eq!(copy.snapshot(DomainId::new(3)), snapshot);
+        assert!(copy.snapshot(DomainId::new(4)).is_empty());
+        let (whole, _) = restored(&[snapshot.clone(), node.snapshot(DomainId::new(4))].concat());
+        assert_eq!(whole.report().section("cache"), node.report().section("cache"));
     }
 }

@@ -13,8 +13,9 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
 use shadow_diff::DocBuf;
-use shadow_proto::{DomainId, FileId, JobId};
+use shadow_proto::{DomainId, FileId, JobId, PersistRecord};
 
 #[derive(Debug, Clone)]
 struct OutputEntry {
@@ -35,6 +36,10 @@ pub struct OutputShadowStore {
     used: usize,
     clock: u64,
     entries: HashMap<(DomainId, FileId), OutputEntry>,
+    /// The newest job each domain recorded an output for, evicted and
+    /// refused outputs included: a snapshot carries it, so a restart
+    /// never hands out a job id a client may still hold an output for.
+    newest_job: HashMap<DomainId, JobId>,
 }
 
 impl OutputShadowStore {
@@ -45,6 +50,7 @@ impl OutputShadowStore {
             used: 0,
             clock: 0,
             entries: HashMap::new(),
+            newest_job: HashMap::new(),
         }
     }
 
@@ -58,6 +64,7 @@ impl OutputShadowStore {
     /// to fit.
     pub fn record(&mut self, domain: DomainId, job_file: FileId, job: JobId, output: DocBuf) {
         self.clock += 1;
+        self.note_job(domain, job);
         if let Some(old) = self.entries.remove(&(domain, job_file)) {
             self.used -= old.output.byte_len();
         }
@@ -65,13 +72,14 @@ impl OutputShadowStore {
             return;
         }
         while self.used + output.byte_len() > self.budget {
-            let victim = self
+            let oldest = self
                 .entries
                 .iter()
                 .min_by_key(|(k, e)| (e.inserted, **k))
-                .map(|(k, _)| *k)
-                .expect("used > 0 implies entries exist");
-            let e = self.entries.remove(&victim).expect("victim exists");
+                .map(|(k, _)| *k);
+            let Some(e) = oldest.and_then(|k| self.entries.remove(&k)) else {
+                break;
+            };
             self.used -= e.output.byte_len();
         }
         self.used += output.byte_len();
@@ -98,6 +106,12 @@ impl OutputShadowStore {
         }
     }
 
+    /// Raises `domain`'s newest job to at least `job`.
+    pub fn note_job(&mut self, domain: DomainId, job: JobId) {
+        let newest = self.newest_job.entry(domain).or_insert(job);
+        *newest = (*newest).max(job);
+    }
+
     /// Marks the output of `job` as held by the client (OutputAck
     /// arrived). Returns the domain of the entry that flipped, if any —
     /// the journal key for persisting the ack.
@@ -110,6 +124,39 @@ impl OutputShadowStore {
             }
         }
         domain
+    }
+
+    /// Appends the journal records that rebuild `domain`'s cached
+    /// outputs: oldest first by insertion, each followed by its
+    /// `OutputAcked` when the client holds it. Replaying them through
+    /// [`record`](Self::record) restores the same FIFO eviction order. A
+    /// last `OutputAcked` names the newest job if its output is gone.
+    pub fn snapshot(&self, domain: DomainId, out: &mut Vec<PersistRecord>) {
+        let mut entries: Vec<(&FileId, &OutputEntry)> = self
+            .entries
+            .iter()
+            .filter(|((d, _), _)| *d == domain)
+            .map(|((_, file), e)| (file, e))
+            .collect();
+        entries.sort_unstable_by_key(|(_, e)| e.inserted);
+        let newest = self
+            .newest_job
+            .get(&domain)
+            .filter(|&&job| entries.iter().all(|(_, e)| e.job != job));
+        for (&job_file, e) in entries {
+            out.push(PersistRecord::Output {
+                domain,
+                job_file,
+                job: e.job,
+                content: Bytes::copy_from_slice(e.output.as_bytes()),
+            });
+            if e.acked {
+                out.push(PersistRecord::OutputAcked { domain, job: e.job });
+            }
+        }
+        if let Some(&job) = newest {
+            out.push(PersistRecord::OutputAcked { domain, job });
+        }
     }
 
     /// Number of cached outputs.
@@ -141,8 +188,11 @@ impl OutputShadowStore {
             })
             .collect();
         items.sort_unstable();
+        let mut newest: Vec<_> = self.newest_job.iter().collect();
+        newest.sort_unstable();
         let mut h = shadow_proto::StableHasher::new();
         items.hash(&mut h);
+        newest.hash(&mut h);
         self.used.hash(&mut h);
         h.finish()
     }

@@ -11,19 +11,23 @@
 //!   `ServerAction::Persist`);
 //! * the runtime hands records to a [`DurableStore`] — a
 //!   [`PersistSink`](shadow_runtime::PersistSink) — which appends them
-//!   to a per-domain write-ahead journal and periodically compacts the
-//!   journal into a snapshot;
-//! * at startup, [`DurableStore::open`] replays snapshot + journal
+//!   to a per-domain write-ahead journal; when a domain is due, the
+//!   shard's [`compact`](shadow_runtime::PersistSink::compact) call
+//!   hands it the server's own `ServerNode::snapshot`, which replaces
+//!   the journal as the domain's snapshot;
+//! * at startup, [`DurableStore::open`] reads snapshot + journal
 //!   (truncating torn or corrupt tails, skipping records an interrupted
-//!   compaction left stale) and [`DurableStore::recovered`] yields the
-//!   record sequence to feed `ServerNode::restore`.
+//!   compaction left stale) and [`DurableStore::recovered`] hands the
+//!   salvaged records to `ServerNode::restore`.
+//!
+//! The store never interprets a record: `ServerNode::restore` is the
+//! one replay path, the same one the model checker explores.
 //!
 //! Journals are **per naming domain** and shard with the same
 //! [`shard_for`](shadow_runtime::shard_for) affinity as the sharded
 //! runtime: each shard owns its domains' directories outright, so
 //! durability adds no cross-thread coordination.
 
-mod mirror;
 mod segment;
 mod store;
 

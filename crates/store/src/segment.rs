@@ -35,7 +35,7 @@ pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SHDWJRN2";
 /// Snapshot segment magic ("covers" semantics for `seq`).
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"SHDWSNP2";
 /// Magic plus the `seq` counter.
-pub(crate) const HEADER_LEN: usize = 16;
+const HEADER_LEN: usize = 16;
 /// Bytes of FNV-1a checksum trailing every record frame.
 const CHECKSUM_LEN: usize = 8;
 
@@ -70,7 +70,7 @@ pub(crate) struct Segment {
 pub(crate) fn encode_record(record: &PersistRecord, buf: &mut Vec<u8>) {
     let start = buf.len();
     Frame::encode_into(record, buf);
-    let sum = ContentDigest::of(&buf[start..]).as_u64();
+    let sum = ContentDigest::of(buf.get(start..).unwrap_or_default()).as_u64();
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -83,35 +83,38 @@ pub(crate) fn read_segment(path: &Path, magic: &[u8; 8]) -> io::Result<Option<Se
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if data.len() < HEADER_LEN || &data[..8] != magic {
+    let Some((seq, mut rest)) = data
+        .split_first_chunk()
+        .filter(|(head, _)| *head == magic)
+        .and_then(|(_, rest)| rest.split_first_chunk())
+        .map(|(seq, rest)| (u64::from_le_bytes(*seq), rest))
+    else {
         // Nothing below an unreadable header can be trusted.
         return Ok(Some(Segment {
             seq: 0,
             records: Vec::new(),
             damage: Damage::Corrupt,
         }));
-    }
-    let seq = u64::from_le_bytes(data[8..HEADER_LEN].try_into().expect("8-byte slice"));
+    };
     let mut records = Vec::new();
-    let mut off = HEADER_LEN;
     let mut damage = Damage::None;
-    while off < data.len() {
-        match Frame::decode::<PersistRecord>(&data[off..]) {
+    while !rest.is_empty() {
+        match Frame::decode::<PersistRecord>(rest) {
             Ok(Some((record, used))) => {
-                let sum_end = off + used + CHECKSUM_LEN;
-                if sum_end > data.len() {
+                let Some((frame, tail)) = rest.split_at_checked(used) else {
+                    damage = Damage::Corrupt;
+                    break;
+                };
+                let Some((sum, next)) = tail.split_first_chunk::<CHECKSUM_LEN>() else {
                     damage = Damage::Torn;
                     break;
-                }
-                let stored = u64::from_le_bytes(
-                    data[off + used..sum_end].try_into().expect("8-byte slice"),
-                );
-                if ContentDigest::of(&data[off..off + used]).as_u64() != stored {
+                };
+                if ContentDigest::of(frame).as_u64() != u64::from_le_bytes(*sum) {
                     damage = Damage::Corrupt;
                     break;
                 }
                 records.push(record);
-                off = sum_end;
+                rest = next;
             }
             Ok(None) => {
                 damage = Damage::Torn;

@@ -10,7 +10,6 @@ use shadow_obs::Section;
 use shadow_proto::{DomainId, PersistRecord};
 use shadow_runtime::{shard_for, PersistSink};
 
-use crate::mirror::DomainMirror;
 use crate::segment::{read_segment, write_segment, Damage, JOURNAL_MAGIC, SNAPSHOT_MAGIC};
 
 /// Journal file name inside a domain directory.
@@ -26,9 +25,9 @@ pub const DEFAULT_COMPACT_EVERY: usize = 64;
 pub struct RecoverySummary {
     /// Domain directories recovered (after shard filtering).
     pub domains: usize,
-    /// Records replayed from snapshots.
+    /// Records salvaged from snapshots.
     pub snapshot_records: usize,
-    /// Fresh records replayed from journals.
+    /// Fresh records salvaged from journals.
     pub journal_records: usize,
     /// Journal records skipped because the snapshot already covered
     /// them (a crash landed between snapshot publication and journal
@@ -38,12 +37,14 @@ pub struct RecoverySummary {
     pub torn_tails: usize,
     /// Segments cut short by a checksum or decode failure.
     pub corrupt_segments: usize,
-    /// Records dropped during replay (broken delta chains).
+    /// Records `ServerNode::restore` skipped (broken delta chains). The
+    /// store never applies a record, so it leaves this at 0; a
+    /// deployment fills it from `RestoreSummary::skipped`.
     pub dropped_records: usize,
 }
 
 impl RecoverySummary {
-    /// Total records that made it back into the mirror.
+    /// Total records salvaged for replay.
     pub fn replayed(&self) -> usize {
         self.snapshot_records + self.journal_records
     }
@@ -55,12 +56,10 @@ impl RecoverySummary {
     }
 }
 
-/// One domain's journal: its directory, replayed mirror, and append
-/// handle.
+/// One domain's journal: its directory and append handle.
 #[derive(Debug)]
 struct DomainStore {
     dir: PathBuf,
-    mirror: DomainMirror,
     /// Append handle for `journal.log`; reopened lazily after
     /// compaction replaces the file.
     appender: Option<File>,
@@ -80,13 +79,15 @@ struct DomainStore {
 /// <root>/domain-<016x>/snapshot.log   compacted equivalent state
 /// ```
 ///
-/// The store is a [`PersistSink`]: the runtime hands it every
-/// `ServerAction::Persist` record and it appends the record to the
-/// owning domain's journal, compacting to a snapshot every
-/// [`DEFAULT_COMPACT_EVERY`] appends. Opening the store replays
-/// snapshot + journal into per-domain mirrors; [`recovered`](Self::recovered)
-/// materializes them as the record sequence to feed
-/// `ServerNode::restore`.
+/// The store is a plain log and a [`PersistSink`]: the runtime hands it
+/// every `ServerAction::Persist` record and it appends the record to
+/// the owning domain's journal. A domain falls due after
+/// [`DEFAULT_COMPACT_EVERY`] appends; the next
+/// [`compact`](PersistSink::compact) call writes the server's own
+/// `ServerNode::snapshot` of it as the domain's snapshot and resets its
+/// journal. The store never interprets a record: opening it reads and
+/// repairs the segments, and [`recovered`](Self::recovered) hands the
+/// salvaged records over, once, for `ServerNode::restore` to replay.
 ///
 /// Sharded deployments open one store *per shard* over the same root:
 /// [`open_shard`](Self::open_shard) recovers only the domains
@@ -100,6 +101,12 @@ pub struct DurableStore {
     shard_count: usize,
     compact_every: usize,
     domains: HashMap<DomainId, DomainStore>,
+    /// Domains whose journal reached `compact_every` appends since their
+    /// last snapshot, for the next [`compact`](PersistSink::compact).
+    due: Vec<DomainId>,
+    /// Records salvaged at open, until [`recovered`](Self::recovered)
+    /// takes them.
+    recovered: Vec<PersistRecord>,
     summary: RecoverySummary,
     appends: u64,
     appended_bytes: u64,
@@ -148,13 +155,16 @@ impl DurableStore {
             shard_count: shard_count.max(1),
             compact_every: DEFAULT_COMPACT_EVERY,
             domains: HashMap::new(),
+            due: Vec::new(),
+            recovered: Vec::new(),
             summary: RecoverySummary::default(),
             appends: 0,
             appended_bytes: 0,
             compactions: 0,
             io_errors: 0,
         };
-        for entry in fs::read_dir(store.root.clone())? {
+        let mut owned = Vec::new();
+        for entry in fs::read_dir(&store.root)? {
             let entry = entry?;
             if !entry.file_type()?.is_dir() {
                 continue;
@@ -162,10 +172,14 @@ impl DurableStore {
             let Some(domain) = entry.file_name().to_str().and_then(parse_domain_dir) else {
                 continue;
             };
-            if shard_for(domain, store.shard_count) != store.shard_index {
-                continue;
+            if shard_for(domain, store.shard_count) == store.shard_index {
+                owned.push((domain, entry.path()));
             }
-            store.recover_domain(domain, entry.path())?;
+        }
+        // Domains in id order, so replay is deterministic.
+        owned.sort_unstable_by_key(|(domain, _)| domain.as_u64());
+        for (domain, dir) in owned {
+            store.recover_domain(domain, dir)?;
         }
         store.summary.domains = store.domains.len();
         Ok(store)
@@ -193,15 +207,13 @@ impl DurableStore {
         self.summary
     }
 
-    /// The replayable state salvaged at open time, materialized as the
-    /// record sequence to feed `ServerNode::restore`: domains in id
-    /// order, each as collapsed `CacheFull` records plus output entries.
-    pub fn recovered(&self) -> Vec<PersistRecord> {
-        let mut ids: Vec<DomainId> = self.domains.keys().copied().collect();
-        ids.sort_by_key(|d| d.as_u64());
-        ids.iter()
-            .flat_map(|d| self.domains[d].mirror.materialize())
-            .collect()
+    /// Takes the records salvaged at open time, to feed
+    /// `ServerNode::restore`: domains in id order, each as its snapshot
+    /// and then the journal records the snapshot does not cover. Hands
+    /// them over once (later calls return nothing), so the store keeps
+    /// no shadow content while serving.
+    pub fn recovered(&mut self) -> Vec<PersistRecord> {
+        std::mem::take(&mut self.recovered)
     }
 
     /// The store's report section: recovery outcome plus live append /
@@ -213,26 +225,30 @@ impl DurableStore {
             .with("stale_skipped", self.summary.stale_skipped)
             .with("torn_tails", self.summary.torn_tails)
             .with("corrupt_segments", self.summary.corrupt_segments)
-            .with("dropped_records", self.summary.dropped_records)
             .with("appends", self.appends)
             .with("appended_bytes", self.appended_bytes)
             .with("compactions", self.compactions)
             .with("io_errors", self.io_errors)
     }
 
-    /// Replays one domain directory: snapshot first, then the journal
-    /// records the snapshot does not already cover. Any damage (torn
-    /// tail, corruption, an interrupted compaction) is repaired by
-    /// re-persisting the salvaged mirror as a fresh snapshot + empty
+    /// Reads one domain directory: the snapshot, then the journal
+    /// records the snapshot does not already cover. Nothing is applied;
+    /// the salvaged records join [`recovered`](Self::recovered). Any
+    /// damage (torn tail, corruption, an interrupted compaction) is
+    /// repaired by re-persisting the salvage as a fresh snapshot + empty
     /// journal, so the next open starts clean.
     fn recover_domain(&mut self, domain: DomainId, dir: PathBuf) -> io::Result<()> {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let journal_path = dir.join(JOURNAL_FILE);
-        let mut mirror = DomainMirror::default();
+        let mut salvage = Vec::new();
         let mut covers = 0u64;
         let mut damaged = false;
 
         if let Some(seg) = read_segment(&snapshot_path, SNAPSHOT_MAGIC)? {
+            // A damaged snapshot no longer covers what its header
+            // claims; trusting `covers` would skip journal records that
+            // are now the only copy. Degrade to replaying the journal
+            // in full.
             match seg.damage {
                 Damage::None => covers = seg.seq,
                 Damage::Torn => {
@@ -244,23 +260,14 @@ impl DurableStore {
                     damaged = true;
                 }
             }
-            for record in &seg.records {
-                if mirror.apply(record) {
-                    self.summary.snapshot_records += 1;
-                } else {
-                    self.summary.dropped_records += 1;
-                }
-            }
-            // A damaged snapshot no longer covers what its header
-            // claims; trusting `covers` would skip journal records that
-            // are now the only copy. Degrade to replaying the journal
-            // in full.
+            self.summary.snapshot_records += seg.records.len();
+            salvage = seg.records;
         }
 
         let mut base = 0u64;
         let mut journal_total = 0u64;
         let mut stale = 0usize;
-        if let Some(seg) = read_segment(&journal_path, JOURNAL_MAGIC)? {
+        if let Some(mut seg) = read_segment(&journal_path, JOURNAL_MAGIC)? {
             match seg.damage {
                 Damage::None => {}
                 Damage::Torn => {
@@ -274,30 +281,25 @@ impl DurableStore {
             }
             base = seg.seq;
             journal_total = seg.records.len() as u64;
-            stale = usize::try_from(covers.saturating_sub(base).min(journal_total))
-                .expect("journal record count fits usize");
+            stale = usize::try_from(covers.saturating_sub(base))
+                .map_or(seg.records.len(), |n| n.min(seg.records.len()));
             self.summary.stale_skipped += stale;
-            for record in &seg.records[stale..] {
-                if mirror.apply(record) {
-                    self.summary.journal_records += 1;
-                } else {
-                    self.summary.dropped_records += 1;
-                }
-            }
+            self.summary.journal_records += seg.records.len() - stale;
+            salvage.extend(seg.records.drain(stale..));
         }
 
-        let seq = covers.max(base + journal_total);
+        let seq = covers.max(base.saturating_add(journal_total));
         if damaged || stale > 0 {
-            // Everything salvaged lives only in the mirror now; persist
-            // it before serving so a second crash cannot lose it again.
-            write_segment(&snapshot_path, SNAPSHOT_MAGIC, seq, &mirror.materialize())?;
+            // The salvage is the only intact copy now; persist it before
+            // serving so a second crash cannot lose it again.
+            write_segment(&snapshot_path, SNAPSHOT_MAGIC, seq, &salvage)?;
             write_segment(&journal_path, JOURNAL_MAGIC, seq, &[])?;
         }
+        self.recovered.extend(salvage);
         self.domains.insert(
             domain,
             DomainStore {
                 dir,
-                mirror,
                 appender: None,
                 seq,
                 since_compact: 0,
@@ -314,7 +316,6 @@ impl DurableStore {
                 domain,
                 DomainStore {
                     dir,
-                    mirror: DomainMirror::default(),
                     appender: None,
                     seq: 0,
                     since_compact: 0,
@@ -338,32 +339,26 @@ impl DurableStore {
             .write_all(&buf)?;
         ds.seq += 1;
         ds.since_compact += 1;
-        ds.mirror.apply(record);
+        if ds.since_compact == compact_every {
+            self.due.push(domain);
+        }
         self.appends += 1;
         self.appended_bytes += buf.len() as u64;
-        if ds.since_compact >= compact_every {
-            self.compact_domain(domain)?;
-        }
         Ok(())
     }
 
-    /// Publishes the mirror as a snapshot, then resets the journal.
-    /// The order is the crash-consistency argument: after the snapshot
-    /// rename lands, the journal's records are *stale* (its `base` is
-    /// below the snapshot's `covers`), and recovery skips them; if the
-    /// crash hits before the rename, the old snapshot + full journal
-    /// still replay everything.
-    fn compact_domain(&mut self, domain: DomainId) -> io::Result<()> {
-        let ds = self.domains.get_mut(&domain).expect("compacting known domain");
-        let records = ds.mirror.materialize();
-        write_segment(&ds.dir.join(SNAPSHOT_FILE), SNAPSHOT_MAGIC, ds.seq, &records)?;
+    /// Publishes `records` (the server's snapshot of the domain) as the
+    /// domain's snapshot, then resets the journal. The order is the
+    /// crash-consistency argument: after the snapshot rename lands, the
+    /// journal's records are *stale* (its `base` is below the snapshot's
+    /// `covers`), and recovery skips them; if the crash hits before the
+    /// rename, the old snapshot + full journal still replay everything.
+    fn write_snapshot(ds: &mut DomainStore, records: &[PersistRecord]) -> io::Result<()> {
+        write_segment(&ds.dir.join(SNAPSHOT_FILE), SNAPSHOT_MAGIC, ds.seq, records)?;
         // The rewrite replaces the journal's inode; drop the handle so
         // the next append reopens the fresh file.
         ds.appender = None;
-        write_segment(&ds.dir.join(JOURNAL_FILE), JOURNAL_MAGIC, ds.seq, &[])?;
-        ds.since_compact = 0;
-        self.compactions += 1;
-        Ok(())
+        write_segment(&ds.dir.join(JOURNAL_FILE), JOURNAL_MAGIC, ds.seq, &[])
     }
 }
 
@@ -384,6 +379,22 @@ impl PersistSink for DurableStore {
             // reopens (and the valid-prefix reader bounds the damage).
             if let Some(ds) = self.domains.get_mut(&domain) {
                 ds.appender = None;
+            }
+        }
+    }
+
+    /// Snapshots each domain that fell due since the last call. A
+    /// failed write is counted in `io_errors`; the domain falls due
+    /// again after another `compact_every` appends.
+    fn compact(&mut self, state: &mut dyn FnMut(DomainId) -> Vec<PersistRecord>) {
+        for domain in std::mem::take(&mut self.due) {
+            let Some(ds) = self.domains.get_mut(&domain) else {
+                continue;
+            };
+            ds.since_compact = 0;
+            match Self::write_snapshot(ds, &state(domain)) {
+                Ok(()) => self.compactions += 1,
+                Err(_) => self.io_errors += 1,
             }
         }
     }

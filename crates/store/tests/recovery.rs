@@ -1,18 +1,24 @@
 //! Recovery edge cases for the durable shadow store: empty journals,
 //! torn tails, mid-file corruption, interrupted compactions, and the
-//! determinism of replay.
+//! determinism of replay. The store only reads and repairs; every test
+//! that looks at rebuilt state replays through `ServerNode::restore`,
+//! and every compaction snapshots a `ServerNode`, as a shard does.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::slice;
 
 use bytes::Bytes;
 use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 use shadow_proto::{
-    ContentDigest, DeltaCodec, DomainId, FileId, FileKey, JobId, PersistRecord, VersionNumber,
+    ClientMessage, ContentDigest, DeltaCodec, DomainId, FileId, FileKey, HostName, JobId,
+    PersistRecord, TransferEncoding, UpdatePayload, VersionNumber, PROTOCOL_VERSION,
 };
 use shadow_runtime::{shard_for, PersistSink};
-use shadow_server::{ServerConfig, ServerNode};
-use shadow_store::DurableStore;
+use shadow_server::{
+    RestoreSummary, ServerAction, ServerConfig, ServerEvent, ServerNode, SessionId,
+};
+use shadow_store::{DurableStore, RecoverySummary};
 
 fn temp_root(tag: &str) -> PathBuf {
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -33,20 +39,24 @@ fn full(domain: u64, file: u64, version: u64, content: &str) -> PersistRecord {
     }
 }
 
-fn delta(domain: u64, file: u64, base: u64, version: u64, from: &str, to: &str) -> PersistRecord {
-    let mut scratch = DiffScratch::new();
+/// The Hunt–McIlroy line script turning `from` into `to`.
+fn line_script(from: &str, to: &str) -> Bytes {
     let script = diff_docs(
         DiffAlgorithm::HuntMcIlroy,
         &DocBuf::from_bytes(from.as_bytes().to_vec()),
         &DocBuf::from_bytes(to.as_bytes().to_vec()),
-        &mut scratch,
+        &mut DiffScratch::new(),
     );
+    Bytes::from(script.to_text())
+}
+
+fn delta(domain: u64, file: u64, base: u64, version: u64, from: &str, to: &str) -> PersistRecord {
     PersistRecord::CacheDelta {
         key: key(domain, file),
         version: VersionNumber::new(version),
         base: VersionNumber::new(base),
         codec: DeltaCodec::Line,
-        script: Bytes::from(script.to_text()),
+        script: line_script(from, to),
         digest: ContentDigest::of(to.as_bytes()),
     }
 }
@@ -55,10 +65,30 @@ fn journal_path(root: &Path, domain: u64) -> PathBuf {
     root.join(format!("domain-{domain:016x}")).join("journal.log")
 }
 
+/// Journals `record` as a shard does: the server applies it, the store
+/// appends it, then snapshots whatever domain fell due.
+fn journal(node: &mut ServerNode, store: &mut DurableStore, record: &PersistRecord) {
+    node.restore(slice::from_ref(record));
+    store.persist(record);
+    store.compact(&mut |domain| node.snapshot(domain));
+}
+
+/// Reopens the store at `root` and replays it into a fresh node; also
+/// returns what the store's own recovery found.
+fn reopen_and_restore(
+    root: &Path,
+    config: ServerConfig,
+) -> (ServerNode, RestoreSummary, RecoverySummary) {
+    let mut store = DurableStore::open(root).unwrap();
+    let mut node = ServerNode::new(config);
+    let summary = node.restore(&store.recovered());
+    (node, summary, store.summary())
+}
+
 #[test]
 fn empty_store_recovers_to_nothing() {
     let root = temp_root("empty");
-    let store = DurableStore::open(&root).unwrap();
+    let mut store = DurableStore::open(&root).unwrap();
     assert_eq!(store.recovered(), Vec::new());
     let summary = store.summary();
     assert_eq!(summary.domains, 0);
@@ -69,8 +99,9 @@ fn empty_store_recovers_to_nothing() {
     drop(store);
     let mut store = DurableStore::open(&root).unwrap();
     store.persist(&full(1, 1, 1, "x\n"));
-    let reopened = DurableStore::open(&root).unwrap();
+    let mut reopened = DurableStore::open(&root).unwrap();
     assert_eq!(reopened.recovered().len(), 1);
+    assert!(reopened.recovered().is_empty(), "records are handed over once");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -83,12 +114,14 @@ fn journal_replay_collapses_delta_chains() {
     store.persist(&delta(1, 1, 2, 3, "a\nc\n", "a\nc\nd\n"));
     drop(store);
 
-    let store = DurableStore::open(&root).unwrap();
+    let mut store = DurableStore::open(&root).unwrap();
     assert_eq!(store.summary().journal_records, 3);
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
+    assert_eq!(node.restore(&store.recovered()).skipped, 0);
     assert_eq!(
-        store.recovered(),
+        node.snapshot(DomainId::new(1)),
         vec![full(1, 1, 3, "a\nc\nd\n")],
-        "three journal records materialize as one collapsed CacheFull"
+        "three journal records replay to one collapsed CacheFull"
     );
     let _ = fs::remove_dir_all(&root);
 }
@@ -105,7 +138,7 @@ fn torn_last_record_is_truncated_and_the_prefix_survives() {
     let bytes = fs::read(&journal).unwrap();
     fs::write(&journal, &bytes[..bytes.len() - 7]).unwrap();
 
-    let store = DurableStore::open(&root).unwrap();
+    let mut store = DurableStore::open(&root).unwrap();
     let summary = store.summary();
     assert_eq!(summary.torn_tails, 1);
     assert!(summary.degraded());
@@ -113,7 +146,7 @@ fn torn_last_record_is_truncated_and_the_prefix_survives() {
     drop(store);
 
     // Recovery re-stabilized the salvage: a second open is clean.
-    let store = DurableStore::open(&root).unwrap();
+    let mut store = DurableStore::open(&root).unwrap();
     assert_eq!(store.summary().torn_tails, 0);
     assert!(!store.summary().degraded());
     assert_eq!(store.recovered(), vec![full(1, 1, 1, "kept\n")]);
@@ -140,7 +173,7 @@ fn checksum_mismatch_mid_file_degrades_to_the_valid_prefix() {
     bytes[needle] ^= 0xFF;
     fs::write(&journal, &bytes).unwrap();
 
-    let store = DurableStore::open(&root).unwrap();
+    let mut store = DurableStore::open(&root).unwrap();
     let summary = store.summary();
     assert_eq!(summary.corrupt_segments, 1);
     assert_eq!(summary.journal_records, 1);
@@ -154,9 +187,10 @@ fn snapshot_newer_than_journal_skips_the_stale_records() {
     // compact_every=2 → the second append publishes a snapshot
     // (covers 2) and resets the journal.
     let mut store = DurableStore::open(&root).unwrap().with_compact_every(2);
-    store.persist(&full(1, 1, 1, "a\n"));
-    store.persist(&full(1, 2, 1, "b\n"));
-    store.persist(&full(1, 3, 1, "c\n"));
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
+    journal(&mut node, &mut store, &full(1, 1, 1, "a\n"));
+    journal(&mut node, &mut store, &full(1, 2, 1, "b\n"));
+    journal(&mut node, &mut store, &full(1, 3, 1, "c\n"));
     drop(store);
 
     // Simulate the crash window *between* snapshot publication and
@@ -179,7 +213,7 @@ fn snapshot_newer_than_journal_skips_the_stale_records() {
     stale.extend_from_slice(&scratch_journal[16..]);
     fs::write(&journal, &stale).unwrap();
 
-    let store = DurableStore::open(&root).unwrap();
+    let mut store = DurableStore::open(&root).unwrap();
     let summary = store.summary();
     assert_eq!(summary.stale_skipped, 2, "snapshot already covered two records");
     assert_eq!(summary.snapshot_records, 2);
@@ -196,33 +230,49 @@ fn snapshot_newer_than_journal_skips_the_stale_records() {
 fn compaction_preserves_the_recovered_state() {
     let root = temp_root("compact");
     let mut store = DurableStore::open(&root).unwrap().with_compact_every(4);
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
     let mut from = String::from("line 0\n");
-    store.persist(&full(1, 1, 1, &from));
+    journal(&mut node, &mut store, &full(1, 1, 1, &from));
     for v in 2..=9u64 {
         let to = format!("{from}line {}\n", v - 1);
-        store.persist(&delta(1, 1, v - 1, v, &from, &to));
+        journal(&mut node, &mut store, &delta(1, 1, v - 1, v, &from, &to));
         from = to;
     }
-    store.persist(&PersistRecord::Output {
-        domain: DomainId::new(1),
-        job_file: FileId::new(1),
-        job: JobId::new(5),
-        content: Bytes::from_static(b"output\n"),
-    });
-    store.persist(&PersistRecord::OutputAcked {
-        domain: DomainId::new(1),
-        job: JobId::new(5),
-    });
+    journal(
+        &mut node,
+        &mut store,
+        &PersistRecord::Output {
+            domain: DomainId::new(1),
+            job_file: FileId::new(1),
+            job: JobId::new(5),
+            content: Bytes::from_static(b"output\n"),
+        },
+    );
+    journal(
+        &mut node,
+        &mut store,
+        &PersistRecord::OutputAcked {
+            domain: DomainId::new(1),
+            job: JobId::new(5),
+        },
+    );
+    assert_eq!(store.section().get("compactions").and_then(|v| v.as_u64()), Some(2));
     drop(store);
 
     let snapshot = root.join("domain-0000000000000001").join("snapshot.log");
     assert!(snapshot.exists(), "compaction published a snapshot");
 
-    let store = DurableStore::open(&root).unwrap();
-    assert!(!store.summary().degraded());
-    let recovered = store.recovered();
-    assert!(recovered.contains(&full(1, 1, 9, &from)));
-    assert!(recovered.contains(&PersistRecord::OutputAcked {
+    let (restored, summary, recovery) = reopen_and_restore(&root, ServerConfig::new("remote"));
+    assert!(!recovery.degraded());
+    assert_eq!(summary.skipped, 0);
+    assert_eq!(
+        restored.snapshot(DomainId::new(1)),
+        node.snapshot(DomainId::new(1)),
+        "snapshot + journal suffix rebuild the server's state"
+    );
+    let rebuilt = restored.snapshot(DomainId::new(1));
+    assert!(rebuilt.contains(&full(1, 1, 9, &from)));
+    assert!(rebuilt.contains(&PersistRecord::OutputAcked {
         domain: DomainId::new(1),
         job: JobId::new(5),
     }));
@@ -245,7 +295,7 @@ fn replaying_twice_rebuilds_identical_server_state() {
     drop(store);
 
     let restore_once = || {
-        let store = DurableStore::open(&root).unwrap();
+        let mut store = DurableStore::open(&root).unwrap();
         let mut node = ServerNode::new(ServerConfig::new("remote"));
         let summary = node.restore(&store.recovered());
         assert_eq!(summary.skipped, 0);
@@ -279,7 +329,7 @@ fn shard_stores_partition_the_domains() {
     }
     let mut seen = Vec::new();
     for i in 0..shards {
-        let store = DurableStore::open_shard(&root, i, shards).unwrap();
+        let mut store = DurableStore::open_shard(&root, i, shards).unwrap();
         for record in store.recovered() {
             assert_eq!(
                 shard_for(record.domain(), shards),
@@ -291,5 +341,156 @@ fn shard_stores_partition_the_domains() {
     }
     seen.sort_unstable();
     assert_eq!(seen, domains, "the shards together recover every domain");
+    let _ = fs::remove_dir_all(&root);
+}
+
+fn output(job_file: u64, job: u64, bytes: usize) -> PersistRecord {
+    PersistRecord::Output {
+        domain: DomainId::new(1),
+        job_file: FileId::new(job_file),
+        job: JobId::new(job),
+        content: Bytes::from(vec![b'a' + (job % 26) as u8; bytes]),
+    }
+}
+
+fn outputs_of(records: &[PersistRecord]) -> Vec<(u64, u64)> {
+    records
+        .iter()
+        .filter_map(|r| match r {
+            PersistRecord::Output { job_file, job, .. } => {
+                Some((job_file.as_u64(), job.as_u64()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn compaction_forgets_outputs_the_server_evicted() {
+    let config = ServerConfig::builder("remote")
+        .output_shadow_budget(4096)
+        .build()
+        .unwrap();
+    let root = temp_root("evicted-outputs");
+    let mut store = DurableStore::open(&root).unwrap().with_compact_every(8);
+    let mut node = ServerNode::new(config.clone());
+    for n in 1..=200u64 {
+        journal(&mut node, &mut store, &output(n, n, 1_000));
+    }
+    drop(store);
+    let mut store = DurableStore::open(&root).unwrap();
+    let outputs = outputs_of(&store.recovered());
+    assert!(
+        outputs.len() <= 8 + 4,
+        "the store kept {} outputs the server evicted",
+        outputs.len()
+    );
+    drop(store);
+    let _ = fs::remove_dir_all(&root);
+
+    // A re-run job file is the newest output after a restart too, so
+    // FIFO eviction picks the same victim it would have before the crash.
+    let root = temp_root("rerun-output");
+    let mut store = DurableStore::open(&root).unwrap().with_compact_every(5);
+    let mut node = ServerNode::new(config.clone());
+    for n in 1..=4u64 {
+        journal(&mut node, &mut store, &output(n, n, 1_000));
+    }
+    journal(&mut node, &mut store, &output(1, 5, 1_000));
+    assert_eq!(store.section().get("compactions").and_then(|v| v.as_u64()), Some(1));
+    drop(store);
+    let (mut restored, _, recovery) = reopen_and_restore(&root, config);
+    assert!(!recovery.degraded());
+    assert_eq!(
+        outputs_of(&restored.snapshot(DomainId::new(1))),
+        vec![(2, 2), (3, 3), (4, 4), (1, 5)]
+    );
+    restored.restore(&[output(6, 6, 1_000)]);
+    assert_eq!(
+        outputs_of(&restored.snapshot(DomainId::new(1))),
+        vec![(3, 3), (4, 4), (1, 5), (6, 6)],
+        "the oldest output, not the re-run one, is evicted"
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Hands `message` to the server on session 1 and journals what it
+/// persists, compacting afterwards as a shard's dispatch does.
+fn serve(node: &mut ServerNode, store: &mut DurableStore, message: ClientMessage) {
+    let actions = node.handle(ServerEvent::Message {
+        session: SessionId::new(1),
+        message,
+        now_ms: 0,
+    });
+    for action in actions {
+        if let ServerAction::Persist(record) = action {
+            store.persist(&record);
+        }
+    }
+    store.compact(&mut |domain| node.snapshot(domain));
+}
+
+#[test]
+fn compaction_right_after_a_delta_update_never_double_applies() {
+    let root = temp_root("compact-after-delta");
+    // Every second record compacts: the full version, then the delta.
+    let mut store = DurableStore::open(&root).unwrap().with_compact_every(2);
+    let mut node = ServerNode::new(ServerConfig::new("remote"));
+    let key = key(1, 5);
+    let hello = ClientMessage::Hello {
+        domain: DomainId::new(1),
+        host: HostName::new("ws1"),
+        protocol: PROTOCOL_VERSION,
+        epoch: 0,
+        resume: Vec::new(),
+    };
+    serve(&mut node, &mut store, hello);
+    let versions = [
+        (
+            "a\nb\n",
+            UpdatePayload::Full {
+                encoding: TransferEncoding::Identity,
+                data: Bytes::from_static(b"a\nb\n"),
+                digest: ContentDigest::of(b"a\nb\n"),
+            },
+        ),
+        (
+            "a\nc\n",
+            UpdatePayload::Delta {
+                base: VersionNumber::FIRST,
+                codec: DeltaCodec::Line,
+                encoding: TransferEncoding::Identity,
+                data: line_script("a\nb\n", "a\nc\n"),
+                digest: ContentDigest::of(b"a\nc\n"),
+            },
+        ),
+    ];
+    for (n, (text, payload)) in (1u64..).zip(versions) {
+        let version = VersionNumber::new(n);
+        let notify = ClientMessage::NotifyVersion {
+            file: key.file,
+            name: String::from("/data.txt"),
+            version,
+            size: text.len() as u64,
+            digest: ContentDigest::of(text.as_bytes()),
+        };
+        serve(&mut node, &mut store, notify);
+        let update = ClientMessage::Update {
+            file: key.file,
+            version,
+            payload,
+        };
+        serve(&mut node, &mut store, update);
+    }
+    assert_eq!(node.report().counter("server", "delta_updates"), 1);
+    assert_eq!(store.section().get("compactions").and_then(|v| v.as_u64()), Some(1));
+    drop(store);
+
+    let (restored, summary, recovery) = reopen_and_restore(&root, ServerConfig::new("remote"));
+    assert!(!recovery.degraded());
+    assert_eq!(summary.skipped, 0);
+    assert_eq!(restored.report().counter("server", "restore_skipped"), 0);
+    assert_eq!(restored.cached_version(key), Some(VersionNumber::new(2)));
+    assert_eq!(restored.cached_digest(key), node.cached_digest(key));
     let _ = fs::remove_dir_all(&root);
 }
