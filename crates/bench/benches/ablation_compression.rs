@@ -3,8 +3,7 @@
 //! The paper's future work: "we also plan to explore data compression
 //! techniques to improve the efficiency of data transfer." This harness
 //! measures the resubmission cycle with each transfer encoding (none /
-//! RLE / LZSS) applied to update payloads, over Cypress where every byte
-//! hurts.
+//! LZSS) applied to update payloads, over Cypress where every byte hurts.
 
 use shadow::{
     profiles, ClientConfig, CpuModel, EditModel, FileSpec, ServerConfig, ShadowEnv, Simulation,
@@ -51,7 +50,7 @@ fn cycle_with_encoding(encoding: TransferEncoding, size: usize, fraction: f64) -
 fn main() {
     banner(
         "Ablation C: transfer compression (section 8.3 future work)",
-        "update payloads over Cypress with identity / RLE / LZSS encodings",
+        "update payloads over Cypress with identity / LZSS encodings",
     );
     let size = if quick_mode() { 50_000 } else { 100_000 };
     println!(
@@ -60,11 +59,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for fraction in [0.05, 0.40] {
-        for encoding in [
-            TransferEncoding::Identity,
-            TransferEncoding::Rle,
-            TransferEncoding::Lzss,
-        ] {
+        for encoding in [TransferEncoding::Identity, TransferEncoding::Lzss] {
             let (secs, first, resubmit) = cycle_with_encoding(encoding, size, fraction);
             println!(
                 "{:>10} {:>7.0} {:>14.1} {:>14} {:>14}",
@@ -87,5 +82,5 @@ fn main() {
     export_rows("ablation_compression", rows);
     println!();
     println!("expected shape: LZSS compresses both the initial full transfer and");
-    println!("the structured ed-script deltas; RLE helps only marginally on text.");
+    println!("the structured ed-script deltas.");
 }

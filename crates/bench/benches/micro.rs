@@ -1,5 +1,5 @@
 //! Micro-benchmarks (Criterion, real CPU time): the hot paths a production
-//! deployment cares about — wire codec, compressors, content digest, the
+//! deployment cares about — wire codec, compressor, content digest, the
 //! diff pipeline, and the end-to-end in-memory protocol round trip.
 //!
 //! The JSON export re-times the headline operations with a plain timer
@@ -13,9 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, Criterion, Throughput};
 use shadow::{
-    apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, ClientMessage, Codec,
-    ContentDigest, DiffAlgorithm, DiffScratch, DocBuf, DomainId, EditModel, FileId, FileSpec,
-    Frame, HostName, Lzss, Rle, TransferEncoding, UpdatePayload, VersionNumber,
+    apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, ClientMessage, ContentDigest,
+    DiffAlgorithm, DiffScratch, DocBuf, DomainId, EditModel, FileId, FileSpec, Frame, HostName,
+    TransferEncoding, UpdatePayload, VersionNumber,
 };
 
 /// Pass-through allocator that counts every allocation (and growth
@@ -78,13 +78,12 @@ fn bench_compress(c: &mut Criterion) {
     let text = shadow::generate_file(&FileSpec::new(100_000, 2));
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("lzss_compress_100k", |b| {
-        b.iter(|| Lzss::default().compress(&text))
+        b.iter(|| shadow::compress(&text))
     });
-    let packed = Lzss::default().compress(&text);
+    let packed = shadow::compress(&text);
     group.bench_function("lzss_decompress_100k", |b| {
-        b.iter(|| Lzss::default().decompress(&packed).unwrap())
+        b.iter(|| shadow::decompress(&packed).unwrap())
     });
-    group.bench_function("rle_compress_100k", |b| b.iter(|| Rle.compress(&text)));
     group.finish();
 }
 

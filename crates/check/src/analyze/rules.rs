@@ -1,10 +1,10 @@
 //! The transitive guarantee rules, evaluated over the call graph.
 //!
 //! Each rule is a reachability query: from a set of *entry points*, can
-//! any function carrying a forbidden [`FactKind`](super::facts::FactKind)
-//! be reached? Propagation runs as a reverse-BFS from fact-bearing
-//! functions toward callers, recording the next hop at each step so a
-//! finding can print the full entry → … → fact witness chain.
+//! any function carrying a forbidden [`FactKind`] be reached?
+//! Propagation runs as a reverse-BFS from fact-bearing functions toward
+//! callers, recording the next hop at each step so a finding can print
+//! the full entry → … → fact witness chain.
 //!
 //! | rule          | entries                                   | forbidden facts |
 //! |---------------|-------------------------------------------|-----------------|

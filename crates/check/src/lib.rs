@@ -13,8 +13,8 @@
 //!   flight between them. Every source of nondeterminism a real network
 //!   exhibits — which queued frame is delivered next, whether it is
 //!   dropped or duplicated, when timers fire, when the user edits or
-//!   submits — is an explicit [`Choice`](world::Choice).
-//! * [`explore`] walks the choice tree exhaustively (bounded by depth,
+//!   submits — is an explicit [`Choice`].
+//! * [`explore`](mod@explore) walks the choice tree exhaustively (bounded by depth,
 //!   state count, and drop/duplicate budgets), deduplicating states by
 //!   the deterministic digests every node exposes
 //!   ([`StableHasher`](shadow_proto::StableHasher)-based), and checks
@@ -25,7 +25,7 @@
 //!   sans-io discipline: no wall-clock reads inside protocol crates, no
 //!   panicking constructs in wire-decode paths, and full message/event
 //!   variant coverage in the round-trip tests.
-//! * [`analyze`] upgrades those per-file checks to whole-workspace
+//! * [`analyze`](mod@analyze) upgrades those per-file checks to whole-workspace
 //!   call-graph reachability: no panic reachable from untrusted input
 //!   (the wire decoder, journal replay), no allocation from the zero-copy diff hot path, no wall-clock read
 //!   from a pure crate's public API, no blocking call inside the shard

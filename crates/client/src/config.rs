@@ -1,6 +1,5 @@
 //! Client configuration and the shadow environment (§6.3.1).
 
-use shadow_diff::DiffAlgorithm;
 use shadow_proto::{DomainId, HostName, TransferEncoding};
 
 /// How the client moves file content to servers.
@@ -35,32 +34,20 @@ pub enum DeltaPolicy {
 /// customize it").
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShadowEnv {
-    /// Default supercomputer host for `submit` without an explicit host.
-    pub default_server: Option<HostName>,
-    /// The user's editor command (informational; the
-    /// [`ShadowEditor`](crate::ShadowEditor)
-    /// wrapper invokes whatever [`Editor`](crate::Editor) it is given,
-    /// leaving the user's tool unchanged).
-    pub editor: String,
     /// Older versions retained per file (§6.3.2 customization).
     pub version_retention: usize,
     /// Transfer encoding for update payloads.
     pub encoding: TransferEncoding,
     /// Delta-versus-full decision policy.
     pub delta_policy: DeltaPolicy,
-    /// Diff algorithm for producing deltas.
-    pub algorithm: DiffAlgorithm,
 }
 
 impl Default for ShadowEnv {
     fn default() -> Self {
         ShadowEnv {
-            default_server: None,
-            editor: "vi".to_string(),
             version_retention: 4,
             encoding: TransferEncoding::Identity,
             delta_policy: DeltaPolicy::default(),
-            algorithm: DiffAlgorithm::default(),
         }
     }
 }
@@ -153,13 +140,6 @@ impl ClientConfigBuilder {
         self
     }
 
-    /// Sets the user's editor command (§6.3.1 customization).
-    #[must_use]
-    pub fn editor(mut self, editor: impl Into<String>) -> Self {
-        self.config.env.editor = editor.into();
-        self
-    }
-
     /// Sets how many older versions are retained per file.
     #[must_use]
     pub fn version_retention(mut self, versions: usize) -> Self {
@@ -178,20 +158,6 @@ impl ClientConfigBuilder {
     #[must_use]
     pub fn delta_policy(mut self, policy: DeltaPolicy) -> Self {
         self.config.env.delta_policy = policy;
-        self
-    }
-
-    /// Sets the diff algorithm used to produce deltas.
-    #[must_use]
-    pub fn diff_algorithm(mut self, algorithm: DiffAlgorithm) -> Self {
-        self.config.env.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the default supercomputer host for bare `submit`s.
-    #[must_use]
-    pub fn default_server(mut self, host: impl Into<String>) -> Self {
-        self.config.env.default_server = Some(HostName::new(host.into()));
         self
     }
 
@@ -235,7 +201,6 @@ mod tests {
         assert_eq!(c.mode, TransferMode::Shadow);
         assert_eq!(c.env.version_retention, 4);
         assert_eq!(c.env.delta_policy, DeltaPolicy::Adaptive);
-        assert_eq!(c.env.editor, "vi");
         assert_eq!(c.domain, DomainId::new(3));
     }
 
@@ -248,19 +213,15 @@ mod tests {
     #[test]
     fn builder_builds_and_validates() {
         let c = ClientConfig::builder("ws", 2)
-            .editor("emacs")
             .version_retention(9)
             .encoding(TransferEncoding::Lzss)
             .delta_policy(DeltaPolicy::Always)
-            .default_server("superc")
             .output_retention(2)
             .build()
             .unwrap();
-        assert_eq!(c.env.editor, "emacs");
         assert_eq!(c.env.version_retention, 9);
         assert_eq!(c.env.encoding, TransferEncoding::Lzss);
         assert_eq!(c.env.delta_policy, DeltaPolicy::Always);
-        assert_eq!(c.env.default_server, Some(HostName::new("superc")));
         assert_eq!(c.output_retention, 2);
         // Builder defaults equal the plain constructor.
         assert_eq!(ClientConfig::builder("ws", 1).build().unwrap(), ClientConfig::new("ws", 1));
@@ -279,7 +240,6 @@ mod tests {
     #[test]
     fn env_customization() {
         let env = ShadowEnv {
-            editor: "emacs".into(),
             version_retention: 9,
             encoding: TransferEncoding::Lzss,
             ..ShadowEnv::default()

@@ -9,8 +9,8 @@
 //! in ([`ClientEvent`]), actions out ([`ClientAction`]). The pieces:
 //!
 //! * the **shadow environment** ([`ShadowEnv`]) — the per-user
-//!   customization database of §6.3.1 (default host, editor, retention
-//!   limit, transfer encoding);
+//!   customization database of §6.3.1 (retention limit, transfer
+//!   encoding, delta policy);
 //! * the **shadow editor** ([`ShadowEditor`]) — encapsulates a conventional
 //!   editor without modifying it (§6.2) and runs the post-processor that
 //!   versions the result and notifies interested servers;

@@ -5,7 +5,6 @@ use std::error::Error;
 use std::fmt;
 
 use bytes::Bytes;
-use shadow_compress::{Codec, Lzss, Rle};
 use shadow_proto::{
     ClientMessage, ContentDigest, DeltaCodec, FileId, HostName, JobId, JobStats, JobStatusEntry,
     OutputPayload, RequestId, ResumeEntry, ServerMessage, SubmitOptions, TransferEncoding,
@@ -281,8 +280,7 @@ pub struct ClientNode {
 impl ClientNode {
     /// Creates a client from its configuration.
     pub fn new(config: ClientConfig) -> Self {
-        let versions =
-            VersionStore::new(config.env.version_retention).with_algorithm(config.env.algorithm);
+        let versions = VersionStore::new(config.env.version_retention);
         ClientNode {
             config,
             versions,
@@ -424,7 +422,7 @@ impl ClientNode {
 
     /// Records that `n` persisted shadow-environment entries were
     /// skipped as corrupt or out-of-order during restore, so degraded
-    /// restores are visible in the [report](Self::report) instead of
+    /// restores are visible in the [metrics](Self::metrics) instead of
     /// silent.
     pub fn note_restore_skipped(&mut self, n: u64) {
         self.metrics.restore_skipped += n;
@@ -878,8 +876,7 @@ impl ClientNode {
     fn encode_with(encoding: TransferEncoding, raw: Vec<u8>) -> (TransferEncoding, Vec<u8>) {
         let packed = match encoding {
             TransferEncoding::Identity => return (TransferEncoding::Identity, raw),
-            TransferEncoding::Rle => Rle.compress(&raw),
-            TransferEncoding::Lzss => Lzss::default().compress(&raw),
+            TransferEncoding::Lzss => shadow_compress::compress(&raw),
         };
         if packed.len() < raw.len() {
             (encoding, packed)
@@ -962,8 +959,7 @@ impl ClientNode {
         let reconstructed: Result<Vec<u8>, ()> = match output {
             OutputPayload::Full { encoding, data } => match encoding {
                 TransferEncoding::Identity => Ok(data.to_vec()),
-                TransferEncoding::Rle => Rle.decompress(&data).map_err(|_| ()),
-                TransferEncoding::Lzss => Lzss::default().decompress(&data).map_err(|_| ()),
+                TransferEncoding::Lzss => shadow_compress::decompress(&data).map_err(|_| ()),
             },
             OutputPayload::Delta {
                 base_job,
@@ -974,8 +970,7 @@ impl ClientNode {
             } => {
                 let text = match encoding {
                     TransferEncoding::Identity => Ok(data.to_vec()),
-                    TransferEncoding::Rle => Rle.decompress(&data).map_err(|_| ()),
-                    TransferEncoding::Lzss => Lzss::default().decompress(&data).map_err(|_| ()),
+                    TransferEncoding::Lzss => shadow_compress::decompress(&data).map_err(|_| ()),
                 };
                 // Reconstruct in one pass directly over the retained base
                 // bytes — no base clone, no intermediate line vectors.

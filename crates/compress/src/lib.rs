@@ -1,30 +1,24 @@
-//! Transfer-encoding codecs for shadow editing payloads.
+//! The LZSS transfer encoding for shadow editing payloads.
 //!
 //! The paper's future-work section (§8.3) proposes exploring "data
 //! compression techniques to improve the efficiency of data transfer".
-//! This crate provides the two codecs the service's
-//! `TransferEncoding` selects between, behind a common [`Codec`] trait:
+//! This crate provides the one compressor behind
+//! `TransferEncoding::Lzss`: [`compress`] and [`decompress`], a
+//! sliding-window Lempel–Ziv (LZSS) codec with a 4 KiB window — a
+//! realistic stand-in for the late-1980s state of practice (LZ77-family
+//! compressors of the `compress`(1) era).
 //!
-//! * [`Rle`] — byte run-length encoding; near-zero CPU cost, wins only on
-//!   repetitive data, never expands by more than 1/128.
-//! * [`Lzss`] — a sliding-window Lempel–Ziv (LZSS) codec with a 4 KiB
-//!   window; a realistic stand-in for the late-1980s state of practice
-//!   (LZ77-family compressors of the `compress`(1) era).
-//!
-//! Both formats are self-delimiting given the compressed length and carry
+//! The format is self-delimiting given the compressed length and carries
 //! no header; the transfer encoding travels out-of-band in the protocol.
 //!
 //! # Example
 //!
 //! ```
-//! use shadow_compress::{Codec, Lzss};
-//!
 //! # fn main() -> Result<(), shadow_compress::DecompressError> {
 //! let input = b"abcabcabcabcabcabcabcabc".to_vec();
-//! let codec = Lzss::default();
-//! let packed = codec.compress(&input);
+//! let packed = shadow_compress::compress(&input);
 //! assert!(packed.len() < input.len());
-//! assert_eq!(codec.decompress(&packed)?, input);
+//! assert_eq!(shadow_compress::decompress(&packed)?, input);
 //! # Ok(())
 //! # }
 //! ```
@@ -33,36 +27,15 @@
 #![warn(missing_docs)]
 
 mod lzss;
-mod rle;
 
-pub use lzss::Lzss;
-pub use rle::Rle;
+pub use lzss::{compress, decompress};
 
 use std::error::Error;
 use std::fmt;
 
-/// A lossless byte-stream codec.
-pub trait Codec {
-    /// Compresses `input` into a fresh buffer.
-    fn compress(&self, input: &[u8]) -> Vec<u8>;
-
-    /// Decompresses `input` into a fresh buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecompressError`] when `input` is not a valid stream for
-    /// this codec (truncated, or referencing data outside the window).
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, DecompressError>;
-
-    /// The codec's short name, e.g. `"rle"`.
-    fn name(&self) -> &'static str;
-}
-
 /// Error decompressing a corrupt or truncated stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompressError {
-    /// Which codec rejected the stream.
-    pub codec: &'static str,
     /// Byte offset at which the problem was detected.
     pub offset: usize,
     /// Human-readable description.
@@ -73,8 +46,8 @@ impl fmt::Display for DecompressError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} stream invalid at byte {}: {}",
-            self.codec, self.offset, self.reason
+            "lzss stream invalid at byte {}: {}",
+            self.offset, self.reason
         )
     }
 }
@@ -88,16 +61,12 @@ mod tests {
     #[test]
     fn error_display() {
         let e = DecompressError {
-            codec: "rle",
             offset: 3,
-            reason: "truncated run",
+            reason: "truncated copy item",
         };
-        assert_eq!(e.to_string(), "rle stream invalid at byte 3: truncated run");
-    }
-
-    #[test]
-    fn codecs_expose_names() {
-        assert_eq!(Rle.name(), "rle");
-        assert_eq!(Lzss::default().name(), "lzss");
+        assert_eq!(
+            e.to_string(),
+            "lzss stream invalid at byte 3: truncated copy item"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! 3–18). Copies may overlap themselves (distance < length), giving cheap
 //! run encoding.
 
-use crate::{Codec, DecompressError};
+use crate::DecompressError;
 
 /// Sliding window size (must match the 12-bit distance field).
 const WINDOW: usize = 4096;
@@ -18,46 +18,6 @@ const MAX_MATCH: usize = MIN_MATCH + 15;
 /// Hash-chain search depth; higher finds better matches, slower.
 const MAX_CHAIN: usize = 64;
 
-/// The LZSS codec.
-///
-/// # Example
-///
-/// ```
-/// use shadow_compress::{Codec, Lzss};
-///
-/// # fn main() -> Result<(), shadow_compress::DecompressError> {
-/// let text = b"the cat sat on the mat; the cat sat on the hat".to_vec();
-/// let codec = Lzss::default();
-/// let packed = codec.compress(&text);
-/// assert!(packed.len() < text.len());
-/// assert_eq!(codec.decompress(&packed)?, text);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lzss {
-    /// Match-search effort: candidate chain length examined per position.
-    max_chain: usize,
-}
-
-impl Default for Lzss {
-    fn default() -> Self {
-        Lzss {
-            max_chain: MAX_CHAIN,
-        }
-    }
-}
-
-impl Lzss {
-    /// Creates a codec with a custom search depth (1 = fastest/greediest,
-    /// larger = better ratio).
-    pub fn with_search_depth(max_chain: usize) -> Self {
-        Lzss {
-            max_chain: max_chain.max(1),
-        }
-    }
-}
-
 fn hash3(bytes: &[u8]) -> usize {
     let h = (bytes[0] as u32) | ((bytes[1] as u32) << 8) | ((bytes[2] as u32) << 16);
     (h.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
@@ -65,140 +25,152 @@ fn hash3(bytes: &[u8]) -> usize {
 
 const HASH_SIZE: usize = 1 << 13;
 
-impl Codec for Lzss {
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        // head[h] = most recent position with hash h; prev[p & mask] = the
-        // position before p in that chain.
-        let mut head = vec![usize::MAX; HASH_SIZE];
-        let mut prev = vec![usize::MAX; WINDOW];
+/// Compresses `input` into a fresh buffer.
+///
+/// # Example
+///
+/// ```
+/// # fn main() -> Result<(), shadow_compress::DecompressError> {
+/// let text = b"the cat sat on the mat; the cat sat on the hat".to_vec();
+/// let packed = shadow_compress::compress(&text);
+/// assert!(packed.len() < text.len());
+/// assert_eq!(shadow_compress::decompress(&packed)?, text);
+/// # Ok(())
+/// # }
+/// ```
+pub fn compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    // head[h] = most recent position with hash h; prev[p & mask] = the
+    // position before p in that chain.
+    let mut head = vec![usize::MAX; HASH_SIZE];
+    let mut prev = vec![usize::MAX; WINDOW];
 
-        let mut flag_at: Option<usize> = None;
-        let mut flag_bit = 0u8;
-        let mut push_item = |out: &mut Vec<u8>, is_copy: bool, bytes: &[u8]| {
-            let at = match flag_at {
-                Some(at) if flag_bit < 8 => at,
-                _ => {
-                    out.push(0);
-                    flag_bit = 0;
-                    let at = out.len() - 1;
-                    flag_at = Some(at);
-                    at
-                }
-            };
-            if is_copy {
-                out[at] |= 1 << flag_bit;
+    let mut flag_at: Option<usize> = None;
+    let mut flag_bit = 0u8;
+    let mut push_item = |out: &mut Vec<u8>, is_copy: bool, bytes: &[u8]| {
+        let at = match flag_at {
+            Some(at) if flag_bit < 8 => at,
+            _ => {
+                out.push(0);
+                flag_bit = 0;
+                let at = out.len() - 1;
+                flag_at = Some(at);
+                at
             }
-            flag_bit += 1;
-            out.extend_from_slice(bytes);
         };
-
-        let mut pos = 0usize;
-        while pos < input.len() {
-            let mut best_len = 0usize;
-            let mut best_dist = 0usize;
-            if pos + MIN_MATCH <= input.len() {
-                let h = hash3(&input[pos..]);
-                let mut cand = head[h];
-                let mut chain = self.max_chain;
-                while cand != usize::MAX && chain > 0 {
-                    if pos - cand > WINDOW {
-                        break;
-                    }
-                    let limit = (input.len() - pos).min(MAX_MATCH);
-                    let mut len = 0usize;
-                    while len < limit && input[cand + len] == input[pos + len] {
-                        len += 1;
-                    }
-                    if len > best_len {
-                        best_len = len;
-                        best_dist = pos - cand;
-                        if len == MAX_MATCH {
-                            break;
-                        }
-                    }
-                    let next = prev[cand % WINDOW];
-                    // Chains only move backwards; a stale slot would loop.
-                    if next >= cand {
-                        break;
-                    }
-                    cand = next;
-                    chain -= 1;
-                }
-            }
-
-            let take = if best_len >= MIN_MATCH {
-                let dist_code = best_dist - 1; // 0..4095
-                let len_code = best_len - MIN_MATCH; // 0..15
-                let b0 = (dist_code & 0xFF) as u8;
-                let b1 = (((dist_code >> 8) as u8) << 4) | len_code as u8;
-                push_item(&mut out, true, &[b0, b1]);
-                best_len
-            } else {
-                push_item(&mut out, false, &[input[pos]]);
-                1
-            };
-
-            // Insert the consumed positions into the hash chains.
-            for p in pos..pos + take {
-                if p + MIN_MATCH <= input.len() {
-                    let h = hash3(&input[p..]);
-                    prev[p % WINDOW] = head[h];
-                    head[h] = p;
-                }
-            }
-            pos += take;
+        if is_copy {
+            out[at] |= 1 << flag_bit;
         }
-        out
-    }
+        flag_bit += 1;
+        out.extend_from_slice(bytes);
+    };
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, DecompressError> {
-        let mut out = Vec::with_capacity(input.len() * 2);
-        let mut pos = 0usize;
-        while pos < input.len() {
-            let flags = input[pos];
-            pos += 1;
-            for bit in 0..8 {
-                if pos >= input.len() {
+    let mut pos = 0usize;
+    while pos < input.len() {
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        if pos + MIN_MATCH <= input.len() {
+            let h = hash3(&input[pos..]);
+            let mut cand = head[h];
+            let mut chain = MAX_CHAIN;
+            while cand != usize::MAX && chain > 0 {
+                if pos - cand > WINDOW {
                     break;
                 }
-                if flags & (1 << bit) != 0 {
-                    if pos + 2 > input.len() {
-                        return Err(DecompressError {
-                            codec: "lzss",
-                            offset: pos,
-                            reason: "truncated copy item",
-                        });
-                    }
-                    let b0 = input[pos] as usize;
-                    let b1 = input[pos + 1] as usize;
-                    pos += 2;
-                    let dist = (b0 | ((b1 >> 4) << 8)) + 1;
-                    let len = (b1 & 0x0F) + MIN_MATCH;
-                    if dist > out.len() {
-                        return Err(DecompressError {
-                            codec: "lzss",
-                            offset: pos - 2,
-                            reason: "copy distance exceeds produced output",
-                        });
-                    }
-                    let start = out.len() - dist;
-                    for i in 0..len {
-                        let byte = out[start + i];
-                        out.push(byte);
-                    }
-                } else {
-                    out.push(input[pos]);
-                    pos += 1;
+                let limit = (input.len() - pos).min(MAX_MATCH);
+                let mut len = 0usize;
+                while len < limit && input[cand + len] == input[pos + len] {
+                    len += 1;
                 }
+                if len > best_len {
+                    best_len = len;
+                    best_dist = pos - cand;
+                    if len == MAX_MATCH {
+                        break;
+                    }
+                }
+                let next = prev[cand % WINDOW];
+                // Chains only move backwards; a stale slot would loop.
+                if next >= cand {
+                    break;
+                }
+                cand = next;
+                chain -= 1;
             }
         }
-        Ok(out)
-    }
 
-    fn name(&self) -> &'static str {
-        "lzss"
+        let take = if best_len >= MIN_MATCH {
+            let dist_code = best_dist - 1; // 0..4095
+            let len_code = best_len - MIN_MATCH; // 0..15
+            let b0 = (dist_code & 0xFF) as u8;
+            let b1 = (((dist_code >> 8) as u8) << 4) | len_code as u8;
+            push_item(&mut out, true, &[b0, b1]);
+            best_len
+        } else {
+            push_item(&mut out, false, &[input[pos]]);
+            1
+        };
+
+        // Insert the consumed positions into the hash chains.
+        for p in pos..pos + take {
+            if p + MIN_MATCH <= input.len() {
+                let h = hash3(&input[p..]);
+                prev[p % WINDOW] = head[h];
+                head[h] = p;
+            }
+        }
+        pos += take;
     }
+    out
+}
+
+/// Decompresses `input` into a fresh buffer. A stream of `n` bytes
+/// decodes to at most `9n` bytes: a 2-byte copy item yields up to 18.
+///
+/// # Errors
+///
+/// Returns [`DecompressError`] when `input` is truncated inside a copy
+/// item or a copy reaches before the start of the output.
+pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecompressError> {
+    let mut out = Vec::with_capacity(input.len() * 2);
+    let mut pos = 0usize;
+    while pos < input.len() {
+        let flags = input[pos];
+        pos += 1;
+        for bit in 0..8 {
+            if pos >= input.len() {
+                break;
+            }
+            if flags & (1 << bit) != 0 {
+                if pos + 2 > input.len() {
+                    return Err(DecompressError {
+                        offset: pos,
+                        reason: "truncated copy item",
+                    });
+                }
+                let b0 = input[pos] as usize;
+                let b1 = input[pos + 1] as usize;
+                pos += 2;
+                let dist = (b0 | ((b1 >> 4) << 8)) + 1;
+                let len = (b1 & 0x0F) + MIN_MATCH;
+                if dist > out.len() {
+                    return Err(DecompressError {
+                        offset: pos - 2,
+                        reason: "copy distance exceeds produced output",
+                    });
+                }
+                let start = out.len() - dist;
+                for i in 0..len {
+                    let byte = out[start + i];
+                    out.push(byte);
+                }
+            } else {
+                out.push(input[pos]);
+                pos += 1;
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -206,9 +178,8 @@ mod tests {
     use super::*;
 
     fn round_trip(input: &[u8]) -> Vec<u8> {
-        let codec = Lzss::default();
-        let packed = codec.compress(input);
-        assert_eq!(codec.decompress(&packed).unwrap(), input);
+        let packed = compress(input);
+        assert_eq!(decompress(&packed).unwrap(), input);
         packed
     }
 
@@ -272,35 +243,28 @@ mod tests {
         // Same content repeated 8 KiB apart: outside the 4 KiB window, so
         // it must still round-trip (as literals).
         let mut input = b"The quick brown fox jumps over the lazy dog".to_vec();
-        input.extend(std::iter::repeat_with({
-            let mut x = 0u32;
-            move || {
-                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-                (x >> 24) as u8
-            }
-        }).take(8192));
+        input.extend(
+            std::iter::repeat_with({
+                let mut x = 0u32;
+                move || {
+                    x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                    (x >> 24) as u8
+                }
+            })
+            .take(8192),
+        );
         input.extend_from_slice(b"The quick brown fox jumps over the lazy dog");
         round_trip(&input);
-    }
-
-    #[test]
-    fn search_depth_trades_ratio() {
-        let input: Vec<u8> = b"abcdefgh".iter().copied().cycle().take(4096).collect();
-        let fast = Lzss::with_search_depth(1).compress(&input);
-        let thorough = Lzss::with_search_depth(256).compress(&input);
-        assert!(thorough.len() <= fast.len());
-        assert_eq!(Lzss::default().decompress(&fast).unwrap(), input);
-        assert_eq!(Lzss::default().decompress(&thorough).unwrap(), input);
     }
 
     #[test]
     fn corrupt_streams_error_not_panic() {
         // Copy referencing before the start of output.
         let bad = vec![0b0000_0001, 0xFF, 0xFF];
-        assert!(Lzss::default().decompress(&bad).is_err());
+        assert!(decompress(&bad).is_err());
         // Truncated copy.
         let bad = vec![0b0000_0001, 0x00];
-        assert!(Lzss::default().decompress(&bad).is_err());
+        assert!(decompress(&bad).is_err());
     }
 
     #[test]
@@ -310,5 +274,31 @@ mod tests {
             .collect();
         let packed = round_trip(text.as_bytes());
         assert!(packed.len() < text.len() / 2);
+    }
+
+    #[test]
+    fn distance_one_copies_reach_the_amplification_bound() {
+        // One literal, then nothing but distance-1, length-18 copies: the
+        // first group (flag, literal, 7 copies) is 16 bytes in and 127
+        // out; each further group (flag, 8 copies) is 17 in and 144 out.
+        const GROUPS: usize = 1000;
+        let copy = [0x00, 0x0F];
+        let mut input = vec![0b1111_1110, b'a'];
+        input.extend(copy.repeat(7));
+        for _ in 0..GROUPS {
+            input.push(0xFF);
+            input.extend(copy.repeat(8));
+        }
+        assert_eq!(input.len(), 16 + 17 * GROUPS);
+        let out = decompress(&input).unwrap();
+        assert_eq!(out.len(), 127 + 144 * GROUPS);
+        assert!(out.iter().all(|&b| b == b'a'));
+        assert!(
+            out.len() * 10 >= input.len() * 84,
+            "{} from {}",
+            out.len(),
+            input.len()
+        );
+        assert!(out.len() <= 9 * input.len());
     }
 }

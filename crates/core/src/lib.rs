@@ -103,7 +103,7 @@ pub use shadow_client::{
     EditorCommand, FileRef, FnEditor, JobTracker, Notification, ScriptedEditor, ShadowEditor,
     ShadowEnv, TrackedJob, TransferMode,
 };
-pub use shadow_compress::{Codec, Lzss, Rle};
+pub use shadow_compress::{compress, decompress};
 pub use shadow_diff::{
     apply_chunk_delta, apply_delta, choose_chunk_codec, chunk_delta_into, classify, diff_docs,
     ApplyError, ChunkDeltaError, ChunkParams, ChunkStats, DeltaError, DeltaScript, DiffAlgorithm,
@@ -121,7 +121,7 @@ pub use shadow_proto::{
 };
 pub use shadow_obs::{
     FlightEntry, FlightRecorder, Histogram, Json, MetricValue, MetricsRegistry, NodeReport,
-    Section, Snapshot, TraceSink,
+    Section, Snapshot,
 };
 pub use shadow_server::{
     exec, ConfigError as ServerConfigError, ExecProfile, FlowControl, ServerAction, ServerConfig,

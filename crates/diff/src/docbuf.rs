@@ -32,7 +32,8 @@ struct DocInner {
 ///
 /// Construction splits on `\n` (trailing-newline state preserved;
 /// non-UTF-8 content welcome), and the lines are borrowed slices of the
-/// single buffer. See the [module docs](self) for the memory model.
+/// single buffer. Cloning is O(1): the buffer and the index live behind
+/// an `Arc`.
 ///
 /// # Example
 ///

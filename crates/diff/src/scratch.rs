@@ -66,8 +66,8 @@ pub(crate) struct Candidate {
 /// Reusable working memory for [`diff_docs`](crate::diff_docs).
 ///
 /// Hold one per diffing site (client driver, server reverse-shadow path,
-/// version store) and pass it to every call; see the
-/// [module docs](self) for the reuse contract.
+/// version store) and pass it to every call. It is a pure cache: each
+/// call clears and refills it, and [`Clone`] yields a fresh, empty one.
 #[derive(Debug, Default)]
 pub struct DiffScratch {
     /// Open-addressing hash table: `entry index + 1`, `0` = empty slot.

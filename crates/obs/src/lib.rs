@@ -15,8 +15,6 @@
 //!   reports from the sharded server runtime into one aggregate tree;
 //! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
 //!   [`Histogram`]s for runtime loops;
-//! * [`TraceSink`] — decodes tapped frames into per-job lifecycle
-//!   stages (edit → announce → pull → transfer → exec → output);
 //! * [`FlightRecorder`] — a bounded ring of recent events, dumped into
 //!   counterexample and failure reports;
 //! * [`Json`] — a hand-rolled (serde-free, like `wire.rs`) JSON model
@@ -35,7 +33,6 @@ mod json;
 mod merge;
 mod metrics;
 mod report;
-mod trace;
 
 pub use event::{DriverEvent, DriverStats, EventHook, FrameInfo};
 pub use flight::{FlightEntry, FlightRecorder};
@@ -43,4 +40,3 @@ pub use json::Json;
 pub use merge::{merge_reports, shard_section_name};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use report::{MetricValue, NodeReport, Section, Snapshot};
-pub use trace::{Endpoint, JobSpan, Stage, TraceRecord, TraceSink};

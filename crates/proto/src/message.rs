@@ -15,8 +15,6 @@ pub enum TransferEncoding {
     /// Bytes as-is.
     #[default]
     Identity,
-    /// Run-length encoding.
-    Rle,
     /// LZSS (sliding-window Lempel–Ziv).
     Lzss,
 }
@@ -48,7 +46,6 @@ impl fmt::Display for TransferEncoding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransferEncoding::Identity => write!(f, "identity"),
-            TransferEncoding::Rle => write!(f, "rle"),
             TransferEncoding::Lzss => write!(f, "lzss"),
         }
     }
@@ -471,7 +468,6 @@ mod tests {
     #[test]
     fn encodings_display() {
         assert_eq!(TransferEncoding::Identity.to_string(), "identity");
-        assert_eq!(TransferEncoding::Rle.to_string(), "rle");
         assert_eq!(TransferEncoding::Lzss.to_string(), "lzss");
     }
 }

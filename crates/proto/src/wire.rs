@@ -228,7 +228,6 @@ pub(crate) fn put_opt<T>(buf: &mut BytesMut, value: &Option<T>, write: impl FnOn
 fn put_encoding(buf: &mut BytesMut, e: TransferEncoding) {
     buf.put_u8(match e {
         TransferEncoding::Identity => 0,
-        TransferEncoding::Rle => 1,
         TransferEncoding::Lzss => 2,
     });
 }
@@ -236,7 +235,6 @@ fn put_encoding(buf: &mut BytesMut, e: TransferEncoding) {
 fn get_encoding(c: &mut Cursor<'_>) -> Result<TransferEncoding, WireError> {
     match c.get_u8()? {
         0 => Ok(TransferEncoding::Identity),
-        1 => Ok(TransferEncoding::Rle),
         2 => Ok(TransferEncoding::Lzss),
         tag => Err(WireError::UnknownTag {
             what: "TransferEncoding",
@@ -925,7 +923,7 @@ mod tests {
             output: OutputPayload::Delta {
                 base_job: JobId::new(0),
                 codec: DeltaCodec::Chunk,
-                encoding: TransferEncoding::Rle,
+                encoding: TransferEncoding::Lzss,
                 data: Bytes::from_static(b"1c\nx\n.\nw\n"),
                 digest: ContentDigest::of(b"new output"),
             },
@@ -994,6 +992,37 @@ mod tests {
             WireError::UnknownTag {
                 what: "ClientMessage",
                 tag: 0x7F
+            }
+        );
+    }
+
+    #[test]
+    fn encoding_tag_one_is_rejected() {
+        // Tag 1 is unassigned, between the Identity and Lzss tags.
+        let update = |encoding| ClientMessage::Update {
+            file: FileId::new(9),
+            version: VersionNumber::FIRST,
+            payload: UpdatePayload::Full {
+                encoding,
+                data: Bytes::from_static(b"entire file"),
+                digest: ContentDigest::of(b"entire file"),
+            },
+        };
+        let identity = Frame::encode(&update(TransferEncoding::Identity));
+        let lzss = Frame::encode(&update(TransferEncoding::Lzss));
+        let differ: Vec<usize> = (0..identity.len())
+            .filter(|&i| identity[i] != lzss[i])
+            .collect();
+        assert_eq!(differ.len(), 1, "only the encoding byte differs");
+        let mut bytes = identity;
+        assert_eq!(bytes[differ[0]], 0);
+        bytes[differ[0]] = 1;
+        let err = Frame::decode::<ClientMessage>(&bytes).unwrap_err();
+        assert_eq!(
+            err,
+            WireError::UnknownTag {
+                what: "TransferEncoding",
+                tag: 1
             }
         );
     }

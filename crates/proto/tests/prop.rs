@@ -12,7 +12,6 @@ use shadow_proto::{
 fn arb_encoding() -> impl Strategy<Value = TransferEncoding> {
     prop_oneof![
         Just(TransferEncoding::Identity),
-        Just(TransferEncoding::Rle),
         Just(TransferEncoding::Lzss),
     ]
 }

@@ -5,7 +5,6 @@ use std::fmt;
 
 use bytes::Bytes;
 use shadow_cache::ShadowStore;
-use shadow_compress::{Codec, Lzss, Rle};
 use shadow_diff::{
     apply_chunk_delta, apply_delta, choose_chunk_codec, chunk_delta_into, diff_docs, DeltaError,
     DiffAlgorithm, DiffScratch, DocBuf,
@@ -714,10 +713,9 @@ impl ServerNode {
     ) -> Result<Vec<u8>, &'static str> {
         match encoding {
             TransferEncoding::Identity => Ok(data.to_vec()),
-            TransferEncoding::Rle => Rle.decompress(data).map_err(|_| "rle decode failed"),
-            TransferEncoding::Lzss => Lzss::default()
-                .decompress(data)
-                .map_err(|_| "lzss decode failed"),
+            TransferEncoding::Lzss => {
+                shadow_compress::decompress(data).map_err(|_| "lzss decode failed")
+            }
         }
     }
 

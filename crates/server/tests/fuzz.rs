@@ -14,7 +14,6 @@ use shadow_server::{CloseReason, ServerConfig, ServerEvent, ServerNode, SessionI
 fn arb_encoding() -> impl Strategy<Value = TransferEncoding> {
     prop_oneof![
         Just(TransferEncoding::Identity),
-        Just(TransferEncoding::Rle),
         Just(TransferEncoding::Lzss),
     ]
 }

@@ -95,7 +95,6 @@ pub struct VersionStore {
     files: HashMap<FileId, FileVersions>,
     /// Number of versions *older than the latest* retained per file.
     retention_limit: usize,
-    algorithm: DiffAlgorithm,
     /// Reusable diff working memory: steady-state delta computation does
     /// no heap allocation. `RefCell` because deltas are conceptually a
     /// read (`&self`); cloning a store starts with a fresh scratch.
@@ -104,23 +103,14 @@ pub struct VersionStore {
 
 impl VersionStore {
     /// Creates a store retaining up to `retention_limit` older versions
-    /// per file (the latest is always kept), diffing with the default
-    /// Hunt–McIlroy algorithm.
+    /// per file (the latest is always kept). Line deltas use
+    /// Hunt–McIlroy, as the server's reverse-shadow path does.
     pub fn new(retention_limit: usize) -> Self {
         VersionStore {
             files: HashMap::new(),
             retention_limit,
-            algorithm: DiffAlgorithm::default(),
             scratch: RefCell::new(DiffScratch::new()),
         }
-    }
-
-    /// Selects the line-diff algorithm used by
-    /// [`delta_payload_from`](Self::delta_payload_from).
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: DiffAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
     }
 
     /// The configured retention limit.
@@ -245,7 +235,7 @@ impl VersionStore {
             );
             Some((base, DeltaCodec::Chunk, out))
         } else {
-            let delta = diff_docs(self.algorithm, base_doc, latest_doc, &mut scratch);
+            let delta = diff_docs(DiffAlgorithm::HuntMcIlroy, base_doc, latest_doc, &mut scratch);
             Some((base, DeltaCodec::Line, delta.to_text()))
         }
     }
@@ -549,15 +539,5 @@ mod tests {
         let rebuilt = apply_delta(b"one\ntwo\nthree\n", &text).unwrap();
         assert_eq!(rebuilt, b"one\n2\nthree\nfour\n");
         assert!(s.delta_payload_from(f(9), v1).is_none());
-    }
-
-    #[test]
-    fn myers_backend_works_identically() {
-        let mut s = VersionStore::new(4).with_algorithm(DiffAlgorithm::Myers);
-        let v1 = s.record_edit(f(1), b"a\nb\nc\n".to_vec());
-        s.record_edit(f(1), b"a\nx\nc\n".to_vec());
-        let (_, script) = line_delta(&s, f(1), v1).unwrap();
-        let rebuilt = apply_delta(b"a\nb\nc\n", &script).unwrap();
-        assert_eq!(rebuilt, b"a\nx\nc\n");
     }
 }

@@ -1,7 +1,7 @@
 # Development shortcuts. `just check` is what CI runs.
 
 # Build everything, run the full test suite, and lint.
-check: build test e2e-test lint verify analyze
+check: build test e2e-test lint doc verify analyze
 
 # Release build of the whole workspace.
 build:
@@ -17,9 +17,15 @@ test:
 e2e-test:
     cargo test --offline --manifest-path e2e/Cargo.toml
 
-# Clippy with warnings promoted to errors.
+# Clippy with warnings promoted to errors, over every target (tests,
+# benches and examples included).
 lint:
-    cargo clippy -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings promoted to errors: a doc link to a deleted or
+# private item fails the build.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Protocol-level verification: repo lints plus the bounded state-space
 # sweep over the built-in scenarios (CI profile, a few seconds).
