@@ -194,6 +194,21 @@ impl ShadowStore {
         version: VersionNumber,
         content: Vec<u8>,
     ) -> Vec<FileKey> {
+        let digest = ContentDigest::of(&content);
+        self.insert_digested(key, version, content, digest)
+    }
+
+    /// [`insert`](Self::insert) for a caller that already holds the
+    /// content's digest, so the content is not digested a second time.
+    /// `digest` must be `ContentDigest::of(&content)`.
+    pub fn insert_digested(
+        &mut self,
+        key: FileKey,
+        version: VersionNumber,
+        content: Vec<u8>,
+        digest: ContentDigest,
+    ) -> Vec<FileKey> {
+        debug_assert!(digest == ContentDigest::of(&content));
         self.clock += 1;
         // Replace any prior version first so budget accounting is simple.
         if let Some(old) = self.entries.remove(&key) {
@@ -205,10 +220,14 @@ impl ShadowStore {
         }
         let mut evicted = Vec::new();
         while self.used + content.len() > self.budget {
-            let victim = self
+            // `used > 0` implies an entry to evict, so the loop ends by
+            // the budget test, never by running out of victims.
+            let Some((victim, entry)) = self
                 .pick_victim()
-                .expect("used > 0 implies a victim exists");
-            let entry = self.entries.remove(&victim).expect("victim exists");
+                .and_then(|victim| Some((victim, self.entries.remove(&victim)?)))
+            else {
+                break;
+            };
             self.used -= entry.content.len();
             self.stats.evictions += 1;
             self.stats.bytes_evicted += entry.content.len() as u64;
@@ -220,7 +239,7 @@ impl ShadowStore {
             key,
             CacheEntry {
                 version,
-                digest: ContentDigest::of(&content),
+                digest,
                 content,
                 last_used: self.clock,
                 inserted: self.clock,

@@ -213,6 +213,7 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
             ("diff", None, "diff_docs"),
             ("diff", None, "apply_delta"),
             ("diff", None, "chunk_delta_into"),
+            ("diff", None, "chunk_delta_indexed"),
             ("diff", None, "apply_chunk_delta"),
         ],
     );
@@ -473,6 +474,22 @@ mod tests {
         assert!(entries.contains(&"diff::chunk::chunk_delta_into"));
         assert!(entries.contains(&"diff::chunk::apply_chunk_delta"));
         assert!(f.iter().all(|x| x.fact_fn == "diff::chunk::emit_span"));
+    }
+
+    #[test]
+    fn alloc_below_the_indexed_chunk_walk_is_found() {
+        // The walk over kept chunk indexes is an entry of its own: the
+        // version store calls it on every chunk-codec resubmission.
+        let ws = ws_from(&[(
+            "diff",
+            "src/chunk.rs",
+            "pub fn chunk_delta_indexed() { walk_and_serialize() }\n\
+             fn walk_and_serialize() { let ops = Vec::new(); }",
+        )]);
+        let f = rule_findings(&ws, "alloc-reach");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].entry, "diff::chunk::chunk_delta_indexed");
+        assert_eq!(f[0].fact_fn, "diff::chunk::walk_and_serialize");
     }
 
     #[test]

@@ -332,9 +332,7 @@ impl ClientNode {
     /// held (the model checker's coherence oracle: what *should* the
     /// server's shadow of this version contain?).
     pub fn digest_of_version(&self, file: FileId, version: VersionNumber) -> Option<ContentDigest> {
-        self.versions
-            .content_of(file, version)
-            .map(ContentDigest::of)
+        self.versions.digest_of(file, version)
     }
 
     /// The newest version this client has announced to a connection.
@@ -512,11 +510,7 @@ impl ClientNode {
             if cn != conn {
                 continue;
             }
-            match self
-                .versions
-                .content_of(file, version)
-                .map(ContentDigest::of)
-            {
+            match self.versions.digest_of(file, version) {
                 Some(digest) => resume.push(ResumeEntry {
                     file,
                     version,
@@ -602,8 +596,8 @@ impl ClientNode {
     pub fn edit_finished(&mut self, file: &FileRef, content: Vec<u8>) -> (VersionNumber, Vec<ClientAction>) {
         self.names.insert(file.id, file.name.clone());
         let size = content.len() as u64;
-        let digest = ContentDigest::of(&content);
         let version = self.versions.record_edit(file.id, content);
+        let digest = self.versions.latest_digest(file.id).expect("just recorded");
         let mut actions = Vec::new();
         if self.config.mode == TransferMode::Shadow {
             let conns: Vec<ConnId> = self
@@ -677,9 +671,8 @@ impl ClientNode {
                         .get(&(conn, fref.id))
                         .is_some_and(|&av| av >= *v);
                     if !already {
-                        let content = self.versions.latest(fref.id).expect("checked").1;
-                        let (size, digest) =
-                            (content.len() as u64, ContentDigest::of(content));
+                        let size = self.versions.latest(fref.id).expect("checked").1.len() as u64;
+                        let digest = self.versions.latest_digest(fref.id).expect("checked");
                         self.announced.insert((conn, fref.id), *v);
                         self.metrics.notifies_sent += 1;
                         actions.push(ClientAction::Send {
@@ -700,7 +693,7 @@ impl ClientNode {
                 // server still needs name mappings, so notify too.
                 for (fref, v) in &versions {
                     let content = self.versions.latest(fref.id).expect("checked").1.to_vec();
-                    let digest = ContentDigest::of(&content);
+                    let digest = self.versions.latest_digest(fref.id).expect("checked");
                     self.metrics.notifies_sent += 1;
                     actions.push(ClientAction::Send {
                         conn,
@@ -869,19 +862,19 @@ impl ClientNode {
         actions
     }
 
-    /// Applies the configured wire encoding. Takes ownership of `raw` so
-    /// the identity (and compression-didn't-help) paths forward the buffer
-    /// instead of copying it — delta text produced by the zero-copy
-    /// pipeline travels to the frame without an intermediate copy.
-    fn encode_with(encoding: TransferEncoding, raw: Vec<u8>) -> (TransferEncoding, Vec<u8>) {
+    /// Applies the configured wire encoding, straight into the payload
+    /// buffer: the identity (and compression-didn't-help) paths copy
+    /// `raw` once, so a full transfer never holds an intermediate copy
+    /// of the content.
+    fn encode_with(encoding: TransferEncoding, raw: &[u8]) -> (TransferEncoding, Bytes) {
         let packed = match encoding {
-            TransferEncoding::Identity => return (TransferEncoding::Identity, raw),
-            TransferEncoding::Lzss => shadow_compress::compress(&raw),
+            TransferEncoding::Identity => return (encoding, Bytes::copy_from_slice(raw)),
+            TransferEncoding::Lzss => shadow_compress::compress(raw),
         };
         if packed.len() < raw.len() {
-            (encoding, packed)
+            (encoding, Bytes::from(packed))
         } else {
-            (TransferEncoding::Identity, raw)
+            (TransferEncoding::Identity, Bytes::copy_from_slice(raw))
         }
     }
 
@@ -892,12 +885,14 @@ impl ClientNode {
         have: Option<VersionNumber>,
         actions: &mut Vec<ClientAction>,
     ) {
-        let Some((latest, content)) = self.versions.latest(file) else {
+        let (Some((latest, content)), Some(digest)) =
+            (self.versions.latest(file), self.versions.latest_digest(file))
+        else {
             return; // we know nothing about this file; nothing to send
         };
-        // Digest and length come straight off the version store's buffer;
-        // the full content is only copied on the full-transfer path.
-        let digest = ContentDigest::of(content);
+        // The digest was computed when the version was recorded, and the
+        // length comes straight off the version store's buffer; the full
+        // content is only copied on the full-transfer path, once.
         let content_len = content.len();
         // The version store picks the delta codec per file shape: line
         // ed scripts for text, chunk deltas for binary or line-hostile
@@ -917,23 +912,23 @@ impl ClientNode {
         };
         let payload = if use_delta {
             let (base, codec, bytes) = delta.expect("checked");
-            let (encoding, data) = Self::encode_with(self.config.env.encoding, bytes);
+            let (encoding, data) = Self::encode_with(self.config.env.encoding, &bytes);
             self.metrics.deltas_sent += 1;
             self.metrics.update_payload_bytes += data.len() as u64;
             UpdatePayload::Delta {
                 base,
                 codec,
                 encoding,
-                data: Bytes::from(data),
+                data,
                 digest,
             }
         } else {
-            let (encoding, data) = Self::encode_with(self.config.env.encoding, content.to_vec());
+            let (encoding, data) = Self::encode_with(self.config.env.encoding, content);
             self.metrics.fulls_sent += 1;
             self.metrics.update_payload_bytes += data.len() as u64;
             UpdatePayload::Full {
                 encoding,
-                data: Bytes::from(data),
+                data,
                 digest,
             }
         };

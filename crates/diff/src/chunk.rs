@@ -14,6 +14,14 @@
 //! granularity ([`LEVELS`], depth bound [`MAX_LEVELS`]) so a 1 KB edit in
 //! the middle of a 64 KB chunk still ships roughly 1 KB.
 //!
+//! A document's chunking at every level is a [`ChunkIndex`]. A version
+//! chain keeps one per retained version and [derives](ChunkIndex::derive)
+//! each new version's index from its base's: only the chunks around the
+//! edit are re-chunked, and the result is exactly what chunking from
+//! scratch would give. [`chunk_delta_indexed`]
+//! walks two such indexes; [`chunk_delta_into`] indexes the base and
+//! derives the target itself.
+//!
 //! All working memory — chunk records, digest buckets, the op list — lives
 //! in the [`DiffScratch`] the caller already holds for the line path, so
 //! steady-state chunk diffs perform **zero heap allocation**: the caller
@@ -126,14 +134,14 @@ fn fnv_chunk(bytes: &[u8]) -> u64 {
 }
 
 /// One chunk: where its bytes live in the source document plus its digest.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChunkRec {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChunkRec {
     /// Absolute byte offset of the chunk in its document.
-    pub(crate) off: u32,
+    off: u32,
     /// Chunk length in bytes (bounded by `ChunkParams::max`).
-    pub(crate) len: u32,
+    len: u32,
     /// FNV digest of the chunk bytes.
-    pub(crate) hash: u64,
+    hash: u64,
 }
 
 /// One delta operation before serialization. `Insert` records the span in
@@ -147,25 +155,153 @@ enum ChunkOp {
     Insert { t_off: u32, len: u32 },
 }
 
-/// Per-level chunking arenas, embedded in [`DiffScratch`] so chunk diffs
-/// reuse warmed capacity exactly like the line path.
-#[derive(Debug, Default)]
-pub(crate) struct LevelScratch {
-    /// Chunks of the base document at this level.
-    pub(crate) base_chunks: Vec<ChunkRec>,
-    /// Open-addressing digest index: `base chunk index + 1`, `0` = empty.
-    pub(crate) buckets: Vec<u32>,
-    /// Chunks of the current target span at this level.
-    pub(crate) target_chunks: Vec<ChunkRec>,
-    /// Whether `base_chunks`/`buckets` are valid for the current call.
-    pub(crate) built: bool,
+/// One level of a [`ChunkIndex`]: the document's chunk records in order,
+/// plus the open-addressing digest index over them.
+#[derive(Debug, Clone, Default)]
+struct LevelIndex {
+    /// Chunks of the whole document at this level.
+    chunks: Vec<ChunkRec>,
+    /// Open-addressing digest index: `chunk index + 1`, `0` = empty.
+    buckets: Vec<u32>,
 }
 
-/// Reusable working memory for [`chunk_delta_into`].
+/// A document's content-defined chunking at every level of [`LEVELS`],
+/// each level indexed by chunk digest.
+///
+/// [`build`](ChunkIndex::build) chunks a document from scratch;
+/// [`derive`](ChunkIndex::derive) computes the same index for an edited
+/// version from its base's index, re-chunking only around the edit.
+/// Either way the index is a pure function of the document's bytes, so
+/// [`chunk_delta_indexed`] over two indexes emits exactly the bytes
+/// [`chunk_delta_into`] emits over the two documents.
+///
+/// # Example
+///
+/// ```
+/// use shadow_diff::{chunk_delta_indexed, chunk_delta_into, ChunkIndex, DiffScratch};
+///
+/// let base: Vec<u8> = (0..200_000u32)
+///     .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+///     .collect();
+/// let mut target = base.clone();
+/// target[100_000..100_100].fill(0);
+///
+/// let base_idx = ChunkIndex::build(&base);
+/// let target_idx = ChunkIndex::derive(&base, &base_idx, &target);
+/// assert_eq!(target_idx, ChunkIndex::build(&target));
+///
+/// let mut scratch = DiffScratch::new();
+/// let (mut indexed, mut plain) = (Vec::new(), Vec::new());
+/// chunk_delta_indexed(&base, &base_idx, &target, &target_idx, &mut scratch, &mut indexed);
+/// chunk_delta_into(&base, &target, &mut scratch, &mut plain);
+/// assert_eq!(indexed, plain);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ChunkIndex {
+    /// Length of the indexed document.
+    doc_len: usize,
+    /// One chunking per refinement level.
+    levels: [LevelIndex; MAX_LEVELS],
+}
+
+/// Two indexes are equal when they hold the same chunks; the bucket
+/// tables are a function of the chunk lists.
+impl PartialEq for ChunkIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.doc_len == other.doc_len
+            && self
+                .levels
+                .iter()
+                .zip(&other.levels)
+                .all(|(a, b)| a.chunks == b.chunks)
+    }
+}
+
+impl Eq for ChunkIndex {}
+
+impl ChunkIndex {
+    /// Chunks `doc` from scratch at every level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doc` exceeds `u32::MAX` bytes (the same bound
+    /// [`DocBuf`] enforces).
+    #[must_use]
+    pub fn build(doc: &[u8]) -> ChunkIndex {
+        let mut index = ChunkIndex::default();
+        index.index_from(&[], None, doc);
+        index
+    }
+
+    /// The index of `target`, derived from `base` and its index.
+    ///
+    /// Base chunks that end inside the common prefix are kept, except
+    /// the base's final chunk, whose end may be the document end rather
+    /// than a content-defined cut. Chunking resumes after them, and
+    /// stops at the first cut inside the common suffix that lands on a
+    /// base cut once shifted by the length change: from there on the
+    /// remaining bytes and the remaining length are those of the base,
+    /// so the base's remaining chunks are the target's, shifted. The
+    /// result equals [`ChunkIndex::build`] of `target` exactly.
+    ///
+    /// `base_idx` must be the index of `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` exceeds `u32::MAX` bytes (the same bound
+    /// [`DocBuf`] enforces).
+    #[must_use]
+    pub fn derive(base: &[u8], base_idx: &ChunkIndex, target: &[u8]) -> ChunkIndex {
+        let mut index = ChunkIndex::default();
+        index.index_from(base, Some(base_idx), target);
+        index
+    }
+
+    /// Re-indexes `self` as the index of `target`, derived from `base`
+    /// and its index (`None`: chunk from scratch). Reuses the capacity
+    /// `self` already holds.
+    fn index_from(&mut self, base: &[u8], base_idx: Option<&ChunkIndex>, target: &[u8]) {
+        assert!(
+            target.len() <= u32::MAX as usize,
+            "chunk records address documents of at most u32::MAX bytes"
+        );
+        debug_assert!(base_idx.is_none_or(|i| i.doc_len == base.len()));
+        let common = Common::of(base, target);
+        for (level, params) in LEVELS.iter().enumerate() {
+            let base_chunks = base_idx.map_or(&[][..], |i| &i.levels[level].chunks);
+            let out = &mut self.levels[level];
+            derive_level(
+                *params,
+                base_chunks,
+                base.len(),
+                target,
+                common,
+                &mut out.chunks,
+            );
+            build_index(&out.chunks, &mut out.buckets);
+        }
+        self.doc_len = target.len();
+    }
+}
+
+/// Reusable working memory for [`chunk_delta_into`] and
+/// [`chunk_delta_indexed`].
 #[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
-    /// One arena set per refinement level.
-    pub(crate) levels: [LevelScratch; MAX_LEVELS],
+    /// [`chunk_delta_into`]'s index of its base.
+    base_index: ChunkIndex,
+    /// [`chunk_delta_into`]'s level-0 chunks of its target.
+    target_chunks: Vec<ChunkRec>,
+    /// What every walk uses.
+    walk: WalkScratch,
+}
+
+/// The working memory of one delta walk.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    /// Chunks of the current unmatched target span, per finer level
+    /// (slot 0 unused: level 0 always comes from an index).
+    span_chunks: [Vec<ChunkRec>; MAX_LEVELS],
     /// The op list accumulated before serialization.
     ops: Vec<ChunkOp>,
 }
@@ -183,34 +319,124 @@ pub struct ChunkStats {
     pub wire_len: usize,
 }
 
-/// Splits `bytes` into content-defined chunks, appending one record per
-/// chunk (offsets made absolute by adding `base_off`).
-fn chunk_spans(bytes: &[u8], base_off: u32, params: ChunkParams, out: &mut Vec<ChunkRec>) {
+/// Length of the chunk that starts at `bytes[0]`: the first
+/// content-defined boundary at or after `min`, else `max`, else the end
+/// of `bytes`. It depends only on the bytes it scans and on how many
+/// bytes remain, which is what lets [`derive_level`] reuse base chunks.
+fn cut_len(bytes: &[u8], params: ChunkParams) -> usize {
+    let remain = bytes.len();
+    let end = remain.min(params.max as usize);
+    if remain <= params.min as usize {
+        return end;
+    }
     let mask = params.mask();
-    let mut start = 0usize;
-    while start < bytes.len() {
-        let remain = bytes.len() - start;
-        let mut cut = remain.min(params.max as usize);
-        if remain > params.min as usize {
-            let mut hash = 0u64;
-            let end = cut;
-            let mut i = 0usize;
-            while i < end {
-                hash = (hash << 1).wrapping_add(GEAR[bytes[start + i] as usize]);
-                i += 1;
-                if i >= params.min as usize && hash & mask == 0 {
-                    cut = i;
-                    break;
-                }
-            }
+    let mut hash = 0u64;
+    let mut i = 0usize;
+    while i < end {
+        hash = (hash << 1).wrapping_add(GEAR[bytes[i] as usize]);
+        i += 1;
+        if i >= params.min as usize && hash & mask == 0 {
+            return i;
         }
-        let chunk = &bytes[start..start + cut];
-        out.push(ChunkRec {
-            off: base_off + start as u32,
-            len: cut as u32,
-            hash: fnv_chunk(chunk),
-        });
+    }
+    end
+}
+
+/// One chunk record for `doc[off..off + len]`.
+fn chunk_rec(doc: &[u8], off: usize, len: usize) -> ChunkRec {
+    ChunkRec {
+        off: off as u32,
+        len: len as u32,
+        hash: fnv_chunk(&doc[off..off + len]),
+    }
+}
+
+/// Splits `doc[lo..hi]` into content-defined chunks, appending one record
+/// per chunk (offsets absolute in `doc`).
+fn chunk_spans(doc: &[u8], lo: usize, hi: usize, params: ChunkParams, out: &mut Vec<ChunkRec>) {
+    let mut start = lo;
+    while start < hi {
+        let cut = cut_len(&doc[start..hi], params);
+        out.push(chunk_rec(doc, start, cut));
         start += cut;
+    }
+}
+
+/// The common prefix and suffix of a base and a target, the suffix
+/// capped so the two never overlap in the shorter document.
+#[derive(Debug, Clone, Copy)]
+struct Common {
+    prefix: usize,
+    suffix: usize,
+}
+
+impl Common {
+    /// Compares whole blocks with slice equality (a `memcmp`) and only
+    /// the first differing block byte by byte.
+    fn of(base: &[u8], target: &[u8]) -> Common {
+        const BLOCK: usize = 256;
+        let shorter = base.len().min(target.len());
+        let mut prefix = 0;
+        while prefix + BLOCK <= shorter
+            && base[prefix..prefix + BLOCK] == target[prefix..prefix + BLOCK]
+        {
+            prefix += BLOCK;
+        }
+        while prefix < shorter && base[prefix] == target[prefix] {
+            prefix += 1;
+        }
+        let room = shorter - prefix;
+        let (b_end, t_end) = (base.len(), target.len());
+        let mut suffix = 0;
+        while suffix + BLOCK <= room
+            && base[b_end - suffix - BLOCK..b_end - suffix]
+                == target[t_end - suffix - BLOCK..t_end - suffix]
+        {
+            suffix += BLOCK;
+        }
+        while suffix < room && base[b_end - suffix - 1] == target[t_end - suffix - 1] {
+            suffix += 1;
+        }
+        Common { prefix, suffix }
+    }
+}
+
+/// Writes the chunking of `target` at one level into `out`, reusing the
+/// base's chunks (`base_chunks`, of a base `base_len` bytes long) where
+/// [`ChunkIndex::derive`] proves them equal. An empty `base_chunks` makes
+/// this a chunking from scratch.
+fn derive_level(
+    params: ChunkParams,
+    base_chunks: &[ChunkRec],
+    base_len: usize,
+    target: &[u8],
+    common: Common,
+    out: &mut Vec<ChunkRec>,
+) {
+    out.clear();
+    // Chunks ending inside the prefix, except the final one: a
+    // non-final chunk ends at a cut taken on bytes the target shares.
+    let candidates = &base_chunks[..base_chunks.len().saturating_sub(1)];
+    let kept = candidates.partition_point(|c| (c.off + c.len) as usize <= common.prefix);
+    out.extend_from_slice(&candidates[..kept]);
+    let mut start = out.last().map_or(0, |c| (c.off + c.len) as usize);
+    let suffix_from = target.len() - common.suffix;
+    while start < target.len() {
+        let cut = cut_len(&target[start..], params);
+        out.push(chunk_rec(target, start, cut));
+        start += cut;
+        if start < suffix_from || start == target.len() {
+            continue;
+        }
+        // `target[start..]` equals the base from `start - shift` on.
+        let shifted = start + base_len - target.len();
+        if let Ok(at) = base_chunks.binary_search_by_key(&shifted, |c| c.off as usize) {
+            out.extend(base_chunks[at..].iter().map(|c| ChunkRec {
+                off: (c.off as usize + target.len() - base_len) as u32,
+                ..*c
+            }));
+            return;
+        }
     }
 }
 
@@ -228,15 +454,11 @@ fn build_index(chunks: &[ChunkRec], buckets: &mut Vec<u32>) {
     }
 }
 
-/// Looks up a target chunk in the base index, confirming any digest hit
-/// by comparing the actual bytes (digest collisions are thereby harmless).
-fn find_chunk(
-    base: &[u8],
-    chunks: &[ChunkRec],
-    buckets: &[u32],
-    hash: u64,
-    bytes: &[u8],
-) -> Option<ChunkRec> {
+/// Looks up a target chunk in one level of the base index, confirming
+/// any digest hit by comparing the actual bytes (digest collisions are
+/// thereby harmless).
+fn find_chunk(base: &[u8], level: &LevelIndex, hash: u64, bytes: &[u8]) -> Option<ChunkRec> {
+    let buckets = &level.buckets;
     if buckets.is_empty() {
         return None;
     }
@@ -247,7 +469,7 @@ fn find_chunk(
         if slot_val == 0 {
             return None;
         }
-        let rec = chunks[slot_val as usize - 1];
+        let rec = level.chunks[slot_val as usize - 1];
         if rec.hash == hash {
             let lo = rec.off as usize;
             let hi = lo + rec.len as usize;
@@ -290,72 +512,34 @@ fn push_op(ops: &mut Vec<ChunkOp>, op: ChunkOp) {
     ops.push(op);
 }
 
-/// Matches `target[t_lo..t_hi]` against the base at `level`, recursing one
-/// level finer over sub-spans that find no chunk match. At the last level
-/// unmatched bytes become insert literals. Depth is bounded by
-/// [`MAX_LEVELS`]: each call recurses only with `level + 1`.
-fn emit_span(
+/// The two documents of one delta walk and the base's index.
+#[derive(Debug, Clone, Copy)]
+struct Walk<'a> {
+    base: &'a [u8],
+    base_index: &'a ChunkIndex,
+    target: &'a [u8],
+}
+
+/// Matches `t_chunks`, which tile `target[t_lo..t_hi]` at `level`,
+/// against the base's chunks at that level. A maximal run of unmatched
+/// chunks goes one level finer ([`refine`]).
+fn match_chunks(
+    walk: Walk<'_>,
     level: usize,
-    base: &[u8],
-    target: &[u8],
+    t_chunks: &[ChunkRec],
     t_lo: usize,
     t_hi: usize,
-    chunk: &mut ChunkScratch,
+    work: &mut WalkScratch,
 ) {
-    if t_lo >= t_hi {
-        return;
-    }
-    if level >= MAX_LEVELS || base.is_empty() {
-        push_op(
-            &mut chunk.ops,
-            ChunkOp::Insert {
-                t_off: t_lo as u32,
-                len: (t_hi - t_lo) as u32,
-            },
-        );
-        return;
-    }
-    if !chunk.levels[level].built {
-        chunk.levels[level].base_chunks.clear();
-        chunk_spans(base, 0, LEVELS[level], &mut chunk.levels[level].base_chunks);
-        let level_scratch = &mut chunk.levels[level];
-        build_index(&level_scratch.base_chunks, &mut level_scratch.buckets);
-        chunk.levels[level].built = true;
-    }
-    // Chunk the target span; records carry absolute target offsets. The
-    // list is iterated by index (records are `Copy`) because the
-    // recursive call below needs the scratch mutably.
-    chunk.levels[level].target_chunks.clear();
-    {
-        let level_scratch = &mut chunk.levels[level];
-        chunk_spans(
-            &target[t_lo..t_hi],
-            t_lo as u32,
-            LEVELS[level],
-            &mut level_scratch.target_chunks,
-        );
-    }
-    let count = chunk.levels[level].target_chunks.len();
     let mut pending = t_lo;
-    let mut i = 0;
-    while i < count {
-        let rec = chunk.levels[level].target_chunks[i];
+    for rec in t_chunks {
         let lo = rec.off as usize;
         let hi = lo + rec.len as usize;
-        let matched = {
-            let level_scratch = &chunk.levels[level];
-            find_chunk(
-                base,
-                &level_scratch.base_chunks,
-                &level_scratch.buckets,
-                rec.hash,
-                &target[lo..hi],
-            )
-        };
-        if let Some(base_rec) = matched {
-            emit_span(level + 1, base, target, pending, lo, chunk);
+        let level_index = &walk.base_index.levels[level];
+        if let Some(base_rec) = find_chunk(walk.base, level_index, rec.hash, &walk.target[lo..hi]) {
+            refine(walk, level + 1, pending, lo, work);
             push_op(
-                &mut chunk.ops,
+                &mut work.ops,
                 ChunkOp::Copy {
                     base_off: base_rec.off,
                     len: base_rec.len,
@@ -363,46 +547,57 @@ fn emit_span(
             );
             pending = hi;
         }
-        i += 1;
     }
-    emit_span(level + 1, base, target, pending, t_hi, chunk);
+    refine(walk, level + 1, pending, t_hi, work);
 }
 
-/// Computes a chunk-level delta turning `base` into `target`, serializing
-/// it into the caller-held `out` buffer (cleared first).
-///
-/// The format is one [`CHUNK_FORMAT_VERSION`] byte, the target length as
-/// `u32` little-endian, then operations until end of buffer: `0x00` +
-/// `base_off: u32` + `len: u32` copies a base range; `0x01` + `len: u32` +
-/// `len` literal bytes inserts. All arenas live in `scratch`, so repeated
-/// calls at a steady document size allocate nothing.
-///
-/// # Panics
-///
-/// Panics if either document exceeds `u32::MAX` bytes (the same bound
-/// [`DocBuf`] enforces).
-pub fn chunk_delta_into(
-    base: &[u8],
-    target: &[u8],
-    scratch: &mut DiffScratch,
+/// Emits the unmatched span `target[t_lo..t_hi]`: chunked at `level` and
+/// matched, or, past the last level or against an empty base, inserted
+/// literally. Depth is bounded by [`MAX_LEVELS`]: each call recurses only
+/// with `level + 1`.
+fn refine(walk: Walk<'_>, level: usize, t_lo: usize, t_hi: usize, work: &mut WalkScratch) {
+    if t_lo >= t_hi {
+        return;
+    }
+    if level >= MAX_LEVELS || walk.base.is_empty() {
+        push_op(
+            &mut work.ops,
+            ChunkOp::Insert {
+                t_off: t_lo as u32,
+                len: (t_hi - t_lo) as u32,
+            },
+        );
+        return;
+    }
+    // The span list leaves the scratch while the recursion below uses
+    // the scratch mutably; it goes back with its capacity.
+    let mut spans = std::mem::take(&mut work.span_chunks[level]);
+    spans.clear();
+    chunk_spans(walk.target, t_lo, t_hi, LEVELS[level], &mut spans);
+    match_chunks(walk, level, &spans, t_lo, t_hi, work);
+    work.span_chunks[level] = spans;
+}
+
+/// Walks the target's level-0 chunks against the base index and
+/// serializes the resulting ops into `out`.
+fn walk_and_serialize(
+    walk: Walk<'_>,
+    target_chunks: &[ChunkRec],
+    work: &mut WalkScratch,
     out: &mut Vec<u8>,
 ) -> ChunkStats {
-    assert!(
-        base.len() <= u32::MAX as usize && target.len() <= u32::MAX as usize,
-        "chunk delta documents are bounded by u32::MAX bytes"
-    );
-    let chunk = &mut scratch.chunk;
-    for level in &mut chunk.levels {
-        level.built = false;
+    work.ops.clear();
+    if walk.base.is_empty() {
+        refine(walk, 0, 0, walk.target.len(), work);
+    } else {
+        match_chunks(walk, 0, target_chunks, 0, walk.target.len(), work);
     }
-    chunk.ops.clear();
-    emit_span(0, base, target, 0, target.len(), chunk);
-
+    let target = walk.target;
     out.clear();
     out.push(CHUNK_FORMAT_VERSION);
     out.extend_from_slice(&(target.len() as u32).to_le_bytes());
     let mut stats = ChunkStats::default();
-    for op in &chunk.ops {
+    for op in &work.ops {
         match *op {
             ChunkOp::Copy { base_off, len } => {
                 out.push(OP_COPY);
@@ -419,9 +614,81 @@ pub fn chunk_delta_into(
             }
         }
     }
-    stats.ops = chunk.ops.len();
+    stats.ops = work.ops.len();
     stats.wire_len = out.len();
     stats
+}
+
+/// Computes a chunk-level delta turning `base` into `target`, serializing
+/// it into the caller-held `out` buffer (cleared first).
+///
+/// The format is one [`CHUNK_FORMAT_VERSION`] byte, the target length as
+/// `u32` little-endian, then operations until end of buffer: `0x00` +
+/// `base_off: u32` + `len: u32` copies a base range; `0x01` + `len: u32` +
+/// `len` literal bytes inserts. The base is indexed and the target's
+/// level 0 derived from it ([`ChunkIndex`]) in arenas that live in
+/// `scratch`, so repeated calls at a steady document size allocate
+/// nothing.
+///
+/// # Panics
+///
+/// Panics if either document exceeds `u32::MAX` bytes (the same bound
+/// [`DocBuf`] enforces).
+pub fn chunk_delta_into(
+    base: &[u8],
+    target: &[u8],
+    scratch: &mut DiffScratch,
+    out: &mut Vec<u8>,
+) -> ChunkStats {
+    assert!(
+        base.len() <= u32::MAX as usize && target.len() <= u32::MAX as usize,
+        "chunk delta documents are bounded by u32::MAX bytes"
+    );
+    let chunk = &mut scratch.chunk;
+    chunk.base_index.index_from(&[], None, base);
+    derive_level(
+        LEVELS[0],
+        &chunk.base_index.levels[0].chunks,
+        base.len(),
+        target,
+        Common::of(base, target),
+        &mut chunk.target_chunks,
+    );
+    let walk = Walk {
+        base,
+        base_index: &chunk.base_index,
+        target,
+    };
+    walk_and_serialize(walk, &chunk.target_chunks, &mut chunk.walk, out)
+}
+
+/// [`chunk_delta_into`] over documents whose indexes the caller keeps:
+/// the walk takes the target's level-0 chunks and the base's chunks at
+/// every level as given, and chunks only the unmatched target spans.
+/// The output is byte-identical to [`chunk_delta_into`]'s.
+///
+/// `base_index` and `target_index` must be the indexes of `base` and
+/// `target` ([`ChunkIndex::build`] or [`ChunkIndex::derive`]).
+pub fn chunk_delta_indexed(
+    base: &[u8],
+    base_index: &ChunkIndex,
+    target: &[u8],
+    target_index: &ChunkIndex,
+    scratch: &mut DiffScratch,
+    out: &mut Vec<u8>,
+) -> ChunkStats {
+    debug_assert!(base_index.doc_len == base.len() && target_index.doc_len == target.len());
+    let walk = Walk {
+        base,
+        base_index,
+        target,
+    };
+    walk_and_serialize(
+        walk,
+        &target_index.levels[0].chunks,
+        &mut scratch.chunk.walk,
+        out,
+    )
 }
 
 /// Why a serialized chunk delta failed to apply.
@@ -712,7 +979,7 @@ mod tests {
     fn boundaries_respect_min_and_max() {
         let doc = random_bytes(1_000_000, 11);
         let mut chunks = Vec::new();
-        chunk_spans(&doc, 0, LEVELS[0], &mut chunks);
+        chunk_spans(&doc, 0, doc.len(), LEVELS[0], &mut chunks);
         let total: usize = chunks.iter().map(|c| c.len as usize).sum();
         assert_eq!(total, doc.len());
         for (i, c) in chunks.iter().enumerate() {

@@ -86,11 +86,10 @@ impl DocBuf {
         let mut line_starts = Vec::with_capacity(bytes.len() / 32 + 2);
         if !bytes.is_empty() {
             line_starts.push(0);
-            let scan_end = bytes.len() - usize::from(trailing_newline);
-            for (i, &b) in bytes.iter().enumerate().take(scan_end) {
-                if b == b'\n' {
-                    line_starts.push(i as u32 + 1);
-                }
+            push_line_starts(&bytes, &mut line_starts);
+            if trailing_newline {
+                // A final '\n' ends the last line; it starts none.
+                line_starts.pop();
             }
         }
         line_starts.push(bytes.len() as u32);
@@ -147,6 +146,34 @@ impl DocBuf {
             end -= 1;
         }
         &self.inner.bytes[start..end]
+    }
+}
+
+/// Appends `i + 1` for every `\n` at offset `i` of `bytes`, in order.
+///
+/// Eight bytes at a time: xor with a word of `\n` bytes turns each
+/// newline into a zero byte, and the exact zero-byte mask (`0x80` in
+/// every byte that is zero, with no carries between bytes) marks them.
+fn push_line_starts(bytes: &[u8], out: &mut Vec<u32>) {
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0u32;
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        let x = u64::from_le_bytes(le) ^ NEWLINES;
+        let mut zeros = !(((x & LOW7) + LOW7) | x | LOW7);
+        while zeros != 0 {
+            out.push(base + zeros.trailing_zeros() / 8 + 1);
+            zeros &= zeros - 1;
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        if b == b'\n' {
+            out.push(base + i as u32 + 1);
+        }
     }
 }
 
@@ -264,6 +291,27 @@ mod tests {
         let a = DocBuf::from_text("one\ntwo\n");
         let b = a.clone();
         assert!(std::ptr::eq(a.as_bytes(), b.as_bytes()));
+    }
+
+    #[test]
+    fn word_scan_matches_a_bytewise_scan() {
+        // Every length mod 8, newlines at every offset in a word and
+        // bytes next to `\n` in value (0x0b, 0x09, 0x8a) that a carry
+        // between bytes would confuse with it.
+        for len in 0..40 {
+            for pattern in [&b"\n"[..], b"\x0b\n", b"a\n\n\x09", b"\x8a\x0a\x0b", b"xyz"] {
+                let bytes: Vec<u8> = pattern.iter().copied().cycle().take(len).collect();
+                let mut words = Vec::new();
+                push_line_starts(&bytes, &mut words);
+                let bytewise: Vec<u32> = bytes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b == b'\n')
+                    .map(|(i, _)| i as u32 + 1)
+                    .collect();
+                assert_eq!(words, bytewise, "len {len}, pattern {pattern:?}");
+            }
+        }
     }
 
     #[test]

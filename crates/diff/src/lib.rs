@@ -21,7 +21,9 @@
 //! through the **chunk codec** instead: [`chunk_delta_into`] emits a
 //! copy/insert delta over content-defined chunk boundaries (see
 //! [`choose_chunk_codec`] for the per-file classifier), applied by
-//! [`apply_chunk_delta`].
+//! [`apply_chunk_delta`]. A caller that keeps each version's
+//! [`ChunkIndex`] derives the next one from it and walks the two with
+//! [`chunk_delta_indexed`], so an edit costs re-chunking around itself.
 //!
 //! # Example
 //!
@@ -53,9 +55,9 @@ mod zerocopy;
 
 pub use algorithm::DiffAlgorithm;
 pub use chunk::{
-    apply_chunk_delta, choose_chunk_codec, chunk_delta_into, classify, ChunkDeltaError,
-    ChunkParams, ChunkStats, DocShape, AVG_LINE_CHUNK_THRESHOLD, BINARY_SNIFF_WINDOW,
-    CHUNK_FORMAT_VERSION, LEVELS, MAX_LEVELS, MAX_LINE_CHUNK_THRESHOLD,
+    apply_chunk_delta, choose_chunk_codec, chunk_delta_indexed, chunk_delta_into, classify,
+    ChunkDeltaError, ChunkIndex, ChunkParams, ChunkStats, DocShape, AVG_LINE_CHUNK_THRESHOLD,
+    BINARY_SNIFF_WINDOW, CHUNK_FORMAT_VERSION, LEVELS, MAX_LEVELS, MAX_LINE_CHUNK_THRESHOLD,
 };
 pub use docbuf::DocBuf;
 pub use edscript::{ApplyError, ParseError, ParseErrorKind};

@@ -4,11 +4,14 @@
 //! must reproduce `t` exactly, and `apply_chunk_delta` must never panic
 //! whatever delta bytes it is fed. The classifier is pinned on the
 //! workload generator's text corpora: ordinary program text must keep
-//! routing through the line differ.
+//! routing through the line differ. A chunk index derived from a base's
+//! index must equal the target's index built from scratch, and the delta
+//! walked over indexes must equal [`chunk_delta_into`] byte for byte.
 
 use proptest::prelude::*;
 use shadow_diff::{
-    apply_chunk_delta, choose_chunk_codec, chunk_delta_into, classify, DiffScratch, DocBuf,
+    apply_chunk_delta, choose_chunk_codec, chunk_delta_indexed, chunk_delta_into, classify,
+    ChunkIndex, DiffScratch, DocBuf,
 };
 use shadow_workload::{generate_file, EditModel, FileSpec};
 
@@ -49,8 +52,132 @@ fn apply_splices(base: &[u8], splices: &[Splice]) -> Vec<u8> {
     out
 }
 
+/// Deterministic pseudo-random bytes (xorshift stream).
+fn blob(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 56) as u8
+        })
+        .collect()
+}
+
+/// A base document of one of four shapes: random bytes, one zero run,
+/// a repeated block (every chunk has duplicates), or zeros with a few
+/// random bytes sprinkled in.
+fn arb_base() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..4, 0usize..200_000, any::<u64>(), 1usize..20_000).prop_map(|(shape, len, seed, block)| {
+        match shape {
+            0 => blob(len, seed),
+            1 => vec![0; len],
+            2 => blob(block, seed).repeat(len / block + 1)[..len].to_vec(),
+            _ => {
+                let mut doc = vec![0; len];
+                for (i, b) in blob(len / 4096 + 1, seed).into_iter().enumerate() {
+                    if let Some(slot) = doc.get_mut(i * 4093 % len.max(1)) {
+                        *slot = b;
+                    }
+                }
+                doc
+            }
+        }
+    })
+}
+
+/// One edit turning a base into a target.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// Splices anywhere: overwrites, inserts (`del == 0`) and deletes
+    /// (empty `insert`).
+    Splices(Vec<Splice>),
+    /// Keep only this fraction (in 1/256ths) of the base.
+    Truncate(u8),
+    /// Append bytes; zero bytes when `zeros`, so a zero-run base stays
+    /// one run.
+    Append { bytes: Vec<u8>, zeros: bool },
+    /// Flip one byte this far from the end (inside the last chunk).
+    TailFlip(usize),
+    /// Replace the whole document.
+    Replace(Vec<u8>),
+}
+
+impl Edit {
+    fn apply(&self, base: &[u8]) -> Vec<u8> {
+        match self {
+            Edit::Splices(splices) => apply_splices(base, splices),
+            Edit::Truncate(keep) => base[..base.len() * usize::from(*keep) / 256].to_vec(),
+            Edit::Append { bytes, zeros } => {
+                let mut out = base.to_vec();
+                if *zeros {
+                    out.resize(base.len() + bytes.len(), 0);
+                } else {
+                    out.extend_from_slice(bytes);
+                }
+                out
+            }
+            Edit::TailFlip(back) => {
+                let mut out = base.to_vec();
+                if !out.is_empty() {
+                    let at = out.len() - 1 - back % out.len();
+                    out[at] ^= 0x5a;
+                }
+                out
+            }
+            Edit::Replace(doc) => doc.clone(),
+        }
+    }
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        4 => arb_splices().prop_map(Edit::Splices),
+        1 => any::<u8>().prop_map(Edit::Truncate),
+        2 => (prop::collection::vec(any::<u8>(), 0..9000), any::<bool>())
+            .prop_map(|(bytes, zeros)| Edit::Append { bytes, zeros }),
+        1 => (0usize..3000).prop_map(Edit::TailFlip),
+        1 => prop::collection::vec(any::<u8>(), 0..3000).prop_map(Edit::Replace),
+    ]
+}
+
+/// Checks that deriving `target`'s index from `base`'s equals building
+/// it, and that the indexed delta equals the plain one.
+fn assert_derive_exact(base: &[u8], target: &[u8], scratch: &mut DiffScratch) {
+    let base_idx = ChunkIndex::build(base);
+    let derived = ChunkIndex::derive(base, &base_idx, target);
+    assert_eq!(
+        derived,
+        ChunkIndex::build(target),
+        "derived index differs from a from-scratch chunking \
+         (base {} bytes, target {} bytes)",
+        base.len(),
+        target.len()
+    );
+    let (mut indexed, mut plain) = (Vec::new(), Vec::new());
+    chunk_delta_indexed(base, &base_idx, target, &derived, scratch, &mut indexed);
+    chunk_delta_into(base, target, scratch, &mut plain);
+    assert_eq!(
+        indexed, plain,
+        "indexed delta differs from chunk_delta_into"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `derive(base, build(base), t) == build(t)` at every level, over
+    /// every edit shape and base shape, and the indexed walk emits the
+    /// same bytes as `chunk_delta_into`.
+    #[test]
+    fn derived_index_equals_a_fresh_chunking(base in arb_base(), edit in arb_edit()) {
+        let target = edit.apply(&base);
+        let mut scratch = DiffScratch::new();
+        assert_derive_exact(&base, &target, &mut scratch);
+        // Derivation is symmetric in which side is the base.
+        assert_derive_exact(&target, &base, &mut scratch);
+    }
 
     /// Fully arbitrary binary pairs — no shared structure at all.
     #[test]
@@ -166,4 +293,26 @@ fn classifier_selects_chunk_for_binary_and_single_line() {
     );
     let text = DocBuf::from_bytes(b"short\nlines\nof\ntext\n".to_vec());
     assert!(choose_chunk_codec(&text, &binary), "text->binary transition must chunk");
+}
+
+/// The edges the property test reaches only by chance: empty sides,
+/// identical documents, and edits exactly at the first and last byte.
+#[test]
+fn derived_index_is_exact_at_the_edges() {
+    let doc = blob(150_000, 0xfeed);
+    let mut scratch = DiffScratch::new();
+    assert_derive_exact(&[], &[], &mut scratch);
+    assert_derive_exact(&[], &doc, &mut scratch);
+    assert_derive_exact(&doc, &[], &mut scratch);
+    assert_derive_exact(&doc, &doc, &mut scratch);
+    for at in [0, doc.len() - 1] {
+        let mut edited = doc.clone();
+        edited[at] ^= 1;
+        assert_derive_exact(&doc, &edited, &mut scratch);
+    }
+    let mut longer = doc.clone();
+    longer.push(7);
+    assert_derive_exact(&doc, &longer, &mut scratch);
+    assert_derive_exact(&doc, &doc[1..], &mut scratch);
+    assert_derive_exact(&doc, &doc[..doc.len() - 1], &mut scratch);
 }

@@ -9,8 +9,49 @@ use proptest::prelude::*;
 use reference::{arb_doc_bytes, check_delta};
 use shadow_diff::{diff_docs, DiffAlgorithm, DiffScratch, DocBuf};
 
+/// The lines a document must have: its bytes split on `\n`, without
+/// the empty piece after a final newline, and none at all when empty.
+fn split_lines(bytes: &[u8]) -> Vec<&[u8]> {
+    if bytes.is_empty() {
+        return Vec::new();
+    }
+    let body = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+    body.split(|&b| b == b'\n').collect()
+}
+
+/// Bytes with newlines dense (about one in three), sparse (about one in
+/// 256) or absent, the rest arbitrary.
+fn arb_newline_density() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..3, prop::collection::vec(any::<u8>(), 0..300)).prop_map(|(density, mut bytes)| {
+        for b in &mut bytes {
+            *b = match density {
+                0 if *b % 3 == 0 => b'\n',
+                1 if *b == 0 => b'\n',
+                _ if *b == b'\n' => b'\x0b',
+                _ => *b,
+            };
+        }
+        bytes
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word-at-a-time line index finds exactly the lines a bytewise
+    /// split finds, at every length mod 8.
+    #[test]
+    fn line_index_matches_a_bytewise_split(bytes in arb_newline_density()) {
+        for cut in 0..8.min(bytes.len() + 1) {
+            let prefix = &bytes[..bytes.len() - cut];
+            let doc = DocBuf::from_bytes(prefix.to_vec());
+            let lines = split_lines(prefix);
+            prop_assert_eq!(doc.line_count(), lines.len());
+            for (i, line) in lines.iter().enumerate() {
+                prop_assert_eq!(doc.line(i), *line);
+            }
+        }
+    }
 
     #[test]
     fn hunt_mcilroy_reconstructs((old, new) in (arb_doc_bytes(), arb_doc_bytes())) {

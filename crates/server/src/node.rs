@@ -297,7 +297,7 @@ impl ServerNode {
                     };
                     match applied {
                         Some(content) => {
-                            self.cache.insert(*key, *version, content);
+                            self.cache.insert_digested(*key, *version, content, *digest);
                             summary.applied += 1;
                         }
                         None => {
@@ -757,9 +757,15 @@ impl ServerNode {
         // compressed form of the version chain) instead of the
         // materialized content.
         let mut applied_script: Option<(VersionNumber, DeltaCodec, Bytes)> = None;
+        // An identity full transfer's buffer already is the content: its
+        // journal record shares it instead of copying the content again.
+        let mut identity_full: Option<Bytes> = None;
         let content: Result<Vec<u8>, &'static str> = match &payload {
             UpdatePayload::Full { encoding, data, .. } => {
                 self.metrics.full_updates += 1;
+                if *encoding == TransferEncoding::Identity {
+                    identity_full = Some(data.clone());
+                }
                 Self::decode_payload(*encoding, data)
             }
             UpdatePayload::Delta {
@@ -791,15 +797,18 @@ impl ServerNode {
                 }
             }
         };
+        // The new content is digested once: the same digest verifies it,
+        // goes into the journal record and into the cache entry.
         let content = content.and_then(|c| {
-            if trust_bookkeeping || ContentDigest::of(&c) == expected_digest {
-                Ok(c)
+            let digest = ContentDigest::of(&c);
+            if trust_bookkeeping || digest == expected_digest {
+                Ok((c, digest))
             } else {
                 Err("content digest mismatch")
             }
         });
         match content {
-            Ok(content) => {
+            Ok((content, digest)) => {
                 // Build the journal record before the content moves into
                 // the cache. A cleanly applied delta is archived as the
                 // delta itself; everything else as full content. The
@@ -812,15 +821,15 @@ impl ServerNode {
                         base,
                         codec,
                         script,
-                        digest: ContentDigest::of(&content),
+                        digest,
                     },
                     None => PersistRecord::CacheFull {
                         key,
                         version,
-                        content: Bytes::from(content.clone()),
+                        content: identity_full.unwrap_or_else(|| Bytes::from(content.clone())),
                     },
                 };
-                for victim in self.cache.insert(key, version, content) {
+                for victim in self.cache.insert_digested(key, version, content, digest) {
                     actions.push(ServerAction::Persist(PersistRecord::CacheRemove {
                         key: victim,
                     }));
@@ -1857,6 +1866,45 @@ mod tests {
             }
             other => panic!("expected one CacheDelta record, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn trusted_bookkeeping_still_records_the_actual_digest() {
+        // With the seeded delta-base bug on, the server skips the digest
+        // check, so the content it caches is not what the client named.
+        // The journal record and the cache entry must still carry the
+        // digest of what was actually cached, or replay would refuse it.
+        let mut server = ServerNode::new(ServerConfig::new("sc"));
+        server.set_faults(FaultInjection {
+            delta_base_bug: true,
+        });
+        hello(&mut server, 1, 1, "ws1");
+        notify(&mut server, 1, 7, "/f", 1, b"a\nb\nc\n");
+        full_update(&mut server, 1, 7, 1, b"a\nb\nc\n");
+        let actual = b"a\nB\nc\n";
+        let actions = server.handle(ServerEvent::Message {
+            session: SessionId::new(1),
+            message: ClientMessage::Update {
+                file: FileId::new(7),
+                version: VersionNumber::new(3),
+                payload: UpdatePayload::Delta {
+                    base: VersionNumber::new(2),
+                    codec: DeltaCodec::Line,
+                    encoding: TransferEncoding::Identity,
+                    data: Bytes::from(line_script(b"a\nb\nc\n", actual)),
+                    digest: ContentDigest::of(b"not what the script makes"),
+                },
+            },
+            now_ms: NOW,
+        });
+        match &persists(&actions)[..] {
+            [PersistRecord::CacheDelta { digest, .. }] => {
+                assert_eq!(*digest, ContentDigest::of(actual));
+            }
+            other => panic!("expected one CacheDelta record, got {other:?}"),
+        }
+        let key = FileKey::new(DomainId::new(1), FileId::new(7));
+        assert_eq!(server.cached_digest(key), Some(ContentDigest::of(actual)));
     }
 
     #[test]

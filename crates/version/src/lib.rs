@@ -22,6 +22,14 @@
 //!   kept ("a user may specify, as part of customization, a limit on the
 //!   number of older versions").
 //!
+//! Each retained version carries what is derived from its content, so
+//! no cycle derives it twice: the line index and the content digest,
+//! computed when the version is recorded, and a [`ChunkIndex`], filled
+//! the first time a chunk-codec delta needs it. A new version's chunk
+//! index is derived from its base's, so a resubmitted binary is
+//! re-chunked only around its edit; the delta is byte-identical to
+//! [`chunk_delta_into`](shadow_diff::chunk_delta_into)'s.
+//!
 //! # Example
 //!
 //! ```
@@ -42,21 +50,47 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 
 use shadow_diff::{
-    choose_chunk_codec, chunk_delta_into, diff_docs, DiffAlgorithm, DiffScratch, DocBuf,
+    choose_chunk_codec, chunk_delta_indexed, diff_docs, ChunkIndex, DiffAlgorithm, DiffScratch,
+    DocBuf,
 };
 use shadow_proto::{ContentDigest, DeltaCodec, FileId, VersionNumber};
+
+/// One retained version: its content and what is derived from it once.
+#[derive(Debug, Clone)]
+struct Version {
+    /// The content. Its line index is built once at record time and
+    /// shared with every line delta computed against it.
+    doc: DocBuf,
+    /// Digest of the content, computed once at record time.
+    digest: ContentDigest,
+    /// The content's chunk index, filled only when a chunk delta first
+    /// needs it, so text files never pay for it.
+    chunks: OnceCell<ChunkIndex>,
+}
+
+impl Version {
+    fn new(content: Vec<u8>) -> Version {
+        Version {
+            digest: ContentDigest::of(&content),
+            doc: DocBuf::from_bytes(content),
+            chunks: OnceCell::new(),
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.doc.as_bytes()
+    }
+}
 
 /// Per-file version chain.
 #[derive(Debug, Clone, Default)]
 struct FileVersions {
-    /// Retained contents by version; always contains the latest. Each
-    /// version is a [`DocBuf`]: the line index is built once at record
-    /// time and shared (O(1) clone) with every delta computed against it.
-    versions: BTreeMap<VersionNumber, DocBuf>,
+    /// Retained versions; always contains the latest.
+    versions: BTreeMap<VersionNumber, Version>,
     latest: Option<VersionNumber>,
     /// Highest version the server has acknowledged caching.
     acked: Option<VersionNumber>,
@@ -126,7 +160,7 @@ impl VersionStore {
     pub fn record_edit(&mut self, file: FileId, content: Vec<u8>) -> VersionNumber {
         let entry = self.files.entry(file).or_default();
         if let Some(latest) = entry.latest {
-            if entry.versions[&latest].as_bytes() == content.as_slice() {
+            if entry.versions[&latest].bytes() == content.as_slice() {
                 return latest;
             }
         }
@@ -134,7 +168,7 @@ impl VersionStore {
             .latest
             .map(VersionNumber::next)
             .unwrap_or(VersionNumber::FIRST);
-        entry.versions.insert(next, DocBuf::from_bytes(content));
+        entry.versions.insert(next, Version::new(content));
         entry.latest = Some(next);
         Self::prune(entry, self.retention_limit);
         next
@@ -161,7 +195,7 @@ impl VersionStore {
                 return Err(latest);
             }
         }
-        entry.versions.insert(version, DocBuf::from_bytes(content));
+        entry.versions.insert(version, Version::new(content));
         entry.latest = Some(version);
         Self::prune(entry, self.retention_limit);
         Ok(())
@@ -173,7 +207,7 @@ impl VersionStore {
         self.files
             .get(&file)
             .into_iter()
-            .flat_map(|f| f.versions.iter().map(|(v, c)| (*v, c.as_bytes())))
+            .flat_map(|f| f.versions.iter().map(|(v, c)| (*v, c.bytes())))
     }
 
     /// The files tracked by this store.
@@ -185,12 +219,13 @@ impl VersionStore {
     pub fn latest(&self, file: FileId) -> Option<(VersionNumber, &[u8])> {
         let entry = self.files.get(&file)?;
         let latest = entry.latest?;
-        Some((latest, entry.versions[&latest].as_bytes()))
+        Some((latest, entry.versions[&latest].bytes()))
     }
 
-    /// The digest of the latest content.
+    /// The digest of the latest content, computed when it was recorded.
     pub fn latest_digest(&self, file: FileId) -> Option<ContentDigest> {
-        self.latest(file).map(|(_, c)| ContentDigest::of(c))
+        let entry = self.files.get(&file)?;
+        Some(entry.versions[&entry.latest?].digest)
     }
 
     /// The retained content of a specific version.
@@ -199,7 +234,13 @@ impl VersionStore {
             .get(&file)?
             .versions
             .get(&version)
-            .map(DocBuf::as_bytes)
+            .map(Version::bytes)
+    }
+
+    /// The digest of a specific retained version's content, computed
+    /// when it was recorded.
+    pub fn digest_of(&self, file: FileId, version: VersionNumber) -> Option<ContentDigest> {
+        Some(self.files.get(&file)?.versions.get(&version)?.digest)
     }
 
     /// Computes the delta from `base` to the latest version, selecting
@@ -210,7 +251,10 @@ impl VersionStore {
     /// the matching decoder.
     ///
     /// The line codec's script text is emitted straight from the retained
-    /// version buffers through the store's reusable [`DiffScratch`].
+    /// version buffers through the store's reusable [`DiffScratch`]. The
+    /// chunk codec walks the two versions' chunk indexes: the base's is
+    /// built if it is missing, and the latest's is derived from the
+    /// base's, so a resubmission re-chunks only around its edit.
     ///
     /// Returns `None` when the base (or the file) is not retained — the
     /// caller must fall back to a full transfer, exactly the paper's
@@ -222,20 +266,33 @@ impl VersionStore {
     ) -> Option<(VersionNumber, DeltaCodec, Vec<u8>)> {
         let entry = self.files.get(&file)?;
         let latest = entry.latest?;
-        let base_doc = entry.versions.get(&base)?;
-        let latest_doc = &entry.versions[&latest];
+        let base_v = entry.versions.get(&base)?;
+        let latest_v = &entry.versions[&latest];
         let mut scratch = self.scratch.borrow_mut();
-        if choose_chunk_codec(base_doc, latest_doc) {
+        if choose_chunk_codec(&base_v.doc, &latest_v.doc) {
+            let base_index = base_v
+                .chunks
+                .get_or_init(|| ChunkIndex::build(base_v.bytes()));
+            let latest_index = latest_v
+                .chunks
+                .get_or_init(|| ChunkIndex::derive(base_v.bytes(), base_index, latest_v.bytes()));
             let mut out = Vec::new();
-            chunk_delta_into(
-                base_doc.as_bytes(),
-                latest_doc.as_bytes(),
+            chunk_delta_indexed(
+                base_v.bytes(),
+                base_index,
+                latest_v.bytes(),
+                latest_index,
                 &mut scratch,
                 &mut out,
             );
             Some((base, DeltaCodec::Chunk, out))
         } else {
-            let delta = diff_docs(DiffAlgorithm::HuntMcIlroy, base_doc, latest_doc, &mut scratch);
+            let delta = diff_docs(
+                DiffAlgorithm::HuntMcIlroy,
+                &base_v.doc,
+                &latest_v.doc,
+                &mut scratch,
+            );
             Some((base, DeltaCodec::Line, delta.to_text()))
         }
     }
@@ -284,7 +341,7 @@ impl VersionStore {
         };
         for f in self.files.values() {
             s.versions += f.versions.len();
-            s.bytes += f.versions.values().map(DocBuf::byte_len).sum::<usize>();
+            s.bytes += f.versions.values().map(|v| v.doc.byte_len()).sum::<usize>();
         }
         s
     }
@@ -301,8 +358,8 @@ impl VersionStore {
         for file in files {
             let entry = &self.files[&file];
             (file, entry.latest, entry.acked).hash(&mut h);
-            for (v, content) in &entry.versions {
-                (*v, ContentDigest::of(content.as_bytes()).as_u64()).hash(&mut h);
+            for (v, version) in &entry.versions {
+                (*v, version.digest.as_u64()).hash(&mut h);
             }
         }
         h.finish()
@@ -338,7 +395,7 @@ impl VersionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_diff::apply_delta;
+    use shadow_diff::{apply_chunk_delta, apply_delta, chunk_delta_into};
 
     fn f(n: u64) -> FileId {
         FileId::new(n)
@@ -539,5 +596,59 @@ mod tests {
         let rebuilt = apply_delta(b"one\ntwo\nthree\n", &text).unwrap();
         assert_eq!(rebuilt, b"one\n2\nthree\nfour\n");
         assert!(s.delta_payload_from(f(9), v1).is_none());
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift stream).
+    fn blob(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_chunk_deltas_match_the_plain_codec_along_a_chain() {
+        // A 20-version binary chain under retention and ack pruning:
+        // every delta the store hands out, from every retained base,
+        // equals `chunk_delta_into` over the same two documents.
+        let mut s = VersionStore::new(3);
+        let mut doc = blob(300_000, 0xb10b);
+        let mut plain = Vec::new();
+        let mut scratch = DiffScratch::new();
+        for step in 0..20u64 {
+            let at = (step as usize * 37_813) % (doc.len() - 1000);
+            let (range, insert) = match step % 4 {
+                0 => (at..at + 700, 1024),
+                1 => (at..at, 300),
+                2 => (at..at + 500, 0),
+                _ => (doc.len() - 10..doc.len(), 2000),
+            };
+            doc.splice(range, blob(insert, step));
+            let v = s.record_edit(f(1), doc.clone());
+            assert_eq!(s.latest_digest(f(1)), Some(ContentDigest::of(&doc)));
+            if step % 5 == 4 {
+                s.acknowledge(f(1), VersionNumber::new(v.as_u64() - 1));
+            }
+            let bases: Vec<VersionNumber> = s
+                .retained(f(1))
+                .map(|(b, _)| b)
+                .filter(|&b| b < v)
+                .collect();
+            for base in bases {
+                let base_doc = s.content_of(f(1), base).unwrap().to_vec();
+                let (_, codec, wire) = s.delta_payload_from(f(1), base).unwrap();
+                assert_eq!(codec, DeltaCodec::Chunk);
+                chunk_delta_into(&base_doc, &doc, &mut scratch, &mut plain);
+                assert_eq!(wire, plain, "step {step}, base {base:?}");
+                assert_eq!(apply_chunk_delta(&base_doc, &wire).unwrap(), doc);
+            }
+        }
+        // The last step acked the version before the latest.
+        assert_eq!(s.stats().versions, 2);
     }
 }
