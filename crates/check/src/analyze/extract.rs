@@ -39,6 +39,10 @@ pub struct FnItem {
 /// Parsed view of one source file: its tokens plus the functions found.
 #[derive(Debug)]
 pub struct FileItems {
+    /// Crate directory name.
+    pub krate: String,
+    /// Repo-relative file label (`crates/proto/src/wire.rs`).
+    pub file: String,
     /// Stripped source the token spans index into.
     pub src: String,
     /// Token stream for the whole file.
@@ -102,6 +106,8 @@ pub fn extract_file(stripped: String, krate: &str, file: &str, rel_in_crate: &st
     w.items(0, toks.len(), None);
     let fns = w.out;
     FileItems {
+        krate: krate.to_string(),
+        file: file.to_string(),
         src: stripped,
         toks,
         fns,
@@ -387,8 +393,8 @@ impl Walker<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::lexer::strip_code;
     use super::*;
-    use crate::lint::strip_code;
 
     fn extract(src: &str) -> FileItems {
         extract_file(strip_code(src), "x", "crates/x/src/m.rs", "src/m.rs")

@@ -119,6 +119,15 @@ pub fn infer_facts(file: &FileItems) -> Vec<Vec<Fact>> {
         .collect()
 }
 
+/// Scans a whole file — `use` lines, struct fields, statics and every
+/// body alike — for the file-scope rules, which need no call graph.
+pub(crate) fn scan_file(file: &FileItems) -> Vec<Fact> {
+    match file.toks.len() {
+        0 => Vec::new(),
+        n => scan_body(&file.src, &file.toks, 0, n - 1),
+    }
+}
+
 fn text<'a>(src: &'a str, t: &Tok) -> &'a str {
     t.text(src)
 }
@@ -248,8 +257,8 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::lexer::strip_code;
     use super::*;
-    use crate::lint::strip_code;
 
     fn facts_of(body: &str) -> Vec<(FactKind, String)> {
         let src = format!("fn f() {{ {body} }}");

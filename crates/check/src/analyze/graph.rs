@@ -17,13 +17,14 @@ use std::path::{Path, PathBuf};
 
 use super::extract::{extract_file, is_keyword, FileItems, FnItem};
 use super::facts::{infer_facts, Fact};
-use super::lexer::{Tok, TokKind};
-use crate::lint::{strip_cfg_test, strip_code};
+use super::lexer::{strip_cfg_test, strip_code, Tok, TokKind};
 
 /// The parsed workspace: all files, a global function index, and each
 /// function's direct facts.
 #[derive(Debug)]
 pub struct Workspace {
+    /// The directory holding `crates/`.
+    pub root: PathBuf,
     /// Parsed files in deterministic (sorted-path) order.
     pub files: Vec<FileItems>,
     /// Global function table; `FnId` indexes into this.
@@ -155,22 +156,8 @@ pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
         }
     }
 
-    let mut fns = Vec::new();
-    let mut facts = Vec::new();
-    for (file_idx, file) in files.iter().enumerate() {
-        let file_facts = infer_facts(file);
-        for (fn_idx, fn_facts) in file_facts.into_iter().enumerate() {
-            fns.push(GlobalFn { file_idx, fn_idx });
-            facts.push(fn_facts);
-        }
-    }
     let deps = load_deps(&crate_dirs);
-    Ok(Workspace {
-        files,
-        fns,
-        facts,
-        deps,
-    })
+    Ok(Workspace::from_files(root.to_path_buf(), files, deps))
 }
 
 /// Reads each crate's `[dependencies]` for `shadow-*` workspace deps and
@@ -250,6 +237,29 @@ fn rel_label(root: &Path, path: &Path) -> String {
 }
 
 impl Workspace {
+    /// Indexes the functions of `files` and infers their direct facts.
+    pub(crate) fn from_files(
+        root: PathBuf,
+        files: Vec<FileItems>,
+        deps: HashMap<String, BTreeSet<String>>,
+    ) -> Workspace {
+        let mut fns = Vec::new();
+        let mut facts = Vec::new();
+        for (file_idx, file) in files.iter().enumerate() {
+            for (fn_idx, fn_facts) in infer_facts(file).into_iter().enumerate() {
+                fns.push(GlobalFn { file_idx, fn_idx });
+                facts.push(fn_facts);
+            }
+        }
+        Workspace {
+            root,
+            files,
+            fns,
+            facts,
+            deps,
+        }
+    }
+
     /// The item record of a global function.
     pub fn item(&self, id: FnId) -> &FnItem {
         let g = &self.fns[id];
@@ -584,30 +594,14 @@ mod tests {
     fn ws_from(sources: &[(&str, &str, &str)]) -> Workspace {
         // (krate, rel_in_crate, src); no manifests, so every cross-crate
         // edge is allowed — matching unit-test expectations.
-        let mut files = Vec::new();
-        for (krate, rel, src) in sources {
-            let label = format!("crates/{krate}/{rel}");
-            files.push(extract_file(
-                strip_cfg_test(&strip_code(src)),
-                krate,
-                &label,
-                rel,
-            ));
-        }
-        let mut fns = Vec::new();
-        let mut facts = Vec::new();
-        for (file_idx, file) in files.iter().enumerate() {
-            for (fn_idx, fn_facts) in infer_facts(file).into_iter().enumerate() {
-                fns.push(GlobalFn { file_idx, fn_idx });
-                facts.push(fn_facts);
-            }
-        }
-        Workspace {
-            files,
-            fns,
-            facts,
-            deps: HashMap::new(),
-        }
+        let files = sources
+            .iter()
+            .map(|(krate, rel, src)| {
+                let label = format!("crates/{krate}/{rel}");
+                extract_file(strip_cfg_test(&strip_code(src)), krate, &label, rel)
+            })
+            .collect();
+        Workspace::from_files(PathBuf::new(), files, HashMap::new())
     }
 
     fn edge_quals(ws: &Workspace, g: &CallGraph, caller_qual: &str) -> Vec<String> {

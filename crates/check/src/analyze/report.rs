@@ -2,8 +2,9 @@
 //!
 //! The baseline file is the escape hatch that keeps CI deny-by-default
 //! honest: every suppressed finding is a committed line with a stable
-//! key (`rule|entry|fact_fn|token` — no line numbers, so unrelated edits
-//! don't churn it), and unknown keys in the baseline are reported so
+//! key (`rule|entry|fact_fn|token`, or `rule|file|file|token` for a
+//! file-scope finding — no line numbers, so unrelated edits don't churn
+//! it), and unknown keys in the baseline are reported so
 //! fixed findings get removed from the file rather than rotting there.
 
 use std::collections::BTreeSet;
@@ -24,6 +25,12 @@ pub const RULE_NAMES: &[&str] = &[
     "fs-reach",
     "net-reach",
     "shard-shape",
+    "wall-clock",
+    "decode-panic",
+    "obs-panic",
+    "diff-hot-alloc",
+    "thread-purity",
+    "variant-coverage",
 ];
 
 /// A parsed baseline: the set of suppressed finding keys.
@@ -92,7 +99,7 @@ pub fn render_human(
     for rule in RULE_NAMES {
         let n = kept.iter().filter(|f| f.rule == *rule).count();
         let b = suppressed.iter().filter(|f| f.rule == *rule).count();
-        let _ = writeln!(out, "  {rule:<12} {n} finding(s), {b} baselined");
+        let _ = writeln!(out, "  {rule:<16} {n} finding(s), {b} baselined");
     }
     for f in kept {
         let _ = writeln!(out, "{f}");
@@ -206,7 +213,7 @@ mod tests {
     fn human_report_lists_counts_and_chain() {
         let kept = vec![finding("panic-reach", ".unwrap(")];
         let text = render_human(&kept, &[], &[], &stats(), 12);
-        assert!(text.contains("panic-reach  1 finding(s), 0 baselined"));
+        assert!(text.contains("panic-reach      1 finding(s), 0 baselined"));
         assert!(text.contains("via a::entry -> b::fact"));
         let clean = render_human(&[], &[], &[], &stats(), 12);
         assert!(clean.contains("analysis clean"));

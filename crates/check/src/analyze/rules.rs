@@ -1,38 +1,51 @@
-//! The transitive guarantee rules, evaluated over the call graph.
+//! The guarantee rules, evaluated over the parsed workspace.
 //!
-//! Each rule is a reachability query: from a set of *entry points*, can
-//! any function carrying a forbidden [`FactKind`] be reached?
-//! Propagation runs as a reverse-BFS from fact-bearing functions toward
-//! callers, recording the next hop at each step so a finding can print
-//! the full entry → … → fact witness chain.
+//! Three kinds of rule share one finding type:
 //!
-//! | rule          | entries                                   | forbidden facts |
-//! |---------------|-------------------------------------------|-----------------|
-//! | `panic-reach` | `Frame::decode`, `*Message::decode_body`, `ServerNode::restore`, `DurableStore::open_shard` | panic |
-//! | `alloc-reach` | `diff_docs`, `apply_delta`, chunk codec   | alloc           |
-//! | `clock-reach` | every `pub fn` of a pure crate            | clock           |
-//! | `fs-reach`    | every `pub fn` of a pure crate            | fs              |
-//! | `net-reach`   | every `pub fn` of a pure crate            | net             |
-//! | `shard-shape` | shard/server poll loops (+ per-fn scan)   | blocking        |
+//! * **Reachability rules** (`REACH_RULES`): from a set of *entry
+//!   points*, can any function carrying a forbidden [`FactKind`] be
+//!   reached? Propagation runs as a reverse-BFS from fact-bearing
+//!   functions toward callers, recording the next hop at each step so a
+//!   finding can print the full entry → … → fact witness chain.
+//! * **File-scope rules** (`FILE_RULES`): no forbidden fact anywhere
+//!   in a set of files — `use` lines, struct fields, statics and every
+//!   body alike. No call resolution is involved, so neither an
+//!   unresolved call nor a fact outside any function can hide one.
+//! * **Variant coverage** (`COVERAGE_RULES`): every variant of an enum
+//!   is named as `Enum::Variant` where it must be handled or tested.
+//!
+//! DESIGN.md §13.2 tabulates every rule with its scope and the facts
+//! it forbids.
 
-use super::facts::{Fact, FactKind};
+use std::collections::BTreeSet;
+
+use super::extract::FileItems;
+use super::facts::{scan_file, Fact, FactKind};
 use super::graph::{CallEdge, CallGraph, FnId, Workspace};
+use super::lexer::{lex, strip_code, Tok, TokKind};
 
-/// Crates whose public functions must never reach a wall-clock read —
-/// mirrors the lint layer's thread-free set: these are the pure state
-/// machines.
-pub const PURE_CRATES: &[&str] = &[
-    "proto", "diff", "compress", "version", "cache", "client", "server",
+/// The sans-io crates: time arrives as an argument or through the
+/// runtime's clock. The first seven are the pure state machines, which
+/// also touch no disk, socket, lock or thread — the sharded runtime
+/// moves each one whole onto a worker thread. `runtime` and `obs` drive
+/// and observe them.
+const SANS_IO_CRATES: &[&str] = &[
+    "proto", "diff", "compress", "version", "cache", "client", "server", "runtime", "obs",
 ];
+
+/// The pure state machines: the first seven [`SANS_IO_CRATES`].
+const PURE_CRATES: &[&str] = SANS_IO_CRATES.split_at(7).0;
 
 /// One analysis finding.
 #[derive(Debug, Clone)]
 pub struct AnalysisFinding {
     /// Stable rule identifier.
     pub rule: &'static str,
-    /// Qualified name of the entry point the guarantee protects.
+    /// Qualified name of the entry point the guarantee protects (the
+    /// file, for file-scope rules).
     pub entry: String,
-    /// Qualified name of the function carrying the forbidden fact.
+    /// Qualified name of the function carrying the forbidden fact (the
+    /// file, for file-scope rules).
     pub fact_fn: String,
     /// The fact's token form (`.unwrap(`, `Instant::now`, …).
     pub token: String,
@@ -55,6 +68,20 @@ impl AnalysisFinding {
             self.rule, self.entry, self.fact_fn, self.token
         )
     }
+
+    /// A finding about a file rather than a call chain.
+    fn in_file(rule: &'static str, file: &str, line: u32, token: &str, message: String) -> Self {
+        AnalysisFinding {
+            rule,
+            entry: file.to_string(),
+            fact_fn: file.to_string(),
+            token: token.to_string(),
+            file: file.to_string(),
+            line,
+            chain: Vec::new(),
+            message,
+        }
+    }
 }
 
 impl std::fmt::Display for AnalysisFinding {
@@ -67,6 +94,197 @@ impl std::fmt::Display for AnalysisFinding {
     }
 }
 
+/// Which functions a reachability rule protects.
+enum Entries {
+    /// Named functions, as `(crate, owner type, name)`; `None` owner
+    /// means a free function. Finding none is itself a finding.
+    Named(&'static [(&'static str, Option<&'static str>, &'static str)]),
+    /// Every `pub fn` with a body in a [`PURE_CRATES`] crate.
+    PurePub,
+}
+
+/// A reachability rule: no `kind` fact reachable from `entries`.
+struct ReachRule {
+    rule: &'static str,
+    entries: Entries,
+    kind: FactKind,
+    what: &'static str,
+}
+
+const REACH_RULES: &[ReachRule] = &[
+    // Untrusted bytes enter through wire decode (the socket) and
+    // journal replay (the disk).
+    ReachRule {
+        rule: "panic-reach",
+        entries: Entries::Named(&[
+            ("proto", Some("Frame"), "decode"),
+            ("proto", Some("ClientMessage"), "decode_body"),
+            ("proto", Some("ServerMessage"), "decode_body"),
+            ("server", Some("ServerNode"), "restore"),
+            ("store", Some("DurableStore"), "open_shard"),
+        ]),
+        kind: FactKind::Panic,
+        what: "panic reachable from untrusted input (socket or disk)",
+    },
+    ReachRule {
+        rule: "alloc-reach",
+        entries: Entries::Named(&[
+            ("diff", None, "diff_docs"),
+            ("diff", None, "apply_delta"),
+            ("diff", None, "chunk_delta_into"),
+            ("diff", None, "chunk_delta_indexed"),
+            ("diff", None, "apply_chunk_delta"),
+        ]),
+        kind: FactKind::Alloc,
+        what: "allocation reachable from the zero-copy diff hot path",
+    },
+    ReachRule {
+        rule: "clock-reach",
+        entries: Entries::PurePub,
+        kind: FactKind::Clock,
+        what: "wall-clock read reachable from a pure-crate public fn",
+    },
+    // The server *emits* `Persist` records; only the runtime's sink
+    // (the durable store) may touch disk.
+    ReachRule {
+        rule: "fs-reach",
+        entries: Entries::PurePub,
+        kind: FactKind::Fs,
+        what: "filesystem/io access reachable from a pure-crate public fn",
+    },
+    // The protocol cores model a disconnect as a plain state transition
+    // (`LinkDown`/`Resume`); sockets live in the runtimes and transports.
+    ReachRule {
+        rule: "net-reach",
+        entries: Entries::PurePub,
+        kind: FactKind::Net,
+        what: "network/socket access reachable from a pure-crate public fn",
+    },
+    // Everything a shard does between two inbox waits; the inbox wait
+    // itself lives outside this entry by design, so it stays the only
+    // place a shard blocks.
+    ReachRule {
+        rule: "shard-shape",
+        entries: Entries::Named(&[("runtime", Some("Shard"), "step")]),
+        kind: FactKind::Blocking,
+        what: "blocking call reachable from a shard's event handler",
+    },
+];
+
+/// Which source files a file-scope rule reads.
+enum Scope {
+    /// Every file of these crates except the listed files.
+    Crates(&'static [&'static str], &'static [&'static str]),
+    /// Exactly these files; a missing one is a finding.
+    Files(&'static [&'static str]),
+}
+
+/// A file-scope rule: no fact of `kinds` — only those with one of
+/// `tokens`, when given — anywhere in the files of `scope`.
+struct FileRule {
+    rule: &'static str,
+    scope: Scope,
+    kinds: &'static [FactKind],
+    tokens: Option<&'static [&'static str]>,
+    why: &'static str,
+}
+
+const FILE_RULES: &[FileRule] = &[
+    FileRule {
+        rule: "wall-clock",
+        scope: Scope::Crates(SANS_IO_CRATES, &["crates/runtime/src/clock.rs"]),
+        kinds: &[FactKind::Clock],
+        tokens: None,
+        why: "time must arrive as an argument (now_ms) or through the runtime Clock",
+    },
+    FileRule {
+        rule: "decode-panic",
+        scope: Scope::Files(&["crates/proto/src/wire.rs"]),
+        kinds: &[FactKind::Panic],
+        tokens: None,
+        why: "malformed network bytes must produce WireError, never a panic; \
+              use `get`/`first_chunk`",
+    },
+    FileRule {
+        rule: "obs-panic",
+        scope: Scope::Crates(&["obs"], &[]),
+        kinds: &[FactKind::Panic],
+        tokens: None,
+        why: "instrumentation must degrade (drop the sample, count the error), \
+              never take down the node it is measuring",
+    },
+    // One-time `Vec::new`/`Arc::new` set-up is the hot modules'
+    // allocation budget; per-line copies and eagerly rendered messages
+    // are not.
+    FileRule {
+        rule: "diff-hot-alloc",
+        scope: Scope::Files(&[
+            "crates/diff/src/docbuf.rs",
+            "crates/diff/src/scratch.rs",
+            "crates/diff/src/zerocopy.rs",
+            "crates/diff/src/edscript.rs",
+            "crates/diff/src/hunt_mcilroy.rs",
+            "crates/diff/src/myers.rs",
+            "crates/diff/src/chunk.rs",
+        ]),
+        kinds: &[FactKind::Alloc],
+        tokens: Some(&[".to_vec(", "format!"]),
+        why: "the zero-copy pipeline must not allocate per line; borrow the \
+              bytes, and render error messages in `Display`",
+    },
+    FileRule {
+        rule: "thread-purity",
+        scope: Scope::Crates(PURE_CRATES, &[]),
+        kinds: &[FactKind::Thread, FactKind::Lock],
+        tokens: None,
+        why: "state machines must stay lock- and thread-free so the sharded \
+              runtime can own one per worker; concurrency belongs in \
+              crates/runtime or the deployment adapters",
+    },
+];
+
+/// Where a coverage rule looks for `Enum::Variant` names.
+enum Uses {
+    /// Workspace source files whose label starts with this prefix.
+    Src(&'static str),
+    /// One test file, read from disk: tests are not workspace sources.
+    Test(&'static str),
+}
+
+/// A variant-coverage rule: every variant of the enums declared in
+/// `decl` is named as `Enum::Variant` somewhere in `uses`.
+struct CoverageRule {
+    decl: &'static str,
+    /// The enums to cover; `None` means every `pub enum` in `decl`.
+    enums: Option<&'static [&'static str]>,
+    uses: Uses,
+    missing: &'static str,
+}
+
+const COVERAGE_RULES: &[CoverageRule] = &[
+    // Every wire-visible variant is round-trip tested.
+    CoverageRule {
+        decl: "crates/proto/src/message.rs",
+        enums: None,
+        uses: Uses::Test("crates/proto/tests/prop.rs"),
+        missing: "never appears in the round-trip property tests",
+    },
+    // Dead instrumentation variants rot silently.
+    CoverageRule {
+        decl: "crates/obs/src/event.rs",
+        enums: Some(&["DriverEvent"]),
+        uses: Uses::Src("crates/runtime/src/"),
+        missing: "is declared but no driver emits it",
+    },
+    // An unmatched inbox event would sit in a shard's inbox forever.
+    CoverageRule {
+        decl: "crates/runtime/src/shard.rs",
+        enums: Some(&["ShardEvent"]),
+        uses: Uses::Src("crates/runtime/src/shard.rs"),
+        missing: "is declared but never matched in the shard worker loop",
+    },
+];
+
 /// Result of one reverse-reachability pass.
 struct Reach {
     /// Can this function reach a forbidden fact?
@@ -77,7 +295,7 @@ struct Reach {
     via: Vec<Option<CallEdge>>,
 }
 
-fn reach(ws: &Workspace, g: &CallGraph, wanted: impl Fn(&Fact) -> bool) -> Reach {
+fn reach(ws: &Workspace, g: &CallGraph, kind: FactKind) -> Reach {
     let n = ws.fns.len();
     let mut r = Reach {
         reachable: vec![false; n],
@@ -86,7 +304,7 @@ fn reach(ws: &Workspace, g: &CallGraph, wanted: impl Fn(&Fact) -> bool) -> Reach
     };
     let mut queue: Vec<FnId> = Vec::new();
     for id in 0..n {
-        if let Some(fact) = ws.facts[id].iter().find(|f| wanted(f)) {
+        if let Some(fact) = ws.facts[id].iter().find(|f| f.kind == kind) {
             r.reachable[id] = true;
             r.seed_fact[id] = Some(fact.clone());
             queue.push(id);
@@ -109,13 +327,7 @@ fn reach(ws: &Workspace, g: &CallGraph, wanted: impl Fn(&Fact) -> bool) -> Reach
 }
 
 /// Walks the witness chain from `entry` to the fact function.
-fn finding_for(
-    ws: &Workspace,
-    r: &Reach,
-    rule: &'static str,
-    entry: FnId,
-    what: &str,
-) -> AnalysisFinding {
+fn finding_for(ws: &Workspace, r: &Reach, rule: &ReachRule, entry: FnId) -> AnalysisFinding {
     let mut chain = Vec::new();
     let mut cur = entry;
     chain.push(ws.qual(cur).to_string());
@@ -130,7 +342,7 @@ fn finding_for(
     });
     let fact_item = ws.item(cur);
     AnalysisFinding {
-        rule,
+        rule: rule.rule,
         entry: ws.qual(entry).to_string(),
         fact_fn: fact_item.qual.clone(),
         token: fact.token.clone(),
@@ -138,7 +350,8 @@ fn finding_for(
         line: fact.line,
         chain,
         message: format!(
-            "{what}: `{}` reaches `{}` ({} fact `{}` at {}:{})",
+            "{}: `{}` reaches `{}` ({} fact `{}` at {}:{})",
+            rule.what,
             ws.qual(entry),
             fact_item.qual,
             fact.kind.name(),
@@ -149,189 +362,199 @@ fn finding_for(
     }
 }
 
-fn entries_of(ws: &Workspace, specs: &[(&str, Option<&str>, &str)]) -> Vec<FnId> {
-    let mut v = Vec::new();
-    for (krate, owner, name) in specs {
-        v.extend(ws.find(krate, *owner, name));
+fn reach_findings(ws: &Workspace, g: &CallGraph, rule: &ReachRule, out: &mut Vec<AnalysisFinding>) {
+    let entries: Vec<FnId> = match rule.entries {
+        Entries::Named(specs) => specs
+            .iter()
+            .flat_map(|(krate, owner, name)| ws.find(krate, *owner, name))
+            .collect(),
+        Entries::PurePub => (0..ws.fns.len())
+            .filter(|&id| {
+                let f = ws.item(id);
+                f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
+            })
+            .collect(),
+    };
+    if entries.is_empty() {
+        let message = format!(
+            "{}: no entry points found in the workspace; the guarantee is unverifiable",
+            rule.what
+        );
+        out.push(AnalysisFinding::in_file(
+            rule.rule,
+            "crates",
+            0,
+            "missing-entry",
+            message,
+        ));
+        return;
     }
-    v.sort_unstable();
-    v.dedup();
-    v
+    let r = reach(ws, g, rule.kind);
+    for e in entries.into_iter().filter(|&e| r.reachable[e]) {
+        out.push(finding_for(ws, &r, rule, e));
+    }
 }
 
-fn missing_entries(rule: &'static str, what: &str) -> AnalysisFinding {
-    AnalysisFinding {
+fn missing_file(rule: &'static str, file: &str) -> AnalysisFinding {
+    AnalysisFinding::in_file(
         rule,
-        entry: String::from("(none)"),
-        fact_fn: String::from("(none)"),
-        token: String::from("missing-entry"),
-        file: String::from("crates"),
-        line: 0,
-        chain: Vec::new(),
-        message: format!("{what}: no entry points found in the workspace; the guarantee is unverifiable"),
+        file,
+        0,
+        "missing-file",
+        format!("{file} not found; the guarantee is unverifiable"),
+    )
+}
+
+fn file_findings(ws: &Workspace, rule: &FileRule, out: &mut Vec<AnalysisFinding>) {
+    if let Scope::Files(files) = rule.scope {
+        for file in files
+            .iter()
+            .filter(|p| !ws.files.iter().any(|f| f.file == **p))
+        {
+            out.push(missing_file(rule.rule, file));
+        }
+    }
+    for file in &ws.files {
+        let in_scope = match rule.scope {
+            Scope::Crates(crates, except) => {
+                crates.contains(&file.krate.as_str()) && !except.contains(&file.file.as_str())
+            }
+            Scope::Files(files) => files.contains(&file.file.as_str()),
+        };
+        if !in_scope {
+            continue;
+        }
+        for fact in scan_file(file) {
+            if rule.kinds.contains(&fact.kind)
+                && rule.tokens.is_none_or(|t| t.contains(&fact.token.as_str()))
+            {
+                let message = format!("`{}` ({} fact): {}", fact.token, fact.kind.name(), rule.why);
+                out.push(AnalysisFinding::in_file(
+                    rule.rule,
+                    &file.file,
+                    fact.line,
+                    &fact.token,
+                    message,
+                ));
+            }
+        }
     }
 }
 
-/// Runs all four transitive rules and returns their findings.
+/// The identifier at token `i`, if that token is one.
+fn ident_at(f: &FileItems, i: usize) -> Option<&str> {
+    f.toks
+        .get(i)
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text(&f.src))
+}
+
+/// Names of the unrestricted `pub enum`s a file declares.
+fn pub_enums(f: &FileItems) -> Vec<&str> {
+    (0..f.toks.len())
+        .filter(|&i| ident_at(f, i) == Some("pub") && ident_at(f, i + 1) == Some("enum"))
+        .filter_map(|i| ident_at(f, i + 2))
+        .collect()
+}
+
+/// `(variant, line)` pairs of `enum name`, or `None` when the file
+/// declares no such enum. Attributes and field lists sit one bracket
+/// deeper than the variant names, so only depth-1 identifiers right
+/// after the `{` or a `,` are variants.
+fn enum_variants<'a>(f: &'a FileItems, name: &str) -> Option<Vec<(&'a str, u32)>> {
+    let at = (0..f.toks.len())
+        .find(|&i| ident_at(f, i) == Some("enum") && ident_at(f, i + 1) == Some(name))?;
+    let open = (at..f.toks.len()).find(|&i| f.toks[i].kind == TokKind::Punct('{'))?;
+    let mut variants = Vec::new();
+    let (mut depth, mut at_start) = (0u32, true);
+    for t in &f.toks[open..] {
+        match t.kind {
+            TokKind::Punct('{' | '(' | '[') => depth += 1,
+            TokKind::Punct('}' | ')' | ']') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            TokKind::Punct(',') if depth == 1 => at_start = true,
+            TokKind::Ident if depth == 1 && at_start => {
+                variants.push((t.text(&f.src), t.line));
+                at_start = false;
+            }
+            _ => {}
+        }
+    }
+    Some(variants)
+}
+
+/// Adds every two-segment path `A::B` in a token stream to `into`.
+fn qualified_names(src: &str, toks: &[Tok], into: &mut BTreeSet<String>) {
+    for w in toks.windows(3) {
+        if w[0].kind == TokKind::Ident
+            && w[1].kind == TokKind::PathSep
+            && w[2].kind == TokKind::Ident
+        {
+            into.insert(format!("{}::{}", w[0].text(src), w[2].text(src)));
+        }
+    }
+}
+
+fn coverage_findings(ws: &Workspace, rule: &CoverageRule, out: &mut Vec<AnalysisFinding>) {
+    const RULE: &str = "variant-coverage";
+    let Some(decl) = ws.files.iter().find(|f| f.file == rule.decl) else {
+        out.push(missing_file(RULE, rule.decl));
+        return;
+    };
+    let mut named = BTreeSet::new();
+    match rule.uses {
+        Uses::Src(prefix) => {
+            for f in ws.files.iter().filter(|f| f.file.starts_with(prefix)) {
+                qualified_names(&f.src, &f.toks, &mut named);
+            }
+        }
+        Uses::Test(path) => {
+            let Ok(raw) = std::fs::read_to_string(ws.root.join(path)) else {
+                out.push(missing_file(RULE, path));
+                return;
+            };
+            let src = strip_code(&raw);
+            qualified_names(&src, &lex(&src), &mut named);
+        }
+    }
+    let missing_enum =
+        |message: String| AnalysisFinding::in_file(RULE, rule.decl, 0, "missing-enum", message);
+    let enums = rule.enums.map_or_else(|| pub_enums(decl), <[&str]>::to_vec);
+    if enums.is_empty() {
+        out.push(missing_enum(String::from("no `pub enum` to cover")));
+    }
+    for name in enums {
+        let Some(variants) = enum_variants(decl, name) else {
+            out.push(missing_enum(format!("could not locate `enum {name}`")));
+            continue;
+        };
+        for (v, line) in variants {
+            let path = format!("{name}::{v}");
+            if !named.contains(&path) {
+                let message = format!("{path} {}", rule.missing);
+                out.push(AnalysisFinding::in_file(
+                    RULE, rule.decl, line, &path, message,
+                ));
+            }
+        }
+    }
+}
+
+/// Runs every rule and returns the findings, sorted by rule, file and
+/// line.
 pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
     let mut findings = Vec::new();
-
-    // Rule a: nothing panicking reachable from the entry points that
-    // take untrusted bytes: wire decode (the socket) and journal replay
-    // (the disk).
-    let untrusted_entries = entries_of(
-        ws,
-        &[
-            ("proto", Some("Frame"), "decode"),
-            ("proto", Some("ClientMessage"), "decode_body"),
-            ("proto", Some("ServerMessage"), "decode_body"),
-            ("server", Some("ServerNode"), "restore"),
-            ("store", Some("DurableStore"), "open_shard"),
-        ],
-    );
-    if untrusted_entries.is_empty() {
-        findings.push(missing_entries("panic-reach", "untrusted input"));
-    } else {
-        let r = reach(ws, g, |f| f.kind == FactKind::Panic);
-        for &e in &untrusted_entries {
-            if r.reachable[e] {
-                findings.push(finding_for(
-                    ws,
-                    &r,
-                    "panic-reach",
-                    e,
-                    "panic reachable from untrusted input (socket or disk)",
-                ));
-            }
-        }
+    for rule in REACH_RULES {
+        reach_findings(ws, g, rule, &mut findings);
     }
 
-    // Rule b: nothing allocating reachable from the diff hot path.
-    let diff_entries = entries_of(
-        ws,
-        &[
-            ("diff", None, "diff_docs"),
-            ("diff", None, "apply_delta"),
-            ("diff", None, "chunk_delta_into"),
-            ("diff", None, "chunk_delta_indexed"),
-            ("diff", None, "apply_chunk_delta"),
-        ],
-    );
-    if diff_entries.is_empty() {
-        findings.push(missing_entries("alloc-reach", "diff hot path"));
-    } else {
-        let r = reach(ws, g, |f| f.kind == FactKind::Alloc);
-        for &e in &diff_entries {
-            if r.reachable[e] {
-                findings.push(finding_for(
-                    ws,
-                    &r,
-                    "alloc-reach",
-                    e,
-                    "allocation reachable from the zero-copy diff hot path",
-                ));
-            }
-        }
-    }
-
-    // Rule c: no wall-clock read reachable from any pure-crate pub fn.
-    {
-        let entries: Vec<FnId> = (0..ws.fns.len())
-            .filter(|&id| {
-                let f = ws.item(id);
-                f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
-            })
-            .collect();
-        let r = reach(ws, g, |f| f.kind == FactKind::Clock);
-        for &e in &entries {
-            if r.reachable[e] {
-                findings.push(finding_for(
-                    ws,
-                    &r,
-                    "clock-reach",
-                    e,
-                    "wall-clock read reachable from a pure-crate public fn",
-                ));
-            }
-        }
-    }
-
-    // Rule c2: no filesystem or OS I/O reachable from any pure-crate
-    // pub fn. The sans-io discipline keeps persistence at the edges:
-    // the server *emits* `Persist` records, only the runtime's sink
-    // (the durable store) may touch disk.
-    {
-        let entries: Vec<FnId> = (0..ws.fns.len())
-            .filter(|&id| {
-                let f = ws.item(id);
-                f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
-            })
-            .collect();
-        let r = reach(ws, g, |f| f.kind == FactKind::Fs);
-        for &e in &entries {
-            if r.reachable[e] {
-                findings.push(finding_for(
-                    ws,
-                    &r,
-                    "fs-reach",
-                    e,
-                    "filesystem/io access reachable from a pure-crate public fn",
-                ));
-            }
-        }
-    }
-
-    // Rule c3: no network/socket symbol reachable from any pure-crate
-    // pub fn. The fault-tolerance layer lives in the runtimes and
-    // transports; the protocol cores must model a disconnect as a plain
-    // state transition (`LinkDown`/`Resume`), never by touching a
-    // socket themselves.
-    {
-        let entries: Vec<FnId> = (0..ws.fns.len())
-            .filter(|&id| {
-                let f = ws.item(id);
-                f.is_pub && f.body.is_some() && PURE_CRATES.contains(&f.krate.as_str())
-            })
-            .collect();
-        let r = reach(ws, g, |f| f.kind == FactKind::Net);
-        for &e in &entries {
-            if r.reachable[e] {
-                findings.push(finding_for(
-                    ws,
-                    &r,
-                    "net-reach",
-                    e,
-                    "network/socket access reachable from a pure-crate public fn",
-                ));
-            }
-        }
-    }
-
-    // Rule d2: no blocking call reachable from a shard's per-event
-    // handler — everything a shard does between two inbox waits. The
-    // inbox wait itself lives *outside* this entry by design, so it
-    // stays the only place a shard blocks.
-    let step_entries = entries_of(ws, &[("runtime", Some("Shard"), "step")]);
-    if step_entries.is_empty() {
-        findings.push(missing_entries("shard-shape", "shard event handler"));
-    } else {
-        let r = reach(ws, g, |f| f.kind == FactKind::Blocking);
-        for &e in &step_entries {
-            if r.reachable[e] {
-                findings.push(finding_for(
-                    ws,
-                    &r,
-                    "shard-shape",
-                    e,
-                    "blocking call reachable from a shard's event handler",
-                ));
-            }
-        }
-    }
-
-    // Rule d1: no lock taken before a channel send within one runtime
-    // function — a guard held across a shard-inbox send can deadlock a
-    // session's reader against the shard. Purely local, so no graph walk.
+    // No lock taken before a channel send within one runtime function
+    // — a guard held across a shard-inbox send can deadlock a session's
+    // reader against the shard. Purely local, so no graph walk.
     for id in 0..ws.fns.len() {
         let item = ws.item(id);
         if item.krate != "runtime" {
@@ -366,6 +589,12 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
         }
     }
 
+    for rule in FILE_RULES {
+        file_findings(ws, rule, &mut findings);
+    }
+    for rule in COVERAGE_RULES {
+        coverage_findings(ws, rule, &mut findings);
+    }
     findings.sort_by(|a, b| (a.rule, &a.file, a.line).cmp(&(b.rule, &b.file, b.line)));
     findings
 }
@@ -374,35 +603,20 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
 mod tests {
     use super::*;
     use super::super::extract::extract_file;
-    use super::super::facts::infer_facts;
-    use super::super::graph::{build_graph, GlobalFn};
-    use crate::lint::{strip_cfg_test, strip_code};
+    use super::super::graph::build_graph;
+    use super::super::lexer::strip_cfg_test;
+    use std::collections::HashMap;
+    use std::path::PathBuf;
 
     fn ws_from(sources: &[(&str, &str, &str)]) -> Workspace {
-        let mut files = Vec::new();
-        for (krate, rel, src) in sources {
-            let label = format!("crates/{krate}/{rel}");
-            files.push(extract_file(
-                strip_cfg_test(&strip_code(src)),
-                krate,
-                &label,
-                rel,
-            ));
-        }
-        let mut fns = Vec::new();
-        let mut facts = Vec::new();
-        for (file_idx, file) in files.iter().enumerate() {
-            for (fn_idx, fn_facts) in infer_facts(file).into_iter().enumerate() {
-                fns.push(GlobalFn { file_idx, fn_idx });
-                facts.push(fn_facts);
-            }
-        }
-        Workspace {
-            files,
-            fns,
-            facts,
-            deps: std::collections::HashMap::new(),
-        }
+        let files = sources
+            .iter()
+            .map(|(krate, rel, src)| {
+                let label = format!("crates/{krate}/{rel}");
+                extract_file(strip_cfg_test(&strip_code(src)), krate, &label, rel)
+            })
+            .collect();
+        Workspace::from_files(PathBuf::new(), files, HashMap::new())
     }
 
     fn rule_findings(ws: &Workspace, rule: &str) -> Vec<AnalysisFinding> {
@@ -601,6 +815,180 @@ mod tests {
         assert!(rules.contains(&"panic-reach"));
         assert!(rules.contains(&"alloc-reach"));
         assert!(rules.contains(&"shard-shape"));
+        // File-scope and coverage rules report the files they could not
+        // read instead of passing vacuously.
+        assert!(rules.contains(&"decode-panic"));
+        assert!(rules.contains(&"diff-hot-alloc"));
+        assert!(rules.contains(&"variant-coverage"));
+    }
+
+    /// One rule's findings over a one-file workspace, minus the
+    /// files that workspace lacks.
+    fn file_findings_of(krate: &str, rel: &str, src: &str, rule: &str) -> Vec<AnalysisFinding> {
+        rule_findings(&ws_from(&[(krate, rel, src)]), rule)
+            .into_iter()
+            .filter(|f| f.token != "missing-file")
+            .collect()
+    }
+
+    #[test]
+    fn wall_clock_rule_fires_on_violations() {
+        let bad = "fn f() { let t = std::time::Instant::now(); }";
+        let f = file_findings_of("version", "src/lib.rs", bad, "wall-clock");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].token, "Instant::now");
+        assert_eq!(
+            f[0].key(),
+            "wall-clock|crates/version/src/lib.rs|crates/version/src/lib.rs|Instant::now"
+        );
+        let ok = "fn f(now_ms: u64) {}";
+        assert!(file_findings_of("version", "src/lib.rs", ok, "wall-clock").is_empty());
+        // Unlike `clock-reach`, the rule covers obs and runtime too, and
+        // a clock named outside any fn body.
+        let field = "pub struct Stamp { at: std::time::SystemTime }";
+        assert_eq!(
+            file_findings_of("obs", "src/metrics.rs", field, "wall-clock").len(),
+            1
+        );
+        // The runtime's clock is the one place wall time enters.
+        assert!(file_findings_of("runtime", "src/clock.rs", bad, "wall-clock").is_empty());
+    }
+
+    #[test]
+    fn decode_panic_rule_fires_on_unwrap_and_indexing() {
+        let bad = "fn d(b: &[u8]) { let x = b[0]; let y = h.unwrap(); }";
+        let f = file_findings_of("proto", "src/wire.rs", bad, "decode-panic");
+        let toks: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
+        assert_eq!(toks, vec!["index-expr", ".unwrap("]);
+        let ok = "fn d(b: &[u8]) -> Option<u8> { b.first().copied() }";
+        assert!(file_findings_of("proto", "src/wire.rs", ok, "decode-panic").is_empty());
+    }
+
+    #[test]
+    fn decode_panic_rule_ignores_types_attrs_and_literals() {
+        // `vec![` is macro-bang-bracket: `!` precedes `[`, not a value.
+        let ok = "#[derive(Debug)]\nfn d(b: &[u8], a: [u8; 4]) { let v = vec![1, 2]; }";
+        assert!(file_findings_of("proto", "src/wire.rs", ok, "decode-panic").is_empty());
+    }
+
+    #[test]
+    fn obs_panic_rule_fires_on_macros_and_indexing() {
+        let bad = "fn f(v: &[u64]) { let x = v.first().unwrap(); panic!(\"no\"); }";
+        let f = file_findings_of("obs", "src/metrics.rs", bad, "obs-panic");
+        assert_eq!(f.len(), 2, "{f:?}");
+        // An index is a panic too: bounds-checked access is `get`.
+        let index = "fn f(v: &[u64], i: usize) -> u64 { if i < v.len() { v[i] } else { 0 } }";
+        let f = file_findings_of("obs", "src/metrics.rs", index, "obs-panic");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].token, "index-expr");
+    }
+
+    #[test]
+    fn diff_hot_alloc_rule_fires_on_per_line_allocation() {
+        let bad = "fn f(l: &[u8]) { let a = l.to_vec(); let b = format!(\"{}\", a.len()); }";
+        let f = file_findings_of("diff", "src/zerocopy.rs", bad, "diff-hot-alloc");
+        assert_eq!(f.len(), 2, "{f:?}");
+        // One-time set-up allocations are outside the token subset.
+        let ok = "fn f(doc: &DocBuf, i: usize) -> &[u8] { let s = Vec::new(); doc.line(i) }";
+        assert!(file_findings_of("diff", "src/zerocopy.rs", ok, "diff-hot-alloc").is_empty());
+        // Test code is stripped before the rule runs.
+        let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { let v = b\"x\".to_vec(); }\n}\n";
+        assert!(
+            file_findings_of("diff", "src/zerocopy.rs", test_only, "diff-hot-alloc").is_empty()
+        );
+        // Files outside the hot set may allocate.
+        assert!(file_findings_of("diff", "src/stats.rs", bad, "diff-hot-alloc").is_empty());
+    }
+
+    #[test]
+    fn diff_hot_alloc_rule_covers_the_chunk_module() {
+        // The chunk codec is part of the zero-copy hot path.
+        let bad = "fn emit(span: &[u8]) { let copy = span.to_vec(); }";
+        let f = file_findings_of("diff", "src/chunk.rs", bad, "diff-hot-alloc");
+        assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    #[test]
+    fn diff_hot_alloc_rule_covers_the_error_module() {
+        // Malformed-script errors are built on `apply_delta`'s path: a
+        // message rendered eagerly in edscript.rs must trip the rule.
+        let bad = "fn unknown_op(op: u8) -> ParseError { reason(format!(\"{op}\")) }";
+        let f = file_findings_of("diff", "src/edscript.rs", bad, "diff-hot-alloc");
+        assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    #[test]
+    fn thread_purity_rule_fires_on_threading_primitives() {
+        let bad = "use std::sync::Mutex;\nfn f() { std::thread::spawn(|| {}); }\n";
+        let f = file_findings_of("server", "src/node.rs", bad, "thread-purity");
+        let toks: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
+        assert_eq!(toks, vec!["Mutex", "std::thread"]);
+        // Mentions in comments and strings are fine.
+        let ok = "// runs on whatever thread the runtime picks\nfn f(now_ms: u64) {}\n";
+        assert!(file_findings_of("server", "src/node.rs", ok, "thread-purity").is_empty());
+        // Test modules may use channels (e.g. scripted harnesses).
+        let test_only = "#[cfg(test)]\nmod tests {\n    use std::sync::mpsc;\n    fn t() {}\n}\n";
+        assert!(file_findings_of("server", "src/node.rs", test_only, "thread-purity").is_empty());
+        // The runtime owns the threads.
+        assert!(file_findings_of("runtime", "src/shard.rs", bad, "thread-purity").is_empty());
+    }
+
+    #[test]
+    fn thread_purity_matches_whole_identifiers_only() {
+        let ok =
+            "struct MutexLikeStats { held_ns: u64 }\nfn f(my_mpsc_queue: &MutexLikeStats) {}\n";
+        assert!(file_findings_of("cache", "src/lib.rs", ok, "thread-purity").is_empty());
+        let bad = "fn f() { let m: Mutex<u8> = x; let (tx, rx) = mpsc::channel(); }";
+        assert_eq!(
+            file_findings_of("cache", "src/lib.rs", bad, "thread-purity").len(),
+            2
+        );
+    }
+
+    #[test]
+    fn enum_variants_are_extracted_with_fields_and_attrs() {
+        let src = "
+            pub enum Msg {
+                /// doc
+                Plain,
+                #[allow(dead_code)]
+                WithFields { a: u32, b: Vec<Inner> },
+                Tuple(u8, String),
+                Valued = 3,
+            }
+            pub(crate) enum Hidden { H }
+            pub enum Other { NotMe }
+        ";
+        let f = extract_file(strip_code(src), "x", "crates/x/src/m.rs", "src/m.rs");
+        let names =
+            |e| enum_variants(&f, e).map(|v| v.into_iter().map(|(n, _)| n).collect::<Vec<_>>());
+        assert_eq!(
+            names("Msg"),
+            Some(vec!["Plain", "WithFields", "Tuple", "Valued"])
+        );
+        assert_eq!(names("Other"), Some(vec!["NotMe"]));
+        assert_eq!(names("Absent"), None);
+        assert_eq!(enum_variants(&f, "Msg").unwrap()[0].1, 4);
+        assert_eq!(pub_enums(&f), vec!["Msg", "Other"]);
+    }
+
+    #[test]
+    fn variant_coverage_names_each_unused_variant() {
+        let ws = ws_from(&[
+            ("obs", "src/event.rs", "pub enum DriverEvent {\n    Sent,\n    Lost(u8),\n}"),
+            ("runtime", "src/client_driver.rs", "fn f() { emit(DriverEvent::Sent) }"),
+            ("runtime", "src/shard.rs", "enum ShardEvent { Stop }\nfn step(e: ShardEvent) { if let ShardEvent::Stop = e {} }"),
+        ]);
+        let f: Vec<AnalysisFinding> = rule_findings(&ws, "variant-coverage")
+            .into_iter()
+            .filter(|f| f.file != "crates/proto/src/message.rs")
+            .collect();
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].token, "DriverEvent::Lost");
+        assert_eq!(
+            (f[0].file.as_str(), f[0].line),
+            ("crates/obs/src/event.rs", 3)
+        );
     }
 
     #[test]

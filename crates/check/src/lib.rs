@@ -1,5 +1,5 @@
-//! `shadow-check`: exhaustive state-space checking and a repo-specific
-//! lint pass for the sans-io protocol core.
+//! `shadow-check`: exhaustive state-space checking and whole-workspace
+//! static analysis for the sans-io protocol core.
 //!
 //! The crates under `crates/` deliberately keep all protocol logic in
 //! sans-io state machines ([`ClientNode`](shadow_client::ClientNode),
@@ -21,18 +21,19 @@
 //!   the protocol invariants after every transition.
 //! * [`minimize`] shrinks a violating choice trace with delta debugging
 //!   so the counterexample a failure prints is the short, readable core.
-//! * [`lint`] is an offline source-level pass enforcing the repo's
-//!   sans-io discipline: no wall-clock reads inside protocol crates, no
-//!   panicking constructs in wire-decode paths, and full message/event
-//!   variant coverage in the round-trip tests.
-//! * [`analyze`](mod@analyze) upgrades those per-file checks to whole-workspace
-//!   call-graph reachability: no panic reachable from untrusted input
-//!   (the wire decoder, journal replay), no allocation from the zero-copy diff hot path, no wall-clock read
-//!   from a pure crate's public API, no blocking call inside the shard
-//!   poll loops — each proven transitively, across file and crate
-//!   boundaries, with printed witness chains.
+//! * [`analyze`](mod@analyze) is the offline source-level checker for
+//!   the repo's sans-io discipline. Its call-graph rules prove,
+//!   transitively and across file and crate boundaries, that no panic
+//!   is reachable from untrusted input (the wire decoder, journal
+//!   replay), no allocation from the zero-copy diff hot path, no
+//!   wall-clock read from a pure crate's public API, and no blocking
+//!   call from a shard's event handler, with printed witness chains.
+//!   Its file-scope rules ban wall-clock reads from every sans-io crate,
+//!   panics from the wire decoder and the observability crate, and
+//!   threads and locks from the pure crates; its coverage rules demand
+//!   that every message and event variant is tested or handled.
 //!
-//! The binary front-end (`cargo run -p shadow-check -- explore|lint`)
+//! The binary front-end (`cargo run -p shadow-check -- explore|analyze`)
 //! drives both engines; CI runs them via `just check`.
 //!
 //! Invariants checked during exploration (see [`world::Violation`]):
@@ -57,14 +58,12 @@
 
 pub mod analyze;
 pub mod explore;
-pub mod lint;
 pub mod minimize;
 pub mod scenario;
 pub mod world;
 
 pub use analyze::{analyze, AnalysisFinding, AnalysisStats};
 pub use explore::{explore, minimize_trace, replay, Counterexample, Profile, Report};
-pub use lint::{lint_workspace, Finding};
 pub use minimize::ddmin;
 pub use scenario::{builtin_scenarios, Op, Scenario};
 pub use world::{Choice, Violation, World};

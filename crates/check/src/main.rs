@@ -1,10 +1,9 @@
-//! `shadow-check` — state-space exploration and repo lints from the
-//! command line.
+//! `shadow-check` — state-space exploration and static analysis from
+//! the command line.
 //!
 //! ```text
 //! shadow-check explore [--profile ci|deep|reorder|in-order] [--scenario NAME]
 //!                      [--depth N] [--max-states N] [--seed-bug]
-//! shadow-check lint [--root PATH]
 //! shadow-check analyze [--root PATH] [--json] [--baseline FILE]
 //! shadow-check scenarios
 //! ```
@@ -15,14 +14,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use shadow_check::scenario::scenario_by_name;
-use shadow_check::{builtin_scenarios, explore, lint_workspace, Profile, Scenario};
+use shadow_check::{builtin_scenarios, explore, Profile, Scenario};
 use shadow_server::FaultInjection;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("explore") => cmd_explore(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("scenarios") => {
             for s in builtin_scenarios() {
@@ -38,7 +36,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: shadow-check explore [--profile ci|deep|reorder|in-order] \
          [--scenario NAME] [--depth N] [--max-states N] [--seed-bug]\n\
-         \x20      shadow-check lint [--root PATH]\n\
          \x20      shadow-check analyze [--root PATH] [--json] [--baseline FILE]\n\
          \x20      shadow-check scenarios"
     );
@@ -157,7 +154,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     }
     let root = root.or_else(|| {
         let cwd = std::env::current_dir().ok()?;
-        shadow_check::lint::find_workspace_root(&cwd)
+        shadow_check::analyze::find_workspace_root(&cwd)
     });
     let Some(root) = root else {
         eprintln!("cannot locate the workspace root (pass --root)");
@@ -199,48 +196,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         }
         Err(e) => {
             eprintln!("analysis failed to read sources: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => {
-                eprintln!("unknown argument {arg:?}");
-                return usage();
-            }
-        }
-    }
-    let root = root.or_else(|| {
-        let cwd = std::env::current_dir().ok()?;
-        shadow_check::lint::find_workspace_root(&cwd)
-    });
-    let Some(root) = root else {
-        eprintln!("cannot locate the workspace root (pass --root)");
-        return ExitCode::from(2);
-    };
-    match lint_workspace(&root) {
-        Ok(findings) if findings.is_empty() => {
-            println!("lint clean: sans-io discipline holds");
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
-            }
-            println!("{} finding(s)", findings.len());
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("lint failed to read sources: {e}");
             ExitCode::from(2)
         }
     }

@@ -1,7 +1,7 @@
-//! The call-graph analysis must hold on the repository itself — and
-//! each transitive rule must actually fire when a violation is planted
-//! in a synthetic workspace, across file and crate boundaries the
-//! per-file lints cannot see.
+//! The analysis must hold on the repository itself — and each rule must
+//! actually fire when a violation is planted: the transitive rules in a
+//! synthetic workspace, across file and crate boundaries, and the
+//! file-scope and coverage rules in a copy of the real file.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,7 +39,9 @@ fn rule_findings(root: &Path, rule: &str) -> Vec<AnalysisFinding> {
 
 /// `shadow-check analyze` passes on main with no baseline: no panic
 /// reachable from untrusted input, no allocation from the diff hot
-/// path, no clock read from a pure crate, no blocking shard poll.
+/// path, no clock read from a pure crate, no blocking shard poll, no
+/// clock, panic, thread or lock where a file-scope rule bans it, and
+/// every message and event variant covered.
 #[test]
 fn workspace_analysis_is_clean() {
     let (findings, stats) = analyze(&repo_root()).expect("sources readable");
@@ -56,9 +58,39 @@ fn workspace_analysis_is_clean() {
     assert!(stats.edges > 500, "resolved {} edges", stats.edges);
 }
 
+/// The file-scope and coverage rules that the former `lint` pass ran
+/// hold on main, each named on its own: the sans-io crates read no wall
+/// clock, the wire decoder and the obs crate cannot panic, the diff hot
+/// modules do not allocate per line, the pure crates hold no thread or
+/// lock, and every message and event variant is covered.
+#[test]
+fn workspace_is_lint_clean() {
+    const LINT_RULES: &[&str] = &[
+        "wall-clock",
+        "decode-panic",
+        "obs-panic",
+        "diff-hot-alloc",
+        "thread-purity",
+        "variant-coverage",
+    ];
+    let (findings, _) = analyze(&repo_root()).expect("sources readable");
+    for rule in LINT_RULES {
+        let hits: Vec<String> = findings
+            .iter()
+            .filter(|f| f.rule == *rule)
+            .map(ToString::to_string)
+            .collect();
+        assert!(
+            hits.is_empty(),
+            "{rule} findings on the repository:\n{}",
+            hits.join("\n")
+        );
+    }
+}
+
 /// A panicking helper two calls below `Frame::decode`, in a *different
-/// crate*, is caught by the transitive rule. The per-file decode lint
-/// only reads wire.rs and could never see this.
+/// crate*, is caught by the transitive rule. The file-scope
+/// `decode-panic` rule only reads wire.rs and could never see this.
 #[test]
 fn planted_panic_two_calls_below_decode_across_crates_fires() {
     let root = temp_workspace(
@@ -253,4 +285,152 @@ fn undeclared_dependency_suppresses_the_cross_crate_chain() {
         "proto declares no dependency on util, so the name-match edge \
          cannot be real dispatch"
     );
+}
+
+/// Analyzes a workspace holding `rel` and the unchanged `also` files,
+/// first as they are in the repository, which must pass `rule`, then
+/// with `taint` applied to `rel`. Returns the tainted source and its
+/// findings for `rule`; files the small workspace lacks are not
+/// findings here.
+fn plant(
+    rule: &str,
+    rel: &str,
+    also: &[&str],
+    taint: impl Fn(&str) -> String,
+) -> (String, Vec<AnalysisFinding>) {
+    let read = |p: &str| fs::read_to_string(repo_root().join(p)).expect("planted file exists");
+    let clean = read(rel);
+    let others: Vec<(&str, String)> = also.iter().map(|p| (*p, read(p))).collect();
+    let name = format!("plant_{rule}_{}", rel.replace('/', "_"));
+    let found = |src: &str| {
+        let mut files = vec![(rel, src)];
+        files.extend(others.iter().map(|(p, s)| (*p, s.as_str())));
+        rule_findings(&temp_workspace(&name, &files), rule)
+            .into_iter()
+            .filter(|f| f.token != "missing-file")
+            .collect::<Vec<_>>()
+    };
+    let before = found(&clean);
+    assert!(
+        before.is_empty(),
+        "{rel} must pass {rule} before the plant: {before:?}"
+    );
+    let tainted = taint(&clean);
+    assert_ne!(clean, tainted, "the plant must change {rel}");
+    let after = found(&tainted);
+    (tainted, after)
+}
+
+/// Introducing a wall-clock read into a sans-io source is caught, at
+/// the injected line.
+#[test]
+fn injected_wall_clock_read_fails() {
+    let (tainted, f) = plant("wall-clock", "crates/version/src/lib.rs", &[], |c| {
+        format!("{c}\npub fn stamp() -> u64 {{ let _ = std::time::Instant::now(); 0 }}\n")
+    });
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].message.contains("Instant::now"));
+    assert_eq!(f[0].line as usize, tainted.lines().count());
+}
+
+/// The observability crate is sans-io too: a clock read planted in
+/// metrics.rs is caught, though `clock-reach` only guards the pure
+/// crates.
+#[test]
+fn injected_obs_clock_read_fails() {
+    let (_, f) = plant("wall-clock", "crates/obs/src/metrics.rs", &[], |c| {
+        format!("{c}\npub fn planted_stamp() -> u64 {{ let _ = std::time::Instant::now(); 0 }}\n")
+    });
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].token, "Instant::now");
+}
+
+/// Re-introducing the pre-hardening indexing pattern into the decoder
+/// is caught (regression guard for the `first_chunk`/`get` rewrite), and
+/// so is an `unwrap`, at the injected line.
+#[test]
+fn injected_decode_unwrap_and_indexing_fail() {
+    let (_, f) = plant("decode-panic", "crates/proto/src/wire.rs", &[], |c| {
+        c.replace(
+            "input.first_chunk::<4>()",
+            "Some(&[input[0], input[1], input[2], input[3]])",
+        )
+    });
+    assert_eq!(
+        f.len(),
+        4,
+        "each index in the decode path is flagged: {f:?}"
+    );
+    assert!(f.iter().all(|f| f.token == "index-expr"));
+    let (tainted, f) = plant("decode-panic", "crates/proto/src/wire.rs", &[], |c| {
+        format!("{c}\nfn bad(b: &[u8]) -> u8 {{ b.first().copied().unwrap() }}\n")
+    });
+    assert_eq!(
+        f.len(),
+        1,
+        "unwrap in the decode path must be flagged: {f:?}"
+    );
+    assert_eq!(f[0].line as usize, tainted.lines().count());
+}
+
+/// Introducing a threading primitive into a pure protocol crate is
+/// caught: the sharded runtime depends on `ServerNode` staying a plain
+/// movable value.
+#[test]
+fn injected_thread_primitive_fails() {
+    let (tainted, f) = plant("thread-purity", "crates/server/src/node.rs", &[], |c| {
+        format!(
+            "{c}\nfn bad() {{ let _guard = std::sync::Mutex::new(0); \
+             std::thread::spawn(|| {{}}); }}\n"
+        )
+    });
+    let toks: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
+    assert_eq!(toks, vec!["Mutex", "std::thread"], "{f:?}");
+    assert!(f.iter().all(|f| f.line as usize == tainted.lines().count()));
+}
+
+/// A lock hidden in a struct field, outside any fn body, is caught.
+#[test]
+fn injected_struct_field_mutex_fails() {
+    let (_, f) = plant("thread-purity", "crates/cache/src/lib.rs", &[], |c| {
+        format!("{c}\npub struct PlantedShared {{ pub m: std::sync::Mutex<u8> }}\n")
+    });
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].token, "Mutex");
+}
+
+/// An inbox event the shard loop never matches on is caught: it would
+/// sit in a shard's inbox forever.
+#[test]
+fn unhandled_shard_event_fails() {
+    let (_, f) = plant(
+        "variant-coverage",
+        "crates/runtime/src/shard.rs",
+        &[],
+        |c| c.replacen("enum ShardEvent {", "enum ShardEvent {\n    Stray,", 1),
+    );
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].token, "ShardEvent::Stray");
+}
+
+/// Every `pub enum` of the message module is covered, so a new
+/// `DeltaCodec` variant the round-trip property tests never build is
+/// caught.
+#[test]
+fn untested_delta_codec_variant_fails() {
+    let (_, f) = plant(
+        "variant-coverage",
+        "crates/proto/src/message.rs",
+        &["crates/proto/tests/prop.rs"],
+        |c| {
+            c.replacen(
+                "pub enum DeltaCodec {",
+                "pub enum DeltaCodec {\n    Planted,",
+                1,
+            )
+        },
+    );
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].token, "DeltaCodec::Planted");
+    assert!(f[0].message.contains("round-trip property tests"));
 }

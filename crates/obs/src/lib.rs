@@ -22,7 +22,7 @@
 //!
 //! Everything here is sans-io and wall-clock-free: timestamps come in
 //! from the driver `Clock`, and nothing panics on malformed input —
-//! `shadow-check lint` enforces both properties for this crate.
+//! `shadow-check analyze` enforces both properties for this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

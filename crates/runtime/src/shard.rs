@@ -29,9 +29,9 @@
 //! what runs on every shard.
 //!
 //! Concurrency therefore lives *here and only here* (plus the thin
-//! deployment adapters in `shadow`): `shadow-check lint`'s thread-purity
-//! rule forbids `std::thread`, `Mutex`, and `mpsc` from appearing in the
-//! protocol crates, keeping the refactor honest.
+//! deployment adapters in `shadow`): `shadow-check analyze`'s
+//! thread-purity rule forbids threads, channels and locks from
+//! appearing in the protocol crates, keeping the refactor honest.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,6 @@
 # Development shortcuts. `just check` is what CI runs.
 
-# Build everything, run the full test suite, and lint.
+# Build everything, run the full test suite, lint, and analyze.
 check: build test e2e-test lint doc verify analyze
 
 # Release build of the whole workspace.
@@ -27,19 +27,19 @@ lint:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Protocol-level verification: repo lints plus the bounded state-space
-# sweep over the built-in scenarios (CI profile, a few seconds).
+# Protocol-level verification: the bounded state-space sweep over the
+# built-in scenarios (CI profile, a few seconds).
 verify:
-    cargo run --release -p shadow-check -- lint --root .
     cargo run --release -p shadow-check -- explore --profile ci
 
 # The overnight sweep: wider reordering, bigger budgets and state caps.
 verify-deep:
     cargo run --release -p shadow-check -- explore --profile deep
 
-# Call-graph static analysis: transitive panic/alloc/clock/blocking
-# guarantees over the whole workspace (deny by default; see DESIGN.md
-# §13). Also exports per-rule counts + wall time to BENCH_analysis.json.
+# Static analysis: transitive panic/alloc/clock/blocking guarantees,
+# file-scope bans and variant coverage over the whole workspace (deny by
+# default; see DESIGN.md §13). Also exports per-rule counts + wall time
+# to BENCH_analysis.json.
 analyze:
     cargo run --release -p shadow-check -- analyze --root .
     cargo run --release -p shadow-check -- analyze --root . --json > BENCH_analysis.json
