@@ -152,8 +152,7 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
                 let prev_dot = i > 0 && toks[i - 1].kind == TokKind::Punct('.');
                 let next_bang = is_p(i + 1, '!');
                 let next_call = is_p(i + 1, '(');
-                let next_pathsep =
-                    i < close && toks[i + 1].kind == TokKind::PathSep;
+                let next_pathsep = i < close && toks[i + 1].kind == TokKind::PathSep;
                 // Path context: the segments before this ident.
                 let qual_parent = if i >= 2
                     && toks[i - 1].kind == TokKind::PathSep
@@ -173,9 +172,8 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
                 } else if prev_dot && next_call && ALLOC_METHODS.contains(&name) {
                     push(FactKind::Alloc, t.line, &format!(".{name}("));
                 } else if next_call
-                    && qual_parent.is_some_and(|p| {
-                        ALLOC_PATHS.iter().any(|(ty, m)| *ty == p && *m == name)
-                    })
+                    && qual_parent
+                        .is_some_and(|p| ALLOC_PATHS.iter().any(|(ty, m)| *ty == p && *m == name))
                 {
                     let p = qual_parent.unwrap_or_default();
                     push(FactKind::Alloc, t.line, &format!("{p}::{name}("));
@@ -194,8 +192,7 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
                 } else if name == "mpsc" {
                     push(FactKind::Thread, t.line, "mpsc");
                 } else if name == "fs"
-                    && (qual_parent == Some("std")
-                        || (qual_parent.is_none() && next_pathsep))
+                    && (qual_parent == Some("std") || (qual_parent.is_none() && next_pathsep))
                 {
                     // Leading-segment `fs::` (the idiomatic `use std::fs`
                     // form) counts too; only the fully-qualified form is
@@ -207,16 +204,22 @@ fn scan_body(src: &str, toks: &[Tok], open: usize, close: usize) -> Vec<Fact> {
                         push(FactKind::Fs, t.line, "fs::");
                     }
                 } else if name == "io"
-                    && (qual_parent == Some("std")
-                        || (qual_parent.is_none() && next_pathsep))
+                    && (qual_parent == Some("std") || (qual_parent.is_none() && next_pathsep))
                 {
-                    let token = if qual_parent == Some("std") { "std::io" } else { "io::" };
+                    let token = if qual_parent == Some("std") {
+                        "std::io"
+                    } else {
+                        "io::"
+                    };
                     push(FactKind::Fs, t.line, token);
                 } else if name == "net"
-                    && (qual_parent == Some("std")
-                        || (qual_parent.is_none() && next_pathsep))
+                    && (qual_parent == Some("std") || (qual_parent.is_none() && next_pathsep))
                 {
-                    let token = if qual_parent == Some("std") { "std::net" } else { "net::" };
+                    let token = if qual_parent == Some("std") {
+                        "std::net"
+                    } else {
+                        "net::"
+                    };
                     push(FactKind::Net, t.line, token);
                 } else if name == "TcpStream" || name == "TcpListener" || name == "UdpSocket" {
                     push(FactKind::Net, t.line, name);
@@ -315,12 +318,16 @@ mod tests {
     fn identifier_boundaries_hold() {
         // Substring matches must not fire: these were rule-6 false
         // positives under the old `find_token` matcher.
-        assert!(facts_of("let s = MutexLikeStats::default(); let p = my_mpsc_like_queue;").is_empty());
+        assert!(
+            facts_of("let s = MutexLikeStats::default(); let p = my_mpsc_like_queue;").is_empty()
+        );
     }
 
     #[test]
     fn blocking_facts_distinguish_join_and_recv_arity() {
-        let f = facts_of("h.join(); p.join(sep); rx.recv(); rx.recv_timeout(d); w.wait(g); thread::sleep(d);");
+        let f = facts_of(
+            "h.join(); p.join(sep); rx.recv(); rx.recv_timeout(d); w.wait(g); thread::sleep(d);",
+        );
         let toks: Vec<&str> = f.iter().map(|(_, t)| t.as_str()).collect();
         assert_eq!(toks, vec![".join()", ".recv()", ".wait(", "sleep("]);
         assert!(f.iter().all(|(k, _)| *k == FactKind::Blocking));
@@ -339,8 +346,7 @@ mod tests {
         let f = facts_of(
             "let a = std::fs::read(p); let b = fs::write(p, d); let e = io::Error::last_os_error();",
         );
-        let toks: Vec<(FactKind, &str)> =
-            f.iter().map(|(k, t)| (*k, t.as_str())).collect();
+        let toks: Vec<(FactKind, &str)> = f.iter().map(|(k, t)| (*k, t.as_str())).collect();
         assert_eq!(
             toks,
             vec![

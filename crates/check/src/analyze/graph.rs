@@ -75,23 +75,126 @@ pub struct CallGraph {
 /// workspace constructor named `new` would drown the rules in noise.
 const KNOWN_EXTERNAL: &[&str] = &[
     // std/core/alloc types
-    "Vec", "VecDeque", "String", "Box", "Rc", "Arc", "RefCell", "Cell", "Cow", "Option", "Result",
-    "Some", "Ok", "Err", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Path", "PathBuf",
-    "OsString", "Instant", "SystemTime", "Duration", "Ordering", "Wrapping", "Layout", "Range",
-    "Iterator", "Default", "Clone", "From", "TryFrom", "Into", "TryInto", "ToOwned", "ToString",
-    "FromStr", "Display", "Debug", "Hash", "Hasher", "DefaultHasher", "IpAddr", "SocketAddr",
-    "TcpListener", "TcpStream", "AtomicUsize", "AtomicU64", "AtomicU32", "AtomicBool", "NonZeroU32",
-    "NonZeroU64", "Error", "Write", "Read", "Char", "Utf8Error",
+    "Vec",
+    "VecDeque",
+    "String",
+    "Box",
+    "Rc",
+    "Arc",
+    "RefCell",
+    "Cell",
+    "Cow",
+    "Option",
+    "Result",
+    "Some",
+    "Ok",
+    "Err",
+    "HashMap",
+    "HashSet",
+    "BTreeMap",
+    "BTreeSet",
+    "Path",
+    "PathBuf",
+    "OsString",
+    "Instant",
+    "SystemTime",
+    "Duration",
+    "Ordering",
+    "Wrapping",
+    "Layout",
+    "Range",
+    "Iterator",
+    "Default",
+    "Clone",
+    "From",
+    "TryFrom",
+    "Into",
+    "TryInto",
+    "ToOwned",
+    "ToString",
+    "FromStr",
+    "Display",
+    "Debug",
+    "Hash",
+    "Hasher",
+    "DefaultHasher",
+    "IpAddr",
+    "SocketAddr",
+    "TcpListener",
+    "TcpStream",
+    "AtomicUsize",
+    "AtomicU64",
+    "AtomicU32",
+    "AtomicBool",
+    "NonZeroU32",
+    "NonZeroU64",
+    "Error",
+    "Write",
+    "Read",
+    "Char",
+    "Utf8Error",
     // std/core module segments
-    "std", "core", "alloc", "mem", "ptr", "fmt", "iter", "cmp", "slice", "array", "str", "char",
-    "env", "process", "thread", "time", "fs", "io", "net", "collections", "sync", "atomic",
-    "convert", "ops", "num", "hash", "borrow", "marker",
+    "std",
+    "core",
+    "alloc",
+    "mem",
+    "ptr",
+    "fmt",
+    "iter",
+    "cmp",
+    "slice",
+    "array",
+    "str",
+    "char",
+    "env",
+    "process",
+    "thread",
+    "time",
+    "fs",
+    "io",
+    "net",
+    "collections",
+    "sync",
+    "atomic",
+    "convert",
+    "ops",
+    "num",
+    "hash",
+    "borrow",
+    "marker",
     // primitives
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64", "bool",
+    "u8",
+    "u16",
+    "u32",
+    "u64",
+    "u128",
+    "usize",
+    "i8",
+    "i16",
+    "i32",
+    "i64",
+    "i128",
+    "isize",
+    "f32",
+    "f64",
+    "bool",
     // vendored compat crates (treated like std)
-    "bytes", "Bytes", "BytesMut", "Buf", "BufMut", "crossbeam", "crossbeam_channel", "rand",
-    "proptest", "criterion", "Criterion", "Rng", "StdRng", "SeedableRng", "Sender", "Receiver",
+    "bytes",
+    "Bytes",
+    "BytesMut",
+    "Buf",
+    "BufMut",
+    "crossbeam",
+    "crossbeam_channel",
+    "rand",
+    "proptest",
+    "criterion",
+    "Criterion",
+    "Rng",
+    "StdRng",
+    "SeedableRng",
+    "Sender",
+    "Receiver",
 ];
 
 /// Method names so ubiquitous on std types (`Vec::push`, `Option::map`,
@@ -103,16 +206,90 @@ const KNOWN_EXTERNAL: &[&str] = &[
 /// absent — `take` is a real workspace method (`Cursor::take`), and the
 /// rest become direct facts at the call site anyway.
 const METHOD_DENY: &[&str] = &[
-    "push", "push_str", "pop", "get", "get_mut", "len", "is_empty", "insert", "remove", "clear",
-    "contains", "contains_key", "first", "last", "iter", "iter_mut", "into_iter", "next", "extend",
-    "extend_from_slice", "clone", "default", "fmt", "eq", "ne", "cmp", "partial_cmp", "hash",
-    "map", "map_err", "and_then", "or_else", "unwrap_or", "unwrap_or_else", "unwrap_or_default",
-    "ok", "ok_or", "ok_or_else", "find", "position", "filter", "fold", "any", "all", "count",
-    "rev", "zip", "enumerate", "copied", "cloned", "collect", "sort", "sort_by", "sort_by_key",
-    "sort_unstable", "retain", "drain", "keys", "values", "entry", "split", "split_at",
-    "split_once", "starts_with", "ends_with", "as_ref", "as_mut", "as_slice", "as_bytes",
-    "as_str", "to_owned", "to_string", "to_vec", "truncate", "reserve", "replace", "min", "max",
-    "write", "flush", "borrow", "borrow_mut", "status", "new",
+    "push",
+    "push_str",
+    "pop",
+    "get",
+    "get_mut",
+    "len",
+    "is_empty",
+    "insert",
+    "remove",
+    "clear",
+    "contains",
+    "contains_key",
+    "first",
+    "last",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "next",
+    "extend",
+    "extend_from_slice",
+    "clone",
+    "default",
+    "fmt",
+    "eq",
+    "ne",
+    "cmp",
+    "partial_cmp",
+    "hash",
+    "map",
+    "map_err",
+    "and_then",
+    "or_else",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "ok",
+    "ok_or",
+    "ok_or_else",
+    "find",
+    "position",
+    "filter",
+    "fold",
+    "any",
+    "all",
+    "count",
+    "rev",
+    "zip",
+    "enumerate",
+    "copied",
+    "cloned",
+    "collect",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+    "sort_unstable",
+    "retain",
+    "drain",
+    "keys",
+    "values",
+    "entry",
+    "split",
+    "split_at",
+    "split_once",
+    "starts_with",
+    "ends_with",
+    "as_ref",
+    "as_mut",
+    "as_slice",
+    "as_bytes",
+    "as_str",
+    "to_owned",
+    "to_string",
+    "to_vec",
+    "truncate",
+    "reserve",
+    "replace",
+    "min",
+    "max",
+    "write",
+    "flush",
+    "borrow",
+    "borrow_mut",
+    "status",
+    "new",
 ];
 
 fn method_fallback(ix: &Indexes, name: &str) -> Vec<FnId> {
@@ -348,8 +525,7 @@ fn build_indexes(ws: &Workspace) -> Indexes {
                 // Reachable as `seg::name(...)` through the crate name
                 // (`shadow_proto::checksum`), its dir form (`proto`),
                 // or the last module segment (`hunt_mcilroy::lcs…`).
-                let mut segs: Vec<String> =
-                    vec![f.krate.clone(), format!("shadow_{}", f.krate)];
+                let mut segs: Vec<String> = vec![f.krate.clone(), format!("shadow_{}", f.krate)];
                 let parts: Vec<&str> = f.qual.split("::").collect();
                 if parts.len() >= 3 {
                     segs.push(parts[parts.len() - 2].to_string());
@@ -502,7 +678,10 @@ fn collect_calls(
                 // Bare call: same file, then same crate, then anywhere.
                 ix.free_by_file
                     .get(&(item.file.clone(), name.to_string()))
-                    .or_else(|| ix.free_by_crate.get(&(item.krate.clone(), name.to_string())))
+                    .or_else(|| {
+                        ix.free_by_crate
+                            .get(&(item.krate.clone(), name.to_string()))
+                    })
                     .or_else(|| ix.free_by_name.get(name))
                     .cloned()
                     .unwrap_or_default()
@@ -534,12 +713,7 @@ fn collect_calls(
 }
 
 /// Resolves `Parent::name(...)`.
-fn resolve_qualified(
-    ix: &Indexes,
-    caller: &FnItem,
-    parent: Option<&str>,
-    name: &str,
-) -> Vec<FnId> {
+fn resolve_qualified(ix: &Indexes, caller: &FnItem, parent: Option<&str>, name: &str) -> Vec<FnId> {
     let parent = match parent {
         // `<T as Trait>::name(` and friends: unknown receiver.
         None => return method_fallback(ix, name),
@@ -625,11 +799,18 @@ mod tests {
                 "fn caller() { helper() }\nfn helper() {}",
             ),
             ("a", "src/two.rs", "fn helper() {}"),
-            ("b", "src/lib.rs", "fn helper() {}\nfn cross() { only_in_a() }"),
+            (
+                "b",
+                "src/lib.rs",
+                "fn helper() {}\nfn cross() { only_in_a() }",
+            ),
             ("a", "src/three.rs", "fn only_in_a() {}"),
         ]);
         let g = build_graph(&ws);
-        assert_eq!(edge_quals(&ws, &g, "a::one::caller"), vec!["a::one::helper"]);
+        assert_eq!(
+            edge_quals(&ws, &g, "a::one::caller"),
+            vec!["a::one::helper"]
+        );
         assert_eq!(edge_quals(&ws, &g, "b::cross"), vec!["a::three::only_in_a"]);
     }
 
@@ -717,7 +898,10 @@ mod tests {
         // proto can't reach runtime, so the name-match edge is dropped…
         assert_eq!(edge_quals(&ws, &g, "proto::encode"), Vec::<String>::new());
         // …but server, which depends on runtime, keeps it.
-        assert_eq!(edge_quals(&ws, &g, "server::serve"), vec!["runtime::helper_q"]);
+        assert_eq!(
+            edge_quals(&ws, &g, "server::serve"),
+            vec!["runtime::helper_q"]
+        );
     }
 
     #[test]

@@ -172,7 +172,9 @@ fn match_cfg_test(chars: &[char], start: usize) -> Option<usize> {
         // Identifier tokens must end at a word boundary: `test` must
         // not match the prefix of `testing`.
         if matches!(tok, "cfg" | "test")
-            && chars.get(i).is_some_and(|c| c.is_alphanumeric() || *c == '_')
+            && chars
+                .get(i)
+                .is_some_and(|c| c.is_alphanumeric() || *c == '_')
         {
             return None;
         }

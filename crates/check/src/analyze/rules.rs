@@ -86,7 +86,11 @@ impl AnalysisFinding {
 
 impl std::fmt::Display for AnalysisFinding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)?;
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )?;
         if self.chain.len() > 1 {
             write!(f, "\n    via {}", self.chain.join(" -> "))?;
         }
@@ -566,7 +570,9 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
             .filter(|f| f.kind == FactKind::Lock)
             .map(|f| f.line)
             .min();
-        let Some(lock_line) = first_lock else { continue };
+        let Some(lock_line) = first_lock else {
+            continue;
+        };
         if let Some(send) = facts
             .iter()
             .find(|f| f.kind == FactKind::ChannelSend && f.line >= lock_line)
@@ -601,10 +607,10 @@ pub fn run_rules(ws: &Workspace, g: &CallGraph) -> Vec<AnalysisFinding> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::extract::extract_file;
     use super::super::graph::build_graph;
     use super::super::lexer::strip_cfg_test;
+    use super::*;
     use std::collections::HashMap;
     use std::path::PathBuf;
 
@@ -714,7 +720,11 @@ mod tests {
                 "src/lib.rs",
                 "pub fn tick() { stamp() }\nfn stamp() { let t = Instant::now(); }",
             ),
-            ("runtime", "src/clock.rs", "pub fn now() { let t = Instant::now(); }"),
+            (
+                "runtime",
+                "src/clock.rs",
+                "pub fn now() { let t = Instant::now(); }",
+            ),
         ]);
         let f = rule_findings(&ws, "clock-reach");
         assert_eq!(f.len(), 1);
@@ -730,7 +740,11 @@ mod tests {
                 "src/lib.rs",
                 "pub fn submit() { spill() }\nfn spill() { let d = fs::read(p); }",
             ),
-            ("store", "src/segment.rs", "pub fn append() { let d = fs::read(p); }"),
+            (
+                "store",
+                "src/segment.rs",
+                "pub fn append() { let d = fs::read(p); }",
+            ),
         ]);
         let f = rule_findings(&ws, "fs-reach");
         assert_eq!(f.len(), 1, "{f:?}");
@@ -749,7 +763,11 @@ mod tests {
                 "src/lib.rs",
                 "pub fn reconnect() { dial() }\nfn dial() { let s = TcpStream::connect(a); }",
             ),
-            ("netsim", "src/tcp.rs", "pub fn connect() { let s = TcpStream::connect(a); }"),
+            (
+                "netsim",
+                "src/tcp.rs",
+                "pub fn connect() { let s = TcpStream::connect(a); }",
+            ),
         ]);
         let f = rule_findings(&ws, "net-reach");
         assert_eq!(f.len(), 1, "{f:?}");

@@ -4,16 +4,19 @@
 //! The crates under `crates/` deliberately keep all protocol logic in
 //! sans-io state machines ([`ClientNode`](shadow_client::ClientNode),
 //! [`ServerNode`](shadow_server::ServerNode)) wrapped by pure drivers
-//! ([`ClientDriver`](shadow_runtime::ClientDriver),
-//! [`ServerDriver`](shadow_runtime::ServerDriver)). That makes the whole
-//! protocol a deterministic function of its inputs — so instead of only
-//! sampling behaviours with example tests, we can *enumerate* them:
+//! ([`ClientDriver`](shadow_runtime::ClientDriver) and the server loop,
+//! [`Shard`](shadow_runtime::Shard)). That makes the whole protocol a
+//! deterministic function of its inputs — so instead of only sampling
+//! behaviours with example tests, we can *enumerate* them:
 //!
-//! * [`world`] models one client and one server plus the frames in
+//! * [`world`] models one client and one server — the production
+//!   [`Shard`](shadow_runtime::Shard) on a virtual clock, journaling to
+//!   an in-memory model of the durable store — plus the frames in
 //!   flight between them. Every source of nondeterminism a real network
 //!   exhibits — which queued frame is delivered next, whether it is
 //!   dropped or duplicated, when timers fire, when the user edits or
-//!   submits — is an explicit [`Choice`].
+//!   submits, when the server crashes or compacts its journal — is an
+//!   explicit [`Choice`].
 //! * [`explore`](mod@explore) walks the choice tree exhaustively (bounded by depth,
 //!   state count, and drop/duplicate budgets), deduplicating states by
 //!   the deterministic digests every node exposes
@@ -48,6 +51,9 @@
 //! * **Loss degrades, never corrupts** — dropping the shadow cache (or
 //!   any delta-base mismatch) may cost a full transfer but must never
 //!   produce an error, a stuck job, or wrong cached content.
+//! * **Replay fidelity** — a server restarted from its journal holds
+//!   exactly the snapshot the crashed server held (unless a scripted
+//!   cache drop ran first: the journal still holds what the drop lost).
 //! * **Quiescent convergence** — once every frame is delivered, every
 //!   timer fired, and the script is done, client and server agree on
 //!   file content and no job is pending (checked only on runs where no

@@ -77,9 +77,11 @@ fn cmd_explore(args: &[String]) -> ExitCode {
                 Some(n) => profile.max_states = n,
                 None => return usage(),
             },
-            "--seed-bug" => faults = FaultInjection {
-                delta_base_bug: true,
-            },
+            "--seed-bug" => {
+                faults = FaultInjection {
+                    delta_base_bug: true,
+                }
+            }
             _ => {
                 eprintln!("unknown argument {arg:?}");
                 return usage();
@@ -116,7 +118,10 @@ fn cmd_explore(args: &[String]) -> ExitCode {
                 println!("    {:>3}. {choice}", i + 1);
             }
             if !cx.flight.is_empty() {
-                println!("  flight recorder (last {} steps, oldest first):", cx.flight.len());
+                println!(
+                    "  flight recorder (last {} steps, oldest first):",
+                    cx.flight.len()
+                );
                 for line in &cx.flight {
                     println!("    {line}");
                 }
@@ -180,11 +185,19 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             let (kept, suppressed, stale) = baseline.apply(findings);
             let out = if json {
                 shadow_check::analyze::report::render_json(
-                    &kept, &suppressed, &stale, &stats, wall_ms,
+                    &kept,
+                    &suppressed,
+                    &stale,
+                    &stats,
+                    wall_ms,
                 )
             } else {
                 shadow_check::analyze::report::render_human(
-                    &kept, &suppressed, &stale, &stats, wall_ms,
+                    &kept,
+                    &suppressed,
+                    &stale,
+                    &stats,
+                    wall_ms,
                 )
             };
             print!("{out}");

@@ -2,8 +2,13 @@
 //! between them, with every nondeterministic event an explicit
 //! [`Choice`].
 //!
+//! The server is the production server loop, a [`Shard`] on a virtual
+//! clock, fed [`ShardEvent`]s: the checker explores the shard's own
+//! decode → persist → send → compact ordering, not a copy of it.
+//!
 //! The world advances only through [`World::apply`]; the explorer clones
-//! a world to branch, so `World` is `Clone` and its
+//! a world to branch, so `World` is `Clone` — the shard's writer and its
+//! model journal included, so no two branches share one — and its
 //! [`state_digest`](World::state_digest) is the canonical identity used
 //! to deduplicate states reached along different interleavings.
 
@@ -13,10 +18,13 @@ use std::fmt;
 use shadow_client::{ClientConfig, ClientNode, ConnId, FileRef, Notification};
 use shadow_obs::FlightRecorder;
 use shadow_proto::{
-    ContentDigest, DomainId, FileId, FileKey, Frame, ServerMessage, StableHasher, VersionNumber,
+    ContentDigest, DomainId, FileId, FileKey, Frame, PersistRecord, ServerMessage, StableHasher,
+    VersionNumber,
 };
-use shadow_runtime::{ClientDriver, ClientOutbound, FeedError, ServerDriver, ServerIo};
-use shadow_server::{FaultInjection, ServerConfig, ServerNode, SessionId};
+use shadow_runtime::{
+    ClientDriver, ClientOutbound, FeedError, PersistSink, Shard, ShardEvent, VirtualClock,
+};
+use shadow_server::{CloseReason, FaultInjection, ServerConfig, ServerNode, SessionId};
 
 use crate::scenario::{content_for, Op, Scenario};
 
@@ -44,7 +52,8 @@ pub enum Choice {
     /// replay its journal into a fresh node, and re-handshake
     /// (consumes crash budget).
     CrashRestart,
-    /// Compact the journal: replace it with the server's own
+    /// Arm a journal compaction: the server's next dispatch, after its
+    /// persists, replaces the journal with the node's own
     /// `ServerNode::snapshot` of the domain, as the durable store does
     /// (consumes compaction budget).
     Compact,
@@ -107,6 +116,15 @@ pub enum Violation {
         newest: VersionNumber,
         /// The older version acknowledged now.
         acked: VersionNumber,
+    },
+    /// Journal replay did not rebuild what the server held: after a
+    /// crash, the restarted node's snapshot of the domain differs from
+    /// the crashed node's.
+    ReplayDiverged {
+        /// The crashed node's snapshot.
+        crashed: Vec<PersistRecord>,
+        /// The snapshot of the node rebuilt from the journal.
+        restored: Vec<PersistRecord>,
     },
     /// Within one cache lifetime the cached version went backwards.
     CacheRollback {
@@ -172,9 +190,13 @@ impl fmt::Display for Violation {
                 file,
                 newest,
                 acked,
-            } => write!(
+            } => write!(f, "ack regression on {file}: acked {acked} after {newest}"),
+            Violation::ReplayDiverged { crashed, restored } => write!(
                 f,
-                "ack regression on {file}: acked {acked} after {newest}"
+                "journal replay diverged: the crashed server held [{}], \
+                 replay rebuilt [{}]",
+                record_labels(crashed),
+                record_labels(restored)
             ),
             Violation::CacheRollback { key, from, to } => {
                 write!(f, "cache rollback on {key:?}: {from} -> {to}")
@@ -223,11 +245,47 @@ pub struct Budgets {
     pub disconnects: u32,
 }
 
+/// The checked server: the production shard loop on a virtual clock.
+/// Its writer half queues frames until the world moves them onto the
+/// server→client queue, and it journals to a [`Journal`].
+type CheckedShard = Shard<VirtualClock, Vec<Vec<u8>>, Journal>;
+
+/// The durable-store model the checked shard journals to: the last
+/// compaction's snapshot (empty before any), then every record the
+/// shard persisted since, in emission order. A crash replays it into a
+/// fresh node through `ServerNode::restore`, exactly as a durable
+/// deployment replays what `DurableStore::recovered` hands it.
+#[derive(Debug, Clone)]
+struct Journal {
+    domain: DomainId,
+    records: Vec<PersistRecord>,
+    /// Running digest of `records` (part of state identity without
+    /// rehashing every record each step).
+    hash: u64,
+    /// A [`Choice::Compact`] is pending: the shard's next dispatch
+    /// compacts, after its persists.
+    armed: bool,
+}
+
+impl PersistSink for Journal {
+    fn persist(&mut self, record: &PersistRecord) {
+        self.hash = fold_record(self.hash, record);
+        self.records.push(record.clone());
+    }
+
+    fn compact(&mut self, state: &mut dyn FnMut(DomainId) -> Vec<PersistRecord>) {
+        if std::mem::take(&mut self.armed) {
+            self.records = state(self.domain);
+            self.hash = self.records.iter().fold(0, fold_record);
+        }
+    }
+}
+
 /// One client + one server + the network between them.
 #[derive(Debug, Clone)]
 pub struct World {
     client: ClientDriver,
-    server: ServerDriver,
+    server: CheckedShard,
     conn: ConnId,
     session: SessionId,
     domain: DomainId,
@@ -247,15 +305,6 @@ pub struct World {
     /// jobs were legitimately lost, so end-state convergence claims are
     /// off (step invariants still hold).
     crashed: bool,
-    /// The durable-store model: the last compaction's snapshot (empty
-    /// before any), then every `Persist` record the server emitted
-    /// since, in emission order. A crash replays this journal into a
-    /// fresh node through `ServerNode::restore`, exactly as a durable
-    /// deployment replays what `DurableStore::recovered` hands it.
-    journal: Vec<shadow_proto::PersistRecord>,
-    /// Running digest of the journal (part of state identity without
-    /// rehashing every record each step).
-    journal_hash: u64,
     faults: FaultInjection,
     any_dropped: bool,
     script_drops_cache: bool,
@@ -277,11 +326,15 @@ impl World {
     pub fn new(scenario: &Scenario, budgets: Budgets, faults: FaultInjection) -> Self {
         let domain = DomainId::new(7);
         let client = ClientNode::new(ClientConfig::new("ws1", domain.as_u64()));
-        let mut server_node = ServerNode::new(ServerConfig::new("sc1"));
-        server_node.set_faults(faults);
+        let journal = Journal {
+            domain,
+            records: Vec::new(),
+            hash: 0,
+            armed: false,
+        };
         let mut world = World {
             client: ClientDriver::new(client),
-            server: ServerDriver::new(server_node),
+            server: server_shard(faults, journal, 0),
             conn: ConnId::new(0),
             session: SessionId::new(1),
             domain,
@@ -298,8 +351,6 @@ impl World {
             compactions_left: budgets.compactions,
             disconnects_left: budgets.disconnects,
             crashed: false,
-            journal: Vec::new(),
-            journal_hash: 0,
             faults,
             any_dropped: false,
             script_drops_cache: scenario.script.contains(&Op::DropCache),
@@ -307,8 +358,6 @@ impl World {
             cache_seen: BTreeMap::new(),
             flight: FlightRecorder::default(),
         };
-        let io = world.server.connected(world.session, 0);
-        world.queue_server_io(&io).expect("handshake acks are sound");
         let hello = world.client.connect(world.conn, 0);
         world.queue_client_out(&hello);
         // Deliver Hello and HelloAck synchronously so every explored
@@ -395,14 +444,7 @@ impl World {
         match choice {
             Choice::DeliverToServer(i) => {
                 let frame = self.c2s.remove(i);
-                let io = match self
-                    .server
-                    .feed_frame(self.session, &frame, self.now_ms, |_| 0)
-                {
-                    Ok(io) => io,
-                    Err(e) => return Err(feed_violation("server", e)),
-                };
-                self.queue_server_io(&io)?;
+                self.deliver_to_server(frame)?;
             }
             Choice::DeliverToClient(i) => {
                 let frame = self.s2c.remove(i);
@@ -438,8 +480,8 @@ impl World {
                     .next_deadline()
                     .expect("FireTimer only enabled with a pending timer");
                 self.now_ms = self.now_ms.max(deadline);
-                let io = self.server.fire_due(self.now_ms, 0);
-                self.queue_server_io(&io)?;
+                self.server.clock_mut().advance_to(self.now_ms);
+                self.step_server(None)?;
             }
             Choice::NextOp => {
                 let op = self.script[self.next_op].clone();
@@ -450,7 +492,8 @@ impl World {
                 self.crash_restart()?;
             }
             Choice::Compact => {
-                self.compact();
+                self.compactions_left -= 1;
+                self.journal_mut().armed = true;
             }
             Choice::LinkDown => {
                 self.link_down_resume()?;
@@ -493,19 +536,27 @@ impl World {
     /// state and every in-flight frame die with the "process"; the
     /// fresh node replays the journal exactly as a durable deployment
     /// replays its on-disk store, and the client re-handshakes (the
-    /// transport saw a disconnect). Cache-lifetime epochs reset — the
-    /// replayed cache is a new lifetime, so monotonicity restarts, but
-    /// coherence (replayed bytes must digest to what the client
-    /// recorded) is checked from the very next step.
+    /// transport saw a disconnect). Replay must rebuild the crashed
+    /// node's snapshot of the domain — unless a scripted cache wipe ran
+    /// first, since the journal still holds what the wipe lost.
+    /// Cache-lifetime epochs reset — the replayed cache is a new
+    /// lifetime, so monotonicity restarts, but coherence (replayed bytes
+    /// must digest to what the client recorded) is checked from the very
+    /// next step.
     fn crash_restart(&mut self) -> Result<(), Violation> {
         self.crashes_left -= 1;
         self.crashed = true;
         self.c2s.clear();
         self.s2c.clear();
-        let mut node = ServerNode::new(ServerConfig::new("sc1"));
-        node.set_faults(self.faults);
-        node.restore(&self.journal);
-        self.server = ServerDriver::new(node);
+        let crashed = self.server.node().snapshot(self.domain);
+        let shard = server_shard(self.faults, self.journal().clone(), self.now_ms);
+        if !self.script[..self.next_op].contains(&Op::DropCache) {
+            let restored = shard.node().snapshot(self.domain);
+            if restored != crashed {
+                return Err(Violation::ReplayDiverged { crashed, restored });
+            }
+        }
+        self.server = shard;
         self.cache_seen.clear();
         self.acks_seen.clear();
         // The client saw its transport die with the server.
@@ -513,21 +564,9 @@ impl World {
         // Re-handshake synchronously, as in `World::new`: the handshake
         // is deterministic, so exploring its interleavings adds depth
         // without behaviour — and scripted ops must not race it.
-        let io = self.server.connected(self.session, self.now_ms);
-        self.queue_server_io(&io)?;
         let hello = self.client.connect(self.conn, self.now_ms);
         self.queue_client_out(&hello);
         self.drain_handshake()
-    }
-
-    /// Compacts the journal as the durable store does: the records so
-    /// far give way to the server's snapshot of its domain. A later
-    /// crash then replays the snapshot and whatever followed it, so
-    /// coherence after a restart checks the snapshot path too.
-    fn compact(&mut self) {
-        self.compactions_left -= 1;
-        self.journal = self.server.node().snapshot(self.domain);
-        self.journal_hash = journal_digest(0, &self.journal);
     }
 
     /// Cuts the transport and immediately resumes: in-flight frames die
@@ -549,18 +588,14 @@ impl World {
             self.s2c.clear();
         }
         // The server observes an abortive close and reaps the session.
-        let io = self
-            .server
-            .disconnected(self.session, shadow_server::CloseReason::Error, self.now_ms);
-        self.queue_server_io(&io)?;
+        let closed = ShardEvent::Closed(self.session, CloseReason::Error);
+        self.server.step(Some(closed), |_| 0);
         // A fresh transport means a fresh accept — and a new session id —
-        // at the server; the client keeps its shadow environment and
-        // re-handshakes with a resume summary. The handshake is
-        // deterministic, so it is applied synchronously like the
-        // initial one.
+        // at the server, opened on the resume `Hello`; the client keeps
+        // its shadow environment and re-handshakes with a resume
+        // summary. The handshake is deterministic, so it is applied
+        // synchronously like the initial one.
         self.session = SessionId::new(self.session.as_u64() + 1);
-        let io = self.server.connected(self.session, self.now_ms);
-        self.queue_server_io(&io)?;
         self.client.link_down(self.conn, self.now_ms);
         let hello = self.client.reconnect(self.conn, self.now_ms);
         self.queue_client_out(&hello);
@@ -574,14 +609,7 @@ impl World {
         while !self.c2s.is_empty() || !self.s2c.is_empty() {
             if !self.c2s.is_empty() {
                 let frame = self.c2s.remove(0);
-                let io = match self
-                    .server
-                    .feed_frame(self.session, &frame, self.now_ms, |_| 0)
-                {
-                    Ok(io) => io,
-                    Err(e) => return Err(feed_violation("server", e)),
-                };
-                self.queue_server_io(&io)?;
+                self.deliver_to_server(frame)?;
             }
             if !self.s2c.is_empty() {
                 let frame = self.s2c.remove(0);
@@ -602,16 +630,32 @@ impl World {
         }
     }
 
-    /// Queues server frames and checks the *send-side* invariants: acks
-    /// must never regress within a cache lifetime, and no rejection may
-    /// be emitted for our established session.
-    fn queue_server_io(&mut self, io: &ServerIo) -> Result<(), Violation> {
-        self.journal_hash = journal_digest(self.journal_hash, &io.persists);
-        self.journal.extend(io.persists.iter().cloned());
-        for o in &io.outbound {
-            debug_assert_eq!(o.session, self.session);
+    /// Delivers a client frame to the server's shard; the session's
+    /// first frame, its `Hello`, opens it. The shard closes a session
+    /// whose frame it cannot decode.
+    fn deliver_to_server(&mut self, frame: Vec<u8>) -> Result<(), Violation> {
+        let event = match self.server.writer_mut(self.session) {
+            Some(_) => ShardEvent::Frame(self.session, frame),
+            None => ShardEvent::Open(self.session, Vec::new(), frame),
+        };
+        self.step_server(Some(event))
+    }
+
+    /// Steps the server's shard and queues what it sent, checking the
+    /// *send-side* invariants: acks must never regress within a cache
+    /// lifetime, and no rejection may be emitted for our established
+    /// session.
+    fn step_server(&mut self, event: Option<ShardEvent<Vec<Vec<u8>>>>) -> Result<(), Violation> {
+        self.server.step(event, |_| 0);
+        let Some(wire) = self.server.writer_mut(self.session) else {
+            return Err(Violation::Feed {
+                receiver: "server",
+                error: "the shard closed the session on an undecodable frame".to_string(),
+            });
+        };
+        for frame in std::mem::take(wire) {
             if let Ok(Some((ServerMessage::VersionAck { file, version }, _))) =
-                Frame::decode::<ServerMessage>(&o.frame)
+                Frame::decode::<ServerMessage>(&frame)
             {
                 if let Some(&newest) = self.acks_seen.get(&file) {
                     if version < newest {
@@ -624,9 +668,17 @@ impl World {
                 }
                 self.acks_seen.insert(file, version);
             }
-            self.s2c.push(o.frame.clone());
+            self.s2c.push(frame);
         }
         Ok(())
+    }
+
+    fn journal(&self) -> &Journal {
+        self.server.sink().expect("the checked shard journals")
+    }
+
+    fn journal_mut(&mut self) -> &mut Journal {
+        self.server.sink_mut().expect("the checked shard journals")
     }
 
     /// Invariants checked after every transition.
@@ -716,7 +768,7 @@ impl World {
         self.next_op >= self.script.len()
             && self.c2s.is_empty()
             && self.s2c.is_empty()
-            && self.server.timers_idle()
+            && self.server.next_deadline().is_none()
     }
 
     /// Terminal-state invariants. Convergence claims are only meaningful
@@ -772,7 +824,7 @@ impl World {
         use std::hash::{Hash, Hasher};
         let mut h = StableHasher::new();
         self.client.state_digest().hash(&mut h);
-        self.server.state_digest(self.now_ms).hash(&mut h);
+        self.server.state_digest().hash(&mut h);
         self.c2s.hash(&mut h);
         self.s2c.hash(&mut h);
         self.next_op.hash(&mut h);
@@ -783,7 +835,7 @@ impl World {
         self.compactions_left.hash(&mut h);
         self.disconnects_left.hash(&mut h);
         self.crashed.hash(&mut h);
-        self.journal_hash.hash(&mut h);
+        (self.journal().hash, self.journal().armed).hash(&mut h);
         self.any_dropped.hash(&mut h);
         // Monotonicity epochs are part of the observable future: two
         // states that differ only here can still diverge on violations.
@@ -797,16 +849,39 @@ impl World {
     }
 }
 
-/// Folds `records` into a running journal digest that starts at `hash`.
-fn journal_digest(mut hash: u64, records: &[shadow_proto::PersistRecord]) -> u64 {
+/// Snapshot records as short labels, content digests for bytes.
+fn record_labels(records: &[PersistRecord]) -> String {
+    let label = |record: &PersistRecord| match record {
+        PersistRecord::CacheFull {
+            key,
+            version,
+            content,
+        } => {
+            format!("{key} {version} #{}", ContentDigest::of(content))
+        }
+        other => format!("{other:?}"),
+    };
+    records.iter().map(label).collect::<Vec<_>>().join(", ")
+}
+
+/// Folds one record into a running journal digest.
+fn fold_record(hash: u64, record: &PersistRecord) -> u64 {
     use std::hash::{Hash, Hasher};
-    for record in records {
-        let mut h = StableHasher::new();
-        hash.hash(&mut h);
-        Frame::encode(record).hash(&mut h);
-        hash = h.finish();
-    }
-    hash
+    let mut h = StableHasher::new();
+    hash.hash(&mut h);
+    Frame::encode(record).hash(&mut h);
+    h.finish()
+}
+
+/// A fresh server shard at `now_ms` whose node has replayed `journal`
+/// and journals on into it.
+fn server_shard(faults: FaultInjection, journal: Journal, now_ms: u64) -> CheckedShard {
+    let mut node = ServerNode::new(ServerConfig::new("sc1"));
+    node.set_faults(faults);
+    node.restore(&journal.records);
+    let mut clock = VirtualClock::new();
+    clock.advance_to(now_ms);
+    Shard::new(node, Some(journal), clock)
 }
 
 fn feed_violation(receiver: &'static str, e: FeedError) -> Violation {
@@ -908,7 +983,10 @@ mod tests {
             steps += 1;
             assert!(steps < 500, "did not quiesce");
         }
-        assert!(!w.journal.is_empty(), "submissions were journaled");
+        assert!(
+            !w.journal().records.is_empty(),
+            "submissions were journaled"
+        );
         let digest_before = w.state_digest();
         w.apply(Choice::CrashRestart)
             .expect("replay must not violate cache coherence");
@@ -947,6 +1025,38 @@ mod tests {
             },
             FaultInjection::default(),
         );
+        // Run the script in order until it is done and a frame is on its
+        // way to the server, then arm the compaction.
+        let mut steps = 0;
+        while w.ops_done() < s.script.len() || w.c2s.is_empty() {
+            let choice = w.enabled()[0];
+            w.apply(choice).expect("clean run");
+            steps += 1;
+            assert!(steps < 500, "script never finished");
+        }
+        let digest_before = w.state_digest();
+        let journal_before = w.journal().records.clone();
+        w.apply(Choice::Compact)
+            .expect("arming a compaction changes no protocol state");
+        assert_ne!(
+            w.state_digest(),
+            digest_before,
+            "a compaction is a new state"
+        );
+        assert!(
+            !w.enabled().contains(&Choice::Compact),
+            "compaction budget is spent"
+        );
+        assert_eq!(
+            w.journal().records,
+            journal_before,
+            "nothing compacts until a dispatch"
+        );
+        // The shard's next dispatch compacts, after its persists: the
+        // journal is then exactly the node's snapshot.
+        w.apply(Choice::DeliverToServer(0)).expect("clean delivery");
+        assert!(!w.journal().armed);
+        assert_eq!(w.journal().records, w.server.node().snapshot(w.domain));
         let mut steps = 0;
         while !w.quiescent() {
             let choice = w.enabled()[0];
@@ -954,21 +1064,18 @@ mod tests {
             steps += 1;
             assert!(steps < 500, "did not quiesce");
         }
-        let digest_before = w.state_digest();
-        w.apply(Choice::Compact).expect("compaction changes no protocol state");
-        assert_ne!(w.state_digest(), digest_before, "a compaction is a new state");
-        assert!(!w.enabled().contains(&Choice::Compact), "compaction budget is spent");
         // Compaction alone leaves the server untouched: still converged.
         assert_eq!(w.check_quiescent(), None);
 
         w.apply(Choice::CrashRestart)
-            .expect("replaying the snapshot must not violate cache coherence");
+            .expect("replaying the snapshot must rebuild the crashed state");
         assert_eq!(
             w.server.node().cached_keys(),
-            w.journal
+            w.journal()
+                .records
                 .iter()
                 .filter_map(|r| match r {
-                    shadow_proto::PersistRecord::CacheFull { key, .. } => Some(*key),
+                    PersistRecord::CacheFull { key, .. } => Some(*key),
                     _ => None,
                 })
                 .collect::<Vec<_>>(),
@@ -1068,10 +1175,7 @@ mod tests {
             assert!(steps < 500, "nothing ever took flight");
         }
         w.apply(Choice::LinkDown).expect("resume stays coherent");
-        assert!(
-            w.any_dropped(),
-            "frames in flight died with the transport"
-        );
+        assert!(w.any_dropped(), "frames in flight died with the transport");
         let mut steps = 0;
         while !w.quiescent() {
             let choice = w.enabled()[0];
@@ -1106,7 +1210,8 @@ mod tests {
             steps += 1;
             assert!(steps < 500, "did not quiesce");
             if steps == 3 && w.enabled().contains(&Choice::CrashRestart) {
-                w.apply(Choice::CrashRestart).expect("replay stays coherent");
+                w.apply(Choice::CrashRestart)
+                    .expect("replay stays coherent");
             }
         }
         assert_eq!(w.check_quiescent(), None);
@@ -1142,5 +1247,41 @@ mod tests {
         assert_ne!(a.state_digest(), b.state_digest());
         b.apply(Choice::NextOp).unwrap();
         assert_eq!(a.state_digest(), b.state_digest());
+    }
+
+    #[test]
+    fn undecodable_frame_at_the_server_is_a_feed_violation() {
+        let s = &builtin_scenarios()[0];
+        let mut w = World::new(s, budgets(), FaultInjection::default());
+        w.c2s.push(b"garbage".to_vec());
+        match w.apply(Choice::DeliverToServer(0)) {
+            Err(Violation::Feed { receiver, .. }) => assert_eq!(receiver, "server"),
+            other => panic!("expected a server feed violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replay_that_loses_a_record_is_caught() {
+        let s = &builtin_scenarios()[0];
+        let mut w = World::new(
+            s,
+            Budgets {
+                crashes: 1,
+                ..budgets()
+            },
+            FaultInjection::default(),
+        );
+        let mut steps = 0;
+        while !w.quiescent() {
+            let choice = w.enabled()[0];
+            w.apply(choice).expect("clean run");
+            steps += 1;
+            assert!(steps < 500, "did not quiesce");
+        }
+        w.journal_mut().records.pop();
+        assert!(matches!(
+            w.apply(Choice::CrashRestart),
+            Err(Violation::ReplayDiverged { .. })
+        ));
     }
 }

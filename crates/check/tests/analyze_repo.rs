@@ -122,7 +122,11 @@ fn planted_panic_two_calls_below_decode_across_crates_fires() {
     assert_eq!(f[0].token, ".unwrap(");
     // Chain steps carry call-site annotations ("qual (call at line N)");
     // the qualified names prove the file- and crate-boundary crossings.
-    let hops = ["proto::wire::Frame::decode", "proto::helper::step", "util::boom"];
+    let hops = [
+        "proto::wire::Frame::decode",
+        "proto::helper::step",
+        "util::boom",
+    ];
     assert_eq!(f[0].chain.len(), hops.len(), "{:?}", f[0].chain);
     for (step, hop) in f[0].chain.iter().zip(hops) {
         assert!(step.starts_with(hop), "{step:?} should start with {hop:?}");
@@ -229,8 +233,9 @@ fn planted_net_access_below_pure_public_fn_fires() {
     );
     let f = rule_findings(&root, "net-reach");
     assert!(!f.is_empty(), "planted socket dial must be found");
-    assert!(f.iter().any(|f| f.entry == "client::reconnect"
-        && f.fact_fn == "client::dialer::dial"));
+    assert!(f
+        .iter()
+        .any(|f| f.entry == "client::reconnect" && f.fact_fn == "client::dialer::dial"));
 }
 
 /// A blocking receive below a shard's per-event handler — behind one hop
@@ -407,7 +412,13 @@ fn unhandled_shard_event_fails() {
         "variant-coverage",
         "crates/runtime/src/shard.rs",
         &[],
-        |c| c.replacen("enum ShardEvent {", "enum ShardEvent {\n    Stray,", 1),
+        |c| {
+            c.replacen(
+                "enum ShardEvent<W> {",
+                "enum ShardEvent<W> {\n    Stray,",
+                1,
+            )
+        },
     );
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].token, "ShardEvent::Stray");

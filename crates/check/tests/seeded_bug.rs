@@ -9,8 +9,8 @@
 //! protocol's digest check exists to stop — a delta against version 1
 //! applied to cached version 2 silently corrupts the shadow.
 
-use shadow_check::{builtin_scenarios, explore, replay, Profile, Violation};
 use shadow_check::scenario::scenario_by_name;
+use shadow_check::{builtin_scenarios, explore, replay, Profile, Violation};
 use shadow_server::FaultInjection;
 
 fn buggy() -> FaultInjection {
@@ -32,7 +32,11 @@ fn all_scenarios_clean_without_faults() {
             scenario.name,
             report.violation
         );
-        assert!(report.states > 100, "scenario {} barely explored", scenario.name);
+        assert!(
+            report.states > 100,
+            "scenario {} barely explored",
+            scenario.name
+        );
     }
 }
 

@@ -30,15 +30,15 @@
 //! Protocol *dispatch* is not implemented here. The simulator and both
 //! wall-clock transports are thin adapters over the `shadow-runtime`
 //! crate, which owns the single `ClientAction`/`ServerAction`
-//! interpreter ([`ClientDriver`] / [`ServerDriver`]), the
+//! interpreter ([`ClientDriver`] / [`Shard`], the one server loop), the
 //! [`TimerQueue`], the [`FrameTransport`] abstraction, and the
-//! [`ShardedServerRuntime`] (worker shards that each block on one inbox
-//! of session events, fed by a reader thread per session and routed by
-//! `hash(domain) % N`):
+//! [`ShardedServerRuntime`] (worker threads that each run one `Shard`
+//! behind one inbox of session events, fed by a reader thread per
+//! session and routed by `hash(domain) % N`):
 //!
 //! | module | role | runtime pieces used |
 //! |---|---|---|
-//! | `sim`  | discrete-event scheduler + CPU/network cost model | `ClientDriver`, `ServerDriver` (timers become sim events) |
+//! | `sim`  | discrete-event scheduler + CPU/network cost model | `ClientDriver`, `Shard` on a `VirtualClock` (its next deadline becomes a sim wake-up) |
 //! | `deploy` | the [`Deployment`] builder: pipes or TCP, diskless or durable | `ShardedServerRuntime` fed with split pipe ends or sockets; `shadow-store`'s `DurableStore` as each shard's `PersistSink` |
 //! | `live` | the client side of a wall-clock deployment | `ClientDriver` over any `FrameTransport` |
 //! | `tcpd` | the TCP client | `LiveClient` over a TCP stream |
@@ -91,7 +91,7 @@ pub use shadow_store::{DurableStore, RecoverySummary, DEFAULT_COMPACT_EVERY};
 pub use shadow_runtime::{
     shard_for, ClientDriver, ClientOutbound, Clock, CompletedJob, Connector, DriverEvent,
     DriverStats, EventHook, FeedError, FrameInfo, FrameReader, FrameTransport, FrameWriter,
-    PersistSink, ServerDriver, ServerIo, ServerOutbound, ShardedServerRuntime, Supervisor,
+    PersistSink, Shard, ShardEvent, ShardedServerRuntime, Supervisor,
     SupervisorConfig, SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed,
     VirtualClock, WallClock,
 };
@@ -143,8 +143,8 @@ pub use shadow_workload::{
 ///
 /// Covers file identity ([`FileRef`]), the validated config builders,
 /// the deployment front ends ([`Simulation`], the [`Deployment`]
-/// builder, [`TcpClient`]), the drivers beneath them, and the unified
-/// [`NodeReport`] stats surface.
+/// builder, [`TcpClient`]), the client driver and server loop beneath
+/// them, and the unified [`NodeReport`] stats surface.
 pub mod prelude {
     pub use crate::deploy::{DeployError, Deployment, PipeDeployment, TcpDeployment};
     pub use crate::live::LiveClient;
@@ -159,7 +159,7 @@ pub mod prelude {
         ContentDigest, DomainId, FileId, HostName, JobId, SubmitOptions, TransferEncoding,
         VersionNumber,
     };
-    pub use shadow_runtime::{ClientDriver, ServerDriver};
+    pub use shadow_runtime::{ClientDriver, Shard};
     pub use shadow_cache::EvictionPolicy;
     pub use shadow_server::{ExecProfile, FlowControl, ServerConfig, ServerConfigBuilder};
 }

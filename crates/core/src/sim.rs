@@ -5,23 +5,28 @@
 //! them with realistic transmission times and charges the [`CpuModel`] for
 //! diff/apply work. Identical inputs produce identical timelines.
 //!
-//! Protocol dispatch lives in `shadow-runtime`: each endpoint is a
-//! [`ClientDriver`] or [`ServerDriver`], and this module is only the
-//! *scheduler* — it decides when frames depart (network + CPU model) and
-//! turns armed timer deadlines into discrete events.
+//! Protocol dispatch lives in `shadow-runtime`: each client is a
+//! [`ClientDriver`] and each server the same [`Shard`] production runs,
+//! fed [`ShardEvent`]s. This module is only the *scheduler* — it decides
+//! when frames depart (network + CPU model) and wakes each shard at its
+//! next timer deadline.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use shadow_client::{
     ClientConfig, ClientError, ConnId, Editor, FileRef, FnEditor, Notification, ShadowEditor,
 };
 use shadow_netsim::{Delivery, LinkProfile, LinkStats, NetError, NodeId, SimEvent, SimNet, SimTime};
-use shadow_proto::{ClientMessage, JobId, JobStats, RequestId, SubmitOptions, WireError};
-use shadow_runtime::{ClientDriver, EventHook, FrameInfo, ServerDriver, ServerIo};
-use shadow_server::{ServerConfig, ServerNode, SessionId};
+use shadow_proto::{ClientMessage, JobId, JobStats, RequestId, SubmitOptions};
+use shadow_runtime::{
+    ClientDriver, EventHook, FrameInfo, FrameWriter, PersistSink, Shard, ShardEvent,
+    TransportClosed, VirtualClock,
+};
+use shadow_server::{CloseReason, ServerConfig, ServerNode, SessionId};
 use shadow_vfs::{Vfs, VfsError};
 
 use crate::CpuModel;
@@ -60,8 +65,6 @@ pub enum SimError {
     Client(ClientError),
     /// A network operation failed.
     Net(NetError),
-    /// A frame failed to decode (internal wiring bug or corruption).
-    Wire(WireError),
     /// The named client/server pair is already connected.
     AlreadyConnected,
 }
@@ -72,7 +75,6 @@ impl fmt::Display for SimError {
             SimError::Vfs(e) => write!(f, "file system: {e}"),
             SimError::Client(e) => write!(f, "client: {e}"),
             SimError::Net(e) => write!(f, "network: {e}"),
-            SimError::Wire(e) => write!(f, "wire: {e}"),
             SimError::AlreadyConnected => write!(f, "pair is already connected"),
         }
     }
@@ -95,23 +97,6 @@ impl From<NetError> for SimError {
         SimError::Net(e)
     }
 }
-impl From<WireError> for SimError {
-    fn from(e: WireError) -> Self {
-        SimError::Wire(e)
-    }
-}
-
-impl From<shadow_runtime::FeedError> for SimError {
-    fn from(e: shadow_runtime::FeedError) -> Self {
-        match e {
-            shadow_runtime::FeedError::Wire(w) => SimError::Wire(w),
-            shadow_runtime::FeedError::Incomplete => SimError::Wire(WireError::Truncated {
-                needed: 0,
-                available: 0,
-            }),
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Endpoint {
@@ -128,8 +113,27 @@ struct ClientRt {
     next_conn: u64,
 }
 
+/// A frame a server sent, with the session it is for.
+type Sent = (SessionId, Vec<u8>);
+
+/// A server session's writer half: frames join the server's one
+/// outbox, in send order, for the scheduler to put on the network.
+struct SimWriter {
+    session: SessionId,
+    outbox: Sender<Sent>,
+}
+
+impl FrameWriter for SimWriter {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
+        self.outbox
+            .send((self.session, frame))
+            .map_err(|_| TransportClosed::Clean)
+    }
+}
+
 struct ServerRt {
-    driver: ServerDriver,
+    shard: Shard<VirtualClock, SimWriter, Box<dyn PersistSink>>,
+    outbox: (Sender<Sent>, Receiver<Sent>),
     net: NodeId,
     sessions: HashMap<SessionId, (ClientId, ConnId)>,
     next_session: u64,
@@ -203,7 +207,8 @@ impl Simulation {
         let net = self.net.add_node(name);
         let id = ServerId(self.servers.len());
         self.servers.push(ServerRt {
-            driver: ServerDriver::new(ServerNode::new(config)),
+            shard: Shard::new(ServerNode::new(config), None, VirtualClock::new()),
+            outbox: channel(),
             net,
             sessions: HashMap::new(),
             next_session: 0,
@@ -237,13 +242,9 @@ impl Simulation {
         self.clients[client.0].driver.set_event_hook(hook);
     }
 
-    /// Installs an instrumentation tap on a server's driver.
-    pub fn set_server_event_hook(&mut self, server: ServerId, hook: EventHook) {
-        self.servers[server.0].driver.set_event_hook(hook);
-    }
-
     /// Connects a client to a server over `profile` and completes the
-    /// session handshake. One connection per pair.
+    /// session handshake; the server's shard opens the session on the
+    /// client's `Hello`. One connection per pair.
     ///
     /// # Errors
     ///
@@ -270,10 +271,6 @@ impl Simulation {
         self.pairs.insert((client.0, server.0), (conn, session));
 
         let now = self.net.now();
-        let io = self.servers[server.0]
-            .driver
-            .connected(session, now.as_millis());
-        self.route_server_io(server, io, now);
         let out = self.clients[client.0].driver.connect(conn, now.as_millis());
         self.send_client_frames(client, out, now)?;
         self.drain_client(client, now);
@@ -283,31 +280,21 @@ impl Simulation {
 
     /// Tears down a client↔server connection (transport loss).
     pub fn drop_connection(&mut self, client: ClientId, server: ServerId) {
-        if let Some((conn, session)) = self.pairs.remove(&(client.0, server.0)) {
-            self.clients[client.0].driver.disconnect(conn);
-            let now = self.net.now();
-            // Session teardown produces no sends; drop the (empty) io.
-            let _ = self.servers[server.0].driver.disconnected(
-                session,
-                shadow_server::CloseReason::Error,
-                now.as_millis(),
-            );
-            self.servers[server.0].sessions.remove(&session);
-        }
+        self.hang_up(client, server, CloseReason::Error);
     }
 
     /// Gracefully closes a client↔server connection: the orderly
     /// hang-up a live deployment performs on client drop, so both
     /// worlds account the session under the `clean` close reason.
     pub fn close_connection(&mut self, client: ClientId, server: ServerId) {
+        self.hang_up(client, server, CloseReason::Clean);
+    }
+
+    fn hang_up(&mut self, client: ClientId, server: ServerId, reason: CloseReason) {
         if let Some((conn, session)) = self.pairs.remove(&(client.0, server.0)) {
             self.clients[client.0].driver.disconnect(conn);
             let now = self.net.now();
-            let _ = self.servers[server.0].driver.disconnected(
-                session,
-                shadow_server::CloseReason::Clean,
-                now.as_millis(),
-            );
+            self.step_server(server, now, Some(ShardEvent::Closed(session, reason)));
             self.servers[server.0].sessions.remove(&session);
         }
     }
@@ -462,46 +449,73 @@ impl Simulation {
     fn dispatch(&mut self, delivery: Delivery) {
         match delivery.event {
             SimEvent::Message { to, from, payload } => match self.endpoints[&to] {
-                Endpoint::Server(s) => self.deliver_to_server(delivery.at, s, from, &payload),
+                Endpoint::Server(s) => self.deliver_to_server(delivery.at, s, from, payload),
                 Endpoint::Client(c) => self.deliver_to_client(delivery.at, c, from, &payload),
             },
             SimEvent::Timer { node, .. } => {
                 if let Endpoint::Server(s) = self.endpoints[&node] {
-                    // The driver owns the timer queue; this event is only
+                    // The shard owns the timer queue; this event is only
                     // a wake-up for whatever is due by now.
-                    let at = delivery.at;
-                    let io = self.servers[s.0]
-                        .driver
-                        .fire_due(at.as_millis(), self.cpu.message_time().as_millis());
-                    let depart = at + self.cpu.message_time();
-                    self.route_server_io(s, io, depart);
+                    self.step_server(s, delivery.at, None);
                 }
             }
         }
     }
 
-    fn deliver_to_server(&mut self, at: SimTime, server: ServerId, from: NodeId, payload: &[u8]) {
+    /// Delivers a client's frame to the server's shard; the first frame
+    /// of a session (its `Hello`) opens it.
+    fn deliver_to_server(&mut self, at: SimTime, server: ServerId, from: NodeId, frame: Vec<u8>) {
         let Endpoint::Client(client) = self.endpoints[&from] else {
             panic!("server received frame from a non-client node");
         };
         let (_, session) = self.pairs[&(client.0, server.0)];
-        // Processing cost: applying an update dominates; everything else
-        // is fixed per-message handling. The closure prices the decoded
-        // message and stashes the exact SimTime cost for frame routing.
+        let rt = &mut self.servers[server.0];
+        let event = match rt.shard.writer_mut(session) {
+            Some(_) => ShardEvent::Frame(session, frame),
+            None => {
+                let outbox = rt.outbox.0.clone();
+                ShardEvent::Open(session, SimWriter { session, outbox }, frame)
+            }
+        };
+        self.step_server(server, at, Some(event));
+    }
+
+    /// Steps a server's shard at `at` (`None` is a timer wake-up),
+    /// pricing each message against the CPU model; what it sent departs
+    /// once that work is done, and a next deadline the step moved gets
+    /// a wake-up.
+    fn step_server(&mut self, server: ServerId, at: SimTime, event: Option<ShardEvent<SimWriter>>) {
+        // Applying an update dominates; everything else is fixed
+        // per-message handling. The closure stashes the exact SimTime
+        // cost for frame routing.
         let cost = Cell::new(SimTime::ZERO);
         let cpu = self.cpu;
-        let io = self.servers[server.0]
-            .driver
-            .feed_frame(session, payload, at.as_millis(), |message| {
-                let c = match message {
-                    ClientMessage::Update { payload, .. } => cpu.apply_time(payload.data_len()),
-                    _ => cpu.message_time(),
-                };
-                cost.set(c);
-                c.as_millis()
-            })
-            .expect("well-formed frame");
-        self.route_server_io(server, io, at + cost.get());
+        let rt = &mut self.servers[server.0];
+        let deadline_before = rt.shard.next_deadline();
+        rt.shard.clock_mut().advance_to(at.as_millis());
+        rt.shard.step(event, |message| {
+            let c = match message {
+                Some(ClientMessage::Update { payload, .. }) => cpu.apply_time(payload.data_len()),
+                _ => cpu.message_time(),
+            };
+            cost.set(cost.get().max(c));
+            c.as_millis()
+        });
+        let now = self.net.now();
+        let depart = (at + cost.get()).max(now);
+        for (session, frame) in rt.outbox.1.try_iter() {
+            let (client, _) = rt.sessions[&session];
+            self.net
+                .send_at(depart, rt.net, self.clients[client.0].net, frame)
+                .expect("connected pair has a link");
+        }
+        match rt.shard.next_deadline() {
+            Some(deadline_ms) if Some(deadline_ms) != deadline_before => {
+                let wake = SimTime::from_millis(deadline_ms).saturating_sub(now);
+                self.net.schedule_timer(rt.net, wake, 0);
+            }
+            _ => {}
+        }
     }
 
     fn deliver_to_client(&mut self, at: SimTime, client: ClientId, from: NodeId, payload: &[u8]) {
@@ -550,24 +564,6 @@ impl Simulation {
             self.net.send_at(depart, c_net, s_net, o.frame)?;
         }
         Ok(())
-    }
-
-    /// Schedules a server's frames at `depart` and turns armed timer
-    /// deadlines into simulator wake-up events.
-    fn route_server_io(&mut self, server: ServerId, io: ServerIo, depart: SimTime) {
-        let now = self.net.now();
-        for out in io.outbound {
-            let (client, _) = self.servers[server.0].sessions[&out.session];
-            let (s_net, c_net) = (self.servers[server.0].net, self.clients[client.0].net);
-            let depart = depart.max(now);
-            self.net
-                .send_at(depart, s_net, c_net, out.frame)
-                .expect("connected pair has a link");
-        }
-        for deadline_ms in io.armed {
-            let wake = SimTime::from_millis(deadline_ms).saturating_sub(now);
-            self.net.schedule_timer(self.servers[server.0].net, wake, 0);
-        }
     }
 
     /// Moves buffered driver notifications into the simulation's log,
@@ -628,14 +624,15 @@ impl Simulation {
     }
 
     /// A server's full report: behaviour counters, shadow-cache
-    /// statistics, and driver wire counters as one aggregate.
+    /// statistics, wire counters and the shard loop's `server_runtime`
+    /// section, as one aggregate — the same report pipes and TCP give.
     pub fn server_report(&self, server: ServerId) -> shadow_obs::NodeReport {
-        self.servers[server.0].driver.report()
+        self.servers[server.0].shard.report()
     }
 
     /// Fault injection: the server loses its shadow disk (§5.1).
     pub fn drop_server_cache(&mut self, server: ServerId) {
-        self.servers[server.0].driver.node_mut().drop_cache();
+        self.servers[server.0].shard.node_mut().drop_cache();
     }
 }
 
@@ -766,7 +763,7 @@ mod tests {
         );
         let _ = server;
         assert_eq!(
-            sim.servers[0].driver.node().cached_version(key),
+            sim.servers[0].shard.node().cached_version(key),
             Some(shadow_proto::VersionNumber::new(2)),
             "background update should land without a submit"
         );

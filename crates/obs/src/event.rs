@@ -35,10 +35,10 @@ pub enum FrameInfo {
     Other,
 }
 
-/// A structured instrumentation event emitted by the drivers.
+/// A structured instrumentation event emitted by the client driver.
 ///
 /// Taps observe exactly what crosses the driver boundary: encoded
-/// frames with their transfer classification, and timer activity. The
+/// frames with their transfer classification. The
 /// sim-vs-live equivalence tests capture `FrameSent` events from both
 /// worlds and compare the byte sequences; trace sinks and flight
 /// recorders consume the driver-clock timestamps.
@@ -58,26 +58,6 @@ pub enum DriverEvent<'a> {
         /// The full encoded frame.
         frame: &'a [u8],
         /// Driver-clock receive time, milliseconds.
-        at_ms: u64,
-    },
-    /// The server state machine armed a timer.
-    TimerArmed {
-        /// Absolute deadline, driver-clock milliseconds.
-        deadline_ms: u64,
-    },
-    /// A due timer was delivered to the state machine.
-    TimerFired {
-        /// The deadline it was armed for.
-        deadline_ms: u64,
-    },
-    /// A server session was closed and reaped.
-    SessionClosed {
-        /// The raw session id.
-        session: u64,
-        /// The close-reason label (`"clean"`, `"error"`, `"decode"`,
-        /// `"idle"`, `"shutdown"`).
-        reason: &'static str,
-        /// Driver-clock close time, milliseconds.
         at_ms: u64,
     },
 }

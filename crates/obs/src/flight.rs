@@ -74,19 +74,6 @@ impl FlightRecorder {
             DriverEvent::FrameReceived { frame, at_ms } => {
                 self.record(*at_ms, format!("received frame ({}B wire)", frame.len()));
             }
-            DriverEvent::TimerArmed { deadline_ms } => {
-                self.record(*deadline_ms, "timer armed");
-            }
-            DriverEvent::TimerFired { deadline_ms } => {
-                self.record(*deadline_ms, "timer fired");
-            }
-            DriverEvent::SessionClosed {
-                session,
-                reason,
-                at_ms,
-            } => {
-                self.record(*at_ms, format!("session {session} closed ({reason})"));
-            }
         }
     }
 
@@ -174,11 +161,14 @@ mod tests {
             },
             at_ms: 42,
         });
-        fr.record_event(&DriverEvent::TimerFired { deadline_ms: 99 });
+        fr.record_event(&DriverEvent::FrameReceived {
+            frame: &frame,
+            at_ms: 99,
+        });
         let lines = fr.dump_lines();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("update-delta 5B"));
-        assert!(lines[1].contains("timer fired"));
+        assert!(lines[1].contains("received frame (12B wire)"));
     }
 
     #[test]

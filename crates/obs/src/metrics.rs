@@ -90,7 +90,7 @@ impl Histogram {
 /// must be created once with [`histogram`](Self::histogram) before
 /// being observed into. Lookups allocate nothing on the hot path beyond
 /// the first registration of each name.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, i64)>,

@@ -205,7 +205,10 @@ impl ClientDriver {
         self.stats.frames_received += 1;
         self.stats.bytes_received += frame.len() as u64;
         if let Some(hook) = &mut self.hook {
-            hook(DriverEvent::FrameReceived { frame, at_ms: now_ms });
+            hook(DriverEvent::FrameReceived {
+                frame,
+                at_ms: now_ms,
+            });
         }
         let (message, _used) =
             Frame::decode::<ServerMessage>(frame)?.ok_or(FeedError::Incomplete)?;
@@ -360,27 +363,33 @@ mod tests {
     use shadow_server::{ServerConfig, ServerNode, SessionId};
 
     use super::*;
-    use crate::server_driver::ServerDriver;
+    use crate::{Clock, Shard, ShardEvent, VirtualClock};
 
     const CONN: ConnId = ConnId::new(0);
     const SESSION: SessionId = SessionId::new(1);
 
-    /// Moves frames between the two drivers, firing server timers as
-    /// they come due, until neither side has anything left to send.
-    fn ferry(client: &mut ClientDriver, server: &mut ServerDriver, mut out: Vec<ClientOutbound>) {
-        let mut now = 0;
+    type TestShard = Shard<VirtualClock, Vec<Vec<u8>>, Box<dyn crate::PersistSink>>;
+
+    /// Moves frames between the client driver and the server shard,
+    /// firing server timers as they come due, until neither side has
+    /// anything left to send. The first frame opens the session.
+    fn ferry(client: &mut ClientDriver, server: &mut TestShard, mut out: Vec<ClientOutbound>) {
         loop {
-            let mut back = Vec::new();
             for o in out.drain(..) {
-                let io = server.feed_frame(SESSION, &o.frame, now, |_| 0).unwrap();
-                back.extend(io.outbound);
+                let event = match server.writer_mut(SESSION) {
+                    Some(_) => ShardEvent::Frame(SESSION, o.frame),
+                    None => ShardEvent::Open(SESSION, Vec::new(), o.frame),
+                };
+                server.step(Some(event), |_| 0);
             }
             while let Some(deadline) = server.next_deadline() {
-                now = now.max(deadline);
-                back.extend(server.fire_due(now, 0).outbound);
+                server.clock_mut().advance_to(deadline);
+                server.step(None, |_| 0);
             }
-            for o in back {
-                out.extend(client.feed_frame(CONN, &o.frame, now).unwrap());
+            let now = server.clock_mut().now_ms();
+            let back = std::mem::take(server.writer_mut(SESSION).unwrap());
+            for frame in back {
+                out.extend(client.feed_frame(CONN, &frame, now).unwrap());
             }
             if out.is_empty() {
                 return;
@@ -391,8 +400,8 @@ mod tests {
     #[test]
     fn option_maps_drain_when_jobs_finish_or_are_rejected() {
         let mut client = ClientDriver::new(ClientNode::new(ClientConfig::new("ws", 1)));
-        let mut server = ServerDriver::new(ServerNode::new(ServerConfig::new("sc")));
-        let _ = server.connected(SESSION, 0);
+        let node = ServerNode::new(ServerConfig::new("sc"));
+        let mut server = TestShard::new(node, None, VirtualClock::new());
         let out = client.connect(CONN, 0);
         ferry(&mut client, &mut server, out);
 

@@ -6,10 +6,10 @@
 //! makes that claim true *by construction*: it is the single place that
 //! turns the sans-io state machines ([`shadow_client::ClientNode`],
 //! [`shadow_server::ServerNode`]) into running endpoints. Every
-//! deployment — the discrete-event simulator, the in-process
-//! threads-and-pipes system, and the TCP daemon — drives the same
-//! [`ClientDriver`]/[`ServerDriver`] and therefore produces the same
-//! bytes on the wire.
+//! deployment — the discrete-event simulator, the model checker, the
+//! in-process threads-and-pipes system, and the TCP daemon — drives the
+//! same [`ClientDriver`] and the same server loop, [`Shard`], and
+//! therefore produces the same bytes on the wire.
 //!
 //! The pieces:
 //!
@@ -20,21 +20,27 @@
 //!   `shadow_netsim`'s in-process pipes and TCP framing;
 //! * [`TimerQueue`] — deadline-ordered, FIFO on ties, replacing the two
 //!   divergent ad-hoc timer structures the drivers used to carry;
-//! * [`ClientDriver`] / [`ServerDriver`] — own the encode→send /
-//!   receive→decode→feed loop, `SetTimer` handling, and notification
-//!   buffering. The `ClientAction`/`ServerAction` match arms live here
-//!   and **only** here;
+//! * [`ClientDriver`] — owns the client's encode→send /
+//!   receive→decode→feed loop and notification buffering. The
+//!   `ClientAction` match arms live here and **only** here;
+//! * [`Shard`] — the one server loop: it takes [`ShardEvent`]s
+//!   (a session opening on its `Hello`, a frame, a close), decodes,
+//!   feeds the `ServerNode`, journals to its [`PersistSink`], writes to
+//!   each session's [`FrameWriter`], and arms and fires its timers on
+//!   its [`Clock`]. The `ServerAction` match arms live here and **only**
+//!   here, so the persist → send → compact ordering the model checker
+//!   explores is the one production runs;
 //! * [`ShardedServerRuntime`] — every wall-clock server: N domain-affine
-//!   worker shards (N = 1 included), each blocking on one inbox of
-//!   session events, fed by a small reader thread per session that reads
-//!   the session's `Hello` to learn its domain; `hash(domain) % N`
+//!   worker threads (N = 1 included), each running one [`Shard`] behind
+//!   one blocking inbox, fed by a small reader thread per session that
+//!   reads the session's `Hello` to learn its domain; `hash(domain) % N`
 //!   ([`shard_for`]) keeps every domain's sessions — and so all of its
 //!   protocol state — on one thread. Sessions arrive split into a
 //!   [`FrameReader`] (the reader thread's) and a [`FrameWriter`] (the
 //!   shard's);
-//! * [`DriverEvent`] — a structured instrumentation tap (frames and
-//!   bytes on the wire, deltas vs. full transfers, timers) used by the
-//!   equivalence tests and by metrics collection.
+//! * [`DriverEvent`] — a structured instrumentation tap on the client
+//!   driver (frames and bytes on the wire, deltas vs. full transfers)
+//!   used by the equivalence tests and by metrics collection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +48,6 @@
 mod client_driver;
 mod clock;
 mod event;
-mod server_driver;
 mod shard;
 mod sink;
 mod supervisor;
@@ -52,11 +57,8 @@ mod transport;
 pub use client_driver::{ClientDriver, ClientOutbound};
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use event::{CompletedJob, DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
-pub use server_driver::{ServerDriver, ServerIo, ServerOutbound};
-pub use sink::{PersistSink, VecSink};
-pub use supervisor::{
-    Connector, Supervisor, SupervisorConfig, SupervisorEvent, SupervisorStats,
-};
-pub use shard::{shard_for, ShardedServerRuntime};
+pub use shard::{shard_for, Shard, ShardEvent, ShardedServerRuntime};
+pub use sink::PersistSink;
+pub use supervisor::{Connector, Supervisor, SupervisorConfig, SupervisorEvent, SupervisorStats};
 pub use timer::TimerQueue;
 pub use transport::{FrameReader, FrameTransport, FrameWriter, TransportClosed};

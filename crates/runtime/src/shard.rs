@@ -1,22 +1,28 @@
-//! The server runtime: domain-affine worker shards, each fed by one
-//! blocking inbox.
+//! The server loop: one sans-io [`Shard`] that every deployment drives,
+//! and the threaded runtime that runs N of them.
+//!
+//! A [`Shard`] owns one `ServerNode`, its timers, the writer half of
+//! each of its sessions and, optionally, the sink its storage intents
+//! are journaled to. It takes [`ShardEvent`]s — a session opening on
+//! its `Hello`, a frame, a close — and between two events it does
+//! everything the server does: decode, feed the node, journal, send,
+//! arm and fire timers, compact. It never blocks and never reads a
+//! clock of its own, so the same loop runs on a worker thread over
+//! [`WallClock`] and in the discrete-event simulator and the model
+//! checker over a `VirtualClock`.
 //!
 //! The paper's server is one process answering each client's requests
 //! as they arrive. Every wall-clock deployment here is **N worker
-//! shards** (N = 1 is that one process), each owning its *own* sans-io
-//! `ServerNode` and one inbox of events. Every accepted session is split
-//! in two ([`ShardedServerRuntime::serve`]): the shard keeps the writer
-//! half, and a small per-session reader thread owns the reader half. The
+//! shards** (N = 1 is that one process), each blocking on one inbox.
+//! Every accepted session is split in two
+//! ([`ShardedServerRuntime::serve`]): the shard keeps the writer half,
+//! and a small per-session reader thread owns the reader half. The
 //! reader blocks on the pipe or socket, decodes the session's first
 //! frame as a `Hello` to learn its naming domain — refusing the session
 //! if it is anything else — and then forwards every frame, in order, to
 //! the inbox of the shard that owns the domain, followed by a close when
-//! the peer goes.
-//!
-//! A shard blocks in exactly one place: its inbox, until the next event
-//! or the driver's next timer deadline. Between two waits it handles the
-//! one event that woke it and fires due timers (`Shard::step`); there is
-//! no sweep over idle sessions and no nap.
+//! the peer goes. A worker blocks in exactly one place: its inbox, until
+//! the next event or the shard's next timer deadline.
 //!
 //! Domain affinity is the load-bearing invariant: shard assignment is a
 //! stable `hash(domain) % N` ([`shard_for`]), so every session of one
@@ -24,9 +30,7 @@
 //! cache entries, announcer/ in-flight maps, job tables) never crosses a
 //! thread boundary, and **no shared mutable protocol state exists at
 //! all** — readers and shards communicate only by moving frames, writer
-//! halves and report snapshots over channels. The sans-io cores are
-//! untouched: the exact state machines the model checker explores are
-//! what runs on every shard.
+//! halves and report snapshots over channels.
 //!
 //! Concurrency therefore lives *here and only here* (plus the thin
 //! deployment adapters in `shadow`): `shadow-check analyze`'s
@@ -40,13 +44,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use shadow_obs::{merge_reports, shard_section_name, MetricsRegistry, NodeReport, Section};
-use shadow_proto::{ClientMessage, DomainId, Frame, StableHasher};
-use shadow_server::{CloseReason, ServerNode, SessionId};
+use shadow_obs::{
+    merge_reports, shard_section_name, DriverStats, MetricsRegistry, NodeReport, Section,
+};
+use shadow_proto::{ClientMessage, DomainId, Frame, ServerMessage, StableHasher};
+use shadow_server::{CloseReason, ServerAction, ServerEvent, ServerNode, SessionId, TimerToken};
 
 use crate::clock::{Clock, WallClock};
-use crate::server_driver::{ServerDriver, ServerIo};
 use crate::sink::PersistSink;
+use crate::timer::TimerQueue;
 use crate::transport::{FrameReader, FrameWriter, TransportClosed};
 
 /// How long [`ShardedServerRuntime::report`] waits for each shard's
@@ -97,14 +103,305 @@ fn close_reason(closed: TransportClosed) -> CloseReason {
     }
 }
 
-/// One event in a worker shard's inbox.
-enum ShardEvent {
-    /// A routed session: its id, its writer half and its `Hello` frame.
-    Open(SessionId, Box<dyn FrameWriter>, Vec<u8>),
-    /// The next frame a session's reader read.
+/// One thing that happens to a shard's sessions.
+#[derive(Debug)]
+pub enum ShardEvent<W> {
+    /// A session opens on its first frame, the client's `Hello`: its
+    /// id, the writer half the shard answers it on, and that frame.
+    Open(SessionId, W, Vec<u8>),
+    /// The next frame a session's peer sent.
     Frame(SessionId, Vec<u8>),
-    /// A session's reader saw the peer go.
+    /// A session's peer went.
     Closed(SessionId, CloseReason),
+}
+
+/// One server shard: a [`ServerNode`] and everything between it and the
+/// world — its timers, the writer half of each live session (`W`), the
+/// sink its storage intents are journaled to (`S`; none drops them),
+/// its wire counters and its loop's metrics — driven one
+/// [`step`](Self::step) at a time on the time of its clock `C`.
+///
+/// The one place a [`ServerAction`] is interpreted. Within each batch
+/// of actions the node emits, every storage intent is journaled before
+/// any frame is sent, and the sink compacts only after that: a frame
+/// the client sees never acknowledges state the journal lacks, and a
+/// compaction never drops a record it has not already folded in.
+#[derive(Debug, Clone)]
+pub struct Shard<C, W, S> {
+    node: ServerNode,
+    clock: C,
+    timers: TimerQueue<TimerToken>,
+    sessions: HashMap<SessionId, W>,
+    sink: Option<S>,
+    stats: DriverStats,
+    metrics: MetricsRegistry,
+    /// Reusable frame-encode buffer: every outbound frame is encoded
+    /// into this warmed scratch, then copied out at its exact size.
+    encode_scratch: Vec<u8>,
+}
+
+impl<C: Clock, W: FrameWriter, S: PersistSink> Shard<C, W, S> {
+    /// A shard around `node` (fresh, or already restored from its
+    /// journal) that journals to `sink` and reads time from `clock`.
+    pub fn new(node: ServerNode, sink: Option<S>, clock: C) -> Self {
+        let mut metrics = MetricsRegistry::new();
+        metrics.histogram("frame_bytes", FRAME_SIZE_BUCKETS.to_vec());
+        Shard {
+            node,
+            clock,
+            timers: TimerQueue::new(),
+            sessions: HashMap::new(),
+            sink,
+            stats: DriverStats::default(),
+            metrics,
+            encode_scratch: Vec::new(),
+        }
+    }
+
+    /// Everything the shard does between two waits: handle `event`
+    /// (`None` is a wake-up), fire every timer due by the clock's now,
+    /// and refresh the gauges.
+    ///
+    /// `cost` prices the CPU time of handling one message (`None` for a
+    /// timer expiry): replies to it depart, and timers it arms count,
+    /// from now plus that many milliseconds. The simulator prices work
+    /// against its CPU model; wall-clock runtimes pass zero, because
+    /// real computation already takes real time.
+    pub fn step(
+        &mut self,
+        event: Option<ShardEvent<W>>,
+        mut cost: impl FnMut(Option<&ClientMessage>) -> u64,
+    ) {
+        self.metrics.inc("polls", 1);
+        match event {
+            Some(ShardEvent::Open(session, writer, hello)) => {
+                self.open(session, writer, &hello, &mut cost);
+            }
+            Some(ShardEvent::Frame(session, frame)) => self.feed(session, &frame, &mut cost),
+            Some(ShardEvent::Closed(session, reason)) => self.close(session, reason),
+            None => {}
+        }
+        let now_ms = self.clock.now_ms();
+        while let Some((_, token)) = self.timers.pop_due(now_ms) {
+            self.stats.timers_fired += 1;
+            let base_ms = now_ms + cost(None);
+            let actions = self.node.handle(ServerEvent::Timer { token, now_ms });
+            self.dispatch(actions, base_ms);
+        }
+        self.metrics
+            .set_gauge("sessions_live", self.sessions.len() as i64);
+        self.metrics
+            .set_gauge("timers_pending", i64::from(!self.timers.is_empty()));
+    }
+
+    /// The earliest pending timer deadline, on the shard's clock.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.timers.next_deadline()
+    }
+
+    /// True when no session is live and no timer is pending.
+    pub fn is_idle(&self) -> bool {
+        self.sessions.is_empty() && self.timers.is_empty()
+    }
+
+    /// The shard's clock, for a scheduler that advances virtual time.
+    pub fn clock_mut(&mut self) -> &mut C {
+        &mut self.clock
+    }
+
+    /// A live session's writer half; `None` once the session closed.
+    pub fn writer_mut(&mut self, session: SessionId) -> Option<&mut W> {
+        self.sessions.get_mut(&session)
+    }
+
+    /// The installed sink, if any.
+    pub fn sink(&self) -> Option<&S> {
+        self.sink.as_ref()
+    }
+
+    /// The installed sink, if any (mutable).
+    pub fn sink_mut(&mut self) -> Option<&mut S> {
+        self.sink.as_mut()
+    }
+
+    /// The wrapped state machine (read-only).
+    pub fn node(&self) -> &ServerNode {
+        &self.node
+    }
+
+    /// The wrapped state machine (mutable, for fault injection).
+    pub fn node_mut(&mut self) -> &mut ServerNode {
+        &mut self.node
+    }
+
+    /// Unwraps the state machine (for post-shutdown inspection).
+    pub fn into_node(self) -> ServerNode {
+        self.node
+    }
+
+    /// A deterministic digest of the shard's protocol state: the node
+    /// plus pending timers, with deadlines taken *relative* to the
+    /// clock's now so two worlds that differ only by a clock
+    /// translation deduplicate to one explored state. Counters are
+    /// excluded (monotonic; would defeat deduplication).
+    pub fn state_digest(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let now_ms = self.clock.now_ms();
+        let mut h = StableHasher::new();
+        self.node.state_digest().hash(&mut h);
+        for (deadline_ms, token) in self.timers.pending() {
+            (deadline_ms.saturating_sub(now_ms), token).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// The node's full [`NodeReport`] with the shard's wire counters
+    /// (`driver`), a `server_runtime` section from the loop's registry,
+    /// and the installed sink's section (the durable store's journal
+    /// counters) when there is one.
+    pub fn report(&self) -> NodeReport {
+        let mut report = self.node.report().with(&self.stats);
+        report.add_section(self.metrics.to_section("server_runtime"));
+        if let Some(section) = self.sink.as_ref().and_then(|s| s.report_section()) {
+            report.add_section(section);
+        }
+        report
+    }
+
+    fn open(
+        &mut self,
+        session: SessionId,
+        writer: W,
+        hello: &[u8],
+        cost: &mut impl FnMut(Option<&ClientMessage>) -> u64,
+    ) {
+        self.sessions.insert(session, writer);
+        self.metrics.inc("sessions_accepted", 1);
+        let now_ms = self.clock.now_ms();
+        let actions = self.node.handle(ServerEvent::Connected { session, now_ms });
+        self.dispatch(actions, now_ms);
+        self.feed(session, hello, cost);
+    }
+
+    fn feed(
+        &mut self,
+        session: SessionId,
+        frame: &[u8],
+        cost: &mut impl FnMut(Option<&ClientMessage>) -> u64,
+    ) {
+        if !self.sessions.contains_key(&session) {
+            // Closed here already: the reader's late frames are moot.
+            return;
+        }
+        self.metrics.inc("frames_fed", 1);
+        self.metrics.observe("frame_bytes", frame.len() as u64);
+        self.stats.frames_received += 1;
+        self.stats.bytes_received += frame.len() as u64;
+        let Ok(Some((message, _))) = Frame::decode::<ClientMessage>(frame) else {
+            // A frame that cannot be decoded means the peer is hopelessly
+            // confused; drop them.
+            self.metrics.inc("decode_failures", 1);
+            return self.close(session, CloseReason::Decode);
+        };
+        let now_ms = self.clock.now_ms();
+        let base_ms = now_ms + cost(Some(&message));
+        let actions = self.node.handle(ServerEvent::Message {
+            session,
+            message,
+            now_ms,
+        });
+        self.dispatch(actions, base_ms);
+    }
+
+    /// Closes a session for `reason`. The first close wins: a session
+    /// that failed a send (`Error`) and whose reader later saw EOF keeps
+    /// the original reason.
+    fn close(&mut self, session: SessionId, reason: CloseReason) {
+        if let Some((actions, now_ms)) = self.forget(session, reason) {
+            self.dispatch(actions, now_ms);
+        }
+    }
+
+    /// Drops a live session's writer — hanging up on the peer — and
+    /// tells the node, returning what it answers and when. `None` if
+    /// the session was not live.
+    fn forget(
+        &mut self,
+        session: SessionId,
+        reason: CloseReason,
+    ) -> Option<(Vec<ServerAction>, u64)> {
+        self.sessions.remove(&session)?;
+        self.metrics.inc("sessions_reaped", 1);
+        let now_ms = self.clock.now_ms();
+        let actions = self.node.handle(ServerEvent::Disconnected {
+            session,
+            reason,
+            now_ms,
+        });
+        Some((actions, now_ms))
+    }
+
+    /// Journals a batch's storage intents, then sends its frames and
+    /// arms its timers (counting from `base_ms`). A failed send closes
+    /// that session, whose disconnect can emit more actions, so this
+    /// works through a queue until nothing is left; then the sink
+    /// compacts from the node, whose state now covers every record
+    /// journaled.
+    fn dispatch(&mut self, actions: Vec<ServerAction>, base_ms: u64) {
+        let mut work = vec![(actions, base_ms)];
+        while let Some((actions, base_ms)) = work.pop() {
+            if let Some(sink) = &mut self.sink {
+                let mut persisted = 0;
+                for action in &actions {
+                    if let ServerAction::Persist(record) = action {
+                        sink.persist(record);
+                        persisted += 1;
+                    }
+                }
+                self.metrics.inc("records_persisted", persisted);
+            }
+            for action in actions {
+                match action {
+                    ServerAction::Send { session, message } => {
+                        if let Err(closed) = self.send(session, &message) {
+                            work.extend(self.forget(session, close_reason(closed)));
+                        }
+                    }
+                    ServerAction::SetTimer { delay_ms, token } => {
+                        self.stats.timers_armed += 1;
+                        self.timers.schedule(base_ms + delay_ms, token);
+                    }
+                    ServerAction::Persist(_) => {}
+                }
+            }
+        }
+        if let Some(sink) = &mut self.sink {
+            let node = &self.node;
+            sink.compact(&mut |domain| node.snapshot(domain));
+        }
+    }
+
+    /// Encodes `message` and writes it to a live session; a session
+    /// already gone is skipped.
+    fn send(&mut self, session: SessionId, message: &ServerMessage) -> Result<(), TransportClosed> {
+        let Some(writer) = self.sessions.get_mut(&session) else {
+            return Ok(());
+        };
+        self.encode_scratch.clear();
+        Frame::encode_into(message, &mut self.encode_scratch);
+        self.stats.frames_sent += 1;
+        self.stats.bytes_sent += self.encode_scratch.len() as u64;
+        writer.write_frame(self.encode_scratch.clone())
+    }
+}
+
+/// A worker shard: wall time, boxed writers and sinks.
+type WorkerShard = Shard<WallClock, Box<dyn FrameWriter>, Box<dyn PersistSink>>;
+
+/// One message in a worker shard's inbox.
+enum Inbox {
+    /// A session event for the shard.
+    Event(ShardEvent<Box<dyn FrameWriter>>),
     /// Snapshot the shard's [`NodeReport`] and reply on the channel.
     Report(Sender<NodeReport>),
     /// Stop taking sessions, drain everything in flight (live sessions,
@@ -112,171 +409,46 @@ enum ShardEvent {
     Shutdown,
 }
 
-/// One worker shard: its driver, the writer half of every live session
-/// and the loop's counters.
-struct Shard {
-    driver: ServerDriver,
-    clock: WallClock,
-    sessions: HashMap<SessionId, Box<dyn FrameWriter>>,
-    metrics: MetricsRegistry,
-    /// Where storage intents go; `None` drops them (diskless).
-    sink: Option<Box<dyn PersistSink>>,
-    closing: bool,
-}
-
-impl Shard {
-    fn new(node: ServerNode, sink: Option<Box<dyn PersistSink>>, clock: WallClock) -> Self {
-        let mut metrics = MetricsRegistry::new();
-        metrics.histogram("frame_bytes", FRAME_SIZE_BUCKETS.to_vec());
-        Shard {
-            driver: ServerDriver::new(node),
-            clock,
-            sessions: HashMap::new(),
-            metrics,
-            sink,
-            closing: false,
-        }
-    }
-
-    /// The worker loop: wait on the inbox until the next event or timer
-    /// deadline, then step. Exits — node in hand — once shut down *and*
-    /// drained (no live sessions, no pending timers), so nothing a
-    /// client was acked is ever dropped.
-    fn run(mut self, inbox: &Receiver<ShardEvent>) -> ServerNode {
-        loop {
-            let event = match self.driver.next_deadline() {
-                Some(deadline) => {
-                    let wait = deadline.saturating_sub(self.clock.now_ms());
-                    inbox.recv_timeout(Duration::from_millis(wait)).ok()
-                }
-                None => inbox.recv().ok(),
-            };
-            if self.step(event) {
-                return self.driver.into_node();
+/// A worker thread's loop: wait on the inbox until the next message or
+/// timer deadline, then step the shard. Exits — node in hand — once
+/// shut down *and* drained (no live sessions, no pending timers), so
+/// nothing a client was acked is ever dropped.
+fn work(mut shard: WorkerShard, clock: WallClock, inbox: &Receiver<Inbox>) -> ServerNode {
+    let mut closing = false;
+    loop {
+        let message = match shard.next_deadline() {
+            Some(deadline) => {
+                let wait = deadline.saturating_sub(clock.now_ms());
+                inbox.recv_timeout(Duration::from_millis(wait)).ok()
             }
-        }
-    }
-
-    /// Everything a shard does between two inbox waits: handle the event
-    /// that woke it (`None` is a timer deadline), fire due timers and
-    /// refresh the gauges. Returns `true` once the shard is shut down
-    /// and drained.
-    fn step(&mut self, event: Option<ShardEvent>) -> bool {
-        self.metrics.inc("polls", 1);
-        match event {
-            Some(ShardEvent::Open(session, writer, hello)) => self.open(session, writer, &hello),
-            Some(ShardEvent::Frame(session, frame)) => self.feed(session, &frame),
-            Some(ShardEvent::Closed(session, reason)) => self.close(session, reason),
-            Some(ShardEvent::Report(reply)) => {
-                // A caller that stopped waiting is not an error.
-                let _ = reply.send(self.report());
-            }
-            Some(ShardEvent::Shutdown) => self.closing = true,
-            None => {}
-        }
-        let io = self.driver.fire_due(self.clock.now_ms(), 0);
-        self.dispatch(io);
-        self.metrics.set_gauge("sessions_live", self.sessions.len() as i64);
-        self.metrics
-            .set_gauge("timers_pending", i64::from(!self.driver.timers_idle()));
-        self.closing && self.sessions.is_empty() && self.driver.timers_idle()
-    }
-
-    fn open(&mut self, session: SessionId, writer: Box<dyn FrameWriter>, hello: &[u8]) {
-        if self.closing {
+            None => inbox.recv().ok(),
+        };
+        let (event, reply) = match message {
             // Dropping the writer refuses a session routed after shutdown.
-            return;
-        }
-        self.sessions.insert(session, writer);
-        self.metrics.inc("sessions_accepted", 1);
-        let io = self.driver.connected(session, self.clock.now_ms());
-        self.dispatch(io);
-        self.feed(session, hello);
-    }
-
-    fn feed(&mut self, session: SessionId, frame: &[u8]) {
-        if !self.sessions.contains_key(&session) {
-            // Closed here already: the reader's late frames are moot.
-            return;
-        }
-        self.metrics.inc("frames_fed", 1);
-        self.metrics.observe("frame_bytes", frame.len() as u64);
-        match self.driver.feed_frame(session, frame, self.clock.now_ms(), |_| 0) {
-            Ok(io) => self.dispatch(io),
-            // A frame that cannot be decoded means the peer is hopelessly
-            // confused; drop them.
-            Err(_) => {
-                self.metrics.inc("decode_failures", 1);
-                self.close(session, CloseReason::Decode);
+            Some(Inbox::Event(ShardEvent::Open(..))) if closing => (None, None),
+            Some(Inbox::Event(event)) => (Some(event), None),
+            Some(Inbox::Report(reply)) => (None, Some(reply)),
+            Some(Inbox::Shutdown) => {
+                closing = true;
+                (None, None)
             }
+            None => (None, None),
+        };
+        shard.step(event, |_| 0);
+        if let Some(reply) = reply {
+            // A caller that stopped waiting is not an error.
+            let _ = reply.send(shard.report());
         }
-    }
-
-    /// Closes a session for `reason`. The first close wins: a session
-    /// that failed a send (`Error`) and whose reader later saw EOF keeps
-    /// the original reason.
-    fn close(&mut self, session: SessionId, reason: CloseReason) {
-        if let Some(io) = self.forget(session, reason) {
-            self.dispatch(io);
+        if closing && shard.is_idle() {
+            return shard.into_node();
         }
-    }
-
-    /// Drops a live session's writer — hanging up on the peer — and
-    /// reports the disconnect to the driver. `None` if it was not live.
-    fn forget(&mut self, session: SessionId, reason: CloseReason) -> Option<ServerIo> {
-        self.sessions.remove(&session)?;
-        self.metrics.inc("sessions_reaped", 1);
-        Some(self.driver.disconnected(session, reason, self.clock.now_ms()))
-    }
-
-    /// Journals the driver's storage intents and sends its frames. A
-    /// failed send closes that session, whose disconnect can emit more
-    /// output, so this works through a queue until nothing is left;
-    /// then the sink compacts from the node, whose state now covers
-    /// every record journaled. Armed deadlines are ignored:
-    /// [`run`](Self::run) asks the driver for its next deadline before
-    /// every wait.
-    fn dispatch(&mut self, io: ServerIo) {
-        let mut work = vec![io];
-        while let Some(io) = work.pop() {
-            if let Some(sink) = &mut self.sink {
-                for record in &io.persists {
-                    sink.persist(record);
-                }
-                self.metrics.inc("records_persisted", io.persists.len() as u64);
-            }
-            for out in io.outbound {
-                let Some(writer) = self.sessions.get_mut(&out.session) else {
-                    continue;
-                };
-                if let Err(closed) = writer.write_frame(out.frame) {
-                    work.extend(self.forget(out.session, close_reason(closed)));
-                }
-            }
-        }
-        if let Some(sink) = &mut self.sink {
-            let node = self.driver.node();
-            sink.compact(&mut |domain| node.snapshot(domain));
-        }
-    }
-
-    /// The driver's full [`NodeReport`] extended with a `server_runtime`
-    /// section from the loop's registry, plus the installed sink's
-    /// section (the durable store's journal counters) when there is one.
-    fn report(&self) -> NodeReport {
-        let mut report = self.driver.report();
-        report.add_section(self.metrics.to_section("server_runtime"));
-        if let Some(section) = self.sink.as_ref().and_then(|s| s.report_section()) {
-            report.add_section(section);
-        }
-        report
     }
 }
 
 /// What every session's reader shares: each shard's inbox and the
 /// routing counters.
 struct Router {
-    inboxes: Vec<Sender<ShardEvent>>,
+    inboxes: Vec<Sender<Inbox>>,
     next_session: AtomicU64,
     routed: AtomicU64,
     refused: AtomicU64,
@@ -307,12 +479,16 @@ impl Router {
         loop {
             match reader.read_frame() {
                 Ok(frame) => {
-                    if inbox.send(ShardEvent::Frame(session, frame)).is_err() {
+                    if inbox
+                        .send(Inbox::Event(ShardEvent::Frame(session, frame)))
+                        .is_err()
+                    {
                         return;
                     }
                 }
                 Err(closed) => {
-                    let _ = inbox.send(ShardEvent::Closed(session, close_reason(closed)));
+                    let closed = ShardEvent::Closed(session, close_reason(closed));
+                    let _ = inbox.send(Inbox::Event(closed));
                     return;
                 }
             }
@@ -327,13 +503,19 @@ impl Router {
         session: SessionId,
         writer: Box<dyn FrameWriter>,
         hello: Vec<u8>,
-    ) -> Option<&Sender<ShardEvent>> {
+    ) -> Option<&Sender<Inbox>> {
         let opened = hello_domain(&hello).and_then(|domain| {
             let inbox = &self.inboxes[shard_for(domain, self.inboxes.len())];
-            inbox.send(ShardEvent::Open(session, writer, hello)).ok()?;
+            inbox
+                .send(Inbox::Event(ShardEvent::Open(session, writer, hello)))
+                .ok()?;
             Some(inbox)
         });
-        let counter = if opened.is_some() { &self.routed } else { &self.refused };
+        let counter = if opened.is_some() {
+            &self.routed
+        } else {
+            &self.refused
+        };
         counter.fetch_add(1, Ordering::SeqCst);
         opened
     }
@@ -346,7 +528,7 @@ impl Router {
 /// per client, or a TCP listener) and hands each one, split into
 /// halves, to [`serve`](Self::serve). The session's first frame must be the
 /// protocol's `Hello`, whose domain id picks the owning shard via
-/// [`shard_for`]; that shard's driver sees the session's frames
+/// [`shard_for`]; that shard sees the session's frames
 /// unmodified from the `Hello` on.
 pub struct ShardedServerRuntime {
     router: Arc<Router>,
@@ -377,7 +559,10 @@ impl ShardedServerRuntime {
     /// Panics when `parts` is empty: a deployment with zero shards
     /// cannot route anything.
     pub fn from_parts(parts: Vec<(ServerNode, Option<Box<dyn PersistSink>>)>) -> Self {
-        assert!(!parts.is_empty(), "a sharded runtime needs at least one shard");
+        assert!(
+            !parts.is_empty(),
+            "a sharded runtime needs at least one shard"
+        );
         let clock = WallClock::new();
         let (inboxes, workers) = parts
             .into_iter()
@@ -393,7 +578,7 @@ impl ShardedServerRuntime {
                     .name(format!("shadow-shard-{i}"))
                     .spawn(move || {
                         let _keepalive = keepalive;
-                        Shard::new(node, sink, clock).run(&rx)
+                        work(Shard::new(node, sink, clock), clock, &rx)
                     })
                     .expect("spawn shard worker thread");
                 (tx, join)
@@ -457,8 +642,12 @@ impl ShardedServerRuntime {
     /// routing totals and a `shardN` section of headline gauges per
     /// shard.
     pub fn report(&self) -> NodeReport {
-        let snapshots: Vec<NodeReport> =
-            self.router.inboxes.iter().filter_map(request_report).collect();
+        let snapshots: Vec<NodeReport> = self
+            .router
+            .inboxes
+            .iter()
+            .filter_map(request_report)
+            .collect();
         let mut merged = merge_reports("server", &snapshots);
         merged.add_section(
             Section::new("shards")
@@ -483,8 +672,14 @@ impl ShardedServerRuntime {
                         "sessions_accepted",
                         snapshot.counter("server_runtime", "sessions_accepted"),
                     )
-                    .with("frames_fed", snapshot.counter("server_runtime", "frames_fed"))
-                    .with("jobs_completed", snapshot.counter("server", "jobs_completed")),
+                    .with(
+                        "frames_fed",
+                        snapshot.counter("server_runtime", "frames_fed"),
+                    )
+                    .with(
+                        "jobs_completed",
+                        snapshot.counter("server", "jobs_completed"),
+                    ),
             );
         }
         merged
@@ -504,7 +699,7 @@ impl ShardedServerRuntime {
 
     fn signal_shutdown(&self) {
         for inbox in &self.router.inboxes {
-            let _ = inbox.send(ShardEvent::Shutdown);
+            let _ = inbox.send(Inbox::Shutdown);
         }
     }
 }
@@ -519,9 +714,9 @@ impl Drop for ShardedServerRuntime {
 
 /// Requests a report snapshot from one shard, waiting up to
 /// [`REPORT_TIMEOUT`].
-fn request_report(inbox: &Sender<ShardEvent>) -> Option<NodeReport> {
+fn request_report(inbox: &Sender<Inbox>) -> Option<NodeReport> {
     let (reply, answer) = channel();
-    inbox.send(ShardEvent::Report(reply)).ok()?;
+    inbox.send(Inbox::Report(reply)).ok()?;
     answer.recv_timeout(REPORT_TIMEOUT).ok()
 }
 
@@ -586,13 +781,14 @@ mod tests {
     #[test]
     fn the_first_close_reason_wins() {
         let node = ServerNode::new(ServerConfig::new("sc"));
-        let mut shard = Shard::new(node, None, WallClock::new());
+        let mut shard = WorkerShard::new(node, None, WallClock::new());
         let session = SessionId::new(1);
         // Answering the Hello fails, which closes the session as `Error`…
-        shard.step(Some(ShardEvent::Open(session, Box::new(ResetWriter), hello(1))));
+        let open = ShardEvent::Open(session, Box::new(ResetWriter) as _, hello(1));
+        shard.step(Some(open), |_| 0);
         // …so the reader's later EOF and straggling frames change nothing.
-        shard.step(Some(ShardEvent::Closed(session, CloseReason::Clean)));
-        shard.step(Some(ShardEvent::Frame(session, b"late".to_vec())));
+        shard.step(Some(ShardEvent::Closed(session, CloseReason::Clean)), |_| 0);
+        shard.step(Some(ShardEvent::Frame(session, b"late".to_vec())), |_| 0);
         let report = shard.report();
         assert_eq!(report.counter("server", "closed_error"), 1);
         assert_eq!(report.counter("server", "closed_clean"), 0);
@@ -626,7 +822,9 @@ mod tests {
         }
 
         fn compact(&mut self, state: &mut dyn FnMut(DomainId) -> Vec<PersistRecord>) {
-            self.0.send(SinkCall::Compact(state(DomainId::new(1)))).unwrap();
+            self.0
+                .send(SinkCall::Compact(state(DomainId::new(1))))
+                .unwrap();
         }
     }
 
@@ -635,7 +833,8 @@ mod tests {
         use shadow_proto::{ContentDigest, FileId, TransferEncoding, UpdatePayload, VersionNumber};
         let (tx, calls) = channel();
         let node = ServerNode::new(ServerConfig::new("sc"));
-        let mut shard = Shard::new(node, Some(Box::new(RecordingSink(tx))), WallClock::new());
+        let sink: Box<dyn PersistSink> = Box::new(RecordingSink(tx));
+        let mut shard = WorkerShard::new(node, Some(sink), WallClock::new());
         let session = SessionId::new(1);
         let content = b"a\nb\n";
         let notify = Frame::encode(&ClientMessage::NotifyVersion {
@@ -645,8 +844,9 @@ mod tests {
             size: content.len() as u64,
             digest: ContentDigest::of(content),
         });
-        shard.step(Some(ShardEvent::Open(session, Box::new(OpenWriter), hello(1))));
-        shard.step(Some(ShardEvent::Frame(session, notify)));
+        let open = ShardEvent::Open(session, Box::new(OpenWriter) as _, hello(1));
+        shard.step(Some(open), |_| 0);
+        shard.step(Some(ShardEvent::Frame(session, notify)), |_| 0);
         calls.try_iter().for_each(drop);
 
         let update = Frame::encode(&ClientMessage::Update {
@@ -658,17 +858,16 @@ mod tests {
                 digest: ContentDigest::of(content),
             },
         });
-        shard.step(Some(ShardEvent::Frame(session, update)));
+        shard.step(Some(ShardEvent::Frame(session, update)), |_| 0);
         let calls: Vec<SinkCall> = calls.try_iter().collect();
-        let snapshot = shard.driver.node().snapshot(DomainId::new(1));
+        let snapshot = shard.node().snapshot(DomainId::new(1));
         assert!(matches!(snapshot[..], [PersistRecord::CacheFull { .. }]));
-        // The step dispatches the frame's output, then its due timers:
-        // each dispatch ends in one compaction, after its persists.
+        // The step dispatches the frame's output (no timer is due): the
+        // dispatch ends in one compaction, after its persists.
         assert_eq!(
             calls,
             [
                 SinkCall::Persist(snapshot[0].clone()),
-                SinkCall::Compact(snapshot.clone()),
                 SinkCall::Compact(snapshot),
             ]
         );

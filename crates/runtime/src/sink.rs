@@ -2,10 +2,10 @@
 //!
 //! The sans-io [`ServerNode`](shadow_server::ServerNode) only *emits*
 //! `ServerAction::Persist(record)`; whether (and where) records become
-//! durable is a deployment decision. Each shard hands every record
-//! from a [`ServerIo`](crate::ServerIo) to the installed sink in
-//! emission order. `shadow-store` provides the journaling sink; tests
-//! use [`VecSink`]; diskless deployments install none.
+//! durable is a deployment decision. Each [`Shard`](crate::Shard) hands
+//! every record to the installed sink in emission order.
+//! `shadow-store` provides the journaling sink, the model checker its
+//! in-memory journal; diskless deployments install none.
 
 use shadow_proto::{DomainId, PersistRecord};
 
@@ -34,40 +34,16 @@ pub trait PersistSink: Send + std::fmt::Debug {
     }
 }
 
-/// A sink that collects records in memory — test instrumentation and
-/// the model checker's in-memory journal.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// Every record persisted, in emission order.
-    pub records: Vec<PersistRecord>,
-}
-
-impl PersistSink for VecSink {
+impl<S: PersistSink + ?Sized> PersistSink for Box<S> {
     fn persist(&mut self, record: &PersistRecord) {
-        self.records.push(record.clone());
+        (**self).persist(record);
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use shadow_proto::{DomainId, FileKey, VersionNumber};
+    fn compact(&mut self, state: &mut dyn FnMut(DomainId) -> Vec<PersistRecord>) {
+        (**self).compact(state);
+    }
 
-    #[test]
-    fn vec_sink_preserves_emission_order() {
-        let mut sink = VecSink::default();
-        let key = FileKey::new(DomainId::new(1), shadow_proto::FileId::new(2));
-        let records = [
-            PersistRecord::CacheFull {
-                key,
-                version: VersionNumber::FIRST,
-                content: bytes::Bytes::from_static(b"a"),
-            },
-            PersistRecord::CacheRemove { key },
-        ];
-        for r in &records {
-            sink.persist(r);
-        }
-        assert_eq!(sink.records, records);
+    fn report_section(&self) -> Option<shadow_obs::Section> {
+        (**self).report_section()
     }
 }

@@ -92,6 +92,21 @@ pub trait FrameWriter: Send + 'static {
     fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed>;
 }
 
+impl<W: FrameWriter + ?Sized> FrameWriter for Box<W> {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
+        (**self).write_frame(frame)
+    }
+}
+
+/// An in-memory writer: frames queue up for a scheduler that moves them
+/// itself (the model checker, hand-driven tests).
+impl FrameWriter for Vec<Vec<u8>> {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
+        self.push(frame);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,62 +1,77 @@
 //! End-to-end exercise of the drivers with no deployment at all: frames
-//! are ferried between a `ClientDriver` and a `ServerDriver` by hand, and
-//! time is a plain counter. If this passes, every transport adapter only
+//! are ferried between a `ClientDriver` and a server `Shard` by hand, and
+//! time is a virtual clock. If this passes, every transport adapter only
 //! has to move bytes.
 
 use shadow_client::{ClientConfig, ClientNode, ConnId, FileRef, Notification};
 use shadow_proto::{FileId, SubmitOptions};
-use shadow_runtime::{ClientDriver, Clock, DriverEvent, ServerDriver, VirtualClock};
+use shadow_runtime::{
+    ClientDriver, Clock, DriverEvent, PersistSink, Shard, ShardEvent, VirtualClock,
+};
 use shadow_server::{ServerConfig, ServerNode, SessionId};
 
 struct Harness {
     client: ClientDriver,
-    server: ServerDriver,
+    server: Shard<VirtualClock, Vec<Vec<u8>>, Box<dyn PersistSink>>,
     conn: ConnId,
     session: SessionId,
-    clock: VirtualClock,
 }
 
 impl Harness {
     fn new() -> Self {
+        let node = ServerNode::new(ServerConfig::new("sc"));
         let mut h = Harness {
             client: ClientDriver::new(ClientNode::new(ClientConfig::new("ws", 1))),
-            server: ServerDriver::new(ServerNode::new(ServerConfig::new("sc"))),
+            server: Shard::new(node, None, VirtualClock::new()),
             conn: ConnId::new(0),
             session: SessionId::new(1),
-            clock: VirtualClock::new(),
         };
-        let now = h.clock.now_ms();
-        let io = h.server.connected(h.session, now);
-        assert!(io.outbound.is_empty(), "connect is client-initiated");
+        let now = h.now();
         let out = h.client.connect(h.conn, now);
+        assert!(
+            h.server.writer_mut(h.session).is_none(),
+            "connect is client-initiated: the session opens on its Hello"
+        );
         h.ferry(out);
         h
+    }
+
+    fn now(&mut self) -> u64 {
+        self.server.clock_mut().now_ms()
     }
 
     /// Moves frames back and forth (and fires due timers, advancing the
     /// virtual clock to each deadline) until the system quiesces.
     fn ferry(&mut self, mut client_out: Vec<shadow_runtime::ClientOutbound>) {
         loop {
-            let mut server_out = Vec::new();
             for o in client_out.drain(..) {
-                let io = self
-                    .server
-                    .feed_frame(self.session, &o.frame, self.clock.now_ms(), |_| 0)
-                    .expect("client frames decode");
-                server_out.extend(io.outbound);
+                let event = match self.server.writer_mut(self.session) {
+                    Some(_) => ShardEvent::Frame(self.session, o.frame),
+                    None => ShardEvent::Open(self.session, Vec::new(), o.frame),
+                };
+                self.server.step(Some(event), |_| 0);
+                assert!(
+                    self.server.writer_mut(self.session).is_some(),
+                    "client frames decode"
+                );
             }
             while let Some(deadline) = self.server.next_deadline() {
-                self.clock.advance_to(deadline);
-                let io = self.server.fire_due(self.clock.now_ms(), 0);
-                server_out.extend(io.outbound);
+                self.server.clock_mut().advance_to(deadline);
+                self.server.step(None, |_| 0);
             }
+            let wire = self
+                .server
+                .writer_mut(self.session)
+                .expect("session is live");
+            let server_out = std::mem::take(wire);
             if server_out.is_empty() {
                 return;
             }
-            for o in server_out {
+            let now = self.now();
+            for frame in server_out {
                 let out = self
                     .client
-                    .feed_frame(self.conn, &o.frame, self.clock.now_ms())
+                    .feed_frame(self.conn, &frame, now)
                     .expect("server frames decode");
                 client_out.extend(out);
             }
@@ -67,13 +82,13 @@ impl Harness {
     }
 
     fn edit(&mut self, file: &FileRef, content: &[u8]) {
-        let now = self.clock.now_ms();
+        let now = self.now();
         let (_, out) = self.client.edit_finished(file, content.to_vec(), now);
         self.ferry(out);
     }
 
     fn submit(&mut self, job: &FileRef, data: &[FileRef]) {
-        let now = self.clock.now_ms();
+        let now = self.now();
         let (_, out) = self
             .client
             .submit(self.conn, job, data, SubmitOptions::default(), now)
@@ -100,11 +115,14 @@ fn handshake_then_job_completes() {
     assert_eq!(done[0].stats.exit_code, 0);
     assert_eq!(h.server.report().counter("server", "jobs_completed"), 1);
 
-    // The timer that ran the job went through the driver's queue.
+    // The timer that ran the job went through the shard's queue.
     let s = h.server.report();
     assert!(s.counter("driver", "timers_armed") >= 1);
-    assert_eq!(s.counter("driver", "timers_armed"), s.counter("driver", "timers_fired"));
-    assert!(h.server.timers_idle());
+    assert_eq!(
+        s.counter("driver", "timers_armed"),
+        s.counter("driver", "timers_fired")
+    );
+    assert!(h.server.next_deadline().is_none());
 }
 
 #[test]
@@ -126,13 +144,29 @@ fn resubmission_travels_as_delta_and_stats_count_frames() {
 
     assert_eq!(h.client.take_finished().len(), 2);
     let cs = h.client.report();
-    assert_eq!(cs.counter("client", "deltas_sent"), 1, "second upload is a delta: {cs:?}");
-    assert!(cs.counter("client", "fulls_sent") >= 2, "initial uploads were full: {cs:?}");
+    assert_eq!(
+        cs.counter("client", "deltas_sent"),
+        1,
+        "second upload is a delta: {cs:?}"
+    );
+    assert!(
+        cs.counter("client", "fulls_sent") >= 2,
+        "initial uploads were full: {cs:?}"
+    );
     // Both sides agree about how many frames crossed each way.
     let ss = h.server.report();
-    assert_eq!(cs.counter("driver", "frames_sent"), ss.counter("driver", "frames_received"));
-    assert_eq!(cs.counter("driver", "bytes_sent"), ss.counter("driver", "bytes_received"));
-    assert_eq!(ss.counter("driver", "frames_sent"), cs.counter("driver", "frames_received"));
+    assert_eq!(
+        cs.counter("driver", "frames_sent"),
+        ss.counter("driver", "frames_received")
+    );
+    assert_eq!(
+        cs.counter("driver", "bytes_sent"),
+        ss.counter("driver", "bytes_received")
+    );
+    assert_eq!(
+        ss.counter("driver", "frames_sent"),
+        cs.counter("driver", "frames_received")
+    );
 }
 
 #[test]
@@ -155,7 +189,10 @@ fn event_hook_sees_every_sent_frame() {
     let frames = seen.lock().unwrap();
     let stats = h.client.report();
     // The hook was installed after the Hello, so it saw everything since.
-    assert_eq!(frames.len() as u64 + 1, stats.counter("driver", "frames_sent"));
+    assert_eq!(
+        frames.len() as u64 + 1,
+        stats.counter("driver", "frames_sent")
+    );
     assert!(frames.iter().all(|f| !f.is_empty()));
 }
 
@@ -172,7 +209,10 @@ fn notification_drain_accounting_agrees_across_both_paths() {
 
     let r = h.client.report();
     let received = r.counter("driver", "notifications");
-    assert!(received >= 2, "handshake + job should notify, got {received}");
+    assert!(
+        received >= 2,
+        "handshake + job should notify, got {received}"
+    );
     assert_eq!(r.counter("driver", "notifications_drained"), 0);
 
     // A predicate that matches nothing is not a drain.
@@ -180,14 +220,20 @@ fn notification_drain_accounting_agrees_across_both_paths() {
         .client
         .take_notification_matching(|n| matches!(n, Notification::JobRejected { .. }))
         .is_none());
-    assert_eq!(h.client.report().counter("driver", "notifications_drained"), 0);
+    assert_eq!(
+        h.client.report().counter("driver", "notifications_drained"),
+        0
+    );
 
     // A selective drain counts exactly one...
     assert!(h
         .client
         .take_notification_matching(|n| matches!(n, Notification::SessionReady { .. }))
         .is_some());
-    assert_eq!(h.client.report().counter("driver", "notifications_drained"), 1);
+    assert_eq!(
+        h.client.report().counter("driver", "notifications_drained"),
+        1
+    );
 
     // ...and the bulk drain accounts for the rest, so the two paths agree
     // and nothing is left pending.

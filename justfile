@@ -1,7 +1,11 @@
 # Development shortcuts. `just check` is what CI runs.
 
 # Build everything, run the full test suite, lint, and analyze.
-check: build test e2e-test lint doc verify analyze
+check: fmt build test e2e-test lint doc verify analyze
+
+# Formatting drift in the crates kept rustfmt-clean fails the check.
+fmt:
+    cargo fmt --check -p shadow-runtime -p shadow-check
 
 # Release build of the whole workspace.
 build:

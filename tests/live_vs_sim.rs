@@ -2,9 +2,10 @@
 //! simulator and the live (threaded, pipe-based) system must produce
 //! identical protocol outcomes — same outputs, same delta/full decisions,
 //! same server-side counters. Frames are byte-identical because both
-//! drivers run the same state machines through the same codec.
+//! drivers run the same state machines through the same codec, and both
+//! servers are the same shard loop, so its own counters agree too.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use shadow::prelude::*;
 
@@ -16,6 +17,24 @@ struct Outcome {
     server_deltas: u64,
     server_fulls: u64,
     jobs_completed: u64,
+    /// The shard loop's session and frame counters, after the client
+    /// hung up.
+    server_runtime: Vec<(&'static str, u64)>,
+}
+
+/// The `server_runtime` counters both worlds must agree on.
+const RUNTIME_COUNTERS: [&str; 4] = [
+    "sessions_accepted",
+    "sessions_reaped",
+    "frames_fed",
+    "decode_failures",
+];
+
+fn runtime_counters(report: &NodeReport) -> Vec<(&'static str, u64)> {
+    RUNTIME_COUNTERS
+        .iter()
+        .map(|&name| (name, report.counter("server_runtime", name)))
+        .collect()
 }
 
 fn versions_of_data() -> Vec<Vec<u8>> {
@@ -58,6 +77,8 @@ fn run_sim() -> Outcome {
         sim.run_until_quiet();
     }
     let cm = sim.client_report(client);
+    // The orderly hang-up a live client performs when dropped.
+    sim.close_connection(client, server);
     let sm = sim.server_report(server);
     Outcome {
         outputs: sim.finished_jobs(client).iter().map(|j| j.output.clone()).collect(),
@@ -66,6 +87,7 @@ fn run_sim() -> Outcome {
         server_deltas: sm.counter("server", "delta_updates"),
         server_fulls: sm.counter("server", "full_updates"),
         jobs_completed: sm.counter("server", "jobs_completed"),
+        server_runtime: runtime_counters(&sm),
     }
 }
 
@@ -92,6 +114,15 @@ fn run_live() -> Outcome {
     }
     let cm = client.report();
     drop(client);
+    // The shard reaps the session once its reader sees the hang-up.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let runtime = loop {
+        let report = system.report().expect("shards answer");
+        if report.counter("server_runtime", "sessions_reaped") == 1 || Instant::now() > deadline {
+            break report;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     let server = system.shutdown().remove(0);
     let sm = server.report();
     Outcome {
@@ -101,6 +132,7 @@ fn run_live() -> Outcome {
         server_deltas: sm.counter("server", "delta_updates"),
         server_fulls: sm.counter("server", "full_updates"),
         jobs_completed: sm.counter("server", "jobs_completed"),
+        server_runtime: runtime_counters(&runtime),
     }
 }
 
@@ -130,4 +162,17 @@ fn sim_and_live_agree_on_protocol_outcomes() {
     // And the scenario itself behaved as designed: 1 full + 3 deltas.
     assert_eq!(sim.jobs_completed, 4);
     assert_eq!(sim.server_deltas, 3);
+}
+
+#[test]
+fn sim_and_pipes_agree_on_server_runtime_counters() {
+    let sim = run_sim();
+    let live = run_live();
+    assert_eq!(sim.server_runtime, live.server_runtime);
+    // One session, opened on its Hello and reaped on the hang-up; every
+    // frame decoded.
+    assert_eq!(sim.server_runtime[0], ("sessions_accepted", 1));
+    assert_eq!(sim.server_runtime[1], ("sessions_reaped", 1));
+    assert!(sim.server_runtime[2].1 > 4, "frames fed: {:?}", sim.server_runtime);
+    assert_eq!(sim.server_runtime[3], ("decode_failures", 0));
 }
