@@ -16,23 +16,26 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply clonable, immutable, contiguous slice of memory.
+///
+/// The buffer is a `Vec` behind an `Arc`, so [`Bytes::from`] a `Vec`
+/// takes the vector over without copying it, as the real crate does.
 #[derive(Clone, Default)]
-pub struct Bytes(Arc<[u8]>);
+pub struct Bytes(Arc<Vec<u8>>);
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes(Arc::from(&[][..]))
+        Bytes::default()
     }
 
     /// A buffer borrowing nothing: copies the static slice once.
     pub fn from_static(slice: &'static [u8]) -> Self {
-        Bytes(Arc::from(slice))
+        Bytes::copy_from_slice(slice)
     }
 
     /// Copies `data` into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes(Arc::from(data))
+        Bytes(Arc::new(data.to_vec()))
     }
 
     /// Length in bytes.
@@ -75,9 +78,24 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// The real crate's form: a `b"..."` byte-string literal, with `\n`,
+/// `\r`, `\t`, `\0`, `\\` and `\"` escaped, other printable ASCII as
+/// itself, and every other byte as `\xNN`.
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.0, f)
+        f.write_str("b\"")?;
+        for &b in self.as_slice() {
+            match b {
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                b'\0' => f.write_str("\\0")?,
+                b'\\' | b'"' => write!(f, "\\{}", char::from(b))?,
+                0x20..=0x7e => write!(f, "{}", char::from(b))?,
+                _ => write!(f, "\\x{b:02x}")?,
+            }
+        }
+        f.write_str("\"")
     }
 }
 
@@ -127,13 +145,13 @@ impl PartialEq<Vec<u8>> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Arc::from(v))
+        Bytes(Arc::new(v))
     }
 }
 
 impl From<String> for Bytes {
     fn from(s: String) -> Self {
-        Bytes(Arc::from(s.into_bytes()))
+        Bytes::from(s.into_bytes())
     }
 }
 
@@ -149,9 +167,10 @@ impl<const N: usize> From<&'static [u8; N]> for Bytes {
     }
 }
 
+/// Takes the vector back without copying when no clone shares it.
 impl From<Bytes> for Vec<u8> {
     fn from(b: Bytes) -> Vec<u8> {
-        b.to_vec()
+        Arc::try_unwrap(b.0).unwrap_or_else(|shared| shared.to_vec())
     }
 }
 
@@ -332,6 +351,31 @@ mod tests {
         assert_eq!(r.get_i32_le(), -5);
         assert_eq!(r.get_u64_le(), u64::MAX - 1);
         assert_eq!(r, b"xyz");
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v = vec![7u8; 1024];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        let shared = b.clone();
+        assert_eq!(shared.as_ptr(), at);
+        // Shared: converting back copies; sole owner: it does not.
+        let copied = Vec::from(shared);
+        assert_ne!(copied.as_ptr(), at);
+        let owned = Vec::from(b);
+        assert_eq!(owned.as_ptr(), at);
+    }
+
+    #[test]
+    fn debug_is_an_escaped_byte_string() {
+        let b = Bytes::from_static(b"file0\n\0\t\r\"q\\ ~\x7f\x80\xff\x01");
+        assert_eq!(
+            format!("{b:?}"),
+            r#"b"file0\n\0\t\r\"q\\ ~\x7f\x80\xff\x01""#
+        );
+        assert_eq!(format!("{:?}", Bytes::new()), r#"b"""#);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use criterion::{criterion_group, Criterion, Throughput};
 use shadow::{
     apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, ClientMessage, ContentDigest,
     DiffAlgorithm, DiffScratch, DocBuf, DomainId, EditModel, FileId, FileSpec, Frame, HostName,
-    TransferEncoding, UpdatePayload, VersionNumber,
+    TransferEncoding, UpdatePayload, VersionNumber, VersionStore,
 };
 
 /// Pass-through allocator that counts every allocation (and growth
@@ -201,6 +201,31 @@ fn main() {
             }),
         ),
     ];
+
+    // The client's whole-file work per binary edit: digesting a 4 MiB
+    // binary, and recording it as a new version. Each `record_edit` call
+    // takes a fresh copy of one of two versions a 1 KiB splice apart, as
+    // an editor hands over its buffer, so the row includes that copy.
+    let (bin_a, bin_b) = shadow_bench::blob_pair(4 * 1024 * 1024, true, 13);
+    rows.push(row(
+        "digest_4m_binary",
+        bin_a.len(),
+        measure(iters, || {
+            black_box(ContentDigest::of(black_box(&bin_a)));
+        }),
+    ));
+    let mut versions = VersionStore::new(0);
+    let bin_file = FileId::new(1);
+    let mut flip = false;
+    rows.push(row(
+        "record_edit_4m_binary",
+        bin_a.len(),
+        measure(iters, || {
+            flip = !flip;
+            let content = if flip { &bin_b } else { &bin_a };
+            black_box(versions.record_edit(bin_file, black_box(content.clone())));
+        }),
+    ));
 
     // The line diff with a fresh scratch vs reusing one scratch across
     // calls (the steady-state resubmission path).

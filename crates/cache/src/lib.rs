@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use shadow_proto::{ContentDigest, FileKey, VersionNumber};
+use shadow_proto::{Bytes, ContentDigest, FileKey, VersionNumber};
 
 /// Which entry to sacrifice when the byte budget is exceeded (§5.1: the
 /// remote host decides "which files should be removed from the cache
@@ -70,8 +70,9 @@ impl fmt::Display for EvictionPolicy {
 pub struct CacheEntry {
     /// The version this content corresponds to.
     pub version: VersionNumber,
-    /// The full file content.
-    pub content: Vec<u8>,
+    /// The full file content, shared with the journal records and the
+    /// frames that carry it.
+    pub content: Bytes,
     /// Digest of `content`.
     pub digest: ContentDigest,
     last_used: u64,
@@ -192,8 +193,9 @@ impl ShadowStore {
         &mut self,
         key: FileKey,
         version: VersionNumber,
-        content: Vec<u8>,
+        content: impl Into<Bytes>,
     ) -> Vec<FileKey> {
+        let content = content.into();
         let digest = ContentDigest::of(&content);
         self.insert_digested(key, version, content, digest)
     }
@@ -205,9 +207,10 @@ impl ShadowStore {
         &mut self,
         key: FileKey,
         version: VersionNumber,
-        content: Vec<u8>,
+        content: impl Into<Bytes>,
         digest: ContentDigest,
     ) -> Vec<FileKey> {
+        let content = content.into();
         debug_assert!(digest == ContentDigest::of(&content));
         self.clock += 1;
         // Replace any prior version first so budget accounting is simple.
@@ -354,7 +357,7 @@ mod tests {
         s.insert(key(1), v(1), b"hello".to_vec());
         let e = s.get(&key(1)).unwrap();
         assert_eq!(e.version, v(1));
-        assert_eq!(e.content, b"hello");
+        assert_eq!(e.content, b"hello"[..]);
         assert_eq!(e.digest, ContentDigest::of(b"hello"));
         assert_eq!(s.used_bytes(), 5);
         assert_eq!(s.stats().hits, 1);
@@ -482,7 +485,7 @@ mod tests {
         let mut s = ShadowStore::new(100, EvictionPolicy::Lru);
         s.insert(key(1), v(1), b"abc".to_vec());
         let e = s.remove(&key(1)).unwrap();
-        assert_eq!(e.content, b"abc");
+        assert_eq!(e.content, b"abc"[..]);
         assert_eq!(s.used_bytes(), 0);
         assert!(s.remove(&key(1)).is_none());
     }

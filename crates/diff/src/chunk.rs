@@ -826,13 +826,23 @@ impl DocShape {
     }
 }
 
+/// Whether `bytes` is binary: a NUL byte in its first
+/// [`BINARY_SNIFF_WINDOW`] bytes (UTF-8 text never contains NUL). A
+/// binary document prefers the chunk codec whatever its lines, so a
+/// caller that sniffs first can skip building its line index.
+#[must_use]
+pub fn sniff_binary(bytes: &[u8]) -> bool {
+    bytes
+        .get(..bytes.len().min(BINARY_SNIFF_WINDOW))
+        .unwrap_or_default()
+        .contains(&0)
+}
+
 /// Computes a document's [`DocShape`] in O(lines) using the line index
 /// [`DocBuf`] already carries, plus one bounded NUL sniff.
 #[must_use]
 pub fn classify(doc: &DocBuf) -> DocShape {
-    let bytes = doc.as_bytes();
-    let window = &bytes[..bytes.len().min(BINARY_SNIFF_WINDOW)];
-    let binary = window.contains(&0);
+    let binary = sniff_binary(doc.as_bytes());
     let mut max_line_len = 0usize;
     for i in 0..doc.line_count() {
         max_line_len = max_line_len.max(doc.line(i).len());

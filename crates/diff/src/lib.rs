@@ -56,8 +56,9 @@ mod zerocopy;
 pub use algorithm::DiffAlgorithm;
 pub use chunk::{
     apply_chunk_delta, choose_chunk_codec, chunk_delta_indexed, chunk_delta_into, classify,
-    ChunkDeltaError, ChunkIndex, ChunkParams, ChunkStats, DocShape, AVG_LINE_CHUNK_THRESHOLD,
-    BINARY_SNIFF_WINDOW, CHUNK_FORMAT_VERSION, LEVELS, MAX_LEVELS, MAX_LINE_CHUNK_THRESHOLD,
+    sniff_binary, ChunkDeltaError, ChunkIndex, ChunkParams, ChunkStats, DocShape,
+    AVG_LINE_CHUNK_THRESHOLD, BINARY_SNIFF_WINDOW, CHUNK_FORMAT_VERSION, LEVELS, MAX_LEVELS,
+    MAX_LINE_CHUNK_THRESHOLD,
 };
 pub use docbuf::DocBuf;
 pub use edscript::{ApplyError, ParseError, ParseErrorKind};

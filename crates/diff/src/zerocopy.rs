@@ -24,7 +24,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::algorithm::DiffAlgorithm;
-use crate::docbuf::DocBuf;
+use crate::docbuf::{count_newlines, skip_newlines, DocBuf};
 use crate::edscript::{ApplyError, ParseError, ParseErrorKind};
 use crate::scratch::{fx_hash_bytes, DiffScratch};
 use crate::stats::DiffStats;
@@ -547,7 +547,7 @@ pub fn apply_delta(base: &[u8], script: &[u8]) -> Result<Vec<u8>, DeltaError> {
     let base_lines = if base.is_empty() {
         0
     } else {
-        base.iter().filter(|&&b| b == b'\n').count() + usize::from(!base_trailing)
+        count_newlines(base) + usize::from(!base_trailing)
     };
 
     // Range-check every command against the *original* base, in storage
@@ -616,13 +616,14 @@ impl BaseCursor<'_> {
     /// past line `upto - 1`), returning that offset.
     fn advance_to(&mut self, upto: usize) -> usize {
         debug_assert!(upto >= self.line && upto <= self.base_lines);
-        while self.line < upto {
+        if upto > self.line {
             let rest = self.base.get(self.byte..).unwrap_or_default();
-            match rest.iter().position(|&b| b == b'\n') {
-                Some(k) => self.byte += k + 1,
-                None => self.byte = self.base.len(),
-            }
-            self.line += 1;
+            // Only an unterminated last line has no newline to skip past.
+            self.byte = match skip_newlines(rest, upto - self.line) {
+                Some(k) => self.byte + k,
+                None => self.base.len(),
+            };
+            self.line = upto;
         }
         self.byte
     }
@@ -929,5 +930,83 @@ mod tests {
         assert_eq!(s.lines_added, 2);
         assert_eq!(s.lines_removed, 2);
         assert_eq!(s.wire_len, d.to_text().len());
+    }
+
+    /// Deterministic bytes: `\n` with probability `1 / every` (never
+    /// when `every` is 0), otherwise bytes near `\n` in value that a
+    /// carry between bytes would confuse with it, or arbitrary ones.
+    fn newline_text(len: usize, every: u64, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if every != 0 && state.is_multiple_of(every) {
+                    return b'\n';
+                }
+                match (state >> 32) as u8 {
+                    b'\n' => b'x',
+                    b if b.is_multiple_of(4) => [0x09, 0x0b, 0x8a, 0x00][usize::from(b / 4 % 4)],
+                    b => b,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn newline_scans_match_a_bytewise_scan(
+            len in 0usize..160,
+            every in proptest::sample::select(vec![0u64, 1, 2, 3, 61]),
+            seed in proptest::prelude::any::<u64>(),
+            steps in proptest::collection::vec(0usize..5, 0..48),
+        ) {
+            for extra in 0..8 {
+                for trailing in [false, true] {
+                    let mut base = newline_text(len, every, seed);
+                    base.extend(std::iter::repeat_n(b'y', extra));
+                    if trailing {
+                        base.push(b'\n');
+                    }
+                    let ends: Vec<usize> = base
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &b)| b == b'\n')
+                        .map(|(i, _)| i + 1)
+                        .collect();
+                    proptest::prop_assert_eq!(count_newlines(&base), ends.len());
+                    for n in 0..=ends.len() + 1 {
+                        let want = if n == 0 { Some(0) } else { ends.get(n - 1).copied() };
+                        proptest::prop_assert_eq!(skip_newlines(&base, n), want);
+                    }
+
+                    // The apply cursor lands where a bytewise walk does.
+                    let base_trailing = base.last() == Some(&b'\n');
+                    let base_lines = if base.is_empty() {
+                        0
+                    } else {
+                        ends.len() + usize::from(!base_trailing)
+                    };
+                    let mut cursor = BaseCursor {
+                        base: &base,
+                        base_lines,
+                        base_trailing,
+                        line: 0,
+                        byte: 0,
+                    };
+                    let mut upto = 0;
+                    for step in steps.iter().copied().chain([base_lines]) {
+                        upto = (upto + step).min(base_lines);
+                        let want = if upto == 0 {
+                            0
+                        } else {
+                            ends.get(upto - 1).copied().unwrap_or(base.len())
+                        };
+                        proptest::prop_assert_eq!(cursor.advance_to(upto), want);
+                    }
+                }
+            }
+        }
     }
 }

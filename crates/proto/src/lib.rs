@@ -41,6 +41,9 @@ mod persist;
 mod stable_hash;
 mod wire;
 
+/// The shared byte buffer every payload and record carries, re-exported
+/// so a crate that holds payload bytes names the same type.
+pub use bytes::Bytes;
 pub use digest::ContentDigest;
 pub use stable_hash::StableHasher;
 pub use error::WireError;
@@ -58,5 +61,7 @@ pub use wire::{Frame, WireDecode, WireEncode, MAX_FRAME_LEN};
 /// Version 3 added the [`DeltaCodec`] tag on every delta payload (line
 /// ed-script vs content-defined chunk delta) and switched
 /// [`ContentDigest`] to its block-wise format (digest values are not
-/// comparable across this bump).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// comparable across this bump). Version 4 switched [`ContentDigest`]
+/// to its four-lane format 3; the wire bytes did not change, but digest
+/// values are again not comparable across the bump.
+pub const PROTOCOL_VERSION: u32 = 4;

@@ -276,7 +276,7 @@ impl ServerNode {
                     version,
                     content,
                 } => {
-                    self.cache.insert(*key, *version, content.to_vec());
+                    self.cache.insert(*key, *version, content.clone());
                     summary.applied += 1;
                 }
                 PersistRecord::CacheDelta {
@@ -353,7 +353,7 @@ impl ServerNode {
             .map(|(key, entry)| PersistRecord::CacheFull {
                 key: *key,
                 version: entry.version,
-                content: Bytes::copy_from_slice(&entry.content),
+                content: entry.content.clone(),
             })
             .collect();
         self.outputs.snapshot(domain, &mut out);
@@ -707,15 +707,14 @@ impl ServerNode {
         });
     }
 
-    fn decode_payload(
-        encoding: TransferEncoding,
-        data: &Bytes,
-    ) -> Result<Vec<u8>, &'static str> {
+    /// The payload's bytes: an identity payload shares the frame's
+    /// buffer, a compressed one decodes into a buffer of its own.
+    fn decode_payload(encoding: TransferEncoding, data: &Bytes) -> Result<Bytes, &'static str> {
         match encoding {
-            TransferEncoding::Identity => Ok(data.to_vec()),
-            TransferEncoding::Lzss => {
-                shadow_compress::decompress(data).map_err(|_| "lzss decode failed")
-            }
+            TransferEncoding::Identity => Ok(data.clone()),
+            TransferEncoding::Lzss => shadow_compress::decompress(data)
+                .map(Bytes::from)
+                .map_err(|_| "lzss decode failed"),
         }
     }
 
@@ -757,15 +756,12 @@ impl ServerNode {
         // compressed form of the version chain) instead of the
         // materialized content.
         let mut applied_script: Option<(VersionNumber, DeltaCodec, Bytes)> = None;
-        // An identity full transfer's buffer already is the content: its
-        // journal record shares it instead of copying the content again.
-        let mut identity_full: Option<Bytes> = None;
-        let content: Result<Vec<u8>, &'static str> = match &payload {
+        // The content is held once: an identity full transfer's buffer
+        // already is the content, and the cache entry and the journal
+        // record share whichever buffer holds it.
+        let content: Result<Bytes, &'static str> = match &payload {
             UpdatePayload::Full { encoding, data, .. } => {
                 self.metrics.full_updates += 1;
-                if *encoding == TransferEncoding::Identity {
-                    identity_full = Some(data.clone());
-                }
                 Self::decode_payload(*encoding, data)
             }
             UpdatePayload::Delta {
@@ -784,12 +780,9 @@ impl ServerNode {
                         // payload's codec picks the decoder the client's
                         // classifier chose.
                         Self::decode_payload(*encoding, data).and_then(|delta_bytes| {
-                            let applied = apply_codec(*codec, &entry.content, &delta_bytes);
-                            if applied.is_ok() {
-                                applied_script =
-                                    Some((entry.version, *codec, Bytes::from(delta_bytes)));
-                            }
-                            applied
+                            let applied = apply_codec(*codec, &entry.content, &delta_bytes)?;
+                            applied_script = Some((entry.version, *codec, delta_bytes));
+                            Ok(Bytes::from(applied))
                         })
                     }
                     Some(_) => Err("delta base version not cached"),
@@ -826,7 +819,7 @@ impl ServerNode {
                     None => PersistRecord::CacheFull {
                         key,
                         version,
-                        content: identity_full.unwrap_or_else(|| Bytes::from(content.clone())),
+                        content: content.clone(),
                     },
                 };
                 for victim in self.cache.insert_digested(key, version, content, digest) {
@@ -1038,7 +1031,7 @@ impl ServerNode {
             let file = directory.file_by_name(domain, name)?;
             cache
                 .peek(&FileKey::new(domain, file))
-                .map(|e| e.content.clone())
+                .map(|e| e.content.to_vec())
         };
         let outcome = run_job(&command_file, &resolve);
         let runtime_ms = self.config.exec.job_overhead_ms

@@ -27,13 +27,15 @@ use std::path::Path;
 use shadow_proto::{ContentDigest, Frame, PersistRecord};
 
 /// Journal segment magic ("base" semantics for `seq`). The trailing
-/// digit tracks the record/digest format: `2` carries the per-delta
-/// codec tag and block-wise digests (protocol version 3); older
-/// segments read as corrupt and recovery starts empty — the shadow
-/// cache is best effort, so clients simply re-seed with full transfers.
-pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SHDWJRN2";
+/// digit tracks the record/digest format: `2` added the per-delta codec
+/// tag and block-wise digests (protocol version 3); `3` carries the
+/// four-lane digest format 3, in record digests and in the per-record
+/// checksums (protocol version 4). Older segments read as corrupt and
+/// recovery starts empty — the shadow cache is best effort, so clients
+/// simply re-seed with full transfers.
+pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"SHDWJRN3";
 /// Snapshot segment magic ("covers" semantics for `seq`).
-pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"SHDWSNP2";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"SHDWSNP3";
 /// Magic plus the `seq` counter.
 const HEADER_LEN: usize = 16;
 /// Bytes of FNV-1a checksum trailing every record frame.
@@ -192,6 +194,19 @@ mod tests {
         assert_eq!(seg.damage, Damage::Corrupt);
         assert!(seg.records.is_empty());
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn format_two_segments_read_as_corrupt() {
+        for (old, magic) in [(b"SHDWJRN2", JOURNAL_MAGIC), (b"SHDWSNP2", SNAPSHOT_MAGIC)] {
+            let path = tmp_path("format-two");
+            write_segment(&path, old, 7, &[sample(1), sample(2)]).unwrap();
+            let seg = read_segment(&path, magic).unwrap().unwrap();
+            assert_eq!(seg.damage, Damage::Corrupt);
+            assert_eq!(seg.seq, 0);
+            assert!(seg.records.is_empty());
+            let _ = fs::remove_file(&path);
+        }
     }
 
     #[test]

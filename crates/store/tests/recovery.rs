@@ -182,6 +182,41 @@ fn checksum_mismatch_mid_file_degrades_to_the_valid_prefix() {
 }
 
 #[test]
+fn format_two_segments_read_as_corrupt_and_recovery_starts_empty() {
+    // A store written before digest format 3: its segments carry the
+    // format-2 magics, so none of their digests are compared.
+    let root = temp_root("format-two");
+    let mut store = DurableStore::open(&root).unwrap();
+    store.persist(&full(1, 1, 1, "old\n"));
+    store.persist(&delta(1, 1, 1, 2, "old\n", "older\n"));
+    drop(store);
+    let journal = journal_path(&root, 1);
+    let mut bytes = fs::read(&journal).unwrap();
+    assert_eq!(&bytes[..8], b"SHDWJRN3");
+    bytes[..8].copy_from_slice(b"SHDWJRN2");
+    fs::write(&journal, &bytes).unwrap();
+    let mut snapshot = b"SHDWSNP2".to_vec();
+    snapshot.extend_from_slice(&2u64.to_le_bytes());
+    fs::write(journal.with_file_name("snapshot.log"), &snapshot).unwrap();
+
+    let (node, restored, summary) = reopen_and_restore(&root, ServerConfig::new("remote"));
+    assert_eq!(summary.corrupt_segments, 2);
+    assert_eq!(summary.replayed(), 0);
+    assert_eq!(restored.applied, 0);
+    assert!(node.cached_keys().is_empty());
+
+    // The discarded store re-stabilizes: the next open is clean, and
+    // new records journal as before.
+    let mut store = DurableStore::open(&root).unwrap();
+    assert!(!store.summary().degraded());
+    store.persist(&full(1, 1, 3, "new\n"));
+    drop(store);
+    let mut store = DurableStore::open(&root).unwrap();
+    assert_eq!(store.recovered(), vec![full(1, 1, 3, "new\n")]);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn snapshot_newer_than_journal_skips_the_stale_records() {
     let root = temp_root("stale");
     // compact_every=2 → the second append publishes a snapshot

@@ -23,11 +23,18 @@
 //!   number of older versions").
 //!
 //! Each retained version carries what is derived from its content, so
-//! no cycle derives it twice: the line index and the content digest,
-//! computed when the version is recorded, and a [`ChunkIndex`], filled
-//! the first time a chunk-codec delta needs it. A new version's chunk
-//! index is derived from its base's, so a resubmitted binary is
-//! re-chunked only around its edit; the delta is byte-identical to
+//! no cycle derives it twice. When a version is recorded, its content is
+//! digested and its shape classified once: binary content (a NUL byte
+//! in the first [`BINARY_SNIFF_WINDOW`](shadow_diff::BINARY_SNIFF_WINDOW)
+//! bytes) keeps plain bytes, and text keeps its line index and whether
+//! its lines still prefer the chunk codec. A delta picks its codec from
+//! the two stored shapes, exactly as
+//! [`choose_chunk_codec`](shadow_diff::choose_chunk_codec) would. An
+//! edit whose digest differs from the latest version's is new without a
+//! byte comparison. A [`ChunkIndex`] is filled the first time a
+//! chunk-codec delta needs it. A new version's chunk index is derived
+//! from its base's, so a resubmitted binary is re-chunked only around
+//! its edit; the delta is byte-identical to
 //! [`chunk_delta_into`](shadow_diff::chunk_delta_into)'s.
 //!
 //! # Example
@@ -54,7 +61,7 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 
 use shadow_diff::{
-    choose_chunk_codec, chunk_delta_indexed, diff_docs, ChunkIndex, DiffAlgorithm, DiffScratch,
+    chunk_delta_indexed, classify, diff_docs, sniff_binary, ChunkIndex, DiffAlgorithm, DiffScratch,
     DocBuf,
 };
 use shadow_proto::{ContentDigest, DeltaCodec, FileId, VersionNumber};
@@ -62,9 +69,8 @@ use shadow_proto::{ContentDigest, DeltaCodec, FileId, VersionNumber};
 /// One retained version: its content and what is derived from it once.
 #[derive(Debug, Clone)]
 struct Version {
-    /// The content. Its line index is built once at record time and
-    /// shared with every line delta computed against it.
-    doc: DocBuf,
+    /// The content, in the form its shape calls for.
+    body: Body,
     /// Digest of the content, computed once at record time.
     digest: ContentDigest,
     /// The content's chunk index, filled only when a chunk delta first
@@ -72,17 +78,60 @@ struct Version {
     chunks: OnceCell<ChunkIndex>,
 }
 
+/// A version's content, classified once when it is recorded.
+#[derive(Debug, Clone)]
+enum Body {
+    /// Binary content ([`sniff_binary`]): only the chunk codec reads it,
+    /// so it keeps plain bytes and no line index.
+    Binary(Vec<u8>),
+    /// Text, with its line index (built once and shared with every line
+    /// delta computed against it) and whether its shape still prefers
+    /// the chunk codec (long or minified lines).
+    Text { doc: DocBuf, prefers_chunk: bool },
+}
+
 impl Version {
-    fn new(content: Vec<u8>) -> Version {
+    /// `digest` must be `ContentDigest::of(&content)`.
+    fn new(content: Vec<u8>, digest: ContentDigest) -> Version {
+        let body = if sniff_binary(&content) {
+            Body::Binary(content)
+        } else {
+            let doc = DocBuf::from_bytes(content);
+            let prefers_chunk = classify(&doc).prefers_chunk();
+            Body::Text { doc, prefers_chunk }
+        };
         Version {
-            digest: ContentDigest::of(&content),
-            doc: DocBuf::from_bytes(content),
+            body,
+            digest,
             chunks: OnceCell::new(),
         }
     }
 
     fn bytes(&self) -> &[u8] {
-        self.doc.as_bytes()
+        match &self.body {
+            Body::Binary(bytes) => bytes,
+            Body::Text { doc, .. } => doc.as_bytes(),
+        }
+    }
+
+    /// The line index, when both this version and `other` read as line
+    /// text: exactly when [`choose_chunk_codec`] picks the line codec.
+    ///
+    /// [`choose_chunk_codec`]: shadow_diff::choose_chunk_codec
+    fn line_docs<'a>(&'a self, other: &'a Version) -> Option<(&'a DocBuf, &'a DocBuf)> {
+        match (&self.body, &other.body) {
+            (
+                Body::Text {
+                    doc: a,
+                    prefers_chunk: false,
+                },
+                Body::Text {
+                    doc: b,
+                    prefers_chunk: false,
+                },
+            ) => Some((a, b)),
+            _ => None,
+        }
     }
 }
 
@@ -156,11 +205,16 @@ impl VersionStore {
     ///
     /// If `content` is byte-identical to the latest version, no new version
     /// is created and the existing number is returned (an editor session
-    /// that changed nothing should not trigger cache traffic).
+    /// that changed nothing should not trigger cache traffic). The digest,
+    /// which the new version needs anyway, is compared first, and the
+    /// bytes only when it matches, so a digest collision cannot drop a
+    /// real edit.
     pub fn record_edit(&mut self, file: FileId, content: Vec<u8>) -> VersionNumber {
+        let digest = ContentDigest::of(&content);
         let entry = self.files.entry(file).or_default();
         if let Some(latest) = entry.latest {
-            if entry.versions[&latest].bytes() == content.as_slice() {
+            let v = &entry.versions[&latest];
+            if v.digest == digest && v.bytes() == content.as_slice() {
                 return latest;
             }
         }
@@ -168,7 +222,7 @@ impl VersionStore {
             .latest
             .map(VersionNumber::next)
             .unwrap_or(VersionNumber::FIRST);
-        entry.versions.insert(next, Version::new(content));
+        entry.versions.insert(next, Version::new(content, digest));
         entry.latest = Some(next);
         Self::prune(entry, self.retention_limit);
         next
@@ -195,7 +249,10 @@ impl VersionStore {
                 return Err(latest);
             }
         }
-        entry.versions.insert(version, Version::new(content));
+        let digest = ContentDigest::of(&content);
+        entry
+            .versions
+            .insert(version, Version::new(content, digest));
         entry.latest = Some(version);
         Self::prune(entry, self.retention_limit);
         Ok(())
@@ -250,8 +307,10 @@ impl VersionStore {
     /// [`DeltaCodec`] must travel with the bytes so the receiver applies
     /// the matching decoder.
     ///
-    /// The line codec's script text is emitted straight from the retained
-    /// version buffers through the store's reusable [`DiffScratch`]. The
+    /// The codec follows the two versions' shapes, classified when they
+    /// were recorded. The line codec's script text is emitted straight
+    /// from the retained version buffers through the store's reusable
+    /// [`DiffScratch`]. The
     /// chunk codec walks the two versions' chunk indexes: the base's is
     /// built if it is missing, and the latest's is derived from the
     /// base's, so a resubmission re-chunks only around its edit.
@@ -269,32 +328,31 @@ impl VersionStore {
         let base_v = entry.versions.get(&base)?;
         let latest_v = &entry.versions[&latest];
         let mut scratch = self.scratch.borrow_mut();
-        if choose_chunk_codec(&base_v.doc, &latest_v.doc) {
-            let base_index = base_v
-                .chunks
-                .get_or_init(|| ChunkIndex::build(base_v.bytes()));
-            let latest_index = latest_v
-                .chunks
-                .get_or_init(|| ChunkIndex::derive(base_v.bytes(), base_index, latest_v.bytes()));
-            let mut out = Vec::new();
-            chunk_delta_indexed(
-                base_v.bytes(),
-                base_index,
-                latest_v.bytes(),
-                latest_index,
-                &mut scratch,
-                &mut out,
-            );
-            Some((base, DeltaCodec::Chunk, out))
-        } else {
+        if let Some((base_doc, latest_doc)) = base_v.line_docs(latest_v) {
             let delta = diff_docs(
                 DiffAlgorithm::HuntMcIlroy,
-                &base_v.doc,
-                &latest_v.doc,
+                base_doc,
+                latest_doc,
                 &mut scratch,
             );
-            Some((base, DeltaCodec::Line, delta.to_text()))
+            return Some((base, DeltaCodec::Line, delta.to_text()));
         }
+        let base_index = base_v
+            .chunks
+            .get_or_init(|| ChunkIndex::build(base_v.bytes()));
+        let latest_index = latest_v
+            .chunks
+            .get_or_init(|| ChunkIndex::derive(base_v.bytes(), base_index, latest_v.bytes()));
+        let mut out = Vec::new();
+        chunk_delta_indexed(
+            base_v.bytes(),
+            base_index,
+            latest_v.bytes(),
+            latest_index,
+            &mut scratch,
+            &mut out,
+        );
+        Some((base, DeltaCodec::Chunk, out))
     }
 
     /// Notes that the server has durably cached `version`; versions older
@@ -341,7 +399,7 @@ impl VersionStore {
         };
         for f in self.files.values() {
             s.versions += f.versions.len();
-            s.bytes += f.versions.values().map(|v| v.doc.byte_len()).sum::<usize>();
+            s.bytes += f.versions.values().map(|v| v.bytes().len()).sum::<usize>();
         }
         s
     }
@@ -650,5 +708,109 @@ mod tests {
         }
         // The last step acked the version before the latest.
         assert_eq!(s.stats().versions, 2);
+    }
+
+    /// Documents of every shape the codec choice distinguishes.
+    fn shape_corpus() -> Vec<(&'static str, Vec<u8>)> {
+        let text: Vec<u8> = (0..200)
+            .flat_map(|i| format!("line {i}\n").into_bytes())
+            .collect();
+        let mut binary = blob(20_000, 0xb1);
+        binary[100] = 0;
+        // A NUL just past the sniff window does not make a file binary.
+        let mut late_nul = text.repeat(8)[..shadow_diff::BINARY_SNIFF_WINDOW + 10].to_vec();
+        late_nul[shadow_diff::BINARY_SNIFF_WINDOW + 1] = 0;
+        let mut edge_nul = text.repeat(8)[..shadow_diff::BINARY_SNIFF_WINDOW + 10].to_vec();
+        edge_nul[shadow_diff::BINARY_SNIFF_WINDOW - 1] = 0;
+        let long_line = vec![b'a'; 10_000];
+        let minified: Vec<u8> = (0..40)
+            .flat_map(|i| {
+                let mut line = vec![b'a' + (i % 26) as u8; 300];
+                line.push(b'\n');
+                line
+            })
+            .collect();
+        vec![
+            ("text", text.clone()),
+            ("text, edited", text.repeat(2)),
+            ("no trailing newline", text[..text.len() - 1].to_vec()),
+            ("binary", binary.clone()),
+            ("binary, edited", binary.repeat(2)),
+            ("late NUL", late_nul),
+            ("NUL at the window's edge", edge_nul),
+            ("long line", long_line),
+            ("minified", minified),
+            ("empty", Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn stored_shapes_pick_the_codec_choose_chunk_codec_picks() {
+        use shadow_diff::choose_chunk_codec;
+        let corpus = shape_corpus();
+        for (base_name, base) in &corpus {
+            for (target_name, target) in &corpus {
+                if base == target {
+                    continue;
+                }
+                let mut s = VersionStore::new(4);
+                let v1 = s.record_edit(f(1), base.clone());
+                s.record_edit(f(1), target.clone());
+                let (_, codec, delta) = s.delta_payload_from(f(1), v1).unwrap();
+                let chunk = choose_chunk_codec(
+                    &DocBuf::from_bytes(base.clone()),
+                    &DocBuf::from_bytes(target.clone()),
+                );
+                let want = if chunk {
+                    DeltaCodec::Chunk
+                } else {
+                    DeltaCodec::Line
+                };
+                assert_eq!(codec, want, "{base_name} -> {target_name}");
+                let rebuilt = match codec {
+                    DeltaCodec::Line => apply_delta(base, &delta).unwrap(),
+                    DeltaCodec::Chunk => apply_chunk_delta(base, &delta).unwrap(),
+                };
+                assert_eq!(&rebuilt, target, "{base_name} -> {target_name}");
+            }
+        }
+    }
+
+    #[test]
+    fn unchanged_edit_returns_the_latest_version_for_every_shape() {
+        for (name, content) in shape_corpus() {
+            let mut s = VersionStore::new(4);
+            s.record_edit(f(1), b"before\n".to_vec());
+            let v = s.record_edit(f(1), content.clone());
+            assert_eq!(s.record_edit(f(1), content.clone()), v, "{name}");
+            assert_eq!(s.stats().versions, 2, "{name}");
+            assert_eq!(s.latest(f(1)), Some((v, content.as_slice())), "{name}");
+        }
+    }
+
+    #[test]
+    fn an_edit_with_a_colliding_digest_is_a_new_version() {
+        // The digest is no cryptographic hash: a 16-byte input is two
+        // FNV rounds, each invertible in its word, so a second word can
+        // cancel any change to the first.
+        let round = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(31);
+        let offset = 0xcbf2_9ce4_8422_2325u64;
+        let lanes = [offset, offset ^ 1, offset ^ 2, offset ^ 3];
+        let start = lanes.into_iter().fold(offset, round);
+        let (w1, w2, w1_other) = (1u64, 2u64, 3u64);
+        let w2_other = round(start, w1) ^ w2 ^ round(start, w1_other);
+        let a = [w1.to_le_bytes(), w2.to_le_bytes()].concat();
+        let b = [w1_other.to_le_bytes(), w2_other.to_le_bytes()].concat();
+        assert_eq!(
+            ContentDigest::of(&a),
+            ContentDigest::of(&b),
+            "not a collision"
+        );
+
+        let mut s = VersionStore::new(4);
+        let v1 = s.record_edit(f(1), a);
+        let v2 = s.record_edit(f(1), b.clone());
+        assert_eq!(v2, v1.next());
+        assert_eq!(s.latest(f(1)).unwrap().1, b.as_slice());
     }
 }
