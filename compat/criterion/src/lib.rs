@@ -250,9 +250,7 @@ mod tests {
         group.throughput(Throughput::Bytes(1024));
         group.sample_size(10);
         group.bench_function("inner", |b| b.iter(|| vec![0u8; 64]));
-        group.bench_with_input(BenchmarkId::new("param", 7), &7, |b, &n| {
-            b.iter(|| n * 2)
-        });
+        group.bench_with_input(BenchmarkId::new("param", 7), &7, |b, &n| b.iter(|| n * 2));
         group.finish();
     }
 }

@@ -152,10 +152,7 @@ macro_rules! prop_assert_ne {
             (left, right) => {
                 if *left == *right {
                     return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                        ::std::format!(
-                            "assertion failed: `left != right`\n  both: `{:?}`",
-                            left
-                        ),
+                        ::std::format!("assertion failed: `left != right`\n  both: `{:?}`", left),
                     ));
                 }
             }

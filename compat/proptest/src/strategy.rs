@@ -98,7 +98,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter '{}': filter rejected every sample", self.reason);
+        panic!(
+            "prop_filter '{}': filter rejected every sample",
+            self.reason
+        );
     }
 }
 

@@ -45,13 +45,20 @@ fn run(policy: EvictionPolicy, budget: usize, files: usize, rounds: usize) -> Ou
     for round in 0..rounds {
         let target = format!("/data{}", round % files);
         let model = EditModel::fraction(0.02, round as u64 + 100);
-        sim.edit_file(client, &target, move |c| model.apply(&c)).unwrap();
+        sim.edit_file(client, &target, move |c| model.apply(&c))
+            .unwrap();
         let name = sim.canonical_name(client, &target).unwrap();
         let job = format!("/job{}", round % files);
         sim.edit_file(client, &job, move |_| format!("wc {name}\n").into_bytes())
             .unwrap();
-        sim.submit(client, conn, &job, &[target.as_str()], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            &job,
+            &[target.as_str()],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
     }
     let m = sim.client_report(client);

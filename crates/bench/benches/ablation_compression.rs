@@ -29,18 +29,33 @@ fn cycle_with_encoding(encoding: TransferEncoding, size: usize, fraction: f64) -
     })
     .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
-        .unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let first_bytes = sim.link_stats(client, server).0.payload_bytes;
 
     let model = EditModel::fraction(fraction, 8);
     let start = sim.now();
-    sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
+    sim.edit_file(client, "/data", move |c| model.apply(&c))
         .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let done = sim.finished_jobs(client).last().unwrap().at;
     let resubmit_bytes = sim.link_stats(client, server).0.payload_bytes - first_bytes;

@@ -18,10 +18,7 @@ use shadow_obs::Json;
 
 fn run(mode: TransferMode, clients: usize, rounds: usize) -> (f64, u64, u64) {
     let mut sim = Simulation::new(1).with_cpu(CpuModel::default());
-    let server = sim.add_server(
-        "superc",
-        ServerConfig::new("superc").with_max_running(2),
-    );
+    let server = sim.add_server("superc", ServerConfig::new("superc").with_max_running(2));
     let mut handles = Vec::new();
     for i in 0..clients {
         let host = format!("ws{i}");
@@ -32,10 +29,13 @@ fn run(mode: TransferMode, clients: usize, rounds: usize) -> (f64, u64, u64) {
         let client = sim.add_client(&host, config);
         let conn = sim.connect(client, server, profiles::cypress()).unwrap();
         let content = shadow::generate_file(&FileSpec::new(40_000, i as u64));
-        sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
-        let name = sim.canonical_name(client, "/data").unwrap();
-        sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
+        sim.edit_file(client, "/data", move |_| content.clone())
             .unwrap();
+        let name = sim.canonical_name(client, "/data").unwrap();
+        sim.edit_file(client, "/run.job", move |_| {
+            format!("wc {name}\n").into_bytes()
+        })
+        .unwrap();
         handles.push((client, conn));
     }
     // Interleaved rounds: everyone edits 3% and submits "at once".
@@ -43,10 +43,17 @@ fn run(mode: TransferMode, clients: usize, rounds: usize) -> (f64, u64, u64) {
         for (i, &(client, conn)) in handles.iter().enumerate() {
             if round > 0 {
                 let model = EditModel::fraction(0.03, (round * 100 + i) as u64);
-                sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
+                sim.edit_file(client, "/data", move |c| model.apply(&c))
+                    .unwrap();
             }
-            sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-                .unwrap();
+            sim.submit(
+                client,
+                conn,
+                "/run.job",
+                &["/data"],
+                SubmitOptions::default(),
+            )
+            .unwrap();
         }
         sim.run_until_quiet();
     }
@@ -59,7 +66,9 @@ fn run(mode: TransferMode, clients: usize, rounds: usize) -> (f64, u64, u64) {
         .iter()
         .map(|&(c, _)| sim.link_stats(c, server).0.payload_bytes)
         .sum();
-    let jobs: u64 = sim.server_report(server).counter("server", "jobs_completed");
+    let jobs: u64 = sim
+        .server_report(server)
+        .counter("server", "jobs_completed");
     (last_done.as_secs_f64(), total_payload, jobs)
 }
 

@@ -21,7 +21,9 @@ fn rewrite_bytes(policy: DeltaPolicy, size: usize) -> u64 {
 }
 
 fn resubmit_bytes(policy: DeltaPolicy, size: usize, fraction: f64) -> u64 {
-    resubmit_with(policy, size, move |c| EditModel::fraction(fraction, 8).apply(&c))
+    resubmit_with(policy, size, move |c| {
+        EditModel::fraction(fraction, 8).apply(&c)
+    })
 }
 
 fn resubmit_with(
@@ -39,18 +41,33 @@ fn resubmit_with(
     let conn = sim.connect(client, server, profiles::lan()).unwrap();
 
     let content = shadow::generate_file(&FileSpec::new(size, 7));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
+    sim.edit_file(client, "/data", move |_| content.clone())
+        .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
-        .unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let before = sim.link_stats(client, server).0.payload_bytes;
 
     sim.edit_file(client, "/data", edit).unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     sim.link_stats(client, server).0.payload_bytes - before
 }

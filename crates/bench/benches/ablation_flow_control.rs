@@ -9,7 +9,9 @@
 //! fetched only when a job needs them).
 
 use shadow::experiment::{run_cycle, CycleSetup};
-use shadow::{profiles, ClientConfig, CpuModel, FlowControl, ServerConfig, Simulation, SubmitOptions};
+use shadow::{
+    profiles, ClientConfig, CpuModel, FlowControl, ServerConfig, Simulation, SubmitOptions,
+};
 use shadow_bench::{banner, export_rows, quick_mode};
 use shadow_obs::Json;
 
@@ -28,18 +30,33 @@ fn cycle_with_flow(flow: FlowControl, size: usize, fraction: f64) -> (f64, u64) 
     })
     .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
-        .unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let bytes_before = sim.link_stats(client, server).0.payload_bytes;
 
     let model = shadow::EditModel::fraction(fraction, 8);
     let start = sim.now();
-    sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
+    sim.edit_file(client, "/data", move |c| model.apply(&c))
         .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let done = sim.finished_jobs(client).last().unwrap().at;
     let bytes = sim.link_stats(client, server).0.payload_bytes - bytes_before;
@@ -92,7 +109,10 @@ fn main() {
     }
     export_rows("ablation_flow_control", rows);
     println!();
-    println!("expected shape: every demand-driven mode moves ~{:.0}% of the", fraction * 100.0);
+    println!(
+        "expected shape: every demand-driven mode moves ~{:.0}% of the",
+        fraction * 100.0
+    );
     println!("file instead of all of it; eager overlaps the transfer with editing");
     println!("so its cycle time is lowest.");
 }

@@ -125,10 +125,11 @@ fn ping_until_closed<T: FrameTransport>(client: &mut LiveClient<T>, nonce: &mut 
         let n = *nonce;
         let outcome = client.ping(n).and_then(|()| {
             client
-                .wait_for(Duration::from_millis(50), move |x| {
-                    matches!(x, Notification::Pong { nonce, .. } if *nonce == n)
-                })
-            .map(|_| ())
+                .wait_for(
+                    Duration::from_millis(50),
+                    move |x| matches!(x, Notification::Pong { nonce, .. } if *nonce == n),
+                )
+                .map(|_| ())
         });
         match outcome {
             Ok(()) | Err(LiveError::Timeout) => {}
@@ -147,9 +148,10 @@ fn settle_link<T: FrameTransport>(client: &mut LiveClient<T>, nonce: &mut u64) {
         *nonce += 1;
         let n = *nonce;
         client.ping(n).expect("ping on a resumed link");
-        let pong = client.wait_for(Duration::from_millis(100), move |x| {
-            matches!(x, Notification::Pong { nonce, .. } if *nonce == n)
-        });
+        let pong = client.wait_for(
+            Duration::from_millis(100),
+            move |x| matches!(x, Notification::Pong { nonce, .. } if *nonce == n),
+        );
         if pong.is_ok() {
             while client
                 .wait_for(Duration::from_millis(1), |x| {
@@ -206,7 +208,10 @@ fn reset_storm_trial(seed: u64, cycles: usize) -> Trial {
         let ready = client
             .wait_for(WAIT, |n| matches!(n, Notification::SessionReady { .. }))
             .expect("resumed session");
-        assert!(is_resumed(&ready), "seed {seed}: resumption must be confirmed");
+        assert!(
+            is_resumed(&ready),
+            "seed {seed}: resumption must be confirmed"
+        );
         trial.recovered += 1;
         trial.recovery_ns.push(started.elapsed().as_nanos() as f64);
         resubmit(&mut client, &tag, &mut content);
@@ -279,9 +284,10 @@ fn lossy_link_trial(seed: u64, cycles: usize, pings: usize) -> Trial {
             nonce += 1;
             let n = nonce;
             client.ping(n).expect("ping on the lossy link");
-            let pong = client.wait_for(Duration::from_millis(30), move |x| {
-                matches!(x, Notification::Pong { nonce, .. } if *nonce == n)
-            });
+            let pong = client.wait_for(
+                Duration::from_millis(30),
+                move |x| matches!(x, Notification::Pong { nonce, .. } if *nonce == n),
+            );
             if pong.is_err() {
                 trial.pings_missed += 1;
             }
@@ -369,21 +375,27 @@ fn partition_trial(seed: u64) -> Trial {
     loop {
         let (fresh, at) = redial(&mut sup, now_ms);
         now_ms = at;
-        let outcome = client
-            .resume_over(fresh)
-            .and_then(|()| client.wait_for(Duration::from_secs(2), |n| {
+        let outcome = client.resume_over(fresh).and_then(|()| {
+            client.wait_for(Duration::from_secs(2), |n| {
                 matches!(n, Notification::SessionReady { .. })
-            }));
+            })
+        });
         match outcome {
             Ok(ready) => {
-                assert!(is_resumed(&ready), "seed {seed}: partition recovery must resume");
+                assert!(
+                    is_resumed(&ready),
+                    "seed {seed}: partition recovery must resume"
+                );
                 break;
             }
             Err(_) => {
                 // The partitioned proxy accepted the dial only to drop
                 // it; after two refusals the network heals.
                 trial.refused_dials += 1;
-                assert!(trial.refused_dials <= 32, "partition recovery never converged");
+                assert!(
+                    trial.refused_dials <= 32,
+                    "partition recovery never converged"
+                );
                 if trial.refused_dials == 2 {
                     proxy.partition(false);
                 }

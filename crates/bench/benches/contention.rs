@@ -66,9 +66,7 @@ fn run(sessions: usize, shards: usize) -> Row {
         .expect("deploy");
 
     let mut clients: Vec<LiveClient> = (0..sessions)
-        .map(|i| {
-            system.connect_client(ClientConfig::new(format!("ws{i}"), i as u64 + 1))
-        })
+        .map(|i| system.connect_client(ClientConfig::new(format!("ws{i}"), i as u64 + 1)))
         .collect();
     for c in &mut clients {
         c.wait_ready(Duration::from_secs(30)).expect("handshake");
@@ -79,7 +77,8 @@ fn run(sessions: usize, shards: usize) -> Row {
     let mut submitted_at = Vec::with_capacity(sessions);
     for c in &mut clients {
         c.edit_finished(&job, b"echo ok\n".to_vec());
-        c.submit(&job, &[], SubmitOptions::default()).expect("submit");
+        c.submit(&job, &[], SubmitOptions::default())
+            .expect("submit");
         submitted_at.push(Instant::now());
     }
 

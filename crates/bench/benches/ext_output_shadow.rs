@@ -11,8 +11,7 @@
 //! shadowing.
 
 use shadow::{
-    profiles, ClientConfig, CpuModel, EditModel, FileSpec, ServerConfig, Simulation,
-    SubmitOptions,
+    profiles, ClientConfig, CpuModel, EditModel, FileSpec, ServerConfig, Simulation, SubmitOptions,
 };
 use shadow_bench::{banner, export_rows, quick_mode};
 use shadow_obs::Json;
@@ -24,7 +23,8 @@ fn run(shadow_output: bool, rounds: usize) -> (u64, u64) {
     let conn = sim.connect(client, server, profiles::cypress()).unwrap();
 
     let content = shadow::generate_file(&FileSpec::new(30_000, 7));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
+    sim.edit_file(client, "/data", move |_| content.clone())
+        .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
     // The job emits the sorted data plus a large generated report: output
     // dominated by content that barely changes between runs.
@@ -39,7 +39,8 @@ fn run(shadow_output: bool, rounds: usize) -> (u64, u64) {
     for round in 0..rounds {
         if round > 0 {
             let model = EditModel::fraction(0.02, round as u64);
-            sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
+            sim.edit_file(client, "/data", move |c| model.apply(&c))
+                .unwrap();
         }
         sim.submit(client, conn, "/report.job", &["/data"], options.clone())
             .unwrap();
@@ -63,7 +64,10 @@ fn main() {
         "mode", "downlink bytes", "output deltas"
     );
     println!("{:>22} {plain_bytes:>18} {plain_deltas:>14}", "full output");
-    println!("{:>22} {shadow_bytes:>18} {shadow_deltas:>14}", "shadowed output");
+    println!(
+        "{:>22} {shadow_bytes:>18} {shadow_deltas:>14}",
+        "shadowed output"
+    );
     export_rows(
         "ext_output_shadow",
         vec![

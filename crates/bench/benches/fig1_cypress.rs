@@ -29,6 +29,9 @@ fn main() {
         &PAPER_PERCENTS_FIG1
     };
     let points = figure_rows(&profiles::cypress(), sizes, fractions, CpuModel::default());
-    print!("{}", render_figure("Cypress, sizes 100k/200k/500k", &points));
+    print!(
+        "{}",
+        render_figure("Cypress, sizes 100k/200k/500k", &points)
+    );
     export_rows("fig1_cypress", points.iter().map(|p| p.to_json()).collect());
 }

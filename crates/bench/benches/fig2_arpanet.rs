@@ -26,6 +26,9 @@ fn main() {
         &PAPER_PERCENTS_FIG1
     };
     let points = figure_rows(&profiles::arpanet(), sizes, fractions, CpuModel::default());
-    print!("{}", render_figure("ARPANET, sizes 100k/200k/500k", &points));
+    print!(
+        "{}",
+        render_figure("ARPANET, sizes 100k/200k/500k", &points)
+    );
     export_rows("fig2_arpanet", points.iter().map(|p| p.to_json()).collect());
 }

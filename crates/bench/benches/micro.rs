@@ -77,9 +77,7 @@ fn bench_compress(c: &mut Criterion) {
     let mut group = c.benchmark_group("compress");
     let text = shadow::generate_file(&FileSpec::new(100_000, 2));
     group.throughput(Throughput::Bytes(text.len() as u64));
-    group.bench_function("lzss_compress_100k", |b| {
-        b.iter(|| shadow::compress(&text))
-    });
+    group.bench_function("lzss_compress_100k", |b| b.iter(|| shadow::compress(&text)));
     let packed = shadow::compress(&text);
     group.bench_function("lzss_decompress_100k", |b| {
         b.iter(|| shadow::decompress(&packed).unwrap())
@@ -106,7 +104,8 @@ fn bench_end_to_end(c: &mut Criterion) {
             let client = sim.add_client("ws", ClientConfig::new("ws", 1));
             let conn = sim.connect(client, server, profiles::lan()).unwrap();
             let content = shadow::generate_file(&FileSpec::new(20_000, 4));
-            sim.edit_file(client, "/d", move |_| content.clone()).unwrap();
+            sim.edit_file(client, "/d", move |_| content.clone())
+                .unwrap();
             let name = sim.canonical_name(client, "/d").unwrap();
             sim.edit_file(client, "/j", move |_| format!("wc {name}\n").into_bytes())
                 .unwrap();
@@ -119,7 +118,13 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_compress, bench_digest, bench_end_to_end);
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_compress,
+    bench_digest,
+    bench_end_to_end
+);
 
 /// Times `f` over `iters` calls, returning mean nanoseconds per call and
 /// mean heap allocations per call. Every result must flow through
@@ -261,13 +266,8 @@ fn main() {
     ));
 
     // Applying the resulting script to the base bytes.
-    let script_text = diff_docs(
-        DiffAlgorithm::HuntMcIlroy,
-        &old_buf,
-        &new_buf,
-        &mut scratch,
-    )
-    .to_text();
+    let script_text =
+        diff_docs(DiffAlgorithm::HuntMcIlroy, &old_buf, &new_buf, &mut scratch).to_text();
     rows.push(row(
         "apply_delta_small_edit_100k",
         base.len(),

@@ -188,7 +188,11 @@ fn main() {
     for (op, n, compact_every) in [
         ("replay_1k", replay_small, uncompacted),
         ("replay_10k", replay_large, uncompacted),
-        ("replay_compacted_10k", replay_large, shadow::DEFAULT_COMPACT_EVERY),
+        (
+            "replay_compacted_10k",
+            replay_large,
+            shadow::DEFAULT_COMPACT_EVERY,
+        ),
     ] {
         let (root, disk_bytes) = build_journal(op, n, compact_every);
         let (ms, replayed) = time_replay(&root);
@@ -198,7 +202,10 @@ fn main() {
             compaction_base = ms;
         }
         let note = if op == "replay_compacted_10k" && compaction_base > 0.0 {
-            format!("   ({:.1}x faster than uncompacted)", compaction_base / ms.max(1e-9))
+            format!(
+                "   ({:.1}x faster than uncompacted)",
+                compaction_base / ms.max(1e-9)
+            )
         } else {
             String::new()
         };

@@ -70,7 +70,11 @@ pub fn blob_pair(len: usize, binary: bool, seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mid = len / 2;
     let splice = 1024.min(len / 2);
     for (i, slot) in edited[mid..mid + splice].iter_mut().enumerate() {
-        *slot = if binary { i as u8 } else { b'A' + (i % 26) as u8 };
+        *slot = if binary {
+            i as u8
+        } else {
+            b'A' + (i % 26) as u8
+        };
     }
     (base, edited)
 }
@@ -114,10 +118,7 @@ pub struct Row {
 impl Row {
     /// The first numeric field called `name`.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.fields.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }
 
@@ -141,7 +142,9 @@ pub fn parse_rows(doc: &str) -> Vec<Row> {
         let mut scan = chunk;
         while let Some(key_open) = scan.find('"') {
             scan = &scan[key_open + 1..];
-            let Some(key_close) = scan.find('"') else { break };
+            let Some(key_close) = scan.find('"') else {
+                break;
+            };
             let key = scan[..key_close].to_string();
             scan = &scan[key_close + 1..];
             let Some(colon) = scan.find(':') else { break };
@@ -170,8 +173,12 @@ mod tests {
                     .with("bytes", 10usize)
                     .with("ns_per_op", 12.5)
                     .with("mb_per_sec", 1.0),
-                Json::object().with("op", "no_ns_field").with("bytes", 1usize),
-                Json::object().with("op", "beta").with("ns_per_op", 3000usize),
+                Json::object()
+                    .with("op", "no_ns_field")
+                    .with("bytes", 1usize),
+                Json::object()
+                    .with("op", "beta")
+                    .with("ns_per_op", 3000usize),
             ],
         )
         .render_pretty();
@@ -181,7 +188,11 @@ mod tests {
         assert_eq!(rows[0].get("ns_per_op"), Some(12.5));
         assert_eq!(rows[0].get("bytes"), Some(10.0));
         assert_eq!(rows[0].get("mb_per_sec"), Some(1.0));
-        assert_eq!(rows[1].get("ns_per_op"), None, "fields stay within their row");
+        assert_eq!(
+            rows[1].get("ns_per_op"),
+            None,
+            "fields stay within their row"
+        );
         assert_eq!(rows[2].get("ns_per_op"), Some(3000.0));
     }
 

@@ -259,9 +259,7 @@ impl ShadowStore {
                 EvictionPolicy::Lru => (e.last_used, e.inserted),
                 EvictionPolicy::Fifo => (e.inserted, e.last_used),
                 EvictionPolicy::Lfu => (e.uses, e.last_used),
-                EvictionPolicy::LargestFirst => {
-                    (u64::MAX - e.content.len() as u64, e.last_used)
-                }
+                EvictionPolicy::LargestFirst => (u64::MAX - e.content.len() as u64, e.last_used),
             }
         };
         self.entries

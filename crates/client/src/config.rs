@@ -224,7 +224,10 @@ mod tests {
         assert_eq!(c.env.delta_policy, DeltaPolicy::Always);
         assert_eq!(c.output_retention, 2);
         // Builder defaults equal the plain constructor.
-        assert_eq!(ClientConfig::builder("ws", 1).build().unwrap(), ClientConfig::new("ws", 1));
+        assert_eq!(
+            ClientConfig::builder("ws", 1).build().unwrap(),
+            ClientConfig::new("ws", 1)
+        );
     }
 
     #[test]

@@ -56,7 +56,6 @@ impl std::fmt::Debug for FnEditor<()> {
     }
 }
 
-
 /// A deterministic scripted editor: a sequence of line-editing commands in
 /// the spirit of `ed`/`sed`, applied in order. Useful for workloads,
 /// examples and tests that need realistic, reproducible editing sessions.
@@ -280,7 +279,6 @@ mod tests {
         assert_eq!(out.name.path.to_string(), "/real");
         assert_eq!(v.read_file("ws", "/real").unwrap(), b"y\n");
     }
-
 
     #[test]
     fn scripted_editor_substitutes_and_deletes() {

@@ -189,7 +189,11 @@ mod tests {
 
         t.accepted(RequestId::new(1), JobId::new(4), 300);
         let job = t.get(JobId::new(4)).unwrap();
-        assert_eq!(job.status, JobStatus::Completed, "late ack must not requeue");
+        assert_eq!(
+            job.status,
+            JobStatus::Completed,
+            "late ack must not requeue"
+        );
         assert_eq!(job.conn, conn);
         assert_eq!(job.request, RequestId::new(1));
         assert_eq!(job.submitted_at_ms, 100);

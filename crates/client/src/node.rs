@@ -593,7 +593,11 @@ impl ClientNode {
     /// new version and notifies every interested server — "whenever a
     /// scientist finishes editing a shadow file, the shadow editor
     /// notifies the server … of the change to the file."
-    pub fn edit_finished(&mut self, file: &FileRef, content: Vec<u8>) -> (VersionNumber, Vec<ClientAction>) {
+    pub fn edit_finished(
+        &mut self,
+        file: &FileRef,
+        content: Vec<u8>,
+    ) -> (VersionNumber, Vec<ClientAction>) {
         self.names.insert(file.id, file.name.clone());
         let size = content.len() as u64;
         let version = self.versions.record_edit(file.id, content);
@@ -763,7 +767,11 @@ impl ClientNode {
     /// Feeds one event through the state machine.
     pub fn handle(&mut self, event: ClientEvent) -> Vec<ClientAction> {
         let (conn, message, now_ms) = match event {
-            ClientEvent::Message { conn, message, now_ms } => (conn, message, now_ms),
+            ClientEvent::Message {
+                conn,
+                message,
+                now_ms,
+            } => (conn, message, now_ms),
             ClientEvent::LinkDown { conn, .. } => {
                 self.link_down(conn);
                 return vec![ClientAction::Notify(Notification::LinkDown { conn })];
@@ -885,9 +893,10 @@ impl ClientNode {
         have: Option<VersionNumber>,
         actions: &mut Vec<ClientAction>,
     ) {
-        let (Some((latest, content)), Some(digest)) =
-            (self.versions.latest(file), self.versions.latest_digest(file))
-        else {
+        let (Some((latest, content)), Some(digest)) = (
+            self.versions.latest(file),
+            self.versions.latest_digest(file),
+        ) else {
             return; // we know nothing about this file; nothing to send
         };
         // The digest was computed when the version was recorded, and the
@@ -1066,10 +1075,7 @@ mod tests {
         let mut client = ClientNode::new(ClientConfig::new("ws1", 1));
         let conn = ConnId::new(0);
         let actions = client.connect(conn);
-        assert!(matches!(
-            sends(&actions)[..],
-            [ClientMessage::Hello { .. }]
-        ));
+        assert!(matches!(sends(&actions)[..], [ClientMessage::Hello { .. }]));
         let actions = client.handle(ClientEvent::Message {
             conn,
             message: ServerMessage::HelloAck {
@@ -1175,7 +1181,9 @@ mod tests {
     fn update_request_with_base_gets_delta() {
         let (mut client, conn) = ready_client();
         let file = fref(1, "/f");
-        let base: Vec<u8> = (0..100).flat_map(|i| format!("line {i}\n").into_bytes()).collect();
+        let base: Vec<u8> = (0..100)
+            .flat_map(|i| format!("line {i}\n").into_bytes())
+            .collect();
         client.edit_finished(&file, base.clone());
         let mut edited = base.clone();
         edited.extend_from_slice(b"appended\n");
@@ -1189,7 +1197,9 @@ mod tests {
             now_ms: 0,
         });
         match sends(&actions)[..] {
-            [ClientMessage::Update { payload, version, .. }] => {
+            [ClientMessage::Update {
+                payload, version, ..
+            }] => {
                 assert!(payload.is_delta());
                 assert_eq!(*version, VersionNumber::new(2));
                 assert!(payload.data_len() < 64);
@@ -1612,7 +1622,10 @@ mod tests {
             .unwrap();
         assert!(matches!(
             sends(&actions)[..],
-            [ClientMessage::NotifyVersion { .. }, ClientMessage::Submit { .. }]
+            [
+                ClientMessage::NotifyVersion { .. },
+                ClientMessage::Submit { .. }
+            ]
         ));
     }
 

@@ -87,8 +87,11 @@ fn arb_message() -> impl Strategy<Value = ServerMessage> {
             request: RequestId::new(r),
             reason,
         }),
-        (any::<u64>(), prop::collection::vec((0u64..8, arb_status()), 0..4)).prop_map(
-            |(r, entries)| ServerMessage::StatusReport {
+        (
+            any::<u64>(),
+            prop::collection::vec((0u64..8, arb_status()), 0..4)
+        )
+            .prop_map(|(r, entries)| ServerMessage::StatusReport {
                 request: RequestId::new(r),
                 entries: entries
                     .into_iter()
@@ -98,16 +101,18 @@ fn arb_message() -> impl Strategy<Value = ServerMessage> {
                         submitted_at_ms: 0,
                     })
                     .collect(),
-            }
-        ),
-        (0u64..8, arb_output(), prop::collection::vec(any::<u8>(), 0..32)).prop_map(
-            |(j, output, errors)| ServerMessage::JobComplete {
+            }),
+        (
+            0u64..8,
+            arb_output(),
+            prop::collection::vec(any::<u8>(), 0..32)
+        )
+            .prop_map(|(j, output, errors)| ServerMessage::JobComplete {
                 job: JobId::new(j),
                 output,
                 errors: Bytes::from(errors),
                 stats: JobStats::default(),
-            }
-        ),
+            }),
         Just(ServerMessage::Bye),
     ]
 }

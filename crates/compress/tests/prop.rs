@@ -11,7 +11,11 @@ fn arb_input() -> impl Strategy<Value = Vec<u8>> {
         // Runs and repetition, the codec's favourable cases.
         (any::<u8>(), 1usize..2048).prop_map(|(b, n)| vec![b; n]),
         (prop::collection::vec(any::<u8>(), 1..32), 1usize..64).prop_map(|(unit, reps)| {
-            unit.iter().copied().cycle().take(unit.len() * reps).collect()
+            unit.iter()
+                .copied()
+                .cycle()
+                .take(unit.len() * reps)
+                .collect()
         }),
     ]
 }

@@ -98,6 +98,9 @@ fn run(
     let content = std::fs::read(file)?;
     let (version, _) = node.edit_finished(&fref, content);
     persist::save_state(state_dir, &node)?;
-    eprintln!("shadow-editor: {name} is now {version} in {}", state_dir.display());
+    eprintln!(
+        "shadow-editor: {name} is now {version} in {}",
+        state_dir.display()
+    );
     Ok(ExitCode::SUCCESS)
 }

@@ -67,7 +67,10 @@ fn run(
             println!("no pending jobs for this session");
         }
         for e in entries {
-            println!("{}\t{}\tsubmitted at {} ms", e.job, e.status, e.submitted_at_ms);
+            println!(
+                "{}\t{}\tsubmitted at {} ms",
+                e.job, e.status, e.submitted_at_ms
+            );
         }
     }
     Ok(())

@@ -23,9 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use shadow::persist;
-use shadow::{
-    connect_tcp, ClientConfig, ContentDigest, FileId, FileRef, HostName, SubmitOptions,
-};
+use shadow::{connect_tcp, ClientConfig, ContentDigest, FileId, FileRef, HostName, SubmitOptions};
 
 struct Options {
     server: String,
@@ -80,9 +78,7 @@ fn parse_args() -> Options {
             "--output" => opts.output = Some(PathBuf::from(value("--output"))),
             "--errors" => opts.errors = Some(PathBuf::from(value("--errors"))),
             "--deliver-to" => opts.deliver_to = Some(value("--deliver-to")),
-            "--priority" => {
-                opts.priority = value("--priority").parse().unwrap_or_else(|_| usage())
-            }
+            "--priority" => opts.priority = value("--priority").parse().unwrap_or_else(|_| usage()),
             "--shadow-output" => opts.shadow_output = true,
             "--timeout" => opts.timeout = value("--timeout").parse().unwrap_or_else(|_| usage()),
             "--state-dir" => opts.state_dir = PathBuf::from(value("--state-dir")),
@@ -163,7 +159,11 @@ fn run(opts: &Options) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut data_refs = Vec::new();
     for path in &opts.data_files {
         let fref = file_ref(&opts.host, path)?;
-        eprintln!("shadow-submit: data file {} → {}", path.display(), fref.name);
+        eprintln!(
+            "shadow-submit: data file {} → {}",
+            path.display(),
+            fref.name
+        );
         client.edit_finished(&fref, std::fs::read(path)?);
         data_refs.push(fref);
     }
@@ -181,8 +181,7 @@ fn run(opts: &Options) -> Result<ExitCode, Box<dyn std::error::Error>> {
     )?;
     eprintln!("shadow-submit: submitted as {request}");
 
-    let (job, output, errors, stats) =
-        client.wait_job(Duration::from_secs(opts.timeout))?;
+    let (job, output, errors, stats) = client.wait_job(Duration::from_secs(opts.timeout))?;
     eprintln!(
         "shadow-submit: {job} finished (exit {}, ran {} ms, waited {} ms)",
         stats.exit_code, stats.running_ms, stats.waiting_ms

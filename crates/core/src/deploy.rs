@@ -133,7 +133,9 @@ impl Deployment {
     /// deployment is durable.
     fn parts(&self) -> Result<(Vec<ShardParts>, RecoverySummary), DeployError> {
         if self.shards == 0 {
-            return Err(DeployError::Invalid("a deployment needs at least one shard"));
+            return Err(DeployError::Invalid(
+                "a deployment needs at least one shard",
+            ));
         }
         let mut parts = Vec::with_capacity(self.shards);
         let mut recovery = RecoverySummary::default();

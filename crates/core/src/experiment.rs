@@ -108,8 +108,14 @@ pub fn run_cycle(setup: &CycleSetup, fraction: f64) -> CycleResult {
 
     // First submission: the whole file must travel.
     let start = sim.now();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .expect("submit");
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .expect("submit");
     sim.run_until_quiet();
     let first_done = sim
         .finished_jobs(client)
@@ -125,8 +131,14 @@ pub fn run_cycle(setup: &CycleSetup, fraction: f64) -> CycleResult {
     let restart = sim.now();
     sim.edit_file(client, "/data", move |c| model.apply(&c))
         .expect("edit data file");
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .expect("resubmit");
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .expect("resubmit");
     sim.run_until_quiet();
     let second_done = sim
         .finished_jobs(client)
@@ -316,12 +328,7 @@ mod tests {
     #[test]
     fn speedup_grows_with_file_size_and_shrinks_with_edit_fraction() {
         let cpu = CpuModel::default();
-        let points = figure_rows(
-            &profiles::arpanet(),
-            &[10_000, 100_000],
-            &[0.01, 0.20],
-            cpu,
-        );
+        let points = figure_rows(&profiles::arpanet(), &[10_000, 100_000], &[0.01, 0.20], cpu);
         let sp = |size: usize, f: f64| {
             points
                 .iter()
@@ -330,7 +337,10 @@ mod tests {
                 .speedup()
         };
         assert!(sp(100_000, 0.01) > sp(10_000, 0.01), "size monotonicity");
-        assert!(sp(100_000, 0.01) > sp(100_000, 0.20), "fraction monotonicity");
+        assert!(
+            sp(100_000, 0.01) > sp(100_000, 0.20),
+            "fraction monotonicity"
+        );
         assert!(sp(10_000, 0.20) > 1.0, "shadow always wins at 20%");
     }
 

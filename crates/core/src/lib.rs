@@ -83,17 +83,16 @@ mod tcpd;
 pub use cpu::CpuModel;
 pub use deploy::{DeployError, Deployment, PipeDeployment, TcpDeployment};
 pub use live::{LiveClient, LiveError};
-pub use tcpd::{connect_tcp, TcpClient};
 pub use sim::{ClientId, FinishedJob, ServerId, SimError, Simulation};
+pub use tcpd::{connect_tcp, TcpClient};
 
 pub use shadow_store::{DurableStore, RecoverySummary, DEFAULT_COMPACT_EVERY};
 
 pub use shadow_runtime::{
     shard_for, ClientDriver, ClientOutbound, Clock, CompletedJob, Connector, DriverEvent,
     DriverStats, EventHook, FeedError, FrameInfo, FrameReader, FrameTransport, FrameWriter,
-    PersistSink, Shard, ShardEvent, ShardedServerRuntime, Supervisor,
-    SupervisorConfig, SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed,
-    VirtualClock, WallClock,
+    PersistSink, Shard, ShardEvent, ShardedServerRuntime, Supervisor, SupervisorConfig,
+    SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed, VirtualClock, WallClock,
 };
 
 pub use shadow_cache::{CacheStats, EvictionPolicy, ShadowStore};
@@ -110,18 +109,18 @@ pub use shadow_diff::{
     DiffScratch, DiffStats, DocBuf, DocShape,
 };
 pub use shadow_netsim::{
-    pipe, profiles, tcp, ChaosProxy, FaultPlan, FaultStats, FaultTransport, LinkProfile,
-    LinkStats, SimNet, SimTime,
+    pipe, profiles, tcp, ChaosProxy, FaultPlan, FaultStats, FaultTransport, LinkProfile, LinkStats,
+    SimNet, SimTime,
+};
+pub use shadow_obs::{
+    FlightEntry, FlightRecorder, Histogram, Json, MetricValue, MetricsRegistry, NodeReport,
+    Section, Snapshot,
 };
 pub use shadow_proto::{
     ClientMessage, ContentDigest, DeltaCodec, DomainId, FileId, FileKey, Frame, HostName, JobId,
     JobStats, JobStatus, JobStatusEntry, OutputPayload, PersistRecord, RequestId, ServerMessage,
     SubmitOptions, TransferEncoding, UpdatePayload, VersionNumber, WireDecode, WireEncode,
     WireError, PROTOCOL_VERSION,
-};
-pub use shadow_obs::{
-    FlightEntry, FlightRecorder, Histogram, Json, MetricValue, MetricsRegistry, NodeReport,
-    Section, Snapshot,
 };
 pub use shadow_server::{
     exec, ConfigError as ServerConfigError, ExecProfile, FlowControl, ServerAction, ServerConfig,
@@ -150,6 +149,7 @@ pub mod prelude {
     pub use crate::live::LiveClient;
     pub use crate::sim::{ClientId, FinishedJob, ServerId, Simulation};
     pub use crate::tcpd::{connect_tcp, TcpClient};
+    pub use shadow_cache::EvictionPolicy;
     pub use shadow_client::{
         ClientConfig, ClientConfigBuilder, DeltaPolicy, FileRef, ShadowEnv, TransferMode,
     };
@@ -160,6 +160,5 @@ pub mod prelude {
         VersionNumber,
     };
     pub use shadow_runtime::{ClientDriver, Shard};
-    pub use shadow_cache::EvictionPolicy;
     pub use shadow_server::{ExecProfile, FlowControl, ServerConfig, ServerConfigBuilder};
 }

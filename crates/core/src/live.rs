@@ -139,7 +139,9 @@ impl<T: FrameTransport> LiveClient<T> {
 
     fn transmit(&mut self, out: Vec<ClientOutbound>) -> Result<(), LiveError> {
         for o in out {
-            self.transport.send_frame(o.frame).map_err(LiveError::from)?;
+            self.transport
+                .send_frame(o.frame)
+                .map_err(LiveError::from)?;
         }
         Ok(())
     }
@@ -457,9 +459,7 @@ mod tests {
             .pipes()
             .unwrap();
         let mut clients: Vec<LiveClient> = (1..=4u64)
-            .map(|d| {
-                system.connect_client(ClientConfig::new(format!("ws{d}"), d))
-            })
+            .map(|d| system.connect_client(ClientConfig::new(format!("ws{d}"), d)))
             .collect();
         for (i, c) in clients.iter_mut().enumerate() {
             c.wait_ready(Duration::from_secs(5)).unwrap();

@@ -148,10 +148,7 @@ pub fn save_state(dir: &Path, node: &ClientNode) -> io::Result<usize> {
                 file_dir.join(format!("{}.sum", version.as_u64())),
                 format!("{:016x}\n", ContentDigest::of(&content).as_u64()),
             )?;
-            fs::write(
-                file_dir.join(format!("{}.v", version.as_u64())),
-                content,
-            )?;
+            fs::write(file_dir.join(format!("{}.v", version.as_u64())), content)?;
             saved += 1;
         }
     }
@@ -164,10 +161,8 @@ mod tests {
     use shadow_client::ClientConfig;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "shadow-persist-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("shadow-persist-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -184,7 +179,13 @@ mod tests {
 
         let mut fresh = ClientNode::new(ClientConfig::new("ws", 1));
         let summary = load_state(&dir, &mut fresh).unwrap();
-        assert_eq!(summary, LoadSummary { restored: 2, skipped: 0 });
+        assert_eq!(
+            summary,
+            LoadSummary {
+                restored: 2,
+                skipped: 0
+            }
+        );
         assert!(!summary.degraded());
         assert_eq!(fresh.file_size(f.id), Some(11));
         let files = fresh.tracked_files();
@@ -231,7 +232,13 @@ mod tests {
         fs::write(dir.join("00000000000000ff/2.v"), "good\n").unwrap();
         let mut node = ClientNode::new(ClientConfig::new("ws", 1));
         let summary = load_state(&dir, &mut node).unwrap();
-        assert_eq!(summary, LoadSummary { restored: 1, skipped: 2 });
+        assert_eq!(
+            summary,
+            LoadSummary {
+                restored: 1,
+                skipped: 2
+            }
+        );
         assert!(summary.degraded());
         assert_eq!(node.file_size(FileId::new(0xff)), Some(5));
         // The degradation is visible in the node's own metrics (and so
@@ -257,7 +264,13 @@ mod tests {
 
         let mut fresh = ClientNode::new(ClientConfig::new("ws", 1));
         let summary = load_state(&dir, &mut fresh).unwrap();
-        assert_eq!(summary, LoadSummary { restored: 1, skipped: 1 });
+        assert_eq!(
+            summary,
+            LoadSummary {
+                restored: 1,
+                skipped: 1
+            }
+        );
         // The intact v1 survived; the truncated v2 did not sneak in.
         assert_eq!(fresh.file_size(f.id), Some(14));
         assert_eq!(fresh.metrics().restore_skipped, 1);

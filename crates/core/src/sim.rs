@@ -20,7 +20,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use shadow_client::{
     ClientConfig, ClientError, ConnId, Editor, FileRef, FnEditor, Notification, ShadowEditor,
 };
-use shadow_netsim::{Delivery, LinkProfile, LinkStats, NetError, NodeId, SimEvent, SimNet, SimTime};
+use shadow_netsim::{
+    Delivery, LinkProfile, LinkStats, NetError, NodeId, SimEvent, SimNet, SimTime,
+};
 use shadow_proto::{ClientMessage, JobId, JobStats, RequestId, SubmitOptions};
 use shadow_runtime::{
     ClientDriver, EventHook, FrameInfo, FrameWriter, PersistSink, Shard, ShardEvent,
@@ -710,8 +712,14 @@ mod tests {
             format!("wc {data_name}\n").into_bytes()
         })
         .unwrap();
-        sim.submit(client, conn, "/job.cmd", &["/data.txt"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/job.cmd",
+            &["/data.txt"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         let before = sim.client_report(client);
         assert_eq!(before.counter("client", "deltas_sent"), 0);
@@ -719,11 +727,18 @@ mod tests {
         // Edit a single record and resubmit.
         sim.edit_file(client, "/data.txt", |c| {
             let text = String::from_utf8(c).unwrap();
-            text.replace("record 1000", "record one thousand").into_bytes()
+            text.replace("record 1000", "record one thousand")
+                .into_bytes()
         })
         .unwrap();
-        sim.submit(client, conn, "/job.cmd", &["/data.txt"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/job.cmd",
+            &["/data.txt"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         let after = sim.client_report(client);
         assert_eq!(
@@ -737,7 +752,10 @@ mod tests {
             "no new full transfers"
         );
         assert_eq!(sim.finished_jobs(client).len(), 2);
-        assert_eq!(sim.server_report(server).counter("server", "delta_updates"), 1);
+        assert_eq!(
+            sim.server_report(server).counter("server", "delta_updates"),
+            1
+        );
     }
 
     #[test]
@@ -746,10 +764,18 @@ mod tests {
         sim.edit_file(client, "/f.txt", |_| b"v1 content\n".to_vec())
             .unwrap();
         let name = sim.canonical_name(client, "/f.txt").unwrap();
-        sim.edit_file(client, "/job.cmd", move |_| format!("cat {name}\n").into_bytes())
-            .unwrap();
-        sim.submit(client, conn, "/job.cmd", &["/f.txt"], SubmitOptions::default())
-            .unwrap();
+        sim.edit_file(client, "/job.cmd", move |_| {
+            format!("cat {name}\n").into_bytes()
+        })
+        .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/job.cmd",
+            &["/f.txt"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         sim.clear_notifications(client);
 
@@ -795,18 +821,32 @@ mod tests {
         sim.edit_file(client, "/data.txt", |_| b"important data\n".to_vec())
             .unwrap();
         let name = sim.canonical_name(client, "/data.txt").unwrap();
-        sim.edit_file(client, "/job.cmd", move |_| format!("cat {name}\n").into_bytes())
-            .unwrap();
-        sim.submit(client, conn, "/job.cmd", &["/data.txt"], SubmitOptions::default())
-            .unwrap();
+        sim.edit_file(client, "/job.cmd", move |_| {
+            format!("cat {name}\n").into_bytes()
+        })
+        .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/job.cmd",
+            &["/data.txt"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
 
         sim.drop_server_cache(server);
 
         sim.edit_file(client, "/data.txt", |_| b"important data v2\n".to_vec())
             .unwrap();
-        sim.submit(client, conn, "/job.cmd", &["/data.txt"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/job.cmd",
+            &["/data.txt"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         let jobs = sim.finished_jobs(client);
         assert_eq!(jobs.len(), 2);
@@ -822,12 +862,21 @@ mod tests {
         let client = slow.add_client("ws1", ClientConfig::new("ws1", 1));
         let conn = slow.connect(client, server, profiles::cypress()).unwrap();
         let content = shadow_workload::generate_file(&shadow_workload::FileSpec::new(50_000, 1));
-        slow.edit_file(client, "/data", move |_| content.clone()).unwrap();
+        slow.edit_file(client, "/data", move |_| content.clone())
+            .unwrap();
         let name = slow.canonical_name(client, "/data").unwrap();
-        slow.edit_file(client, "/job.cmd", move |_| format!("wc {name}\n").into_bytes())
-            .unwrap();
-        slow.submit(client, conn, "/job.cmd", &["/data"], SubmitOptions::default())
-            .unwrap();
+        slow.edit_file(client, "/job.cmd", move |_| {
+            format!("wc {name}\n").into_bytes()
+        })
+        .unwrap();
+        slow.submit(
+            client,
+            conn,
+            "/job.cmd",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         slow.run_until_quiet();
         // 50 KB over ~960 B/s is close to a minute.
         let t = slow.finished_jobs(client)[0].at.as_secs_f64();
@@ -844,8 +893,12 @@ mod tests {
         vfs.add_host("ws1").unwrap();
         vfs.add_host("ws2").unwrap();
         vfs.mkdir_p("fileserver", "/export").unwrap();
-        vfs.write_file("fileserver", "/export/shared.dat", b"shared content\n".to_vec())
-            .unwrap();
+        vfs.write_file(
+            "fileserver",
+            "/export/shared.dat",
+            b"shared content\n".to_vec(),
+        )
+        .unwrap();
         vfs.mount("ws1", "/proj", "fileserver", "/export").unwrap();
         vfs.mount("ws2", "/work", "fileserver", "/export").unwrap();
 
@@ -863,8 +916,14 @@ mod tests {
             move |_| format!("cat {n}\n").into_bytes()
         })
         .unwrap();
-        sim.submit(c1, conn1, "/job1.cmd", &["/proj/shared.dat"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            c1,
+            conn1,
+            "/job1.cmd",
+            &["/proj/shared.dat"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
 
         sim.edit_file(c2, "/job2.cmd", {
@@ -872,8 +931,14 @@ mod tests {
             move |_| format!("wc {n}\n").into_bytes()
         })
         .unwrap();
-        sim.submit(c2, conn2, "/job2.cmd", &["/work/shared.dat"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            c2,
+            conn2,
+            "/job2.cmd",
+            &["/work/shared.dat"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
 
         assert_eq!(sim.finished_jobs(c1).len(), 1);

@@ -87,13 +87,17 @@ mod tests {
             .collect();
         client.edit_finished(&data, content.clone());
         client.edit_finished(&job, b"wc ws:/data\n".to_vec());
-        client.submit(&job, std::slice::from_ref(&data), SubmitOptions::default()).unwrap();
+        client
+            .submit(&job, std::slice::from_ref(&data), SubmitOptions::default())
+            .unwrap();
         client.wait_job(Duration::from_secs(10)).unwrap();
 
         let mut edited = content;
         edited.extend_from_slice(b"appended row\n");
         client.edit_finished(&data, edited);
-        client.submit(&job, &[data], SubmitOptions::default()).unwrap();
+        client
+            .submit(&job, &[data], SubmitOptions::default())
+            .unwrap();
         client.wait_job(Duration::from_secs(10)).unwrap();
         assert_eq!(client.report().counter("client", "deltas_sent"), 1);
         drop(client);
@@ -142,9 +146,7 @@ mod tests {
             job_overhead_ms: 0,
             cpu_byte_rate: u64::MAX,
         });
-        let runtime = Deployment::new(config)
-            .tcp("127.0.0.1:0")
-            .unwrap();
+        let runtime = Deployment::new(config).tcp("127.0.0.1:0").unwrap();
         let addr = runtime.local_addr().unwrap();
         let handle =
             std::thread::spawn(move || runtime.run_until_idle_for(Duration::from_millis(400)));

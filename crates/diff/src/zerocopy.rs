@@ -833,7 +833,11 @@ mod tests {
                 let d = delta(algo, old, new);
                 let text = d.to_text();
                 let rebuilt = apply_delta(old.as_bytes(), &text).unwrap();
-                assert_eq!(rebuilt, new.as_bytes(), "algo={algo} old={old:?} new={new:?}");
+                assert_eq!(
+                    rebuilt,
+                    new.as_bytes(),
+                    "algo={algo} old={old:?} new={new:?}"
+                );
                 assert_eq!(text.len(), d.wire_len(), "algo={algo} old={old:?}");
             }
         }
@@ -886,7 +890,10 @@ mod tests {
         ];
         let d = build_commands(&new, 0, 0, 3, 3, &scratch);
         assert_eq!(d.to_text(), b"3d\n0a\nc\n.\nw\n");
-        assert_eq!(apply_delta(old.as_bytes(), &d.to_text()).unwrap(), new.as_bytes());
+        assert_eq!(
+            apply_delta(old.as_bytes(), &d.to_text()).unwrap(),
+            new.as_bytes()
+        );
     }
 
     #[test]

@@ -35,7 +35,11 @@ struct Splice {
 
 fn arb_splices() -> impl Strategy<Value = Vec<Splice>> {
     prop::collection::vec(
-        (any::<usize>(), 0usize..512, prop::collection::vec(any::<u8>(), 0..512))
+        (
+            any::<usize>(),
+            0usize..512,
+            prop::collection::vec(any::<u8>(), 0..512),
+        )
             .prop_map(|(at, del, insert)| Splice { at, del, insert }),
         0..6,
     )
@@ -45,7 +49,11 @@ fn arb_splices() -> impl Strategy<Value = Vec<Splice>> {
 fn apply_splices(base: &[u8], splices: &[Splice]) -> Vec<u8> {
     let mut out = base.to_vec();
     for s in splices {
-        let at = if out.is_empty() { 0 } else { s.at % (out.len() + 1) };
+        let at = if out.is_empty() {
+            0
+        } else {
+            s.at % (out.len() + 1)
+        };
         let end = (at + s.del).min(out.len());
         out.splice(at..end, s.insert.iter().copied());
     }
@@ -285,14 +293,20 @@ fn classifier_pins_line_codec_on_text_corpora() {
 #[test]
 fn classifier_selects_chunk_for_binary_and_single_line() {
     let binary = DocBuf::from_bytes([0u8, 1, 2, 3, 0, 5].repeat(64));
-    assert!(classify(&binary).prefers_chunk(), "NUL-bearing blob must chunk");
+    assert!(
+        classify(&binary).prefers_chunk(),
+        "NUL-bearing blob must chunk"
+    );
     let single_line = DocBuf::from_bytes(vec![b'x'; 64 * 1024]);
     assert!(
         classify(&single_line).prefers_chunk(),
         "64 KB single-line file must chunk"
     );
     let text = DocBuf::from_bytes(b"short\nlines\nof\ntext\n".to_vec());
-    assert!(choose_chunk_codec(&text, &binary), "text->binary transition must chunk");
+    assert!(
+        choose_chunk_codec(&text, &binary),
+        "text->binary transition must chunk"
+    );
 }
 
 /// The edges the property test reaches only by chance: empty sides,

@@ -308,12 +308,7 @@ impl Drop for ChaosProxy {
 
 /// One pump direction: copy bytes `from` → `to` until EOF, error, stop,
 /// or a generation bump (a cut).
-fn pump(
-    mut from: TcpStream,
-    mut to: TcpStream,
-    shared: &ProxyShared,
-    born_gen: u64,
-) {
+fn pump(mut from: TcpStream, mut to: TcpStream, shared: &ProxyShared, born_gen: u64) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(5)));
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -386,7 +381,10 @@ mod tests {
             t.send_frame(vec![i]).unwrap();
         }
         assert_eq!(drain(&peer).len(), 10);
-        assert_eq!(t.stats().dropped + t.stats().duplicated + t.stats().delayed, 0);
+        assert_eq!(
+            t.stats().dropped + t.stats().duplicated + t.stats().delayed,
+            0
+        );
     }
 
     #[test]
@@ -476,7 +474,10 @@ mod tests {
             .unwrap();
         assert_eq!(got, b"through the proxy");
         accepted.send(b"and back").unwrap();
-        let back = client.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        let back = client
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
         assert_eq!(back, b"and back");
         assert_eq!(proxy.connections_served(), 1);
     }
@@ -590,7 +591,10 @@ mod tests {
                 }
             }
         }
-        assert!(server.try_accept().unwrap().is_none(), "nothing reached upstream");
+        assert!(
+            server.try_accept().unwrap().is_none(),
+            "nothing reached upstream"
+        );
 
         proxy.partition(false);
         let mut c = TcpFramed::connect(proxy.addr()).unwrap();

@@ -171,7 +171,12 @@ impl SimNet {
     /// # Errors
     ///
     /// [`NetError::NoLink`] when the nodes are not connected.
-    pub fn send(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) -> Result<SimTime, NetError> {
+    pub fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        payload: Vec<u8>,
+    ) -> Result<SimTime, NetError> {
         self.send_at(self.clock, from, to, payload)
     }
 
@@ -306,7 +311,10 @@ mod tests {
         let (mut net, a, b) = two_node_net(profile.clone());
         let t_fwd = net.send(a, b, vec![0; 5000]).unwrap();
         let t_rev = net.send(b, a, vec![0; 100]).unwrap();
-        assert!(t_rev < t_fwd, "reverse direction must not queue behind forward");
+        assert!(
+            t_rev < t_fwd,
+            "reverse direction must not queue behind forward"
+        );
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub fn arpanet() -> LinkProfile {
 
 /// A 10 Mbps local-area link for functional tests.
 pub fn lan() -> LinkProfile {
-    LinkProfile::new("lan", 10_000_000, SimTime::from_millis(2))
-        .with_segmentation(1460, 40)
+    LinkProfile::new("lan", 10_000_000, SimTime::from_millis(2)).with_segmentation(1460, 40)
 }
 
 #[cfg(test)]

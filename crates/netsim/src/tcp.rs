@@ -350,7 +350,8 @@ mod tests {
         let (mut a, mut b) = pair();
         a.send(b"ping").unwrap();
         let got = b.recv_timeout(Duration::from_secs(2)).unwrap().unwrap();
-        b.send(&got.iter().rev().copied().collect::<Vec<_>>()).unwrap();
+        b.send(&got.iter().rev().copied().collect::<Vec<_>>())
+            .unwrap();
         assert_eq!(
             a.recv_timeout(Duration::from_secs(2)).unwrap().unwrap(),
             b"gnip"

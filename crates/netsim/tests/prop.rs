@@ -6,8 +6,16 @@ use shadow_netsim::{LinkProfile, SimEvent, SimNet, SimTime};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Send { from: usize, to: usize, bytes: usize },
-    Timer { node: usize, delay_ms: u64, token: u64 },
+    Send {
+        from: usize,
+        to: usize,
+        bytes: usize,
+    },
+    Timer {
+        node: usize,
+        delay_ms: u64,
+        token: u64,
+    },
 }
 
 fn arb_op(nodes: usize) -> impl Strategy<Value = Op> {

@@ -95,7 +95,8 @@ pub struct DriverStats {
 impl DriverStats {
     /// Notifications buffered but not yet drained by the application.
     pub fn notifications_pending(&self) -> u64 {
-        self.notifications.saturating_sub(self.notifications_drained)
+        self.notifications
+            .saturating_sub(self.notifications_drained)
     }
 }
 

@@ -246,7 +246,10 @@ mod tests {
     fn scalars_render() {
         assert_eq!(Json::Null.render(), "null");
         assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(Json::U64(18_446_744_073_709_551_615).render(), "18446744073709551615");
+        assert_eq!(
+            Json::U64(18_446_744_073_709_551_615).render(),
+            "18446744073709551615"
+        );
         assert_eq!(Json::I64(-3).render(), "-3");
         assert_eq!(Json::F64(0.5).render(), "0.5");
         assert_eq!(Json::F64(f64::NAN).render(), "null");

@@ -243,7 +243,10 @@ mod tests {
         m.observe("frame_bytes", 7); // dropped: not registered
         m.histogram("frame_bytes", vec![64, 1024]);
         m.observe("frame_bytes", 7);
-        assert_eq!(m.get_histogram("frame_bytes").map(Histogram::count), Some(1));
+        assert_eq!(
+            m.get_histogram("frame_bytes").map(Histogram::count),
+            Some(1)
+        );
     }
 
     #[test]
@@ -257,8 +260,14 @@ mod tests {
         assert_eq!(s.get("polls").and_then(|v| v.as_u64()), Some(4));
         assert_eq!(s.get("sizes").and_then(|v| v.as_u64()), Some(1));
         let j = m.to_json();
-        assert_eq!(j.get("counters").and_then(|c| c.get("polls")), Some(&Json::U64(4)));
-        assert_eq!(j.get("gauges").and_then(|g| g.get("live")), Some(&Json::I64(-1)));
+        assert_eq!(
+            j.get("counters").and_then(|c| c.get("polls")),
+            Some(&Json::U64(4))
+        );
+        assert_eq!(
+            j.get("gauges").and_then(|g| g.get("live")),
+            Some(&Json::I64(-1))
+        );
         assert!(j.get("histograms").and_then(|h| h.get("sizes")).is_some());
     }
 }

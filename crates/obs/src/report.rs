@@ -112,10 +112,7 @@ impl Section {
 
     /// Looks a key up.
     pub fn get(&self, key: &str) -> Option<MetricValue> {
-        self.values
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
+        self.values.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 
     /// Iterates `(key, value)` pairs in insertion order.
@@ -206,12 +203,16 @@ impl NodeReport {
     /// A counter by `section`/`key`; missing counters read as 0 so
     /// assertions stay one-liners.
     pub fn counter(&self, section: &str, key: &str) -> u64 {
-        self.get(section, key).and_then(MetricValue::as_u64).unwrap_or(0)
+        self.get(section, key)
+            .and_then(MetricValue::as_u64)
+            .unwrap_or(0)
     }
 
     /// A value widened to `f64` (0.0 when missing).
     pub fn value(&self, section: &str, key: &str) -> f64 {
-        self.get(section, key).map(MetricValue::as_f64).unwrap_or(0.0)
+        self.get(section, key)
+            .map(MetricValue::as_f64)
+            .unwrap_or(0.0)
     }
 
     /// The report as a JSON object: `{"role": …, "<section>": {…}, …}`.

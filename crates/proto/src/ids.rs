@@ -6,13 +6,12 @@
 
 use std::fmt;
 
-
 macro_rules! id_u64 {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-           
+
         )]
         pub struct $name(u64);
 
@@ -66,9 +65,7 @@ id_u64!(
 
 /// Monotonically increasing version of a file at the client (§6.3.2): every
 /// editing session that changes the file creates the next version.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VersionNumber(u64);
 
 impl VersionNumber {
@@ -106,9 +103,7 @@ impl fmt::Display for VersionNumber {
 
 /// The globally unique key of a shadow file: `(domain id, file id)` exactly
 /// as in §5.3 of the paper.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FileKey {
     /// The naming domain the file belongs to.
     pub domain: DomainId,
@@ -130,9 +125,7 @@ impl fmt::Display for FileKey {
 }
 
 /// A host name, e.g. `"merlin.cs.purdue.edu"`.
-#[derive(
-    Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct HostName(String);
 
 impl HostName {

@@ -45,14 +45,14 @@ mod wire;
 /// so a crate that holds payload bytes names the same type.
 pub use bytes::Bytes;
 pub use digest::ContentDigest;
-pub use stable_hash::StableHasher;
 pub use error::WireError;
-pub use persist::PersistRecord;
 pub use ids::{DomainId, FileId, FileKey, HostName, JobId, RequestId, VersionNumber};
 pub use message::{
     ClientMessage, DeltaCodec, JobStats, JobStatus, JobStatusEntry, OutputPayload, ResumeEntry,
     ServerMessage, SubmitOptions, TransferEncoding, UpdatePayload,
 };
+pub use persist::PersistRecord;
+pub use stable_hash::StableHasher;
 pub use wire::{Frame, WireDecode, WireEncode, MAX_FRAME_LEN};
 
 /// Version of the wire protocol spoken by this crate. Version 2 added

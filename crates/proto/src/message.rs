@@ -8,9 +8,7 @@ use crate::{ContentDigest, DomainId, FileId, HostName, JobId, RequestId, Version
 
 /// Transfer encoding applied to a payload's bytes (§8.3 future work: "we
 /// also plan to explore data compression techniques").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransferEncoding {
     /// Bytes as-is.
     #[default]
@@ -22,9 +20,7 @@ pub enum TransferEncoding {
 /// Which delta representation a delta payload's `data` carries (before
 /// transfer encoding). Sender and receiver must agree per payload, so the
 /// codec travels on the wire and in persisted cache records.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeltaCodec {
     /// A textual ed script from the line differ.
     #[default]
@@ -164,9 +160,7 @@ pub struct SubmitOptions {
 }
 
 /// Lifecycle state of a submitted job.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobStatus {
     /// Accepted; waiting in the batch queue.
     Queued,

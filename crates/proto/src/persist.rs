@@ -82,8 +82,9 @@ impl PersistRecord {
             PersistRecord::CacheFull { key, .. }
             | PersistRecord::CacheDelta { key, .. }
             | PersistRecord::CacheRemove { key } => key.domain,
-            PersistRecord::Output { domain, .. }
-            | PersistRecord::OutputAcked { domain, .. } => *domain,
+            PersistRecord::Output { domain, .. } | PersistRecord::OutputAcked { domain, .. } => {
+                *domain
+            }
         }
     }
 

@@ -83,7 +83,10 @@ impl Frame {
         let mut bytes = Vec::from(buf);
         let body_len = bytes.len() - start - 4;
         debug_assert!(body_len <= MAX_FRAME_LEN, "oversized frame produced");
-        if let Some(header) = bytes.get_mut(start..).and_then(|s| s.first_chunk_mut::<4>()) {
+        if let Some(header) = bytes
+            .get_mut(start..)
+            .and_then(|s| s.first_chunk_mut::<4>())
+        {
             *header = (body_len as u32).to_le_bytes();
         }
         *out = bytes;
@@ -211,7 +214,11 @@ pub(crate) fn put_string(buf: &mut BytesMut, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
-pub(crate) fn put_opt<T>(buf: &mut BytesMut, value: &Option<T>, write: impl FnOnce(&mut BytesMut, &T)) {
+pub(crate) fn put_opt<T>(
+    buf: &mut BytesMut,
+    value: &Option<T>,
+    write: impl FnOnce(&mut BytesMut, &T),
+) {
     match value {
         Some(v) => {
             buf.put_u8(1);
@@ -556,10 +563,7 @@ impl WireDecode for ClientMessage {
                 let n = c.get_len("data_files", MAX_VEC_LEN)?;
                 let mut data_files = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    data_files.push((
-                        FileId::new(c.get_u64()?),
-                        VersionNumber::new(c.get_u64()?),
-                    ));
+                    data_files.push((FileId::new(c.get_u64()?), VersionNumber::new(c.get_u64()?)));
                 }
                 Ok(ClientMessage::Submit {
                     request,
@@ -682,10 +686,7 @@ impl WireDecode for ServerMessage {
                 let n = c.get_len("retained entries", MAX_VEC_LEN)?;
                 let mut retained = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    retained.push((
-                        FileId::new(c.get_u64()?),
-                        VersionNumber::new(c.get_u64()?),
-                    ));
+                    retained.push((FileId::new(c.get_u64()?), VersionNumber::new(c.get_u64()?)));
                 }
                 Ok(ServerMessage::HelloAck {
                     protocol,
@@ -778,7 +779,9 @@ mod tests {
         // Both frames decode back out of the shared buffer.
         let (first, used) = Frame::decode::<ClientMessage>(&batch).unwrap().unwrap();
         assert_eq!(first, a);
-        let (second, used2) = Frame::decode::<ClientMessage>(&batch[used..]).unwrap().unwrap();
+        let (second, used2) = Frame::decode::<ClientMessage>(&batch[used..])
+            .unwrap()
+            .unwrap();
         assert_eq!(second, b);
         assert_eq!(used + used2, batch.len());
     }
@@ -963,12 +966,7 @@ mod tests {
         let (m2, used2) = Frame::decode::<ClientMessage>(&stream[used1..])
             .unwrap()
             .unwrap();
-        assert_eq!(
-            m2,
-            ClientMessage::OutputAck {
-                job: JobId::new(5)
-            }
-        );
+        assert_eq!(m2, ClientMessage::OutputAck { job: JobId::new(5) });
         assert_eq!(used1 + used2, stream.len());
     }
 

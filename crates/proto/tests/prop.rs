@@ -5,8 +5,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use shadow_proto::{
     ClientMessage, ContentDigest, DeltaCodec, DomainId, FileId, Frame, HostName, JobId, JobStats,
-    JobStatus, JobStatusEntry, OutputPayload, RequestId, ResumeEntry, ServerMessage,
-    SubmitOptions, TransferEncoding, UpdatePayload, VersionNumber,
+    JobStatus, JobStatusEntry, OutputPayload, RequestId, ResumeEntry, ServerMessage, SubmitOptions,
+    TransferEncoding, UpdatePayload, VersionNumber,
 };
 
 fn arb_encoding() -> impl Strategy<Value = TransferEncoding> {
@@ -125,15 +125,20 @@ fn arb_client_message() -> impl Strategy<Value = ClientMessage> {
                     .collect(),
             }),
         any::<u64>().prop_map(|nonce| ClientMessage::Ping { nonce }),
-        (any::<u64>(), "[ -~]{0,40}", any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(f, name, v, size, dg)| ClientMessage::NotifyVersion {
+        (
+            any::<u64>(),
+            "[ -~]{0,40}",
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(|(f, name, v, size, dg)| ClientMessage::NotifyVersion {
                 file: FileId::new(f),
                 name,
                 version: VersionNumber::new(v),
                 size,
                 digest: ContentDigest::from_raw(dg),
-            }
-        ),
+            }),
         (any::<u64>(), any::<u64>(), arb_update_payload()).prop_map(|(f, v, payload)| {
             ClientMessage::Update {
                 file: FileId::new(f),

@@ -211,9 +211,7 @@ impl ServerConfigBuilder {
             return Err(ConfigError("host name must not be empty".into()));
         }
         if c.max_running < 1 {
-            return Err(ConfigError(
-                "at least one batch slot is required".into(),
-            ));
+            return Err(ConfigError("at least one batch slot is required".into()));
         }
         if c.cache_budget == 0 {
             return Err(ConfigError(
@@ -284,7 +282,10 @@ mod tests {
         assert_eq!(c.max_running, 4);
         assert_eq!(c.output_shadow_budget, 500);
         // Builder defaults equal the plain constructor.
-        assert_eq!(ServerConfig::builder("s").build().unwrap(), ServerConfig::new("s"));
+        assert_eq!(
+            ServerConfig::builder("s").build().unwrap(),
+            ServerConfig::new("s")
+        );
     }
 
     #[test]

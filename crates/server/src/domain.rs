@@ -148,8 +148,14 @@ mod tests {
             2,
             digest(),
         );
-        assert_eq!(dir.get(DomainId::new(1), FileId::new(5)).unwrap().name, "/a");
-        assert_eq!(dir.get(DomainId::new(2), FileId::new(5)).unwrap().name, "/b");
+        assert_eq!(
+            dir.get(DomainId::new(1), FileId::new(5)).unwrap().name,
+            "/a"
+        );
+        assert_eq!(
+            dir.get(DomainId::new(2), FileId::new(5)).unwrap().name,
+            "/b"
+        );
         assert_eq!(dir.domain_count(), 2);
         assert_eq!(dir.domain_len(DomainId::new(1)), 1);
     }
@@ -161,7 +167,10 @@ mod tests {
         let f = FileId::new(5);
         dir.record(d, f, "/a", VersionNumber::new(1), 10, digest());
         dir.record(d, f, "/a", VersionNumber::new(3), 12, digest());
-        assert_eq!(dir.get(d, f).unwrap().announced_version, VersionNumber::new(3));
+        assert_eq!(
+            dir.get(d, f).unwrap().announced_version,
+            VersionNumber::new(3)
+        );
         assert_eq!(dir.domain_len(d), 1);
     }
 
@@ -169,7 +178,14 @@ mod tests {
     fn lookup_by_name() {
         let mut dir = DomainDirectory::new();
         let d = DomainId::new(1);
-        dir.record(d, FileId::new(5), "/data/input", VersionNumber::FIRST, 1, digest());
+        dir.record(
+            d,
+            FileId::new(5),
+            "/data/input",
+            VersionNumber::FIRST,
+            1,
+            digest(),
+        );
         assert_eq!(dir.file_by_name(d, "/data/input"), Some(FileId::new(5)));
         assert_eq!(dir.file_by_name(d, "/nope"), None);
         assert_eq!(dir.file_by_name(DomainId::new(9), "/data/input"), None);

@@ -262,7 +262,10 @@ fn run_command(
             let line = if count == 0 {
                 "stats: no numeric values\n".to_string()
             } else {
-                format!("min {min} max {max} mean {} n {count}\n", total / count as f64)
+                format!(
+                    "min {min} max {max} mean {} n {count}\n",
+                    total / count as f64
+                )
             };
             emit(out, line.as_bytes());
             Ok(())
@@ -387,7 +390,10 @@ mod tests {
     #[test]
     fn gen_produces_big_output() {
         let o = run_job(b"gen 3 result\n", &|_| None);
-        assert_eq!(o.output, b"result 00000000\nresult 00000001\nresult 00000002\n");
+        assert_eq!(
+            o.output,
+            b"result 00000000\nresult 00000001\nresult 00000002\n"
+        );
     }
 
     #[test]
@@ -428,7 +434,15 @@ mod tests {
 
     #[test]
     fn missing_operands_fail() {
-        for job in ["cat\n", "wc\n", "grep\n", "grep pat\n", "sort\n", "sum\n", "head 3\n"] {
+        for job in [
+            "cat\n",
+            "wc\n",
+            "grep\n",
+            "grep pat\n",
+            "sort\n",
+            "sum\n",
+            "head 3\n",
+        ] {
             let o = run_job(job.as_bytes(), &|_| None);
             assert_eq!(o.exit_code, 1, "job {job:?}");
         }

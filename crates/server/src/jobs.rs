@@ -175,7 +175,10 @@ mod tests {
             JobStatus::WaitingForFiles
         );
         assert_eq!(job(1, JobPhase::Queued, 0).status(), JobStatus::Queued);
-        assert_eq!(job(1, JobPhase::Completed, 0).status(), JobStatus::Completed);
+        assert_eq!(
+            job(1, JobPhase::Completed, 0).status(),
+            JobStatus::Completed
+        );
         assert!(!job(1, JobPhase::Failed, 0).is_pending());
         assert!(job(1, JobPhase::Queued, 0).is_pending());
     }
@@ -201,7 +204,13 @@ mod tests {
     #[test]
     fn counts() {
         let mut t = JobTable::default();
-        t.insert(job(1, JobPhase::Running { outcome: ExecOutcome::default() }, 0));
+        t.insert(job(
+            1,
+            JobPhase::Running {
+                outcome: ExecOutcome::default(),
+            },
+            0,
+        ));
         t.insert(job(2, JobPhase::Queued, 0));
         t.insert(job(3, JobPhase::Completed, 0));
         assert_eq!(t.running_count(), 1);

@@ -63,7 +63,7 @@ pub use action::{CloseReason, ServerAction, ServerEvent, TimerToken};
 pub use config::{ConfigError, ExecProfile, FlowControl, ServerConfig, ServerConfigBuilder};
 pub use domain::{DomainDirectory, MappingEntry};
 pub use jobs::{Job, JobPhase};
-pub use node::{RestoreSummary, ServerMetrics, ServerNode, SessionId};
 #[cfg(any(test, feature = "check-faults"))]
 pub use node::FaultInjection;
+pub use node::{RestoreSummary, ServerMetrics, ServerNode, SessionId};
 pub use output_shadow::OutputShadowStore;

@@ -10,9 +10,9 @@ use shadow_diff::{
     DiffAlgorithm, DiffScratch, DocBuf,
 };
 use shadow_proto::{
-    ClientMessage, ContentDigest, DeltaCodec, DomainId, FileId, FileKey, HostName, JobId,
-    JobStats, JobStatus, JobStatusEntry, OutputPayload, PersistRecord, ServerMessage,
-    SubmitOptions, TransferEncoding, UpdatePayload, VersionNumber, PROTOCOL_VERSION,
+    ClientMessage, ContentDigest, DeltaCodec, DomainId, FileId, FileKey, HostName, JobId, JobStats,
+    JobStatus, JobStatusEntry, OutputPayload, PersistRecord, ServerMessage, SubmitOptions,
+    TransferEncoding, UpdatePayload, VersionNumber, PROTOCOL_VERSION,
 };
 
 use crate::action::{CloseReason, ServerAction, ServerEvent, TimerToken};
@@ -30,9 +30,7 @@ fn apply_codec(codec: DeltaCodec, base: &[u8], delta: &[u8]) -> Result<Vec<u8>, 
             DeltaError::Parse(_) => "edit script parse failed",
             DeltaError::Apply(_) => "edit script apply failed",
         }),
-        DeltaCodec::Chunk => {
-            apply_chunk_delta(base, delta).map_err(|_| "chunk delta apply failed")
-        }
+        DeltaCodec::Chunk => apply_chunk_delta(base, delta).map_err(|_| "chunk delta apply failed"),
     }
 }
 
@@ -346,7 +344,11 @@ impl ServerNode {
     /// compaction snapshot, so delta chains collapse and evicted
     /// entries are forgotten exactly as the server forgot them.
     pub fn snapshot(&self, domain: DomainId) -> Vec<PersistRecord> {
-        let mut cached: Vec<_> = self.cache.iter().filter(|(k, _)| k.domain == domain).collect();
+        let mut cached: Vec<_> = self
+            .cache
+            .iter()
+            .filter(|(k, _)| k.domain == domain)
+            .collect();
         cached.sort_unstable_by_key(|(k, _)| k.file);
         let mut out: Vec<PersistRecord> = cached
             .into_iter()
@@ -549,7 +551,14 @@ impl ServerNode {
                 let Some(domain) = self.session_domain(session) else {
                     return;
                 };
-                self.on_update(session, FileKey::new(domain, file), version, payload, now_ms, actions);
+                self.on_update(
+                    session,
+                    FileKey::new(domain, file),
+                    version,
+                    payload,
+                    now_ms,
+                    actions,
+                );
             }
             ClientMessage::Submit {
                 request,
@@ -569,7 +578,14 @@ impl ServerNode {
                     return;
                 };
                 self.on_submit(
-                    session, &sess, request, job_file, job_version, data_files, options, now_ms,
+                    session,
+                    &sess,
+                    request,
+                    job_file,
+                    job_version,
+                    data_files,
+                    options,
+                    now_ms,
                     actions,
                 );
             }
@@ -577,10 +593,7 @@ impl ServerNode {
                 let entries = match job {
                     Some(id) => vec![JobStatusEntry {
                         job: id,
-                        status: self
-                            .jobs
-                            .get(id)
-                            .map_or(JobStatus::Unknown, Job::status),
+                        status: self.jobs.get(id).map_or(JobStatus::Unknown, Job::status),
                         submitted_at_ms: self.jobs.get(id).map_or(0, |j| j.submitted_at_ms),
                     }],
                     None => self
@@ -737,7 +750,11 @@ impl ServerNode {
         // Reordered or duplicated delivery: an update no newer than the
         // cached shadow must not overwrite it (an old Full would roll the
         // shadow back) and must not be re-acked.
-        if self.cache.version_of(&key).is_some_and(|have| have >= version) {
+        if self
+            .cache
+            .version_of(&key)
+            .is_some_and(|have| have >= version)
+        {
             return;
         }
         let trust_bookkeeping = {
@@ -918,9 +935,9 @@ impl ServerNode {
                     job.domain,
                     job.required_files()
                         .filter(|(f, v)| {
-                            self
-                                .cache
-                                .version_of(&FileKey::new(job.domain, *f)).is_none_or(|have| have < *v)
+                            self.cache
+                                .version_of(&FileKey::new(job.domain, *f))
+                                .is_none_or(|have| have < *v)
                         })
                         .collect(),
                 )
@@ -1069,10 +1086,8 @@ impl ServerNode {
         let Some(job) = self.jobs.get_mut(id) else {
             return;
         };
-        let JobPhase::Running { outcome } = std::mem::replace(
-            &mut job.phase,
-            JobPhase::Completed,
-        ) else {
+        let JobPhase::Running { outcome } = std::mem::replace(&mut job.phase, JobPhase::Completed)
+        else {
             return;
         };
         job.phase = if outcome.exit_code == 0 {
@@ -1598,17 +1613,22 @@ mod tests {
             now_ms: NOW,
         });
         // No completion timer yet: the data file is missing.
-        assert!(!actions
-            .iter()
-            .any(|a| matches!(a, ServerAction::SetTimer { token: TimerToken::JobDone(_), .. })));
+        assert!(!actions.iter().any(|a| matches!(
+            a,
+            ServerAction::SetTimer {
+                token: TimerToken::JobDone(_),
+                ..
+            }
+        )));
         // Deliver the data file; the job should start now.
         let actions = full_update(&mut server, 1, 2, 1, b"payload\n");
         let timer = actions
             .iter()
             .find_map(|a| match a {
-                ServerAction::SetTimer { delay_ms, token: TimerToken::JobDone(j) } => {
-                    Some((*delay_ms, *j))
-                }
+                ServerAction::SetTimer {
+                    delay_ms,
+                    token: TimerToken::JobDone(j),
+                } => Some((*delay_ms, *j)),
                 _ => None,
             })
             .expect("job starts once files are present");
@@ -1779,12 +1799,12 @@ mod tests {
 
     #[test]
     fn adaptive_flow_postpones_under_load() {
-        let mut server = ServerNode::new(
-            ServerConfig::new("sc").with_flow(FlowControl::DemandAdaptive {
+        let mut server = ServerNode::new(ServerConfig::new("sc").with_flow(
+            FlowControl::DemandAdaptive {
                 eager_queue_limit: 0,
                 cache_pressure_limit: 0.9,
-            }),
-        );
+            },
+        ));
         hello(&mut server, 1, 1, "ws1");
         // Create a pending job to push the queue over the limit.
         notify(&mut server, 1, 1, "/job.cmd", 1, b"compute 100000000\n");
@@ -1803,9 +1823,13 @@ mod tests {
         // Under load, a notify is postponed to the fetch pulse.
         let actions = notify(&mut server, 1, 9, "/data", 1, b"d");
         assert!(sends(&actions).is_empty());
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, ServerAction::SetTimer { token: TimerToken::FetchPulse, .. })));
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            ServerAction::SetTimer {
+                token: TimerToken::FetchPulse,
+                ..
+            }
+        )));
     }
 
     fn persists(actions: &[ServerAction]) -> Vec<PersistRecord> {
@@ -2020,7 +2044,10 @@ mod tests {
 
     #[test]
     fn a_snapshot_keeps_the_job_counter_past_an_output_it_could_not_cache() {
-        let config = ServerConfig::builder("sc").output_shadow_budget(16).build().unwrap();
+        let config = ServerConfig::builder("sc")
+            .output_shadow_budget(16)
+            .build()
+            .unwrap();
         let mut server = ServerNode::new(config.clone());
         server.restore(&[PersistRecord::Output {
             domain: DomainId::new(1),
@@ -2255,7 +2282,13 @@ mod tests {
                 digest: ContentDigest::of(&target),
             },
         ]);
-        assert_eq!(summary, RestoreSummary { applied: 2, skipped: 0 });
+        assert_eq!(
+            summary,
+            RestoreSummary {
+                applied: 2,
+                skipped: 0
+            }
+        );
         assert_eq!(
             node.snapshot(DomainId::new(3)),
             vec![PersistRecord::CacheFull {
@@ -2287,7 +2320,13 @@ mod tests {
             full_record(1, 1, "a\n"),
             delta_record(1, 7, 8, "x\n", "y\n"),
         ]);
-        assert_eq!(summary, RestoreSummary { applied: 1, skipped: 1 });
+        assert_eq!(
+            summary,
+            RestoreSummary {
+                applied: 1,
+                skipped: 1
+            }
+        );
         assert!(node.snapshot(DomainId::new(3)).is_empty());
     }
 
@@ -2338,6 +2377,9 @@ mod tests {
         assert_eq!(copy.snapshot(DomainId::new(3)), snapshot);
         assert!(copy.snapshot(DomainId::new(4)).is_empty());
         let (whole, _) = restored(&[snapshot.clone(), node.snapshot(DomainId::new(4))].concat());
-        assert_eq!(whole.report().section("cache"), node.report().section("cache"));
+        assert_eq!(
+            whole.report().section("cache"),
+            node.report().section("cache")
+        );
     }
 }

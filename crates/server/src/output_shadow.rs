@@ -209,7 +209,12 @@ mod tests {
     #[test]
     fn unacked_output_is_not_a_base() {
         let mut s = OutputShadowStore::new(1000);
-        s.record(d(), FileId::new(1), JobId::new(10), DocBuf::from_bytes(b"out".to_vec()));
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(10),
+            DocBuf::from_bytes(b"out".to_vec()),
+        );
         assert!(s.base_for(d(), FileId::new(1)).is_none());
         s.mark_acked(JobId::new(10));
         let (job, out) = s.base_for(d(), FileId::new(1)).unwrap();
@@ -220,9 +225,19 @@ mod tests {
     #[test]
     fn new_run_replaces_old_output() {
         let mut s = OutputShadowStore::new(1000);
-        s.record(d(), FileId::new(1), JobId::new(10), DocBuf::from_bytes(vec![0; 100]));
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(10),
+            DocBuf::from_bytes(vec![0; 100]),
+        );
         s.mark_acked(JobId::new(10));
-        s.record(d(), FileId::new(1), JobId::new(11), DocBuf::from_bytes(vec![1; 50]));
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(11),
+            DocBuf::from_bytes(vec![1; 50]),
+        );
         assert_eq!(s.used_bytes(), 50);
         // The replacement is not acked yet.
         assert!(s.base_for(d(), FileId::new(1)).is_none());
@@ -231,7 +246,12 @@ mod tests {
     #[test]
     fn oversized_output_not_cached() {
         let mut s = OutputShadowStore::new(10);
-        s.record(d(), FileId::new(1), JobId::new(1), DocBuf::from_bytes(vec![0; 100]));
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(1),
+            DocBuf::from_bytes(vec![0; 100]),
+        );
         assert!(s.is_empty());
         assert_eq!(s.used_bytes(), 0);
     }
@@ -239,8 +259,18 @@ mod tests {
     #[test]
     fn budget_enforced_by_fifo_eviction() {
         let mut s = OutputShadowStore::new(100);
-        s.record(d(), FileId::new(1), JobId::new(1), DocBuf::from_bytes(vec![0; 60]));
-        s.record(d(), FileId::new(2), JobId::new(2), DocBuf::from_bytes(vec![0; 60]));
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(1),
+            DocBuf::from_bytes(vec![0; 60]),
+        );
+        s.record(
+            d(),
+            FileId::new(2),
+            JobId::new(2),
+            DocBuf::from_bytes(vec![0; 60]),
+        );
         assert_eq!(s.len(), 1);
         assert!(s.used_bytes() <= 100);
         assert!(s.entries.contains_key(&(d(), FileId::new(2))));
@@ -249,8 +279,18 @@ mod tests {
     #[test]
     fn stale_ack_does_not_resurrect_replaced_output() {
         let mut s = OutputShadowStore::new(1000);
-        s.record(d(), FileId::new(1), JobId::new(10), DocBuf::from_bytes(b"old".to_vec()));
-        s.record(d(), FileId::new(1), JobId::new(11), DocBuf::from_bytes(b"new".to_vec()));
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(10),
+            DocBuf::from_bytes(b"old".to_vec()),
+        );
+        s.record(
+            d(),
+            FileId::new(1),
+            JobId::new(11),
+            DocBuf::from_bytes(b"new".to_vec()),
+        );
         s.mark_acked(JobId::new(10)); // ack for the replaced output
         assert!(s.base_for(d(), FileId::new(1)).is_none());
         s.mark_acked(JobId::new(11));

@@ -20,13 +20,16 @@ fn arb_encoding() -> impl Strategy<Value = TransferEncoding> {
 
 fn arb_payload() -> impl Strategy<Value = UpdatePayload> {
     prop_oneof![
-        (arb_encoding(), prop::collection::vec(any::<u8>(), 0..128), any::<u64>()).prop_map(
-            |(encoding, data, d)| UpdatePayload::Full {
+        (
+            arb_encoding(),
+            prop::collection::vec(any::<u8>(), 0..128),
+            any::<u64>()
+        )
+            .prop_map(|(encoding, data, d)| UpdatePayload::Full {
                 encoding,
                 data: Bytes::from(data),
                 digest: ContentDigest::from_raw(d),
-            }
-        ),
+            }),
         (
             0u64..4,
             prop_oneof![Just(DeltaCodec::Line), Just(DeltaCodec::Chunk)],

@@ -128,7 +128,11 @@ pub(crate) fn read_segment(path: &Path, magic: &[u8; 8]) -> io::Result<Option<Se
             }
         }
     }
-    Ok(Some(Segment { seq, records, damage }))
+    Ok(Some(Segment {
+        seq,
+        records,
+        damage,
+    }))
 }
 
 /// Writes a whole segment atomically: build in memory, write to a

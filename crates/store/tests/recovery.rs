@@ -62,7 +62,8 @@ fn delta(domain: u64, file: u64, base: u64, version: u64, from: &str, to: &str) 
 }
 
 fn journal_path(root: &Path, domain: u64) -> PathBuf {
-    root.join(format!("domain-{domain:016x}")).join("journal.log")
+    root.join(format!("domain-{domain:016x}"))
+        .join("journal.log")
 }
 
 /// Journals `record` as a shard does: the server applies it, the store
@@ -101,7 +102,10 @@ fn empty_store_recovers_to_nothing() {
     store.persist(&full(1, 1, 1, "x\n"));
     let mut reopened = DurableStore::open(&root).unwrap();
     assert_eq!(reopened.recovered().len(), 1);
-    assert!(reopened.recovered().is_empty(), "records are handed over once");
+    assert!(
+        reopened.recovered().is_empty(),
+        "records are handed over once"
+    );
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -250,12 +254,19 @@ fn snapshot_newer_than_journal_skips_the_stale_records() {
 
     let mut store = DurableStore::open(&root).unwrap();
     let summary = store.summary();
-    assert_eq!(summary.stale_skipped, 2, "snapshot already covered two records");
+    assert_eq!(
+        summary.stale_skipped, 2,
+        "snapshot already covered two records"
+    );
     assert_eq!(summary.snapshot_records, 2);
     assert_eq!(summary.journal_records, 1);
     assert_eq!(
         store.recovered(),
-        vec![full(1, 1, 1, "a\n"), full(1, 2, 1, "b\n"), full(1, 3, 1, "c\n")]
+        vec![
+            full(1, 1, 1, "a\n"),
+            full(1, 2, 1, "b\n"),
+            full(1, 3, 1, "c\n")
+        ]
     );
     let _ = fs::remove_dir_all(&root);
     let _ = fs::remove_dir_all(&scratch_root);
@@ -291,7 +302,10 @@ fn compaction_preserves_the_recovered_state() {
             job: JobId::new(5),
         },
     );
-    assert_eq!(store.section().get("compactions").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(
+        store.section().get("compactions").and_then(|v| v.as_u64()),
+        Some(2)
+    );
     drop(store);
 
     let snapshot = root.join("domain-0000000000000001").join("snapshot.log");
@@ -392,9 +406,7 @@ fn outputs_of(records: &[PersistRecord]) -> Vec<(u64, u64)> {
     records
         .iter()
         .filter_map(|r| match r {
-            PersistRecord::Output { job_file, job, .. } => {
-                Some((job_file.as_u64(), job.as_u64()))
-            }
+            PersistRecord::Output { job_file, job, .. } => Some((job_file.as_u64(), job.as_u64())),
             _ => None,
         })
         .collect()
@@ -432,7 +444,10 @@ fn compaction_forgets_outputs_the_server_evicted() {
         journal(&mut node, &mut store, &output(n, n, 1_000));
     }
     journal(&mut node, &mut store, &output(1, 5, 1_000));
-    assert_eq!(store.section().get("compactions").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        store.section().get("compactions").and_then(|v| v.as_u64()),
+        Some(1)
+    );
     drop(store);
     let (mut restored, _, recovery) = reopen_and_restore(&root, config);
     assert!(!recovery.degraded());
@@ -518,7 +533,10 @@ fn compaction_right_after_a_delta_update_never_double_applies() {
         serve(&mut node, &mut store, update);
     }
     assert_eq!(node.report().counter("server", "delta_updates"), 1);
-    assert_eq!(store.section().get("compactions").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(
+        store.section().get("compactions").and_then(|v| v.as_u64()),
+        Some(1)
+    );
     drop(store);
 
     let (restored, summary, recovery) = reopen_and_restore(&root, ServerConfig::new("remote"));

@@ -432,14 +432,9 @@ impl VersionStore {
             let victim = entry
                 .versions
                 .keys()
-                .copied().find(|&v| v != latest && Some(v) != entry.acked)
-                .or_else(|| {
-                    entry
-                        .versions
-                        .keys()
-                        .copied()
-                        .find(|&v| v != latest)
-                });
+                .copied()
+                .find(|&v| v != latest && Some(v) != entry.acked)
+                .or_else(|| entry.versions.keys().copied().find(|&v| v != latest));
             match victim {
                 Some(v) => {
                     entry.versions.remove(&v);

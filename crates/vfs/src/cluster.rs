@@ -223,12 +223,10 @@ impl Vfs {
 
             let fs = self.host(&host)?;
             let next = match &fs.node(cur).kind {
-                NodeKind::Dir(_) => {
-                    fs.lookup(cur, &seg).ok_or_else(|| VfsError::NotFound {
-                        host: host.clone(),
-                        path: candidate.to_string(),
-                    })?
-                }
+                NodeKind::Dir(_) => fs.lookup(cur, &seg).ok_or_else(|| VfsError::NotFound {
+                    host: host.clone(),
+                    path: candidate.to_string(),
+                })?,
                 _ => {
                     return Err(VfsError::NotADirectory {
                         host: host.clone(),
@@ -275,8 +273,7 @@ impl Vfs {
             NodeKind::File(f) => f.primary_path.clone(),
             _ => physical,
         };
-        let digest =
-            ContentDigest::of(format!("{owner}\u{0}{canonical_path}").as_bytes());
+        let digest = ContentDigest::of(format!("{owner}\u{0}{canonical_path}").as_bytes());
         Ok(CanonicalName {
             domain: self.domain,
             host: HostName::new(owner),
@@ -493,7 +490,6 @@ impl Vfs {
         Ok(())
     }
 
-
     /// Renames (moves) an entry within the cluster. Both paths resolve
     /// through mounts; source and destination must land on the same host
     /// (no cross-device rename, like POSIX `rename(2)`). The final
@@ -588,10 +584,12 @@ impl Vfs {
         let name = vpath.file_name().expect("non-root");
         let (owner, dir_node, _) = self.resolve_node(host, &parent)?;
         let fs = self.host(&owner)?;
-        let node_id = fs.lookup(dir_node, name).ok_or_else(|| VfsError::NotFound {
-            host: owner.clone(),
-            path: vpath.to_string(),
-        })?;
+        let node_id = fs
+            .lookup(dir_node, name)
+            .ok_or_else(|| VfsError::NotFound {
+                host: owner.clone(),
+                path: vpath.to_string(),
+            })?;
         let n = fs.node(node_id);
         Ok(match &n.kind {
             NodeKind::File(f) => NodeStat {
@@ -668,7 +666,8 @@ mod tests {
         // /others; /projl/foo on A and /others/foo on B are the same file.
         let mut vfs = cluster();
         vfs.mkdir_p("c", "/usr").unwrap();
-        vfs.write_file("c", "/usr/foo", b"fortran".to_vec()).unwrap();
+        vfs.write_file("c", "/usr/foo", b"fortran".to_vec())
+            .unwrap();
         vfs.mount("a", "/projl", "c", "/usr").unwrap();
         vfs.mount("b", "/others", "c", "/usr").unwrap();
 
@@ -681,7 +680,8 @@ mod tests {
         assert_eq!(on_a.path.to_string(), "/usr/foo");
 
         // Writes through one view are visible through the other.
-        vfs.write_file("a", "/projl/foo", b"edited".to_vec()).unwrap();
+        vfs.write_file("a", "/projl/foo", b"edited".to_vec())
+            .unwrap();
         assert_eq!(vfs.read_file("b", "/others/foo").unwrap(), b"edited");
     }
 
@@ -705,7 +705,8 @@ mod tests {
     fn symlinks_resolve_to_target_identity() {
         let mut vfs = cluster();
         vfs.mkdir_p("a", "/data").unwrap();
-        vfs.write_file("a", "/data/real.txt", b"r".to_vec()).unwrap();
+        vfs.write_file("a", "/data/real.txt", b"r".to_vec())
+            .unwrap();
         vfs.symlink("a", "/alias", "/data/real.txt").unwrap();
         assert_eq!(
             vfs.resolve("a", "/alias").unwrap(),
@@ -783,7 +784,8 @@ mod tests {
         let mut vfs = cluster();
         vfs.mkdir_p("c", "/export").unwrap();
         vfs.mount("a", "/remote", "c", "/export").unwrap();
-        vfs.write_file("a", "/remote/new.txt", b"n".to_vec()).unwrap();
+        vfs.write_file("a", "/remote/new.txt", b"n".to_vec())
+            .unwrap();
         assert_eq!(vfs.read_file("c", "/export/new.txt").unwrap(), b"n");
         // Canonical identity names the exporting host.
         let r = vfs.resolve("a", "/remote/new.txt").unwrap();
@@ -807,9 +809,11 @@ mod tests {
     fn mount_shadows_local_content() {
         let mut vfs = cluster();
         vfs.mkdir_p("a", "/mnt").unwrap();
-        vfs.write_file("a", "/mnt/local", b"local".to_vec()).unwrap();
+        vfs.write_file("a", "/mnt/local", b"local".to_vec())
+            .unwrap();
         vfs.mkdir_p("c", "/exp").unwrap();
-        vfs.write_file("c", "/exp/remote", b"remote".to_vec()).unwrap();
+        vfs.write_file("c", "/exp/remote", b"remote".to_vec())
+            .unwrap();
         vfs.mount("a", "/mnt", "c", "/exp").unwrap();
         assert!(vfs.read_file("a", "/mnt/local").is_err());
         assert_eq!(vfs.read_file("a", "/mnt/remote").unwrap(), b"remote");
@@ -901,7 +905,6 @@ mod tests {
         assert_ne!(f1.file_id, f1_on_b.file_id);
         assert_eq!(f1.key().domain, DomainId::new(7));
     }
-
 
     #[test]
     fn rename_moves_files_and_updates_identity() {

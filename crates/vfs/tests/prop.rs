@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use shadow_proto::DomainId;
-use shadow_vfs::{Vfs, VPath};
+use shadow_vfs::{VPath, Vfs};
 
 fn arb_segment() -> impl Strategy<Value = String> {
     "[a-d]{1,3}".prop_map(|s| s)

@@ -223,12 +223,7 @@ pub fn delta_cost(old: &[u8], new: &[u8]) -> usize {
 
 /// Drives `sessions` successive editing sessions from `initial`, returning
 /// every version (index 0 = initial).
-pub fn edit_sequence(
-    initial: &[u8],
-    fraction: f64,
-    sessions: usize,
-    seed: u64,
-) -> Vec<Vec<u8>> {
+pub fn edit_sequence(initial: &[u8], fraction: f64, sessions: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut versions = vec![initial.to_vec()];
     for s in 0..sessions {
         let model = EditModel::fraction(fraction, seed.wrapping_add(s as u64 + 1));

@@ -19,7 +19,12 @@ fn run_mode(mode: TransferMode) -> Result<(), SimError> {
     println!("--- {label} over Cypress (9600 baud), {FILE_SIZE} byte data file ---");
 
     let mut sim = Simulation::new(1).with_cpu(CpuModel::default());
-    let server = sim.add_server("superc", ServerConfig::builder("superc").build().expect("valid config"));
+    let server = sim.add_server(
+        "superc",
+        ServerConfig::builder("superc")
+            .build()
+            .expect("valid config"),
+    );
     let client_config = match mode {
         TransferMode::Shadow => ClientConfig::builder("ws", 1),
         TransferMode::Conventional => ClientConfig::builder("ws", 1).conventional(),
@@ -44,7 +49,13 @@ fn run_mode(mode: TransferMode) -> Result<(), SimError> {
             let model = EditModel::fraction(EDIT_FRACTION, session as u64);
             sim.edit_file(client, "/experiment.dat", move |c| model.apply(&c))?;
         }
-        sim.submit(client, conn, "/run.job", &["/experiment.dat"], SubmitOptions::default())?;
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/experiment.dat"],
+            SubmitOptions::default(),
+        )?;
         sim.run_until_quiet();
         let done = sim.finished_jobs(client).last().expect("job completed").at;
         let sent = sim.link_stats(client, server).0.payload_bytes;
@@ -53,7 +64,11 @@ fn run_mode(mode: TransferMode) -> Result<(), SimError> {
             session + 1,
             (done - start).as_secs_f64(),
             sent - prev_bytes,
-            if session == 0 { "  (initial full transfer)" } else { "" },
+            if session == 0 {
+                "  (initial full transfer)"
+            } else {
+                ""
+            },
         );
         prev_bytes = sent;
     }
@@ -68,7 +83,10 @@ fn run_mode(mode: TransferMode) -> Result<(), SimError> {
 }
 
 fn main() -> Result<(), SimError> {
-    println!("Four edit-submit-fetch cycles, editing {:.0}% of the file each time.\n", EDIT_FRACTION * 100.0);
+    println!(
+        "Four edit-submit-fetch cycles, editing {:.0}% of the file each time.\n",
+        EDIT_FRACTION * 100.0
+    );
     run_mode(TransferMode::Conventional)?;
     run_mode(TransferMode::Shadow)?;
     println!("→ after the first submission, shadow processing ships only the");

@@ -17,11 +17,31 @@ use shadow::{EditModel, FileSpec, Notification, SimError};
 
 fn main() -> Result<(), SimError> {
     let mut sim = Simulation::new(1);
-    let purdue = sim.add_server("purdue-cyber", ServerConfig::builder("purdue-cyber").build().expect("valid config"));
-    let uiuc = sim.add_server("uiuc-cray", ServerConfig::builder("uiuc-cray").build().expect("valid config"));
+    let purdue = sim.add_server(
+        "purdue-cyber",
+        ServerConfig::builder("purdue-cyber")
+            .build()
+            .expect("valid config"),
+    );
+    let uiuc = sim.add_server(
+        "uiuc-cray",
+        ServerConfig::builder("uiuc-cray")
+            .build()
+            .expect("valid config"),
+    );
 
-    let ws = sim.add_client("ws", ClientConfig::builder("ws", 1).build().expect("valid config"));
-    let printer = sim.add_client("print-host", ClientConfig::builder("print-host", 1).build().expect("valid config"));
+    let ws = sim.add_client(
+        "ws",
+        ClientConfig::builder("ws", 1)
+            .build()
+            .expect("valid config"),
+    );
+    let printer = sim.add_client(
+        "print-host",
+        ClientConfig::builder("print-host", 1)
+            .build()
+            .expect("valid config"),
+    );
 
     // Local site over Cypress; remote site over ARPANET; the print host
     // sits next to the remote site.
@@ -38,7 +58,13 @@ fn main() -> Result<(), SimError> {
     })?;
 
     println!("submitting to both sites…");
-    sim.submit(ws, conn_purdue, "/survey.job", &["/field.dat"], SubmitOptions::default())?;
+    sim.submit(
+        ws,
+        conn_purdue,
+        "/survey.job",
+        &["/field.dat"],
+        SubmitOptions::default(),
+    )?;
     sim.submit(
         ws,
         conn_uiuc,
@@ -55,13 +81,19 @@ fn main() -> Result<(), SimError> {
     println!(
         "purdue result at t={:>8}: {}",
         local.at,
-        String::from_utf8_lossy(&local.output).lines().next().unwrap_or("")
+        String::from_utf8_lossy(&local.output)
+            .lines()
+            .next()
+            .unwrap_or("")
     );
     let routed = &sim.finished_jobs(printer)[0];
     println!(
         "uiuc result routed to print-host at t={:>8}: {}",
         routed.at,
-        String::from_utf8_lossy(&routed.output).lines().next().unwrap_or("")
+        String::from_utf8_lossy(&routed.output)
+            .lines()
+            .next()
+            .unwrap_or("")
     );
 
     // Keep editing: background notifications flow to BOTH sites without
@@ -85,7 +117,13 @@ fn main() -> Result<(), SimError> {
     // Resubmit to the remote site: the shadow is already current, so the
     // submit itself is short and quick.
     let start = sim.now();
-    sim.submit(ws, conn_uiuc, "/survey.job", &["/field.dat"], SubmitOptions::default())?;
+    sim.submit(
+        ws,
+        conn_uiuc,
+        "/survey.job",
+        &["/field.dat"],
+        SubmitOptions::default(),
+    )?;
     sim.run_until_quiet();
     let done = sim
         .notifications(ws)

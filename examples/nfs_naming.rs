@@ -12,7 +12,12 @@ use shadow::SimError;
 
 fn main() -> Result<(), SimError> {
     let mut sim = Simulation::new(1);
-    let server = sim.add_server("superc", ServerConfig::builder("superc").build().expect("valid config"));
+    let server = sim.add_server(
+        "superc",
+        ServerConfig::builder("superc")
+            .build()
+            .expect("valid config"),
+    );
 
     // Build the NFS topology: fileserver c exports /usr.
     let vfs = sim.vfs_mut();
@@ -30,13 +35,23 @@ fn main() -> Result<(), SimError> {
     // Workstation a also reaches it through a personal symlink (an alias).
     vfs.symlink("a", "/mydata", "/projl/foo")?;
 
-    let ws_a = sim.add_client("a", ClientConfig::builder("a", 1).build().expect("valid config"));
-    let ws_b = sim.add_client("b", ClientConfig::builder("b", 1).build().expect("valid config"));
+    let ws_a = sim.add_client(
+        "a",
+        ClientConfig::builder("a", 1).build().expect("valid config"),
+    );
+    let ws_b = sim.add_client(
+        "b",
+        ClientConfig::builder("b", 1).build().expect("valid config"),
+    );
     let conn_a = sim.connect(ws_a, server, profiles::cypress())?;
     let conn_b = sim.connect(ws_b, server, profiles::cypress())?;
 
     println!("the same file under three user-visible names:");
-    for (client, path) in [(ws_a, "/projl/foo"), (ws_a, "/mydata"), (ws_b, "/others/foo")] {
+    for (client, path) in [
+        (ws_a, "/projl/foo"),
+        (ws_a, "/mydata"),
+        (ws_b, "/others/foo"),
+    ] {
         let canonical = sim.canonical_name(client, path)?;
         println!("  {:>14} → {canonical}", path);
     }
@@ -48,7 +63,13 @@ fn main() -> Result<(), SimError> {
         let n = shared.clone();
         move |_| format!("wc {n}\n").into_bytes()
     })?;
-    sim.submit(ws_a, conn_a, "/job_a.cmd", &["/mydata"], SubmitOptions::default())?;
+    sim.submit(
+        ws_a,
+        conn_a,
+        "/job_a.cmd",
+        &["/mydata"],
+        SubmitOptions::default(),
+    )?;
     sim.run_until_quiet();
     println!(
         "\nws a submitted via /mydata         → output: {}",
@@ -60,7 +81,13 @@ fn main() -> Result<(), SimError> {
         let n = shared.clone();
         move |_| format!("head 2 {n}\n").into_bytes()
     })?;
-    sim.submit(ws_b, conn_b, "/job_b.cmd", &["/others/foo"], SubmitOptions::default())?;
+    sim.submit(
+        ws_b,
+        conn_b,
+        "/job_b.cmd",
+        &["/others/foo"],
+        SubmitOptions::default(),
+    )?;
     sim.run_until_quiet();
     println!(
         "ws b submitted via /others/foo     → output: {}",

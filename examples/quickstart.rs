@@ -14,11 +14,15 @@ use shadow::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("starting shadow server thread…");
     let system = Deployment::new(
-        ServerConfig::builder("supercomputer").build().expect("valid config"),
+        ServerConfig::builder("supercomputer")
+            .build()
+            .expect("valid config"),
     )
     .pipes()?;
     let mut client = system.connect_client(
-        ClientConfig::builder("workstation", 1).build().expect("valid config"),
+        ClientConfig::builder("workstation", 1)
+            .build()
+            .expect("valid config"),
     );
     client.wait_ready(Duration::from_secs(5))?;
     println!("session established.\n");
@@ -36,14 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.edit_finished(&data, dataset.clone());
     client.edit_finished(
         &job,
-        b"wc workstation:/home/sci/galaxy.dat\nhead 3 workstation:/home/sci/galaxy.dat\n"
-            .to_vec(),
+        b"wc workstation:/home/sci/galaxy.dat\nhead 3 workstation:/home/sci/galaxy.dat\n".to_vec(),
     );
 
     println!("submitting analyze.job (first time: the whole file must travel)…");
     client.submit(&job, std::slice::from_ref(&data), SubmitOptions::default())?;
     let (job_id, output, _, stats) = client.wait_job(Duration::from_secs(10))?;
-    println!("{job_id} completed in {} ms of server time:", stats.running_ms);
+    println!(
+        "{job_id} completed in {} ms of server time:",
+        stats.running_ms
+    );
     println!("{}", String::from_utf8_lossy(&output));
     let m = client.report();
     println!(

@@ -14,8 +14,18 @@ use shadow::{ScriptedEditor, SimError};
 
 fn main() -> Result<(), SimError> {
     let mut sim = Simulation::new(1);
-    let server = sim.add_server("superc", ServerConfig::builder("superc").build().expect("valid config"));
-    let client = sim.add_client("ws", ClientConfig::builder("ws", 1).build().expect("valid config"));
+    let server = sim.add_server(
+        "superc",
+        ServerConfig::builder("superc")
+            .build()
+            .expect("valid config"),
+    );
+    let client = sim.add_client(
+        "ws",
+        ClientConfig::builder("ws", 1)
+            .build()
+            .expect("valid config"),
+    );
     let conn = sim.connect(client, server, profiles::cypress())?;
 
     // Monday: write the parameter file and the job, submit.
@@ -28,8 +38,16 @@ fn main() -> Result<(), SimError> {
         move |_| text.clone().into_bytes()
     })?;
     let name = sim.canonical_name(client, "/params.cfg")?;
-    sim.edit_file(client, "/fit.job", move |_| format!("wc {name}\nstats {name}\n").into_bytes())?;
-    sim.submit(client, conn, "/fit.job", &["/params.cfg"], SubmitOptions::default())?;
+    sim.edit_file(client, "/fit.job", move |_| {
+        format!("wc {name}\nstats {name}\n").into_bytes()
+    })?;
+    sim.submit(
+        client,
+        conn,
+        "/fit.job",
+        &["/params.cfg"],
+        SubmitOptions::default(),
+    )?;
     sim.run_until_quiet();
     report(&sim, client, server, "monday: initial submission");
 
@@ -55,13 +73,22 @@ fn main() -> Result<(), SimError> {
     for (label, editor) in sessions {
         let mut editor = editor;
         sim.edit_file_with(client, "/params.cfg", &mut editor)?;
-        sim.submit(client, conn, "/fit.job", &["/params.cfg"], SubmitOptions::default())?;
+        sim.submit(
+            client,
+            conn,
+            "/fit.job",
+            &["/params.cfg"],
+            SubmitOptions::default(),
+        )?;
         sim.run_until_quiet();
         report(&sim, client, server, label);
     }
 
     let last = sim.finished_jobs(client).last().expect("jobs ran").clone();
-    println!("\nfinal job output:\n{}", String::from_utf8_lossy(&last.output));
+    println!(
+        "\nfinal job output:\n{}",
+        String::from_utf8_lossy(&last.output)
+    );
     let report = sim.client_report(client);
     println!(
         "version store now holds {} version(s), {} bytes — older versions were \

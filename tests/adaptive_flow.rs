@@ -6,7 +6,14 @@
 use shadow::prelude::*;
 use shadow::FileKey;
 
-fn adaptive_sim(limit: usize) -> (Simulation, shadow::ClientId, shadow::ServerId, shadow::ConnId) {
+fn adaptive_sim(
+    limit: usize,
+) -> (
+    Simulation,
+    shadow::ClientId,
+    shadow::ServerId,
+    shadow::ConnId,
+) {
     let mut sim = Simulation::new(1);
     let server = sim.add_server(
         "superc",
@@ -59,10 +66,15 @@ fn postponed_pulls_land_after_load_clears() {
 #[test]
 fn adaptive_behaves_eagerly_when_idle() {
     let (mut sim, client, server, _conn) = adaptive_sim(4);
-    sim.edit_file(client, "/f.dat", |_| b"v1\n".to_vec()).unwrap();
+    sim.edit_file(client, "/f.dat", |_| b"v1\n".to_vec())
+        .unwrap();
     // Without any submit the server has no interest yet — no pull.
     sim.run_until_quiet();
-    assert_eq!(sim.server_report(server).counter("server", "update_requests"), 0);
+    assert_eq!(
+        sim.server_report(server)
+            .counter("server", "update_requests"),
+        0
+    );
     let _ = server;
 }
 
@@ -74,7 +86,8 @@ fn adaptive_full_cycle_is_equivalent_to_eager_functionally() {
         let server = sim.add_server("superc", ServerConfig::new("superc").with_flow(flow));
         let client = sim.add_client("ws", ClientConfig::new("ws", 1));
         let conn = sim.connect(client, server, profiles::lan()).unwrap();
-        sim.edit_file(client, "/d", |_| b"1\n2\n3\n".to_vec()).unwrap();
+        sim.edit_file(client, "/d", |_| b"1\n2\n3\n".to_vec())
+            .unwrap();
         let name = sim.canonical_name(client, "/d").unwrap();
         sim.edit_file(client, "/j", move |_| format!("sort {name}\n").into_bytes())
             .unwrap();
@@ -88,7 +101,10 @@ fn adaptive_full_cycle_is_equivalent_to_eager_functionally() {
                 .unwrap();
             sim.run_until_quiet();
         }
-        sim.finished_jobs(client).iter().map(|j| j.output.clone()).collect()
+        sim.finished_jobs(client)
+            .iter()
+            .map(|j| j.output.clone())
+            .collect()
     };
     let eager = run(FlowControl::DemandEager);
     let adaptive = run(FlowControl::DemandAdaptive {

@@ -88,8 +88,14 @@ fn run_sim(script: &[EditOp]) -> WorldResult {
         apply(&mut content, *op);
         let v = content.clone();
         sim.edit_file(client, "/data", move |_| v.clone()).unwrap();
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
     }
     let outputs = sim

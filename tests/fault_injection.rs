@@ -14,19 +14,29 @@ fn repeated_cache_loss_always_recovers() {
     let conn = sim.connect(client, server, profiles::lan()).unwrap();
 
     let content = shadow::generate_file(&FileSpec::new(20_000, 1));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
-    let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
+    sim.edit_file(client, "/data", move |_| content.clone())
         .unwrap();
+    let name = sim.canonical_name(client, "/data").unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
 
     for round in 0..4 {
         if round > 0 {
             sim.drop_server_cache(server);
             let model = EditModel::fraction(0.05, round as u64);
-            sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
+            sim.edit_file(client, "/data", move |c| model.apply(&c))
+                .unwrap();
         }
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
     }
     let jobs = sim.finished_jobs(client);
@@ -53,12 +63,21 @@ fn starved_cache_still_runs_jobs_correctly() {
     let client = sim.add_client("ws", ClientConfig::new("ws", 1));
     let conn = sim.connect(client, server, profiles::lan()).unwrap();
     let content = shadow::generate_file(&FileSpec::new(20_000, 1));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
+    sim.edit_file(client, "/data", move |_| content.clone())
+        .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/tiny.job", move |_| format!("head 1 {name}\n").into_bytes())
-        .unwrap();
-    sim.submit(client, conn, "/tiny.job", &["/data"], SubmitOptions::default())
-        .unwrap();
+    sim.edit_file(client, "/tiny.job", move |_| {
+        format!("head 1 {name}\n").into_bytes()
+    })
+    .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/tiny.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     // The data file (20 KB) cannot fit a 1 KB cache: the job can never
     // become runnable. The server retries a bounded number of times, then
     // fails the job *explicitly* — no hang, no corruption.
@@ -71,7 +90,11 @@ fn starved_cache_still_runs_jobs_correctly() {
         "errors: {}",
         String::from_utf8_lossy(&jobs[0].errors)
     );
-    assert!(sim.server_report(server).counter("cache", "rejected_too_large") >= 1);
+    assert!(
+        sim.server_report(server)
+            .counter("cache", "rejected_too_large")
+            >= 1
+    );
 }
 
 #[test]
@@ -96,15 +119,22 @@ fn eviction_pressure_forces_retransfer_but_correct_output() {
     }
     let n0 = sim.canonical_name(client, "/d0").unwrap();
     let n1 = sim.canonical_name(client, "/d1").unwrap();
-    sim.edit_file(client, "/j0", { let n = n0.clone(); move |_| format!("wc {n}\n").into_bytes() })
-        .unwrap();
-    sim.edit_file(client, "/j1", { let n = n1.clone(); move |_| format!("wc {n}\n").into_bytes() })
-        .unwrap();
+    sim.edit_file(client, "/j0", {
+        let n = n0.clone();
+        move |_| format!("wc {n}\n").into_bytes()
+    })
+    .unwrap();
+    sim.edit_file(client, "/j1", {
+        let n = n1.clone();
+        move |_| format!("wc {n}\n").into_bytes()
+    })
+    .unwrap();
 
     for round in 0..3 {
         for (job, data) in [("/j0", "/d0"), ("/j1", "/d1")] {
             let model = EditModel::fraction(0.02, round);
-            sim.edit_file(client, data, move |c| model.apply(&c)).unwrap();
+            sim.edit_file(client, data, move |c| model.apply(&c))
+                .unwrap();
             sim.submit(client, conn, job, &[data], SubmitOptions::default())
                 .unwrap();
             sim.run_until_quiet();
@@ -140,15 +170,25 @@ fn zero_retention_client_never_sends_deltas_but_works() {
     let conn = sim.connect(client, server, profiles::lan()).unwrap();
 
     let content = shadow::generate_file(&FileSpec::new(10_000, 1));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
-    let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
+    sim.edit_file(client, "/data", move |_| content.clone())
         .unwrap();
+    let name = sim.canonical_name(client, "/data").unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
     for round in 0..3u64 {
         let model = EditModel::fraction(0.05, round);
-        sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
+        sim.edit_file(client, "/data", move |c| model.apply(&c))
             .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
     }
     assert_eq!(sim.finished_jobs(client).len(), 3);
@@ -166,21 +206,37 @@ fn connection_drop_mid_stream_leaves_server_consistent() {
     let client = sim.add_client("ws", ClientConfig::new("ws", 1));
     let conn = sim.connect(client, server, profiles::lan()).unwrap();
     let content = shadow::generate_file(&FileSpec::new(10_000, 1));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
+    sim.edit_file(client, "/data", move |_| content.clone())
+        .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
-        .unwrap();
-    sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-        .unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
 
     sim.drop_connection(client, server);
     // Reconnect and carry on: a new session, same domain, same shadows.
     let conn2 = sim.connect(client, server, profiles::lan()).unwrap();
     let model = EditModel::fraction(0.05, 5);
-    sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
-    sim.submit(client, conn2, "/run.job", &["/data"], SubmitOptions::default())
+    sim.edit_file(client, "/data", move |c| model.apply(&c))
         .unwrap();
+    sim.submit(
+        client,
+        conn2,
+        "/run.job",
+        &["/data"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let jobs = sim.finished_jobs(client);
     assert_eq!(jobs.len(), 2);
@@ -199,7 +255,8 @@ fn oversized_single_file_vs_budget_reports_not_corrupts() {
     let client = sim.add_client("ws", ClientConfig::new("ws", 1));
     let conn = sim.connect(client, server, profiles::lan()).unwrap();
     // The job file itself fits; jobs without data files run fine.
-    sim.edit_file(client, "/ok.job", |_| b"echo fits\n".to_vec()).unwrap();
+    sim.edit_file(client, "/ok.job", |_| b"echo fits\n".to_vec())
+        .unwrap();
     sim.submit(client, conn, "/ok.job", &[], SubmitOptions::default())
         .unwrap();
     sim.run_until_quiet();

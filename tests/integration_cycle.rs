@@ -8,16 +8,24 @@ use shadow::{CpuModel, EditModel, FileSpec, JobStatus, Notification};
 
 fn setup_with_data(
     size: usize,
-) -> (Simulation, shadow::ClientId, shadow::ServerId, shadow::ConnId) {
+) -> (
+    Simulation,
+    shadow::ClientId,
+    shadow::ServerId,
+    shadow::ConnId,
+) {
     let mut sim = Simulation::new(1);
     let server = sim.add_server("superc", ServerConfig::new("superc"));
     let client = sim.add_client("ws", ClientConfig::new("ws", 1));
     let conn = sim.connect(client, server, profiles::cypress()).unwrap();
     let content = shadow::generate_file(&FileSpec::new(size, 1));
-    sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
-    let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
+    sim.edit_file(client, "/data", move |_| content.clone())
         .unwrap();
+    let name = sim.canonical_name(client, "/data").unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("wc {name}\n").into_bytes()
+    })
+    .unwrap();
     (sim, client, server, conn)
 }
 
@@ -29,10 +37,17 @@ fn five_session_cycle_transfers_shrink_after_first() {
     for session in 0..5 {
         if session > 0 {
             let model = EditModel::fraction(0.05, session as u64);
-            sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
+            sim.edit_file(client, "/data", move |c| model.apply(&c))
+                .unwrap();
         }
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         let sent = sim.link_stats(client, server).0.payload_bytes;
         uplink_per_cycle.push(sent - prev);
@@ -62,18 +77,34 @@ fn shadow_beats_conventional_on_resubmission_time() {
         let client = sim.add_client("ws", config);
         let conn = sim.connect(client, server, profiles::cypress()).unwrap();
         let content = shadow::generate_file(&FileSpec::new(100_000, 1));
-        sim.edit_file(client, "/data", move |_| content.clone()).unwrap();
+        sim.edit_file(client, "/data", move |_| content.clone())
+            .unwrap();
         let name = sim.canonical_name(client, "/data").unwrap();
-        sim.edit_file(client, "/run.job", move |_| format!("wc {name}\n").into_bytes())
-            .unwrap();
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-            .unwrap();
+        sim.edit_file(client, "/run.job", move |_| {
+            format!("wc {name}\n").into_bytes()
+        })
+        .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         let model = EditModel::fraction(0.05, 9);
         let start = sim.now();
-        sim.edit_file(client, "/data", move |c| model.apply(&c)).unwrap();
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
+        sim.edit_file(client, "/data", move |c| model.apply(&c))
             .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
         (sim.finished_jobs(client).last().unwrap().at - start).as_secs_f64()
     };
@@ -135,23 +166,37 @@ fn multi_file_job_with_mixed_freshness() {
     let (mut sim, client, server, conn) = setup_with_data(20_000);
     // A second data file and a job reading both.
     let content2 = shadow::generate_file(&FileSpec::new(5_000, 2));
-    sim.edit_file(client, "/data2", move |_| content2.clone()).unwrap();
+    sim.edit_file(client, "/data2", move |_| content2.clone())
+        .unwrap();
     let n1 = sim.canonical_name(client, "/data").unwrap();
     let n2 = sim.canonical_name(client, "/data2").unwrap();
     sim.edit_file(client, "/both.job", move |_| {
         format!("wc {n1} {n2}\n").into_bytes()
     })
     .unwrap();
-    sim.submit(client, conn, "/both.job", &["/data", "/data2"], SubmitOptions::default())
-        .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/both.job",
+        &["/data", "/data2"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
 
     // Edit only one of the two files; resubmit. Only that file travels.
     let before = sim.server_report(server);
     let model = EditModel::fraction(0.10, 3);
-    sim.edit_file(client, "/data2", move |c| model.apply(&c)).unwrap();
-    sim.submit(client, conn, "/both.job", &["/data", "/data2"], SubmitOptions::default())
+    sim.edit_file(client, "/data2", move |c| model.apply(&c))
         .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/both.job",
+        &["/data", "/data2"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let after = sim.server_report(server);
     assert_eq!(
@@ -187,16 +232,38 @@ fn job_priorities_order_the_batch_queue() {
     let (mut sim, client, _server, conn) = setup_with_data(1_000);
     // Three jobs: the first occupies the single batch slot; the later two
     // queue and must run high-priority-first.
-    sim.edit_file(client, "/a.job", |_| b"compute 200000000\necho first\n".to_vec())
+    sim.edit_file(client, "/a.job", |_| {
+        b"compute 200000000\necho first\n".to_vec()
+    })
+    .unwrap();
+    sim.edit_file(client, "/b.job", |_| b"echo low\n".to_vec())
         .unwrap();
-    sim.edit_file(client, "/b.job", |_| b"echo low\n".to_vec()).unwrap();
-    sim.edit_file(client, "/c.job", |_| b"echo high\n".to_vec()).unwrap();
+    sim.edit_file(client, "/c.job", |_| b"echo high\n".to_vec())
+        .unwrap();
     sim.submit(client, conn, "/a.job", &[], SubmitOptions::default())
         .unwrap();
-    sim.submit(client, conn, "/b.job", &[], SubmitOptions { priority: 1, ..SubmitOptions::default() })
-        .unwrap();
-    sim.submit(client, conn, "/c.job", &[], SubmitOptions { priority: 9, ..SubmitOptions::default() })
-        .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/b.job",
+        &[],
+        SubmitOptions {
+            priority: 1,
+            ..SubmitOptions::default()
+        },
+    )
+    .unwrap();
+    sim.submit(
+        client,
+        conn,
+        "/c.job",
+        &[],
+        SubmitOptions {
+            priority: 9,
+            ..SubmitOptions::default()
+        },
+    )
+    .unwrap();
     sim.run_until_quiet();
     let outputs: Vec<String> = sim
         .finished_jobs(client)

@@ -67,13 +67,21 @@ fn run_sim() -> Outcome {
     })
     .unwrap();
     let name = sim.canonical_name(client, "/data").unwrap();
-    sim.edit_file(client, "/run.job", move |_| format!("grep ENTRY {name}\n").into_bytes())
-        .unwrap();
+    sim.edit_file(client, "/run.job", move |_| {
+        format!("grep ENTRY {name}\n").into_bytes()
+    })
+    .unwrap();
     for v in &versions {
         let v = v.clone();
         sim.edit_file(client, "/data", move |_| v.clone()).unwrap();
-        sim.submit(client, conn, "/run.job", &["/data"], SubmitOptions::default())
-            .unwrap();
+        sim.submit(
+            client,
+            conn,
+            "/run.job",
+            &["/data"],
+            SubmitOptions::default(),
+        )
+        .unwrap();
         sim.run_until_quiet();
     }
     let cm = sim.client_report(client);
@@ -81,7 +89,11 @@ fn run_sim() -> Outcome {
     sim.close_connection(client, server);
     let sm = sim.server_report(server);
     Outcome {
-        outputs: sim.finished_jobs(client).iter().map(|j| j.output.clone()).collect(),
+        outputs: sim
+            .finished_jobs(client)
+            .iter()
+            .map(|j| j.output.clone())
+            .collect(),
         client_deltas: cm.counter("client", "deltas_sent"),
         client_fulls: cm.counter("client", "fulls_sent"),
         server_deltas: sm.counter("server", "delta_updates"),
@@ -173,6 +185,10 @@ fn sim_and_pipes_agree_on_server_runtime_counters() {
     // frame decoded.
     assert_eq!(sim.server_runtime[0], ("sessions_accepted", 1));
     assert_eq!(sim.server_runtime[1], ("sessions_reaped", 1));
-    assert!(sim.server_runtime[2].1 > 4, "frames fed: {:?}", sim.server_runtime);
+    assert!(
+        sim.server_runtime[2].1 > 4,
+        "frames fed: {:?}",
+        sim.server_runtime
+    );
     assert_eq!(sim.server_runtime[3], ("decode_failures", 0));
 }

@@ -7,7 +7,12 @@ use shadow::Vfs;
 
 /// Builds the paper's topology: fileserver `c` exports /usr, `a` mounts it
 /// at /projl, `b` at /others.
-fn nfs_sim() -> (Simulation, shadow::ClientId, shadow::ClientId, shadow::ServerId) {
+fn nfs_sim() -> (
+    Simulation,
+    shadow::ClientId,
+    shadow::ClientId,
+    shadow::ServerId,
+) {
     let mut sim = Simulation::new(1);
     let server = sim.add_server("superc", ServerConfig::new("superc"));
     let vfs = sim.vfs_mut();
@@ -31,8 +36,12 @@ fn one_shadow_for_all_aliases() {
     let conn_b = sim.connect(b, server, profiles::lan()).unwrap();
     // Extra aliases: a symlink on a, a hard link on the fileserver
     // (reachable through both mounts).
-    sim.vfs_mut().symlink("a", "/shortcut", "/projl/foo").unwrap();
-    sim.vfs_mut().hard_link("c", "/usr/foo", "/usr/foo-alias").unwrap();
+    sim.vfs_mut()
+        .symlink("a", "/shortcut", "/projl/foo")
+        .unwrap();
+    sim.vfs_mut()
+        .hard_link("c", "/usr/foo", "/usr/foo-alias")
+        .unwrap();
 
     let names = [
         sim.canonical_name(a, "/projl/foo").unwrap(),
@@ -51,25 +60,37 @@ fn one_shadow_for_all_aliases() {
         move |_| format!("wc {n}\n").into_bytes()
     })
     .unwrap();
-    sim.submit(a, conn_a, "/ja.cmd", &["/shortcut"], SubmitOptions::default())
-        .unwrap();
+    sim.submit(
+        a,
+        conn_a,
+        "/ja.cmd",
+        &["/shortcut"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     sim.edit_file(b, "/jb.cmd", {
         let n = shared.clone();
         move |_| format!("cat {n}\n").into_bytes()
     })
     .unwrap();
-    sim.submit(b, conn_b, "/jb.cmd", &["/others/foo-alias"], SubmitOptions::default())
-        .unwrap();
+    sim.submit(
+        b,
+        conn_b,
+        "/jb.cmd",
+        &["/others/foo-alias"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
 
     assert_eq!(sim.finished_jobs(a).len(), 1);
-    assert_eq!(
-        sim.finished_jobs(b)[0].output,
-        b"line 1\nline 2\nline 3\n"
-    );
+    assert_eq!(sim.finished_jobs(b)[0].output, b"line 1\nline 2\nline 3\n");
     // 2 job files + exactly 1 copy of the shared file.
-    assert_eq!(sim.server_report(server).counter("server", "full_updates"), 3);
+    assert_eq!(
+        sim.server_report(server).counter("server", "full_updates"),
+        3
+    );
 }
 
 #[test]
@@ -84,8 +105,14 @@ fn edit_through_one_mount_deltas_for_the_other() {
         move |_| format!("cat {n}\n").into_bytes()
     })
     .unwrap();
-    sim.submit(a, conn_a, "/ja.cmd", &["/projl/foo"], SubmitOptions::default())
-        .unwrap();
+    sim.submit(
+        a,
+        conn_a,
+        "/ja.cmd",
+        &["/projl/foo"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
 
     // Workstation a edits through its mount; the change is visible to b
@@ -106,8 +133,14 @@ fn edit_through_one_mount_deltas_for_the_other() {
         move |_| format!("wc {n}\n").into_bytes()
     })
     .unwrap();
-    sim.submit(b, conn_b, "/jb.cmd", &["/others/foo"], SubmitOptions::default())
-        .unwrap();
+    sim.submit(
+        b,
+        conn_b,
+        "/jb.cmd",
+        &["/others/foo"],
+        SubmitOptions::default(),
+    )
+    .unwrap();
     sim.run_until_quiet();
     let out = String::from_utf8_lossy(&sim.finished_jobs(b)[0].output).to_string();
     assert!(out.starts_with("4 "), "job saw the edited file: {out}");
@@ -135,10 +168,14 @@ fn different_domains_do_not_share_shadows() {
     let conn1 = sim.connect(c1, server, profiles::lan()).unwrap();
     let conn2 = sim.connect(c2, server, profiles::lan()).unwrap();
 
-    sim.edit_file(c1, "/j.cmd", |_| b"echo domain-one\n".to_vec()).unwrap();
-    sim.edit_file(c2, "/j.cmd", |_| b"echo domain-two\n".to_vec()).unwrap();
-    sim.submit(c1, conn1, "/j.cmd", &[], SubmitOptions::default()).unwrap();
-    sim.submit(c2, conn2, "/j.cmd", &[], SubmitOptions::default()).unwrap();
+    sim.edit_file(c1, "/j.cmd", |_| b"echo domain-one\n".to_vec())
+        .unwrap();
+    sim.edit_file(c2, "/j.cmd", |_| b"echo domain-two\n".to_vec())
+        .unwrap();
+    sim.submit(c1, conn1, "/j.cmd", &[], SubmitOptions::default())
+        .unwrap();
+    sim.submit(c2, conn2, "/j.cmd", &[], SubmitOptions::default())
+        .unwrap();
     sim.run_until_quiet();
     assert_eq!(sim.finished_jobs(c1)[0].output, b"domain-one\n");
     assert_eq!(sim.finished_jobs(c2)[0].output, b"domain-two\n");

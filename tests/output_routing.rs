@@ -99,5 +99,9 @@ fn output_to_disconnected_everything_is_dropped_not_fatal() {
     // Nobody to deliver to: the server completes the job and moves on.
     sim.run_until_quiet();
     assert!(sim.finished_jobs(client).is_empty());
-    assert_eq!(sim.server_report(server).counter("server", "jobs_completed"), 1);
+    assert_eq!(
+        sim.server_report(server)
+            .counter("server", "jobs_completed"),
+        1
+    );
 }

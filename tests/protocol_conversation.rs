@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use shadow::prelude::*;
 use shadow::{ClientEvent, ClientNode, ConnId, ServerEvent, ServerNode, SessionId};
 use shadow_client::ClientAction;
-use shadow_server::ServerAction;
 use shadow_proto::{ClientMessage, FileId, ServerMessage};
+use shadow_server::ServerAction;
 
 /// Ferries messages between one client and one server until both queues
 /// are empty, firing server timers immediately. Returns the number of

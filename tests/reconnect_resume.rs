@@ -169,7 +169,10 @@ fn proxy_cut_reconnects_with_backoff_and_resumes_as_delta() {
     );
     client.link_down();
     let retry_at = sup.link_failed(1);
-    assert!(retry_at >= 21, "the first retry waits at least the base backoff");
+    assert!(
+        retry_at >= 21,
+        "the first retry waits at least the base backoff"
+    );
 
     let (fresh, _) = redial(&mut sup, retry_at);
     client.resume_over(fresh).unwrap();
@@ -184,7 +187,11 @@ fn proxy_cut_reconnects_with_backoff_and_resumes_as_delta() {
 
     assert_eq!(sup.stats().dials, 2);
     assert_eq!(sup.stats().reconnects, 1);
-    assert_eq!(proxy.connections_served(), 2, "one original dial, one redial");
+    assert_eq!(
+        proxy.connections_served(),
+        2,
+        "one original dial, one redial"
+    );
 
     drop(client);
     let node = server.join().unwrap().unwrap().remove(0);
@@ -279,8 +286,7 @@ fn two_shard_resume_lands_on_the_owning_shard() {
 
     for &d in &domains {
         let tag = format!("ws{d}");
-        let mut client =
-            connect_tcp(ClientConfig::new(tag.clone(), d), proxy.addr()).unwrap();
+        let mut client = connect_tcp(ClientConfig::new(tag.clone(), d), proxy.addr()).unwrap();
         let content = warm_session(&mut client, &tag);
 
         proxy.cut();

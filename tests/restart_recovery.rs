@@ -74,7 +74,10 @@ fn restart_from_journal_keeps_the_delta_path() {
 
     let mut client = system.connect_client(ClientConfig::new("ws", 1));
     let loaded = persist::load_state(&client_state, client.node_mut()).unwrap();
-    assert!(loaded.restored > 0, "the client restored its version chains");
+    assert!(
+        loaded.restored > 0,
+        "the client restored its version chains"
+    );
     client.wait_ready(Duration::from_secs(5)).unwrap();
 
     let mut edited = content;

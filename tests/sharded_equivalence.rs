@@ -236,7 +236,8 @@ fn shutdown_drains_in_flight_jobs() {
         c.wait_ready(WAIT).expect("handshake");
         let job = FileRef::new(FileId::new(1), "ws:/slow.job");
         c.edit_finished(&job, format!("echo drained {i}\n").into_bytes());
-        c.submit(&job, &[], SubmitOptions::default()).expect("submit");
+        c.submit(&job, &[], SubmitOptions::default())
+            .expect("submit");
     }
 
     // Initiate shutdown NOW, while both jobs are still running. The
