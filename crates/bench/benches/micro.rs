@@ -232,6 +232,24 @@ fn main() {
         }),
     ));
 
+    // The job interpreter over data it borrows in place, as the server
+    // lends its cache entries: `wc` on e2e `text_edit`'s 200 KB file and
+    // `sort` on 100 KB, both `generate_file` text at seed 1988.
+    for (op, job, size) in [
+        ("exec_wc_200k", &b"wc /data\n"[..], 200_000),
+        ("exec_sort_100k", b"sort /data\n", 100_000),
+    ] {
+        let data = shadow::generate_file(&FileSpec::new(size, 1988));
+        let resolve = |name: &str| (name == "/data").then_some(data.as_slice());
+        rows.push(row(
+            op,
+            data.len(),
+            measure(iters, || {
+                black_box(shadow::exec::run_job(black_box(job), &resolve));
+            }),
+        ));
+    }
+
     // The line diff with a fresh scratch vs reusing one scratch across
     // calls (the steady-state resubmission path).
     let (base, edited) = small_edit_pair();

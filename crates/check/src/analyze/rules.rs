@@ -116,8 +116,9 @@ struct ReachRule {
 }
 
 const REACH_RULES: &[ReachRule] = &[
-    // Untrusted bytes enter through wire decode (the socket) and
-    // journal replay (the disk).
+    // Untrusted bytes enter through wire decode (the socket), journal
+    // replay (the disk) and the job interpreter (a client's job command
+    // file and data files).
     ReachRule {
         rule: "panic-reach",
         entries: Entries::Named(&[
@@ -125,6 +126,7 @@ const REACH_RULES: &[ReachRule] = &[
             ("proto", Some("ClientMessage"), "decode_body"),
             ("proto", Some("ServerMessage"), "decode_body"),
             ("server", Some("ServerNode"), "restore"),
+            ("server", None, "run_job"),
             ("store", Some("DurableStore"), "open_shard"),
         ]),
         kind: FactKind::Panic,

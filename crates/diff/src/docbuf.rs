@@ -17,6 +17,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::scan::push_line_starts;
+
 #[derive(Debug, PartialEq, Eq, Hash)]
 struct DocInner {
     /// The raw byte form, exactly as read or produced.
@@ -147,77 +149,6 @@ impl DocBuf {
         }
         &self.inner.bytes[start..end]
     }
-}
-
-/// `0x80` in every byte of the little-endian `word` that is `\n`, 0 in
-/// every other byte.
-///
-/// Xor with a word of `\n` bytes turns each newline into a zero byte,
-/// and the exact zero-byte mask (`0x80` in every byte that is zero,
-/// with no carries between bytes) marks them. The line index, and
-/// `apply_delta`'s line count and base cursor, read their input eight
-/// bytes at a time through this mask.
-fn newline_mask(word: &[u8; 8]) -> u64 {
-    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
-    const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
-    let x = u64::from_le_bytes(*word) ^ NEWLINES;
-    !(((x & LOW7) + LOW7) | x | LOW7)
-}
-
-/// Appends `i + 1` for every `\n` at offset `i` of `bytes`, in order.
-fn push_line_starts(bytes: &[u8], out: &mut Vec<u32>) {
-    let (words, tail) = bytes.as_chunks::<8>();
-    let mut base = 0u32;
-    for word in words {
-        let mut marks = newline_mask(word);
-        while marks != 0 {
-            out.push(base + marks.trailing_zeros() / 8 + 1);
-            marks &= marks - 1;
-        }
-        base += 8;
-    }
-    for (i, &b) in tail.iter().enumerate() {
-        if b == b'\n' {
-            out.push(base + i as u32 + 1);
-        }
-    }
-}
-
-/// The number of `\n` bytes in `bytes`.
-pub(crate) fn count_newlines(bytes: &[u8]) -> usize {
-    let (words, tail) = bytes.as_chunks::<8>();
-    let whole: usize = words
-        .iter()
-        .map(|word| newline_mask(word).count_ones() as usize)
-        .sum();
-    whole + tail.iter().filter(|&&b| b == b'\n').count()
-}
-
-/// The offset just past the `n`-th `\n` of `bytes` (0 when `n` is 0),
-/// or `None` when `bytes` holds fewer than `n` newlines.
-pub(crate) fn skip_newlines(bytes: &[u8], n: usize) -> Option<usize> {
-    if n == 0 {
-        return Some(0);
-    }
-    let mut left = n;
-    let (words, tail) = bytes.as_chunks::<8>();
-    for (k, word) in words.iter().enumerate() {
-        let mut marks = newline_mask(word);
-        let found = marks.count_ones() as usize;
-        if found < left {
-            left -= found;
-            continue;
-        }
-        for _ in 1..left {
-            marks &= marks - 1;
-        }
-        return Some(k * 8 + marks.trailing_zeros() as usize / 8 + 1);
-    }
-    tail.iter()
-        .enumerate()
-        .filter(|&(_, &b)| b == b'\n')
-        .nth(left - 1)
-        .map(|(i, _)| words.len() * 8 + i + 1)
 }
 
 impl Default for DocBuf {

@@ -49,6 +49,7 @@ mod docbuf;
 mod edscript;
 mod hunt_mcilroy;
 mod myers;
+pub mod scan;
 mod scratch;
 mod stats;
 mod zerocopy;

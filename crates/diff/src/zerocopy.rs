@@ -24,8 +24,9 @@ use std::error::Error;
 use std::fmt;
 
 use crate::algorithm::DiffAlgorithm;
-use crate::docbuf::{count_newlines, skip_newlines, DocBuf};
+use crate::docbuf::DocBuf;
 use crate::edscript::{ApplyError, ParseError, ParseErrorKind};
+use crate::scan::{count_newlines, skip_newlines};
 use crate::scratch::{fx_hash_bytes, DiffScratch};
 use crate::stats::DiffStats;
 

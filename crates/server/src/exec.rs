@@ -25,9 +25,20 @@
 //! | `gen N PREFIX` | emits `N` generated lines (big-output jobs) |
 //! | `compute BYTES` | pure simulated CPU burn |
 //!
+//! Data files are read in place: the resolver hands out whatever holds
+//! the bytes (the server passes its cache entries' shared `Bytes`), and
+//! every line a command reads or prints is a slice of them, so no
+//! command copies its input or allocates per line. The line splits and
+//! `wc`'s line and word counts run eight bytes at a time through
+//! [`shadow_diff::scan`].
+//!
 //! A missing file or malformed command stops the job with exit code 1 —
 //! the error text goes to the error stream, exactly what the `submit`
 //! command's error-file option captures.
+
+use std::fmt;
+
+use shadow_diff::scan::{count_lines_and_words, count_newlines, split_lines};
 
 /// The result of interpreting one job command file.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,25 +57,37 @@ pub struct ExecOutcome {
 /// Interprets `command_file`, resolving data-file names through `resolve`
 /// (the server wires this to the shadow cache + mapping directory).
 ///
+/// The resolver returns anything that holds the file's bytes, so a
+/// caller can lend its own buffers instead of copying them.
+///
 /// # Example
 ///
 /// ```
 /// use shadow_server::exec::run_job;
 ///
-/// let outcome = run_job(b"echo hello world\n", &|_name| None);
+/// let outcome = run_job(b"echo hello world\n", &|_name| None::<&[u8]>);
 /// assert_eq!(outcome.output, b"hello world\n");
 /// assert_eq!(outcome.exit_code, 0);
+///
+/// let data = b"one two\nthree\n".to_vec();
+/// let outcome = run_job(b"wc /data\n", &|name| (name == "/data").then_some(&data));
+/// assert_eq!(outcome.output, b"2 3 14 /data\n");
 /// ```
-pub fn run_job(command_file: &[u8], resolve: &dyn Fn(&str) -> Option<Vec<u8>>) -> ExecOutcome {
+pub fn run_job<D: AsRef<[u8]>>(
+    command_file: &[u8],
+    resolve: &dyn Fn(&str) -> Option<D>,
+) -> ExecOutcome {
     let mut out = ExecOutcome::default();
     let text = String::from_utf8_lossy(command_file);
     for (lineno, raw_line) in text.lines().enumerate() {
         let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
+        if line.starts_with('#') {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let cmd = parts.next().expect("non-empty line");
+        let Some(cmd) = parts.next() else {
+            continue;
+        };
         let args: Vec<&str> = parts.collect();
         if let Err(msg) = run_command(cmd, &args, resolve, &mut out) {
             out.errors
@@ -76,13 +99,13 @@ pub fn run_job(command_file: &[u8], resolve: &dyn Fn(&str) -> Option<Vec<u8>>) -
     out
 }
 
-fn read_file(
+fn read_file<D: AsRef<[u8]>>(
     name: &str,
-    resolve: &dyn Fn(&str) -> Option<Vec<u8>>,
+    resolve: &dyn Fn(&str) -> Option<D>,
     out: &mut ExecOutcome,
-) -> Result<Vec<u8>, String> {
+) -> Result<D, String> {
     let content = resolve(name).ok_or_else(|| format!("{name}: no such shadow file"))?;
-    out.cpu_bytes += content.len() as u64;
+    out.cpu_bytes += content.as_ref().len() as u64;
     Ok(content)
 }
 
@@ -91,10 +114,34 @@ fn emit(out: &mut ExecOutcome, bytes: &[u8]) {
     out.output.extend_from_slice(bytes);
 }
 
-fn run_command(
+/// [`emit`]s a line of text, formatted straight into the output.
+fn emit_fmt(out: &mut ExecOutcome, args: fmt::Arguments<'_>) {
+    struct Emit<'a>(&'a mut ExecOutcome);
+    impl fmt::Write for Emit<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            emit(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    // Writing into a `Vec` cannot fail.
+    let _ = fmt::Write::write_fmt(&mut Emit(out), args);
+}
+
+/// The non-empty lines of `content`, borrowed, without their `\n`.
+fn lines(content: &[u8]) -> impl Iterator<Item = &[u8]> {
+    split_lines(content).filter(|line| !line.is_empty())
+}
+
+/// [`emit`]s `line` and its `\n`.
+fn emit_line(out: &mut ExecOutcome, line: &[u8]) {
+    emit(out, line);
+    emit(out, b"\n");
+}
+
+fn run_command<D: AsRef<[u8]>>(
     cmd: &str,
     args: &[&str],
-    resolve: &dyn Fn(&str) -> Option<Vec<u8>>,
+    resolve: &dyn Fn(&str) -> Option<D>,
     out: &mut ExecOutcome,
 ) -> Result<(), String> {
     match cmd {
@@ -109,7 +156,7 @@ fn run_command(
             }
             for name in args {
                 let content = read_file(name, resolve, out)?;
-                emit(out, &content);
+                emit(out, content.as_ref());
             }
             Ok(())
         }
@@ -119,13 +166,10 @@ fn run_command(
             }
             for name in args {
                 let content = read_file(name, resolve, out)?;
-                let lines = content.iter().filter(|&&b| b == b'\n').count();
-                let words = content
-                    .split(|b| b.is_ascii_whitespace())
-                    .filter(|w| !w.is_empty())
-                    .count();
-                let line = format!("{lines} {words} {} {name}\n", content.len());
-                emit(out, line.as_bytes());
+                let content = content.as_ref();
+                let (lines, words) = count_lines_and_words(content);
+                let bytes = content.len();
+                emit_fmt(out, format_args!("{lines} {words} {bytes} {name}\n"));
             }
             Ok(())
         }
@@ -134,17 +178,12 @@ fn run_command(
             if files.is_empty() {
                 return Err("missing operand".into());
             }
+            let pattern = pattern.as_bytes();
             for name in files {
                 let content = read_file(name, resolve, out)?;
-                for line in content.split(|&b| b == b'\n') {
-                    if !line.is_empty()
-                        && line
-                            .windows(pattern.len().max(1))
-                            .any(|w| w == pattern.as_bytes())
-                    {
-                        let mut l = line.to_vec();
-                        l.push(b'\n');
-                        emit(out, &l);
+                for line in lines(content.as_ref()) {
+                    if line.windows(pattern.len().max(1)).any(|w| w == pattern) {
+                        emit_line(out, line);
                     }
                 }
             }
@@ -154,19 +193,26 @@ fn run_command(
             if args.is_empty() {
                 return Err("missing operand".into());
             }
-            let mut lines: Vec<Vec<u8>> = Vec::new();
-            for name in args {
-                let content = read_file(name, resolve, out)?;
-                for line in content.split(|&b| b == b'\n') {
-                    if !line.is_empty() {
-                        lines.push(line.to_vec());
-                    }
-                }
+            let contents = args
+                .iter()
+                .map(|name| read_file(name, resolve, out))
+                .collect::<Result<Vec<D>, String>>()?;
+            // Every file holds at most one line more than it has `\n`s.
+            let most = contents
+                .iter()
+                .map(|c| count_newlines(c.as_ref()) + 1)
+                .sum();
+            let mut sorted: Vec<&[u8]> = Vec::with_capacity(most);
+            for content in &contents {
+                sorted.extend(lines(content.as_ref()));
             }
-            lines.sort();
-            for l in lines {
-                emit(out, &l);
-                emit(out, b"\n");
+            // Equal lines are equal bytes, so an unstable sort prints
+            // what a stable one would.
+            sorted.sort_unstable();
+            out.output
+                .reserve(sorted.iter().map(|line| line.len() + 1).sum());
+            for line in sorted {
+                emit_line(out, line);
             }
             Ok(())
         }
@@ -175,18 +221,14 @@ fn run_command(
             let n: usize = n_str.parse().map_err(|_| format!("bad count {n_str:?}"))?;
             let name = files.first().ok_or("missing operand")?;
             let content = read_file(name, resolve, out)?;
-            let lines: Vec<&[u8]> = content
-                .split(|&b| b == b'\n')
-                .filter(|l| !l.is_empty())
-                .collect();
-            let picked: Vec<&[u8]> = if cmd == "head" {
-                lines.iter().take(n).copied().collect()
+            let content = content.as_ref();
+            let skip = if cmd == "head" {
+                0
             } else {
-                lines.iter().rev().take(n).rev().copied().collect()
+                lines(content).count().saturating_sub(n)
             };
-            for l in picked {
-                emit(out, l);
-                emit(out, b"\n");
+            for line in lines(content).skip(skip).take(n) {
+                emit_line(out, line);
             }
             Ok(())
         }
@@ -198,28 +240,23 @@ fn run_command(
             let mut count = 0u64;
             for name in args {
                 let content = read_file(name, resolve, out)?;
-                for token in String::from_utf8_lossy(&content).split_whitespace() {
+                for token in String::from_utf8_lossy(content.as_ref()).split_whitespace() {
                     if let Ok(v) = token.parse::<f64>() {
                         total += v;
                         count += 1;
                     }
                 }
             }
-            let line = format!("sum {total} of {count} values\n");
-            emit(out, line.as_bytes());
+            emit_fmt(out, format_args!("sum {total} of {count} values\n"));
             Ok(())
         }
         "uniq" => {
             let name = args.first().ok_or("missing operand")?;
             let content = read_file(name, resolve, out)?;
             let mut previous: Option<&[u8]> = None;
-            for line in content.split(|&b| b == b'\n') {
-                if line.is_empty() {
-                    continue;
-                }
+            for line in lines(content.as_ref()) {
                 if previous != Some(line) {
-                    emit(out, line);
-                    emit(out, b"\n");
+                    emit_line(out, line);
                 }
                 previous = Some(line);
             }
@@ -228,15 +265,9 @@ fn run_command(
         "nl" => {
             let name = args.first().ok_or("missing operand")?;
             let content = read_file(name, resolve, out)?;
-            for (i, line) in content
-                .split(|&b| b == b'\n')
-                .filter(|l| !l.is_empty())
-                .enumerate()
-            {
-                let prefix = format!("{:>6}  ", i + 1);
-                emit(out, prefix.as_bytes());
-                emit(out, line);
-                emit(out, b"\n");
+            for (i, line) in lines(content.as_ref()).enumerate() {
+                emit_fmt(out, format_args!("{:>6}  ", i + 1));
+                emit_line(out, line);
             }
             Ok(())
         }
@@ -250,7 +281,7 @@ fn run_command(
             let mut count = 0u64;
             for name in args {
                 let content = read_file(name, resolve, out)?;
-                for token in String::from_utf8_lossy(&content).split_whitespace() {
+                for token in String::from_utf8_lossy(content.as_ref()).split_whitespace() {
                     if let Ok(v) = token.parse::<f64>() {
                         min = min.min(v);
                         max = max.max(v);
@@ -259,15 +290,15 @@ fn run_command(
                     }
                 }
             }
-            let line = if count == 0 {
-                "stats: no numeric values\n".to_string()
+            if count == 0 {
+                emit(out, b"stats: no numeric values\n");
             } else {
-                format!(
-                    "min {min} max {max} mean {} n {count}\n",
-                    total / count as f64
-                )
-            };
-            emit(out, line.as_bytes());
+                let mean = total / count as f64;
+                emit_fmt(
+                    out,
+                    format_args!("min {min} max {max} mean {mean} n {count}\n"),
+                );
+            }
             Ok(())
         }
         "gen" => {
@@ -278,8 +309,7 @@ fn run_command(
             }
             let prefix = rest.first().copied().unwrap_or("line");
             for i in 0..n {
-                let line = format!("{prefix} {i:08}\n");
-                emit(out, line.as_bytes());
+                emit_fmt(out, format_args!("{prefix} {i:08}\n"));
             }
             Ok(())
         }
@@ -308,7 +338,7 @@ mod tests {
 
     #[test]
     fn echo_and_comments() {
-        let o = run_job(b"# setup\n\necho a b  c\n", &|_| None);
+        let o = run_job(b"# setup\n\necho a b  c\n", &|_| None::<&[u8]>);
         assert_eq!(o.output, b"a b c\n");
         assert_eq!(o.exit_code, 0);
         assert!(o.errors.is_empty());
@@ -383,13 +413,17 @@ mod tests {
     #[test]
     fn new_commands_require_operands() {
         for job in ["uniq\n", "nl\n", "stats\n"] {
-            assert_eq!(run_job(job.as_bytes(), &|_| None).exit_code, 1, "{job}");
+            assert_eq!(
+                run_job(job.as_bytes(), &|_| None::<&[u8]>).exit_code,
+                1,
+                "{job}"
+            );
         }
     }
 
     #[test]
     fn gen_produces_big_output() {
-        let o = run_job(b"gen 3 result\n", &|_| None);
+        let o = run_job(b"gen 3 result\n", &|_| None::<&[u8]>);
         assert_eq!(
             o.output,
             b"result 00000000\nresult 00000001\nresult 00000002\n"
@@ -398,7 +432,7 @@ mod tests {
 
     #[test]
     fn compute_burns_cpu_without_output() {
-        let o = run_job(b"compute 1000000\n", &|_| None);
+        let o = run_job(b"compute 1000000\n", &|_| None::<&[u8]>);
         assert!(o.output.is_empty());
         assert_eq!(o.cpu_bytes, 1_000_000);
     }
@@ -412,7 +446,7 @@ mod tests {
 
     #[test]
     fn missing_file_fails_with_error() {
-        let o = run_job(b"cat /missing\necho unreachable\n", &|_| None);
+        let o = run_job(b"cat /missing\necho unreachable\n", &|_| None::<&[u8]>);
         assert_eq!(o.exit_code, 1);
         assert!(String::from_utf8_lossy(&o.errors).contains("no such shadow file"));
         assert!(o.output.is_empty());
@@ -420,16 +454,16 @@ mod tests {
 
     #[test]
     fn unknown_command_fails() {
-        let o = run_job(b"frobnicate /f\n", &|_| None);
+        let o = run_job(b"frobnicate /f\n", &|_| None::<&[u8]>);
         assert_eq!(o.exit_code, 1);
         assert!(String::from_utf8_lossy(&o.errors).contains("unknown command"));
     }
 
     #[test]
     fn malformed_counts_fail() {
-        assert_eq!(run_job(b"head x /f\n", &|_| None).exit_code, 1);
-        assert_eq!(run_job(b"gen nope\n", &|_| None).exit_code, 1);
-        assert_eq!(run_job(b"compute many\n", &|_| None).exit_code, 1);
+        assert_eq!(run_job(b"head x /f\n", &|_| None::<&[u8]>).exit_code, 1);
+        assert_eq!(run_job(b"gen nope\n", &|_| None::<&[u8]>).exit_code, 1);
+        assert_eq!(run_job(b"compute many\n", &|_| None::<&[u8]>).exit_code, 1);
     }
 
     #[test]
@@ -443,7 +477,7 @@ mod tests {
             "sum\n",
             "head 3\n",
         ] {
-            let o = run_job(job.as_bytes(), &|_| None);
+            let o = run_job(job.as_bytes(), &|_| None::<&[u8]>);
             assert_eq!(o.exit_code, 1, "job {job:?}");
         }
     }

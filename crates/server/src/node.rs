@@ -1044,11 +1044,13 @@ impl ServerNode {
         // Resolve names through the mapping directory, then the cache.
         let directory = &self.directory;
         let cache = &self.cache;
-        let resolve = |name: &str| -> Option<Vec<u8>> {
+        // The job reads the cached bytes in place: each lookup costs a
+        // reference count, not a copy.
+        let resolve = |name: &str| -> Option<Bytes> {
             let file = directory.file_by_name(domain, name)?;
             cache
                 .peek(&FileKey::new(domain, file))
-                .map(|e| e.content.to_vec())
+                .map(|e| e.content.clone())
         };
         let outcome = run_job(&command_file, &resolve);
         let runtime_ms = self.config.exec.job_overhead_ms

@@ -17,7 +17,7 @@ proptest! {
     fn executor_never_panics_on_arbitrary_bytes(
         job in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        let outcome = run_job(&job, &|_| None);
+        let outcome = run_job(&job, &|_| None::<&[u8]>);
         // Exit code is always 0 or 1.
         prop_assert!(outcome.exit_code == 0 || outcome.exit_code == 1);
     }
@@ -61,13 +61,13 @@ proptest! {
         // is genuinely requested (we cap the test to small n for that).
         let job = format!("gen {n} x\n");
         if n < 10_000 {
-            let outcome = run_job(job.as_bytes(), &|_| None);
+            let outcome = run_job(job.as_bytes(), &|_| None::<&[u8]>);
             prop_assert_eq!(outcome.exit_code, 0);
         } else {
             // Don't actually materialize huge outputs in the test; just
             // check the malformed variants.
             let job = format!("gen {n}x x\n");
-            let outcome = run_job(job.as_bytes(), &|_| None);
+            let outcome = run_job(job.as_bytes(), &|_| None::<&[u8]>);
             prop_assert_eq!(outcome.exit_code, 1);
         }
     }

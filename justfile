@@ -3,9 +3,9 @@
 # Build everything, run the full test suite, lint, and analyze.
 check: fmt build test e2e-test lint doc verify analyze
 
-# Formatting drift in the crates kept rustfmt-clean fails the check.
+# Formatting drift anywhere in the workspace fails the check.
 fmt:
-    cargo fmt --check -p shadow-runtime -p shadow-check
+    cargo fmt --all --check
 
 # Release build of the whole workspace.
 build:
