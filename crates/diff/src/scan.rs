@@ -1,7 +1,7 @@
 //! Byte scans that read their input eight bytes at a time.
 //!
 //! Each scan loads a little-endian `u64` word and marks the bytes it
-//! looks for with one exact zero-byte mask ([`byte_mask`]): `0x80` in
+//! looks for with one exact zero-byte mask (`byte_mask`): `0x80` in
 //! every byte that matches and 0 in every other, with no carries between
 //! bytes, so a byte next to a target in value (`\x0b` beside `\n`,
 //! `\x8a`) is never marked. The line index of [`DocBuf`](crate::DocBuf),

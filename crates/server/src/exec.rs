@@ -81,7 +81,7 @@ pub fn run_job<D: AsRef<[u8]>>(
     let text = String::from_utf8_lossy(command_file);
     for (lineno, raw_line) in text.lines().enumerate() {
         let line = raw_line.trim();
-        if line.starts_with('#') {
+        if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut parts = line.split_whitespace();
@@ -114,7 +114,8 @@ fn emit(out: &mut ExecOutcome, bytes: &[u8]) {
     out.output.extend_from_slice(bytes);
 }
 
-/// [`emit`]s a line of text, formatted straight into the output.
+/// [`emit`]s formatted text, written into the output with no `String`
+/// in between.
 fn emit_fmt(out: &mut ExecOutcome, args: fmt::Arguments<'_>) {
     struct Emit<'a>(&'a mut ExecOutcome);
     impl fmt::Write for Emit<'_> {
@@ -247,7 +248,8 @@ fn run_command<D: AsRef<[u8]>>(
                     }
                 }
             }
-            emit_fmt(out, format_args!("sum {total} of {count} values\n"));
+            let line = format!("sum {total} of {count} values\n");
+            emit(out, line.as_bytes());
             Ok(())
         }
         "uniq" => {
@@ -290,15 +292,15 @@ fn run_command<D: AsRef<[u8]>>(
                     }
                 }
             }
-            if count == 0 {
-                emit(out, b"stats: no numeric values\n");
+            let line = if count == 0 {
+                "stats: no numeric values\n".to_string()
             } else {
-                let mean = total / count as f64;
-                emit_fmt(
-                    out,
-                    format_args!("min {min} max {max} mean {mean} n {count}\n"),
-                );
-            }
+                format!(
+                    "min {min} max {max} mean {} n {count}\n",
+                    total / count as f64
+                )
+            };
+            emit(out, line.as_bytes());
             Ok(())
         }
         "gen" => {
