@@ -13,9 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, Criterion, Throughput};
 use shadow::{
-    apply_chunk_delta, apply_delta, chunk_delta_into, diff_docs, ClientMessage, ContentDigest,
-    DiffAlgorithm, DiffScratch, DocBuf, DomainId, EditModel, FileId, FileSpec, Frame, HostName,
-    TransferEncoding, UpdatePayload, VersionNumber, VersionStore,
+    apply_chunk_delta, apply_chunk_delta_in_place, apply_delta, chunk_delta_indexed,
+    chunk_delta_into, diff_docs, ChunkIndex, ClientMessage, ContentDigest, DiffAlgorithm,
+    DiffScratch, DocBuf, DomainId, EditModel, FileId, FileSpec, Frame, HostName, TransferEncoding,
+    UpdatePayload, VersionNumber, VersionStore,
 };
 
 /// Pass-through allocator that counts every allocation (and growth
@@ -365,6 +366,53 @@ fn main() {
             }),
         ));
     }
+
+    // The two chunk-codec passes of a binary resubmission on the
+    // `digest_4m_binary` pair: the client's walk over an index derived
+    // from the base's, trusting the derivation's proof, and the server's
+    // apply over its cached base in place. The apply alternates the two
+    // directions so every call starts from the base its delta was made
+    // against. These rows run last, so the guarded rows above see the
+    // allocator in the state they were baselined in.
+    let bin_a_index = ChunkIndex::build(&bin_a);
+    let bin_b_index = ChunkIndex::derive(&bin_a, &bin_a_index, &bin_b);
+    let mut walk_scratch = DiffScratch::new();
+    let mut forward = Vec::new();
+    let walk = |scratch: &mut DiffScratch, out: &mut Vec<u8>| {
+        chunk_delta_indexed(
+            &bin_a,
+            &bin_a_index,
+            &bin_b,
+            &bin_b_index,
+            true,
+            scratch,
+            out,
+        )
+    };
+    walk(&mut walk_scratch, &mut forward); // warm
+    rows.push(row(
+        "chunk_delta_indexed_4m_binary",
+        bin_a.len(),
+        measure(iters, || {
+            black_box(walk(&mut walk_scratch, &mut forward));
+        }),
+    ));
+    let mut backward = Vec::new();
+    chunk_delta_into(&bin_b, &bin_a, &mut walk_scratch, &mut backward);
+    let mut cached = bin_a.clone();
+    let mut at_base = true;
+    rows.push(row(
+        "chunk_apply_in_place_4m_binary",
+        bin_a.len(),
+        measure(iters, || {
+            let delta = if at_base { &forward } else { &backward };
+            apply_chunk_delta_in_place(&mut cached, black_box(delta), usize::MAX).unwrap();
+            at_base = !at_base;
+            black_box(cached.as_slice());
+        }),
+    ));
+    let expected = if at_base { &bin_a } else { &bin_b };
+    assert!(cached == *expected, "in-place apply lost its place");
 
     shadow_bench::export_rows("micro", rows);
 }

@@ -4,9 +4,10 @@
 //!
 //! * **Reachability rules** (`REACH_RULES`): from a set of *entry
 //!   points*, can any function carrying a forbidden [`FactKind`] be
-//!   reached? Propagation runs as a reverse-BFS from fact-bearing
-//!   functions toward callers, recording the next hop at each step so a
-//!   finding can print the full entry → … → fact witness chain.
+//!   reached? A reverse pass from fact-bearing functions toward callers
+//!   marks which functions can; a breadth-first walk from each such
+//!   entry then reports every reachable fact, once per fact location,
+//!   each with its own entry → … → fact witness chain.
 //! * **File-scope rules** (`FILE_RULES`): no forbidden fact anywhere
 //!   in a set of files — `use` lines, struct fields, statics and every
 //!   body alike. No call resolution is involved, so neither an
@@ -117,8 +118,9 @@ struct ReachRule {
 
 const REACH_RULES: &[ReachRule] = &[
     // Untrusted bytes enter through wire decode (the socket), journal
-    // replay (the disk) and the job interpreter (a client's job command
-    // file and data files).
+    // replay (the disk), the job interpreter (a client's job command
+    // file and data files) and the chunk-delta decoder the live server
+    // runs on a client's update.
     ReachRule {
         rule: "panic-reach",
         entries: Entries::Named(&[
@@ -128,6 +130,7 @@ const REACH_RULES: &[ReachRule] = &[
             ("server", Some("ServerNode"), "restore"),
             ("server", None, "run_job"),
             ("store", Some("DurableStore"), "open_shard"),
+            ("diff", None, "apply_chunk_delta_in_place"),
         ]),
         kind: FactKind::Panic,
         what: "panic reachable from untrusted input (socket or disk)",
@@ -140,6 +143,7 @@ const REACH_RULES: &[ReachRule] = &[
             ("diff", None, "chunk_delta_into"),
             ("diff", None, "chunk_delta_indexed"),
             ("diff", None, "apply_chunk_delta"),
+            ("diff", None, "apply_chunk_delta_in_place"),
         ]),
         kind: FactKind::Alloc,
         what: "allocation reachable from the zero-copy diff hot path",
@@ -291,62 +295,82 @@ const COVERAGE_RULES: &[CoverageRule] = &[
     },
 ];
 
-/// Result of one reverse-reachability pass.
-struct Reach {
-    /// Can this function reach a forbidden fact?
-    reachable: Vec<bool>,
-    /// The direct fact, for seed functions.
-    seed_fact: Vec<Option<Fact>>,
-    /// Next hop toward the fact, for propagated functions.
-    via: Vec<Option<CallEdge>>,
-}
-
-fn reach(ws: &Workspace, g: &CallGraph, kind: FactKind) -> Reach {
-    let n = ws.fns.len();
-    let mut r = Reach {
-        reachable: vec![false; n],
-        seed_fact: vec![None; n],
-        via: vec![None; n],
-    };
+/// Which functions can reach a `kind` fact: a reverse pass from the
+/// fact-bearing functions toward their callers.
+fn can_reach(ws: &Workspace, g: &CallGraph, kind: FactKind) -> Vec<bool> {
+    let mut reachable = vec![false; ws.fns.len()];
     let mut queue: Vec<FnId> = Vec::new();
-    for id in 0..n {
-        if let Some(fact) = ws.facts[id].iter().find(|f| f.kind == kind) {
-            r.reachable[id] = true;
-            r.seed_fact[id] = Some(fact.clone());
+    for (id, facts) in ws.facts.iter().enumerate() {
+        if facts.iter().any(|f| f.kind == kind) {
+            reachable[id] = true;
             queue.push(id);
         }
     }
     while let Some(f) = queue.pop() {
         for &caller in &g.callers[f] {
-            if r.reachable[caller] {
-                continue;
+            if !reachable[caller] {
+                reachable[caller] = true;
+                queue.push(caller);
             }
-            let Some(edge) = g.edges[caller].iter().find(|e| e.callee == f) else {
-                continue;
-            };
-            r.reachable[caller] = true;
-            r.via[caller] = Some(edge.clone());
-            queue.push(caller);
         }
     }
-    r
+    reachable
 }
 
-/// Walks the witness chain from `entry` to the fact function.
-fn finding_for(ws: &Workspace, r: &Reach, rule: &ReachRule, entry: FnId) -> AnalysisFinding {
-    let mut chain = Vec::new();
-    let mut cur = entry;
-    chain.push(ws.qual(cur).to_string());
-    while let Some(edge) = &r.via[cur] {
-        cur = edge.callee;
-        chain.push(format!("{} (call at line {})", ws.qual(cur), edge.line));
+/// Reports every `rule.kind` fact reachable from `entry`, each once per
+/// fact location and with its own witness chain: the shortest call
+/// path, found breadth-first through the functions `reachable` marks.
+fn entry_findings(
+    ws: &Workspace,
+    g: &CallGraph,
+    reachable: &[bool],
+    rule: &ReachRule,
+    entry: FnId,
+    out: &mut Vec<AnalysisFinding>,
+) {
+    // The edge each function was first reached by.
+    let mut via: Vec<Option<(FnId, &CallEdge)>> = vec![None; ws.fns.len()];
+    let mut seen = vec![false; ws.fns.len()];
+    seen[entry] = true;
+    let mut queue = std::collections::VecDeque::from([entry]);
+    let mut located = BTreeSet::new();
+    while let Some(f) = queue.pop_front() {
+        let item = ws.item(f);
+        for fact in ws.facts[f].iter().filter(|x| x.kind == rule.kind) {
+            if located.insert((&item.file, fact.line, &fact.token)) {
+                out.push(finding_for(ws, rule, entry, f, fact, &via));
+            }
+        }
+        for edge in &g.edges[f] {
+            if reachable[edge.callee] && !seen[edge.callee] {
+                seen[edge.callee] = true;
+                via[edge.callee] = Some((f, edge));
+                queue.push_back(edge.callee);
+            }
+        }
     }
-    let fact = r.seed_fact[cur].clone().unwrap_or(Fact {
-        kind: FactKind::Panic,
-        line: 0,
-        token: String::from("?"),
-    });
-    let fact_item = ws.item(cur);
+}
+
+/// The finding for `fact` in `fact_fn`, with the witness chain from
+/// `entry` read back along `via`.
+fn finding_for(
+    ws: &Workspace,
+    rule: &ReachRule,
+    entry: FnId,
+    fact_fn: FnId,
+    fact: &Fact,
+    via: &[Option<(FnId, &CallEdge)>],
+) -> AnalysisFinding {
+    let mut hops = Vec::new();
+    let mut cur = fact_fn;
+    while let Some((caller, edge)) = via[cur] {
+        hops.push(format!("{} (call at line {})", ws.qual(cur), edge.line));
+        cur = caller;
+    }
+    let chain = std::iter::once(ws.qual(entry).to_string())
+        .chain(hops.into_iter().rev())
+        .collect();
+    let fact_item = ws.item(fact_fn);
     AnalysisFinding {
         rule: rule.rule,
         entry: ws.qual(entry).to_string(),
@@ -395,9 +419,9 @@ fn reach_findings(ws: &Workspace, g: &CallGraph, rule: &ReachRule, out: &mut Vec
         ));
         return;
     }
-    let r = reach(ws, g, rule.kind);
-    for e in entries.into_iter().filter(|&e| r.reachable[e]) {
-        out.push(finding_for(ws, &r, rule, e));
+    let reachable = can_reach(ws, g, rule.kind);
+    for entry in entries.into_iter().filter(|&e| reachable[e]) {
+        entry_findings(ws, g, &reachable, rule, entry, out);
     }
 }
 
@@ -712,6 +736,55 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].entry, "diff::chunk::chunk_delta_indexed");
         assert_eq!(f[0].fact_fn, "diff::chunk::walk_and_serialize");
+    }
+
+    #[test]
+    fn every_fact_under_one_entry_is_reported_with_its_own_chain() {
+        // Two facts in one helper and a third one call deeper: three
+        // findings, not one. The deep helper is reached twice, through
+        // `scan` and through `check`, and reported once.
+        let ws = ws_from(&[(
+            "diff",
+            "src/chunk.rs",
+            "pub fn apply_chunk_delta_in_place() { scan(); check() }\n\
+             fn scan() { let a = x.unwrap();\n let b = y[0]; deep() }\n\
+             fn check() { deep() }\n\
+             fn deep() { panic!() }",
+        )]);
+        let f = rule_findings(&ws, "panic-reach");
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f
+            .iter()
+            .all(|x| x.entry == "diff::chunk::apply_chunk_delta_in_place"));
+        let found: Vec<(&str, u32, &str)> = f
+            .iter()
+            .map(|x| (x.fact_fn.as_str(), x.line, x.token.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("diff::chunk::scan", 2, ".unwrap("),
+                ("diff::chunk::scan", 3, "index-expr"),
+                ("diff::chunk::deep", 5, "panic!"),
+            ]
+        );
+        assert_eq!(f[0].chain.len(), 2);
+        assert_eq!(f[2].chain.len(), 3, "{:?}", f[2].chain);
+    }
+
+    #[test]
+    fn the_in_place_chunk_decoder_is_guarded_for_panics_and_allocations() {
+        let ws = ws_from(&[(
+            "diff",
+            "src/chunk.rs",
+            "pub fn apply_chunk_delta_in_place() { stash() }\n\
+             fn stash() { let v = Vec::new(); v.first().unwrap(); }",
+        )]);
+        for rule in ["panic-reach", "alloc-reach"] {
+            let f = rule_findings(&ws, rule);
+            assert_eq!(f.len(), 1, "{rule}: {f:?}");
+            assert_eq!(f[0].entry, "diff::chunk::apply_chunk_delta_in_place");
+        }
     }
 
     #[test]

@@ -104,9 +104,10 @@ pub use shadow_client::{
 };
 pub use shadow_compress::{compress, decompress};
 pub use shadow_diff::{
-    apply_chunk_delta, apply_delta, choose_chunk_codec, chunk_delta_into, classify, diff_docs,
-    ApplyError, ChunkDeltaError, ChunkParams, ChunkStats, DeltaError, DeltaScript, DiffAlgorithm,
-    DiffScratch, DiffStats, DocBuf, DocShape,
+    apply_chunk_delta, apply_chunk_delta_in_place, apply_delta, choose_chunk_codec,
+    chunk_delta_indexed, chunk_delta_into, classify, diff_docs, ApplyError, ChunkDeltaError,
+    ChunkIndex, ChunkParams, ChunkStats, DeltaError, DeltaScript, DiffAlgorithm, DiffScratch,
+    DiffStats, DocBuf, DocShape,
 };
 pub use shadow_netsim::{
     pipe, profiles, tcp, ChaosProxy, FaultPlan, FaultStats, FaultTransport, LinkProfile, LinkStats,

@@ -42,11 +42,6 @@ const OP_COPY: u8 = 0;
 /// Op tag: insert `len` literal bytes carried in the delta.
 const OP_INSERT: u8 = 1;
 
-/// Upper bound on how much output capacity [`apply_chunk_delta`] reserves
-/// up front, so a forged header cannot force a giant allocation before any
-/// byte of the delta has been validated.
-const MAX_APPLY_RESERVE: usize = 1 << 26;
-
 /// Chunking parameters for one refinement level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkParams {
@@ -175,6 +170,12 @@ struct LevelIndex {
 /// [`chunk_delta_indexed`] over two indexes emits exactly the bytes
 /// [`chunk_delta_into`] emits over the two documents.
 ///
+/// A derived index also keeps the common prefix and suffix the
+/// derivation proved against its base. [`chunk_delta_indexed`] uses
+/// that proof, when told the delta's base is the derivation base, to
+/// skip re-comparing the chunks it covers. The proof is not part of the
+/// index's equality.
+///
 /// # Example
 ///
 /// ```
@@ -192,7 +193,7 @@ struct LevelIndex {
 ///
 /// let mut scratch = DiffScratch::new();
 /// let (mut indexed, mut plain) = (Vec::new(), Vec::new());
-/// chunk_delta_indexed(&base, &base_idx, &target, &target_idx, &mut scratch, &mut indexed);
+/// chunk_delta_indexed(&base, &base_idx, &target, &target_idx, true, &mut scratch, &mut indexed);
 /// chunk_delta_into(&base, &target, &mut scratch, &mut plain);
 /// assert_eq!(indexed, plain);
 /// ```
@@ -202,10 +203,14 @@ pub struct ChunkIndex {
     doc_len: usize,
     /// One chunking per refinement level.
     levels: [LevelIndex; MAX_LEVELS],
+    /// What [`derive`](ChunkIndex::derive) proved equal between its base
+    /// and this document; `None` for a [`build`](ChunkIndex::build).
+    derived: Option<Common>,
 }
 
 /// Two indexes are equal when they hold the same chunks; the bucket
-/// tables are a function of the chunk lists.
+/// tables are a function of the chunk lists, and the derivation proof
+/// says how the index was computed, not what it holds.
 impl PartialEq for ChunkIndex {
     fn eq(&self, other: &Self) -> bool {
         self.doc_len == other.doc_len
@@ -267,6 +272,7 @@ impl ChunkIndex {
         );
         debug_assert!(base_idx.is_none_or(|i| i.doc_len == base.len()));
         let common = Common::of(base, target);
+        self.derived = base_idx.map(|_| common);
         for (level, params) in LEVELS.iter().enumerate() {
             let base_chunks = base_idx.map_or(&[][..], |i| &i.levels[level].chunks);
             let out = &mut self.levels[level];
@@ -363,11 +369,14 @@ fn chunk_spans(doc: &[u8], lo: usize, hi: usize, params: ChunkParams, out: &mut 
 }
 
 /// The common prefix and suffix of a base and a target, the suffix
-/// capped so the two never overlap in the shorter document.
+/// capped so the two never overlap in the shorter document, with the
+/// two lengths they were measured on.
 #[derive(Debug, Clone, Copy)]
 struct Common {
     prefix: usize,
     suffix: usize,
+    base_len: usize,
+    target_len: usize,
 }
 
 impl Common {
@@ -397,7 +406,24 @@ impl Common {
         while suffix < room && base[b_end - suffix - 1] == target[t_end - suffix - 1] {
             suffix += 1;
         }
-        Common { prefix, suffix }
+        Common {
+            prefix,
+            suffix,
+            base_len: b_end,
+            target_len: t_end,
+        }
+    }
+
+    /// Whether base chunk `b` and target chunk `t` are the same chunk,
+    /// proved by position alone: equal lengths, and `t` lies inside the
+    /// common prefix at `b`'s offset or inside the common suffix at
+    /// `b`'s offset shifted by the length change.
+    fn proves(self, b: ChunkRec, t: ChunkRec) -> bool {
+        let (b_off, t_off, len) = (b.off as usize, t.off as usize, t.len as usize);
+        b.len == t.len
+            && ((b_off == t_off && t_off + len <= self.prefix)
+                || (t_off >= self.target_len - self.suffix
+                    && b_off + self.target_len == t_off + self.base_len))
     }
 }
 
@@ -454,26 +480,30 @@ fn build_index(chunks: &[ChunkRec], buckets: &mut Vec<u32>) {
     }
 }
 
-/// Looks up a target chunk in one level of the base index, confirming
+/// Looks up target chunk `t` in one level of the base index, confirming
 /// any digest hit by comparing the actual bytes (digest collisions are
-/// thereby harmless).
-fn find_chunk(base: &[u8], level: &LevelIndex, hash: u64, bytes: &[u8]) -> Option<ChunkRec> {
+/// thereby harmless). A hit the walk's proof covers is the same chunk
+/// and needs no compare; the probe order is unchanged, so the result is
+/// too.
+fn find_chunk(walk: Walk<'_>, level: &LevelIndex, t: ChunkRec) -> Option<ChunkRec> {
     let buckets = &level.buckets;
     if buckets.is_empty() {
         return None;
     }
+    let bytes = &walk.target[t.off as usize..(t.off + t.len) as usize];
     let cap = buckets.len();
-    let mut slot = hash as usize & (cap - 1);
+    let mut slot = t.hash as usize & (cap - 1);
     loop {
         let slot_val = buckets[slot];
         if slot_val == 0 {
             return None;
         }
         let rec = level.chunks[slot_val as usize - 1];
-        if rec.hash == hash {
-            let lo = rec.off as usize;
-            let hi = lo + rec.len as usize;
-            if &base[lo..hi] == bytes {
+        if rec.hash == t.hash {
+            let same = &walk.base[rec.off as usize..(rec.off + rec.len) as usize];
+            let proven = walk.proof.is_some_and(|common| common.proves(rec, t));
+            debug_assert!(!proven || same == bytes, "proof covers unequal chunks");
+            if proven || same == bytes {
                 return Some(rec);
             }
         }
@@ -518,6 +548,9 @@ struct Walk<'a> {
     base: &'a [u8],
     base_index: &'a ChunkIndex,
     target: &'a [u8],
+    /// The common prefix and suffix of exactly these two documents, when
+    /// the caller has proved them.
+    proof: Option<Common>,
 }
 
 /// Matches `t_chunks`, which tile `target[t_lo..t_hi]` at `level`,
@@ -536,7 +569,7 @@ fn match_chunks(
         let lo = rec.off as usize;
         let hi = lo + rec.len as usize;
         let level_index = &walk.base_index.levels[level];
-        if let Some(base_rec) = find_chunk(walk.base, level_index, rec.hash, &walk.target[lo..hi]) {
+        if let Some(base_rec) = find_chunk(walk, level_index, *rec) {
             refine(walk, level + 1, pending, lo, work);
             push_op(
                 &mut work.ops,
@@ -646,18 +679,20 @@ pub fn chunk_delta_into(
     );
     let chunk = &mut scratch.chunk;
     chunk.base_index.index_from(&[], None, base);
+    let common = Common::of(base, target);
     derive_level(
         LEVELS[0],
         &chunk.base_index.levels[0].chunks,
         base.len(),
         target,
-        Common::of(base, target),
+        common,
         &mut chunk.target_chunks,
     );
     let walk = Walk {
         base,
         base_index: &chunk.base_index,
         target,
+        proof: Some(common),
     };
     walk_and_serialize(walk, &chunk.target_chunks, &mut chunk.walk, out)
 }
@@ -668,20 +703,29 @@ pub fn chunk_delta_into(
 /// The output is byte-identical to [`chunk_delta_into`]'s.
 ///
 /// `base_index` and `target_index` must be the indexes of `base` and
-/// `target` ([`ChunkIndex::build`] or [`ChunkIndex::derive`]).
+/// `target` ([`ChunkIndex::build`] or [`ChunkIndex::derive`]). Pass
+/// `derived_from_base` only when `target_index` was derived from
+/// exactly `base` and `base_index`: the walk then trusts the prefix and
+/// suffix the derivation proved equal and skips the byte compare for the
+/// chunks inside them. Otherwise every digest hit is compared.
 pub fn chunk_delta_indexed(
     base: &[u8],
     base_index: &ChunkIndex,
     target: &[u8],
     target_index: &ChunkIndex,
+    derived_from_base: bool,
     scratch: &mut DiffScratch,
     out: &mut Vec<u8>,
 ) -> ChunkStats {
     debug_assert!(base_index.doc_len == base.len() && target_index.doc_len == target.len());
+    let proof = target_index
+        .derived
+        .filter(|c| derived_from_base && c.base_len == base.len() && c.target_len == target.len());
     let walk = Walk {
         base,
         base_index,
         target,
+        proof,
     };
     walk_and_serialize(
         walk,
@@ -704,6 +748,9 @@ pub enum ChunkDeltaError {
     CopyOutOfRange,
     /// The reconstructed output does not match the declared target length.
     LengthMismatch,
+    /// A well-formed delta declares a target longer than the caller's
+    /// `max_len`.
+    TargetTooLarge,
 }
 
 impl std::fmt::Display for ChunkDeltaError {
@@ -714,6 +761,7 @@ impl std::fmt::Display for ChunkDeltaError {
             ChunkDeltaError::UnknownOp => "unknown chunk delta op",
             ChunkDeltaError::CopyOutOfRange => "chunk delta copy out of base range",
             ChunkDeltaError::LengthMismatch => "chunk delta output length mismatch",
+            ChunkDeltaError::TargetTooLarge => "chunk delta target exceeds the output cap",
         };
         f.write_str(msg)
     }
@@ -721,60 +769,211 @@ impl std::fmt::Display for ChunkDeltaError {
 
 impl std::error::Error for ChunkDeltaError {}
 
-/// Reconstructs the target bytes from `base` and a serialized chunk delta.
+/// One operation of a serialized chunk delta, at its output offset.
+#[derive(Debug, Clone, Copy)]
+enum WireOp<'a> {
+    /// Copy `len` base bytes from `base_off` to output offset `at`.
+    Copy {
+        at: usize,
+        base_off: usize,
+        len: usize,
+    },
+    /// Write literal bytes at output offset `at`.
+    Insert { at: usize, literal: &'a [u8] },
+}
+
+impl WireOp<'_> {
+    /// The output offset just past this operation.
+    fn end(self) -> usize {
+        match self {
+            WireOp::Copy { at, len, .. } => at + len,
+            WireOp::Insert { at, literal } => at + literal.len(),
+        }
+    }
+
+    /// The base range of a copy that moves its bytes to another offset;
+    /// `None` for an insert and for a copy that stays where it is.
+    fn moves(self) -> Option<std::ops::Range<usize>> {
+        match self {
+            WireOp::Copy { at, base_off, len } if at != base_off => Some(base_off..base_off + len),
+            _ => None,
+        }
+    }
+}
+
+/// The operations of a serialized chunk delta after its header, in
+/// order, each at the output offset it writes. A truncated operation or
+/// an unknown tag yields an error; a reader stops at the first one.
+#[derive(Debug, Clone)]
+struct WireOps<'a> {
+    delta: &'a [u8],
+    pos: usize,
+    at: usize,
+}
+
+impl<'a> WireOps<'a> {
+    /// Checks the header; returns the declared target length and the
+    /// operations after it.
+    fn parse(delta: &'a [u8]) -> Result<(usize, WireOps<'a>), ChunkDeltaError> {
+        let (&version, _) = delta.split_first().ok_or(ChunkDeltaError::Truncated)?;
+        let target_len = le_u32(delta, 1).ok_or(ChunkDeltaError::Truncated)?;
+        if version != CHUNK_FORMAT_VERSION {
+            return Err(ChunkDeltaError::UnknownVersion);
+        }
+        let ops = WireOps {
+            delta,
+            pos: 5,
+            at: 0,
+        };
+        Ok((target_len, ops))
+    }
+
+    /// Parses the operation after tag byte `tag`.
+    fn op(&mut self, tag: u8) -> Result<WireOp<'a>, ChunkDeltaError> {
+        let at = self.at;
+        let op = match tag {
+            OP_COPY => {
+                let (base_off, len) = le_u32(self.delta, self.pos)
+                    .zip(le_u32(self.delta, self.pos + 4))
+                    .ok_or(ChunkDeltaError::Truncated)?;
+                self.pos += 8;
+                WireOp::Copy { at, base_off, len }
+            }
+            OP_INSERT => {
+                let len = le_u32(self.delta, self.pos).ok_or(ChunkDeltaError::Truncated)?;
+                let from = self.pos + 4;
+                let literal = self
+                    .delta
+                    .get(from..from + len)
+                    .ok_or(ChunkDeltaError::Truncated)?;
+                self.pos = from + len;
+                WireOp::Insert { at, literal }
+            }
+            _ => return Err(ChunkDeltaError::UnknownOp),
+        };
+        self.at = op.end();
+        Ok(op)
+    }
+}
+
+impl<'a> Iterator for WireOps<'a> {
+    type Item = Result<WireOp<'a>, ChunkDeltaError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &tag = self.delta.get(self.pos)?;
+        self.pos += 1;
+        Some(self.op(tag))
+    }
+}
+
+/// Applies a serialized chunk delta to `buf`, which holds the base, so
+/// that `buf` then holds the target.
 ///
-/// Every copy range is bounds-checked against `base`, output growth is
-/// checked against the declared target length as it happens, and the
-/// up-front reservation is capped, so hostile input can neither panic nor
-/// force an oversized allocation.
+/// Three passes over the delta's operations:
+///
+/// 1. Validate everything before touching `buf`: the header, every tag,
+///    every copy's range against the base, every literal's length, and
+///    the lengths' sum against the declared target length, which must
+///    then be at most `max_len`.
+/// 2. Stash the source bytes of every copy that *moves*, whose base
+///    offset differs from its output offset, in a buffer sized by the
+///    moved bytes alone. A copy that stays where it is costs nothing,
+///    so a small edit to a large base costs about the edit.
+/// 3. Resize `buf` to the target length and write the moved copies and
+///    the literals at their output offsets.
+///
+/// Every moved source is stashed before the first write, so moves,
+/// swaps and duplicated blocks come out right whatever order the
+/// operations take.
 ///
 /// # Errors
 ///
 /// Returns a [`ChunkDeltaError`] when the delta is truncated, carries an
-/// unknown version or op tag, copies outside the base, or reconstructs a
-/// length other than the one declared in the header.
-pub fn apply_chunk_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, ChunkDeltaError> {
-    let (&version, _) = delta.split_first().ok_or(ChunkDeltaError::Truncated)?;
-    let target_len = le_u32(delta, 1).ok_or(ChunkDeltaError::Truncated)?;
-    if version != CHUNK_FORMAT_VERSION {
-        return Err(ChunkDeltaError::UnknownVersion);
-    }
-    let mut out = Vec::with_capacity(target_len.min(MAX_APPLY_RESERVE));
-    let mut pos = 5usize;
-    while let Some(&tag) = delta.get(pos) {
-        pos += 1;
-        match tag {
-            OP_COPY => {
-                let (base_off, len) = le_u32(delta, pos)
-                    .zip(le_u32(delta, pos + 4))
-                    .ok_or(ChunkDeltaError::Truncated)?;
-                pos += 8;
-                let src = base
-                    .get(base_off..base_off + len)
-                    .ok_or(ChunkDeltaError::CopyOutOfRange)?;
-                if out.len() + len > target_len {
-                    return Err(ChunkDeltaError::LengthMismatch);
-                }
-                out.extend_from_slice(src);
+/// unknown version or op tag, copies outside the base, reconstructs a
+/// length other than the one declared in its header, or declares more
+/// than `max_len` bytes. On error `buf` is unchanged and nothing was
+/// allocated.
+///
+/// # Example
+///
+/// ```
+/// use shadow_diff::{apply_chunk_delta_in_place, chunk_delta_into, DiffScratch};
+///
+/// let base = b"0123456789".repeat(1000);
+/// let mut target = base.clone();
+/// target[5000..5004].copy_from_slice(b"edit");
+/// let mut delta = Vec::new();
+/// chunk_delta_into(&base, &target, &mut DiffScratch::new(), &mut delta);
+///
+/// let mut buf = base.clone();
+/// apply_chunk_delta_in_place(&mut buf, &delta, usize::MAX).expect("valid delta");
+/// assert_eq!(buf, target);
+/// ```
+pub fn apply_chunk_delta_in_place(
+    buf: &mut Vec<u8>,
+    delta: &[u8],
+    max_len: usize,
+) -> Result<(), ChunkDeltaError> {
+    let (target_len, ops) = WireOps::parse(delta)?;
+    let (mut end, mut moved) = (0usize, 0usize);
+    for op in ops.clone() {
+        let op = op?;
+        if let WireOp::Copy { base_off, len, .. } = op {
+            if base_off + len > buf.len() {
+                return Err(ChunkDeltaError::CopyOutOfRange);
             }
-            OP_INSERT => {
-                let len = le_u32(delta, pos).ok_or(ChunkDeltaError::Truncated)?;
-                pos += 4;
-                let literal = delta
-                    .get(pos..pos + len)
-                    .ok_or(ChunkDeltaError::Truncated)?;
-                pos += len;
-                if out.len() + len > target_len {
-                    return Err(ChunkDeltaError::LengthMismatch);
-                }
-                out.extend_from_slice(literal);
-            }
-            _ => return Err(ChunkDeltaError::UnknownOp),
         }
+        end = op.end();
+        if end > target_len {
+            return Err(ChunkDeltaError::LengthMismatch);
+        }
+        moved += op.moves().map_or(0, |src| src.len());
     }
-    if out.len() != target_len {
+    if end != target_len {
         return Err(ChunkDeltaError::LengthMismatch);
     }
+    if target_len > max_len {
+        return Err(ChunkDeltaError::TargetTooLarge);
+    }
+    // The delta is valid, so the passes below meet no error.
+    let mut stash = Vec::with_capacity(moved);
+    for src in ops.clone().flatten().filter_map(WireOp::moves) {
+        stash.extend_from_slice(buf.get(src).unwrap_or_default());
+    }
+    buf.reserve_exact(target_len.saturating_sub(buf.len()));
+    buf.resize(target_len, 0);
+    let mut stashed = stash.as_slice();
+    for op in ops.flatten() {
+        let (at, src) = match op {
+            WireOp::Insert { at, literal } => (at, literal),
+            WireOp::Copy { at, len, .. } if op.moves().is_some() => {
+                let (src, rest) = stashed.split_at_checked(len).unwrap_or_default();
+                stashed = rest;
+                (at, src)
+            }
+            WireOp::Copy { .. } => continue,
+        };
+        if let Some(dst) = buf.get_mut(at..at + src.len()) {
+            dst.copy_from_slice(src);
+        }
+    }
+    Ok(())
+}
+
+/// Reconstructs the target bytes from `base` and a serialized chunk
+/// delta in a fresh buffer: [`apply_chunk_delta_in_place`] over a copy
+/// of `base`, with no output cap beyond the delta's own bounds.
+///
+/// # Errors
+///
+/// As [`apply_chunk_delta_in_place`]: a [`ChunkDeltaError`] when the
+/// delta is truncated, carries an unknown version or op tag, copies
+/// outside the base, or reconstructs a length other than the one
+/// declared in its header.
+pub fn apply_chunk_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>, ChunkDeltaError> {
+    let mut out = Vec::with_capacity(base.len());
+    out.extend_from_slice(base);
+    apply_chunk_delta_in_place(&mut out, delta, usize::MAX)?;
     Ok(out)
 }
 
@@ -1043,14 +1242,180 @@ mod tests {
 
     #[test]
     fn forged_header_cannot_force_giant_reserve() {
-        // Huge declared target with no ops: must fail cleanly, and the
-        // reservation cap keeps the attempt cheap.
+        // Huge declared target with no ops: validation fails before any
+        // output is sized.
         let mut forged = vec![CHUNK_FORMAT_VERSION];
         forged.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             apply_chunk_delta(b"", &forged),
             Err(ChunkDeltaError::LengthMismatch)
         );
+    }
+
+    /// One hand-built op: a copy `(OP_COPY, base_off, len)`, or an insert
+    /// `(OP_INSERT, len, _)` of `len` bytes of `b'*'`.
+    type HandOp = (u8, u32, u32);
+
+    /// A delta of [`HandOp`]s declaring `target_len` bytes.
+    fn hand_delta(target_len: u32, ops: &[HandOp]) -> Vec<u8> {
+        let mut delta = vec![CHUNK_FORMAT_VERSION];
+        delta.extend_from_slice(&target_len.to_le_bytes());
+        for &(tag, a, b) in ops {
+            delta.push(tag);
+            delta.extend_from_slice(&a.to_le_bytes());
+            if tag == OP_COPY {
+                delta.extend_from_slice(&b.to_le_bytes());
+            } else {
+                delta.resize(delta.len() + a as usize, b'*');
+            }
+        }
+        delta
+    }
+
+    #[test]
+    fn oversized_target_is_refused_before_allocating() {
+        let base = random_bytes(4 << 20, 13);
+        let mut buf = base.clone();
+        // ~100 bytes of copies declaring ~4 GiB: the lengths do not add
+        // up, and validation says so before anything is sized.
+        let copies = [(OP_COPY, 0, 4 << 20); 11];
+        let forged = hand_delta(u32::MAX - 7, &copies);
+        assert!(forged.len() <= 110);
+        assert_eq!(
+            apply_chunk_delta_in_place(&mut buf, &forged, usize::MAX),
+            Err(ChunkDeltaError::LengthMismatch)
+        );
+        assert!(buf == base, "a refused delta must leave the base");
+        // Well formed, but 44 MiB against a 16 MiB cap.
+        let honest = hand_delta(11 << 22, &copies);
+        assert_eq!(
+            apply_chunk_delta_in_place(&mut buf, &honest, 16 << 20),
+            Err(ChunkDeltaError::TargetTooLarge)
+        );
+        assert!(buf == base, "a refused delta must leave the base");
+        assert_eq!(buf.capacity(), base.len(), "nothing may be reserved");
+    }
+
+    #[test]
+    fn in_place_apply_handles_moves_swaps_and_duplicates() {
+        let base = b"AAAABBBBCCCCDDDD".to_vec();
+        let cases: [(&[HandOp], &[u8]); 5] = [
+            // Swap the halves.
+            (&[(OP_COPY, 8, 8), (OP_COPY, 0, 8)], b"CCCCDDDDAAAABBBB"),
+            // Insert in front, shifting the whole base over itself.
+            (
+                &[(OP_INSERT, 2, 0), (OP_COPY, 0, 16)],
+                b"**AAAABBBBCCCCDDDD",
+            ),
+            // Shift left, dropping the head.
+            (&[(OP_COPY, 4, 12)], b"BBBBCCCCDDDD"),
+            // Duplicate one block over another and keep a block in place.
+            (
+                &[(OP_COPY, 12, 4), (OP_COPY, 4, 4), (OP_COPY, 12, 4)],
+                b"DDDDBBBBDDDD",
+            ),
+            // Empty target.
+            (&[], b""),
+        ];
+        for (ops, want) in cases {
+            let delta = hand_delta(want.len() as u32, ops);
+            let mut buf = base.clone();
+            apply_chunk_delta_in_place(&mut buf, &delta, usize::MAX).expect("valid delta");
+            assert_eq!(buf, want);
+            assert_eq!(apply_chunk_delta(&base, &delta).expect("valid delta"), want);
+        }
+    }
+
+    /// Rewrites bytes 8..24 of `doc` so every chunk that starts at offset
+    /// 0 keeps its digest: `fnv_chunk` folds 8-byte words as
+    /// `h = (h ^ w) * P`, so flipping word 1 by `flip` is undone by a
+    /// matching change to word 2.
+    fn collide_head(doc: &mut [u8], flip: u64) {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let word = |doc: &[u8], i: usize| {
+            u64::from_le_bytes(doc[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        };
+        let h1 = (FNV_OFFSET ^ word(doc, 0)).wrapping_mul(FNV_PRIME);
+        let (w1, w2) = (word(doc, 1), word(doc, 2));
+        let w1_new = w1 ^ flip;
+        let w2_new = w2 ^ (h1 ^ w1).wrapping_mul(FNV_PRIME) ^ (h1 ^ w1_new).wrapping_mul(FNV_PRIME);
+        doc[8..16].copy_from_slice(&w1_new.to_le_bytes());
+        doc[16..24].copy_from_slice(&w2_new.to_le_bytes());
+    }
+
+    #[test]
+    fn a_walk_from_another_base_compares_every_hit() {
+        // `other` differs from `base` in its first bytes but chunks to
+        // the same index, digests included, so only a byte compare can
+        // tell their first chunks apart.
+        let base = random_bytes(200_000, 21);
+        let base_idx = ChunkIndex::build(&base);
+        let other = (1..)
+            .map(|flip| {
+                let mut other = base.clone();
+                collide_head(&mut other, flip);
+                other
+            })
+            .find(|other| ChunkIndex::build(other) == base_idx)
+            .expect("some flip keeps every cut");
+        assert_ne!(other, base);
+        assert_eq!(fnv_chunk(&other[..64]), fnv_chunk(&base[..64]));
+
+        // The target shares its whole head with `base`, whose proof
+        // covers the first chunk.
+        let mut target = base.clone();
+        target[150_000..150_100].fill(7);
+        let target_idx = ChunkIndex::derive(&base, &base_idx, &target);
+        assert!(target_idx.derived.is_some_and(|c| c.prefix >= 150_000));
+
+        let mut scratch = DiffScratch::new();
+        let (mut from_other, mut plain) = (Vec::new(), Vec::new());
+        chunk_delta_indexed(
+            &other,
+            &base_idx,
+            &target,
+            &target_idx,
+            false,
+            &mut scratch,
+            &mut from_other,
+        );
+        chunk_delta_into(&other, &target, &mut scratch, &mut plain);
+        assert_eq!(from_other, plain);
+        assert_eq!(apply_chunk_delta(&other, &from_other), Ok(target.clone()));
+
+        // Trusting the proof here would copy `other`'s different head:
+        // a debug build stops at the walk's assertion, a release build
+        // would ship a delta that does not rebuild the target.
+        let trusted = std::panic::catch_unwind(|| {
+            let mut out = Vec::new();
+            chunk_delta_indexed(
+                &other,
+                &base_idx,
+                &target,
+                &target_idx,
+                true,
+                &mut DiffScratch::new(),
+                &mut out,
+            );
+            out
+        });
+        assert!(!trusted.is_ok_and(|delta| apply_chunk_delta(&other, &delta) == Ok(target)));
+    }
+
+    #[test]
+    fn proof_skips_only_the_same_chunk() {
+        let common = Common::of(b"abcXYZdef", b"abcQdef");
+        assert_eq!((common.prefix, common.suffix), (3, 3));
+        let rec = |off, len| ChunkRec { off, len, hash: 0 };
+        // Same offset inside the prefix.
+        assert!(common.proves(rec(0, 3), rec(0, 3)));
+        assert!(!common.proves(rec(1, 3), rec(1, 3)), "crosses the edit");
+        assert!(!common.proves(rec(0, 2), rec(0, 3)), "different lengths");
+        // Shifted offset inside the suffix: target 4.. is base 6...
+        assert!(common.proves(rec(6, 3), rec(4, 3)));
+        assert!(!common.proves(rec(4, 3), rec(4, 3)), "unshifted");
+        assert!(!common.proves(rec(0, 3), rec(4, 3)), "another chunk");
     }
 
     #[test]

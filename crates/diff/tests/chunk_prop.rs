@@ -6,12 +6,15 @@
 //! workload generator's text corpora: ordinary program text must keep
 //! routing through the line differ. A chunk index derived from a base's
 //! index must equal the target's index built from scratch, and the delta
-//! walked over indexes must equal [`chunk_delta_into`] byte for byte.
+//! walked over indexes must equal [`chunk_delta_into`] byte for byte,
+//! whether or not it trusts the derivation's proof. Applying a delta in
+//! place must give what the fresh-buffer decoder gives, and a delta it
+//! refuses must leave the buffer as it was.
 
 use proptest::prelude::*;
 use shadow_diff::{
-    apply_chunk_delta, choose_chunk_codec, chunk_delta_indexed, chunk_delta_into, classify,
-    ChunkIndex, DiffScratch, DocBuf,
+    apply_chunk_delta, apply_chunk_delta_in_place, choose_chunk_codec, chunk_delta_indexed,
+    chunk_delta_into, classify, ChunkIndex, DiffScratch, DocBuf, CHUNK_FORMAT_VERSION,
 };
 use shadow_workload::{generate_file, EditModel, FileSpec};
 
@@ -22,6 +25,7 @@ fn round_trip(base: &[u8], target: &[u8], scratch: &mut DiffScratch) -> usize {
     chunk_delta_into(base, target, scratch, &mut delta);
     let rebuilt = apply_chunk_delta(base, &delta).expect("self-produced delta must apply");
     assert_eq!(rebuilt, target, "chunk delta did not reproduce the target");
+    assert_in_place_matches(base, &delta);
     delta.len()
 }
 
@@ -110,6 +114,10 @@ enum Edit {
     TailFlip(usize),
     /// Replace the whole document.
     Replace(Vec<u8>),
+    /// Swap two adjacent blocks of `len` bytes starting at `at`.
+    Swap { at: usize, len: usize },
+    /// Insert a copy of `len` bytes from `from` at `to`.
+    Duplicate { from: usize, len: usize, to: usize },
 }
 
 impl Edit {
@@ -135,6 +143,21 @@ impl Edit {
                 out
             }
             Edit::Replace(doc) => doc.clone(),
+            Edit::Swap { at, len } => {
+                let mut out = base.to_vec();
+                let len = (*len).min(out.len() / 2);
+                let at = at % (out.len() - 2 * len + 1);
+                out[at..at + 2 * len].rotate_left(len);
+                out
+            }
+            Edit::Duplicate { from, len, to } => {
+                let mut out = base.to_vec();
+                let len = (*len).min(out.len());
+                let from = from % (out.len() - len + 1);
+                let block = base[from..from + len].to_vec();
+                out.splice(to % (out.len() + 1)..to % (out.len() + 1), block);
+                out
+            }
         }
     }
 }
@@ -147,7 +170,86 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
             .prop_map(|(bytes, zeros)| Edit::Append { bytes, zeros }),
         1 => (0usize..3000).prop_map(Edit::TailFlip),
         1 => prop::collection::vec(any::<u8>(), 0..3000).prop_map(Edit::Replace),
+        1 => (any::<usize>(), 0usize..70_000).prop_map(|(at, len)| Edit::Swap { at, len }),
+        1 => (any::<usize>(), 0usize..70_000, any::<usize>())
+            .prop_map(|(from, len, to)| Edit::Duplicate { from, len, to }),
     ]
+}
+
+/// Serializes a hand-built delta: `Ok((base_off, len))` copies,
+/// `Err(bytes)` inserts. The declared length is the ops' sum.
+fn hand_delta(ops: &[Result<(u32, u32), Vec<u8>>]) -> Vec<u8> {
+    let total: usize = ops
+        .iter()
+        .map(|op| op.as_ref().map_or_else(Vec::len, |&(_, len)| len as usize))
+        .sum();
+    let mut delta = vec![CHUNK_FORMAT_VERSION];
+    delta.extend_from_slice(&(total as u32).to_le_bytes());
+    for op in ops {
+        match op {
+            Ok((off, len)) => {
+                delta.push(0);
+                delta.extend_from_slice(&off.to_le_bytes());
+                delta.extend_from_slice(&len.to_le_bytes());
+            }
+            Err(bytes) => {
+                delta.push(1);
+                delta.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                delta.extend_from_slice(bytes);
+            }
+        }
+    }
+    delta
+}
+
+/// Raw ops for [`crossing_ops`]: a copy's two ends or an insert's bytes.
+fn arb_raw_ops() -> impl Strategy<Value = Vec<(bool, u32, u32, Vec<u8>)>> {
+    prop::collection::vec(
+        (
+            prop::sample::select(vec![true, true, true, false]),
+            any::<u32>(),
+            any::<u32>(),
+            prop::collection::vec(any::<u8>(), 0..64),
+        ),
+        0..12,
+    )
+}
+
+/// Copies anywhere in a base of `base_len` bytes, in any order, so their
+/// sources cross each other's outputs, mixed with small inserts.
+fn crossing_ops(
+    base_len: usize,
+    raw: Vec<(bool, u32, u32, Vec<u8>)>,
+) -> Vec<Result<(u32, u32), Vec<u8>>> {
+    let end = |x: u32| (x as usize % (base_len + 1)) as u32;
+    raw.into_iter()
+        .map(|(copy, a, b, bytes)| {
+            let (lo, hi) = (end(a).min(end(b)), end(a).max(end(b)));
+            if copy {
+                Ok((lo, hi - lo))
+            } else {
+                Err(bytes)
+            }
+        })
+        .collect()
+}
+
+/// Applies `delta` both ways and checks that they agree: on the result,
+/// or on the error, with the in-place buffer then left as it was.
+fn assert_in_place_matches(base: &[u8], delta: &[u8]) {
+    let fresh = apply_chunk_delta(base, delta);
+    let mut buf = base.to_vec();
+    let in_place = apply_chunk_delta_in_place(&mut buf, delta, usize::MAX);
+    match fresh {
+        Ok(want) => {
+            assert_eq!(in_place, Ok(()));
+            assert!(buf == want, "in-place result differs from the fresh buffer");
+        }
+        Err(e) => {
+            assert_eq!(in_place, Err(e));
+            assert!(buf == base, "a refused delta changed the buffer");
+        }
+    }
 }
 
 /// Checks that deriving `target`'s index from `base`'s equals building
@@ -164,12 +266,23 @@ fn assert_derive_exact(base: &[u8], target: &[u8], scratch: &mut DiffScratch) {
         target.len()
     );
     let (mut indexed, mut plain) = (Vec::new(), Vec::new());
-    chunk_delta_indexed(base, &base_idx, target, &derived, scratch, &mut indexed);
     chunk_delta_into(base, target, scratch, &mut plain);
-    assert_eq!(
-        indexed, plain,
-        "indexed delta differs from chunk_delta_into"
-    );
+    for trust_proof in [true, false] {
+        chunk_delta_indexed(
+            base,
+            &base_idx,
+            target,
+            &derived,
+            trust_proof,
+            scratch,
+            &mut indexed,
+        );
+        assert_eq!(
+            indexed, plain,
+            "indexed delta differs from chunk_delta_into (proof trusted: {trust_proof})"
+        );
+    }
+    assert_in_place_matches(base, &plain);
 }
 
 proptest! {
@@ -234,6 +347,47 @@ proptest! {
         delta in prop::collection::vec(any::<u8>(), 0..2048),
     ) {
         let _ = apply_chunk_delta(&base, &delta);
+    }
+
+    /// Byte soup after a valid header, so the op parser is reached: the
+    /// in-place decoder never panics, agrees with the fresh-buffer one,
+    /// and leaves `buf` byte-identical whenever it refuses.
+    #[test]
+    fn in_place_apply_survives_byte_soup(
+        base in prop::collection::vec(any::<u8>(), 0..2048),
+        target_len in 0u32..4096,
+        soup in prop::collection::vec(prop_oneof![3 => 0u8..2, 1 => any::<u8>()], 0..256),
+        max_len in prop_oneof![Just(usize::MAX), 0usize..4096],
+    ) {
+        let mut delta = vec![CHUNK_FORMAT_VERSION];
+        delta.extend_from_slice(&target_len.to_le_bytes());
+        delta.extend_from_slice(&soup);
+        assert_in_place_matches(&base, &delta);
+        let mut buf = base.clone();
+        if apply_chunk_delta_in_place(&mut buf, &delta, max_len).is_err() {
+            prop_assert!(buf == base);
+        }
+    }
+
+    /// Hand-built deltas whose copies cross: sources overlap other ops'
+    /// outputs, blocks swap and repeat. In place equals a fresh buffer,
+    /// which equals concatenating the ops.
+    #[test]
+    fn in_place_apply_equals_fresh_on_crossing_copies(
+        base in prop::collection::vec(any::<u8>(), 0..4096),
+        raw in arb_raw_ops(),
+    ) {
+        let ops = crossing_ops(base.len(), raw);
+        let delta = hand_delta(&ops);
+        let mut want = Vec::new();
+        for op in &ops {
+            match op {
+                Ok((off, len)) => want.extend_from_slice(&base[*off as usize..(off + len) as usize]),
+                Err(bytes) => want.extend_from_slice(bytes),
+            }
+        }
+        prop_assert_eq!(apply_chunk_delta(&base, &delta), Ok(want));
+        assert_in_place_matches(&base, &delta);
     }
 }
 
@@ -329,4 +483,27 @@ fn derived_index_is_exact_at_the_edges() {
     assert_derive_exact(&doc, &longer, &mut scratch);
     assert_derive_exact(&doc, &doc[1..], &mut scratch);
     assert_derive_exact(&doc, &doc[..doc.len() - 1], &mut scratch);
+}
+
+/// Bases whose chunks repeat: every target chunk has several digest
+/// hits, and the proof may cover a later one in probe order than the
+/// one a compare accepts first. Trusting the proof must not change which
+/// one the walk picks.
+#[test]
+fn proof_walk_matches_the_plain_codec_on_repeated_chunks() {
+    let mut scratch = DiffScratch::new();
+    for (block, seed) in [(3000, 1u64), (9000, 2), (20_000, 3), (70_000, 4)] {
+        let base = blob(block, seed).repeat(300_000 / block + 1);
+        let mid = base.len() / 2;
+        let mut overwrite = base.clone();
+        overwrite[mid..mid + 1024].fill(0x11);
+        let mut inserted = base.clone();
+        inserted.splice(mid..mid, blob(700, seed + 10));
+        let mut deleted = base.clone();
+        deleted.drain(mid..mid + block / 2);
+        for target in [overwrite, inserted, deleted, base.clone()] {
+            assert_derive_exact(&base, &target, &mut scratch);
+            assert_derive_exact(&target, &base, &mut scratch);
+        }
+    }
 }

@@ -6,8 +6,8 @@ use std::fmt;
 use bytes::Bytes;
 use shadow_cache::ShadowStore;
 use shadow_diff::{
-    apply_chunk_delta, apply_delta, choose_chunk_codec, chunk_delta_into, diff_docs, DeltaError,
-    DiffAlgorithm, DiffScratch, DocBuf,
+    apply_chunk_delta_in_place, apply_delta, choose_chunk_codec, chunk_delta_into, diff_docs,
+    DeltaError, DiffAlgorithm, DiffScratch, DocBuf,
 };
 use shadow_proto::{
     ClientMessage, ContentDigest, DeltaCodec, DomainId, FileId, FileKey, HostName, JobId, JobStats,
@@ -22,15 +22,31 @@ use crate::exec::run_job;
 use crate::jobs::{Job, JobPhase, JobTable};
 use crate::output_shadow::OutputShadowStore;
 
-/// Applies a `codec` delta to `base`: the one decoder dispatch shared by
-/// live updates and journal replay.
-fn apply_codec(codec: DeltaCodec, base: &[u8], delta: &[u8]) -> Result<Vec<u8>, &'static str> {
+/// Applies a `codec` delta to `base`, which the caller has taken out of
+/// the cache: the one decoder dispatch shared by live updates and
+/// journal replay. A chunk delta is applied over the base's own buffer
+/// when nothing else shares it (a shared one is copied first), and a
+/// target above `max_len` bytes is refused before it is allocated.
+fn apply_codec(
+    codec: DeltaCodec,
+    base: Bytes,
+    delta: &[u8],
+    max_len: usize,
+) -> Result<Vec<u8>, &'static str> {
     match codec {
-        DeltaCodec::Line => apply_delta(base, delta).map_err(|e| match e {
+        DeltaCodec::Line => apply_delta(&base, delta).map_err(|e| match e {
             DeltaError::Parse(_) => "edit script parse failed",
             DeltaError::Apply(_) => "edit script apply failed",
         }),
-        DeltaCodec::Chunk => apply_chunk_delta(base, delta).map_err(|_| "chunk delta apply failed"),
+        DeltaCodec::Chunk => {
+            let mut content = Vec::from(base);
+            apply_chunk_delta_in_place(&mut content, delta, max_len)
+                .map_err(|_| "chunk delta apply failed")?;
+            // The cache accounts an entry by its length: a shrunk file
+            // must not keep its old capacity.
+            content.shrink_to_fit();
+            Ok(content)
+        }
     }
 }
 
@@ -285,12 +301,17 @@ impl ServerNode {
                     script,
                     digest,
                 } => {
-                    let applied = match self.cache.get(key) {
-                        Some(entry) if entry.version == *base => {
-                            apply_codec(*codec, &entry.content, script)
-                                .ok()
-                                .filter(|c| ContentDigest::of(c) == *digest)
-                        }
+                    // As live: the base leaves the cache and is edited in
+                    // place, or copied first if a record still shares it.
+                    let max_len = self.cache.budget();
+                    let applied = match self.cache.get(key).map(|entry| entry.version) {
+                        Some(have) if have == *base => self
+                            .cache
+                            .remove(key)
+                            .and_then(|entry| {
+                                apply_codec(*codec, entry.content, script, max_len).ok()
+                            })
+                            .filter(|c| ContentDigest::of(c) == *digest),
                         _ => None,
                     };
                     match applied {
@@ -773,6 +794,9 @@ impl ServerNode {
         // compressed form of the version chain) instead of the
         // materialized content.
         let mut applied_script: Option<(VersionNumber, DeltaCodec, Bytes)> = None;
+        // A delta's base leaves the cache to be edited in place; if the
+        // update then fails, its removal must still be journaled.
+        let mut base_taken = false;
         // The content is held once: an identity full transfer's buffer
         // already is the content, and the cache entry and the journal
         // record share whichever buffer holds it.
@@ -789,16 +813,21 @@ impl ServerNode {
                 ..
             } => {
                 self.metrics.delta_updates += 1;
-                match self.cache.get(&key) {
-                    Some(entry) if trust_bookkeeping || entry.version == *base => {
-                        // One pass over (base bytes, delta bytes) straight
-                        // to the new content — no base clone, no line
-                        // vectors, no parsed-script allocation. The
-                        // payload's codec picks the decoder the client's
-                        // classifier chose.
-                        Self::decode_payload(*encoding, data).and_then(|delta_bytes| {
-                            let applied = apply_codec(*codec, &entry.content, &delta_bytes)?;
-                            applied_script = Some((entry.version, *codec, delta_bytes));
+                match self.cache.get(&key).map(|entry| entry.version) {
+                    Some(have) if trust_bookkeeping || have == *base => {
+                        // The base leaves the cache and the delta edits it
+                        // in place: no copy of a large base for a small
+                        // edit, no line vectors, no parsed-script
+                        // allocation. The payload's codec picks the
+                        // decoder the client's classifier chose.
+                        let taken = self.cache.remove(&key).ok_or("file not cached");
+                        base_taken = taken.is_ok();
+                        let max_len = self.cache.budget();
+                        taken.and_then(|entry| {
+                            let delta_bytes = Self::decode_payload(*encoding, data)?;
+                            let applied =
+                                apply_codec(*codec, entry.content, &delta_bytes, max_len)?;
+                            applied_script = Some((have, *codec, delta_bytes));
                             Ok(Bytes::from(applied))
                         })
                     }
@@ -863,7 +892,7 @@ impl ServerNode {
             Err(_reason) => {
                 // Best-effort recovery: ask for the whole file.
                 self.metrics.update_failures += 1;
-                if self.cache.remove(&key).is_some() {
+                if self.cache.remove(&key).is_some() || base_taken {
                     actions.push(ServerAction::Persist(PersistRecord::CacheRemove { key }));
                 }
                 self.in_flight.insert(key, version);
@@ -1951,6 +1980,129 @@ mod tests {
         assert_eq!(persists(&actions), vec![PersistRecord::CacheRemove { key }]);
     }
 
+    /// Deterministic binary content (xorshift bytes).
+    fn binary(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Sends version 2 of file 7 as a chunk delta over version 1.
+    fn chunk_update(
+        server: &mut ServerNode,
+        wire: Vec<u8>,
+        digest: ContentDigest,
+    ) -> Vec<ServerAction> {
+        server.handle(ServerEvent::Message {
+            session: SessionId::new(1),
+            message: ClientMessage::Update {
+                file: FileId::new(7),
+                version: VersionNumber::new(2),
+                payload: UpdatePayload::Delta {
+                    base: VersionNumber::new(1),
+                    codec: DeltaCodec::Chunk,
+                    encoding: TransferEncoding::Identity,
+                    data: Bytes::from(wire),
+                    digest,
+                },
+            },
+            now_ms: NOW,
+        })
+    }
+
+    /// A serialized chunk delta declaring `target_len` bytes, made of
+    /// `(base_off, len)` copies.
+    fn chunk_copies(target_len: u32, copies: &[(u32, u32)]) -> Vec<u8> {
+        let mut wire = vec![shadow_diff::CHUNK_FORMAT_VERSION];
+        wire.extend_from_slice(&target_len.to_le_bytes());
+        for (off, len) in copies {
+            wire.push(0);
+            wire.extend_from_slice(&off.to_le_bytes());
+            wire.extend_from_slice(&len.to_le_bytes());
+        }
+        wire
+    }
+
+    #[test]
+    fn failed_chunk_updates_drop_the_base_and_ask_for_the_file() {
+        // The base leaves the cache to be edited in place, so every way
+        // the update can fail must journal its removal and fall back to
+        // a full transfer (§5.1).
+        let base = binary(4 << 20, 0xba5e);
+        let mut target = base.clone();
+        target[2 << 20..(2 << 20) + 1024].fill(0xee);
+        let mut good = Vec::new();
+        chunk_delta_into(&base, &target, &mut DiffScratch::new(), &mut good);
+        let mib = 1u32 << 20;
+        let cases = [
+            ("wrong digest", good.clone(), ContentDigest::of(b"other")),
+            (
+                "copy out of range",
+                chunk_copies(4 * mib, &[(mib, 4 * mib)]),
+                ContentDigest::of(&target),
+            ),
+            (
+                "~4 GiB declared in ~100 bytes",
+                chunk_copies(u32::MAX - 7, &[(0, 4 * mib); 11]),
+                ContentDigest::of(&target),
+            ),
+            (
+                "well formed, above the 8 MiB cache budget",
+                chunk_copies(12 * mib, &[(0, 4 * mib); 3]),
+                ContentDigest::of(&target),
+            ),
+        ];
+        let key = FileKey::new(DomainId::new(1), FileId::new(7));
+        for (why, wire, digest) in cases {
+            let mut server = ServerNode::new(ServerConfig::new("sc").with_cache_budget(8 << 20));
+            hello(&mut server, 1, 1, "ws1");
+            notify(&mut server, 1, 7, "/f", 1, &base);
+            full_update(&mut server, 1, 7, 1, &base);
+            let actions = chunk_update(&mut server, wire, digest);
+            assert_eq!(
+                persists(&actions),
+                vec![PersistRecord::CacheRemove { key }],
+                "{why}"
+            );
+            match sends(&actions)[..] {
+                [ServerMessage::UpdateRequest { have, .. }] => assert_eq!(*have, None, "{why}"),
+                ref other => panic!("{why}: expected a full-transfer request, got {other:?}"),
+            }
+            assert_eq!(server.cached_version(key), None, "{why}");
+        }
+    }
+
+    #[test]
+    fn a_cloned_node_keeps_its_base_when_the_original_applies_in_place() {
+        let base = binary(300_000, 0xc10e);
+        let mut target = base.clone();
+        target[150_000..151_024].fill(0x5a);
+        let mut server = ServerNode::new(ServerConfig::new("sc"));
+        hello(&mut server, 1, 1, "ws1");
+        notify(&mut server, 1, 7, "/f", 1, &base);
+        drop(full_update(&mut server, 1, 7, 1, &base));
+        let snapshot = server.clone();
+        let mut wire = Vec::new();
+        chunk_delta_into(&base, &target, &mut DiffScratch::new(), &mut wire);
+        let actions = chunk_update(&mut server, wire, ContentDigest::of(&target));
+        assert!(matches!(
+            sends(&actions)[..],
+            [ServerMessage::VersionAck { .. }]
+        ));
+        let content = |node: &ServerNode| match &node.snapshot(DomainId::new(1))[..] {
+            [PersistRecord::CacheFull { content, .. }] => content.to_vec(),
+            other => panic!("expected one cached file, got {other:?}"),
+        };
+        assert!(content(&server) == target);
+        assert!(content(&snapshot) == base, "the clone's base was edited");
+    }
+
     #[test]
     fn replaying_the_journal_rebuilds_the_cache() {
         let mut server = ServerNode::new(ServerConfig::new("sc"));
@@ -2269,11 +2421,11 @@ mod tests {
         target[25_000] = 0x43;
         let mut wire = Vec::new();
         chunk_delta_into(&base, &target, &mut DiffScratch::new(), &mut wire);
-        let (node, summary) = restored(&[
+        let journal = [
             PersistRecord::CacheFull {
                 key: snapshot_key(9),
                 version: VersionNumber::new(1),
-                content: Bytes::from(base),
+                content: Bytes::from(base.clone()),
             },
             PersistRecord::CacheDelta {
                 key: snapshot_key(9),
@@ -2283,7 +2435,13 @@ mod tests {
                 script: Bytes::from(wire),
                 digest: ContentDigest::of(&target),
             },
-        ]);
+        ];
+        let (node, summary) = restored(&journal);
+        // The delta was applied to a copy: the journal record still
+        // holds the base it shares with the cache.
+        assert!(
+            matches!(&journal[0], PersistRecord::CacheFull { content, .. } if *content == base)
+        );
         assert_eq!(
             summary,
             RestoreSummary {

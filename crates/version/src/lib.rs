@@ -74,8 +74,9 @@ struct Version {
     /// Digest of the content, computed once at record time.
     digest: ContentDigest,
     /// The content's chunk index, filled only when a chunk delta first
-    /// needs it, so text files never pay for it.
-    chunks: OnceCell<ChunkIndex>,
+    /// needs it, so text files never pay for it, with the retained
+    /// version it was derived from (`None`: built from scratch).
+    chunks: OnceCell<(ChunkIndex, Option<VersionNumber>)>,
 }
 
 /// A version's content, classified once when it is recorded.
@@ -313,7 +314,10 @@ impl VersionStore {
     /// [`DiffScratch`]. The
     /// chunk codec walks the two versions' chunk indexes: the base's is
     /// built if it is missing, and the latest's is derived from the
-    /// base's, so a resubmission re-chunks only around its edit.
+    /// base's, so a resubmission re-chunks only around its edit. The
+    /// store remembers which version each index was derived from, and
+    /// only a walk from that same base skips the byte compares the
+    /// derivation already made.
     ///
     /// Returns `None` when the base (or the file) is not retained — the
     /// caller must fall back to a full transfer, exactly the paper's
@@ -337,18 +341,20 @@ impl VersionStore {
             );
             return Some((base, DeltaCodec::Line, delta.to_text()));
         }
-        let base_index = base_v
+        let (base_index, _) = base_v
             .chunks
-            .get_or_init(|| ChunkIndex::build(base_v.bytes()));
-        let latest_index = latest_v
-            .chunks
-            .get_or_init(|| ChunkIndex::derive(base_v.bytes(), base_index, latest_v.bytes()));
+            .get_or_init(|| (ChunkIndex::build(base_v.bytes()), None));
+        let (latest_index, derived_from) = latest_v.chunks.get_or_init(|| {
+            let index = ChunkIndex::derive(base_v.bytes(), base_index, latest_v.bytes());
+            (index, Some(base))
+        });
         let mut out = Vec::new();
         chunk_delta_indexed(
             base_v.bytes(),
             base_index,
             latest_v.bytes(),
             latest_index,
+            *derived_from == Some(base),
             &mut scratch,
             &mut out,
         );
@@ -703,6 +709,54 @@ mod tests {
         }
         // The last step acked the version before the latest.
         assert_eq!(s.stats().versions, 2);
+    }
+
+    /// A copy of `doc` whose bytes 8..24 differ but whose chunk index,
+    /// digests included, is `doc`'s: the chunk digest folds 8-byte words
+    /// as `h = (h ^ w) * P` (FNV-1a), so a flip of word 1 is undone by a
+    /// matching change to word 2 in every chunk that starts at offset 0.
+    fn colliding_head(doc: &[u8]) -> Vec<u8> {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let word = |i: usize| u64::from_le_bytes(doc[8 * i..8 * i + 8].try_into().unwrap());
+        let h1 = (FNV_OFFSET ^ word(0)).wrapping_mul(FNV_PRIME);
+        let index = ChunkIndex::build(doc);
+        (1..)
+            .map(|flip| {
+                let w1 = word(1) ^ flip;
+                let w2 = word(2)
+                    ^ (h1 ^ word(1)).wrapping_mul(FNV_PRIME)
+                    ^ (h1 ^ w1).wrapping_mul(FNV_PRIME);
+                let mut other = doc.to_vec();
+                other[8..16].copy_from_slice(&w1.to_le_bytes());
+                other[16..24].copy_from_slice(&w2.to_le_bytes());
+                other
+            })
+            .find(|other| ChunkIndex::build(other) == index)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_delta_from_another_base_than_the_derivation_base_compares() {
+        // v3's index is derived from v1, which shares its head. v2 has
+        // a different head that chunks to v1's exact index, so a delta
+        // from v2 is right only if its walk compares those chunks.
+        let v1_doc = blob(200_000, 0xd1);
+        let v2_doc = colliding_head(&v1_doc);
+        let mut v3_doc = v1_doc.clone();
+        v3_doc[150_000..150_100].fill(7);
+        let mut s = VersionStore::new(4);
+        let v1 = s.record_edit(f(1), v1_doc);
+        let v2 = s.record_edit(f(1), v2_doc.clone());
+        s.record_edit(f(1), v3_doc.clone());
+        let (_, _, from_v1) = s.delta_payload_from(f(1), v1).unwrap();
+        let (_, codec, from_v2) = s.delta_payload_from(f(1), v2).unwrap();
+        assert_eq!(codec, DeltaCodec::Chunk);
+        assert_eq!(apply_chunk_delta(&v2_doc, &from_v2).unwrap(), v3_doc);
+        let mut plain = Vec::new();
+        chunk_delta_into(&v2_doc, &v3_doc, &mut DiffScratch::new(), &mut plain);
+        assert_eq!(from_v2, plain);
+        assert_ne!(from_v1, from_v2);
     }
 
     /// Documents of every shape the codec choice distinguishes.
