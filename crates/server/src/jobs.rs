@@ -82,41 +82,51 @@ impl Job {
 }
 
 /// The server's table of jobs, in submission order.
+///
+/// The jobs sit in one vector sorted by id. Ids only grow, so a new job
+/// is a push, a lookup is a binary search, and the scans that run on
+/// every message walk contiguous memory.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JobTable {
-    jobs: BTreeMap<JobId, Job>,
+    jobs: Vec<Job>,
 }
 
 impl JobTable {
+    /// Adds `job`, whose id is above every id in the table.
     pub(crate) fn insert(&mut self, job: Job) {
-        self.jobs.insert(job.id, job);
+        debug_assert!(self.jobs.last().is_none_or(|last| last.id < job.id));
+        self.jobs.push(job);
+    }
+
+    fn position(&self, id: JobId) -> Option<usize> {
+        self.jobs.binary_search_by_key(&id, |job| job.id).ok()
     }
 
     pub(crate) fn get(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.position(id).and_then(|i| self.jobs.get(i))
     }
 
     pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut Job> {
-        self.jobs.get_mut(&id)
+        self.position(id).and_then(|i| self.jobs.get_mut(i))
     }
 
     /// Jobs currently executing.
     pub(crate) fn running_count(&self) -> usize {
         self.jobs
-            .values()
+            .iter()
             .filter(|j| matches!(j.phase, JobPhase::Running { .. }))
             .count()
     }
 
     /// Jobs not yet in a terminal phase.
     pub(crate) fn pending_count(&self) -> usize {
-        self.jobs.values().filter(|j| j.is_pending()).count()
+        self.jobs.iter().filter(|j| j.is_pending()).count()
     }
 
     /// The next queued job to run: highest priority, then oldest.
     pub(crate) fn next_queued(&self) -> Option<JobId> {
         self.jobs
-            .values()
+            .iter()
             .filter(|j| matches!(j.phase, JobPhase::Queued))
             .max_by_key(|j| (j.options.priority, std::cmp::Reverse(j.id)))
             .map(|j| j.id)
@@ -125,14 +135,14 @@ impl JobTable {
     /// Ids of jobs waiting on files (checked when the cache gains data).
     pub(crate) fn waiting_ids(&self) -> Vec<JobId> {
         self.jobs
-            .values()
+            .iter()
             .filter(|j| matches!(j.phase, JobPhase::WaitingForFiles))
             .map(|j| j.id)
             .collect()
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Job> {
-        self.jobs.values()
+        self.jobs.iter()
     }
 }
 
@@ -199,6 +209,20 @@ mod tests {
         t.insert(job(2, JobPhase::Completed, 9));
         t.insert(job(3, JobPhase::Queued, 0));
         assert_eq!(t.next_queued(), Some(JobId::new(3)));
+    }
+
+    #[test]
+    fn lookups_find_every_job_and_only_those() {
+        let mut t = JobTable::default();
+        for id in [2, 5, 9] {
+            t.insert(job(id, JobPhase::Queued, 0));
+        }
+        assert_eq!(t.get(JobId::new(5)).unwrap().id, JobId::new(5));
+        assert!(t.get(JobId::new(3)).is_none());
+        assert!(t.get(JobId::new(10)).is_none());
+        t.get_mut(JobId::new(9)).unwrap().phase = JobPhase::Completed;
+        assert_eq!(t.get(JobId::new(9)).unwrap().status(), JobStatus::Completed);
+        assert_eq!(t.pending_count(), 2);
     }
 
     #[test]
