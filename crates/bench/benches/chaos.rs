@@ -13,8 +13,8 @@
 //!   until a `Hello` survives, heartbeats count their losses, and the
 //!   fail-over back to a clean link must still find the cache warm.
 //! * `chaos_partition` — a TCP [`ChaosProxy`] partitions the network
-//!   mid-session; the [`Supervisor`] redials with capped backoff into
-//!   the refusing proxy until the partition heals.
+//!   mid-session; the client resumes over a fresh dial through the
+//!   proxy each time one is refused, until the partition heals.
 //!
 //! Every fault decision comes from a seeded generator, so a row is the
 //! same run-to-run: the matrix is chaos *testing*, not flakiness.
@@ -27,8 +27,7 @@ use std::time::{Duration, Instant};
 use shadow::tcp::TcpFramed;
 use shadow::{
     ChaosProxy, ClientConfig, Deployment, FaultPlan, FaultTransport, FileRef, FrameTransport,
-    LiveClient, LiveError, Notification, ServerConfig, SubmitOptions, Supervisor, SupervisorConfig,
-    SupervisorEvent,
+    LiveClient, LiveError, Notification, ServerConfig, SubmitOptions,
 };
 use shadow_bench::{banner, export_rows, quick_mode};
 use shadow_obs::Json;
@@ -319,27 +318,10 @@ fn lossy_link_trial(seed: u64, cycles: usize, pings: usize) -> Trial {
     trial
 }
 
-/// Drives the supervisor's policy clock (virtual time — TCP dials are
-/// instant on loopback) until a dial succeeds.
-fn redial<N: shadow::Connector>(sup: &mut Supervisor<N>, mut now_ms: u64) -> (N::Transport, u64) {
-    for _ in 0..64 {
-        match sup.poll(now_ms) {
-            Some(SupervisorEvent::Connected { .. }) => {
-                return (sup.take_transport().expect("fresh dial"), now_ms);
-            }
-            Some(SupervisorEvent::DialFailed { retry_at_ms }) => now_ms = retry_at_ms,
-            Some(_) => {}
-            None => now_ms = sup.next_deadline_ms(),
-        }
-    }
-    panic!("supervisor never reconnected");
-}
-
 /// `chaos_partition`: a TCP proxy partitions the network mid-session —
 /// live connections are cut and fresh dials are accepted only to be
-/// dropped — so redials connect and immediately die until the partition
-/// heals. The supervisor's backoff paces the attempts; the session then
-/// resumes and resubmits as a delta.
+/// dropped — so each resume over a fresh dial dies until the partition
+/// heals. The session then resumes and resubmits as a delta.
 fn partition_trial(seed: u64) -> Trial {
     let runtime = Deployment::new(ServerConfig::new("sc"))
         .tcp("127.0.0.1:0")
@@ -347,21 +329,11 @@ fn partition_trial(seed: u64) -> Trial {
     let addr = runtime.local_addr().unwrap();
     let server = std::thread::spawn(move || runtime.run_until_idle_for(SERVER_IDLE));
     let proxy = ChaosProxy::start(addr).unwrap();
-    let proxy_addr = proxy.addr();
+    let dial = || TcpFramed::connect(proxy.addr()).expect("the proxy accepts every dial");
 
-    let mut sup = Supervisor::new(
-        move || TcpFramed::connect(proxy_addr),
-        SupervisorConfig {
-            base_backoff_ms: 10,
-            max_backoff_ms: 200,
-            seed,
-            ..SupervisorConfig::default()
-        },
-    );
-    let (transport, mut now_ms) = redial(&mut sup, 0);
     let tag = format!("ws{seed}");
     let mut client =
-        LiveClient::over_transport(ClientConfig::new(tag.clone(), seed), transport).unwrap();
+        LiveClient::over_transport(ClientConfig::new(tag.clone(), seed), dial()).unwrap();
     let mut content = warm(&mut client, &tag);
 
     let mut trial = Trial::default();
@@ -371,11 +343,8 @@ fn partition_trial(seed: u64) -> Trial {
     trial.outages += 1;
     let started = Instant::now();
     client.link_down();
-    now_ms = sup.link_failed(now_ms + 1);
     loop {
-        let (fresh, at) = redial(&mut sup, now_ms);
-        now_ms = at;
-        let outcome = client.resume_over(fresh).and_then(|()| {
+        let outcome = client.resume_over(dial()).and_then(|()| {
             client.wait_for(Duration::from_secs(2), |n| {
                 matches!(n, Notification::SessionReady { .. })
             })
@@ -400,7 +369,6 @@ fn partition_trial(seed: u64) -> Trial {
                     proxy.partition(false);
                 }
                 client.link_down();
-                now_ms = sup.link_failed(now_ms + 1);
             }
         }
     }

@@ -172,10 +172,14 @@ const REACH_RULES: &[ReachRule] = &[
     },
     // Everything a shard does between two inbox waits; the inbox wait
     // itself lives outside this entry by design, so it stays the only
-    // place a shard blocks.
+    // place a shard blocks. The client loop likewise: its host reads and
+    // dials, the core only steps.
     ReachRule {
         rule: "shard-shape",
-        entries: Entries::Named(&[("runtime", Some("Shard"), "step")]),
+        entries: Entries::Named(&[
+            ("runtime", Some("Shard"), "step"),
+            ("runtime", Some("ClientCore"), "step"),
+        ]),
         kind: FactKind::Blocking,
         what: "blocking call reachable from a shard's event handler",
     },
@@ -863,6 +867,18 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].token, ".recv()");
         assert_eq!(f[0].entry, "runtime::shard::Shard::step");
+    }
+
+    #[test]
+    fn blocking_below_the_client_loop_is_found() {
+        let ws = ws_from(&[(
+            "runtime",
+            "src/client_core.rs",
+            "impl ClientCore { fn step(&mut self) { self.dial() } fn dial(&mut self) { self.rx.recv(); } }",
+        )]);
+        let f = rule_findings(&ws, "shard-shape");
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].entry, "runtime::client_core::ClientCore::step");
     }
 
     #[test]

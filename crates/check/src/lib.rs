@@ -3,20 +3,22 @@
 //!
 //! The crates under `crates/` deliberately keep all protocol logic in
 //! sans-io state machines ([`ClientNode`](shadow_client::ClientNode),
-//! [`ServerNode`](shadow_server::ServerNode)) wrapped by pure drivers
-//! ([`ClientDriver`](shadow_runtime::ClientDriver) and the server loop,
-//! [`Shard`](shadow_runtime::Shard)). That makes the whole protocol a
+//! [`ServerNode`](shadow_server::ServerNode)) wrapped by pure loops
+//! (the client loop, [`ClientCore`](shadow_runtime::ClientCore), and the
+//! server loop, [`Shard`](shadow_runtime::Shard)). That makes the whole protocol a
 //! deterministic function of its inputs — so instead of only sampling
 //! behaviours with example tests, we can *enumerate* them:
 //!
 //! * [`world`] models one client and one server — the production
-//!   [`Shard`](shadow_runtime::Shard) on a virtual clock, journaling to
-//!   an in-memory model of the durable store — plus the frames in
-//!   flight between them. Every source of nondeterminism a real network
-//!   exhibits — which queued frame is delivered next, whether it is
-//!   dropped or duplicated, when timers fire, when the user edits or
-//!   submits, when the server crashes or compacts its journal — is an
-//!   explicit [`Choice`].
+//!   [`ClientCore`](shadow_runtime::ClientCore) and
+//!   [`Shard`](shadow_runtime::Shard) on virtual clocks, the shard
+//!   journaling to an in-memory model of the durable store — plus the
+//!   frames in flight between them. Every source of nondeterminism a
+//!   real network exhibits — which queued frame is delivered next,
+//!   whether it is dropped or duplicated, when timers fire (the
+//!   client's heartbeat, liveness and redial timers included), when the
+//!   user edits or submits, when the link drops, when the server
+//!   crashes or compacts its journal — is an explicit [`Choice`].
 //! * [`explore`](mod@explore) walks the choice tree exhaustively (bounded by depth,
 //!   state count, and drop/duplicate budgets), deduplicating states by
 //!   the deterministic digests every node exposes

@@ -4,7 +4,10 @@
 //!
 //! The server is the production server loop, a [`Shard`] on a virtual
 //! clock, fed [`ShardEvent`]s: the checker explores the shard's own
-//! decode → persist → send → compact ordering, not a copy of it.
+//! decode → persist → send → compact ordering, not a copy of it. The
+//! client is the production client loop, a [`ClientCore`] on the same
+//! time, so its link policy — heartbeat, liveness deadline, redial — is
+//! explored too: each of its timers firing is a choice.
 //!
 //! The world advances only through [`World::apply`]; the explorer clones
 //! a world to branch, so `World` is `Clone` — the shard's writer and its
@@ -14,6 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::io::ErrorKind;
 
 use shadow_client::{ClientConfig, ClientNode, ConnId, FileRef, Notification};
 use shadow_obs::FlightRecorder;
@@ -22,7 +26,8 @@ use shadow_proto::{
     VersionNumber,
 };
 use shadow_runtime::{
-    ClientDriver, ClientOutbound, FeedError, PersistSink, Shard, ShardEvent, VirtualClock,
+    ClientCore, ClientInput, FeedError, PersistSink, Shard, ShardEvent, TransportClosed,
+    VirtualClock,
 };
 use shadow_server::{CloseReason, FaultInjection, ServerConfig, ServerNode, SessionId};
 
@@ -46,6 +51,11 @@ pub enum Choice {
     DupToClient,
     /// Advance the clock to the server's next timer deadline and fire it.
     FireTimer,
+    /// Advance the clock to the client's next link timer and fire it: a
+    /// heartbeat ping, the expiry of an unanswered one (the link is
+    /// lost; consumes disconnect budget), or a redial — the world dials
+    /// at once, a new session that opens on the resume `Hello`.
+    ClientTimer,
     /// Execute the next scripted user operation.
     NextOp,
     /// Kill the server (in-memory state and in-flight frames lost),
@@ -57,8 +67,8 @@ pub enum Choice {
     /// `ServerNode::snapshot` of the domain, as the durable store does
     /// (consumes compaction budget).
     Compact,
-    /// Cut the transport (in-flight frames lost, server state intact),
-    /// then reconnect and run the resumption handshake (consumes
+    /// Cut the transport (in-flight frames lost, server state intact);
+    /// the client redials when its backoff timer fires (consumes
     /// disconnect budget).
     LinkDown,
 }
@@ -73,10 +83,11 @@ impl fmt::Display for Choice {
             Choice::DupToServer => write!(f, "dup c→s"),
             Choice::DupToClient => write!(f, "dup s→c"),
             Choice::FireTimer => write!(f, "fire timer"),
+            Choice::ClientTimer => write!(f, "fire client timer"),
             Choice::NextOp => write!(f, "next op"),
             Choice::CrashRestart => write!(f, "crash+restart"),
             Choice::Compact => write!(f, "compact"),
-            Choice::LinkDown => write!(f, "link down+resume"),
+            Choice::LinkDown => write!(f, "link down"),
         }
     }
 }
@@ -241,7 +252,8 @@ pub struct Budgets {
     /// Total journal compactions (snapshot of the server's state)
     /// allowed.
     pub compactions: u32,
-    /// Total link-cut/resume events (session resumption) allowed.
+    /// Total link losses — cuts, and heartbeats that expire unanswered —
+    /// each followed by a redial and a session resumption.
     pub disconnects: u32,
 }
 
@@ -284,7 +296,9 @@ impl PersistSink for Journal {
 /// One client + one server + the network between them.
 #[derive(Debug, Clone)]
 pub struct World {
-    client: ClientDriver,
+    /// The production client loop on the world's time; its writer
+    /// queues frames until the world moves them onto `c2s`.
+    client: ClientCore<VirtualClock, Vec<Vec<u8>>>,
     server: CheckedShard,
     conn: ConnId,
     session: SessionId,
@@ -333,7 +347,7 @@ impl World {
             armed: false,
         };
         let mut world = World {
-            client: ClientDriver::new(client),
+            client: ClientCore::new(client, VirtualClock::new()),
             server: server_shard(faults, journal, 0),
             conn: ConnId::new(0),
             session: SessionId::new(1),
@@ -358,8 +372,8 @@ impl World {
             cache_seen: BTreeMap::new(),
             flight: FlightRecorder::default(),
         };
-        let hello = world.client.connect(world.conn, 0);
-        world.queue_client_out(&hello);
+        world.client.connect(world.conn, Vec::new());
+        world.take_client_frames();
         // Deliver Hello and HelloAck synchronously so every explored
         // interleaving starts from a ready session.
         while !world.c2s.is_empty() || !world.s2c.is_empty() {
@@ -394,9 +408,15 @@ impl World {
     }
 
     /// Every choice legal in this state, in a fixed order.
+    ///
+    /// Scripted ops wait for the client's link, as a user waits for a
+    /// reconnect. A heartbeat is only offered while a loss can still
+    /// follow it and something else can happen: otherwise its round trip
+    /// changes nothing the checker tracks, and a world must finish.
     pub fn enabled(&self) -> Vec<Choice> {
         let mut out = Vec::new();
-        if self.next_op < self.script.len() {
+        let link_up = self.client.link_closed(self.conn).is_none();
+        if self.next_op < self.script.len() && link_up {
             out.push(Choice::NextOp);
         }
         for i in 0..self.c2s.len().min(self.reorder_window) {
@@ -430,8 +450,20 @@ impl World {
         if self.compactions_left > 0 {
             out.push(Choice::Compact);
         }
-        if self.disconnects_left > 0 {
+        if self.disconnects_left > 0 && link_up {
             out.push(Choice::LinkDown);
+        }
+        if self.client.next_deadline().is_some() {
+            let fires = if !link_up {
+                true
+            } else if self.client.awaiting_answer(self.conn) {
+                self.disconnects_left > 0
+            } else {
+                self.disconnects_left > 0 && !out.is_empty()
+            };
+            if fires {
+                out.push(Choice::ClientTimer);
+            }
         }
         out
     }
@@ -448,11 +480,7 @@ impl World {
             }
             Choice::DeliverToClient(i) => {
                 let frame = self.s2c.remove(i);
-                let out = match self.client.feed_frame(self.conn, &frame, self.now_ms) {
-                    Ok(out) => out,
-                    Err(e) => return Err(feed_violation("client", e)),
-                };
-                self.queue_client_out(&out);
+                self.step_client(Some(ClientInput::Frame(self.conn, frame)))?;
             }
             Choice::DropToServer => {
                 self.c2s.remove(0);
@@ -479,10 +507,11 @@ impl World {
                     .server
                     .next_deadline()
                     .expect("FireTimer only enabled with a pending timer");
-                self.now_ms = self.now_ms.max(deadline);
+                self.advance_to(deadline);
                 self.server.clock_mut().advance_to(self.now_ms);
                 self.step_server(None)?;
             }
+            Choice::ClientTimer => self.fire_client_timer()?,
             Choice::NextOp => {
                 let op = self.script[self.next_op].clone();
                 self.next_op += 1;
@@ -496,7 +525,10 @@ impl World {
                 self.journal_mut().armed = true;
             }
             Choice::LinkDown => {
-                self.link_down_resume()?;
+                self.disconnects_left -= 1;
+                self.cut();
+                let reset = TransportClosed::Error(ErrorKind::ConnectionReset);
+                self.step_client(Some(ClientInput::Lost(self.conn, reset)))?;
             }
         }
         self.check_step()
@@ -507,23 +539,18 @@ impl World {
             Op::Edit(idx) => {
                 self.revs[*idx] += 1;
                 let content = content_for(*idx, self.revs[*idx]);
-                let (_, out) = self
-                    .client
-                    .edit_finished(&file_ref(*idx), content, self.now_ms);
-                self.queue_client_out(&out);
+                self.client.edit_finished(&file_ref(*idx), content);
+                self.take_client_frames();
             }
             Op::Submit { job, data } => {
                 let data_refs: Vec<FileRef> = data.iter().map(|d| file_ref(*d)).collect();
-                match self.client.submit(
-                    self.conn,
-                    &file_ref(*job),
-                    &data_refs,
-                    Default::default(),
-                    self.now_ms,
-                ) {
-                    Ok((_, out)) => self.queue_client_out(&out),
-                    Err(e) => return Err(Violation::Command(e.to_string())),
+                if let Err(e) =
+                    self.client
+                        .submit(self.conn, &file_ref(*job), &data_refs, Default::default())
+                {
+                    return Err(Violation::Command(e.to_string()));
                 }
+                self.take_client_frames();
             }
             Op::DropCache => {
                 self.server.node_mut().drop_cache();
@@ -564,47 +591,59 @@ impl World {
         // Re-handshake synchronously, as in `World::new`: the handshake
         // is deterministic, so exploring its interleavings adds depth
         // without behaviour — and scripted ops must not race it.
-        let hello = self.client.connect(self.conn, self.now_ms);
-        self.queue_client_out(&hello);
+        self.client.connect(self.conn, Vec::new());
+        self.take_client_frames();
         self.drain_handshake()
     }
 
-    /// Cuts the transport and immediately resumes: in-flight frames die
-    /// with the connection, but — unlike [`crash_restart`](Self::crash_restart)
-    /// — the server keeps its in-memory state, so the resumption
-    /// handshake should confirm the shadow cache and keep the delta path
-    /// warm. Cache-lifetime epochs survive (the cache never restarted),
-    /// so ack and cached-version monotonicity keep holding *across* the
-    /// resume. A cut on a quiet link loses nothing, and then full
-    /// quiescent convergence must still hold.
-    fn link_down_resume(&mut self) -> Result<(), Violation> {
-        self.disconnects_left -= 1;
-        // Whatever was in flight is gone with the transport; losing
-        // frames legitimately stalls best-effort work, exactly like an
-        // explicit drop, so quiescence claims are scoped accordingly.
+    /// The transport dies: in-flight frames with it — which, like a
+    /// drop, scopes the quiescence claims — and the server reaps the
+    /// session but, unlike [`crash_restart`](Self::crash_restart), keeps
+    /// its state: the resumption handshake should keep the delta path
+    /// warm, and ack and cache monotonicity keep holding *across* it.
+    fn cut(&mut self) {
         if !self.c2s.is_empty() || !self.s2c.is_empty() {
             self.any_dropped = true;
             self.c2s.clear();
             self.s2c.clear();
         }
-        // The server observes an abortive close and reaps the session.
         let closed = ShardEvent::Closed(self.session, CloseReason::Error);
         self.server.step(Some(closed), |_| 0);
-        // A fresh transport means a fresh accept — and a new session id —
-        // at the server, opened on the resume `Hello`; the client keeps
-        // its shadow environment and re-handshakes with a resume
-        // summary. The handshake is deterministic, so it is applied
-        // synchronously like the initial one.
+    }
+
+    /// Fires the client's next link timer. An expired heartbeat loses
+    /// the link, as a cut does; a due redial is dialed at once — a new
+    /// session at the server, opened on the resume `Hello`, whose
+    /// deterministic handshake runs synchronously like the initial one.
+    fn fire_client_timer(&mut self) -> Result<(), Violation> {
+        let deadline = self
+            .client
+            .next_deadline()
+            .expect("ClientTimer only enabled with a pending timer");
+        self.advance_to(deadline);
+        let expiring = self.client.awaiting_answer(self.conn);
+        self.step_client(None)?;
+        if expiring {
+            self.disconnects_left -= 1;
+            self.cut();
+        }
+        if self.client.dial_wanted().is_none() {
+            return Ok(());
+        }
         self.session = SessionId::new(self.session.as_u64() + 1);
-        self.client.link_down(self.conn, self.now_ms);
-        let hello = self.client.reconnect(self.conn, self.now_ms);
-        self.queue_client_out(&hello);
+        self.step_client(Some(ClientInput::Dialed(self.conn, Vec::new())))?;
         self.drain_handshake()
+    }
+
+    /// Moves the world's time — and the client's clock — forward.
+    fn advance_to(&mut self, at_ms: u64) {
+        self.now_ms = self.now_ms.max(at_ms);
+        self.client.clock_mut().advance_to(self.now_ms);
     }
 
     /// Delivers queued frames strictly in order until both directions
     /// are empty — the synchronous (re-)handshake used by `new`,
-    /// crash-restart, and link-down+resume.
+    /// crash-restart, and the redial after a lost link.
     fn drain_handshake(&mut self) -> Result<(), Violation> {
         while !self.c2s.is_empty() || !self.s2c.is_empty() {
             if !self.c2s.is_empty() {
@@ -613,20 +652,25 @@ impl World {
             }
             if !self.s2c.is_empty() {
                 let frame = self.s2c.remove(0);
-                let out = match self.client.feed_frame(self.conn, &frame, self.now_ms) {
-                    Ok(out) => out,
-                    Err(e) => return Err(feed_violation("client", e)),
-                };
-                self.queue_client_out(&out);
+                self.step_client(Some(ClientInput::Frame(self.conn, frame)))?;
             }
         }
         Ok(())
     }
 
-    fn queue_client_out(&mut self, out: &[ClientOutbound]) {
-        for o in out {
-            debug_assert_eq!(o.conn, self.conn);
-            self.c2s.push(o.frame.clone());
+    /// Steps the client's core and queues what it wrote.
+    fn step_client(&mut self, input: Option<ClientInput<Vec<Vec<u8>>>>) -> Result<(), Violation> {
+        self.client
+            .step(input, |_| 0)
+            .map_err(|e| feed_violation("client", e))?;
+        self.take_client_frames();
+        Ok(())
+    }
+
+    /// Moves the frames the client wrote onto the client→server queue.
+    fn take_client_frames(&mut self) {
+        if let Some(wire) = self.client.writer_mut(self.conn) {
+            self.c2s.append(wire);
         }
     }
 
@@ -646,8 +690,13 @@ impl World {
     /// lifetime, and no rejection may be emitted for our established
     /// session.
     fn step_server(&mut self, event: Option<ShardEvent<Vec<Vec<u8>>>>) -> Result<(), Violation> {
+        let delivered = event.is_some();
         self.server.step(event, |_| 0);
         let Some(wire) = self.server.writer_mut(self.session) else {
+            if !delivered {
+                // A timer fired while the link was down: no session.
+                return Ok(());
+            }
             return Err(Violation::Feed {
                 receiver: "server",
                 error: "the shard closed the session on an undecodable frame".to_string(),
@@ -747,7 +796,7 @@ impl World {
         // Drain user-facing notifications so they do not accumulate in
         // the digest; corruption and rejection reports are violations in
         // these scenarios (no output shadowing, session established).
-        for (_, n) in self.client.take_notifications() {
+        for n in self.client.take_notifications() {
             match n {
                 Notification::OutputCorrupt { job, .. } => {
                     return Err(Violation::OutputCorrupt { job })
@@ -758,17 +807,19 @@ impl World {
                 _ => {}
             }
         }
-        self.client.take_finished();
         Ok(())
     }
 
     /// True once nothing can happen any more without user input: script
-    /// done, both queues empty, no timers pending.
+    /// done, both queues empty, no server timer pending and the client's
+    /// link up. A pending heartbeat, or its liveness deadline, does not
+    /// count: a link kept alive never settles otherwise.
     pub fn quiescent(&self) -> bool {
         self.next_op >= self.script.len()
             && self.c2s.is_empty()
             && self.s2c.is_empty()
             && self.server.next_deadline().is_none()
+            && self.client.link_closed(self.conn).is_none()
     }
 
     /// Terminal-state invariants. Convergence claims are only meaningful
@@ -1129,11 +1180,16 @@ mod tests {
             assert!(steps < 500, "did not quiesce");
         }
         w.apply(Choice::LinkDown)
-            .expect("resume must not violate invariants");
-        assert!(
-            !w.enabled().contains(&Choice::LinkDown),
-            "disconnect budget is spent"
+            .expect("a cut must not violate invariants");
+        assert!(!w.quiescent(), "a redial is pending");
+        assert_eq!(
+            w.enabled(),
+            vec![Choice::ClientTimer],
+            "only the redial can follow: ops wait, the budget is spent"
         );
+        w.apply(Choice::ClientTimer)
+            .expect("resume must not violate invariants");
+        assert!(w.quiescent(), "the redial resumed the session");
         assert!(!w.any_dropped(), "a quiet cut loses no frames");
         // The resumption handshake confirmed the cached bases: the
         // server state survived, so this is the resume-hit path, not the
@@ -1236,6 +1292,65 @@ mod tests {
             World::new(s, b, FaultInjection::default()).state_digest(),
             "a cut is a new state"
         );
+    }
+
+    #[test]
+    fn a_heartbeat_round_trip_is_no_new_state() {
+        let s = &builtin_scenarios()[0];
+        let mut w = World::new(s, budgets(), FaultInjection::default());
+        w.apply(Choice::NextOp).unwrap();
+        assert!(
+            !w.enabled().contains(&Choice::ClientTimer),
+            "no loss can follow a heartbeat without disconnect budget"
+        );
+        let b = Budgets {
+            disconnects: 1,
+            ..budgets()
+        };
+        let mut w = World::new(s, b, FaultInjection::default());
+        w.apply(Choice::NextOp).unwrap();
+        let digest = w.state_digest();
+        w.apply(Choice::ClientTimer)
+            .expect("the heartbeat goes out");
+        assert!(w.client.awaiting_answer(w.conn));
+        let ping = w.c2s.len() - 1;
+        w.apply(Choice::DeliverToServer(ping)).unwrap();
+        let pong = w.s2c.len() - 1;
+        w.apply(Choice::DeliverToClient(pong)).unwrap();
+        assert_eq!(w.state_digest(), digest, "back where it started");
+    }
+
+    #[test]
+    fn an_unanswered_heartbeat_spends_a_disconnect_and_resumes() {
+        let s = &builtin_scenarios()[0];
+        let mut w = World::new(
+            s,
+            Budgets {
+                drops: 1,
+                disconnects: 1,
+                ..budgets()
+            },
+            FaultInjection::default(),
+        );
+        w.apply(Choice::NextOp).unwrap();
+        w.apply(Choice::ClientTimer)
+            .expect("the heartbeat goes out");
+        // The ping, last in flight toward the server, is lost.
+        w.c2s.truncate(w.c2s.len() - 1);
+        w.apply(Choice::ClientTimer).expect("the link expires");
+        assert!(w.client.link_closed(w.conn).is_some());
+        assert!(!w.enabled().contains(&Choice::LinkDown), "budget spent");
+        w.apply(Choice::ClientTimer).expect("the redial resumes");
+        assert!(w.client.link_closed(w.conn).is_none());
+        assert_eq!(w.client.node().metrics().reconnects, 1);
+        let mut steps = 0;
+        while !w.quiescent() {
+            let choice = w.enabled()[0];
+            w.apply(choice).expect("post-resume run stays coherent");
+            steps += 1;
+            assert!(steps < 500, "did not re-quiesce");
+        }
+        assert_eq!(w.check_quiescent(), None);
     }
 
     #[test]

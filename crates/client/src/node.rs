@@ -174,8 +174,7 @@ pub enum Notification {
         /// The connection.
         conn: ConnId,
     },
-    /// A heartbeat `Pong` arrived (liveness bookkeeping for
-    /// supervisors).
+    /// A `Pong` arrived (liveness bookkeeping for the client loop).
     Pong {
         /// The connection.
         conn: ConnId,
@@ -537,7 +536,7 @@ impl ClientNode {
         }]
     }
 
-    /// Emits a heartbeat `Ping` (supervisors call this on their
+    /// Emits a heartbeat `Ping` (the client loop calls this on its
     /// heartbeat timer; the matching [`Notification::Pong`] closes the
     /// liveness loop).
     ///

@@ -427,7 +427,7 @@ mod tests {
         ClientMessage, DomainId, FileId, Frame, HostName, RequestId, SubmitOptions,
         PROTOCOL_VERSION,
     };
-    use shadow_runtime::FrameTransport;
+    use shadow_runtime::{FrameTransport, FrameWriter};
 
     const WAIT: Duration = Duration::from_secs(10);
 
@@ -436,7 +436,7 @@ mod tests {
         let system = Deployment::new(ServerConfig::new("sc")).pipes().unwrap();
         let mut rogue = system.connect_transport();
         rogue
-            .send_frame(Frame::encode(&ClientMessage::StatusQuery {
+            .write_frame(Frame::encode(&ClientMessage::StatusQuery {
                 request: RequestId::new(1),
                 job: None,
             }))
@@ -469,7 +469,7 @@ mod tests {
         let system = Deployment::new(ServerConfig::new("sc")).pipes().unwrap();
         let mut rogue = system.connect_transport();
         rogue
-            .send_frame(Frame::encode(&ClientMessage::Hello {
+            .write_frame(Frame::encode(&ClientMessage::Hello {
                 domain: DomainId::new(1),
                 host: HostName::new("ws1"),
                 protocol: PROTOCOL_VERSION,
@@ -477,7 +477,7 @@ mod tests {
                 resume: Vec::new(),
             }))
             .unwrap();
-        rogue.send_frame(b"\xff\xff garbage".to_vec()).unwrap();
+        rogue.write_frame(b"\xff\xff garbage".to_vec()).unwrap();
         // The shard drops the session's writer, which the peer sees as a
         // hang-up.
         loop {

@@ -22,26 +22,29 @@
 //!   the shadow store survive restarts via per-domain write-ahead
 //!   journals (`shadow-store`), replayed before serving.
 //! * [`connect_tcp`] — a TCP client for a bound deployment (or
-//!   `shadowd`).
+//!   `shadowd`) that redials and resumes its session by itself when the
+//!   link drops.
 //! * Re-exports of the full public API of the component crates.
 //!
 //! # Module map
 //!
 //! Protocol *dispatch* is not implemented here. The simulator and both
 //! wall-clock transports are thin adapters over the `shadow-runtime`
-//! crate, which owns the single `ClientAction`/`ServerAction`
-//! interpreter ([`ClientDriver`] / [`Shard`], the one server loop), the
-//! [`TimerQueue`], the [`FrameTransport`] abstraction, and the
+//! crate, which owns the one client loop ([`ClientCore`]: the
+//! `ClientAction` interpreter and the link policy — heartbeat, liveness,
+//! redial backoff), the one server loop ([`Shard`]: the `ServerAction`
+//! interpreter), the [`TimerQueue`], the [`FrameTransport`] abstraction,
+//! and the
 //! [`ShardedServerRuntime`] (worker threads that each run one `Shard`
 //! behind one inbox of session events, fed by a reader thread per
 //! session and routed by `hash(domain) % N`):
 //!
 //! | module | role | runtime pieces used |
 //! |---|---|---|
-//! | `sim`  | discrete-event scheduler + CPU/network cost model | `ClientDriver`, `Shard` on a `VirtualClock` (its next deadline becomes a sim wake-up) |
+//! | `sim`  | discrete-event scheduler + CPU/network cost model | `ClientCore`, `Shard` on a `VirtualClock` (a shard's next deadline becomes a sim wake-up; simulated links never fail, so client link timers are never woken) |
 //! | `deploy` | the [`Deployment`] builder: pipes or TCP, diskless or durable | `ShardedServerRuntime` fed with split pipe ends or sockets; `shadow-store`'s `DurableStore` as each shard's `PersistSink` |
-//! | `live` | the client side of a wall-clock deployment | `ClientDriver` over any `FrameTransport` |
-//! | `tcpd` | the TCP client | `LiveClient` over a TCP stream |
+//! | `live` | the client side of a wall-clock deployment | `ClientCore` on a `WallClock` over any `FrameTransport`, stepped by `LiveClient`'s waits |
+//! | `tcpd` | the TCP client | `LiveClient` over a TCP stream, with a dialer for its redials |
 //!
 //! What remains in each adapter is only what genuinely differs: how
 //! frames move (simulated links, crossbeam pipes, TCP) and how time
@@ -89,10 +92,9 @@ pub use tcpd::{connect_tcp, TcpClient};
 pub use shadow_store::{DurableStore, RecoverySummary, DEFAULT_COMPACT_EVERY};
 
 pub use shadow_runtime::{
-    shard_for, ClientDriver, ClientOutbound, Clock, CompletedJob, Connector, DriverEvent,
-    DriverStats, EventHook, FeedError, FrameInfo, FrameReader, FrameTransport, FrameWriter,
-    PersistSink, Shard, ShardEvent, ShardedServerRuntime, Supervisor, SupervisorConfig,
-    SupervisorEvent, SupervisorStats, TimerQueue, TransportClosed, VirtualClock, WallClock,
+    shard_for, ClientCore, ClientInput, Clock, DriverEvent, DriverStats, EventHook, FeedError,
+    FrameInfo, FrameReader, FrameTransport, FrameWriter, PersistSink, RedialStats, Shard,
+    ShardEvent, ShardedServerRuntime, TimerQueue, TransportClosed, VirtualClock, WallClock,
 };
 
 pub use shadow_cache::{CacheStats, EvictionPolicy, ShadowStore};
@@ -143,8 +145,8 @@ pub use shadow_workload::{
 ///
 /// Covers file identity ([`FileRef`]), the validated config builders,
 /// the deployment front ends ([`Simulation`], the [`Deployment`]
-/// builder, [`TcpClient`]), the client driver and server loop beneath
-/// them, and the unified [`NodeReport`] stats surface.
+/// builder, [`TcpClient`]), the client and server loops beneath them,
+/// and the unified [`NodeReport`] stats surface.
 pub mod prelude {
     pub use crate::deploy::{DeployError, Deployment, PipeDeployment, TcpDeployment};
     pub use crate::live::LiveClient;
@@ -160,6 +162,12 @@ pub mod prelude {
         ContentDigest, DomainId, FileId, HostName, JobId, SubmitOptions, TransferEncoding,
         VersionNumber,
     };
-    pub use shadow_runtime::{ClientDriver, Shard};
+    pub use shadow_runtime::{ClientCore, Shard};
     pub use shadow_server::{ExecProfile, FlowControl, ServerConfig, ServerConfigBuilder};
 }
+
+/// Every Rust block of the README, compiled and run as a doctest, so
+/// its examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;

@@ -11,28 +11,40 @@
 //!
 //! All protocol dispatch lives in `shadow-runtime`: the server side is
 //! the sharded runtime a [`Deployment`](crate::Deployment) stands up,
-//! and [`LiveClient`] wraps a [`ClientDriver`] around whatever
-//! [`FrameTransport`] it was given.
+//! and [`LiveClient`] steps a [`ClientCore`] on wall time, reading
+//! frames from whatever [`FrameTransport`] it was given and, when it
+//! has a dialer, redialing when the core asks.
 
 use std::error::Error;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::io;
+use std::time::Duration;
 
-use shadow_client::{ClientConfig, ClientError, ConnId, FileRef, Notification};
+use shadow_client::{ClientConfig, ClientError, ClientNode, ConnId, FileRef, Notification};
 use shadow_netsim::pipe::PipeEnd;
 use shadow_proto::{JobId, JobStats, RequestId, SubmitOptions, WireError};
 use shadow_runtime::{
-    ClientDriver, ClientOutbound, Clock, EventHook, FeedError, FrameTransport, WallClock,
+    ClientCore, ClientInput, Clock, EventHook, FeedError, FrameTransport, TransportClosed,
+    WallClock,
 };
+
+/// How long one wait on the transport lasts before [`LiveClient`]
+/// rechecks its deadlines.
+const POLL: Duration = Duration::from_millis(10);
+
+/// A live client's one connection.
+const CONN: ConnId = ConnId::new(0);
+
+/// Dials a fresh transport to the client's server.
+pub(crate) type Dialer<T> = Box<dyn FnMut() -> io::Result<T> + Send>;
 
 /// Errors from the live system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LiveError {
     /// The peer hung up (stream corrupt or otherwise unresumable).
     Disconnected,
-    /// The transport closed, with the clean-vs-error distinction
-    /// preserved for supervisors deciding whether to redial.
-    Closed(shadow_runtime::TransportClosed),
+    /// The link is down, with how its transport closed.
+    Closed(TransportClosed),
     /// A wait timed out.
     Timeout,
     /// A client command failed.
@@ -43,7 +55,7 @@ pub enum LiveError {
 
 impl LiveError {
     /// The transport-level close carried by this error, if any.
-    pub fn closed(&self) -> Option<shadow_runtime::TransportClosed> {
+    pub fn closed(&self) -> Option<TransportClosed> {
         match self {
             LiveError::Closed(c) => Some(*c),
             _ => None,
@@ -63,22 +75,11 @@ impl fmt::Display for LiveError {
     }
 }
 
-impl From<shadow_runtime::TransportClosed> for LiveError {
-    fn from(c: shadow_runtime::TransportClosed) -> Self {
-        LiveError::Closed(c)
-    }
-}
-
 impl Error for LiveError {}
 
 impl From<ClientError> for LiveError {
     fn from(e: ClientError) -> Self {
         LiveError::Client(e)
-    }
-}
-impl From<WireError> for LiveError {
-    fn from(e: WireError) -> Self {
-        LiveError::Wire(e)
     }
 }
 impl From<FeedError> for LiveError {
@@ -93,110 +94,138 @@ impl From<FeedError> for LiveError {
 }
 
 /// A client of a live deployment, driven by the calling thread; generic
-/// over the frame transport (in-process pipe or TCP).
+/// over the frame transport (in-process pipe or TCP). Its [`ClientCore`]
+/// keeps the link up; a lost link is redialed by the client itself when
+/// it has a dialer ([`connect_tcp`](crate::connect_tcp)), and otherwise
+/// surfaces as [`LiveError::Closed`] until [`resume_over`](Self::resume_over).
 pub struct LiveClient<T: FrameTransport = PipeEnd> {
-    driver: ClientDriver,
-    transport: T,
-    conn: ConnId,
-    clock: WallClock,
+    core: ClientCore<WallClock, T>,
+    dialer: Option<Dialer<T>>,
 }
 
 // Manual impl: transports need not be `Debug`.
 impl<T: FrameTransport> std::fmt::Debug for LiveClient<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveClient")
-            .field("driver", &self.driver)
-            .field("conn", &self.conn)
-            .finish_non_exhaustive()
+            .field("core", &self.core)
+            .field("dialer", &self.dialer.is_some())
+            .finish()
     }
 }
 
 impl<T: FrameTransport> LiveClient<T> {
     /// Builds a client over an established transport and sends the
-    /// `Hello`.
+    /// `Hello`. The client cannot redial by itself: after a lost link,
+    /// hand it a fresh transport with [`resume_over`](Self::resume_over).
     ///
     /// # Errors
     ///
     /// Transport failures sending the handshake.
     pub fn over_transport(config: ClientConfig, transport: T) -> Result<Self, LiveError> {
-        let mut client = LiveClient {
-            driver: ClientDriver::new(shadow_client::ClientNode::new(config)),
-            transport,
-            conn: ConnId::new(0),
-            clock: WallClock::new(),
-        };
-        let now_ms = client.clock.now_ms();
-        let out = client.driver.connect(client.conn, now_ms);
-        client.transmit(out)?;
+        LiveClient::start(config, transport, None)
+    }
+
+    /// Like [`over_transport`](Self::over_transport), with the dialer, if
+    /// any, that the client redials through whenever its core asks.
+    pub(crate) fn start(
+        config: ClientConfig,
+        transport: T,
+        dialer: Option<Dialer<T>>,
+    ) -> Result<Self, LiveError> {
+        let mut core = ClientCore::new(ClientNode::new(config), WallClock::new());
+        core.connect(CONN, transport);
+        let client = LiveClient { core, dialer };
+        client.link_ok()?;
         Ok(client)
     }
 
     /// Installs an instrumentation tap observing every frame this client
     /// sends or receives.
     pub fn set_event_hook(&mut self, hook: EventHook) {
-        self.driver.set_event_hook(hook);
+        self.core.set_event_hook(hook);
     }
 
-    fn transmit(&mut self, out: Vec<ClientOutbound>) -> Result<(), LiveError> {
-        for o in out {
-            self.transport
-                .send_frame(o.frame)
-                .map_err(LiveError::from)?;
+    /// `Err` with how the link went, while it is down.
+    fn link_ok(&self) -> Result<(), LiveError> {
+        match self.core.link_closed(CONN) {
+            Some(closed) => Err(LiveError::Closed(closed)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    fn feed(&mut self, frame: &[u8]) -> Result<(), LiveError> {
-        let now_ms = self.clock.now_ms();
-        let out = self.driver.feed_frame(self.conn, frame, now_ms)?;
-        // Completions reach callers as `JobFinished` notifications only;
-        // the driver's completed-job copy would otherwise pile up, one
-        // output per finished job, for the life of the client.
-        self.driver.take_finished();
-        self.transmit(out)
+    /// Steps the core with `input` (`None` fires its due timers), then
+    /// dials if the core asks and the client has a dialer.
+    fn step(&mut self, input: Option<ClientInput<T>>) -> Result<(), LiveError> {
+        self.core.step(input, |_| 0)?;
+        let Some(conn) = self.core.dial_wanted() else {
+            return Ok(());
+        };
+        let Some(dial) = self.dialer.as_mut() else {
+            return Ok(());
+        };
+        let answer = match dial() {
+            Ok(transport) => ClientInput::Dialed(conn, transport),
+            Err(_) => ClientInput::DialFailed(conn),
+        };
+        Ok(self.core.step(Some(answer), |_| 0)?)
     }
 
     /// Processes any frames that have arrived; returns how many.
     ///
     /// # Errors
     ///
-    /// [`LiveError::Disconnected`] when the server is gone.
+    /// [`LiveError::Closed`] when the link is down.
     pub fn pump(&mut self) -> Result<usize, LiveError> {
         let mut n = 0;
-        while let Some(frame) = self
-            .transport
-            .recv_frame(Duration::ZERO)
-            .map_err(LiveError::from)?
-        {
-            self.feed(&frame)?;
-            n += 1;
+        while let Some(transport) = self.core.writer_mut(CONN) {
+            let input = match transport.recv_frame(Duration::ZERO) {
+                Ok(Some(frame)) => {
+                    n += 1;
+                    ClientInput::Frame(CONN, frame)
+                }
+                Ok(None) => return Ok(n),
+                Err(closed) => ClientInput::Lost(CONN, closed),
+            };
+            self.step(Some(input))?;
         }
-        Ok(n)
+        self.link_ok().map(|()| n)
     }
 
     /// Pumps until `pred` matches a queued notification (which is removed
-    /// and returned) or the timeout elapses.
+    /// and returned) or the timeout elapses. Meanwhile the client keeps
+    /// its link up: it fires its heartbeat and liveness timers and, with
+    /// a dialer, redials a lost link.
     ///
     /// # Errors
     ///
-    /// [`LiveError::Timeout`] or [`LiveError::Disconnected`].
+    /// [`LiveError::Timeout`], or [`LiveError::Closed`] when the link is
+    /// down and the client has no dialer.
     pub fn wait_for(
         &mut self,
         timeout: Duration,
         mut pred: impl FnMut(&Notification) -> bool,
     ) -> Result<Notification, LiveError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = self.core.clock().now_ms() + timeout.as_millis() as u64;
         loop {
-            if let Some(n) = self.driver.take_notification_matching(&mut pred) {
+            if let Some(n) = self.core.take_notification_matching(&mut pred) {
                 return Ok(n);
             }
-            if Instant::now() >= deadline {
+            let now_ms = self.core.clock().now_ms();
+            if now_ms >= deadline {
                 return Err(LiveError::Timeout);
             }
-            match self.transport.recv_frame(Duration::from_millis(10)) {
-                Ok(Some(frame)) => self.feed(&frame)?,
-                Ok(None) => {}
-                Err(c) => return Err(LiveError::Closed(c)),
+            if self.core.next_deadline().is_some_and(|t| t <= now_ms) {
+                self.step(None)?;
+            }
+            match self.core.writer_mut(CONN) {
+                Some(transport) => match transport.recv_frame(POLL) {
+                    Ok(Some(frame)) => self.step(Some(ClientInput::Frame(CONN, frame)))?,
+                    Ok(None) => {}
+                    Err(closed) => self.step(Some(ClientInput::Lost(CONN, closed)))?,
+                },
+                None if self.dialer.is_none() => self.link_ok()?,
+                // Down, with a redial pending: nap until it falls due.
+                None => std::thread::sleep(POLL.min(Duration::from_millis(deadline - now_ms))),
             }
         }
     }
@@ -205,54 +234,51 @@ impl<T: FrameTransport> LiveClient<T> {
     ///
     /// # Errors
     ///
-    /// [`LiveError::Timeout`] or [`LiveError::Disconnected`].
+    /// [`LiveError::Timeout`] or [`LiveError::Closed`].
     pub fn wait_ready(&mut self, timeout: Duration) -> Result<(), LiveError> {
         self.wait_for(timeout, |n| matches!(n, Notification::SessionReady { .. }))
             .map(|_| ())
     }
 
     /// The link is gone but the session may yet be resumed: marks the
-    /// connection down in the protocol state machine, keeping version
-    /// chains and acked knowledge for the resume handshake.
+    /// connection down, keeping version chains and acked knowledge for
+    /// the resume handshake, and hangs up on the old transport.
     pub fn link_down(&mut self) {
-        let now_ms = self.clock.now_ms();
-        self.driver.link_down(self.conn, now_ms);
+        let lost = ClientInput::Lost(CONN, TransportClosed::Clean);
+        // A lost link decodes nothing, so the step cannot fail.
+        let _ = self.core.step(Some(lost), |_| 0);
     }
 
-    /// Resumes the session over a freshly dialed transport: swaps the
-    /// transport and sends the resume `Hello` carrying the client's
-    /// shadow-cache digest summary. Follow with
-    /// [`wait_ready`](Self::wait_ready) to learn what the server
-    /// retained.
+    /// Resumes the session over a freshly dialed transport: sends the
+    /// resume `Hello` carrying the client's shadow-cache digest summary.
+    /// Follow with [`wait_ready`](Self::wait_ready) to learn what the
+    /// server retained.
     ///
     /// # Errors
     ///
     /// Transport failures sending the resume handshake.
     pub fn resume_over(&mut self, transport: T) -> Result<(), LiveError> {
-        self.transport = transport;
-        let now_ms = self.clock.now_ms();
-        let out = self.driver.reconnect(self.conn, now_ms);
-        self.transmit(out)
+        self.core
+            .step(Some(ClientInput::Dialed(CONN, transport)), |_| 0)?;
+        self.link_ok()
     }
 
-    /// Sends a heartbeat ping; the pong surfaces as
-    /// [`Notification::Pong`] via the notification queue.
+    /// Sends a ping; the pong surfaces as [`Notification::Pong`] via the
+    /// notification queue. The nonce `u64::MAX` is the client's own
+    /// heartbeat, whose pong does not surface.
     ///
     /// # Errors
     ///
     /// Client-command or transport failures.
     pub fn ping(&mut self, nonce: u64) -> Result<(), LiveError> {
-        let now_ms = self.clock.now_ms();
-        let out = self.driver.ping(self.conn, nonce, now_ms)?;
-        self.transmit(out)
+        self.core.ping(CONN, nonce)?;
+        self.link_ok()
     }
 
     /// Records an editing session's result (the shadow post-processor).
+    /// A send failure surfaces on the next wait.
     pub fn edit_finished(&mut self, file: &FileRef, content: Vec<u8>) {
-        let now_ms = self.clock.now_ms();
-        let (_, out) = self.driver.edit_finished(file, content, now_ms);
-        // A send failure surfaces on the next pump.
-        let _ = self.transmit(out);
+        self.core.edit_finished(file, content);
     }
 
     /// Submits a job.
@@ -266,12 +292,8 @@ impl<T: FrameTransport> LiveClient<T> {
         data_files: &[FileRef],
         options: SubmitOptions,
     ) -> Result<RequestId, LiveError> {
-        let now_ms = self.clock.now_ms();
-        let (request, out) = self
-            .driver
-            .submit(self.conn, job_file, data_files, options, now_ms)?;
-        self.transmit(out)?;
-        Ok(request)
+        let request = self.core.submit(CONN, job_file, data_files, options)?;
+        self.link_ok().map(|()| request)
     }
 
     /// Queries job status.
@@ -280,10 +302,8 @@ impl<T: FrameTransport> LiveClient<T> {
     ///
     /// Client-command or transport failures.
     pub fn status(&mut self, job: Option<JobId>) -> Result<RequestId, LiveError> {
-        let now_ms = self.clock.now_ms();
-        let (request, out) = self.driver.status(self.conn, job, now_ms)?;
-        self.transmit(out)?;
-        Ok(request)
+        let request = self.core.status(CONN, job)?;
+        self.link_ok().map(|()| request)
     }
 
     /// Waits for the next completed job, returning
@@ -291,7 +311,7 @@ impl<T: FrameTransport> LiveClient<T> {
     ///
     /// # Errors
     ///
-    /// [`LiveError::Timeout`] or [`LiveError::Disconnected`].
+    /// [`LiveError::Timeout`] or [`LiveError::Closed`].
     pub fn wait_job(
         &mut self,
         timeout: Duration,
@@ -311,28 +331,25 @@ impl<T: FrameTransport> LiveClient<T> {
 
     /// Removes and returns all queued notifications.
     pub fn take_notifications(&mut self) -> Vec<Notification> {
-        self.driver
-            .take_notifications()
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect()
+        self.core.take_notifications()
     }
 
     /// The client's full report: protocol metrics, version-store
-    /// occupancy, and driver wire counters as one aggregate.
+    /// occupancy, wire counters and link-policy counters as one
+    /// aggregate.
     pub fn report(&self) -> shadow_obs::NodeReport {
-        self.driver.report()
+        self.core.report()
     }
 
     /// Direct access to the protocol node (persistence, diagnostics).
-    pub fn node(&self) -> &shadow_client::ClientNode {
-        self.driver.node()
+    pub fn node(&self) -> &ClientNode {
+        self.core.node()
     }
 
     /// Mutable access to the protocol node (restoring persisted version
     /// chains before use).
-    pub fn node_mut(&mut self) -> &mut shadow_client::ClientNode {
-        self.driver.node_mut()
+    pub fn node_mut(&mut self) -> &mut ClientNode {
+        self.core.node_mut()
     }
 }
 
@@ -382,9 +399,14 @@ mod tests {
             let (_, output, _, _) = client.wait_job(Duration::from_secs(10)).unwrap();
             assert_eq!(output, format!("run {i}\n").into_bytes());
         }
+        // A job's output lives only in its `JobFinished` notification,
+        // which `wait_job` took: nothing else keeps a copy.
         assert!(
-            client.driver.take_finished().is_empty(),
-            "completed jobs must not accumulate in the driver"
+            !client
+                .take_notifications()
+                .iter()
+                .any(|n| matches!(n, Notification::JobFinished { .. })),
+            "completed jobs must not accumulate in the client"
         );
         drop(client);
         let server = system.shutdown().remove(0);

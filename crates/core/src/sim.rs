@@ -5,11 +5,13 @@
 //! them with realistic transmission times and charges the [`CpuModel`] for
 //! diff/apply work. Identical inputs produce identical timelines.
 //!
-//! Protocol dispatch lives in `shadow-runtime`: each client is a
-//! [`ClientDriver`] and each server the same [`Shard`] production runs,
-//! fed [`ShardEvent`]s. This module is only the *scheduler* — it decides
-//! when frames depart (network + CPU model) and wakes each shard at its
-//! next timer deadline.
+//! Protocol dispatch lives in `shadow-runtime`: each client is the same
+//! [`ClientCore`] and each server the same [`Shard`] production runs,
+//! fed [`ClientInput`]s and [`ShardEvent`]s. This module is only the
+//! *scheduler* — it decides when the frames a node wrote depart (by the
+//! network and CPU models) and wakes each shard at its next timer
+//! deadline. The simulated links never fail, so a client's link timers
+//! are never woken.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -25,7 +27,7 @@ use shadow_netsim::{
 };
 use shadow_proto::{ClientMessage, JobId, JobStats, RequestId, SubmitOptions};
 use shadow_runtime::{
-    ClientDriver, EventHook, FrameInfo, FrameWriter, PersistSink, Shard, ShardEvent,
+    ClientCore, ClientInput, EventHook, FrameInfo, FrameWriter, PersistSink, Shard, ShardEvent,
     TransportClosed, VirtualClock,
 };
 use shadow_server::{CloseReason, ServerConfig, ServerNode, SessionId};
@@ -106,38 +108,42 @@ enum Endpoint {
     Server(ServerId),
 }
 
-struct ClientRt {
-    driver: ClientDriver,
-    net: NodeId,
-    host: String,
-    notifications: Vec<(SimTime, Notification)>,
-    finished: Vec<FinishedJob>,
-    next_conn: u64,
-}
+/// A frame a node wrote, with the network node it is for.
+type Sent = (NodeId, Vec<u8>);
 
-/// A frame a server sent, with the session it is for.
-type Sent = (SessionId, Vec<u8>);
-
-/// A server session's writer half: frames join the server's one
-/// outbox, in send order, for the scheduler to put on the network.
+/// The writer of one connection or session: its frames join the owning
+/// node's one outbox, in write order, addressed to the peer, for the
+/// scheduler to put on the network.
 struct SimWriter {
-    session: SessionId,
+    to: NodeId,
     outbox: Sender<Sent>,
 }
 
 impl FrameWriter for SimWriter {
     fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
         self.outbox
-            .send((self.session, frame))
+            .send((self.to, frame))
             .map_err(|_| TransportClosed::Clean)
     }
+}
+
+struct ClientRt {
+    core: ClientCore<VirtualClock, SimWriter>,
+    outbox: (Sender<Sent>, Receiver<Sent>),
+    net: NodeId,
+    host: String,
+    notifications: Vec<(SimTime, Notification)>,
+    finished: Vec<FinishedJob>,
+    /// Output routing of each submission, then of its job until it ends.
+    request_options: HashMap<RequestId, SubmitOptions>,
+    job_options: HashMap<JobId, SubmitOptions>,
+    next_conn: u64,
 }
 
 struct ServerRt {
     shard: Shard<VirtualClock, SimWriter, Box<dyn PersistSink>>,
     outbox: (Sender<Sent>, Receiver<Sent>),
     net: NodeId,
-    sessions: HashMap<SessionId, (ClientId, ConnId)>,
     next_session: u64,
 }
 
@@ -212,7 +218,6 @@ impl Simulation {
             shard: Shard::new(ServerNode::new(config), None, VirtualClock::new()),
             outbox: channel(),
             net,
-            sessions: HashMap::new(),
             next_session: 0,
         });
         self.endpoints.insert(net, Endpoint::Server(id));
@@ -227,21 +232,24 @@ impl Simulation {
         let _ = self.vfs.add_host(host);
         let id = ClientId(self.clients.len());
         self.clients.push(ClientRt {
-            driver: ClientDriver::new(shadow_client::ClientNode::new(config)),
+            core: ClientCore::new(shadow_client::ClientNode::new(config), VirtualClock::new()),
+            outbox: channel(),
             net,
             host: host.to_string(),
             notifications: Vec::new(),
             finished: Vec::new(),
+            request_options: HashMap::new(),
+            job_options: HashMap::new(),
             next_conn: 0,
         });
         self.endpoints.insert(net, Endpoint::Client(id));
         id
     }
 
-    /// Installs an instrumentation tap on a client's driver, observing
+    /// Installs an instrumentation tap on a client's core, observing
     /// every frame it sends or receives.
     pub fn set_client_event_hook(&mut self, client: ClientId, hook: EventHook) {
-        self.clients[client.0].driver.set_event_hook(hook);
+        self.clients[client.0].core.set_event_hook(hook);
     }
 
     /// Connects a client to a server over `profile` and completes the
@@ -267,15 +275,16 @@ impl Simulation {
         self.clients[client.0].next_conn += 1;
         let session = SessionId::new(self.servers[server.0].next_session);
         self.servers[server.0].next_session += 1;
-        self.servers[server.0]
-            .sessions
-            .insert(session, (client, conn));
         self.pairs.insert((client.0, server.0), (conn, session));
 
         let now = self.net.now();
-        let out = self.clients[client.0].driver.connect(conn, now.as_millis());
-        self.send_client_frames(client, out, now)?;
-        self.drain_client(client, now);
+        let rt = self.client_at(client, now);
+        let writer = SimWriter {
+            to: s_net,
+            outbox: rt.outbox.0.clone(),
+        };
+        rt.core.connect(conn, writer);
+        self.client_sent(client, now, now)?;
         self.run_until_quiet();
         Ok(conn)
     }
@@ -294,10 +303,9 @@ impl Simulation {
 
     fn hang_up(&mut self, client: ClientId, server: ServerId, reason: CloseReason) {
         if let Some((conn, session)) = self.pairs.remove(&(client.0, server.0)) {
-            self.clients[client.0].driver.disconnect(conn);
+            self.clients[client.0].core.disconnect(conn);
             let now = self.net.now();
             self.step_server(server, now, Some(ShardEvent::Closed(session, reason)));
-            self.servers[server.0].sessions.remove(&session);
         }
     }
 
@@ -336,13 +344,10 @@ impl Simulation {
             format!("{}:{}", outcome.name.host, outcome.name.path),
         );
         let now = self.net.now();
-        let (_, out) =
-            self.clients[client.0]
-                .driver
-                .edit_finished(&fref, outcome.content, now.as_millis());
-        let depart = now + self.cpu.message_time();
-        self.send_client_frames(client, out, depart)?;
-        self.drain_client(client, now);
+        self.client_at(client, now)
+            .core
+            .edit_finished(&fref, outcome.content);
+        self.client_sent(client, now, now + self.cpu.message_time())?;
         Ok(fref)
     }
 
@@ -382,26 +387,19 @@ impl Simulation {
             // Register current content (deduped if unchanged); background
             // notifications may flow.
             let now = self.net.now();
-            let (_, out) =
-                self.clients[client.0]
-                    .driver
-                    .edit_finished(&fref, content, now.as_millis());
-            let depart = now + self.cpu.message_time();
-            self.send_client_frames(client, out, depart)?;
-            self.drain_client(client, now);
+            self.client_at(client, now)
+                .core
+                .edit_finished(&fref, content);
+            self.client_sent(client, now, now + self.cpu.message_time())?;
             refs.push(fref);
         }
         let now = self.net.now();
-        let (request, out) = self.clients[client.0].driver.submit(
-            conn,
-            &refs[0],
-            &refs[1..],
-            options,
-            now.as_millis(),
-        )?;
-        let depart = now + self.cpu.message_time();
-        self.send_client_frames(client, out, depart)?;
-        self.drain_client(client, now);
+        let rt = self.client_at(client, now);
+        let request = rt
+            .core
+            .submit(conn, &refs[0], &refs[1..], options.clone())?;
+        rt.request_options.insert(request, options);
+        self.client_sent(client, now, now + self.cpu.message_time())?;
         Ok(request)
     }
 
@@ -417,12 +415,8 @@ impl Simulation {
         job: Option<JobId>,
     ) -> Result<RequestId, SimError> {
         let now = self.net.now();
-        let (request, out) = self.clients[client.0]
-            .driver
-            .status(conn, job, now.as_millis())?;
-        let depart = now + self.cpu.message_time();
-        self.send_client_frames(client, out, depart)?;
-        self.drain_client(client, now);
+        let request = self.client_at(client, now).core.status(conn, job)?;
+        self.client_sent(client, now, now + self.cpu.message_time())?;
         Ok(request)
     }
 
@@ -452,7 +446,7 @@ impl Simulation {
         match delivery.event {
             SimEvent::Message { to, from, payload } => match self.endpoints[&to] {
                 Endpoint::Server(s) => self.deliver_to_server(delivery.at, s, from, payload),
-                Endpoint::Client(c) => self.deliver_to_client(delivery.at, c, from, &payload),
+                Endpoint::Client(c) => self.deliver_to_client(delivery.at, c, from, payload),
             },
             SimEvent::Timer { node, .. } => {
                 if let Endpoint::Server(s) = self.endpoints[&node] {
@@ -476,7 +470,7 @@ impl Simulation {
             Some(_) => ShardEvent::Frame(session, frame),
             None => {
                 let outbox = rt.outbox.0.clone();
-                ShardEvent::Open(session, SimWriter { session, outbox }, frame)
+                ShardEvent::Open(session, SimWriter { to: from, outbox }, frame)
             }
         };
         self.step_server(server, at, Some(event));
@@ -504,13 +498,8 @@ impl Simulation {
             c.as_millis()
         });
         let now = self.net.now();
-        let depart = (at + cost.get()).max(now);
-        for (session, frame) in rt.outbox.1.try_iter() {
-            let (client, _) = rt.sessions[&session];
-            self.net
-                .send_at(depart, rt.net, self.clients[client.0].net, frame)
-                .expect("connected pair has a link");
-        }
+        post(&mut self.net, rt.net, &rt.outbox.1, at + cost.get())
+            .expect("connected pair has a link");
         match rt.shard.next_deadline() {
             Some(deadline_ms) if Some(deadline_ms) != deadline_before => {
                 let wake = SimTime::from_millis(deadline_ms).saturating_sub(now);
@@ -520,81 +509,89 @@ impl Simulation {
         }
     }
 
-    fn deliver_to_client(&mut self, at: SimTime, client: ClientId, from: NodeId, payload: &[u8]) {
+    fn deliver_to_client(&mut self, at: SimTime, client: ClientId, from: NodeId, payload: Vec<u8>) {
         let Endpoint::Server(server) = self.endpoints[&from] else {
             panic!("client received frame from a non-server node");
         };
         let (conn, _) = self.pairs[&(client.0, server.0)];
-        let out = self.clients[client.0]
-            .driver
-            .feed_frame(conn, payload, at.as_millis())
-            .expect("well-formed frame");
-        // Cost: answering an update request with a delta means running the
-        // differential comparison over the whole file at the workstation.
-        let mut depart = at + self.cpu.message_time();
-        for o in &out {
-            match o.info {
-                FrameInfo::UpdateDelta { file_size, .. } => {
-                    depart = at + self.cpu.diff_time(file_size);
+        // Answering an update request with a delta means running the
+        // differential comparison over the whole file at the
+        // workstation; anything else is fixed per-message handling.
+        let cpu = self.cpu;
+        let work = Cell::new(cpu.message_time());
+        self.client_at(client, at)
+            .core
+            .step(Some(ClientInput::Frame(conn, payload)), |info| {
+                match *info {
+                    FrameInfo::UpdateDelta { file_size, .. } => work.set(cpu.diff_time(file_size)),
+                    FrameInfo::UpdateFull { .. } => work.set(cpu.message_time()),
+                    FrameInfo::Other => {}
                 }
-                FrameInfo::UpdateFull { .. } => depart = at + self.cpu.message_time(),
-                FrameInfo::Other => {}
-            }
-        }
-        self.send_client_frames(client, out, depart)
-            .expect("routing of client actions");
-        self.drain_client(client, at);
+                work.get().as_millis()
+            })
+            .expect("well-formed frame");
+        self.client_sent(client, at, at + work.get())
+            .expect("connected pair has a link");
     }
 
-    /// Schedules a client's encoded frames onto the network, all at
-    /// `depart` (clamped to the present).
-    fn send_client_frames(
+    /// A client's runtime, its core's clock brought to `now`.
+    fn client_at(&mut self, client: ClientId, now: SimTime) -> &mut ClientRt {
+        let rt = &mut self.clients[client.0];
+        rt.core.clock_mut().advance_to(now.as_millis());
+        rt
+    }
+
+    /// After a client acted at `now`: puts what it wrote on the network
+    /// at `depart`, and moves its notifications into the simulation's
+    /// log, stamped with simulated time, performing output-file
+    /// transparency (writing job output into the user's files).
+    fn client_sent(
         &mut self,
         client: ClientId,
-        out: Vec<shadow_runtime::ClientOutbound>,
+        now: SimTime,
         depart: SimTime,
-    ) -> Result<(), SimError> {
-        for o in out {
-            let server = self
-                .pairs
-                .iter()
-                .find(|((c, _), (k, _))| *c == client.0 && *k == o.conn)
-                .map(|((_, s), _)| ServerId(*s))
-                .expect("conn belongs to a connected pair");
-            let (c_net, s_net) = (self.clients[client.0].net, self.servers[server.0].net);
-            let depart = depart.max(self.net.now());
-            self.net.send_at(depart, c_net, s_net, o.frame)?;
+    ) -> Result<(), NetError> {
+        let rt = &mut self.clients[client.0];
+        post(&mut self.net, rt.net, &rt.outbox.1, depart)?;
+        for n in rt.core.take_notifications() {
+            match &n {
+                Notification::JobAccepted { request, job, .. } => {
+                    if let Some(options) = rt.request_options.remove(request) {
+                        rt.job_options.insert(*job, options);
+                    }
+                }
+                Notification::JobRejected { request, .. } => {
+                    rt.request_options.remove(request);
+                }
+                Notification::JobFinished {
+                    conn,
+                    job,
+                    output,
+                    errors,
+                    stats,
+                } => {
+                    if let Some(options) = rt.job_options.remove(job) {
+                        if let Some(out_path) = &options.output_file {
+                            let _ = self.vfs.write_file(&rt.host, out_path, output.clone());
+                        }
+                        if let Some(err_path) = &options.error_file {
+                            let _ = self.vfs.write_file(&rt.host, err_path, errors.clone());
+                        }
+                    }
+                    rt.finished.push(FinishedJob {
+                        conn: *conn,
+                        job: *job,
+                        output: output.clone(),
+                        errors: errors.clone(),
+                        stats: *stats,
+                        at: now,
+                    });
+                }
+                _ => {}
+            }
+            rt.notifications.push((now, n));
         }
         Ok(())
-    }
-
-    /// Moves buffered driver notifications into the simulation's log,
-    /// stamping them with simulated time and performing output-file
-    /// transparency (writing job output into the user's files).
-    fn drain_client(&mut self, client: ClientId, at: SimTime) {
-        let host = self.clients[client.0].host.clone();
-        for job in self.clients[client.0].driver.take_finished() {
-            if let Some(options) = &job.options {
-                if let Some(out_path) = &options.output_file {
-                    let _ = self.vfs.write_file(&host, out_path, job.output.clone());
-                }
-                if let Some(err_path) = &options.error_file {
-                    let _ = self.vfs.write_file(&host, err_path, job.errors.clone());
-                }
-            }
-            self.clients[client.0].finished.push(FinishedJob {
-                conn: job.conn,
-                job: job.job,
-                output: job.output,
-                errors: job.errors,
-                stats: job.stats,
-                at,
-            });
-        }
-        let drained = self.clients[client.0].driver.take_notifications();
-        self.clients[client.0]
-            .notifications
-            .extend(drained.into_iter().map(|(_, n)| (at, n)));
     }
 
     /// All notifications a client has received, in delivery order.
@@ -622,7 +619,7 @@ impl Simulation {
     /// A client's full report: protocol metrics, version-store
     /// occupancy, and driver wire counters as one aggregate.
     pub fn client_report(&self, client: ClientId) -> shadow_obs::NodeReport {
-        self.clients[client.0].driver.report()
+        self.clients[client.0].core.report()
     }
 
     /// A server's full report: behaviour counters, shadow-cache
@@ -636,6 +633,21 @@ impl Simulation {
     pub fn drop_server_cache(&mut self, server: ServerId) {
         self.servers[server.0].shard.node_mut().drop_cache();
     }
+}
+
+/// Puts every frame in a node's outbox on the network at `depart`
+/// (clamped to the present), from `from` to each frame's addressee.
+fn post(
+    net: &mut SimNet,
+    from: NodeId,
+    outbox: &Receiver<Sent>,
+    depart: SimTime,
+) -> Result<(), NetError> {
+    let depart = depart.max(net.now());
+    for (to, frame) in outbox.try_iter() {
+        net.send_at(depart, from, to, frame)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -813,6 +825,53 @@ mod tests {
             b"into file\n"
         );
         assert_eq!(sim.vfs().read_file("ws1", "/results/run.err").unwrap(), b"");
+    }
+
+    #[test]
+    fn option_maps_drain_when_jobs_finish_or_are_rejected() {
+        let (mut sim, client, server, conn) = basic();
+        sim.vfs_mut().mkdir_p("ws1", "/out").unwrap();
+        let options = SubmitOptions {
+            output_file: Some("/out/echo.out".into()),
+            ..SubmitOptions::default()
+        };
+        for i in 0..3 {
+            sim.edit_file(client, "/echo.job", move |_| {
+                format!("echo run {i}\n").into_bytes()
+            })
+            .unwrap();
+            sim.submit(client, conn, "/echo.job", &[], options.clone())
+                .unwrap();
+            sim.run_until_quiet();
+            // Each job's output was routed by the options it was
+            // submitted with.
+            assert_eq!(
+                sim.vfs().read_file("ws1", "/out/echo.out").unwrap(),
+                format!("run {i}\n").into_bytes()
+            );
+        }
+        assert_eq!(sim.finished_jobs(client).len(), 3);
+
+        // A submission the server turns down never becomes a job: its
+        // frame is lost in flight and a refusal comes back instead.
+        let job = sim
+            .edit_file(client, "/echo.job", |_| b"echo refused\n".to_vec())
+            .unwrap();
+        sim.run_until_quiet();
+        let rt = &mut sim.clients[client.0];
+        let request = rt.core.submit(conn, &job, &[], options.clone()).unwrap();
+        rt.request_options.insert(request, options);
+        rt.outbox.1.try_iter().for_each(drop);
+        let refusal = shadow_proto::Frame::encode(&shadow_proto::ServerMessage::SubmitError {
+            request,
+            reason: "queue full".into(),
+        });
+        let (at, from) = (sim.now(), sim.servers[server.0].net);
+        sim.deliver_to_client(at, client, from, refusal);
+
+        let rt = &sim.clients[client.0];
+        assert!(rt.request_options.is_empty(), "rejected request leaked");
+        assert!(rt.job_options.is_empty(), "finished job leaked");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`Deployment::tcp`](crate::Deployment::tcp).
 
 use std::io;
-use std::net::ToSocketAddrs;
+use std::net::{SocketAddr, ToSocketAddrs};
 
 use shadow_client::ClientConfig;
 use shadow_netsim::tcp::TcpFramed;
@@ -19,12 +19,18 @@ pub type TcpClient = LiveClient<TcpFramed>;
 /// [`TcpDeployment`](crate::TcpDeployment) (or `shadowd`) and sends the
 /// `Hello`.
 ///
+/// The client redials `addr` by itself: when its link is lost, its waits
+/// ([`LiveClient::wait_for`] and the waits built on it) back off, dial
+/// again and resume the session, keeping its shadow-cache knowledge.
+///
 /// # Errors
 ///
 /// Socket or handshake failures.
 pub fn connect_tcp(config: ClientConfig, addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-    let transport = TcpFramed::connect(addr)?;
-    LiveClient::over_transport(config, transport).map_err(|e| {
+    let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+    let transport = TcpFramed::connect(&addrs[..])?;
+    let dialer = Box::new(move || TcpFramed::connect(&addrs[..]));
+    LiveClient::start(config, transport, Some(dialer)).map_err(|e| {
         // Preserve the real failure kind: an orderly close during the
         // handshake is not a reset, and a reset is not a decode error.
         let kind = match e.closed() {

@@ -1,7 +1,7 @@
 //! Fault injection: a chaos wrapper for frame transports and a TCP
 //! chaos proxy.
 //!
-//! Reconnect supervision and session resumption only earn their keep if
+//! Redialing and session resumption only earn their keep if
 //! links actually fail, so this module manufactures failure on demand —
 //! deterministically, from a seed, so every chaos run replays exactly.
 //!
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use shadow_runtime::{FrameTransport, TransportClosed};
+use shadow_runtime::{FrameTransport, FrameWriter, TransportClosed};
 
 /// The seeded fault schedule for one [`FaultTransport`].
 ///
@@ -137,8 +137,8 @@ impl<T: FrameTransport> FaultTransport<T> {
     }
 }
 
-impl<T: FrameTransport> FrameTransport for FaultTransport<T> {
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
+impl<T: FrameTransport> FrameWriter for FaultTransport<T> {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed> {
         if self.stats.reset {
             return Err(Self::reset_error());
         }
@@ -164,18 +164,20 @@ impl<T: FrameTransport> FrameTransport for FaultTransport<T> {
         if dup {
             self.stats.duplicated += 1;
             self.stats.delivered += 1;
-            self.inner.send_frame(frame.clone())?;
+            self.inner.write_frame(frame.clone())?;
         }
         self.stats.delivered += 1;
-        self.inner.send_frame(frame)?;
+        self.inner.write_frame(frame)?;
         // Release anything held: it now travels *after* the newer frame.
         while let Some(held) = self.held.pop_front() {
             self.stats.delivered += 1;
-            self.inner.send_frame(held)?;
+            self.inner.write_frame(held)?;
         }
         Ok(())
     }
+}
 
+impl<T: FrameTransport> FrameTransport for FaultTransport<T> {
     fn recv_frame(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportClosed> {
         if self.stats.reset {
             return Err(Self::reset_error());
@@ -271,7 +273,7 @@ impl ChaosProxy {
     }
 
     /// Severs every live connection. New dials still succeed (and the
-    /// reconnect supervisor is expected to make one).
+    /// client's own redial is expected to make one).
     pub fn cut(&self) {
         self.shared.generation.fetch_add(1, Ordering::SeqCst);
     }
@@ -378,7 +380,7 @@ mod tests {
     fn no_faults_is_the_identity() {
         let (mut t, peer) = faulty_pair(FaultPlan::none(1));
         for i in 0..10u8 {
-            t.send_frame(vec![i]).unwrap();
+            t.write_frame(vec![i]).unwrap();
         }
         assert_eq!(drain(&peer).len(), 10);
         assert_eq!(
@@ -395,7 +397,7 @@ mod tests {
                 ..FaultPlan::none(seed)
             });
             for i in 0..100u8 {
-                t.send_frame(vec![i]).unwrap();
+                t.write_frame(vec![i]).unwrap();
             }
             (t.stats().dropped, drain(&peer))
         };
@@ -414,7 +416,7 @@ mod tests {
             dup_per_mille: 1000,
             ..FaultPlan::none(9)
         });
-        t.send_frame(vec![7]).unwrap();
+        t.write_frame(vec![7]).unwrap();
         assert_eq!(drain(&peer), vec![vec![7], vec![7]]);
         assert_eq!(t.stats().duplicated, 1);
     }
@@ -427,13 +429,13 @@ mod tests {
             delay_per_mille: 1000,
             ..FaultPlan::none(5)
         });
-        t.send_frame(vec![1]).unwrap();
+        t.write_frame(vec![1]).unwrap();
         assert!(drain(&peer).is_empty(), "frame 1 is parked");
         // Forcing the next roll low would park frame 2 as well, so use a
         // fresh plan where only the first roll delays.
         let (mut t2, peer2) = faulty_pair(FaultPlan::none(5));
         t2.held.push_back(vec![1]);
-        t2.send_frame(vec![2]).unwrap();
+        t2.write_frame(vec![2]).unwrap();
         assert_eq!(drain(&peer2), vec![vec![2], vec![1]]);
         drop(t);
         drop(peer);
@@ -445,9 +447,9 @@ mod tests {
             reset_after_sends: Some(2),
             ..FaultPlan::none(3)
         });
-        t.send_frame(vec![1]).unwrap();
-        t.send_frame(vec![2]).unwrap();
-        let err = t.send_frame(vec![3]).unwrap_err();
+        t.write_frame(vec![1]).unwrap();
+        t.write_frame(vec![2]).unwrap();
+        let err = t.write_frame(vec![3]).unwrap_err();
         assert_eq!(err.error_kind(), Some(ErrorKind::ConnectionReset));
         assert!(matches!(
             t.recv_frame(Duration::ZERO),

@@ -97,12 +97,14 @@ impl PipeEnd {
     }
 }
 
-impl shadow_runtime::FrameTransport for PipeEnd {
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), shadow_runtime::TransportClosed> {
+impl shadow_runtime::FrameWriter for PipeEnd {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), shadow_runtime::TransportClosed> {
         // A dropped peer end is an orderly hang-up, not a failure.
         PipeEnd::send(self, frame).map_err(|_| shadow_runtime::TransportClosed::Clean)
     }
+}
 
+impl shadow_runtime::FrameTransport for PipeEnd {
     fn recv_frame(
         &mut self,
         timeout: Duration,

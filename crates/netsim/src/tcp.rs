@@ -141,13 +141,15 @@ impl TcpFramed {
     }
 }
 
-impl shadow_runtime::FrameTransport for TcpFramed {
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), shadow_runtime::TransportClosed> {
+impl shadow_runtime::FrameWriter for TcpFramed {
+    fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), shadow_runtime::TransportClosed> {
         // `From<io::Error>` maps UnexpectedEof (orderly peer close) to
         // Clean and carries every other kind through as an error close.
         TcpFramed::send(self, &frame).map_err(shadow_runtime::TransportClosed::from)
     }
+}
 
+impl shadow_runtime::FrameTransport for TcpFramed {
     fn recv_frame(
         &mut self,
         timeout: Duration,

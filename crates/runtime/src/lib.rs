@@ -8,21 +8,27 @@
 //! [`shadow_server::ServerNode`]) into running endpoints. Every
 //! deployment — the discrete-event simulator, the model checker, the
 //! in-process threads-and-pipes system, and the TCP daemon — drives the
-//! same [`ClientDriver`] and the same server loop, [`Shard`], and
-//! therefore produces the same bytes on the wire.
+//! same client loop, [`ClientCore`], and the same server loop,
+//! [`Shard`], and therefore produces the same bytes on the wire.
 //!
 //! The pieces:
 //!
 //! * [`Clock`] — wall time ([`WallClock`]) vs. externally-advanced
 //!   virtual time ([`VirtualClock`]), so the drivers never call
 //!   `Instant::now()` themselves;
-//! * [`FrameTransport`] — a byte-frame pipe; implemented by
-//!   `shadow_netsim`'s in-process pipes and TCP framing;
+//! * [`FrameWriter`] / [`FrameTransport`] — a byte-frame sink, and a
+//!   pipe that can also be read; implemented by `shadow_netsim`'s
+//!   in-process pipes and TCP framing;
 //! * [`TimerQueue`] — deadline-ordered, FIFO on ties, replacing the two
 //!   divergent ad-hoc timer structures the drivers used to carry;
-//! * [`ClientDriver`] — owns the client's encode→send /
-//!   receive→decode→feed loop and notification buffering. The
-//!   `ClientAction` match arms live here and **only** here;
+//! * [`ClientCore`] — the one client loop: it takes [`ClientInput`]s
+//!   (a frame, a lost link, a dialed transport, a failed dial), decodes,
+//!   feeds the `ClientNode`, writes to each connection's
+//!   [`FrameWriter`], buffers notifications, and keeps each link up with
+//!   its own timers — a heartbeat after quiet, a liveness deadline, a
+//!   capped and jittered redial backoff — asking its host to dial when a
+//!   redial falls due. The `ClientAction` match arms live here and
+//!   **only** here;
 //! * [`Shard`] — the one server loop: it takes [`ShardEvent`]s
 //!   (a session opening on its `Hello`, a frame, a close), decodes,
 //!   feeds the `ServerNode`, journals to its [`PersistSink`], writes to
@@ -39,26 +45,25 @@
 //!   [`FrameReader`] (the reader thread's) and a [`FrameWriter`] (the
 //!   shard's);
 //! * [`DriverEvent`] — a structured instrumentation tap on the client
-//!   driver (frames and bytes on the wire, deltas vs. full transfers)
+//!   loop (frames and bytes on the wire, deltas vs. full transfers)
 //!   used by the equivalence tests and by metrics collection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client_driver;
+mod client_core;
 mod clock;
-mod event;
 mod shard;
 mod sink;
-mod supervisor;
 mod timer;
 mod transport;
 
-pub use client_driver::{ClientDriver, ClientOutbound};
+pub use client_core::{ClientCore, ClientInput, FeedError, RedialStats};
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use event::{CompletedJob, DriverEvent, DriverStats, EventHook, FeedError, FrameInfo};
+// The instrumentation vocabulary lives in `shadow-obs`, so that
+// observability consumers need not depend on the loops.
+pub use shadow_obs::{DriverEvent, DriverStats, EventHook, FrameInfo};
 pub use shard::{shard_for, Shard, ShardEvent, ShardedServerRuntime};
 pub use sink::PersistSink;
-pub use supervisor::{Connector, Supervisor, SupervisorConfig, SupervisorEvent, SupervisorStats};
 pub use timer::TimerQueue;
 pub use transport::{FrameReader, FrameTransport, FrameWriter, TransportClosed};

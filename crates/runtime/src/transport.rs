@@ -10,9 +10,8 @@ use std::time::Duration;
 /// terminal conditions: a *clean* shutdown (orderly EOF, peer dropped
 /// its end) or an *error* close carrying the underlying
 /// [`io::ErrorKind`] (reset, aborted, timeout at the OS level…).
-/// Drivers treat both as a session disconnect; supervisors and reports
-/// use the distinction to tell drain from failure and to decide whether
-/// redialing is worthwhile.
+/// Both loops treat either as a lost link; reports use the distinction
+/// to tell drain from failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportClosed {
     /// The peer shut the transport down in an orderly way.
@@ -60,16 +59,15 @@ impl fmt::Display for TransportClosed {
 impl std::error::Error for TransportClosed {}
 
 /// A bidirectional pipe carrying whole frames (already length-delimited
-/// by the transport).
+/// by the transport): a [`FrameWriter`] that can also be read from.
 ///
 /// This is the seam between the shared runtime and each deployment's
 /// I/O: in-process crossbeam pipes, framed TCP sockets, or anything
-/// else that can move a `Vec<u8>`. Implementations live next to the
-/// transport itself (in `shadow-netsim`), not here.
-pub trait FrameTransport {
-    /// Sends one frame.
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed>;
-
+/// else that can move a `Vec<u8>`. A client's
+/// [`ClientCore`](crate::ClientCore) writes to it; its host reads from
+/// it. Implementations live next to the transport itself (in
+/// `shadow-netsim`), not here.
+pub trait FrameTransport: FrameWriter {
     /// Receives one frame, waiting up to `timeout` (`Duration::ZERO`
     /// does not wait). `Ok(None)` means the wait elapsed with nothing to
     /// read.
@@ -83,10 +81,10 @@ pub trait FrameReader: Send + 'static {
     fn read_frame(&mut self) -> Result<Vec<u8>, TransportClosed>;
 }
 
-/// The sending half of a server-side session, split from its
-/// transport: the shard serving the session keeps it. Dropping it
-/// closes the session for the peer, so a shard that drops a session
-/// also hangs up on it.
+/// The sending half of a connection: a server shard keeps one per
+/// session (split from its transport), a client core one per
+/// connection. Dropping it closes the connection for the peer, so a
+/// loop that drops a connection also hangs up on it.
 pub trait FrameWriter: Send + 'static {
     /// Sends one frame.
     fn write_frame(&mut self, frame: Vec<u8>) -> Result<(), TransportClosed>;

@@ -1,17 +1,17 @@
-//! End-to-end exercise of the drivers with no deployment at all: frames
-//! are ferried between a `ClientDriver` and a server `Shard` by hand, and
-//! time is a virtual clock. If this passes, every transport adapter only
-//! has to move bytes.
+//! End-to-end exercise of the two loops with no deployment at all:
+//! frames are ferried between a `ClientCore` and a server `Shard` by
+//! hand, and time is a virtual clock. If this passes, every transport
+//! adapter only has to move bytes.
 
 use shadow_client::{ClientConfig, ClientNode, ConnId, FileRef, Notification};
 use shadow_proto::{FileId, SubmitOptions};
 use shadow_runtime::{
-    ClientDriver, Clock, DriverEvent, PersistSink, Shard, ShardEvent, VirtualClock,
+    ClientCore, ClientInput, Clock, DriverEvent, PersistSink, Shard, ShardEvent, VirtualClock,
 };
 use shadow_server::{ServerConfig, ServerNode, SessionId};
 
 struct Harness {
-    client: ClientDriver,
+    client: ClientCore<VirtualClock, Vec<Vec<u8>>>,
     server: Shard<VirtualClock, Vec<Vec<u8>>, Box<dyn PersistSink>>,
     conn: ConnId,
     session: SessionId,
@@ -21,33 +21,33 @@ impl Harness {
     fn new() -> Self {
         let node = ServerNode::new(ServerConfig::new("sc"));
         let mut h = Harness {
-            client: ClientDriver::new(ClientNode::new(ClientConfig::new("ws", 1))),
+            client: ClientCore::new(
+                ClientNode::new(ClientConfig::new("ws", 1)),
+                VirtualClock::new(),
+            ),
             server: Shard::new(node, None, VirtualClock::new()),
             conn: ConnId::new(0),
             session: SessionId::new(1),
         };
-        let now = h.now();
-        let out = h.client.connect(h.conn, now);
+        h.client.connect(h.conn, Vec::new());
         assert!(
             h.server.writer_mut(h.session).is_none(),
             "connect is client-initiated: the session opens on its Hello"
         );
-        h.ferry(out);
+        h.ferry();
         h
     }
 
-    fn now(&mut self) -> u64 {
-        self.server.clock_mut().now_ms()
-    }
-
-    /// Moves frames back and forth (and fires due timers, advancing the
-    /// virtual clock to each deadline) until the system quiesces.
-    fn ferry(&mut self, mut client_out: Vec<shadow_runtime::ClientOutbound>) {
+    /// Moves frames back and forth (and fires due server timers,
+    /// advancing the virtual clock to each deadline) until the system
+    /// quiesces.
+    fn ferry(&mut self) {
         loop {
-            for o in client_out.drain(..) {
+            let client_out = std::mem::take(self.client.writer_mut(self.conn).expect("link is up"));
+            for frame in client_out {
                 let event = match self.server.writer_mut(self.session) {
-                    Some(_) => ShardEvent::Frame(self.session, o.frame),
-                    None => ShardEvent::Open(self.session, Vec::new(), o.frame),
+                    Some(_) => ShardEvent::Frame(self.session, frame),
+                    None => ShardEvent::Open(self.session, Vec::new(), frame),
                 };
                 self.server.step(Some(event), |_| 0);
                 assert!(
@@ -67,33 +67,38 @@ impl Harness {
             if server_out.is_empty() {
                 return;
             }
-            let now = self.now();
+            let now = self.server.clock_mut().now_ms();
+            self.client.clock_mut().advance_to(now);
             for frame in server_out {
-                let out = self
-                    .client
-                    .feed_frame(self.conn, &frame, now)
+                self.client
+                    .step(Some(ClientInput::Frame(self.conn, frame)), |_| 0)
                     .expect("server frames decode");
-                client_out.extend(out);
-            }
-            if client_out.is_empty() {
-                return;
             }
         }
     }
 
     fn edit(&mut self, file: &FileRef, content: &[u8]) {
-        let now = self.now();
-        let (_, out) = self.client.edit_finished(file, content.to_vec(), now);
-        self.ferry(out);
+        self.client.edit_finished(file, content.to_vec());
+        self.ferry();
     }
 
     fn submit(&mut self, job: &FileRef, data: &[FileRef]) {
-        let now = self.now();
-        let (_, out) = self
-            .client
-            .submit(self.conn, job, data, SubmitOptions::default(), now)
+        self.client
+            .submit(self.conn, job, data, SubmitOptions::default())
             .expect("submit accepted");
-        self.ferry(out);
+        self.ferry();
+    }
+
+    /// The jobs that finished since the last call, with their output.
+    fn finished(&mut self) -> Vec<(Vec<u8>, i32)> {
+        self.client
+            .take_notifications()
+            .into_iter()
+            .filter_map(|n| match n {
+                Notification::JobFinished { output, stats, .. } => Some((output, stats.exit_code)),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -109,10 +114,7 @@ fn handshake_then_job_completes() {
     h.edit(&job, b"echo runtime\n");
     h.submit(&job, &[]);
 
-    let done = h.client.take_finished();
-    assert_eq!(done.len(), 1);
-    assert_eq!(done[0].output, b"runtime\n");
-    assert_eq!(done[0].stats.exit_code, 0);
+    assert_eq!(h.finished(), vec![(b"runtime\n".to_vec(), 0)]);
     assert_eq!(h.server.report().counter("server", "jobs_completed"), 1);
 
     // The timer that ran the job went through the shard's queue.
@@ -142,7 +144,7 @@ fn resubmission_travels_as_delta_and_stats_count_frames() {
     h.edit(&data, &edited);
     h.submit(&job, std::slice::from_ref(&data));
 
-    assert_eq!(h.client.take_finished().len(), 2);
+    assert_eq!(h.finished().len(), 2);
     let cs = h.client.report();
     assert_eq!(
         cs.counter("client", "deltas_sent"),

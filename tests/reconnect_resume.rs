@@ -1,9 +1,9 @@
 //! Kill-the-link integration tests: a real session must survive its
 //! transport dying — client-side (a scheduled fault-transport reset)
 //! and network-side (a chaos proxy severing live TCP connections) —
-//! with the reconnect supervisor driving the redial and the resumption
-//! handshake keeping the delta path warm. The acceptance bar: after
-//! every reconnect, the *next submission travels as a delta*, proved by
+//! with the TCP client redialing by itself and the resumption handshake
+//! keeping the delta path warm. The acceptance bar: after every
+//! reconnect, the *next submission travels as a delta*, proved by
 //! `resume_hits`/`resume_fallbacks` on both ends, never by a silent
 //! full-transfer fallback.
 
@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 
 use shadow::tcp::TcpFramed;
 use shadow::{
-    connect_tcp, shard_for, ChaosProxy, ClientConfig, Deployment, DomainId, FaultPlan,
-    FaultTransport, FileRef, FrameTransport, LiveClient, LiveError, Notification, ServerConfig,
-    SubmitOptions, Supervisor, SupervisorConfig, SupervisorEvent, TransportClosed,
+    connect_tcp, shard_for, ChaosProxy, ClientConfig, Deployment, DomainId, ExecProfile, FaultPlan,
+    FaultTransport, FileRef, FrameTransport, JobStatus, LiveClient, LiveError, Notification,
+    ServerConfig, SubmitOptions, TransportClosed,
 };
 use shadow_proto::FileId;
 
@@ -115,26 +115,21 @@ fn observe_link_loss<T: FrameTransport>(client: &mut LiveClient<T>) -> Transport
     }
 }
 
-/// Drives the supervisor's policy clock (virtual time — the connector
-/// dials instantly) until a dial succeeds, returning the transport and
-/// how many attempts the outage took.
-fn redial<N: shadow::Connector>(sup: &mut Supervisor<N>, mut now_ms: u64) -> (N::Transport, u32) {
-    for _ in 0..64 {
-        match sup.poll(now_ms) {
-            Some(SupervisorEvent::Connected { attempts, .. }) => {
-                return (sup.take_transport().expect("fresh dial"), attempts);
-            }
-            Some(SupervisorEvent::DialFailed { retry_at_ms }) => now_ms = retry_at_ms,
-            Some(other) => panic!("unexpected supervisor event: {other:?}"),
-            None => now_ms = sup.next_deadline_ms(),
-        }
-    }
-    panic!("supervisor never reconnected");
+/// Waits for the session to come back by itself after a cut: the
+/// client redials through its own backoff and resumes.
+fn wait_resumed<T: FrameTransport>(client: &mut LiveClient<T>) {
+    let ready = client
+        .wait_for(WAIT, |n| matches!(n, Notification::SessionReady { .. }))
+        .expect("the client redials by itself");
+    assert!(
+        matches!(ready, Notification::SessionReady { resumed: true, .. }),
+        "the server must recognize the handshake as a resumption"
+    );
 }
 
 /// The network kills the link: a chaos proxy cuts every live TCP
-/// connection mid-session; the supervisor redials through the same
-/// proxy and the session resumes with its cache knowledge intact.
+/// connection mid-session; the client backs off, redials through the
+/// same proxy, and the session resumes with its cache knowledge intact.
 #[test]
 fn proxy_cut_reconnects_with_backoff_and_resumes_as_delta() {
     let runtime = Deployment::new(ServerConfig::new("sc"))
@@ -143,50 +138,22 @@ fn proxy_cut_reconnects_with_backoff_and_resumes_as_delta() {
     let addr = runtime.local_addr().unwrap();
     let server = std::thread::spawn(move || runtime.run_until_idle_for(SERVER_IDLE));
     let proxy = ChaosProxy::start(addr).unwrap();
-    let proxy_addr = proxy.addr();
 
-    // The supervisor owns the dial policy from the very first connect;
-    // the client owns the mechanism once the transport is handed over.
-    let mut sup = Supervisor::new(
-        move || TcpFramed::connect(proxy_addr),
-        SupervisorConfig {
-            base_backoff_ms: 20,
-            max_backoff_ms: 500,
-            seed: 7,
-            ..SupervisorConfig::default()
-        },
-    );
-    let (transport, attempts) = redial(&mut sup, 0);
-    assert_eq!(attempts, 1, "first dial through a healthy proxy");
-    let mut client = LiveClient::over_transport(ClientConfig::new("ws1", 1), transport).unwrap();
+    let mut client = connect_tcp(ClientConfig::new("ws1", 1), proxy.addr()).unwrap();
     let content = warm_session(&mut client, "ws1");
 
     proxy.cut();
-    let closed = observe_link_loss(&mut client);
+    let cut = Instant::now();
+    wait_resumed(&mut client);
     assert!(
-        closed.error_kind().is_some() || closed.is_clean(),
-        "a cut surfaces as some transport close: {closed:?}"
-    );
-    client.link_down();
-    let retry_at = sup.link_failed(1);
-    assert!(
-        retry_at >= 21,
-        "the first retry waits at least the base backoff"
-    );
-
-    let (fresh, _) = redial(&mut sup, retry_at);
-    client.resume_over(fresh).unwrap();
-    let ready = client
-        .wait_for(WAIT, |n| matches!(n, Notification::SessionReady { .. }))
-        .unwrap();
-    assert!(
-        matches!(ready, Notification::SessionReady { resumed: true, .. }),
-        "the server must recognize the handshake as a resumption"
+        cut.elapsed() >= Duration::from_millis(100),
+        "the redial waits at least the base backoff"
     );
     resubmit_after_resume(&mut client, "ws1", content);
 
-    assert_eq!(sup.stats().dials, 2);
-    assert_eq!(sup.stats().reconnects, 1);
+    let report = client.report();
+    assert_eq!(report.counter("redial", "dials"), 2);
+    assert_eq!(report.counter("redial", "dial_failures"), 0);
     assert_eq!(
         proxy.connections_served(),
         2,
@@ -205,6 +172,74 @@ fn proxy_cut_reconnects_with_backoff_and_resumes_as_delta() {
         2,
         "both the cut session and the final hangup are accounted"
     );
+}
+
+/// A TCP client survives a cut in the middle of a job by itself: it
+/// redials while the job runs, the job's result reaches the resumed
+/// session, and the next submission is a delta.
+#[test]
+fn tcp_client_redials_through_a_cut_mid_job_and_gets_its_result() {
+    let config = ServerConfig::new("sc").with_exec(ExecProfile {
+        job_overhead_ms: 2_000,
+        ..ExecProfile::default()
+    });
+    let runtime = Deployment::new(config).tcp("127.0.0.1:0").unwrap();
+    let addr = runtime.local_addr().unwrap();
+    let server = std::thread::spawn(move || runtime.run_until_idle_for(SERVER_IDLE));
+    let proxy = ChaosProxy::start(addr).unwrap();
+
+    let tag = "ws5";
+    let mut client = connect_tcp(ClientConfig::new(tag, 5), proxy.addr()).unwrap();
+    client.wait_ready(WAIT).expect("handshake");
+    let content: Vec<u8> = (0..2000)
+        .flat_map(|i| format!("row {i} of {tag}\n").into_bytes())
+        .collect();
+    client.edit_finished(&data_ref(tag), content.clone());
+    client.edit_finished(&job_ref(tag), format!("wc {tag}:/data\n").into_bytes());
+    client
+        .submit(
+            &job_ref(tag),
+            std::slice::from_ref(&data_ref(tag)),
+            SubmitOptions::default(),
+        )
+        .expect("submit");
+    let accepted = client
+        .wait_for(WAIT, |n| matches!(n, Notification::JobAccepted { .. }))
+        .unwrap();
+    let Notification::JobAccepted { job, .. } = accepted else {
+        unreachable!("predicate matched JobAccepted")
+    };
+    // Once the job runs, its files were acknowledged: the resume has
+    // something to confirm.
+    let deadline = Instant::now() + WAIT;
+    loop {
+        assert!(Instant::now() < deadline, "the job never started");
+        client.status(Some(job)).unwrap();
+        let report = client
+            .wait_for(WAIT, |n| matches!(n, Notification::StatusReport { .. }))
+            .unwrap();
+        if let Notification::StatusReport { entries, .. } = report {
+            if entries.iter().any(|e| e.status == JobStatus::Running) {
+                break;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    proxy.cut();
+    let (finished, output, _, stats) = client.wait_job(WAIT).expect("the result of the cut job");
+    assert_eq!(finished, job);
+    assert_eq!(stats.exit_code, 0);
+    assert!(!output.is_empty());
+    resubmit_after_resume(&mut client, tag, content);
+    assert_eq!(client.report().counter("redial", "dials"), 2);
+
+    drop(client);
+    let node = server.join().unwrap().unwrap().remove(0);
+    let report = node.report();
+    assert_eq!(report.counter("server", "sessions_resumed"), 1);
+    assert_eq!(report.counter("server", "delta_updates"), 1);
+    assert_eq!(report.counter("server", "jobs_completed"), 2);
 }
 
 /// The client's own transport dies: a seeded fault plan hard-resets the
@@ -290,18 +325,7 @@ fn two_shard_resume_lands_on_the_owning_shard() {
         let content = warm_session(&mut client, &tag);
 
         proxy.cut();
-        observe_link_loss(&mut client);
-        client.link_down();
-        client
-            .resume_over(TcpFramed::connect(proxy.addr()).unwrap())
-            .unwrap();
-        let ready = client
-            .wait_for(WAIT, |n| matches!(n, Notification::SessionReady { .. }))
-            .unwrap();
-        assert!(
-            matches!(ready, Notification::SessionReady { resumed: true, .. }),
-            "domain {d}: resumption must survive shard routing"
-        );
+        wait_resumed(&mut client);
         resubmit_after_resume(&mut client, &tag, content);
         drop(client);
     }
